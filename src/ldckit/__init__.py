@@ -11,8 +11,7 @@ from .circuit import (Circuit, Node, compose, dagger_box, generator,
 from .io import matrix_from_json, matrix_to_json, parse, serialize
 from .render import render_dot
 from .validity import BoxState, ValidityReport, validate, validate_all_orders
-from .rewrite import (EXPANSION_RULES, REDUCTION_RULES, RewriteRule,
-                      expand_wire, normalize)
+from .rewrite import expand_wire, normalize
 from .model import (ModelEnv, evaluate, interp, matrices_equal,
                     split_idempotent)
 from .gadget import Gadget, gadget_from_json, gadget_to_json

@@ -9,8 +9,9 @@ where the circuit boundary counts as an endpoint.  Flow is acyclic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from collections import Counter
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 
 from .errors import IllTyped, TypeMismatch
 from .objects import ObjectExpr, Tensor, Par, Top, Bot, dagger_of
@@ -19,9 +20,6 @@ NODE_KINDS = (
     "gen", "tensor_intro", "tensor_elim", "par_intro", "par_elim",
     "top_intro", "top_elim", "bot_intro", "bot_elim", "swap", "dagger_box",
 )
-
-# Nodes that the validity algorithm may only absorb into an existing box.
-ABSORBABLE_KINDS = ("tensor_elim", "par_intro", "top_elim", "bot_intro")
 
 
 @dataclass(frozen=True)
@@ -54,9 +52,6 @@ class Circuit:
         self._check()
 
     # -- structural views -------------------------------------------------
-
-    def wire_type(self, w: str) -> ObjectExpr:
-        return self.wires[w]
 
     def input_types(self) -> tuple[ObjectExpr, ...]:
         return tuple(self.wires[w] for w in self.inputs)
@@ -430,6 +425,24 @@ def dagger_box(inner: Circuit) -> Circuit:
     return Circuit(wires, {fresh_node(): node}, wi, wo)
 
 
+def reverse(c: Circuit, rename: Mapping[str, str]) -> Circuit:
+    """Flip a circuit of generators and symmetries upside down: every node
+    and the boundary swap inputs with outputs, and each generator is renamed
+    through `rename` (names it lacks are kept).  With every renamed
+    generator assigned the transpose of the original's matrix, the flipped
+    circuit evaluates to the transpose.  Nodes come out in reverse order, so
+    contraction meets them in the flipped flow order."""
+    nodes = {}
+    for nid in reversed(list(c.nodes)):
+        n = c.nodes[nid]
+        if n.kind not in ("gen", "swap"):
+            raise IllTyped(nid, f"cannot reverse a {n.kind} node")
+        name = rename.get(n.name, n.name) if n.kind == "gen" else None
+        nodes[nid] = Node(kind=n.kind, ins=n.outs, outs=n.ins, name=name,
+                          dom=n.cod, cod=n.dom)
+    return Circuit(c.wires, nodes, c.outputs, c.inputs)
+
+
 # -- graph isomorphism -----------------------------------------------------
 
 def _node_signature(c: Circuit, nid: str) -> tuple:
@@ -454,9 +467,8 @@ def isomorphic(c1: Circuit, c2: Circuit) -> bool:
             or len(c1.wires) != len(c2.wires)
             or len(c1.nodes) != len(c2.nodes)):
         return False
-    sig1 = sorted(_node_signature(c1, n) for n in c1.nodes)
-    sig2 = sorted(_node_signature(c2, n) for n in c2.nodes)
-    if sig1 != sig2:
+    if Counter(_node_signature(c1, n) for n in c1.nodes) != \
+            Counter(_node_signature(c2, n) for n in c2.nodes):
         return False
 
     wire_map: dict[str, str] = {}

@@ -78,7 +78,6 @@ def cmd_check(args) -> int:
 
 
 _SPLITTERS = {
-    "binary": None,
     "monoid": split_linear_monoid,
     "comonoid": split_linear_comonoid,
     "bialgebra": split_linear_bialgebra,
@@ -157,7 +156,6 @@ def cmd_examples(args) -> int:
 def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="split an idempotent on a gadget")
     p.add_argument("--gadget", required=True)
-    p.add_argument("--kind", choices=sorted(_SPLITTERS), default="binary")
+    p.add_argument("--kind", default="binary",
+                   choices=("bialgebra", "binary", "comonoid", "monoid"))
     p.add_argument("-o", "--output")
     _common(p)
     p.set_defaults(func=cmd_split)
@@ -208,7 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error; 2 is kept
+        # for a failed check.
+        return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
     except SuiteFailure as exc:

@@ -183,8 +183,6 @@ class ExpStructure:
     unit_u: np.ndarray       # _|_ -> ?A
     eta: np.ndarray          # A -> ?A
     mu: Optional[np.ndarray]     # ??A -> ?A
-    s_iso: np.ndarray
-    t_iso: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -206,14 +204,12 @@ def build_exp(base: Sequence[str] | int, degree: int,
         dup = lift_flat((delta_mat, e_mat),
                         np.eye(basis.dim, dtype=complex), outer,
                         verify=basis.dim <= 64)
-    eye = np.eye(basis.dim, dtype=complex)
     return ExpStructure(
         basis=basis, outer=outer,
         Delta=delta_mat, counit_e=e_mat, eps=eps_mat, delta=dup,
         nabla=delta_mat.conj().T, unit_u=e_mat.conj().T,
         eta=eps_mat.conj().T,
-        mu=dup.conj().T if dup is not None else None,
-        s_iso=eye, t_iso=eye)
+        mu=dup.conj().T if dup is not None else None)
 
 
 # -- sparse column calculus ------------------------------------------------
@@ -340,10 +336,6 @@ def monoidal_structure(exp_a: ExpStructure, exp_b: ExpStructure) \
     m_tensor = lift_flat((delta_prod, e_prod), f, target,
                          verify=na * nb <= 256)
     return m_top, m_tensor, m_tensor.conj().T
-
-
-def exp_top(degree: int) -> ExpStructure:
-    return build_exp(["*"], degree)
 
 
 # -- induced structure on the exponential ----------------------------------

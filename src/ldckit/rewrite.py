@@ -10,37 +10,11 @@ the original circuit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .circuit import Circuit, Node, fresh_node, fresh_wire
 from .errors import NotExpandable
 from .objects import Bot, Par, Tensor, Top
-
-
-@dataclass(frozen=True)
-class RewriteRule:
-    name: str
-    direction: str  # "reduce" | "expand"
-
-
-REDUCTION_RULES = (
-    RewriteRule("top-intro-elim", "reduce"),
-    RewriteRule("bot-intro-elim", "reduce"),
-    RewriteRule("tensor-intro-elim", "reduce"),
-    RewriteRule("par-intro-elim", "reduce"),
-    RewriteRule("tensor-elim-intro", "reduce"),
-    RewriteRule("par-elim-intro", "reduce"),
-    RewriteRule("top-elim-intro", "reduce"),
-    RewriteRule("bot-elim-intro", "reduce"),
-)
-
-EXPANSION_RULES = (
-    RewriteRule("tensor-wire", "expand"),
-    RewriteRule("par-wire", "expand"),
-    RewriteRule("top-wire", "expand"),
-    RewriteRule("bot-wire", "expand"),
-)
 
 
 class _Editable:

@@ -14,9 +14,10 @@ from .gadget import Gadget
 from .model import ModelEnv, evaluate, interp, split_idempotent
 from .objects import Atom, ObjectExpr, Par, Tensor
 from .suites import (SUITES, SuiteReport, check_suite, suite_env,
-                     _act_left, _act_right, _antipode_par, _antipode_tensor,
-                     _coact_left, _coact_right, _d_left, _k_left,
-                     tensor_of_duals_cap, tensor_of_duals_cup)
+                     _MONOID_TO_COMONOID, _act_left, _act_right,
+                     _antipode_par, _antipode_tensor, _coact_left,
+                     _coact_right, _d_left, _k_left, tensor_of_duals_cap,
+                     tensor_of_duals_cup)
 
 
 def _require(g: Gadget, suite_name: str, tol: float) -> SuiteReport:
@@ -234,25 +235,17 @@ def split_linear_bialgebra(g: Gadget, e_a: np.ndarray, e_b: np.ndarray,
 
 # -- compact reflection -----------------------------------------------------
 
-_REFLECT_MONOID_TO_COMONOID = {
-    "m": "d", "u": "k",
-    "eps_R": "tau_L", "eta_R": "gam_L",
-    "eps_L": "tau_R", "eta_L": "gam_R",
-}
-_REFLECT_COMONOID_TO_MONOID = {
-    v: k for k, v in _REFLECT_MONOID_TO_COMONOID.items()}
-
-
 def compact_reflection(g: Gadget, tol: float = 1e-9) -> Gadget:
     """Reinterpret every role matrix as the reversed arrow (its transpose).
     A linear monoid becomes a linear comonoid and vice versa; applying the
     reflection twice returns the original gadget exactly."""
     if g.has("m", "u"):
         _require(g, "linear-monoid", tol)
-        table, kind = _REFLECT_MONOID_TO_COMONOID, "linear_comonoid"
+        table, kind = _MONOID_TO_COMONOID, "linear_comonoid"
     elif g.has("d", "k"):
         _require(g, "linear-comonoid", tol)
-        table, kind = _REFLECT_COMONOID_TO_MONOID, "linear_monoid"
+        table = {new: old for old, new in _MONOID_TO_COMONOID.items()}
+        kind = "linear_monoid"
     else:
         raise MissingRole("m")
     morphs = {new: _mat(g, old).T for old, new in table.items()}

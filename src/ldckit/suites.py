@@ -18,12 +18,12 @@ degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .circuit import (Circuit, empty, generator, identity, par, permutation,
-                      seq)
+                      reverse, seq)
 from .errors import MissingRole
 from .gadget import Gadget
 from .model import ModelEnv, evaluate, interp, matrices_equal
@@ -165,6 +165,104 @@ def _snake_y(X: list[ObjectExpr], Y: list[ObjectExpr],
     return lhs, identity(Y)
 
 
+def _snakes(labels: tuple[str, str], cup: str, cap: str,
+            flip: bool = False) -> tuple[Equation, ...]:
+    """The two snake equations of the dual A -| B (B -| A when flipped)
+    with unit `cup` and counit `cap`."""
+    def build(snake):
+        def b(g):
+            X, Y = [g.object("A")], [g.object("B")]
+            if flip:
+                X, Y = Y, X
+            return snake(X, Y, _cup(cup, *X, *Y), _cap(cap, *Y, *X))
+        return b
+    return tuple(Equation(label, build(snake))
+                 for label, snake in zip(labels, (_snake_x, _snake_y)))
+
+
+# The comonoid side of a linear monoid is the monoid side with every arrow
+# reversed (the compact reflection): the role each monoid role turns into.
+# Roles it lacks, such as an idempotent e, keep their names.
+_MONOID_TO_COMONOID = {
+    "m": "d", "u": "k",
+    "eps_R": "tau_L", "eta_R": "gam_L",
+    "eps_L": "tau_R", "eta_L": "gam_R",
+}
+
+# Each comonoid-side label with the monoid-side label of the equation it
+# flips.  The flip exchanges the two duals and the two snakes of each.
+_COMONOID_LABELS = {
+    "coassoc": "assoc",
+    "counit-left": "unit-left",
+    "counit-right": "unit-right",
+    "snake-left-dual-a": "snake-right-dual-b",
+    "snake-left-dual-b": "snake-right-dual-a",
+    "snake-right-dual-a": "snake-left-dual-b",
+    "snake-right-dual-b": "snake-left-dual-a",
+    "mult-coincide": "comult-coincide",
+    "unit-coincide": "counit-coincide",
+    "dagger-dual-left": "dagger-dual-right",
+    "dagger-dual-right": "dagger-dual-left",
+    "comult-absorption": "mult-absorption",
+    "counit-absorption": "unit-absorption",
+    "e-idempotent": "e-idempotent",
+}
+
+
+def _flipped(equations: Sequence[Equation],
+             table: Mapping[str, str] = _MONOID_TO_COMONOID
+             ) -> tuple[Equation, ...]:
+    """The comonoid-side equations read off monoid-side ones by `reverse`,
+    in the order of `_COMONOID_LABELS`.  Each generator follows `table`,
+    and its derived ``_dag``/``_t``/``_inv`` forms follow it too."""
+    rename = {role + suffix: new + suffix for role, new in table.items()
+              for suffix in ("", "_dag", "_t", "_inv")}
+    by_label = {eq.label: eq for eq in equations}
+
+    def flip(eq: Equation) -> Template:
+        return lambda g: tuple(reverse(c, rename) for c in eq.build(g))
+
+    return tuple(Equation(new, flip(by_label[old]), by_label[old].margin)
+                 for new, old in _COMONOID_LABELS.items()
+                 if old in by_label)
+
+
+def _flipped_suite(suite: EquationSuite, name: str, kind: str,
+                   extra: tuple[Equation, ...] = ()) -> EquationSuite:
+    return EquationSuite(
+        name, kind,
+        tuple(_MONOID_TO_COMONOID.get(r, r) for r in suite.roles),
+        _flipped(suite.equations) + extra)
+
+
+def _monoid_laws(obj: str = "A", prefix: str = "") -> tuple[Equation, ...]:
+    def assoc(g):
+        A = g.object(obj)
+        m = generator("m", [A, A], [A])
+        return (seq(par(generator("m", [A, A], [A]), identity([A])), m),
+                seq(par(identity([A]), generator("m", [A, A], [A])), m))
+
+    def unit_l(g):
+        A = g.object(obj)
+        return (seq(par(generator("u", [], [A]), identity([A])),
+                    generator("m", [A, A], [A])), identity([A]))
+
+    def unit_r(g):
+        A = g.object(obj)
+        return (seq(par(identity([A]), generator("u", [], [A])),
+                    generator("m", [A, A], [A])), identity([A]))
+
+    return (Equation(f"{prefix}assoc", assoc),
+            Equation(f"{prefix}unit-left", unit_l),
+            Equation(f"{prefix}unit-right", unit_r))
+
+
+def _comonoid_laws(obj: str = "A", d: str = "d", k: str = "k",
+                   prefix: str = "") -> tuple[Equation, ...]:
+    return tuple(Equation(prefix + eq.label, eq.build)
+                 for eq in _flipped(_monoid_laws(obj), {"m": d, "u": k}))
+
+
 # Derived structure on the dual object of a linear monoid (m, u) with left
 # duals (eta_L, eps_L): A -| B and right duals (eta_R, eps_R): B -| A.
 
@@ -285,19 +383,12 @@ def _e_b(g: Gadget) -> Circuit:
 
 # -- suite definitions ------------------------------------------------------
 
+_SNAKE_LABELS = ("snake-left", "snake-right")
+
+
 def _dual_suite() -> EquationSuite:
-    def snake_a(g):
-        A, B = g.object("A"), g.object("B")
-        return _snake_x([A], [B], _cup("eta", A, B), _cap("eps", B, A))
-
-    def snake_b(g):
-        A, B = g.object("A"), g.object("B")
-        return _snake_y([A], [B], _cup("eta", A, B), _cap("eps", B, A))
-
-    return EquationSuite("dual", "dual", ("eta", "eps"), (
-        Equation("snake-left", snake_a),
-        Equation("snake-right", snake_b),
-    ))
+    return EquationSuite("dual", "dual", ("eta", "eps"),
+                         _snakes(_SNAKE_LABELS, "eta", "eps"))
 
 
 def _dual_morphism_suite() -> EquationSuite:
@@ -403,14 +494,6 @@ def _tensor_of_duals_suite() -> EquationSuite:
 
 
 def _dagger_dual_suite() -> EquationSuite:
-    def snake_a(g):
-        A, B = g.object("A"), g.object("B")
-        return _snake_x([A], [B], _cup("eta", A, B), _cap("eps", B, A))
-
-    def snake_b(g):
-        A, B = g.object("A"), g.object("B")
-        return _snake_y([A], [B], _cup("eta", A, B), _cap("eps", B, A))
-
     def eq_a(g):
         A, B = g.object("A"), g.object("B")
         lhs = seq(_cup("eps_dag", B, A), par(identity([B]),
@@ -434,9 +517,8 @@ def _dagger_dual_suite() -> EquationSuite:
                 identity([A]))
 
     return EquationSuite("dagger-dual", "dagger_dual",
-                        ("eta", "eps", "p", "q"), (
-                            Equation("snake-left", snake_a),
-                            Equation("snake-right", snake_b),
+                        ("eta", "eps", "p", "q"),
+                        _snakes(_SNAKE_LABELS, "eta", "eps") + (
                             Equation("dagger-cup", eq_a),
                             Equation("dagger-cap", eq_b),
                             Equation("section-pair", eq_pq),
@@ -446,20 +528,9 @@ def _dagger_dual_suite() -> EquationSuite:
 def _dagger_of_dual_suite() -> EquationSuite:
     # The dagger of a dual A -| B is the dual B -| A with cup the daggered
     # cap and cap the daggered cup.
-    def snake_a(g):
-        A, B = g.object("A"), g.object("B")
-        return _snake_x([B], [A], _cup("eps_dag", B, A),
-                        _cap("eta_dag", A, B))
-
-    def snake_b(g):
-        A, B = g.object("A"), g.object("B")
-        return _snake_y([B], [A], _cup("eps_dag", B, A),
-                        _cap("eta_dag", A, B))
-
-    return EquationSuite("dagger-of-dual", "dual", ("eta", "eps"), (
-        Equation("snake-left", snake_a),
-        Equation("snake-right", snake_b),
-    ))
+    return EquationSuite("dagger-of-dual", "dual", ("eta", "eps"),
+                         _snakes(_SNAKE_LABELS, "eps_dag", "eta_dag",
+                                 flip=True))
 
 
 def _binary_idempotent_suite() -> EquationSuite:
@@ -520,56 +591,19 @@ def _coring_suite() -> EquationSuite:
 
 
 def _linear_monoid_equations() -> tuple[Equation, ...]:
-    def with_A(build):
-        def wrapped(g):
-            return build(g, g.object("A"))
-        return wrapped
-
-    def assoc(g, A):
-        m = generator("m", [A, A], [A])
-        return (seq(par(generator("m", [A, A], [A]), identity([A])), m),
-                seq(par(identity([A]), generator("m", [A, A], [A])), m))
-
-    def unit_l(g, A):
-        return (seq(par(generator("u", [], [A]), identity([A])),
-                    generator("m", [A, A], [A])), identity([A]))
-
-    def unit_r(g, A):
-        return (seq(par(identity([A]), generator("u", [], [A])),
-                    generator("m", [A, A], [A])), identity([A]))
-
-    def snake(which: str, side: str):
-        def build(g):
-            A, B = g.object("A"), g.object("B")
-            if side == "L":
-                cup = _cup("eta_L", A, B)
-                cap = _cap("eps_L", B, A)
-                X, Y = [A], [B]
-            else:
-                cup = _cup("eta_R", B, A)
-                cap = _cap("eps_R", A, B)
-                X, Y = [B], [A]
-            fn = _snake_x if which == "x" else _snake_y
-            return fn(X, Y, cup, cap)
-        return build
-
     def d_coincide(g):
         return _d_left(g), _d_right(g)
 
     def k_coincide(g):
         return _k_left(g), _k_right(g)
 
-    return (
-        Equation("assoc", with_A(assoc)),
-        Equation("unit-left", with_A(unit_l)),
-        Equation("unit-right", with_A(unit_r)),
-        Equation("snake-left-dual-a", snake("x", "L")),
-        Equation("snake-left-dual-b", snake("y", "L")),
-        Equation("snake-right-dual-a", snake("x", "R")),
-        Equation("snake-right-dual-b", snake("y", "R")),
-        Equation("comult-coincide", d_coincide),
-        Equation("counit-coincide", k_coincide),
-    )
+    return (_monoid_laws()
+            + _snakes(("snake-left-dual-a", "snake-left-dual-b"),
+                      "eta_L", "eps_L")
+            + _snakes(("snake-right-dual-a", "snake-right-dual-b"),
+                      "eta_R", "eps_R", flip=True)
+            + (Equation("comult-coincide", d_coincide),
+               Equation("counit-coincide", k_coincide)))
 
 
 _LINEAR_MONOID_ROLES = ("m", "u", "eta_L", "eps_L", "eta_R", "eps_R")
@@ -658,56 +692,19 @@ def _monoid_actions_suite() -> EquationSuite:
     A_roles = ("m", "u", "d_b", "k_b", "act_l", "act_r",
                "coact_l", "coact_r")
 
-    def comonoid_eq(which):
-        def build(g):
-            B = g.object("B")
-            d = generator("d_b", [B], [B, B])
-            if which == "coassoc":
-                return (seq(d, par(generator("d_b", [B], [B, B]),
-                                   identity([B]))),
-                        seq(d, par(identity([B]),
-                                   generator("d_b", [B], [B, B]))))
-            if which == "counit-left":
-                return (seq(d, par(generator("k_b", [B], []),
-                                   identity([B]))), identity([B]))
-            return (seq(d, par(identity([B]),
-                               generator("k_b", [B], []))), identity([B]))
-        return build
-
-    def monoid_eq(which):
-        def build(g):
-            A = g.object("A")
-            m = generator("m", [A, A], [A])
-            if which == "assoc":
-                return (seq(par(generator("m", [A, A], [A]),
-                                identity([A])), m),
-                        seq(par(identity([A]),
-                                generator("m", [A, A], [A])), m))
-            if which == "unit-left":
-                return (seq(par(generator("u", [], [A]), identity([A])),
-                            m), identity([A]))
-            return (seq(par(identity([A]), generator("u", [], [A])),
-                        m), identity([A]))
-        return build
-
-    return EquationSuite("monoid-actions", "monoid_actions", A_roles, (
-        Equation("monoid-assoc", monoid_eq("assoc")),
-        Equation("monoid-unit-left", monoid_eq("unit-left")),
-        Equation("monoid-unit-right", monoid_eq("unit-right")),
-        Equation("comonoid-coassoc", comonoid_eq("coassoc")),
-        Equation("comonoid-counit-left", comonoid_eq("counit-left")),
-        Equation("comonoid-counit-right", comonoid_eq("counit-right")),
-        Equation("action-unit-left", unit_l),
-        Equation("action-unit-right", unit_r),
-        Equation("action-assoc-left", assoc_l),
-        Equation("action-assoc-right", assoc_r),
-        Equation("actions-commute", commute),
-        Equation("coaction-counit-left", counit_l),
-        Equation("coaction-counit-right", counit_r),
-        Equation("coaction-coassoc-left", coassoc_l),
-        Equation("coaction-coassoc-right", coassoc_r),
-        Equation("coactions-commute", cocommute),
-    ))
+    return EquationSuite("monoid-actions", "monoid_actions", A_roles,
+                         _monoid_laws("A", "monoid-")
+                         + _comonoid_laws("B", "d_b", "k_b", "comonoid-")
+                         + (Equation("action-unit-left", unit_l),
+                            Equation("action-unit-right", unit_r),
+                            Equation("action-assoc-left", assoc_l),
+                            Equation("action-assoc-right", assoc_r),
+                            Equation("actions-commute", commute),
+                            Equation("coaction-counit-left", counit_l),
+                            Equation("coaction-counit-right", counit_r),
+                            Equation("coaction-coassoc-left", coassoc_l),
+                            Equation("coaction-coassoc-right", coassoc_r),
+                            Equation("coactions-commute", cocommute)))
 
 
 def _monoid_sectional_suite(retractional: bool = False) -> EquationSuite:
@@ -772,6 +769,25 @@ def _dagger_linear_monoid_suite() -> EquationSuite:
                             Equation("comult-is-mult-dagger", d_is_m_dag),
                             Equation("counit-is-unit-dagger", k_is_u_dag),
                         ))
+
+
+def _dagger_linear_comonoid_suite() -> EquationSuite:
+    # The flip of the monoid suite, except for the comparisons of the
+    # derived (co)monoid with the dagger, which are not flips of their
+    # monoid-side counterparts.
+    def m_is_d_dag(g):
+        B = g.object("B")
+        return _m_left(g), generator("d_dag", [B, B], [B])
+
+    def u_is_k_dag(g):
+        B = g.object("B")
+        return _u_left(g), generator("k_dag", [], [B])
+
+    return _flipped_suite(_dagger_linear_monoid_suite(),
+                          "dagger-linear-comonoid", "linear_comonoid", (
+                              Equation("mult-is-comult-dagger", m_is_d_dag),
+                              Equation("unit-is-counit-dagger", u_is_k_dag),
+                          ))
 
 
 def _unitary_fixed_point_left(g: Gadget, alpha: str = "alpha") -> Circuit:
@@ -869,59 +885,12 @@ def _frobenius_algebra_suite() -> EquationSuite:
             return lhs, mid
         return build
 
-    A_eqs = tuple(_monoid_eqs_obj("A")) + tuple(_comonoid_eqs_obj("A"))
     return EquationSuite("frobenius-algebra", "frobenius_algebra",
                         ("m", "u", "d", "k"),
-                        A_eqs + (
+                        _monoid_laws() + _comonoid_laws() + (
                             Equation("frobenius-left", frob("L")),
                             Equation("frobenius-right", frob("R")),
                         ))
-
-
-def _monoid_eqs_obj(obj: str) -> list[Equation]:
-    def assoc(g):
-        A = g.object(obj)
-        m = generator("m", [A, A], [A])
-        return (seq(par(generator("m", [A, A], [A]), identity([A])), m),
-                seq(par(identity([A]), generator("m", [A, A], [A])), m))
-
-    def unit_l(g):
-        A = g.object(obj)
-        return (seq(par(generator("u", [], [A]), identity([A])),
-                    generator("m", [A, A], [A])), identity([A]))
-
-    def unit_r(g):
-        A = g.object(obj)
-        return (seq(par(identity([A]), generator("u", [], [A])),
-                    generator("m", [A, A], [A])), identity([A]))
-
-    return [Equation("assoc", assoc),
-            Equation("unit-left", unit_l),
-            Equation("unit-right", unit_r)]
-
-
-def _comonoid_eqs_obj(obj: str) -> list[Equation]:
-    def coassoc(g):
-        A = g.object(obj)
-        d = generator("d", [A], [A, A])
-        return (seq(d, par(generator("d", [A], [A, A]), identity([A]))),
-                seq(d, par(identity([A]), generator("d", [A], [A, A]))))
-
-    def counit_l(g):
-        A = g.object(obj)
-        return (seq(generator("d", [A], [A, A]),
-                    par(generator("k", [A], []), identity([A]))),
-                identity([A]))
-
-    def counit_r(g):
-        A = g.object(obj)
-        return (seq(generator("d", [A], [A, A]),
-                    par(identity([A]), generator("k", [A], []))),
-                identity([A]))
-
-    return [Equation("coassoc", coassoc),
-            Equation("counit-left", counit_l),
-            Equation("counit-right", counit_r)]
 
 
 def _dagger_frobenius_suite() -> EquationSuite:
@@ -968,103 +937,6 @@ def _frobenius_splitting_suite() -> EquationSuite:
                         _LINEAR_MONOID_ROLES + ("ub", "vb"), (
                             Equation("splitting-left", cond("L")),
                             Equation("splitting-right", cond("R")),
-                        ))
-
-
-_LINEAR_COMONOID_ROLES = ("d", "k", "tau_L", "gam_L", "tau_R", "gam_R")
-
-
-def _linear_comonoid_equations() -> tuple[Equation, ...]:
-    def snake(which: str, side: str):
-        def build(g):
-            A, B = g.object("A"), g.object("B")
-            if side == "L":
-                cup = _cup("tau_L", A, B)
-                cap = _cap("gam_L", B, A)
-                X, Y = [A], [B]
-            else:
-                cup = _cup("tau_R", B, A)
-                cap = _cap("gam_R", A, B)
-                X, Y = [B], [A]
-            fn = _snake_x if which == "x" else _snake_y
-            return fn(X, Y, cup, cap)
-        return build
-
-    def m_coincide(g):
-        return _m_left(g), _m_right(g)
-
-    def u_coincide(g):
-        return _u_left(g), _u_right(g)
-
-    return tuple(_comonoid_eqs_obj("A")) + (
-        Equation("snake-left-dual-a", snake("x", "L")),
-        Equation("snake-left-dual-b", snake("y", "L")),
-        Equation("snake-right-dual-a", snake("x", "R")),
-        Equation("snake-right-dual-b", snake("y", "R")),
-        Equation("mult-coincide", m_coincide),
-        Equation("unit-coincide", u_coincide),
-    )
-
-
-def _linear_comonoid_suite() -> EquationSuite:
-    return EquationSuite("linear-comonoid", "linear_comonoid",
-                        _LINEAR_COMONOID_ROLES,
-                        _linear_comonoid_equations())
-
-
-def _comonoid_sectional_suite(retractional: bool = False) -> EquationSuite:
-    def comult_eq(g):
-        A = g.object("A")
-        rhs = seq(generator("e", [A], [A]), generator("d", [A], [A, A]),
-                  par(generator("e", [A], [A]), generator("e", [A], [A])))
-        if retractional:
-            lhs = seq(generator("d", [A], [A, A]),
-                      par(generator("e", [A], [A]),
-                          generator("e", [A], [A])))
-        else:
-            lhs = seq(generator("e", [A], [A]), generator("d", [A], [A, A]))
-        return lhs, rhs
-
-    def counit_eq(g):
-        A = g.object("A")
-        return (seq(generator("e", [A], [A]), generator("k", [A], [])),
-                generator("k", [A], []))
-
-    # Mirror of the monoid case: here the retractional flavour is the one
-    # that constrains the counit.
-    name = ("comonoid-retractional" if retractional
-            else "comonoid-sectional")
-    eqs: tuple[Equation, ...] = (Equation("comult-absorption", comult_eq),)
-    if retractional:
-        eqs += (Equation("counit-absorption", counit_eq),)
-    return EquationSuite(name, "comonoid_idempotent", ("d", "k", "e"),
-                         eqs + (_idem("e", "A"),))
-
-
-def _dagger_linear_comonoid_suite() -> EquationSuite:
-    def dag_dual(side: str):
-        def build(g):
-            A, B = g.object("A"), g.object("B")
-            if side == "L":
-                return _cup("gam_L_dag", B, A), _cup("tau_L", A, B)
-            return _cup("gam_R_dag", A, B), _cup("tau_R", B, A)
-        return build
-
-    def m_is_d_dag(g):
-        B = g.object("B")
-        return _m_left(g), generator("d_dag", [B, B], [B])
-
-    def u_is_k_dag(g):
-        B = g.object("B")
-        return _u_left(g), generator("k_dag", [], [B])
-
-    return EquationSuite("dagger-linear-comonoid", "linear_comonoid",
-                        _LINEAR_COMONOID_ROLES,
-                        _linear_comonoid_equations() + (
-                            Equation("dagger-dual-left", dag_dual("L")),
-                            Equation("dagger-dual-right", dag_dual("R")),
-                            Equation("mult-is-comult-dagger", m_is_d_dag),
-                            Equation("unit-is-counit-dagger", u_is_k_dag),
                         ))
 
 
@@ -1135,36 +1007,16 @@ def _bialgebra_par_equations(margin: int = 0) -> tuple[Equation, ...]:
 
 
 def _linear_bialgebra_suite() -> EquationSuite:
-    def snake(role_cup, role_cap, flip, which):
-        def build(g):
-            A, B = g.object("A"), g.object("B")
-            if not flip:
-                cup = _cup(role_cup, A, B)
-                cap = _cap(role_cap, B, A)
-                X, Y = [A], [B]
-            else:
-                cup = _cup(role_cup, B, A)
-                cap = _cap(role_cap, A, B)
-                X, Y = [B], [A]
-            fn = _snake_x if which == "x" else _snake_y
-            return fn(X, Y, cup, cap)
-        return build
-
-    snakes = tuple(
-        Equation(f"snake-{name}-{which}", snake(cup, cap, flip, which))
-        for name, cup, cap, flip in (
-            ("monoid-left", "eta_L", "eps_L", False),
-            ("monoid-right", "eta_R", "eps_R", True),
-            ("comonoid-left", "tau_L", "gam_L", False),
-            ("comonoid-right", "tau_R", "gam_R", True),
-        )
-        for which in ("x", "y"))
-
+    snakes = sum((_snakes((f"snake-{name}-x", f"snake-{name}-y"),
+                          cup, cap, flip)
+                  for name, cup, cap, flip in (
+                      ("monoid-left", "eta_L", "eps_L", False),
+                      ("monoid-right", "eta_R", "eps_R", True),
+                      ("comonoid-left", "tau_L", "gam_L", False),
+                      ("comonoid-right", "tau_R", "gam_R", True))), ())
     return EquationSuite("linear-bialgebra", "linear_bialgebra",
                         _LINEAR_BIALGEBRA_ROLES,
-                        tuple(_monoid_eqs_obj("A"))
-                        + tuple(_comonoid_eqs_obj("A"))
-                        + snakes
+                        _monoid_laws() + _comonoid_laws() + snakes
                         + _bialgebra_tensor_equations()
                         + _bialgebra_par_equations())
 
@@ -1399,9 +1251,13 @@ def _build_registry() -> dict[str, EquationSuite]:
         _frobenius_algebra_suite(),
         _dagger_frobenius_suite(),
         _frobenius_splitting_suite(),
-        _linear_comonoid_suite(),
-        _comonoid_sectional_suite(False),
-        _comonoid_sectional_suite(True),
+        _flipped_suite(_linear_monoid_suite(), "linear-comonoid",
+                       "linear_comonoid"),
+        # Reversing arrows exchanges sections and retractions.
+        _flipped_suite(_monoid_sectional_suite(True), "comonoid-sectional",
+                       "comonoid_idempotent"),
+        _flipped_suite(_monoid_sectional_suite(False),
+                       "comonoid-retractional", "comonoid_idempotent"),
         _dagger_linear_comonoid_suite(),
         _linear_bialgebra_suite(),
         _complementary_suite(),

@@ -104,15 +104,12 @@ def validate(c: Circuit, rng: Optional[random.Random] = None) \
     state = BoxState()
     trace: list[dict] = []
     counter = 0
-    node_box: dict[str, str] = {}
 
     def new_box(nodes: set[str], wires: set[str]) -> str:
         nonlocal counter
         bid = f"b{counter}"
         counter += 1
         state.boxes[bid] = (nodes, wires)
-        for n in nodes:
-            node_box[n] = bid
         return bid
 
     for nid in sorted(g.nodes):
@@ -180,14 +177,11 @@ def validate(c: Circuit, rng: Optional[random.Random] = None) \
             n2, w2 = state.boxes.pop(b2)
             state.boxes[b1][0].update(n2)
             state.boxes[b1][1].update(w2)
-            for n in n2:
-                node_box[n] = b1
             trace.append({"rule": "c", "boxes": [b1, b2]})
         else:
             rule, nid, b = move
             state.pending.remove(nid)
             state.boxes[b][0].add(nid)
-            node_box[nid] = b
             trace.append({"rule": rule, "node": nid, "box": b})
 
     valid = len(state.boxes) <= 1 and not state.pending

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldckit.circuit import (Circuit, compose, dagger_box, generator, identity,
-                            isomorphic, par, permutation, seq, swap,
+                            isomorphic, par, permutation, reverse, seq, swap,
                             tensor_elim, tensor_intro)
 from ldckit.errors import IllTyped, SchemaError, TypeMismatch
 from ldckit.io import parse, serialize
 from ldckit.objects import Atom, Bot, Par, Tensor, Top
 
-A, B, C = Atom("A"), Atom("B"), Atom("C")
+A, B, C, D = Atom("A"), Atom("B"), Atom("C"), Atom("D")
 
 atoms = st.sampled_from([A, B, C, Top(), Bot()])
 object_exprs = st.recursive(
@@ -102,6 +102,33 @@ class TestIsomorphism:
         straight = identity([A, A])
         crossed = swap(A, A)
         assert not isomorphic(straight, crossed)
+
+    def test_same_name_different_port_types(self):
+        # node signatures that tie on kind and name hold Atoms, which do
+        # not order
+        c = par(generator("f", [A], [B]), generator("f", [C], [D]))
+        assert isomorphic(c, c)
+        assert not isomorphic(
+            c, par(generator("f", [A], [B]), generator("f", [C], [C])))
+
+
+class TestReverse:
+    def test_flips_boundary_nodes_and_names(self):
+        c = seq(generator("f", [A], [B, C]), swap(B, C))
+        r = reverse(c, {"f": "g"})
+        assert r.input_types() == (C, B)
+        assert r.output_types() == (A,)
+        assert isomorphic(r, seq(swap(C, B), generator("g", [B, C], [A])))
+
+    def test_unlisted_names_are_kept(self):
+        assert isomorphic(reverse(generator("f", [A], [B]), {}),
+                          generator("f", [B], [A]))
+
+    @pytest.mark.parametrize("build", [lambda: tensor_intro(A, B),
+                                       lambda: dagger_box(identity([A]))])
+    def test_other_node_kinds_are_refused(self, build):
+        with pytest.raises(IllTyped):
+            reverse(build(), {})
 
 
 class TestSerialization:

@@ -142,3 +142,18 @@ class TestExamples:
         assert main(["examples"]) == 0
         names = capsys.readouterr().out.split()
         assert names == ["quad4", "quad4-flip", "qubit-zx", "weil"]
+
+
+class TestUsage:
+    def test_missing_arguments_exit_one(self, capsys):
+        assert main(["check"]) == 1
+        assert "required" in capsys.readouterr().err
+
+    def test_unknown_flag_exits_one(self, capsys):
+        assert main(["check", "--suite", "dual", "--gadget", "weil",
+                     "--no-such-flag"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["check", "--help"]) == 0
+        assert "--suite" in capsys.readouterr().out

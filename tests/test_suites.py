@@ -4,10 +4,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ldckit.errors import MissingRole
+from ldckit.circuit import isomorphic, reverse
+from ldckit.errors import MissingRole, TypeMismatch
 from ldckit.fixtures import fixture_names, load_gadget
 from ldckit.gadget import Gadget
-from ldckit.model import ModelEnv
+from ldckit.model import ModelEnv, dims_of, evaluate
 from ldckit.objects import Atom
 from ldckit.suites import SUITES, check_suite
 
@@ -126,3 +127,61 @@ class TestGradedMasking:
         assert check_suite(g, SUITES["dual"], TOL).passed
         ungraded = Gadget("dual", g.objects, g.morphisms, env)
         assert not check_suite(ungraded, SUITES["dual"], TOL).passed
+
+
+def _templates():
+    """(suite, label, side, circuit) for every equation template, built
+    over distinct objects A and B where the template allows it."""
+    dims = {"A": 2, "B": 3, "A2": 2, "B2": 3, "C": 2, "D": 3,
+            "X": 2, "Y": 3, "Z": 2}
+    env = ModelEnv.make(dims)
+    apart = Gadget("objects", {r: Atom(r) for r in dims}, {}, env)
+    shared = Gadget("objects", {**apart.objects, "B": Atom("A")}, {}, env)
+    out = []
+    for suite in SUITES.values():
+        for eq in suite.equations:
+            try:
+                sides = eq.build(apart)
+            except TypeMismatch:
+                sides = eq.build(shared)
+            out += [(suite.name, eq.label, side, c)
+                    for side, c in zip(("lhs", "rhs"), sides)]
+    return env, out
+
+
+_ENV, _TEMPLATES = _templates()
+_IDS = [f"{s}/{label}/{side}" for s, label, side, _ in _TEMPLATES]
+
+
+class TestReverse:
+    """`reverse` on every equation template of every suite."""
+
+    @staticmethod
+    def _primed(c):
+        names = {n.name for n in c.nodes.values() if n.kind == "gen"}
+        return {name: name + "'" for name in names}
+
+    @pytest.mark.parametrize("suite,label,side,c", _TEMPLATES, ids=_IDS)
+    def test_flip_twice_is_isomorphic(self, suite, label, side, c):
+        table = self._primed(c)
+        back = {new: old for old, new in table.items()}
+        assert isomorphic(reverse(reverse(c, table), back), c)
+
+    @pytest.mark.parametrize("suite,label,side,c", _TEMPLATES, ids=_IDS)
+    def test_flip_evaluates_to_transpose(self, suite, label, side, c):
+        rng = np.random.default_rng(len(c.nodes))
+        env = ModelEnv(atoms=_ENV.atoms)
+        flipped_env = ModelEnv(atoms=_ENV.atoms)
+        table = self._primed(c)
+        for n in c.nodes.values():
+            if n.kind == "gen" and n.name not in env.generators:
+                shape = (int(np.prod(dims_of(n.cod, env))),
+                         int(np.prod(dims_of(n.dom, env))))
+                m = rng.standard_normal(shape) \
+                    + 1j * rng.standard_normal(shape)
+                env.assign(n.name, m)
+                flipped_env.assign(table[n.name], m.T)
+        want = evaluate(c, env).T
+        got = evaluate(reverse(c, table), flipped_env)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
