@@ -3,7 +3,6 @@ each verdict is reached: the trace of box introductions, absorptions, and
 merges, or the stuck configuration for invalid circuits."""
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from ldckit import parse, validate
@@ -13,8 +12,7 @@ CORPUS = Path(__file__).resolve().parent.parent / "fixtures"
 
 def main() -> None:
     for path in sorted(CORPUS.glob("*.json")):
-        doc = json.loads(path.read_text())
-        circuit = parse(doc)
+        circuit = parse(path.read_bytes())
         report = validate(circuit)
         verdict = "valid" if report.valid else "invalid"
         rules = [step["rule"] for step in report.trace]
@@ -22,7 +20,7 @@ def main() -> None:
         if not report.valid:
             stuck = report.stuck
             print(f"{'':28s} stuck with {len(stuck['boxes'])} boxes, "
-                  f"{len(stuck['unabsorbed'])} unabsorbed wires")
+                  f"{len(stuck['unabsorbed'])} unabsorbed nodes")
 
 
 if __name__ == "__main__":

@@ -58,32 +58,36 @@ def _circuit_from_json(doc: object) -> Circuit:
     for key in ("wires", "nodes", "inputs", "outputs"):
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")
+        if not isinstance(doc[key], list):
+            raise SchemaError(f"{key} must be a list")
     wires = {}
     for entry in doc["wires"]:
         if not isinstance(entry, dict) or "id" not in entry \
                 or "type" not in entry:
             raise SchemaError(f"bad wire entry: {entry!r}")
         wid = entry["id"]
+        if not isinstance(wid, str):
+            raise SchemaError(f"wire id must be a string: {wid!r}")
         if wid in wires:
             raise SchemaError(f"duplicate wire id {wid!r}")
         wires[wid] = type_from_json(entry["type"])
 
-    inputs = list(doc["inputs"])
-    outputs = list(doc["outputs"])
-    for w in inputs + outputs:
-        if w not in wires:
-            raise SchemaError(f"boundary references dangling wire {w!r}")
+    inputs = _wire_refs(doc["inputs"], wires, "boundary")
+    outputs = _wire_refs(doc["outputs"], wires, "boundary")
 
     raw_nodes = doc["nodes"]
-    if not isinstance(raw_nodes, list):
-        raise SchemaError("nodes must be a list")
     for entry in raw_nodes:
         if not isinstance(entry, dict) or "kind" not in entry \
                 or "ports" not in entry:
             raise SchemaError(f"bad node entry: {entry!r}")
-        for w in entry["ports"]:
-            if w not in wires:
-                raise SchemaError(f"node references dangling wire {w!r}")
+        if not isinstance(entry["kind"], str):
+            raise SchemaError(f"bad node kind: {entry['kind']!r}")
+        if entry.get("name") is not None \
+                and not isinstance(entry["name"], str):
+            raise SchemaError(f"bad node name: {entry['name']!r}")
+        _wire_refs(entry["ports"], wires, "node")
+        if entry.get("thin") is not None:
+            _wire_refs([entry["thin"]], wires, "thinning anchor")
 
     # Wire directions: circuit inputs are produced by the boundary, outputs
     # consumed by it; fixed-arity kinds declare their port split.  Generator
@@ -96,6 +100,7 @@ def _circuit_from_json(doc: object) -> Circuit:
     for w in outputs:
         consumed[w] = ("boundary",)
     gen_ports: list[tuple[int, list[str]]] = []
+    gens_on: dict[str, list[int]] = {}   # wire -> generators, in list order
     split_nodes: dict[int, tuple[list[str], list[str]]] = {}
     for idx, entry in enumerate(raw_nodes):
         kind, ports = entry["kind"], list(entry["ports"])
@@ -115,6 +120,8 @@ def _circuit_from_json(doc: object) -> Circuit:
             ins, outs = ports[:n_in], ports[n_in:]
         elif kind == "gen":
             gen_ports.append((idx, ports))
+            for w in ports:
+                gens_on.setdefault(w, []).append(idx)
             continue
         else:
             raise SchemaError(f"unknown node kind {kind!r}")
@@ -133,7 +140,7 @@ def _circuit_from_json(doc: object) -> Circuit:
                 outs.append(w)
             else:
                 # wire between two generators: earlier node produces
-                other = [j for j, ps in gen_ports if j != idx and w in ps]
+                other = [j for j in gens_on[w] if j != idx]
                 if not other:
                     raise SchemaError(f"wire {w!r} has a dangling endpoint")
                 (ins if other[0] < idx else outs).append(w)
@@ -153,6 +160,18 @@ def _circuit_from_json(doc: object) -> Circuit:
             kind=entry["kind"], ins=tuple(ins), outs=tuple(outs),
             name=entry.get("name"), thin=entry.get("thin"), inner=inner)
     return Circuit(wires, nodes, inputs, outputs)
+
+
+def _wire_refs(refs: object, wires: dict, what: str) -> list[str]:
+    """`refs` as a list of ids of wires in `wires`."""
+    if not isinstance(refs, list):
+        raise SchemaError(f"{what} wires must be a list: {refs!r}")
+    for w in refs:
+        if not isinstance(w, str):
+            raise SchemaError(f"{what} wire id must be a string: {w!r}")
+        if w not in wires:
+            raise SchemaError(f"{what} references dangling wire {w!r}")
+    return refs
 
 
 def _claim(table: dict, wire: str, endpoint: tuple) -> None:

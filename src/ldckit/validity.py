@@ -4,12 +4,22 @@ Components are progressively enclosed in boxes: introduction nodes for the
 tensor and elimination nodes for the par start boxed, bare wires and unit
 nodes are boxable, boxes joined by exactly one attachment merge, and a box
 eats an adjacent tensor-elimination or par-introduction when both branch
-wires already attach to it.  Thinning-linked unit nodes are eaten by the box
-holding their anchor wire.  The circuit is correct precisely when a single
-box (or a bare wire) remains.
+wires already lie in it.  Thinning-linked unit nodes are eaten by a box
+their anchor wire attaches to.  The circuit is correct precisely when a
+single box (or a bare wire) remains.
+
+`validate` runs in near-linear time in the size of the circuit: it keeps
+box membership, the attachment counts between boxes and the pending nodes
+watching each box up to date as it goes, so no step rescans the circuit.
+Its trace is fixed: each step takes the least legal move in tuple order,
+`(rule, node, box)` for an absorption and `("c", box, box)` for a merge,
+with names compared as strings.  So legal ⊗E absorptions (`b1`) come
+first, then ⅋I absorptions (`b2`), merges (`c`) and unit absorptions
+(`e1`, `e3`).
 """
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -98,103 +108,163 @@ class _Graph:
                 self.anchors[nid] = rep[n.thin]
 
 
+class _Box:
+    """One box of the worklist: its members, its attachment counts to the
+    other boxes, and the pending nodes that may become absorbable into it
+    (a ⊗E/⅋I with a branch wire inside, a unit whose anchor touches it)."""
+    __slots__ = ("name", "nodes", "wires", "conn", "watch")
+
+    def __init__(self, name: str, nodes: set[str], wires: set[str]):
+        self.name = name
+        self.nodes = nodes
+        self.wires = wires
+        self.conn: dict[_Box, int] = {}
+        self.watch: list[str] = []
+
+    def weight(self) -> int:
+        return len(self.nodes) + len(self.wires) + len(self.conn) \
+            + len(self.watch)
+
+
 def validate(c: Circuit, rng: Optional[random.Random] = None) \
         -> ValidityReport:
-    g = _Graph(c)
-    state = BoxState()
-    trace: list[dict] = []
-    counter = 0
+    """Run the boxing procedure on `c`.
 
-    def new_box(nodes: set[str], wires: set[str]) -> str:
-        nonlocal counter
-        bid = f"b{counter}"
-        counter += 1
-        state.boxes[bid] = (nodes, wires)
-        return bid
+    Without `rng` each step takes the least legal move, as the module
+    docstring orders them.  With `rng` every move found legal gets a random
+    priority instead: some other legal order, which must reach the same
+    verdict.  Moves wait in a heap; one is pushed when it may have become
+    legal (an attachment count reaching 1, both branch wires meeting in a
+    box, an anchor wire gaining a box) or when a merge renames its box, and
+    is checked again when popped.  A merge moves the lighter box into the
+    heavier one."""
+    g = _Graph(c)
+    trace: list[dict] = []
+    boxes: dict[str, _Box] = {}
+    node_box: dict[str, _Box] = {}
+    wire_box: dict[str, _Box] = {}
+    pending: set[str] = set()
+    heap: list[tuple] = []
+    incident: dict[str, list[str]] = {nid: [] for nid in g.nodes}
+    anchored: dict[str, list[str]] = {}   # wire -> units anchored on it
+    for eid, ends in g.edges.items():
+        for ep in ends:
+            if ep[0] == "node":
+                incident[ep[1]].append(eid)
+    for nid, a in g.anchors.items():
+        anchored.setdefault(a, []).append(nid)
+
+    def push(move: tuple) -> None:
+        heapq.heappush(heap, (move if rng is None else rng.random(), move))
+
+    def push_merge(b: _Box, x: _Box) -> None:
+        push(("c",) + ((b.name, x.name) if b.name < x.name
+                       else (x.name, b.name)))
+
+    def new_box(nodes: set[str], wires: set[str]) -> _Box:
+        b = _Box(f"b{len(boxes)}", nodes, wires)
+        boxes[b.name] = b
+        return b
+
+    def attaches(nid: str, b: _Box) -> bool:
+        if g.nodes[nid] in ("tensor_elim", "par_intro"):
+            e1, e2 = g.branches[nid]
+            return wire_box[e1] is b and wire_box[e2] is b
+        a = g.anchors[nid]
+        return wire_box[a] is b or any(
+            ep[0] == "node" and node_box.get(ep[1]) is b
+            for ep in g.edges[a])
+
+    def wake(b: _Box, nids: list[str]) -> None:
+        for nid in nids:
+            if nid in pending and attaches(nid, b):
+                push((_ABSORB_RULE[g.nodes[nid]], nid, b.name))
+
+    def settle(nid: str, b: _Box) -> None:
+        """Node `nid` has joined `b`: count its attachments and wake the
+        units anchored on its wires."""
+        for e in incident[nid]:
+            x = wire_box[e]
+            if x is not b:
+                k = b.conn[x] = x.conn[b] = b.conn.get(x, 0) + 1
+                if k == 1:
+                    push_merge(b, x)
+            units = anchored.get(e, ())
+            b.watch.extend(units)
+            wake(b, units)
+
+    def merge(n1: str, n2: str) -> None:
+        b1, b2 = boxes[n1], boxes.pop(n2)
+        big, small = (b1, b2) if b1.weight() >= b2.weight() else (b2, b1)
+        renamed = big is b2
+        big.name = n1
+        boxes[n1] = big
+        del big.conn[small]
+        for x, k in small.conn.items():
+            if x is not big:
+                del x.conn[small]
+                k = big.conn[x] = x.conn[big] = big.conn.get(x, 0) + k
+                if k == 1 and not renamed:
+                    push_merge(big, x)
+        for nid in small.nodes:
+            node_box[nid] = big
+        for w in small.wires:
+            wire_box[w] = big
+        big.nodes |= small.nodes
+        big.wires |= small.wires
+        if renamed:
+            for x, k in big.conn.items():
+                if k == 1:
+                    push_merge(big, x)
+            wake(big, big.watch)
+        wake(big, small.watch)
+        big.watch.extend(small.watch)
 
     for nid in sorted(g.nodes):
         kind = g.nodes[nid]
         if kind in _ABSORB_RULE:
-            state.pending.append(nid)
+            pending.add(nid)
         else:
-            bid = new_box({nid}, set())
+            b = node_box[nid] = new_box({nid}, set())
             trace.append({"rule": _INITIAL_RULE[kind],
-                          "node": nid, "box": bid})
+                          "node": nid, "box": b.name})
     for eid in sorted(g.edges):
-        bid = new_box(set(), {eid})
-        trace.append({"rule": "d3", "wire": eid, "box": bid})
+        b = wire_box[eid] = new_box(set(), {eid})
+        trace.append({"rule": "d3", "wire": eid, "box": b.name})
+    for nid in sorted(pending):
+        for e in g.branches.get(nid) or [g.anchors[nid]]:
+            wire_box[e].watch.append(nid)
+            wake(wire_box[e], [nid])
+    for nid, b in node_box.items():
+        settle(nid, b)
 
-    def connections(b1: str, b2: str) -> int:
-        n1, w1 = state.boxes[b1]
-        n2, w2 = state.boxes[b2]
-        count = 0
-        for e in w1:
-            for ep in g.edges[e]:
-                if ep[0] == "node" and ep[1] in n2:
-                    count += 1
-        for e in w2:
-            for ep in g.edges[e]:
-                if ep[0] == "node" and ep[1] in n1:
-                    count += 1
-        return count
-
-    def edge_attaches(e: str, b: str) -> bool:
-        nodes, wires = state.boxes[b]
-        if e in wires:
-            return True
-        return any(ep[0] == "node" and ep[1] in nodes for ep in g.edges[e])
-
-    def candidates() -> list[tuple]:
-        moves = []
-        boxes = sorted(state.boxes)
-        for i, b1 in enumerate(boxes):
-            for b2 in boxes[i + 1:]:
-                if connections(b1, b2) == 1:
-                    moves.append(("c", b1, b2))
-        for nid in state.pending:
-            kind = g.nodes[nid]
-            if kind in ("tensor_elim", "par_intro"):
-                e1, e2 = g.branches[nid]
-                for b in boxes:
-                    _, wires = state.boxes[b]
-                    if e1 in wires and e2 in wires:
-                        moves.append((_ABSORB_RULE[kind], nid, b))
-            else:  # thinning-linked unit node
-                anchor = g.anchors[nid]
-                for b in boxes:
-                    if edge_attaches(anchor, b):
-                        moves.append((_ABSORB_RULE[kind], nid, b))
-        return moves
-
-    while True:
-        moves = candidates()
-        if not moves:
-            break
-        moves.sort()
-        move = moves[0] if rng is None else rng.choice(moves)
+    while heap:
+        move = heapq.heappop(heap)[1]
         if move[0] == "c":
-            _, b1, b2 = move
-            n2, w2 = state.boxes.pop(b2)
-            state.boxes[b1][0].update(n2)
-            state.boxes[b1][1].update(w2)
-            trace.append({"rule": "c", "boxes": [b1, b2]})
+            _, n1, n2 = move
+            if n1 in boxes and n2 in boxes \
+                    and boxes[n1].conn.get(boxes[n2]) == 1:
+                merge(n1, n2)
+                trace.append({"rule": "c", "boxes": [n1, n2]})
         else:
-            rule, nid, b = move
-            state.pending.remove(nid)
-            state.boxes[b][0].add(nid)
-            trace.append({"rule": rule, "node": nid, "box": b})
+            rule, nid, name = move
+            b = boxes.get(name)
+            if nid in pending and b is not None and attaches(nid, b):
+                pending.remove(nid)
+                b.nodes.add(nid)
+                node_box[nid] = b
+                settle(nid, b)
+                trace.append({"rule": rule, "node": nid, "box": name})
 
-    valid = len(state.boxes) <= 1 and not state.pending
+    valid = len(boxes) <= 1 and not pending
     stuck = None
     if not valid:
-        boxes = sorted(state.boxes)
-        cuts = []
-        for i, b1 in enumerate(boxes):
-            for b2 in boxes[i + 1:]:
-                k = connections(b1, b2)
-                if k:
-                    cuts.append({"boxes": [b1, b2], "attachments": k})
-        stuck = state.summary() | {"cuts": cuts}
+        cuts = sorted((b.name, x.name, k) for b in boxes.values()
+                      for x, k in b.conn.items() if b.name < x.name)
+        state = BoxState({n: (b.nodes, b.wires) for n, b in boxes.items()},
+                         list(pending))
+        stuck = state.summary() | {"cuts": [
+            {"boxes": [n1, n2], "attachments": k} for n1, n2, k in cuts]}
     return ValidityReport(valid=valid, trace=trace, stuck=stuck)
 
 

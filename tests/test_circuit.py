@@ -149,6 +149,38 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             parse(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("patch", [
+        {"wires": 5},
+        {"inputs": [[1]]},
+        {"outputs": [[1]]},
+        {"inputs": 5},
+        {"wires": [{"id": [1], "type": {"atom": "A"}}]},
+        {"nodes": [{"kind": ["gen"], "ports": []}]},
+        {"nodes": [{"kind": "gen", "name": "f", "ports": 5}]},
+        {"nodes": [{"kind": "gen", "name": "f", "ports": [["a"]]}]},
+        {"nodes": [{"kind": "gen", "name": [1], "ports": []}]},
+        {"nodes": [{"kind": "top_elim", "ports": ["t"], "thin": [1]}]},
+    ])
+    def test_rejects_malformed_documents(self, patch):
+        doc = {"wires": [{"id": "t", "type": {"top": {}}},
+                         {"id": "a", "type": {"atom": "A"}}],
+               "nodes": [{"kind": "top_elim", "ports": ["t"], "thin": "a"}],
+               "inputs": ["t", "a"], "outputs": ["a"]}
+        parse(json.dumps(doc).encode())
+        doc |= patch
+        with pytest.raises(SchemaError):
+            parse(json.dumps(doc).encode())
+
+    def test_wires_between_generators_run_from_the_earlier_node(self):
+        doc = {"wires": [{"id": w, "type": {"atom": "A"}}
+                         for w in ("a", "b", "c")],
+               "nodes": [{"kind": "gen", "name": "g", "ports": ["b", "c"]},
+                         {"kind": "gen", "name": "f", "ports": ["a", "b"]}],
+               "inputs": ["a"], "outputs": ["c"]}
+        c = parse(json.dumps(doc).encode())
+        assert (c.nodes["n0"].ins, c.nodes["n0"].outs) == ((), ("b", "c"))
+        assert (c.nodes["n1"].ins, c.nodes["n1"].outs) == (("a", "b"), ())
+
     @settings(max_examples=50, deadline=None)
     @given(dom=st.lists(object_exprs, max_size=3),
            cod=st.lists(object_exprs, max_size=3))

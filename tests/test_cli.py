@@ -37,6 +37,15 @@ class TestValidate:
         bad.write_text("{not json")
         assert main(["validate", str(bad)]) == 1
 
+    @pytest.mark.parametrize("patch", [{"wires": 5}, {"inputs": [[1]]}])
+    def test_malformed_document_exits_one(self, tmp_path, capsys, patch):
+        doc = json.loads(VALID.read_text()) | patch
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestNormalize:
     def test_writes_reduced_circuit(self, tmp_path, capsys):
