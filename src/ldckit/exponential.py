@@ -4,13 +4,16 @@ The space !A has the multisets of basis labels of A of size at most d as
 basis.  The comultiplication has coefficient 1 for every distinct ordered
 pair of sub-multisets; the counit projects onto the empty multiset; the
 dereliction projects onto singletons.  The monad side is given by conjugate
-transposes.  Couniversal lifts are computed degree by degree from the
+transposes.  Each structure map has one construction: the functor !f is
+filled grade by grade, peeling one factor off each multiset, and the
+duplication !A -> !!A is the closed form that sends a multiset to every
+multiset of parts with that union (Mellies-Tabareau-Tasson).  Couniversal
+lifts through other comonoids are computed degree by degree from the
 comonoid-morphism constraint and fail loudly when the constraints are
 inconsistent, making cofreeness an executable contract.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -20,8 +23,8 @@ import numpy as np
 from .errors import LiftFailure, NotAComonoid, ShapeMismatch, SuiteFailure
 from .gadget import Gadget
 from .model import ModelEnv, interp
-from .multiset import (MultisetBasis, distinct_orderings, multiset_union,
-                       remove_one, sub_multiset_splits)
+from .multiset import (MultisetBasis, multiset_union, remove_one,
+                       sub_multiset_splits)
 from .objects import Atom
 
 
@@ -65,8 +68,11 @@ def dereliction_matrix(basis: MultisetBasis) -> np.ndarray:
 
 def bang_matrix(f: np.ndarray, basis_a: MultisetBasis,
                 basis_b: MultisetBasis) -> np.ndarray:
-    """Functorial action !f: !A -> !B of f: A -> B, acting grade by grade
-    as the symmetric power in the multiset basis."""
+    """Functorial action !f: !A -> !B of f: A -> B, the symmetric power on
+    each grade.  Grade n is filled from grade n - 1 by peeling the first
+    factor off each target multiset:
+    !f[mb, ma] = sum over distinct a in ma of f[mb[0], a] * !f[mb[1:], ma - a].
+    """
     if f.shape != (len(basis_b.base), len(basis_a.base)):
         raise ShapeMismatch(
             f"expected {(len(basis_b.base), len(basis_a.base))}, "
@@ -74,20 +80,19 @@ def bang_matrix(f: np.ndarray, basis_a: MultisetBasis,
     out = np.zeros((basis_b.dim, basis_a.dim), dtype=complex)
     out[basis_b.index[()], basis_a.index[()]] = 1
     for n in range(1, min(basis_a.degree, basis_b.degree) + 1):
+        rows = basis_b.grade_indices(n)
+        first = [basis_b.elements[i][0] for i in rows]
+        below = out[[basis_b.index[basis_b.elements[i][1:]] for i in rows]]
+        # per base element a: the grade-n columns holding a, and ma - a
+        peel: dict[int, tuple[list[int], list[int]]] = {}
         for ia in basis_a.grade_indices(n):
             m = basis_a.elements[ia]
-            orderings = distinct_orderings(m)
-            for ib in basis_b.grade_indices(n):
-                mp = basis_b.elements[ib]  # fixed ordering of the target
-                coeff = 0
-                for w in orderings:
-                    prod = 1
-                    for bi, ai in zip(mp, w):
-                        prod *= f[bi, ai]
-                        if prod == 0:
-                            break
-                    coeff += prod
-                out[ib, ia] = coeff
+            for a in set(m):
+                cols, rest = peel.setdefault(a, ([], []))
+                cols.append(ia)
+                rest.append(basis_a.index[remove_one(m, a)])
+        for a, (cols, rest) in peel.items():
+            out[np.ix_(rows, cols)] += f[first, a][:, None] * below[:, rest]
     return out
 
 
@@ -201,9 +206,11 @@ def build_exp(base: Sequence[str] | int, degree: int,
     dup = None
     if with_duplication:
         outer = MultisetBasis(basis.labels(), degree)
-        dup = lift_flat((delta_mat, e_mat),
-                        np.eye(basis.dim, dtype=complex), outer,
-                        verify=basis.dim <= 64)
+        dup = np.zeros((outer.dim, basis.dim), dtype=complex)
+        for i, m in enumerate(basis.elements):
+            for parts, c in delta_sparse(m, degree).items():
+                key = tuple(sorted(basis.index[p] for p in parts))
+                dup[outer.index[key], i] = c
     return ExpStructure(
         basis=basis, outer=outer,
         Delta=delta_mat, counit_e=e_mat, eps=eps_mat, delta=dup,
@@ -214,15 +221,19 @@ def build_exp(base: Sequence[str] | int, degree: int,
 
 # -- sparse column calculus ------------------------------------------------
 #
-# Iterated exponentials are too large to materialize densely, but every
-# structure map has small per-column support.  Elements are represented
-# structurally: a multiset is a sorted tuple of its elements.
+# Every structure map has small per-column support, so a column is a dict
+# from basis elements to coefficients.  Elements are represented
+# structurally: a multiset is a sorted tuple of its elements, and a
+# multiset of multisets a sorted tuple of those.  The dense duplication of
+# `build_exp` is these columns scattered into the outer basis; iterated
+# exponentials, too large to materialize, are only ever handled this way.
 
-def _orderings_count(m: tuple) -> int:
-    n = math.factorial(len(m))
+def _multiplicity_factorial(m: tuple) -> int:
+    """Product of the factorials of the multiplicities in m."""
+    out = 1
     for x in set(m):
-        n //= math.factorial(m.count(x))
-    return n
+        out *= math.factorial(m.count(x))
+    return out
 
 
 def delta_sparse(m: tuple, degree: int) -> dict:
@@ -254,19 +265,21 @@ def delta_sparse(m: tuple, degree: int) -> dict:
 
 def bang_apply_sparse(f_col, m: tuple) -> dict:
     """Column of !f at the multiset m, where f_col(x) gives the sparse
-    column of f at a base element x."""
-    acc: dict = {}
-    for w in set(itertools.permutations(m)):
-        cols = [f_col(x) for x in w]
-        for choice in itertools.product(*(c.items() for c in cols)):
-            coeff = 1
-            for _, c in choice:
-                coeff *= c
-            if coeff == 0:
-                continue
-            key = tuple(sorted(t for t, _ in choice))
-            acc[key] = acc.get(key, 0) + coeff
-    return {k: v / _orderings_count(k) for k, v in acc.items() if v != 0}
+    column of f at a base element x.  It is the product of the columns
+    f(x) for x in m, one factor peeled at a time as in `bang_matrix`, with
+    the monomial k scaled by k!/m! (products of multiplicity factorials)."""
+    prod: dict = {(): 1}
+    for x in m:
+        col = [(t, c) for t, c in f_col(x).items() if c != 0]
+        nxt: dict = {}
+        for key, v in prod.items():
+            for t, c in col:
+                k = tuple(sorted(key + (t,)))
+                nxt[k] = nxt.get(k, 0) + v * c
+        prod = nxt
+    scale = _multiplicity_factorial(m)
+    return {k: v * _multiplicity_factorial(k) / scale
+            for k, v in prod.items() if v != 0}
 
 
 def _fits_degree(elt, degree: int) -> bool:
@@ -317,34 +330,6 @@ def comonad_coassoc_report(base_dim: int, degree: int,
 
 # -- monoidal structure ----------------------------------------------------
 
-def monoidal_structure(exp_a: ExpStructure, exp_b: ExpStructure) \
-        -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m_top, m_tensor, nu_tensor) at the common degree bound."""
-    if exp_a.basis.degree != exp_b.basis.degree:
-        raise ShapeMismatch("degree bounds differ")
-    d = exp_a.basis.degree
-    m_top = np.ones((d + 1, 1), dtype=complex)
-    na, nb = exp_a.dim, exp_b.dim
-    da3 = exp_a.Delta.reshape(na, na, na)
-    db3 = exp_b.Delta.reshape(nb, nb, nb)
-    delta_prod = np.einsum("xyi,zwj->xzywij", da3, db3) \
-        .reshape(na * nb * na * nb, na * nb)
-    e_prod = np.kron(exp_a.counit_e, exp_b.counit_e)
-    f = np.kron(exp_a.eps, exp_b.eps)
-    labels = [f"{x}{y}" for x in exp_a.basis.base for y in exp_b.basis.base]
-    target = MultisetBasis(labels, d)
-    m_tensor = lift_flat((delta_prod, e_prod), f, target,
-                         verify=na * nb <= 256)
-    return m_top, m_tensor, m_tensor.conj().T
-
-
-# -- induced structure on the exponential ----------------------------------
-#
-# A linear monoid on the base space induces a linear bialgebra on the
-# truncated exponential: the monoid is pushed through the monoidal
-# structure, the cups and caps are lifted as states/costates of the
-# exponential, and the comonoid is the free comultiplication/counit.
-
 def _product_basis(exp_a: ExpStructure, exp_b: ExpStructure) -> MultisetBasis:
     labels = [f"{x}{y}" for x in exp_a.basis.base for y in exp_b.basis.base]
     return MultisetBasis(labels, exp_a.basis.degree)
@@ -353,6 +338,36 @@ def _product_basis(exp_a: ExpStructure, exp_b: ExpStructure) -> MultisetBasis:
 def _top_basis(degree: int) -> MultisetBasis:
     return MultisetBasis(["*"], degree)
 
+
+def _m_top(degree: int) -> np.ndarray:
+    """T -> !T: the unit of the monoidal structure, one per grade."""
+    return np.ones((degree + 1, 1), dtype=complex)
+
+
+def monoidal_structure(exp_a: ExpStructure, exp_b: ExpStructure) \
+        -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m_top, m_tensor, nu_tensor) at the common degree bound."""
+    if exp_a.basis.degree != exp_b.basis.degree:
+        raise ShapeMismatch("degree bounds differ")
+    na, nb = exp_a.dim, exp_b.dim
+    da3 = exp_a.Delta.reshape(na, na, na)
+    db3 = exp_b.Delta.reshape(nb, nb, nb)
+    delta_prod = np.einsum("xyi,zwj->xzywij", da3, db3) \
+        .reshape(na * nb * na * nb, na * nb)
+    e_prod = np.kron(exp_a.counit_e, exp_b.counit_e)
+    f = np.kron(exp_a.eps, exp_b.eps)
+    m_tensor = lift_flat((delta_prod, e_prod), f,
+                         _product_basis(exp_a, exp_b),
+                         verify=na * nb <= 256)
+    return _m_top(exp_a.basis.degree), m_tensor, m_tensor.conj().T
+
+
+# -- induced structure on the exponential ----------------------------------
+#
+# A linear monoid on the base space induces a linear bialgebra on the
+# truncated exponential: the monoid is pushed through the monoidal
+# structure, the cups and caps are lifted as states/costates of the
+# exponential, and the comonoid is the free comultiplication/counit.
 
 def lifted_cup(state: np.ndarray, exp_a: ExpStructure, exp_b: ExpStructure,
                m_tensor: Optional[np.ndarray] = None) -> np.ndarray:
@@ -363,8 +378,7 @@ def lifted_cup(state: np.ndarray, exp_a: ExpStructure, exp_b: ExpStructure,
         _, m_tensor, _ = monoidal_structure(exp_a, exp_b)
     banged = bang_matrix(np.asarray(state, dtype=complex).reshape(-1, 1),
                          _top_basis(d), _product_basis(exp_a, exp_b))
-    m_top = np.ones((d + 1, 1), dtype=complex)
-    return m_tensor.conj().T @ banged @ m_top
+    return m_tensor.conj().T @ banged @ _m_top(d)
 
 
 def lifted_cap(costate: np.ndarray, exp_a: ExpStructure,
@@ -394,48 +408,35 @@ def induce_bang_monoid(g: Gadget, degree: int = 3,
     and costates.  When the input also carries comonoid-side cups and caps
     those are lifted for the comonoid; otherwise the monoid's are reused."""
     _require_suite(g, "linear-monoid", tol)
-    na, labels_a = interp(g.object("A"), g.env)
-    nb, labels_b = interp(g.object("B"), g.env)
+    labels_a = interp(g.object("A"), g.env)[1]
+    labels_b = interp(g.object("B"), g.env)[1]
     same = g.object("A") == g.object("B")
     exp_a = build_exp(list(labels_a), degree, with_duplication=False)
     exp_b = exp_a if same \
         else build_exp(list(labels_b), degree, with_duplication=False)
-    _, mt_ab, nu_ab = monoidal_structure(exp_a, exp_b)
-    if same:
-        mt_ba, nu_ba = mt_ab, nu_ab
-    else:
-        _, mt_ba, nu_ba = monoidal_structure(exp_b, exp_a)
+    mt_ab = monoidal_structure(exp_a, exp_b)[1]
+    mt_ba = mt_ab if same else monoidal_structure(exp_b, exp_a)[1]
     mt_aa = mt_ab if same else monoidal_structure(exp_a, exp_a)[1]
 
-    d = degree
-    m_top = np.ones((d + 1, 1), dtype=complex)
-    top = _top_basis(d)
     m_bang = bang_matrix(np.asarray(g.morphism("m"), dtype=complex),
                          _product_basis(exp_a, exp_a), exp_a.basis) @ mt_aa
     u_bang = bang_matrix(np.asarray(g.morphism("u"), dtype=complex),
-                         top, exp_a.basis) @ m_top
-
-    def cup(role_mat, ea, eb, mt):
-        return lifted_cup(role_mat, ea, eb, m_tensor=mt)
-
-    def cap(role_mat, ea, eb, mt):
-        return lifted_cap(role_mat, ea, eb, m_tensor=mt)
-
+                         _top_basis(degree), exp_a.basis) @ _m_top(degree)
     morphs = {
         "m": m_bang, "u": u_bang,
         "d": exp_a.Delta, "k": exp_a.counit_e,
-        "eta_L": cup(g.morphism("eta_L"), exp_a, exp_b, mt_ab),
-        "eps_L": cap(g.morphism("eps_L"), exp_b, exp_a, mt_ba),
-        "eta_R": cup(g.morphism("eta_R"), exp_b, exp_a, mt_ba),
-        "eps_R": cap(g.morphism("eps_R"), exp_a, exp_b, mt_ab),
+        "eta_L": lifted_cup(g.morphism("eta_L"), exp_a, exp_b, mt_ab),
+        "eps_L": lifted_cap(g.morphism("eps_L"), exp_b, exp_a, mt_ba),
+        "eta_R": lifted_cup(g.morphism("eta_R"), exp_b, exp_a, mt_ba),
+        "eps_R": lifted_cap(g.morphism("eps_R"), exp_a, exp_b, mt_ab),
     }
     com = (("tau_L", "gam_L", "tau_R", "gam_R")
            if g.has("tau_L", "gam_L", "tau_R", "gam_R")
            else ("eta_L", "eps_L", "eta_R", "eps_R"))
-    morphs["tau_L"] = cup(g.morphism(com[0]), exp_a, exp_b, mt_ab)
-    morphs["gam_L"] = cap(g.morphism(com[1]), exp_b, exp_a, mt_ba)
-    morphs["tau_R"] = cup(g.morphism(com[2]), exp_b, exp_a, mt_ba)
-    morphs["gam_R"] = cap(g.morphism(com[3]), exp_a, exp_b, mt_ab)
+    morphs["tau_L"] = lifted_cup(g.morphism(com[0]), exp_a, exp_b, mt_ab)
+    morphs["gam_L"] = lifted_cap(g.morphism(com[1]), exp_b, exp_a, mt_ba)
+    morphs["tau_R"] = lifted_cup(g.morphism(com[2]), exp_b, exp_a, mt_ba)
+    morphs["gam_R"] = lifted_cap(g.morphism(com[3]), exp_a, exp_b, mt_ab)
 
     atoms = {"bangA": (exp_a.dim, tuple(exp_a.basis.labels()))}
     objects = {"A": Atom("bangA"), "B": Atom("bangA")}

@@ -1,14 +1,14 @@
 """Role-tagged bundles of objects and morphisms instantiating a structure."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import MissingRole, SchemaError, ShapeMismatch
+from .errors import MissingRole, SchemaError
 from .io import matrix_from_json, matrix_to_json
-from .model import ModelEnv, interp
+from .model import ModelEnv
 from .objects import ObjectExpr, type_from_json, type_to_json
 
 
@@ -42,21 +42,6 @@ class Gadget:
         return Gadget(self.kind, dict(self.objects), morphs, self.env,
                       self.gradings)
 
-    def check_shapes(self, signature: dict[str, tuple[list[str], list[str]]]
-                     ) -> None:
-        """signature: role -> (dom object roles, cod object roles)."""
-        for role, (dom, cod) in signature.items():
-            if role not in self.morphisms:
-                continue
-            rows = int(np.prod([interp(self.objects[o], self.env)[0]
-                                for o in cod])) if cod else 1
-            cols = int(np.prod([interp(self.objects[o], self.env)[0]
-                                for o in dom])) if dom else 1
-            m = self.morphisms[role]
-            if m.shape != (rows, cols):
-                raise ShapeMismatch(
-                    f"role {role!r}: expected {(rows, cols)}, got {m.shape}")
-
 
 def gadget_to_json(g: Gadget) -> dict:
     doc = {
@@ -79,11 +64,19 @@ def gadget_from_json(doc: object, degree: int = 3) -> Gadget:
     for key in ("kind", "objects", "morphisms", "atoms"):
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")
+    for key in ("objects", "morphisms", "atoms", "gradings"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise SchemaError(f"{key} must be an object")
     atoms = {}
     for name, spec in doc["atoms"].items():
+        if not isinstance(spec, dict):
+            raise SchemaError(f"atom {name!r} must be an object")
         if "dim" not in spec:
             raise SchemaError(f"atom {name!r} needs a dim")
-        dim = int(spec["dim"])
+        dim = spec["dim"]
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+            raise SchemaError(f"atom {name!r}: dim must be a positive "
+                              f"integer, got {dim!r}")
         basis = tuple(spec.get("basis") or (str(i) for i in range(dim)))
         if len(basis) != dim:
             raise SchemaError(f"atom {name!r}: basis length != dim")

@@ -102,6 +102,7 @@ def _circuit_from_json(doc: object) -> Circuit:
     gen_ports: list[tuple[int, list[str]]] = []
     gens_on: dict[str, list[int]] = {}   # wire -> generators, in list order
     split_nodes: dict[int, tuple[list[str], list[str]]] = {}
+    inners: dict[int, Circuit] = {}
     for idx, entry in enumerate(raw_nodes):
         kind, ports = entry["kind"], list(entry["ports"])
         if kind in _ARITY:
@@ -112,7 +113,7 @@ def _circuit_from_json(doc: object) -> Circuit:
         elif kind == "dagger_box":
             if "inner" not in entry:
                 raise SchemaError("dagger_box node needs an inner circuit")
-            inner = _circuit_from_json(entry["inner"])
+            inner = inners[idx] = _circuit_from_json(entry["inner"])
             n_in, n_out = len(inner.outputs), len(inner.inputs)
             if len(ports) != n_in + n_out:
                 raise SchemaError("dagger_box port count does not match "
@@ -153,12 +154,10 @@ def _circuit_from_json(doc: object) -> Circuit:
     nodes = {}
     for idx, entry in enumerate(raw_nodes):
         ins, outs = split_nodes[idx]
-        inner = None
-        if entry["kind"] == "dagger_box":
-            inner = _circuit_from_json(entry["inner"])
         nodes[f"n{idx}"] = Node(
             kind=entry["kind"], ins=tuple(ins), outs=tuple(outs),
-            name=entry.get("name"), thin=entry.get("thin"), inner=inner)
+            name=entry.get("name"), thin=entry.get("thin"),
+            inner=inners.get(idx))
     return Circuit(wires, nodes, inputs, outputs)
 
 

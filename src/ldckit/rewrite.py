@@ -24,16 +24,6 @@ class _Editable:
         self.inputs = list(c.inputs)
         self.outputs = list(c.outputs)
 
-    def thinners(self, w: str) -> list[str]:
-        return [nid for nid, n in self.nodes.items() if n.thin == w]
-
-    def retarget_thin(self, gone: str, keep: str) -> None:
-        for nid in self.thinners(gone):
-            n = self.nodes[nid]
-            self.nodes[nid] = Node(kind=n.kind, ins=n.ins, outs=n.outs,
-                                   name=n.name, dom=n.dom, cod=n.cod,
-                                   thin=keep, inner=n.inner)
-
     def merge_wires(self, keep: str, gone: str) -> None:
         """Fuse two dangling wire stubs left by a deleted redex."""
         if keep == gone:

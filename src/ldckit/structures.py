@@ -7,6 +7,8 @@ input yields a passing output.
 """
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .errors import MissingRole, SuiteFailure
@@ -129,28 +131,31 @@ def _split_objects(r, r2) -> tuple[dict[str, ObjectExpr], ModelEnv]:
     return {"A": Atom("E"), "B": Atom("E2")}, env
 
 
-def _split_monoid_roles(g, r, s, r2, s2) -> dict[str, np.ndarray]:
-    m, u = _mat(g, "m"), _mat(g, "u")
-    return {
-        "m": r @ m @ np.kron(s, s),
-        "u": r @ u,
-        "eta_L": np.kron(r, r2) @ _mat(g, "eta_L"),
-        "eps_L": _mat(g, "eps_L") @ np.kron(s2, s),
-        "eta_R": np.kron(r2, r) @ _mat(g, "eta_R"),
-        "eps_R": _mat(g, "eps_R") @ np.kron(s, s2),
-    }
+# Monoid-side roles as (domain objects, codomain objects); the comonoid
+# side is the same table flipped, each role reversed into its partner.
+_MONOID_SIGNATURES = {
+    "m": (("A", "A"), ("A",)), "u": ((), ("A",)),
+    "eta_L": ((), ("A", "B")), "eps_L": (("B", "A"), ()),
+    "eta_R": ((), ("B", "A")), "eps_R": (("A", "B"), ()),
+}
+_COMONOID_SIGNATURES = {new: _MONOID_SIGNATURES[old][::-1]
+                        for old, new in _MONOID_TO_COMONOID.items()}
 
 
-def _split_comonoid_roles(g, r, s, r2, s2) -> dict[str, np.ndarray]:
-    d, k = _mat(g, "d"), _mat(g, "k")
-    return {
-        "d": np.kron(r, r) @ d @ s,
-        "k": k @ s,
-        "tau_L": np.kron(r, r2) @ _mat(g, "tau_L"),
-        "gam_L": _mat(g, "gam_L") @ np.kron(s2, s),
-        "tau_R": np.kron(r2, r) @ _mat(g, "tau_R"),
-        "gam_R": _mat(g, "gam_R") @ np.kron(s, s2),
-    }
+def _split_roles(g, r, s, r2, s2, signatures) -> dict[str, np.ndarray]:
+    """Each role conjugated into the splitting: the retractions (r on A,
+    r2 on B) after it on its codomain, the sections before it on its
+    domain."""
+    retract, section = {"A": r, "B": r2}, {"A": s, "B": s2}
+    out = {}
+    for role, (dom, cod) in signatures.items():
+        mat = _mat(g, role)
+        if cod:
+            mat = reduce(np.kron, [retract[o] for o in cod]) @ mat
+        if dom:
+            mat = mat @ reduce(np.kron, [section[o] for o in dom])
+        out[role] = mat
+    return out
 
 
 def _check_idempotent_compat(g: Gadget, e_a, e_b, tol, retractional,
@@ -195,7 +200,7 @@ def split_linear_monoid(g: Gadget, e_a: np.ndarray, e_b: np.ndarray,
     r, s, r2, s2 = _split_pair(e_a, e_b, tol, splitting)
     objects, env = _split_objects(r, r2)
     return Gadget("linear_monoid", objects,
-                  _split_monoid_roles(g, r, s, r2, s2), env)
+                  _split_roles(g, r, s, r2, s2, _MONOID_SIGNATURES), env)
 
 
 def split_linear_comonoid(g: Gadget, e_a: np.ndarray, e_b: np.ndarray,
@@ -209,7 +214,7 @@ def split_linear_comonoid(g: Gadget, e_a: np.ndarray, e_b: np.ndarray,
     r, s, r2, s2 = _split_pair(e_a, e_b, tol, splitting)
     objects, env = _split_objects(r, r2)
     return Gadget("linear_comonoid", objects,
-                  _split_comonoid_roles(g, r, s, r2, s2), env)
+                  _split_roles(g, r, s, r2, s2, _COMONOID_SIGNATURES), env)
 
 
 def split_linear_bialgebra(g: Gadget, e_a: np.ndarray, e_b: np.ndarray,
@@ -228,8 +233,8 @@ def split_linear_bialgebra(g: Gadget, e_a: np.ndarray, e_b: np.ndarray,
         _check_idempotent_compat(g, e_a, e_b, tol, com_r, monoid=False)
     r, s, r2, s2 = _split_pair(e_a, e_b, tol, splitting)
     objects, env = _split_objects(r, r2)
-    roles = _split_monoid_roles(g, r, s, r2, s2)
-    roles.update(_split_comonoid_roles(g, r, s, r2, s2))
+    roles = _split_roles(g, r, s, r2, s2, _MONOID_SIGNATURES)
+    roles.update(_split_roles(g, r, s, r2, s2, _COMONOID_SIGNATURES))
     return Gadget("linear_bialgebra", objects, roles, env)
 
 

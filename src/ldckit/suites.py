@@ -305,14 +305,6 @@ def _m_left(g: Gadget, d="d", tau="tau_L", gam="gam_L") -> Circuit:
                par(_cap(gam, B, A), _cap(gam, B, A), identity([B])))
 
 
-def _m_right(g: Gadget, d="d", tau="tau_R", gam="gam_R") -> Circuit:
-    A, B = g.object("A"), g.object("B")
-    return seq(par(identity([B, B]), _cup(tau, B, A)),
-               par(identity([B, B, B]), generator(d, [A], [A, A])),
-               permutation([B, B, B, A, A], [4, 0, 3, 1, 2]),
-               par(_cap(gam, A, B), _cap(gam, A, B), identity([B])))
-
-
 def _u_left(g: Gadget, k="k", tau="tau_L") -> Circuit:
     A, B = g.object("A"), g.object("B")
     return seq(_cup(tau, A, B), par(generator(k, [A], []), identity([B])))

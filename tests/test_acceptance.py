@@ -229,6 +229,18 @@ class TestExponentialLaws:
             assert float(np.max(np.abs(lhs - rhs))) <= 1e-10
         assert time.perf_counter() - t0 < 30.0
 
+    @pytest.mark.parametrize("base, degree, outer_dim",
+                             [(2, 4, 3876), (3, 3, 1771)])
+    def test_duplication_builds_past_the_dense_lift(self, base, degree,
+                                                    outer_dim):
+        # solving the duplication as a lift on these outer bases takes
+        # seconds and gigabytes; its closed form takes milliseconds
+        t0 = time.perf_counter()
+        exp = build_exp(base, degree)
+        assert exp.delta.shape == (outer_dim, exp.dim)
+        assert np.array_equal(exp.mu, exp.delta.conj().T)
+        assert time.perf_counter() - t0 < 1.0
+
 
 class TestRetractPipeline:
     def test_exponential_retract_recovers_the_qubit(self, qubit_gadget):

@@ -181,6 +181,23 @@ class TestSerialization:
         assert (c.nodes["n0"].ins, c.nodes["n0"].outs) == ((), ("b", "c"))
         assert (c.nodes["n1"].ins, c.nodes["n1"].outs) == (("a", "b"), ())
 
+    def test_nested_dagger_boxes_parse_each_level_once(self, monkeypatch):
+        import ldckit.io as io
+        c = generator("f", [A], [B])
+        for _ in range(14):
+            c = dagger_box(c)
+        text = serialize(c)
+        calls = []
+        inner = io._circuit_from_json
+
+        def counting(doc):
+            calls.append(1)
+            return inner(doc)
+        monkeypatch.setattr(io, "_circuit_from_json", counting)
+        again = parse(text)
+        assert len(calls) == 15
+        assert isomorphic(c, again)
+
     @settings(max_examples=50, deadline=None)
     @given(dom=st.lists(object_exprs, max_size=3),
            cod=st.lists(object_exprs, max_size=3))

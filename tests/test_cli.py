@@ -98,6 +98,27 @@ class TestCheck:
         assert {e["label"] for e in doc["equations"]} \
             >= {"assoc", "unit-left", "unit-right"}
 
+    @pytest.mark.parametrize("patch", [
+        {"atoms": [{"dim": 2}]},
+        {"atoms": {"Q": 2}},
+        {"atoms": {"Q": {"dim": "two"}}},
+        {"atoms": {"Q": {"dim": 2.5}}},
+        {"atoms": {"Q": {"dim": 0}}},
+        {"atoms": {"Q": {"dim": True}}},
+        {"objects": ["A"]},
+        {"morphisms": [1]},
+        {"gradings": [1]},
+    ])
+    def test_malformed_gadget_exits_one(self, tmp_path, capsys, patch):
+        fixture = ROOT / "src" / "ldckit" / "fixtures" / "qubit-zx.json"
+        doc = json.loads(fixture.read_text()) | patch
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["check", "--suite", "complementary",
+                     "--gadget", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestSplit:
     def test_binary_split_reports_rank(self, tmp_path, capsys):

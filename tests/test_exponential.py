@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldckit.errors import LiftFailure, NotAComonoid, ShapeMismatch
-from ldckit.exponential import (bang_matrix, build_exp,
+from ldckit.exponential import (bang_apply_sparse, bang_matrix, build_exp,
                                 comonad_coassoc_report, comonoid_residual,
                                 comult_matrix, counit_matrix,
                                 dereliction_matrix, induce_bang_monoid,
@@ -20,6 +20,8 @@ from ldckit.multiset import (MultisetBasis, distinct_orderings,
                              multiset_union, sub_multiset_splits)
 from ldckit.objects import Atom
 from ldckit.suites import SUITES, check_suite
+
+import exp_oracle
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +128,60 @@ class TestFunctoriality:
         degs = np.array(basis.degrees())
         off_grade = big[degs[:, None] != degs[None, :]]
         assert np.all(off_grade == 0)
+
+
+complexes = st.complex_numbers(max_magnitude=2, allow_nan=False,
+                               allow_infinity=False)
+
+
+@st.composite
+def maps_and_bases(draw):
+    """A random f: A -> B with small bases of their own degree bounds."""
+    na, nb = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = draw(st.lists(complexes, min_size=na * nb, max_size=na * nb))
+    f = np.array(entries, dtype=complex).reshape(nb, na)
+    basis_a = MultisetBasis([str(i) for i in range(na)],
+                            draw(st.integers(0, 4)))
+    basis_b = MultisetBasis([str(i) for i in range(nb)],
+                            draw(st.integers(0, 4)))
+    return f, basis_a, basis_b
+
+
+class TestAgainstOracle:
+    """The grade recursion and the closed-form duplication against the
+    ordering sum and the couniversal lift they replace."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=maps_and_bases())
+    def test_bang_matrix(self, case):
+        f, basis_a, basis_b = case
+        got = bang_matrix(f, basis_a, basis_b)
+        want = exp_oracle.bang_matrix(f, basis_a, basis_b)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=maps_and_bases())
+    def test_bang_apply_sparse_gives_the_dense_columns(self, case):
+        f, basis_a, basis_b = case
+        basis_b = MultisetBasis(basis_b.base, basis_a.degree)
+        dense = bang_matrix(f, basis_a, basis_b)
+        scale = max(1.0, float(np.max(np.abs(dense))))
+        for i, m in enumerate(basis_a.elements):
+            col = bang_apply_sparse(
+                lambda x: {t: f[t, x] for t in range(len(basis_b.base))}, m)
+            got = np.zeros(basis_b.dim, dtype=complex)
+            for k, v in col.items():
+                got[basis_b.index[k]] = v
+            assert float(np.max(np.abs(got - dense[:, i]))) <= 1e-12 * scale
+
+    # (3, 3) is left out: the oracle's lift takes seconds and a gigabyte
+    @pytest.mark.parametrize("base, degree",
+                             [(n, d) for n in (1, 2, 3) for d in (1, 2, 3)
+                              if (n, d) != (3, 3)])
+    def test_duplication(self, base, degree):
+        assert np.array_equal(build_exp(base, degree).delta,
+                              exp_oracle.delta(base, degree))
 
 
 class TestLifts:
