@@ -5,8 +5,9 @@ checked against it: the same labels in the same order, the same verdict and
 the same residuals.
 
 The gadgets are the built-in ones, the compact reflections of the three
-algebra examples, and seeded random gadgets that hold every role of every
-suite.  On the random gadgets every equation that is not an identity of
+algebra examples, the bialgebra that qubit-zx induces on its degree-2
+exponential (bare, and with the binary idempotent of the retract), and
+seeded random gadgets that hold every role of every suite.  On the random gadgets every equation that is not an identity of
 circuits has a residual of order one, so a changed template shows.
 
     PYTHONPATH=src python scripts/snapshot_suite_residuals.py
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ldckit.errors import TypeMismatch
+from ldckit.exponential import induce_bang_monoid, retract_idempotent
 from ldckit.fixtures import fixture_names, load_gadget
 from ldckit.gadget import Gadget
 from ldckit.model import ModelEnv, interp
@@ -28,6 +30,8 @@ from ldckit.suites import SUITES, check_suite
 
 TOL = 1e-9
 SEEDS = (0, 1)
+# The exponential gadgets stay at degree 2, where they build in milliseconds.
+EXP_DEGREE = 2
 SNAPSHOT = (Path(__file__).resolve().parent.parent
             / "tests" / "data" / "suite_residuals.json")
 
@@ -123,6 +127,9 @@ def gadgets() -> dict[str, tuple[Gadget, list[str]]]:
         out[name] = load_gadget(name)
     for name in ("weil", "quad4", "quad4-flip"):
         out[f"reflected-{name}"] = compact_reflection(load_gadget(name))
+    qubit = load_gadget("qubit-zx")
+    out["induced-qubit-zx"] = induce_bang_monoid(qubit, EXP_DEGREE)
+    out["retract-qubit-zx"] = retract_idempotent(qubit, EXP_DEGREE)["gadget"]
     out = {name: (g, [s.name for s in SUITES.values() if g.has(*s.roles)])
            for name, g in out.items()}
     out.update(random_gadgets())
