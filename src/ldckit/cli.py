@@ -153,9 +153,18 @@ def cmd_examples(args) -> int:
     return 0
 
 
-def _common(p: argparse.ArgumentParser) -> None:
+def _exp_degree(text: str) -> int:
+    """The degree bound of an exponential: an integer of at least 1."""
+    degree = int(text)
+    if degree < 1:
+        raise argparse.ArgumentTypeError(
+            f"degree must be at least 1, got {degree}")
+    return degree
+
+
+def _common(p: argparse.ArgumentParser, degree=int) -> None:
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--degree", type=int, default=3)
+    p.add_argument("--degree", type=degree, default=3)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd = esub.add_parser("demo", help="lift, retract, and re-split a "
                                       "complementary system")
     pd.add_argument("--gadget", required=True)
-    _common(pd)
+    _common(pd, degree=_exp_degree)
     pd.set_defaults(func=cmd_exp_demo)
 
     p = sub.add_parser("examples", help="list built-in gadgets")

@@ -6,11 +6,14 @@ pair of sub-multisets; the counit projects onto the empty multiset; the
 dereliction projects onto singletons.  The monad side is given by conjugate
 transposes.  Each structure map has one construction: the functor !f is
 filled grade by grade, peeling one factor off each multiset, and the
-duplication !A -> !!A is the closed form that sends a multiset to every
-multiset of parts with that union (Mellies-Tabareau-Tasson).  Couniversal
-lifts through other comonoids are computed degree by degree from the
-comonoid-morphism constraint and fail loudly when the constraints are
-inconsistent, making cofreeness an executable contract.
+duplication !A -> !!A and the monoidal structure !A (x) !B -> !(A (x) B) are
+closed forms (Mellies-Tabareau-Tasson): the duplication sends a multiset to
+every multiset of parts with that union, and the monoidal structure sends a
+pair of multisets to every multiset of pairs with those projections.
+Couniversal lifts through the comonoid of a base gadget, which the retract
+needs, are computed degree by degree from the comonoid-morphism constraint
+and fail loudly when the constraints are inconsistent, making cofreeness an
+executable contract.
 """
 from __future__ import annotations
 
@@ -114,8 +117,7 @@ def comonoid_residual(delta_c: np.ndarray, e_c: np.ndarray) -> float:
 
 
 def lift_flat(comonoid: tuple[np.ndarray, np.ndarray], f: np.ndarray,
-              target: MultisetBasis, tol: float = 1e-9,
-              verify: bool = True) -> np.ndarray:
+              target: MultisetBasis, tol: float = 1e-9) -> np.ndarray:
     """Unique comonoid morphism F: C -> !A with F;eps = f, for a comonoid
     (C, delta_c, e_c) and f: C -> A.  Solved degree by degree; the grade-n
     row of F is forced by any single element of the multiset, and the
@@ -150,27 +152,25 @@ def lift_flat(comonoid: tuple[np.ndarray, np.ndarray], f: np.ndarray,
     if worst > tol * scale:
         raise LiftFailure(
             f"degree-wise constraints are inconsistent (residual {worst:.3e})")
-    if verify:
-        # Compare only on the degree window: outside it the truncated
-        # comultiplication cannot produce the term, by construction.
-        lhs = comult_apply(target, big)
-        rhs = np.einsum("mc,nd,cde->mne", big, big, d3, optimize=True)
-        grades = np.array(target.degrees())
-        mask = (grades[:, None] + grades[None, :]) <= target.degree
-        r = float(np.max(np.abs((lhs - rhs) * mask[:, :, None])))
-        if r > tol * max(1.0, float(np.max(np.abs(big)))):
-            raise LiftFailure(f"comonoid morphism law fails ({r:.3e})")
+    # Compare only on the degree window: outside it the truncated
+    # comultiplication cannot produce the term, by construction.
+    lhs = comult_apply(target, big)
+    rhs = np.einsum("mc,nd,cde->mne", big, big, d3, optimize=True)
+    grades = np.array(target.degrees())
+    mask = (grades[:, None] + grades[None, :]) <= target.degree
+    r = float(np.max(np.abs((lhs - rhs) * mask[:, :, None])))
+    if r > tol * max(1.0, float(np.max(np.abs(big)))):
+        raise LiftFailure(f"comonoid morphism law fails ({r:.3e})")
     return big
 
 
 def lift_sharp(monoid: tuple[np.ndarray, np.ndarray], g: np.ndarray,
-               target: MultisetBasis, tol: float = 1e-9,
-               verify: bool = True) -> np.ndarray:
+               target: MultisetBasis, tol: float = 1e-9) -> np.ndarray:
     """Unique monoid morphism ?B -> M with eta;g# = g: the dagger dual of
     lift_flat applied to the daggered data."""
     mult, unit = (np.asarray(x, dtype=complex) for x in monoid)
     flat = lift_flat((mult.conj().T, unit.conj().T), g.conj().T, target,
-                     tol=tol, verify=verify)
+                     tol=tol)
     return flat.conj().T
 
 
@@ -346,20 +346,20 @@ def _m_top(degree: int) -> np.ndarray:
 
 def monoidal_structure(exp_a: ExpStructure, exp_b: ExpStructure) \
         -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m_top, m_tensor, nu_tensor) at the common degree bound."""
+    """(m_top, m_tensor, nu_tensor) at the common degree bound.  Row M of
+    m_tensor, a multiset of pairs, holds a single 1, in the column of its
+    two projections: the first and second components of its pairs."""
     if exp_a.basis.degree != exp_b.basis.degree:
         raise ShapeMismatch("degree bounds differ")
-    na, nb = exp_a.dim, exp_b.dim
-    da3 = exp_a.Delta.reshape(na, na, na)
-    db3 = exp_b.Delta.reshape(nb, nb, nb)
-    delta_prod = np.einsum("xyi,zwj->xzywij", da3, db3) \
-        .reshape(na * nb * na * nb, na * nb)
-    e_prod = np.kron(exp_a.counit_e, exp_b.counit_e)
-    f = np.kron(exp_a.eps, exp_b.eps)
-    m_tensor = lift_flat((delta_prod, e_prod), f,
-                         _product_basis(exp_a, exp_b),
-                         verify=na * nb <= 256)
-    return _m_top(exp_a.basis.degree), m_tensor, m_tensor.conj().T
+    basis_a, basis_b = exp_a.basis, exp_b.basis
+    width = len(basis_b.base)
+    prod = _product_basis(exp_a, exp_b)
+    m_tensor = np.zeros((prod.dim, basis_a.dim * basis_b.dim), dtype=complex)
+    for i, m in enumerate(prod.elements):
+        ma = tuple(sorted(p // width for p in m))
+        mb = tuple(sorted(p % width for p in m))
+        m_tensor[i, basis_a.index[ma] * basis_b.dim + basis_b.index[mb]] = 1
+    return _m_top(basis_a.degree), m_tensor, m_tensor.conj().T
 
 
 # -- induced structure on the exponential ----------------------------------
@@ -369,27 +369,25 @@ def monoidal_structure(exp_a: ExpStructure, exp_b: ExpStructure) \
 # structure, the cups and caps are lifted as states/costates of the
 # exponential, and the comonoid is the free comultiplication/counit.
 
-def lifted_cup(state: np.ndarray, exp_a: ExpStructure, exp_b: ExpStructure,
-               m_tensor: Optional[np.ndarray] = None) -> np.ndarray:
+def lifted_cup(state: np.ndarray, exp_a: ExpStructure,
+               exp_b: ExpStructure) -> np.ndarray:
     """Induced cup T -> !A (x) !B of a cup T -> A (x) B: the functorial
     image of the state, pushed back through the monoidal costructure."""
     d = exp_a.basis.degree
-    if m_tensor is None:
-        _, m_tensor, _ = monoidal_structure(exp_a, exp_b)
+    _, _, nu_tensor = monoidal_structure(exp_a, exp_b)
     banged = bang_matrix(np.asarray(state, dtype=complex).reshape(-1, 1),
                          _top_basis(d), _product_basis(exp_a, exp_b))
-    return m_tensor.conj().T @ banged @ _m_top(d)
+    return nu_tensor @ banged @ _m_top(d)
 
 
 def lifted_cap(costate: np.ndarray, exp_a: ExpStructure,
-               exp_b: ExpStructure,
-               m_tensor: Optional[np.ndarray] = None) -> np.ndarray:
+               exp_b: ExpStructure) -> np.ndarray:
     """Induced cap !A (x) !B -> _|_ of a cap A (x) B -> _|_, built as the
     dagger of the lifted cup of the daggered costate.  (Pushing the costate
     forward with the functor instead would overcount each multiset by its
     number of distinct orderings and break the snake equations.)"""
     state = np.asarray(costate, dtype=complex).conj().reshape(-1, 1)
-    return lifted_cup(state, exp_a, exp_b, m_tensor=m_tensor).conj().T
+    return lifted_cup(state, exp_a, exp_b).conj().T
 
 
 def _require_suite(g: Gadget, name: str, tol: float) -> None:
@@ -414,29 +412,26 @@ def induce_bang_monoid(g: Gadget, degree: int = 3,
     exp_a = build_exp(list(labels_a), degree, with_duplication=False)
     exp_b = exp_a if same \
         else build_exp(list(labels_b), degree, with_duplication=False)
-    mt_ab = monoidal_structure(exp_a, exp_b)[1]
-    mt_ba = mt_ab if same else monoidal_structure(exp_b, exp_a)[1]
-    mt_aa = mt_ab if same else monoidal_structure(exp_a, exp_a)[1]
-
     m_bang = bang_matrix(np.asarray(g.morphism("m"), dtype=complex),
-                         _product_basis(exp_a, exp_a), exp_a.basis) @ mt_aa
+                         _product_basis(exp_a, exp_a), exp_a.basis) \
+        @ monoidal_structure(exp_a, exp_a)[1]
     u_bang = bang_matrix(np.asarray(g.morphism("u"), dtype=complex),
                          _top_basis(degree), exp_a.basis) @ _m_top(degree)
     morphs = {
         "m": m_bang, "u": u_bang,
         "d": exp_a.Delta, "k": exp_a.counit_e,
-        "eta_L": lifted_cup(g.morphism("eta_L"), exp_a, exp_b, mt_ab),
-        "eps_L": lifted_cap(g.morphism("eps_L"), exp_b, exp_a, mt_ba),
-        "eta_R": lifted_cup(g.morphism("eta_R"), exp_b, exp_a, mt_ba),
-        "eps_R": lifted_cap(g.morphism("eps_R"), exp_a, exp_b, mt_ab),
+        "eta_L": lifted_cup(g.morphism("eta_L"), exp_a, exp_b),
+        "eps_L": lifted_cap(g.morphism("eps_L"), exp_b, exp_a),
+        "eta_R": lifted_cup(g.morphism("eta_R"), exp_b, exp_a),
+        "eps_R": lifted_cap(g.morphism("eps_R"), exp_a, exp_b),
     }
     com = (("tau_L", "gam_L", "tau_R", "gam_R")
            if g.has("tau_L", "gam_L", "tau_R", "gam_R")
            else ("eta_L", "eps_L", "eta_R", "eps_R"))
-    morphs["tau_L"] = lifted_cup(g.morphism(com[0]), exp_a, exp_b, mt_ab)
-    morphs["gam_L"] = lifted_cap(g.morphism(com[1]), exp_b, exp_a, mt_ba)
-    morphs["tau_R"] = lifted_cup(g.morphism(com[2]), exp_b, exp_a, mt_ba)
-    morphs["gam_R"] = lifted_cap(g.morphism(com[3]), exp_a, exp_b, mt_ab)
+    morphs["tau_L"] = lifted_cup(g.morphism(com[0]), exp_a, exp_b)
+    morphs["gam_L"] = lifted_cap(g.morphism(com[1]), exp_b, exp_a)
+    morphs["tau_R"] = lifted_cup(g.morphism(com[2]), exp_b, exp_a)
+    morphs["gam_R"] = lifted_cap(g.morphism(com[3]), exp_a, exp_b)
 
     atoms = {"bangA": (exp_a.dim, tuple(exp_a.basis.labels()))}
     objects = {"A": Atom("bangA"), "B": Atom("bangA")}

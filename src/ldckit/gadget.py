@@ -77,7 +77,12 @@ def gadget_from_json(doc: object, degree: int = 3) -> Gadget:
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise SchemaError(f"atom {name!r}: dim must be a positive "
                               f"integer, got {dim!r}")
-        basis = tuple(spec.get("basis") or (str(i) for i in range(dim)))
+        basis = spec.get("basis") or [str(i) for i in range(dim)]
+        if not isinstance(basis, list) \
+                or not all(isinstance(x, str) for x in basis):
+            raise SchemaError(f"atom {name!r}: basis must be a list of "
+                              f"labels")
+        basis = tuple(basis)
         if len(basis) != dim:
             raise SchemaError(f"atom {name!r}: basis length != dim")
         atoms[name] = (dim, basis)
@@ -88,6 +93,12 @@ def gadget_from_json(doc: object, degree: int = 3) -> Gadget:
                  for role, m in doc["morphisms"].items()}
     gradings = None
     if "gradings" in doc:
-        gradings = {role: [int(x) for x in vec]
-                    for role, vec in doc["gradings"].items()}
+        gradings = {}
+        for role, vec in doc["gradings"].items():
+            if not isinstance(vec, list) or not all(
+                    isinstance(x, int) and not isinstance(x, bool)
+                    for x in vec):
+                raise SchemaError(f"grading {role!r} must be a list of "
+                                  f"integers")
+            gradings[role] = vec
     return Gadget(str(doc["kind"]), objects, morphisms, env, gradings)

@@ -197,9 +197,21 @@ def matrix_from_json(doc: object) -> np.ndarray:
     if not isinstance(doc, dict) or not {"rows", "cols", "data"} <= set(doc):
         raise SchemaError(f"bad matrix document: {doc!r}")
     rows, cols, data = doc["rows"], doc["cols"], doc["data"]
-    if len(data) != rows * cols:
-        raise SchemaError("matrix data length does not match rows*cols")
-    vals = np.array([complex(re, im) for re, im in data], dtype=complex)
+    for dim in (rows, cols):
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+            raise SchemaError(f"matrix rows and cols must be nonnegative "
+                              f"integers, got {dim!r}")
+    if not isinstance(data, list) or len(data) != rows * cols:
+        raise SchemaError("matrix data must be a list of rows*cols entries")
+    try:
+        pairs = np.array(data) if data else np.zeros((0, 2))
+    except ValueError:  # ragged entries
+        pairs = None
+    if pairs is None or pairs.shape != (len(data), 2) \
+            or pairs.dtype.kind not in "iuf":
+        raise SchemaError("matrix entries must be pairs [re, im] of numbers")
+    # each row (re, im) of float64 is one complex128
+    vals = np.ascontiguousarray(pairs, dtype=float).view(complex)
     m = vals.reshape(rows, cols)
     if not np.all(np.isfinite(m.view(float))):
         raise SchemaError("matrix entries must be finite")

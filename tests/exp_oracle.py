@@ -1,18 +1,22 @@
-"""The exponential's functor and duplication as first written, kept as the
-references that `ldckit.exponential` is tested against.
+"""The exponential's functor, duplication and monoidal structure as first
+written, kept as the references that `ldckit.exponential` is tested against.
 
 `bang_matrix` sums, for every entry, the products of `f` over all distinct
 orderings of the source multiset.  `delta` solves the duplication
 !A -> !!A as the couniversal lift of the identity through the free
-comonoid, with `lift_flat` on the outer basis.  Both take time and memory
-exponential in the degree, so the tests use them on small bases only.
+comonoid, with `lift_flat` on the outer basis.  `monoidal_structure` solves
+!A (x) !B -> !(A (x) B) as the couniversal lift of the tensor of the
+derelictions through the dense product comultiplication.  All three take
+time and memory exponential in the degree, so the tests use them on small
+bases only.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from ldckit.errors import ShapeMismatch
-from ldckit.exponential import comult_matrix, counit_matrix, lift_flat
+from ldckit.exponential import (ExpStructure, _m_top, _product_basis,
+                                comult_matrix, counit_matrix, lift_flat)
 from ldckit.multiset import MultisetBasis, distinct_orderings
 
 
@@ -52,6 +56,22 @@ def delta(base: int, degree: int) -> np.ndarray:
     e_mat = counit_matrix(basis)
     outer = MultisetBasis(basis.labels(), degree)
     dup = lift_flat((delta_mat, e_mat),
-                    np.eye(basis.dim, dtype=complex), outer,
-                    verify=basis.dim <= 64)
+                    np.eye(basis.dim, dtype=complex), outer)
     return dup
+
+
+def monoidal_structure(exp_a: ExpStructure, exp_b: ExpStructure) \
+        -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m_top, m_tensor, nu_tensor) at the common degree bound."""
+    if exp_a.basis.degree != exp_b.basis.degree:
+        raise ShapeMismatch("degree bounds differ")
+    na, nb = exp_a.dim, exp_b.dim
+    da3 = exp_a.Delta.reshape(na, na, na)
+    db3 = exp_b.Delta.reshape(nb, nb, nb)
+    delta_prod = np.einsum("xyi,zwj->xzywij", da3, db3) \
+        .reshape(na * nb * na * nb, na * nb)
+    e_prod = np.kron(exp_a.counit_e, exp_b.counit_e)
+    f = np.kron(exp_a.eps, exp_b.eps)
+    m_tensor = lift_flat((delta_prod, e_prod), f,
+                         _product_basis(exp_a, exp_b))
+    return _m_top(exp_a.basis.degree), m_tensor, m_tensor.conj().T

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,9 +244,11 @@ class TestExponentialLaws:
 
 
 class TestRetractPipeline:
-    def test_exponential_retract_recovers_the_qubit(self, qubit_gadget):
-        t0 = time.perf_counter()
-        result = retract_idempotent(qubit_gadget, degree=3)
+    @staticmethod
+    def recovery_error(qubit_gadget, degree: int) -> float:
+        """Retract the qubit onto its degree-d exponential, split the
+        idempotent back, and return the worst deviation from the qubit."""
+        result = retract_idempotent(qubit_gadget, degree=degree)
         eps, flat, sharp, eta = result["splitting"]
         # the section is exactly split by the dereliction
         assert np.array_equal(eps @ flat, np.eye(2))
@@ -258,12 +261,28 @@ class TestRetractPipeline:
         assert out["conditions"].worst() <= 1e-8
         assert out["complementary"].passed
         recovered = out["split"]
-        err = max(float(np.max(np.abs(recovered.morphism(role)
-                                      - qubit_gadget.morphism(role))))
-                  for role in recovered.morphisms
-                  if role in qubit_gadget.morphisms)
-        assert err <= 1e-8
-        assert time.perf_counter() - t0 < 60.0
+        return max(float(np.max(np.abs(recovered.morphism(role)
+                                       - qubit_gadget.morphism(role))))
+                   for role in recovered.morphisms
+                   if role in qubit_gadget.morphisms)
+
+    def test_exponential_retract_recovers_the_qubit(self, qubit_gadget):
+        t0 = time.perf_counter()
+        assert self.recovery_error(qubit_gadget, 3) <= 1e-8
+        assert time.perf_counter() - t0 < 5.0
+
+    def test_retract_at_degree_5_within_budget(self, qubit_gadget):
+        t0 = time.perf_counter()
+        assert self.recovery_error(qubit_gadget, 5) <= 1e-8
+        assert time.perf_counter() - t0 < 5.0
+        # memory on a second run: tracemalloc slows the first one down
+        tracemalloc.start()
+        try:
+            self.recovery_error(qubit_gadget, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500e6
 
 
 class TestSplittingLemmas:

@@ -67,6 +67,13 @@ class TestRender:
         assert main(["render", "--format", "svg", str(VALID)]) == 1
 
 
+def _matrix_m(**fields) -> dict:
+    """A gadget patch whose only morphism is a 2 x 4 matrix m with some
+    fields replaced."""
+    return {"morphisms": {"m": {"rows": 2, "cols": 4,
+                                "data": [[0, 0]] * 8} | fields}}
+
+
 class TestCheck:
     def test_passing_suite_exits_zero(self, capsys):
         assert main(["check", "--suite", "complementary",
@@ -108,6 +115,14 @@ class TestCheck:
         {"objects": ["A"]},
         {"morphisms": [1]},
         {"gradings": [1]},
+        {"atoms": {"Q": {"dim": 2, "basis": 5}}},
+        {"gradings": {"A": 5}},
+        {"gradings": {"A": ["a"]}},
+        _matrix_m(data=5),
+        _matrix_m(data=[[1]] * 8),
+        _matrix_m(data=[["a", "b"]] * 8),
+        _matrix_m(rows=-2, cols=-4),
+        _matrix_m(rows=2.0),
     ])
     def test_malformed_gadget_exits_one(self, tmp_path, capsys, patch):
         fixture = ROOT / "src" / "ldckit" / "fixtures" / "qubit-zx.json"
@@ -165,6 +180,23 @@ class TestExpDemo:
     def test_wrong_gadget_kind_exits_one(self, capsys):
         assert main(["exp", "demo", "--gadget", "weil",
                      "--degree", "2"]) == 1
+
+    @pytest.mark.parametrize("degree", ["0", "-1"])
+    def test_degree_below_one_exits_one(self, capsys, degree):
+        assert main(["exp", "demo", "--gadget", "qubit-zx",
+                     "--degree", degree]) == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+
+    def test_degree_one_warns(self, capsys):
+        assert main(["exp", "demo", "--gadget", "qubit-zx",
+                     "--degree", "1"]) == 0
+        assert "warning: degree 1" in capsys.readouterr().out
+
+    def test_degree_5_recovers_the_qubit(self, capsys):
+        assert main(["exp", "demo", "--gadget", "qubit-zx",
+                     "--degree", "5"]) == 0
+        assert "recovery error 0.000e+00" in capsys.readouterr().out
 
 
 class TestExamples:

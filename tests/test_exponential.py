@@ -183,6 +183,21 @@ class TestAgainstOracle:
         assert np.array_equal(build_exp(base, degree).delta,
                               exp_oracle.delta(base, degree))
 
+    # every pair whose tensor !A (x) !B has dimension at most 36, where the
+    # oracle's dense product comultiplication stays small
+    @pytest.mark.parametrize(
+        "base_a, base_b, degree",
+        [(a, b, d) for a in (1, 2, 3) for b in (1, 2, 3) for d in range(1, 6)
+         if MultisetBasis(range(a), d).dim * MultisetBasis(range(b), d).dim
+         <= 36])
+    def test_monoidal_structure(self, base_a, base_b, degree):
+        exp_a = build_exp(base_a, degree, with_duplication=False)
+        exp_b = build_exp(base_b, degree, with_duplication=False)
+        got = monoidal_structure(exp_a, exp_b)
+        want = exp_oracle.monoidal_structure(exp_a, exp_b)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
 
 class TestLifts:
     def test_lift_of_dereliction_identity_sections_the_counit(self, exp23):
@@ -234,10 +249,9 @@ class TestMonoidalStructure:
 
     def test_lifted_canonical_dual_satisfies_snakes(self):
         exp = build_exp(2, 2, with_duplication=False)
-        _, mt, _ = monoidal_structure(exp, exp)
         cup = np.eye(2, dtype=complex).reshape(4, 1)
-        eta = lifted_cup(cup, exp, exp, m_tensor=mt)
-        eps = lifted_cap(cup.conj().T, exp, exp, m_tensor=mt)
+        eta = lifted_cup(cup, exp, exp)
+        eps = lifted_cap(cup.conj().T, exp, exp)
         env = ModelEnv.make({"bangA": exp.dim})
         g = Gadget("dual", {"A": Atom("bangA"), "B": Atom("bangA")},
                    {"eta": eta, "eps": eps}, env)
