@@ -7,8 +7,9 @@ the same residuals.
 The gadgets are the built-in ones, the compact reflections of the three
 algebra examples, the bialgebra that qubit-zx induces on its degree-2
 exponential (bare, and with the binary idempotent of the retract), and
-seeded random gadgets that hold every role of every suite.  On the random gadgets every equation that is not an identity of
-circuits has a residual of order one, so a changed template shows.
+seeded random gadgets that hold every role of every suite.  On the random
+gadgets every equation that is not an identity of circuits has a residual
+of order one, so a changed template shows.
 
     PYTHONPATH=src python scripts/snapshot_suite_residuals.py
 """

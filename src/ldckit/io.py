@@ -203,13 +203,13 @@ def matrix_from_json(doc: object) -> np.ndarray:
                               f"integers, got {dim!r}")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise SchemaError("matrix data must be a list of rows*cols entries")
+    not_pairs = "matrix entries must be pairs [re, im] of numbers"
     try:
         pairs = np.array(data) if data else np.zeros((0, 2))
     except ValueError:  # ragged entries
-        pairs = None
-    if pairs is None or pairs.shape != (len(data), 2) \
-            or pairs.dtype.kind not in "iuf":
-        raise SchemaError("matrix entries must be pairs [re, im] of numbers")
+        raise SchemaError(not_pairs) from None
+    if pairs.shape != (len(data), 2) or pairs.dtype.kind not in "iuf":
+        raise SchemaError(not_pairs)
     # each row (re, im) of float64 is one complex128
     vals = np.ascontiguousarray(pairs, dtype=float).view(complex)
     m = vals.reshape(rows, cols)
