@@ -36,6 +36,16 @@ class Node:
     def ports(self) -> tuple[str, ...]:
         return self.ins + self.outs
 
+    def rewired(self, wire_map: Mapping[str, str]) -> "Node":
+        """This node with its ports and thinning anchor renamed through
+        `wire_map` (ids it lacks are kept)."""
+        def rw(ws: tuple[str, ...]) -> tuple[str, ...]:
+            return tuple(wire_map.get(w, w) for w in ws)
+        thin = None if self.thin is None else wire_map.get(self.thin,
+                                                           self.thin)
+        return Node(self.kind, rw(self.ins), rw(self.outs), self.name,
+                    self.dom, self.cod, thin, self.inner)
+
 
 class Circuit:
     """Immutable typed port graph with an ordered boundary."""
@@ -224,25 +234,6 @@ class Circuit:
                 ready.sort(reverse=True)
         return order
 
-    def renamed(self, wire_map: dict[str, str],
-                node_map: dict[str, str]) -> "Circuit":
-        def rw(w: str) -> str:
-            return wire_map.get(w, w)
-
-        wires = {rw(w): t for w, t in self.wires.items()}
-        nodes = {}
-        for nid, node in self.nodes.items():
-            nodes[node_map.get(nid, nid)] = Node(
-                kind=node.kind,
-                ins=tuple(rw(w) for w in node.ins),
-                outs=tuple(rw(w) for w in node.outs),
-                name=node.name, dom=node.dom, cod=node.cod,
-                thin=rw(node.thin) if node.thin is not None else None,
-                inner=node.inner)
-        return Circuit(wires, nodes,
-                       [rw(w) for w in self.inputs],
-                       [rw(w) for w in self.outputs])
-
 
 # -- fresh-name plumbing ---------------------------------------------------
 
@@ -255,12 +246,6 @@ def fresh_wire() -> str:
 
 def fresh_node() -> str:
     return f"n{next(_counter)}"
-
-
-def _fresh_copy(c: Circuit) -> Circuit:
-    wire_map = {w: fresh_wire() for w in c.wires}
-    node_map = {n: fresh_node() for n in c.nodes}
-    return c.renamed(wire_map, node_map)
 
 
 # -- builders --------------------------------------------------------------
@@ -289,48 +274,62 @@ def swap(a: ObjectExpr, b: ObjectExpr) -> Circuit:
     return Circuit(wires, {fresh_node(): node}, wi, wo)
 
 
-def compose(f: Circuit, g: Circuit) -> Circuit:
-    """Plug f's outputs into g's inputs, position-wise."""
-    fo, gi = f.output_types(), g.input_types()
-    if len(fo) != len(gi):
-        raise TypeMismatch(len(fo), f"{len(fo)} wires", f"{len(gi)} wires")
-    for i, (a, b) in enumerate(zip(fo, gi)):
-        if a != b:
-            raise TypeMismatch(i, a, b)
-    f = _fresh_copy(f)
-    g = _fresh_copy(g)
-    glue = dict(zip(g.inputs, f.outputs))
-    g = g.renamed(glue, {})
-    wires = dict(f.wires)
-    wires.update(g.wires)
-    nodes = dict(f.nodes)
-    nodes.update(g.nodes)
-    return Circuit(wires, nodes, f.inputs, g.outputs)
-
-
-def tensor_parallel(f: Circuit, g: Circuit) -> Circuit:
-    """Disjoint union with concatenated boundaries."""
-    f = _fresh_copy(f)
-    g = _fresh_copy(g)
-    wires = dict(f.wires)
-    wires.update(g.wires)
-    nodes = dict(f.nodes)
-    nodes.update(g.nodes)
-    return Circuit(wires, nodes, f.inputs + g.inputs, f.outputs + g.outputs)
+def _place(part: Circuit, wires: dict[str, ObjectExpr],
+           nodes: dict[str, Node], glued: Sequence[str] = ()
+           ) -> tuple[list[str], list[str]]:
+    """Copy `part` into the shared `wires` and `nodes` pools under fresh
+    ids, in its own order; its inputs take the ids in `glued`, which are
+    already pooled.  Returns the new ids of its inputs and outputs."""
+    wire_map = dict(zip(part.inputs, glued))
+    for w, t in part.wires.items():
+        if w not in wire_map:
+            wire_map[w] = fresh_wire()
+            wires[wire_map[w]] = t
+    for node in part.nodes.values():
+        nodes[fresh_node()] = node.rewired(wire_map)
+    return ([wire_map[w] for w in part.inputs],
+            [wire_map[w] for w in part.outputs])
 
 
 def seq(first: Circuit, *rest: Circuit) -> Circuit:
-    out = first
+    """Plug each part's outputs into the next part's inputs, position-wise."""
+    for f, g in zip((first,) + rest, rest):
+        fo, gi = f.output_types(), g.input_types()
+        if len(fo) != len(gi):
+            raise TypeMismatch(len(fo), f"{len(fo)} wires",
+                               f"{len(gi)} wires")
+        for i, (a, b) in enumerate(zip(fo, gi)):
+            if a != b:
+                raise TypeMismatch(i, a, b)
+    wires: dict[str, ObjectExpr] = {}
+    nodes: dict[str, Node] = {}
+    inputs, outputs = _place(first, wires, nodes)
     for c in rest:
-        out = compose(out, c)
-    return out
+        outputs = _place(c, wires, nodes, outputs)[1]
+    return Circuit(wires, nodes, inputs, outputs)
 
 
 def par(first: Circuit, *rest: Circuit) -> Circuit:
-    out = first
-    for c in rest:
-        out = tensor_parallel(out, c)
-    return out
+    """Disjoint union with concatenated boundaries."""
+    wires: dict[str, ObjectExpr] = {}
+    nodes: dict[str, Node] = {}
+    inputs: list[str] = []
+    outputs: list[str] = []
+    for c in (first,) + rest:
+        ins, outs = _place(c, wires, nodes)
+        inputs += ins
+        outputs += outs
+    return Circuit(wires, nodes, inputs, outputs)
+
+
+def compose(f: Circuit, g: Circuit) -> Circuit:
+    """Plug f's outputs into g's inputs: `seq` of two parts."""
+    return seq(f, g)
+
+
+def tensor_parallel(f: Circuit, g: Circuit) -> Circuit:
+    """`par` of two parts."""
+    return par(f, g)
 
 
 def empty() -> Circuit:
@@ -391,27 +390,27 @@ def permutation(types: Sequence[ObjectExpr],
                 order: Sequence[int]) -> Circuit:
     """Circuit mapping input i to output position order.index(i), built from
     adjacent symmetries.  `order[j]` is the input index appearing at output j.
+    Each symmetry exchanges the first adjacent pair still out of order.
     """
     n = len(types)
     if sorted(order) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {order}")
-    current = list(range(n))
-    result = identity(types)
-    target = list(order)
-    # bubble target into place with adjacent swaps
-    while current != target:
-        for j in range(n - 1):
-            # current positions j, j+1; desired relative order per target
-            if target.index(current[j]) > target.index(current[j + 1]):
-                layer_types = [types[i] for i in current]
-                layer = (par(identity(layer_types[:j]),
-                             swap(layer_types[j], layer_types[j + 1]),
-                             identity(layer_types[j + 2:]))
-                         if n > 2 else swap(layer_types[0], layer_types[1]))
-                result = compose(result, layer)
-                current[j], current[j + 1] = current[j + 1], current[j]
-                break
-    return result
+    wires = {fresh_wire(): t for t in types}
+    inputs = list(wires)
+    # the wire at each position, and the output position it is bound for
+    line = list(inputs)
+    dest = [list(order).index(i) for i in range(n)]
+    nodes = {}
+    while True:
+        j = next((j for j in range(n - 1) if dest[j] > dest[j + 1]), None)
+        if j is None:
+            return Circuit(wires, nodes, inputs, line)
+        outs = (fresh_wire(), fresh_wire())
+        wires[outs[0]], wires[outs[1]] = wires[line[j + 1]], wires[line[j]]
+        nodes[fresh_node()] = Node(kind="swap", ins=tuple(line[j:j + 2]),
+                                   outs=outs)
+        line[j:j + 2] = outs
+        dest[j:j + 2] = dest[j + 1], dest[j]
 
 
 def dagger_box(inner: Circuit) -> Circuit:

@@ -4,6 +4,7 @@ exp demo, examples.  Exit codes: 0 success/pass, 2 semantic failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -162,12 +163,17 @@ def _exp_degree(text: str) -> int:
     return degree
 
 
-def _common(p: argparse.ArgumentParser, degree=int) -> None:
+def _common(p: argparse.ArgumentParser, degree=int,
+            degree_help: str = "degree bound of the model's exponentials, "
+                               "for gadget documents that record none "
+                               "(default 3)") -> None:
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--degree", type=degree, default=3)
+    p.add_argument("--degree", type=degree, default=3, help=degree_help)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     top = argparse.ArgumentParser(prog="ldckit")
     sub = top.add_subparsers(dest="cmd", required=True)
 
@@ -207,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     pd = esub.add_parser("demo", help="lift, retract, and re-split a "
                                       "complementary system")
     pd.add_argument("--gadget", required=True)
-    _common(pd, degree=_exp_degree)
+    _common(pd, degree=_exp_degree,
+            degree_help="degree bound of the exponential to build "
+                        "(default 3)")
     pd.set_defaults(func=cmd_exp_demo)
 
     p = sub.add_parser("examples", help="list built-in gadgets")

@@ -55,10 +55,13 @@ def gadget_to_json(g: Gadget) -> dict:
     if g.gradings is not None:
         doc["gradings"] = {role: list(map(int, vec))
                            for role, vec in g.gradings.items()}
+        doc["degree"] = g.env.degree
     return doc
 
 
 def gadget_from_json(doc: object, degree: int = 3) -> Gadget:
+    """The gadget of a JSON document.  `degree` bounds the model's
+    exponentials unless the document records its own degree."""
     if not isinstance(doc, dict):
         raise SchemaError("gadget document must be an object")
     for key in ("kind", "objects", "morphisms", "atoms"):
@@ -86,6 +89,12 @@ def gadget_from_json(doc: object, degree: int = 3) -> Gadget:
         if len(basis) != dim:
             raise SchemaError(f"atom {name!r}: basis length != dim")
         atoms[name] = (dim, basis)
+    if "degree" in doc:
+        degree = doc["degree"]
+        if not isinstance(degree, int) or isinstance(degree, bool) \
+                or degree < 1:
+            raise SchemaError(f"degree must be a positive integer, got "
+                              f"{degree!r}")
     env = ModelEnv(atoms=atoms, degree=degree)
     objects = {role: type_from_json(t)
                for role, t in doc["objects"].items()}

@@ -30,13 +30,7 @@ class _Editable:
             return
         for nid, n in list(self.nodes.items()):
             if gone in n.ins or gone in n.outs or n.thin == gone:
-                swap_in = tuple(keep if w == gone else w for w in n.ins)
-                swap_out = tuple(keep if w == gone else w for w in n.outs)
-                thin = keep if n.thin == gone else n.thin
-                self.nodes[nid] = Node(kind=n.kind, ins=swap_in,
-                                       outs=swap_out, name=n.name,
-                                       dom=n.dom, cod=n.cod, thin=thin,
-                                       inner=n.inner)
+                self.nodes[nid] = n.rewired({gone: keep})
         self.inputs = [keep if w == gone else w for w in self.inputs]
         self.outputs = [keep if w == gone else w for w in self.outputs]
         del self.wires[gone]

@@ -2,7 +2,8 @@
 written, kept as the references that `ldckit.exponential` is tested against.
 
 `bang_matrix` sums, for every entry, the products of `f` over all distinct
-orderings of the source multiset.  `delta` solves the duplication
+orderings of the source multiset.  `comult_apply` fills Delta . f pair by
+pair of multisets.  `delta` solves the duplication
 !A -> !!A as the couniversal lift of the identity through the free
 comonoid, with `lift_flat` on the outer basis.  `monoidal_structure` solves
 !A (x) !B -> !(A (x) B) as the couniversal lift of the tensor of the
@@ -17,7 +18,7 @@ import numpy as np
 from ldckit.errors import ShapeMismatch
 from ldckit.exponential import (ExpStructure, _m_top, _product_basis,
                                 comult_matrix, counit_matrix, lift_flat)
-from ldckit.multiset import MultisetBasis, distinct_orderings
+from ldckit.multiset import MultisetBasis, distinct_orderings, multiset_union
 
 
 def bang_matrix(f: np.ndarray, basis_a: MultisetBasis,
@@ -45,6 +46,18 @@ def bang_matrix(f: np.ndarray, basis_a: MultisetBasis,
                             break
                     coeff += prod
                 out[ib, ia] = coeff
+    return out
+
+
+def comult_apply(basis: MultisetBasis, f: np.ndarray) -> np.ndarray:
+    """Delta . f computed without materializing Delta; result has shape
+    (dim, dim, f.cols) indexed by (m1, m2, column)."""
+    out = np.zeros((basis.dim, basis.dim, f.shape[1]), dtype=complex)
+    for i1, m1 in enumerate(basis.elements):
+        for i2, m2 in enumerate(basis.elements):
+            if len(m1) + len(m2) > basis.degree:
+                continue
+            out[i1, i2, :] = f[basis.index[multiset_union(m1, m2)], :]
     return out
 
 

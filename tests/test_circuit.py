@@ -91,8 +91,12 @@ class TestIsomorphism:
     def test_renaming_invariance(self):
         c = seq(generator("f", [A], [B]), generator("g", [B], [C]))
         wire_map = {w: f"ren_{i}" for i, w in enumerate(c.wires)}
-        node_map = {n: f"ren_{i}" for i, n in enumerate(c.nodes)}
-        assert isomorphic(c, c.renamed(wire_map, node_map))
+        renamed = Circuit({wire_map[w]: t for w, t in c.wires.items()},
+                          {f"ren_{i}": n.rewired(wire_map)
+                           for i, n in enumerate(c.nodes.values())},
+                          [wire_map[w] for w in c.inputs],
+                          [wire_map[w] for w in c.outputs])
+        assert isomorphic(c, renamed)
 
     def test_distinguishes_generator_names(self):
         assert not isomorphic(generator("f", [A], [B]),

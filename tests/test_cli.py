@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ldckit.cli import main
+from ldckit.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 VALID = ROOT / "fixtures" / "left-distributor.json"
@@ -123,6 +123,10 @@ class TestCheck:
         _matrix_m(data=[["a", "b"]] * 8),
         _matrix_m(rows=-2, cols=-4),
         _matrix_m(rows=2.0),
+        {"degree": 0},
+        {"degree": "2"},
+        {"degree": 2.0},
+        {"degree": True},
     ])
     def test_malformed_gadget_exits_one(self, tmp_path, capsys, patch):
         fixture = ROOT / "src" / "ldckit" / "fixtures" / "qubit-zx.json"
@@ -133,6 +137,20 @@ class TestCheck:
                      "--gadget", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+    def test_saved_induced_gadget_keeps_its_degree(self, tmp_path, capsys):
+        from ldckit.exponential import induce_bang_monoid
+        from ldckit.fixtures import load_gadget
+        from ldckit.gadget import gadget_to_json
+        induced = induce_bang_monoid(load_gadget("qubit-zx"), 2)
+        path = tmp_path / "induced.json"
+        path.write_text(json.dumps(gadget_to_json(induced)))
+        assert json.loads(path.read_text())["degree"] == 2
+        # the document's degree wins over the --degree default of 3
+        assert main(["check", "--suite", "linear-bialgebra",
+                     "--gadget", str(path)]) == 0
+        assert capsys.readouterr().out.strip().endswith("pass")
 
 
 class TestSplit:
@@ -219,3 +237,9 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["check", "--help"]) == 0
         assert "--suite" in capsys.readouterr().out
+
+    def test_parser_is_built_once(self, capsys):
+        build_parser.cache_clear()
+        assert main(["examples"]) == 0
+        assert main(["check"]) == 1
+        assert build_parser.cache_info().misses == 1

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldckit.errors import LiftFailure, NotAComonoid, ShapeMismatch
-from ldckit.exponential import (bang_apply_sparse, bang_matrix, build_exp,
-                                comonad_coassoc_report, comonoid_residual,
-                                comult_matrix, counit_matrix,
-                                dereliction_matrix, induce_bang_monoid,
-                                lift_flat, lift_sharp, lifted_cap, lifted_cup,
-                                monoidal_structure, retract_idempotent)
+from ldckit.exponential import (_window_unions, bang_apply_sparse,
+                                bang_matrix, build_exp, comonad_coassoc_report,
+                                comonoid_residual, comult_matrix,
+                                counit_matrix, dereliction_matrix,
+                                induce_bang_monoid, lift_flat, lift_sharp,
+                                lifted_cap, lifted_cup, monoidal_structure,
+                                retract_idempotent)
 from ldckit.gadget import Gadget
 from ldckit.model import ModelEnv
 from ldckit.multiset import (MultisetBasis, distinct_orderings,
@@ -174,6 +175,18 @@ class TestAgainstOracle:
             for k, v in col.items():
                 got[basis_b.index[k]] = v
             assert float(np.max(np.abs(got - dense[:, i]))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("base, degree",
+                             [(1, 3), (2, 2), (2, 5), (3, 3), (4, 2)])
+    def test_window_unions_gather_delta_apply(self, base, degree):
+        basis = MultisetBasis([str(i) for i in range(base)], degree)
+        rng = np.random.default_rng([base, degree])
+        f = rng.standard_normal((basis.dim, 3)) \
+            + 1j * rng.standard_normal((basis.dim, 3))
+        i1, i2, union = _window_unions(basis)
+        got = np.zeros((basis.dim, basis.dim, 3), dtype=complex)
+        got[i1, i2] = f[union]
+        assert np.array_equal(got, exp_oracle.comult_apply(basis, f))
 
     # (3, 3) is left out: the oracle's lift takes seconds and a gigabyte
     @pytest.mark.parametrize("base, degree",

@@ -1,0 +1,23 @@
+"""The traced benchmark run still works: its tracer wraps `compose`,
+`tensor_parallel` and `Circuit.__init__` by name and reads the nodes from
+the constructor's positional arguments, so a change to the circuit API that
+drops any of them shows here."""
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_tiny_check_run():
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "check",
+         "--seed", "0", "--seconds", "1", "--tiny", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout.splitlines()[-1])
+    assert doc["correct"] is True
+    assert doc["metrics"]["circuit.constructed"]["value"] > 0

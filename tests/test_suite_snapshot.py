@@ -53,10 +53,8 @@ def test_reports_match_snapshot(gname, gadgets, tmp_path, capsys):
             assert abs(new["residual"] - old["residual"]) \
                 <= REL * max(1.0, abs(old["residual"])), (where, old, new)
 
-        # A gadget document does not carry the degree bound of its model.
         rc = main(["check", "--suite", rec["suite"], "--gadget", str(path),
-                   "--tol", repr(rec["tol"]),
-                   "--degree", str(g.env.degree)])
+                   "--tol", repr(rec["tol"])])
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines[:-1]] == labels, where
         assert lines[-1] == ("pass" if rec["pass"] else "fail"), where
