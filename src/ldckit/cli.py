@@ -14,7 +14,7 @@ import numpy as np
 from .errors import LdcError, SuiteFailure
 from .exponential import retract_idempotent
 from .fixtures import fixture_names, load_gadget
-from .gadget import gadget_to_json
+from .gadget import Gadget, gadget_to_json
 from .io import parse, serialize
 from .render import render_dot
 from .rewrite import normalize
@@ -64,12 +64,24 @@ def cmd_render(args) -> int:
     return 0
 
 
+def _load(args) -> Gadget:
+    """The gadget named by --gadget.  A graded document fixes its own
+    degree bound; --degree sets the bound of any other (default 3)."""
+    if args.degree is None:
+        return load_gadget(args.gadget)
+    gadget = load_gadget(args.gadget, degree=args.degree)
+    if gadget.env.degree != args.degree:
+        raise LdcError(f"--degree {args.degree} conflicts with the degree "
+                       f"{gadget.env.degree} of the gadget's gradings")
+    return gadget
+
+
 def cmd_check(args) -> int:
     if args.suite not in SUITES:
         print(f"unknown suite {args.suite!r}; available: "
               f"{', '.join(sorted(SUITES))}", file=sys.stderr)
         return 1
-    gadget = load_gadget(args.gadget, degree=args.degree)
+    gadget = _load(args)
     report = check_suite(gadget, SUITES[args.suite], tol=args.tol)
     _write_report(report, args.report)
     for label, residual in report.residuals.items():
@@ -86,7 +98,7 @@ _SPLITTERS = {
 
 
 def cmd_split(args) -> int:
-    gadget = load_gadget(args.gadget, degree=args.degree)
+    gadget = _load(args)
     if args.kind == "binary":
         result = split_binary_idempotent(gadget, tol=args.tol)
         alpha, beta = result["alpha"], result["beta"]
@@ -163,12 +175,12 @@ def _exp_degree(text: str) -> int:
     return degree
 
 
-def _common(p: argparse.ArgumentParser, degree=int,
-            degree_help: str = "degree bound of the model's exponentials, "
-                               "for gadget documents that record none "
-                               "(default 3)") -> None:
+def _common(p: argparse.ArgumentParser, degree=int, default=None,
+            degree_help: str = "degree bound of the model's exponentials "
+                               "(default 3); a gadget with gradings fixes "
+                               "its own") -> None:
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--degree", type=degree, default=3, help=degree_help)
+    p.add_argument("--degree", type=degree, default=default, help=degree_help)
 
 
 @functools.cache
@@ -213,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd = esub.add_parser("demo", help="lift, retract, and re-split a "
                                       "complementary system")
     pd.add_argument("--gadget", required=True)
-    _common(pd, degree=_exp_degree,
+    _common(pd, degree=_exp_degree, default=3,
             degree_help="degree bound of the exponential to build "
                         "(default 3)")
     pd.set_defaults(func=cmd_exp_demo)

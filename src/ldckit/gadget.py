@@ -55,13 +55,13 @@ def gadget_to_json(g: Gadget) -> dict:
     if g.gradings is not None:
         doc["gradings"] = {role: list(map(int, vec))
                            for role, vec in g.gradings.items()}
-        doc["degree"] = g.env.degree
     return doc
 
 
 def gadget_from_json(doc: object, degree: int = 3) -> Gadget:
     """The gadget of a JSON document.  `degree` bounds the model's
-    exponentials unless the document records its own degree."""
+    exponentials, except in a graded document, whose bound is its top
+    grade."""
     if not isinstance(doc, dict):
         raise SchemaError("gadget document must be an object")
     for key in ("kind", "objects", "morphisms", "atoms"):
@@ -89,13 +89,6 @@ def gadget_from_json(doc: object, degree: int = 3) -> Gadget:
         if len(basis) != dim:
             raise SchemaError(f"atom {name!r}: basis length != dim")
         atoms[name] = (dim, basis)
-    if "degree" in doc:
-        degree = doc["degree"]
-        if not isinstance(degree, int) or isinstance(degree, bool) \
-                or degree < 1:
-            raise SchemaError(f"degree must be a positive integer, got "
-                              f"{degree!r}")
-    env = ModelEnv(atoms=atoms, degree=degree)
     objects = {role: type_from_json(t)
                for role, t in doc["objects"].items()}
     morphisms = {role: matrix_from_json(m)
@@ -106,8 +99,13 @@ def gadget_from_json(doc: object, degree: int = 3) -> Gadget:
         for role, vec in doc["gradings"].items():
             if not isinstance(vec, list) or not all(
                     isinstance(x, int) and not isinstance(x, bool)
-                    for x in vec):
+                    and x >= 0 for x in vec):
                 raise SchemaError(f"grading {role!r} must be a list of "
-                                  f"integers")
+                                  f"nonnegative integers")
             gradings[role] = vec
+        # Graded roles live on a degree-truncated exponential, whose
+        # bound is the top grade.
+        degree = max((max(vec, default=0) for vec in gradings.values()),
+                     default=0) or degree
+    env = ModelEnv(atoms=atoms, degree=degree)
     return Gadget(str(doc["kind"]), objects, morphisms, env, gradings)

@@ -3,8 +3,9 @@
 One test class per headline guarantee: boxing validity, circuit
 construction, rewrite soundness, the matrix kernel, idempotent splitting,
 the three algebra examples, the qubit complementary system, the exponential
-laws, the retract pipeline, and the metamorphic splitting lemmas.  Tolerances and runtime budgets are part
-of the contract and are asserted explicitly.
+laws, the retract pipeline, and the metamorphic splitting lemmas.
+Tolerances and runtime budgets are part of the contract and are asserted
+explicitly.
 """
 from __future__ import annotations
 

@@ -36,7 +36,7 @@ def same_layout(c1: Circuit, c2: Circuit) -> bool:
             and [wire_map[w] for w in c1.outputs] == list(c2.outputs))
 
 
-# -- suite templates -----------------------------------------------------------
+# -- suite templates ----------------------------------------------------------
 
 def _gadgets():
     out = {name: load_gadget(name) for name in fixture_names()}
@@ -81,7 +81,7 @@ def test_suite_templates_match_the_oracle(gname, gadgets, monkeypatch):
     assert checked > 0
 
 
-# -- permutations --------------------------------------------------------------
+# -- permutations -------------------------------------------------------------
 
 @st.composite
 def typed_permutations(draw):

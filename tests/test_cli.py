@@ -123,10 +123,7 @@ class TestCheck:
         _matrix_m(data=[["a", "b"]] * 8),
         _matrix_m(rows=-2, cols=-4),
         _matrix_m(rows=2.0),
-        {"degree": 0},
-        {"degree": "2"},
-        {"degree": 2.0},
-        {"degree": True},
+        {"gradings": {"A": [0, -1]}},
     ])
     def test_malformed_gadget_exits_one(self, tmp_path, capsys, patch):
         fixture = ROOT / "src" / "ldckit" / "fixtures" / "qubit-zx.json"
@@ -138,19 +135,45 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
-
-    def test_saved_induced_gadget_keeps_its_degree(self, tmp_path, capsys):
+    @pytest.fixture
+    def induced_doc(self, tmp_path):
+        """A saved degree-2 exponential gadget; its gradings top out at 2."""
         from ldckit.exponential import induce_bang_monoid
         from ldckit.fixtures import load_gadget
         from ldckit.gadget import gadget_to_json
         induced = induce_bang_monoid(load_gadget("qubit-zx"), 2)
         path = tmp_path / "induced.json"
         path.write_text(json.dumps(gadget_to_json(induced)))
-        assert json.loads(path.read_text())["degree"] == 2
-        # the document's degree wins over the --degree default of 3
+        return path
+
+    def test_saved_induced_gadget_keeps_its_degree(self, induced_doc,
+                                                   capsys):
+        # the top grade fixes the degree over the --degree default of 3
         assert main(["check", "--suite", "linear-bialgebra",
-                     "--gadget", str(path)]) == 0
+                     "--gadget", str(induced_doc)]) == 0
         assert capsys.readouterr().out.strip().endswith("pass")
+        assert main(["check", "--suite", "linear-bialgebra",
+                     "--gadget", str(induced_doc), "--degree", "2"]) == 0
+
+    @pytest.mark.parametrize("cmd", [["check", "--suite", "linear-bialgebra"],
+                                     ["split", "--kind", "bialgebra"]])
+    def test_degree_conflicting_with_gradings_exits_one(
+            self, induced_doc, capsys, cmd):
+        assert main(cmd + ["--gadget", str(induced_doc),
+                           "--degree", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --degree 4 conflicts with the "
+                              "degree 2")
+
+    def test_graded_document_bound_is_its_top_grade(self):
+        from ldckit.fixtures import load_gadget
+        from ldckit.gadget import gadget_from_json, gadget_to_json
+        doc = gadget_to_json(load_gadget("qubit-zx"))
+        assert gadget_from_json(doc, degree=5).env.degree == 5
+        doc["gradings"] = {"A": [0, 1, 1, 2], "B": [0, 1]}
+        assert gadget_from_json(doc, degree=5).env.degree == 2
+        doc["gradings"] = {"A": [0, 0]}
+        assert gadget_from_json(doc, degree=5).env.degree == 5
 
 
 class TestSplit:
