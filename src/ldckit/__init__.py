@@ -27,8 +27,8 @@ from .exponential import (ExpStructure, bang_matrix, build_exp,
 from .multiset import MultisetBasis
 from .fixtures import fixture_names, load_gadget
 from .errors import (CircuitSyntaxError, IllTyped, LiftFailure, MissingRole,
-                     NotAComonoid, NotExpandable, NotIdempotent, SchemaError,
-                     ShapeMismatch, SuiteFailure, TypeMismatch,
-                     UnassignedGenerator, UnboundAtom)
+                     NotAComonoid, NotExpandable, NotIdempotent,
+                     ResourceLimit, SchemaError, ShapeMismatch, SuiteFailure,
+                     TypeMismatch, UnassignedGenerator, UnboundAtom)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

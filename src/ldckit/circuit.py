@@ -442,6 +442,36 @@ def reverse(c: Circuit, rename: Mapping[str, str]) -> Circuit:
     return Circuit(c.wires, nodes, c.outputs, c.inputs)
 
 
+def substitute(c: Circuit, table: Mapping[str, Circuit]) -> Circuit:
+    """Replace each generator whose name is in `table` by that circuit: its
+    boundary is glued to the generator's ports and its nodes are inlined,
+    under fresh ids, where the generator stood in node order.  Replacements
+    are not substituted again; generators inside dagger boxes are kept.  A
+    replacement whose boundary types differ from the generator's ports
+    raises `IllTyped`, and so does one that passes a wire straight through,
+    since that wire would join two of the circuit's wires into one."""
+    wires = dict(c.wires)
+    nodes: dict[str, Node] = {}
+    for nid, n in c.nodes.items():
+        sub = table.get(n.name) if n.kind == "gen" else None
+        if sub is None:
+            nodes[nid] = n
+            continue
+        if (sub.input_types(), sub.output_types()) != (
+                tuple(c.wires[w] for w in n.ins),
+                tuple(c.wires[w] for w in n.outs)):
+            raise IllTyped(nid, f"replacement for {n.name!r} does not "
+                                "match the generator's port types")
+        wire_map = dict(zip(sub.inputs + sub.outputs, n.ins + n.outs))
+        for w, t in sub.wires.items():
+            if w not in wire_map:
+                wire_map[w] = fresh_wire()
+                wires[wire_map[w]] = t
+        for node in sub.nodes.values():
+            nodes[fresh_node()] = node.rewired(wire_map)
+    return Circuit(wires, nodes, c.inputs, c.outputs)
+
+
 # -- graph isomorphism -----------------------------------------------------
 
 def _node_signature(c: Circuit, nid: str) -> tuple:

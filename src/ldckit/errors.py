@@ -79,3 +79,11 @@ class NotAComonoid(LdcError):
 
 class LiftFailure(LdcError):
     pass
+
+
+class ResourceLimit(LdcError):
+    def __init__(self, limit: str, needed: object, allowed: object):
+        super().__init__(f"{limit}: needs {needed}, the limit is {allowed}")
+        self.limit = limit
+        self.needed = needed
+        self.allowed = allowed

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .circuit import Circuit
-from .errors import (NotIdempotent, ShapeMismatch, UnassignedGenerator,
-                     UnboundAtom)
+from .errors import (NotIdempotent, ResourceLimit, ShapeMismatch,
+                     UnassignedGenerator, UnboundAtom)
 from .multiset import MultisetBasis
 from .objects import (Atom, Bang, Bot, Dagger, ObjectExpr, Par, Quest,
                       Tensor, Top)
@@ -62,6 +62,10 @@ def interp(t: ObjectExpr, env: ModelEnv) -> tuple[int, tuple[str, ...]]:
         basis = MultisetBasis(labels, env.degree)
         return basis.dim, tuple(basis.labels())
     raise TypeError(f"not an object formula: {t!r}")
+
+
+# np.einsum names each index by one letter of a-z and A-Z.
+_EINSUM_INDICES = 52
 
 
 def dims_of(types: Sequence[ObjectExpr], env: ModelEnv) -> list[int]:
@@ -156,6 +160,8 @@ def evaluate(c: Circuit, env: ModelEnv) -> np.ndarray:
     in_idx = [wire_idx[w] for w in c.inputs]
     if not operands:
         return np.eye(1, dtype=complex)
+    if next_index > _EINSUM_INDICES:
+        raise ResourceLimit("einsum indices", next_index, _EINSUM_INDICES)
     args: list = []
     for tens, idx in operands:
         args.append(tens)

@@ -16,10 +16,10 @@ from .gadget import Gadget
 from .model import ModelEnv, evaluate, interp, split_idempotent
 from .objects import Atom, ObjectExpr, Par, Tensor
 from .suites import (SUITES, SuiteReport, check_suite, suite_env,
-                     _MONOID_TO_COMONOID, _act_left, _act_right,
-                     _antipode_par, _antipode_tensor, _coact_left,
-                     _coact_right, _d_left, _k_left, tensor_of_duals_cap,
-                     tensor_of_duals_cup)
+                     _MONOID_TO_COMONOID, _ROLE_SIGNATURES, _act_left,
+                     _act_right, _antipode_par, _antipode_tensor,
+                     _coact_left, _coact_right, _d_left, _k_left,
+                     tensor_of_duals_cap, tensor_of_duals_cup)
 
 
 def _require(g: Gadget, suite_name: str, tol: float) -> SuiteReport:
@@ -131,24 +131,15 @@ def _split_objects(r, r2) -> tuple[dict[str, ObjectExpr], ModelEnv]:
     return {"A": Atom("E"), "B": Atom("E2")}, env
 
 
-# Monoid-side roles as (domain objects, codomain objects); the comonoid
-# side is the same table flipped, each role reversed into its partner.
-_MONOID_SIGNATURES = {
-    "m": (("A", "A"), ("A",)), "u": ((), ("A",)),
-    "eta_L": ((), ("A", "B")), "eps_L": (("B", "A"), ()),
-    "eta_R": ((), ("B", "A")), "eps_R": (("A", "B"), ()),
-}
-_COMONOID_SIGNATURES = {new: _MONOID_SIGNATURES[old][::-1]
-                        for old, new in _MONOID_TO_COMONOID.items()}
-
-
-def _split_roles(g, r, s, r2, s2, signatures) -> dict[str, np.ndarray]:
-    """Each role conjugated into the splitting: the retractions (r on A,
-    r2 on B) after it on its codomain, the sections before it on its
-    domain."""
+def _split_roles(g, r, s, r2, s2, roles) -> dict[str, np.ndarray]:
+    """Each of `roles` conjugated into the splitting: the retractions (r on
+    A, r2 on B) after it on its codomain, the sections before it on its
+    domain.  Roles come out in the order of `_ROLE_SIGNATURES`."""
     retract, section = {"A": r, "B": r2}, {"A": s, "B": s2}
     out = {}
-    for role, (dom, cod) in signatures.items():
+    for role, (dom, cod) in _ROLE_SIGNATURES.items():
+        if role not in roles:
+            continue
         mat = _mat(g, role)
         if cod:
             mat = reduce(np.kron, [retract[o] for o in cod]) @ mat
@@ -200,7 +191,7 @@ def split_linear_monoid(g: Gadget, e_a: np.ndarray, e_b: np.ndarray,
     r, s, r2, s2 = _split_pair(e_a, e_b, tol, splitting)
     objects, env = _split_objects(r, r2)
     return Gadget("linear_monoid", objects,
-                  _split_roles(g, r, s, r2, s2, _MONOID_SIGNATURES), env)
+                  _split_roles(g, r, s, r2, s2, _MONOID_TO_COMONOID), env)
 
 
 def split_linear_comonoid(g: Gadget, e_a: np.ndarray, e_b: np.ndarray,
@@ -214,7 +205,8 @@ def split_linear_comonoid(g: Gadget, e_a: np.ndarray, e_b: np.ndarray,
     r, s, r2, s2 = _split_pair(e_a, e_b, tol, splitting)
     objects, env = _split_objects(r, r2)
     return Gadget("linear_comonoid", objects,
-                  _split_roles(g, r, s, r2, s2, _COMONOID_SIGNATURES), env)
+                  _split_roles(g, r, s, r2, s2, _MONOID_TO_COMONOID.values()),
+                  env)
 
 
 def split_linear_bialgebra(g: Gadget, e_a: np.ndarray, e_b: np.ndarray,
@@ -233,9 +225,8 @@ def split_linear_bialgebra(g: Gadget, e_a: np.ndarray, e_b: np.ndarray,
         _check_idempotent_compat(g, e_a, e_b, tol, com_r, monoid=False)
     r, s, r2, s2 = _split_pair(e_a, e_b, tol, splitting)
     objects, env = _split_objects(r, r2)
-    roles = _split_roles(g, r, s, r2, s2, _MONOID_SIGNATURES)
-    roles.update(_split_roles(g, r, s, r2, s2, _COMONOID_SIGNATURES))
-    return Gadget("linear_bialgebra", objects, roles, env)
+    return Gadget("linear_bialgebra", objects,
+                  _split_roles(g, r, s, r2, s2, _ROLE_SIGNATURES), env)
 
 
 # -- compact reflection -----------------------------------------------------
@@ -306,9 +297,6 @@ def complementary_from_idempotent(g: Gadget, tol: float = 1e-9,
     """Check the complementarity conditions of a coring binary idempotent
     on a linear bialgebra, split it, and report whether the split gadget is
     a complementary system.  The two verdicts must agree."""
-    for role in ("ub", "vb"):
-        if role not in g.morphisms:
-            raise MissingRole(role)
     conditions = check_suite(g, SUITES["complementary-idempotent-cond"], tol)
     ub, vb = _mat(g, "ub"), _mat(g, "vb")
     e_a = vb @ ub

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .circuit import (Circuit, empty, generator, identity, par, permutation,
-                      reverse, seq)
+                      reverse, seq, substitute)
 from .errors import MissingRole
 from .gadget import Gadget
 from .model import ModelEnv, evaluate, interp, matrices_equal
@@ -189,6 +189,16 @@ _MONOID_TO_COMONOID = {
     "eps_L": "tau_R", "eta_L": "gam_R",
 }
 
+# Every role of a linear bialgebra as (domain objects, codomain objects):
+# the monoid side, then the comonoid side as its flip.
+_ROLE_SIGNATURES = {
+    "m": (("A", "A"), ("A",)), "u": ((), ("A",)),
+    "eta_L": ((), ("A", "B")), "eps_L": (("B", "A"), ()),
+    "eta_R": ((), ("B", "A")), "eps_R": (("A", "B"), ()),
+}
+_ROLE_SIGNATURES |= {new: _ROLE_SIGNATURES[old][::-1]
+                     for old, new in _MONOID_TO_COMONOID.items()}
+
 # Each comonoid-side label with the monoid-side label of the equation it
 # flips.  The flip exchanges the two duals and the two snakes of each.
 _COMONOID_LABELS = {
@@ -266,53 +276,57 @@ def _comonoid_laws(obj: str = "A", d: str = "d", k: str = "k",
 # Derived structure on the dual object of a linear monoid (m, u) with left
 # duals (eta_L, eps_L): A -| B and right duals (eta_R, eps_R): B -| A.
 
-def _d_left(g: Gadget, m="m", eta="eta_L", eps="eps_L") -> Circuit:
+def _d_left(g: Gadget) -> Circuit:
     A, B = g.object("A"), g.object("B")
-    return seq(par(identity([B]), _cup(eta, A, B), _cup(eta, A, B)),
+    return seq(par(identity([B]), _cup("eta_L", A, B), _cup("eta_L", A, B)),
                permutation([B, A, B, A, B], [1, 3, 0, 4, 2]),
-               par(generator(m, [A, A], [A]), identity([B, B, B])),
+               par(generator("m", [A, A], [A]), identity([B, B, B])),
                permutation([A, B, B, B], [1, 0, 2, 3]),
-               par(_cap(eps, B, A), identity([B, B])))
+               par(_cap("eps_L", B, A), identity([B, B])))
 
 
-def _d_right(g: Gadget, m="m", eta="eta_R", eps="eps_R") -> Circuit:
+def _d_right(g: Gadget) -> Circuit:
     A, B = g.object("A"), g.object("B")
-    return seq(par(identity([B]), _cup(eta, B, A), _cup(eta, B, A)),
+    return seq(par(identity([B]), _cup("eta_R", B, A), _cup("eta_R", B, A)),
                permutation([B, B, A, B, A], [4, 2, 0, 1, 3]),
-               par(generator(m, [A, A], [A]), identity([B, B, B])),
-               par(_cap(eps, A, B), identity([B, B])))
+               par(generator("m", [A, A], [A]), identity([B, B, B])),
+               par(_cap("eps_R", A, B), identity([B, B])))
 
 
-def _k_left(g: Gadget, u="u", eps="eps_L") -> Circuit:
+def _k_left(g: Gadget) -> Circuit:
     A, B = g.object("A"), g.object("B")
-    return seq(par(identity([B]), generator(u, [], [A])), _cap(eps, B, A))
+    return seq(par(identity([B]), generator("u", [], [A])),
+               _cap("eps_L", B, A))
 
 
-def _k_right(g: Gadget, u="u", eps="eps_R") -> Circuit:
+def _k_right(g: Gadget) -> Circuit:
     A, B = g.object("A"), g.object("B")
-    return seq(par(generator(u, [], [A]), identity([B])), _cap(eps, A, B))
+    return seq(par(generator("u", [], [A]), identity([B])),
+               _cap("eps_R", A, B))
 
 
 # Derived structure on the dual object of a linear comonoid (d, k) with
 # duals (tau_L, gam_L): A -| B and (tau_R, gam_R): B -| A.
 
-def _m_left(g: Gadget, d="d", tau="tau_L", gam="gam_L") -> Circuit:
+def _m_left(g: Gadget) -> Circuit:
     A, B = g.object("A"), g.object("B")
-    return seq(par(identity([B, B]), _cup(tau, A, B)),
-               par(identity([B, B]), generator(d, [A], [A, A]),
+    return seq(par(identity([B, B]), _cup("tau_L", A, B)),
+               par(identity([B, B]), generator("d", [A], [A, A]),
                    identity([B])),
                permutation([B, B, A, A, B], [1, 2, 0, 3, 4]),
-               par(_cap(gam, B, A), _cap(gam, B, A), identity([B])))
+               par(_cap("gam_L", B, A), _cap("gam_L", B, A), identity([B])))
 
 
-def _u_left(g: Gadget, k="k", tau="tau_L") -> Circuit:
+def _u_left(g: Gadget) -> Circuit:
     A, B = g.object("A"), g.object("B")
-    return seq(_cup(tau, A, B), par(generator(k, [A], []), identity([B])))
+    return seq(_cup("tau_L", A, B),
+               par(generator("k", [A], []), identity([B])))
 
 
-def _u_right(g: Gadget, k="k", tau="tau_R") -> Circuit:
+def _u_right(g: Gadget) -> Circuit:
     A, B = g.object("A"), g.object("B")
-    return seq(_cup(tau, B, A), par(identity([B]), generator(k, [A], [])))
+    return seq(_cup("tau_R", B, A),
+               par(identity([B]), generator("k", [A], [])))
 
 
 # Actions and coactions derived from a linear monoid.
@@ -731,12 +745,10 @@ def _monoid_sectional_suite(retractional: bool = False) -> EquationSuite:
 
 
 def _dagger_linear_monoid_suite() -> EquationSuite:
-    # Requires the gadget to place A and B on the same underlying object,
-    # since the dagger is the identity on objects in this model.
-    # With the canonical section/retraction pair taken to be identities,
-    # the dagger-dual equations reduce to the daggered cap equalling the
-    # cup entry for entry.  The gadget must place A and B on the same
-    # object; both readings of the boundary then coincide.
+    # The gadget must place A and B on the same object, since the dagger is
+    # the identity on objects in this model.  With the canonical
+    # section/retraction pair taken to be identities, the dagger-dual
+    # equations reduce to the daggered cap equalling the cup entry for entry.
     def dag_dual(side: str):
         def build(g):
             A, B = g.object("A"), g.object("B")
@@ -782,65 +794,64 @@ def _dagger_linear_comonoid_suite() -> EquationSuite:
                           ))
 
 
-def _unitary_fixed_point_left(g: Gadget, alpha: str = "alpha") -> Circuit:
+def _unitary_fixed_point_left(g: Gadget) -> Circuit:
     A, B = g.object("A"), g.object("B")
     return seq(par(identity([A]), _cup("eta_L", A, B)),
                par(generator("m", [A, A], [A]), identity([B])),
-               par(generator(alpha, [A], [B]), identity([B])),
+               par(generator("alpha", [A], [B]), identity([B])),
                par(_k_left(g), identity([B])))
 
 
-def _unitary_fixed_point_right(g: Gadget, alpha: str = "alpha") -> Circuit:
+def _unitary_fixed_point_right(g: Gadget) -> Circuit:
     A, B = g.object("A"), g.object("B")
     return seq(par(_cup("eta_R", B, A), identity([A])),
                par(identity([B]), generator("m", [A, A], [A])),
-               par(identity([B]), generator(alpha, [A], [B])),
+               par(identity([B]), generator("alpha", [A], [B])),
                par(identity([B]), _k_right(g)))
 
 
-def _frobenius_equations(alpha: str = "alpha") -> tuple[Equation, ...]:
+def _frobenius_equations() -> tuple[Equation, ...]:
     def unitary_l(g):
         A, B = g.object("A"), g.object("B")
-        return generator(alpha, [A], [B]), _unitary_fixed_point_left(g, alpha)
+        return generator("alpha", [A], [B]), _unitary_fixed_point_left(g)
 
     def unitary_r(g):
         A, B = g.object("A"), g.object("B")
-        return (generator(alpha, [A], [B]),
-                _unitary_fixed_point_right(g, alpha))
+        return generator("alpha", [A], [B]), _unitary_fixed_point_right(g)
 
     def action_l(g):
         A, B = g.object("A"), g.object("B")
-        rhs = seq(par(generator(alpha, [A], [B]), identity([A]),
+        rhs = seq(par(generator("alpha", [A], [B]), identity([A]),
                       _cup("eta_L", A, B)),
                   par(identity([B]), generator("m", [A, A], [A]),
                       identity([B])),
                   par(_cap("eps_L", B, A), identity([B])),
-                  generator(f"{alpha}_inv", [B], [A]))
+                  generator("alpha_inv", [B], [A]))
         return generator("m", [A, A], [A]), rhs
 
     def action_r(g):
         A, B = g.object("A"), g.object("B")
         rhs = seq(par(_cup("eta_R", B, A), identity([A]),
-                      generator(alpha, [A], [B])),
+                      generator("alpha", [A], [B])),
                   par(identity([B]), generator("m", [A, A], [A]),
                       identity([B])),
                   par(identity([B]), _cap("eps_R", A, B)),
-                  generator(f"{alpha}_inv", [B], [A]))
+                  generator("alpha_inv", [B], [A]))
         return generator("m", [A, A], [A]), rhs
 
     def cup_l(g):
         A, B = g.object("A"), g.object("B")
         lhs = seq(generator("m", [A, A], [A]),
-                  generator(alpha, [A], [B]), _k_left(g))
-        rhs = seq(par(generator(alpha, [A], [B]), identity([A])),
+                  generator("alpha", [A], [B]), _k_left(g))
+        rhs = seq(par(generator("alpha", [A], [B]), identity([A])),
                   _cap("eps_L", B, A))
         return lhs, rhs
 
     def cup_r(g):
         A, B = g.object("A"), g.object("B")
         lhs = seq(generator("m", [A, A], [A]),
-                  generator(alpha, [A], [B]), _k_left(g))
-        rhs = seq(par(identity([A]), generator(alpha, [A], [B])),
+                  generator("alpha", [A], [B]), _k_left(g))
+        rhs = seq(par(identity([A]), generator("alpha", [A], [B])),
                   _cap("eps_R", A, B))
         return lhs, rhs
 
@@ -1096,28 +1107,16 @@ def _sandwiched(g: Gadget) -> dict[str, Circuit]:
     """Each structure map conjugated by the idempotent pair e_A = ub;vb,
     e_B = vb;ub: the image of the role under the (would-be) splitting,
     expressed on the ambient object."""
-    A, B = g.object("A"), g.object("B")
+    e = {"A": _e_a(g), "B": _e_b(g)}
 
-    def ea():
-        return _e_a(g)
+    def on(objs: tuple[str, ...]) -> Circuit:
+        return par(empty(), *(e[o] for o in objs))
 
-    def eb():
-        return _e_b(g)
-
-    return {
-        "m": seq(par(ea(), ea()), generator("m", [A, A], [A]), ea()),
-        "u": seq(generator("u", [], [A]), ea()),
-        "d": seq(ea(), generator("d", [A], [A, A]), par(ea(), ea())),
-        "k": seq(ea(), generator("k", [A], [])),
-        "eta_L": seq(_cup("eta_L", A, B), par(ea(), eb())),
-        "eps_L": seq(par(eb(), ea()), _cap("eps_L", B, A)),
-        "eta_R": seq(_cup("eta_R", B, A), par(eb(), ea())),
-        "eps_R": seq(par(ea(), eb()), _cap("eps_R", A, B)),
-        "tau_L": seq(_cup("tau_L", A, B), par(ea(), eb())),
-        "gam_L": seq(par(eb(), ea()), _cap("gam_L", B, A)),
-        "tau_R": seq(_cup("tau_R", B, A), par(eb(), ea())),
-        "gam_R": seq(par(ea(), eb()), _cap("gam_R", A, B)),
-    }
+    return {role: seq(on(dom),
+                      generator(role, [g.object(o) for o in dom],
+                                [g.object(o) for o in cod]),
+                      on(cod))
+            for role, (dom, cod) in _ROLE_SIGNATURES.items()}
 
 
 def _complementary_idempotent_suite() -> EquationSuite:
@@ -1127,65 +1126,20 @@ def _complementary_idempotent_suite() -> EquationSuite:
     # retraction/section composites collapse between consecutive maps,
     # checking these on the ambient gadget is equivalent to splitting the
     # idempotent and checking the complementary suite on the quotient.
-    def derived(g):
-        A, B = g.object("A"), g.object("B")
-        sw = _sandwiched(g)
-        u_left = seq(sw["tau_L"], par(sw["k"], identity([B])))
-        u_right = seq(sw["tau_R"], par(identity([B]), sw["k"]))
-        k_left = seq(par(identity([B]), sw["u"]), sw["eps_L"])
-        k_right = seq(par(sw["u"], identity([B])), sw["eps_R"])
-        d_left = seq(par(identity([B]), sw["eta_L"], sw["eta_L"]),
-                     permutation([B, A, B, A, B], [1, 3, 0, 4, 2]),
-                     par(sw["m"], identity([B, B, B])),
-                     permutation([A, B, B, B], [1, 0, 2, 3]),
-                     par(sw["eps_L"], identity([B, B])))
-        d_right = seq(par(identity([B]), sw["eta_R"], sw["eta_R"]),
-                      permutation([B, B, A, B, A], [4, 2, 0, 1, 3]),
-                      par(sw["m"], identity([B, B, B])),
-                      par(sw["eps_R"], identity([B, B])))
-        return sw, u_left, u_right, k_left, k_right, d_left, d_right
-
-    def cond_a(side: str):
+    def sandwiched(eq: Equation) -> Template:
         def build(g):
-            A, B = g.object("A"), g.object("B")
-            sw, u_left, u_right, *_ = derived(g)
-            if side == "L":
-                lhs = seq(par(identity([A]), u_left),
-                          permutation([A, B], [1, 0]), sw["eps_L"])
-            else:
-                lhs = seq(par(identity([A]), u_right), sw["eps_R"])
-            return lhs, sw["k"]
+            table = _sandwiched(g)
+            return tuple(substitute(c, table) for c in eq.build(g))
         return build
 
-    def cond_b(side: str):
-        def build(g):
-            A, B = g.object("A"), g.object("B")
-            sw, _, _, k_left, k_right, _, _ = derived(g)
-            if side == "L":
-                lhs = seq(sw["tau_L"], par(identity([A]), k_left))
-            else:
-                lhs = seq(sw["tau_R"], par(k_right, identity([A])))
-            return lhs, sw["u"]
-        return build
-
-    def cond_c(side: str):
-        def build(g):
-            sw, u_left, u_right, _, _, d_left, d_right = derived(g)
-            if side == "L":
-                return seq(u_left, d_left), par(u_left, u_left)
-            return seq(u_right, d_right), par(u_right, u_right)
-        return build
-
+    labels = [f"idemcomp.{c}-{side}" for c in "abc"
+              for side in ("left", "right")]
     return EquationSuite("complementary-idempotent-cond",
                         "linear_bialgebra_idempotent",
-                        _LINEAR_BIALGEBRA_ROLES + ("ub", "vb"), (
-                            Equation("idemcomp.a-left", cond_a("L")),
-                            Equation("idemcomp.a-right", cond_a("R")),
-                            Equation("idemcomp.b-left", cond_b("L")),
-                            Equation("idemcomp.b-right", cond_b("R")),
-                            Equation("idemcomp.c-left", cond_c("L")),
-                            Equation("idemcomp.c-right", cond_c("R")),
-                        ))
+                        _LINEAR_BIALGEBRA_ROLES + ("ub", "vb"),
+                        tuple(Equation(label, sandwiched(eq), eq.margin)
+                              for label, eq in zip(
+                                  labels, _complementary_suite().equations)))
 
 
 def _preunitary_suite() -> EquationSuite:

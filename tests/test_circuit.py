@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldckit.circuit import (Circuit, compose, dagger_box, generator, identity,
-                            isomorphic, par, permutation, reverse, seq, swap,
-                            tensor_elim, tensor_intro)
+                            isomorphic, par, permutation, reverse, seq,
+                            substitute, swap, tensor_elim, tensor_intro)
 from ldckit.errors import IllTyped, SchemaError, TypeMismatch
 from ldckit.io import parse, serialize
 from ldckit.objects import Atom, Bot, Par, Tensor, Top
@@ -133,6 +133,53 @@ class TestReverse:
     def test_other_node_kinds_are_refused(self, build):
         with pytest.raises(IllTyped):
             reverse(build(), {})
+
+
+class TestSubstitute:
+    def test_generators_missing_from_the_table_are_copied(self):
+        c = seq(generator("f", [A], [B]), generator("g", [B], [C]))
+        s = substitute(c, {"f": seq(generator("p", [A], [D]),
+                                    generator("q", [D], [B]))})
+        assert [n.name for n in s.nodes.values()] == ["p", "q", "g"]
+        g_id = next(n for n, node in c.nodes.items() if node.name == "g")
+        assert s.nodes[g_id] == c.nodes[g_id]
+        assert isomorphic(substitute(c, {"h": generator("h", [A], [A])}), c)
+
+    def test_replacement_nodes_land_at_the_generator(self):
+        c = seq(generator("f", [A], [B]), generator("g", [B], [C]),
+                generator("h", [C], [D]))
+        s = substitute(c, {"g": seq(generator("p", [B], [A, A]), swap(A, A),
+                                    generator("q", [A, A], [C]))})
+        assert [n.name for n in s.nodes.values()] == ["f", "p", None, "q",
+                                                      "h"]
+        assert isomorphic(s, seq(generator("f", [A], [B]),
+                                 generator("p", [B], [A, A]), swap(A, A),
+                                 generator("q", [A, A], [C]),
+                                 generator("h", [C], [D])))
+
+    def test_replacements_are_not_substituted_again(self):
+        c = par(generator("f", [A], [B]), generator("g", [C], [C]))
+        table = {"f": seq(generator("f", [A], [B]), generator("g", [B], [B])),
+                 "g": seq(generator("f", [C], [C]), generator("g", [C], [C]))}
+        assert isomorphic(substitute(c, table), par(table["f"], table["g"]))
+
+    @pytest.mark.parametrize("replacement", [
+        lambda: generator("p", [A], [C]),
+        lambda: generator("p", [A, A], [B]),
+        lambda: generator("p", [A], []),
+        # a parsed generator carries no signature of its own to check
+        lambda: parse(serialize(generator("p", [A], [C]))),
+    ])
+    def test_replacement_with_the_wrong_boundary_is_refused(self,
+                                                            replacement):
+        c = seq(generator("f", [A], [B]), generator("g", [B], [C]))
+        with pytest.raises(IllTyped):
+            substitute(c, {"f": replacement()})
+
+    def test_replacement_passing_a_wire_through_is_refused(self):
+        c = seq(generator("f", [A], [A]), generator("g", [A], [B]))
+        with pytest.raises(IllTyped):
+            substitute(c, {"f": identity([A])})
 
 
 class TestSerialization:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from ldckit.circuit import (dagger_box, generator, identity, par, permutation,
                             seq, swap)
-from ldckit.errors import (NotIdempotent, ShapeMismatch, UnassignedGenerator,
-                           UnboundAtom)
+from ldckit.errors import (LdcError, NotIdempotent, ResourceLimit,
+                           ShapeMismatch, UnassignedGenerator, UnboundAtom)
 from ldckit.gadget import Gadget
 from ldckit.model import (ModelEnv, evaluate, interp, matrices_equal,
                           split_idempotent)
@@ -117,6 +117,20 @@ class TestEvaluate:
             got = evaluate(seq(generator("f", [A], [B]),
                                generator("g", [B], [C])), env)
             assert float(np.max(np.abs(got - g @ f))) <= 1e-10
+
+    # A chain of n generators has n + 1 wires, one einsum index each.
+    def test_chain_at_the_einsum_index_limit_evaluates(self):
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        env = env_with({"A": 2}, x=x)
+        chain = seq(*[generator("x", [A], [A])] * 51)
+        assert np.array_equal(evaluate(chain, env), x)
+
+    def test_chain_past_the_einsum_index_limit_is_refused(self):
+        env = env_with({"A": 2}, x=np.eye(2))
+        chain = seq(*[generator("x", [A], [A])] * 52)
+        with pytest.raises(ResourceLimit, match="needs 53, the limit is 52"):
+            evaluate(chain, env)
+        assert issubclass(ResourceLimit, LdcError)
 
 
 class TestSnakes:

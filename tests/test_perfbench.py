@@ -1,7 +1,9 @@
 """The traced benchmark run still works: its tracer wraps `compose`,
 `tensor_parallel` and `Circuit.__init__` by name and reads the nodes from
 the constructor's positional arguments, so a change to the circuit API that
-drops any of them shows here."""
+drops any of them shows here.  The `exp` run also checks `exp demo`, and so
+the derived `complementary-idempotent-cond` suite, through the tracer's
+rewrapped `SUITES`."""
 from __future__ import annotations
 
 import json
@@ -9,12 +11,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_tiny_check_run():
+@pytest.mark.parametrize("workload", ["check", "exp"])
+def test_traced_tiny_run(workload):
     out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "check",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "1", "--tiny", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr

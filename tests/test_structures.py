@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ldckit.errors import SuiteFailure
+from ldckit.errors import MissingRole, SuiteFailure
 from ldckit.gadget import Gadget
 from ldckit.model import ModelEnv, split_idempotent
 from ldckit.objects import Atom
@@ -235,6 +235,15 @@ class TestComonoidSplitLemma:
 
 
 class TestBialgebraSplitLemma:
+    @pytest.mark.parametrize("missing, kept", [("ub", "vb"), ("vb", "ub")])
+    def test_missing_idempotent_role_is_named(self, qubit_gadget, missing,
+                                              kept):
+        g = qubit_gadget.with_morphisms(**{kept: np.eye(2, dtype=complex)})
+        assert missing not in g.morphisms
+        with pytest.raises(MissingRole) as err:
+            complementary_from_idempotent(g, tol=TOL)
+        assert err.value.role == missing
+
     def test_identity_idempotent_reproduces_the_system(self, qubit_gadget):
         eye = np.eye(2, dtype=complex)
         g = qubit_gadget.with_morphisms(ub=eye, vb=eye)
