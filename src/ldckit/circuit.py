@@ -9,7 +9,7 @@ where the circuit boundary counts as an endpoint.  Flow is acyclic.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -189,36 +189,33 @@ class Circuit:
                 raise IllTyped(nid, "dagger box boundary must mirror the "
                                     "daggered inner boundary")
 
-    def _check_acyclic(self) -> None:
-        succ: dict[str, set[str]] = {nid: set() for nid in self.nodes}
-        indeg = {nid: 0 for nid in self.nodes}
-        for w in self.wires:
-            p, c = self._producers.get(w), self._consumers.get(w)
-            if p is not None and c is not None and c not in succ[p]:
-                succ[p].add(c)
-                indeg[c] += 1
-        queue = [n for n, d in indeg.items() if d == 0]
-        seen = 0
-        while queue:
-            n = queue.pop()
-            seen += 1
-            for m in succ[n]:
-                indeg[m] -= 1
-                if indeg[m] == 0:
-                    queue.append(m)
-        if seen != len(self.nodes):
-            raise IllTyped("<circuit>", "flow graph contains a cycle")
-
-    # -- utilities --------------------------------------------------------
-
-    def topo_order(self) -> list[str]:
+    def _flow(self) -> tuple[dict[str, list[str]], dict[str, int]]:
+        """Each node's successors, once per wire between them, and its
+        number of incoming wires."""
         succ: dict[str, list[str]] = {nid: [] for nid in self.nodes}
-        indeg = {nid: 0 for nid in self.nodes}
+        indeg = dict.fromkeys(self.nodes, 0)
         for w in self.wires:
             p, c = self._producers.get(w), self._consumers.get(w)
             if p is not None and c is not None:
                 succ[p].append(c)
                 indeg[c] += 1
+        return succ, indeg
+
+    def _check_acyclic(self) -> None:
+        succ, indeg = self._flow()
+        done = [n for n, d in indeg.items() if d == 0]
+        for n in done:   # grows while it is walked
+            for m in succ[n]:
+                indeg[m] -= 1
+                if indeg[m] == 0:
+                    done.append(m)
+        if len(done) != len(self.nodes):
+            raise IllTyped("<circuit>", "flow graph contains a cycle")
+
+    # -- utilities --------------------------------------------------------
+
+    def topo_order(self) -> list[str]:
+        succ, indeg = self._flow()
         order = []
         ready = sorted((n for n, d in indeg.items() if d == 0), reverse=True)
         while ready:
@@ -258,20 +255,12 @@ def identity(types: Sequence[ObjectExpr]) -> Circuit:
 
 def generator(name: str, dom: Sequence[ObjectExpr],
               cod: Sequence[ObjectExpr]) -> Circuit:
-    wi = [fresh_wire() for _ in dom]
-    wo = [fresh_wire() for _ in cod]
-    wires = dict(zip(wi, dom)) | dict(zip(wo, cod))
-    node = Node(kind="gen", ins=tuple(wi), outs=tuple(wo), name=name,
-                dom=tuple(dom), cod=tuple(cod))
-    return Circuit(wires, {fresh_node(): node}, wi, wo)
+    return _structural("gen", dom, cod, name=name, dom=tuple(dom),
+                       cod=tuple(cod))
 
 
 def swap(a: ObjectExpr, b: ObjectExpr) -> Circuit:
-    wi = [fresh_wire(), fresh_wire()]
-    wo = [fresh_wire(), fresh_wire()]
-    wires = {wi[0]: a, wi[1]: b, wo[0]: b, wo[1]: a}
-    node = Node(kind="swap", ins=tuple(wi), outs=tuple(wo))
-    return Circuit(wires, {fresh_node(): node}, wi, wo)
+    return _structural("swap", [a, b], [b, a])
 
 
 def _place(part: Circuit, wires: dict[str, ObjectExpr],
@@ -337,12 +326,13 @@ def empty() -> Circuit:
 
 
 def _structural(kind: str, tin: Sequence[ObjectExpr],
-                tout: Sequence[ObjectExpr], thin: Optional[str] = None
-                ) -> Circuit:
+                tout: Sequence[ObjectExpr], **fields) -> Circuit:
+    """One node of `kind` on fresh wires of the given types, with its other
+    `Node` fields."""
     wi = [fresh_wire() for _ in tin]
     wo = [fresh_wire() for _ in tout]
     wires = dict(zip(wi, tin)) | dict(zip(wo, tout))
-    node = Node(kind=kind, ins=tuple(wi), outs=tuple(wo), thin=thin)
+    node = Node(kind=kind, ins=tuple(wi), outs=tuple(wo), **fields)
     return Circuit(wires, {fresh_node(): node}, wi, wo)
 
 
@@ -414,14 +404,9 @@ def permutation(types: Sequence[ObjectExpr],
 
 
 def dagger_box(inner: Circuit) -> Circuit:
-    wi = [fresh_wire() for _ in inner.outputs]
-    wo = [fresh_wire() for _ in inner.inputs]
-    tin = [dagger_of(t) for t in reversed(inner.output_types())]
-    tout = [dagger_of(t) for t in reversed(inner.input_types())]
-    wires = dict(zip(wi, tin)) | dict(zip(wo, tout))
-    node = Node(kind="dagger_box", ins=tuple(wi), outs=tuple(wo),
-                inner=inner)
-    return Circuit(wires, {fresh_node(): node}, wi, wo)
+    return _structural(
+        "dagger_box", [dagger_of(t) for t in reversed(inner.output_types())],
+        [dagger_of(t) for t in reversed(inner.input_types())], inner=inner)
 
 
 def reverse(c: Circuit, rename: Mapping[str, str]) -> Circuit:
@@ -487,72 +472,110 @@ def _node_signature(c: Circuit, nid: str) -> tuple:
             n.thin is not None, inner_sig)
 
 
+def _search_order(c: Circuit) -> list[str]:
+    """c's nodes breadth first from the boundary, across ports and thinning
+    anchors; a part that the boundary does not reach starts from its least
+    node id.  Every other node is reached through a wire of the boundary or
+    of an earlier node."""
+    anchored = defaultdict(list)
+    for nid, n in c.nodes.items():
+        if n.thin is not None:
+            anchored[n.thin].append(nid)
+
+    def near(w: Optional[str]) -> tuple:
+        return c.producer(w), c.consumer(w), *anchored[w]
+
+    order: dict[str, None] = {}   # an insertion-ordered set
+    queue = deque(m for w in c.inputs + c.outputs for m in near(w))
+    for root in [*sorted(c.nodes), None]:
+        while queue:
+            nid = queue.popleft()
+            if nid is not None and nid not in order:
+                order[nid] = None
+                n = c.nodes[nid]
+                queue.extend(m for w in n.ports() + (n.thin,) for m in near(w))
+        queue.append(root)
+    return list(order)
+
+
 def isomorphic(c1: Circuit, c2: Circuit) -> bool:
     """Port-graph isomorphism respecting boundary order, wire types, node
-    kinds/names, port order, and thinning anchors.  Backtracking search;
-    intended for the small circuits this package manipulates."""
+    kinds/names, port order, and thinning anchors.  Backtracking search over
+    c1's nodes in `_search_order`, on an explicit stack: a node reached
+    through a matched wire can only match the node at the same port of that
+    wire's image (or one thinned onto it), so a circuit that the boundary
+    reaches matches in time linear in its size."""
     if (c1.input_types() != c2.input_types()
             or c1.output_types() != c2.output_types()
             or len(c1.wires) != len(c2.wires)
             or len(c1.nodes) != len(c2.nodes)):
         return False
-    if Counter(_node_signature(c1, n) for n in c1.nodes) != \
-            Counter(_node_signature(c2, n) for n in c2.nodes):
+    sig1 = {n: _node_signature(c1, n) for n in c1.nodes}
+    sig2 = {n: _node_signature(c2, n) for n in c2.nodes}
+    if Counter(sig1.values()) != Counter(sig2.values()):
         return False
-
+    by_sig, anchored2 = defaultdict(list), defaultdict(list)
+    for n in sorted(c2.nodes):
+        by_sig[sig2[n]].append(n)
+        anchored2[c2.nodes[n].thin].append(n)
     wire_map: dict[str, str] = {}
-    node_map: dict[str, str] = {}
+    back: dict[str, str] = {}
+    used: set[str] = set()
 
-    def match_wire(w1: str, w2: str) -> bool:
+    def bind(w1: str, w2: str, trail: list[str]) -> bool:
         if w1 in wire_map:
             return wire_map[w1] == w2
-        if w2 in wire_map.values():
+        if w2 in back or c1.wires[w1] != c2.wires[w2]:
             return False
-        if c1.wires[w1] != c2.wires[w2]:
-            return False
-        wire_map[w1] = w2
+        wire_map[w1], back[w2] = w2, w1
+        trail.append(w1)
         return True
 
-    for a, b in itertools.chain(zip(c1.inputs, c2.inputs),
-                                zip(c1.outputs, c2.outputs)):
-        if not match_wire(a, b):
-            return False
+    def undo(trail: list[str]) -> None:
+        for w1 in trail:
+            del back[wire_map.pop(w1)]
 
-    nodes1 = sorted(c1.nodes)
-    used2: set[str] = set()
+    def candidates(n1: str) -> list[str]:
+        n = c1.nodes[n1]
+        for i, w in enumerate(n.ports()):
+            if w in wire_map:
+                at = c2.consumer if i < len(n.ins) else c2.producer
+                return [m for m in [at(wire_map[w])] if m is not None]
+        if n.thin in wire_map:
+            return anchored2[wire_map[n.thin]]
+        return by_sig[sig1[n1]]
 
-    def try_node(i: int, saved_wm: dict[str, str]) -> bool:
-        if i == len(nodes1):
-            return all(_thin_ok(n1) for n1 in nodes1)
-        n1 = nodes1[i]
-        s1 = _node_signature(c1, n1)
-        for n2 in sorted(c2.nodes):
-            if n2 in used2 or _node_signature(c2, n2) != s1:
-                continue
-            snapshot = dict(wire_map)
-            ok = True
-            for w1, w2 in zip(c1.nodes[n1].ports(), c2.nodes[n2].ports()):
-                if not match_wire(w1, w2):
-                    ok = False
-                    break
-            if ok and c1.nodes[n1].inner is not None:
-                ok = isomorphic(c1.nodes[n1].inner, c2.nodes[n2].inner)
-            if ok:
-                node_map[n1] = n2
-                used2.add(n2)
-                if try_node(i + 1, snapshot):
-                    return True
-                used2.discard(n2)
-                del node_map[n1]
-            wire_map.clear()
-            wire_map.update(snapshot)
+    def match(n1: str, n2: str, trail: list[str]) -> bool:
+        a, b = c1.nodes[n1], c2.nodes[n2]
+        return (n2 not in used and sig2[n2] == sig1[n1]
+                and all(bind(x, y, trail)
+                        for x, y in zip(a.ports(), b.ports()))
+                and (a.thin is None or bind(a.thin, b.thin, trail))
+                and (a.inner is None or isomorphic(a.inner, b.inner)))
+
+    if not all(bind(a, b, []) for a, b in zip(c1.inputs + c1.outputs,
+                                             c2.inputs + c2.outputs)):
         return False
-
-    def _thin_ok(n1: str) -> bool:
-        t1 = c1.nodes[n1].thin
-        if t1 is None:
+    order = _search_order(c1)
+    stack = [iter(candidates(order[0]))] if order else []
+    chosen: list[tuple[str, list[str]]] = []   # matched node, wires bound
+    while stack:
+        n1 = order[len(chosen)]
+        for n2 in stack[-1]:
+            trail: list[str] = []
+            if match(n1, n2, trail):
+                used.add(n2)
+                chosen.append((n2, trail))
+                break
+            undo(trail)
+        else:
+            stack.pop()
+            if chosen:
+                n2, trail = chosen.pop()
+                used.discard(n2)
+                undo(trail)
+            continue
+        if len(chosen) == len(order):
             return True
-        t2 = c2.nodes[node_map[n1]].thin
-        return t1 in wire_map and wire_map[t1] == t2
-
-    return try_node(0, dict(wire_map))
+        stack.append(iter(candidates(order[len(chosen)])))
+    return not order

@@ -49,6 +49,8 @@ def parse(text: bytes | str) -> Circuit:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CircuitSyntaxError(f"line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise CircuitSyntaxError("document nested too deeply") from None
     return _circuit_from_json(doc)
 
 

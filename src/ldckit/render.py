@@ -34,7 +34,6 @@ def _body(c: Circuit, prefix: str) -> list[str]:
     for i, w in enumerate(c.outputs):
         lines.append(f"  {q(prefix + 'out' + str(i))} "
                      f"[shape=plaintext, label={q('out ' + str(i))}];")
-    cluster = 0
     for nid, n in c.nodes.items():
         name = prefix + nid
         if n.kind == "dagger_box":
@@ -43,7 +42,6 @@ def _body(c: Circuit, prefix: str) -> list[str]:
             lines += ["  " + ln for ln in _body(n.inner, prefix=name + ".")]
             lines.append("  }")
             lines.append(f"  {q(name)} [shape=box, label={q('dagger box')}];")
-            cluster += 1
         else:
             label = n.name if n.kind == "gen" else _LABELS[n.kind]
             lines.append(f"  {q(name)} [shape={_SHAPES[n.kind]}, "

@@ -1,191 +1,166 @@
 """Oriented circuit rewrites.
 
-The reduction rules erase an introduction node meeting the matching
-elimination node (for the tensor, par, and both units).  The same equalities
-read the other way are exposed through `expand_wire`, which replaces a wire
-by its elimination-then-introduction pair; for the units the inserted pair
-is thinned onto itself, exactly the drawn configuration.  `normalize` erases
-both orientations' redex shapes, so expanding a wire and normalizing returns
-the original circuit.
+A redex is a pair of nodes that meet as one row of `_REDEXES` says: an
+introduction feeding the matching elimination (for the tensor, par and both
+units), an elimination whose two outputs feed the matching introduction in
+order, or a unit pair linked by a thinning anchor.  Every row is erased by
+the same rule: drop the pair, delete the wires that one node produces and
+the other consumes, and merge the pair's remaining inputs with its remaining
+outputs in order, keeping the input-side ids.  A row fires only when no node
+outside the pair is thinned onto a wire that links the two.
+
+`expand_wire` reads the equalities the other way: it replaces a wire by the
+pair of the row that erases back to one wire of its type, so expanding a
+wire and normalizing returns the original circuit.
 """
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections import defaultdict
+from dataclasses import replace
+from typing import Callable, Container, Optional
 
 from .circuit import Circuit, Node, fresh_node, fresh_wire
 from .errors import NotExpandable
 from .objects import Bot, Par, Tensor, Top
 
+# (first kind, second kind, linked by an anchor, type erased to).  A
+# port-linked second node consumes exactly the first's outputs, in order; an
+# anchor-linked second is thinned onto the first's only port.  The rows with
+# a type erase to one wire of that type: `expand_wire` inserts their pairs.
+_REDEXES = (
+    ("top_intro", "top_elim", False, None),
+    ("bot_intro", "bot_elim", False, None),
+    ("tensor_intro", "tensor_elim", False, None),
+    ("par_intro", "par_elim", False, None),
+    ("tensor_elim", "tensor_intro", False, Tensor),
+    ("par_elim", "par_intro", False, Par),
+    ("top_intro", "top_elim", True, Top),
+    ("bot_elim", "bot_intro", True, Bot),
+)
 
-class _Editable:
+
+class _Graph:
+    """A circuit under rewriting, with each wire's producer and consumer
+    node and the nodes thinned onto it."""
+
     def __init__(self, c: Circuit):
         self.wires = dict(c.wires)
         self.nodes = dict(c.nodes)
-        self.inputs = list(c.inputs)
         self.outputs = list(c.outputs)
+        self.output_at = {w: i for i, w in enumerate(c.outputs)}
+        self.producer: dict[str, str] = {}
+        self.consumer: dict[str, str] = {}
+        self.anchored: defaultdict[str, set[str]] = defaultdict(set)
+        for nid, n in c.nodes.items():
+            self.consumer.update(dict.fromkeys(n.ins, nid))
+            self.producer.update(dict.fromkeys(n.outs, nid))
+            if n.thin is not None:
+                self.anchored[n.thin].add(nid)
 
-    def merge_wires(self, keep: str, gone: str) -> None:
-        """Fuse two dangling wire stubs left by a deleted redex."""
-        if keep == gone:
-            return
-        for nid, n in list(self.nodes.items()):
-            if gone in n.ins or gone in n.outs or n.thin == gone:
-                self.nodes[nid] = n.rewired({gone: keep})
-        self.inputs = [keep if w == gone else w for w in self.inputs]
-        self.outputs = [keep if w == gone else w for w in self.outputs]
-        del self.wires[gone]
+    def partner(self, nid: str) -> Optional[str]:
+        """The second node of a redex whose first node is `nid`, if any."""
+        n = self.nodes[nid]
+        for first, second, by_anchor, _ in _REDEXES:
+            if n.kind != first:
+                continue
+            links = n.ports() if by_anchor else n.outs
+            if by_anchor:
+                held = self.anchored[links[0]]
+                other = next(iter(held)) if len(held) == 1 else None
+            else:
+                other = self.consumer.get(links[0])
+            if other is None or self.nodes[other].kind != second or \
+                    not by_anchor and self.nodes[other].ins != n.outs:
+                continue
+            if all(self.anchored[w] <= {nid, other} for w in links):
+                return other
+        return None
 
-    def drop(self, *node_ids: str) -> None:
-        for nid in node_ids:
-            del self.nodes[nid]
-
-    def to_circuit(self) -> Circuit:
-        return Circuit(self.wires, self.nodes, self.inputs, self.outputs)
-
-
-def _find_redex(c: Circuit) -> Optional[Callable[[_Editable], None]]:
-    for nid in c.topo_order():
-        n = c.nodes[nid]
-        if n.kind in ("top_intro", "bot_intro"):
-            w = n.outs[0]
-            cons = c.consumer(w)
-            want = "top_elim" if n.kind == "top_intro" else "bot_elim"
-            if cons is not None and c.nodes[cons].kind == want:
-                other_thin = [t for t, m in c.nodes.items()
-                              if m.thin == w and t != nid and t != cons]
-                if not other_thin:
-                    def apply(e: _Editable, i=nid, j=cons, wire=w) -> None:
-                        e.drop(i, j)
-                        del e.wires[wire]
-                    return apply
-        if n.kind in ("tensor_intro", "par_intro"):
-            w = n.outs[0]
-            cons = c.consumer(w)
-            want = "tensor_elim" if n.kind == "tensor_intro" else "par_elim"
-            if cons is not None and c.nodes[cons].kind == want:
-                j = c.nodes[cons]
-                if not [t for t, m in c.nodes.items() if m.thin == w]:
-                    def apply(e: _Editable, i=nid, jn=cons, wire=w,
-                              pairs=tuple(zip(n.ins, j.outs))) -> None:
-                        e.drop(i, jn)
-                        del e.wires[wire]
-                        for keep, gone in pairs:
-                            e.merge_wires(keep, gone)
-                    return apply
-        if n.kind in ("tensor_elim", "par_elim"):
-            a, b = n.outs
-            cons = c.consumer(a)
-            want = "tensor_intro" if n.kind == "tensor_elim" else "par_intro"
-            if cons is not None and c.nodes[cons].kind == want \
-                    and c.nodes[cons].ins == (a, b):
-                j = c.nodes[cons]
-                thins = [t for t, m in c.nodes.items()
-                         if m.thin in (a, b)]
-                if not thins:
-                    def apply(e: _Editable, i=nid, jn=cons,
-                              win=n.ins[0], wout=j.outs[0],
-                              dead=(a, b)) -> None:
-                        e.drop(i, jn)
-                        for w in dead:
-                            del e.wires[w]
-                        e.merge_wires(win, wout)
-                    return apply
-        if n.kind == "top_elim":
-            t = n.thin
-            prod = c.producer(t)
-            if prod is not None and c.nodes[prod].kind == "top_intro":
-                others = [x for x, m in c.nodes.items()
-                          if m.thin == t and x != nid]
-                if not others:
-                    def apply(e: _Editable, i=nid, j=prod,
-                              win=n.ins[0], wout=t) -> None:
-                        e.drop(i, j)
-                        e.merge_wires(win, wout)
-                    return apply
-        if n.kind == "bot_intro":
-            a = n.thin
-            cons = c.consumer(a)
-            if cons is not None and c.nodes[cons].kind == "bot_elim":
-                others = [x for x, m in c.nodes.items()
-                          if m.thin == a and x != nid]
-                if not others:
-                    def apply(e: _Editable, i=nid, j=cons,
-                              keep=a, wout=n.outs[0]) -> None:
-                        e.drop(i, j)
-                        e.merge_wires(keep, wout)
-                    return apply
-    return None
+    def erase(self, *pair_ids: str) -> list[str]:
+        """Erase a redex; returns the wires whose neighbours changed."""
+        pair = [self.nodes.pop(nid) for nid in pair_ids]
+        ins = [w for n in pair for w in n.ins]
+        outs = [w for n in pair for w in n.outs]
+        dead = set(ins) & set(outs)
+        for nid, n in zip(pair_ids, pair):
+            self.anchored[n.thin].discard(nid)
+        for w in dead:
+            del self.wires[w], self.producer[w], self.consumer[w]
+        keep = [w for w in ins if w not in dead]
+        for k, gone in zip(keep, [w for w in outs if w not in dead]):
+            del self.wires[gone], self.producer[gone]
+            cons = self.consumer.pop(gone, None)
+            if cons is None:
+                del self.consumer[k]
+                i = self.output_at[k] = self.output_at.pop(gone)
+                self.outputs[i] = k
+            else:
+                self.consumer[k] = cons
+            moved = self.anchored.pop(gone, set())
+            self.anchored[k] |= moved
+            for nid in moved | {cons} - {None}:
+                self.nodes[nid] = self.nodes[nid].rewired({gone: k})
+        return [w for w in [n.thin for n in pair] + keep if w in self.wires]
 
 
 def normalize(c: Circuit) -> Circuit:
-    """Erase redexes until none remains.  Deterministic innermost-leftmost
-    strategy over the topological node order; every step removes two nodes,
-    so the process terminates."""
-    while True:
-        redex = _find_redex(c)
-        if redex is None:
-            return c
-        e = _Editable(c)
-        redex(e)
-        c = e.to_circuit()
+    """Erase redexes until none remains.  One indexed graph is rewritten in
+    place: every node is tried once as the first node of a redex, in
+    topological order, and after each erasure the producers and consumers of
+    the wires it merged or released are tried again.  Every erasure removes
+    two nodes, so the process terminates; one `Circuit` is built at the end,
+    and `c` itself is returned when nothing was erased."""
+    g = _Graph(c)
+    work = c.topo_order()[::-1]
+    while work:
+        nid = work.pop()
+        other = g.partner(nid) if nid in g.nodes else None
+        if other is not None:
+            for w in g.erase(nid, other):
+                work += [n for n in (g.producer.get(w), g.consumer.get(w))
+                         if n is not None]
+    if len(g.nodes) == len(c.nodes):
+        return c
+    return Circuit(g.wires, g.nodes, c.inputs, g.outputs)
 
 
-def _unused_wire(c: Circuit) -> str:
-    """A fresh wire id avoiding the circuit's existing ids (which may come
-    from a parsed document rather than the in-process counter)."""
-    while True:
-        w = fresh_wire()
-        if w not in c.wires:
-            return w
-
-
-def _unused_node(c: Circuit) -> str:
-    while True:
-        n = fresh_node()
-        if n not in c.nodes:
-            return n
+def _unused(taken: Container[str], fresh: Callable[[], str]) -> str:
+    """A fresh id that `taken` lacks (a parsed document's ids need not come
+    from the in-process counter)."""
+    while (new := fresh()) in taken:
+        pass
+    return new
 
 
 def expand_wire(c: Circuit, wire: str) -> Circuit:
-    """Replace a wire by its elimination-then-introduction pair."""
+    """Replace a wire by the pair of the `_REDEXES` row that erases to one
+    wire of its type: an elimination-then-introduction pair for the tensor
+    and par, and a unit pair thinned onto itself for the units."""
     if wire not in c.wires:
         raise NotExpandable(wire, "no such wire")
     t = c.wires[wire]
-    e = _Editable(c)
-    w2 = _unused_wire(c)
-
-    def reroute_consumer() -> None:
-        cons = c.consumer(wire)
-        if cons is None:
-            e.outputs = [w2 if w == wire else w for w in e.outputs]
-        else:
-            n = e.nodes[cons]
-            e.nodes[cons] = Node(
-                kind=n.kind,
-                ins=tuple(w2 if w == wire else w for w in n.ins),
-                outs=n.outs, name=n.name, dom=n.dom, cod=n.cod,
-                thin=n.thin, inner=n.inner)
-
-    if isinstance(t, (Tensor, Par)):
-        a, b = _unused_wire(c), _unused_wire(c)
-        e.wires[a], e.wires[b], e.wires[w2] = t.left, t.right, t
-        elim = "tensor_elim" if isinstance(t, Tensor) else "par_elim"
-        intro = "tensor_intro" if isinstance(t, Tensor) else "par_intro"
-        reroute_consumer()
-        e.nodes[_unused_node(c)] = Node(kind=elim, ins=(wire,), outs=(a, b))
-        e.nodes[_unused_node(c)] = Node(kind=intro, ins=(a, b), outs=(w2,))
-    elif isinstance(t, Top):
-        e.wires[w2] = t
-        reroute_consumer()
-        e.nodes[_unused_node(c)] = Node(kind="top_elim", ins=(wire,), outs=(),
-                                     thin=w2)
-        e.nodes[_unused_node(c)] = Node(kind="top_intro", ins=(), outs=(w2,))
-    elif isinstance(t, Bot):
-        e.wires[w2] = t
-        reroute_consumer()
-        e.nodes[_unused_node(c)] = Node(kind="bot_elim", ins=(wire,), outs=())
-        e.nodes[_unused_node(c)] = Node(kind="bot_intro", ins=(), outs=(w2,),
-                                     thin=wire)
-    else:
+    row = next((r for r in _REDEXES if r[3] and isinstance(t, r[3])), None)
+    if row is None:
         raise NotExpandable(wire, f"type {t} is atomic here")
-    return e.to_circuit()
+    first, second, by_anchor, _ = row
+    out, *links = [_unused(c.wires, fresh_wire) for _ in range(3)]
+    wires, nodes, outputs = c.wires | {out: t}, dict(c.nodes), list(c.outputs)
+    cons = c.consumer(wire)
+    if cons is None:
+        outputs[outputs.index(wire)] = out
+    else:
+        n = nodes[cons]
+        nodes[cons] = replace(n, ins=tuple(out if w == wire else w
+                                           for w in n.ins))
+    if by_anchor:
+        # the elimination takes the wire, the introduction makes the new one
+        ports = {k: ((), (out,)) if k.endswith("_intro") else ((wire,), ())
+                 for k in (first, second)}
+        f = Node(first, *ports[first])
+        s = Node(second, *ports[second], thin=f.ports()[0])
+    else:
+        wires |= dict(zip(links, (t.left, t.right)))
+        f = Node(first, (wire,), tuple(links))
+        s = Node(second, tuple(links), (out,))
+    nodes |= {_unused(c.nodes, fresh_node): n for n in (f, s)}
+    return Circuit(wires, nodes, c.inputs, outputs)

@@ -6,9 +6,15 @@
 and validates the result.  `permutation` bubbles the target order into
 place and composes one layer per adjacent swap.  Building `seq` of n parts
 takes time quadratic in n, so the tests use them on small circuits only.
+
+`isomorphic` recurses once per node and re-sorts the second circuit's
+nodes at every step, so it is quadratic and raises `RecursionError` on
+circuits of about a thousand nodes.
 """
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from typing import Sequence
 
 from ldckit.circuit import (Circuit, Node, fresh_node, fresh_wire, identity,
@@ -112,3 +118,87 @@ def permutation(types: Sequence[ObjectExpr],
                 current[j], current[j + 1] = current[j + 1], current[j]
                 break
     return result
+
+
+def _node_signature(c: Circuit, nid: str) -> tuple:
+    n = c.nodes[nid]
+    inner_sig = None
+    if n.inner is not None:
+        inner_sig = (tuple(n.inner.input_types()),
+                     tuple(n.inner.output_types()),
+                     len(n.inner.nodes), len(n.inner.wires))
+    return (n.kind, n.name, len(n.ins), len(n.outs),
+            tuple(c.wires[w] for w in n.ins),
+            tuple(c.wires[w] for w in n.outs),
+            n.thin is not None, inner_sig)
+
+
+def isomorphic(c1: Circuit, c2: Circuit) -> bool:
+    """Port-graph isomorphism respecting boundary order, wire types, node
+    kinds/names, port order, and thinning anchors.  Backtracking search;
+    intended for the small circuits this package manipulates."""
+    if (c1.input_types() != c2.input_types()
+            or c1.output_types() != c2.output_types()
+            or len(c1.wires) != len(c2.wires)
+            or len(c1.nodes) != len(c2.nodes)):
+        return False
+    if Counter(_node_signature(c1, n) for n in c1.nodes) != \
+            Counter(_node_signature(c2, n) for n in c2.nodes):
+        return False
+
+    wire_map: dict[str, str] = {}
+    node_map: dict[str, str] = {}
+
+    def match_wire(w1: str, w2: str) -> bool:
+        if w1 in wire_map:
+            return wire_map[w1] == w2
+        if w2 in wire_map.values():
+            return False
+        if c1.wires[w1] != c2.wires[w2]:
+            return False
+        wire_map[w1] = w2
+        return True
+
+    for a, b in itertools.chain(zip(c1.inputs, c2.inputs),
+                                zip(c1.outputs, c2.outputs)):
+        if not match_wire(a, b):
+            return False
+
+    nodes1 = sorted(c1.nodes)
+    used2: set[str] = set()
+
+    def try_node(i: int, saved_wm: dict[str, str]) -> bool:
+        if i == len(nodes1):
+            return all(_thin_ok(n1) for n1 in nodes1)
+        n1 = nodes1[i]
+        s1 = _node_signature(c1, n1)
+        for n2 in sorted(c2.nodes):
+            if n2 in used2 or _node_signature(c2, n2) != s1:
+                continue
+            snapshot = dict(wire_map)
+            ok = True
+            for w1, w2 in zip(c1.nodes[n1].ports(), c2.nodes[n2].ports()):
+                if not match_wire(w1, w2):
+                    ok = False
+                    break
+            if ok and c1.nodes[n1].inner is not None:
+                ok = isomorphic(c1.nodes[n1].inner, c2.nodes[n2].inner)
+            if ok:
+                node_map[n1] = n2
+                used2.add(n2)
+                if try_node(i + 1, snapshot):
+                    return True
+                used2.discard(n2)
+                del node_map[n1]
+            wire_map.clear()
+            wire_map.update(snapshot)
+        return False
+
+    def _thin_ok(n1: str) -> bool:
+        t1 = c1.nodes[n1].thin
+        if t1 is None:
+            return True
+        t2 = c2.nodes[node_map[n1]].thin
+        return t1 in wire_map and wire_map[t1] == t2
+
+    return try_node(0, dict(wire_map))

@@ -2,17 +2,21 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldckit.circuit import (Circuit, compose, dagger_box, generator, identity,
-                            isomorphic, par, permutation, reverse, seq,
-                            substitute, swap, tensor_elim, tensor_intro)
+from ldckit.circuit import (Circuit, Node, compose, dagger_box, generator,
+                            identity, isomorphic, par, permutation, reverse,
+                            seq, substitute, swap, tensor_elim, tensor_intro)
 from ldckit.errors import IllTyped, SchemaError, TypeMismatch
 from ldckit.io import parse, serialize
 from ldckit.objects import Atom, Bot, Par, Tensor, Top
+
+import circuit_oracle
+from test_validity import circuits
 
 A, B, C, D = Atom("A"), Atom("B"), Atom("C"), Atom("D")
 
@@ -116,7 +120,81 @@ class TestIsomorphism:
             c, par(generator("f", [A], [B]), generator("f", [C], [C])))
 
 
-class TestReverse:
+    def test_long_chain_matches_without_recursing(self):
+        # the backtracking search once recursed per node and raised
+        # RecursionError from about a thousand nodes
+        def chain(names):
+            return seq(*(generator(f, [A], [A]) for f in names))
+        names = [f"f{i % 3}" for i in range(1200)]
+        assert isomorphic(chain(names), chain(names))
+        assert not isomorphic(chain(names), chain(names[:-1] + ["g"]))
+        assert not isomorphic(chain(names), chain(names[1:] + names[:1]))
+
+    def test_failed_candidate_releases_its_wires(self):
+        # Two closed parts: p feeds m straight in one, crossed in the other.
+        # In c2 the crossed part comes first, so the straight p is first
+        # tried against the crossed p; m then binds its first input before
+        # its second conflicts, and that binding must not outlive the try.
+        def part(tag, crossed):
+            x, y, z = (f"{v}{tag}" for v in "xyz")
+            return ({x: A, y: A, z: A},
+                    {f"{tag}0": Node("gen", (), (z, x) if crossed else (x, z),
+                                     name="p"),
+                     f"{tag}1": Node("gen", (), (y,), name="s"),
+                     f"{tag}2": Node("gen", (y, x, z), (), name="m")})
+
+        def closed(*parts):
+            return Circuit({w: t for ws, _ in parts for w, t in ws.items()},
+                           {n: m for _, ns in parts for n, m in ns.items()},
+                           [], [])
+        c1 = closed(part("a", False), part("b", True))
+        c2 = closed(part("a", True), part("b", False))
+        assert isomorphic(c1, c2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=st.data())
+    def test_agrees_with_the_reference(self, pair):
+        c, d = pair.draw(circuit_pairs())
+        for x, y in ((c, d), (d, c)):
+            assert isomorphic(x, y) == circuit_oracle.isomorphic(x, y)
+
+
+@st.composite
+def circuit_pairs(draw):
+    """A random net and a renamed, reordered copy of it, perhaps with one
+    anchor moved, two same-typed outputs exchanged or two same-typed inputs
+    of a generator exchanged; or two independent nets."""
+    c, _ = draw(circuits())
+    how = draw(st.sampled_from(["copy", "anchor", "outputs", "ports",
+                                "other"]))
+    if how == "other":
+        return c, draw(circuits())[0]
+    rnd = draw(st.randoms(use_true_random=False))
+    ren = {w: f"x{i}" for i, w in enumerate(rnd.sample(list(c.wires),
+                                                       len(c.wires)))}
+    wires = {ren[w]: t for w, t in c.wires.items()}
+    nodes = {f"m{i}": n.rewired(ren) for i, n in
+             enumerate(rnd.sample(list(c.nodes.values()), len(c.nodes)))}
+    outputs = [ren[w] for w in c.outputs]
+    anchored = [i for i, n in nodes.items() if n.thin is not None]
+    if how == "anchor" and anchored:
+        i = rnd.choice(anchored)
+        nodes[i] = replace(nodes[i], thin=rnd.choice(sorted(wires)))
+    pairs = [(i, j) for i, n in nodes.items() if n.kind == "gen"
+             for j in range(len(n.ins) - 1)
+             if wires[n.ins[j]] == wires[n.ins[j + 1]]]
+    if how == "ports" and pairs:
+        i, j = rnd.choice(pairs)
+        ins = list(nodes[i].ins)
+        ins[j:j + 2] = ins[j + 1], ins[j]
+        nodes[i] = replace(nodes[i], ins=tuple(ins))
+    same = [j for j in range(len(outputs) - 1)
+            if wires[outputs[j]] == wires[outputs[j + 1]]]
+    if how == "outputs" and same:
+        j = rnd.choice(same)
+        outputs[j:j + 2] = outputs[j + 1], outputs[j]
+    return c, Circuit(wires, nodes, [ren[w] for w in c.inputs], outputs)
+
     def test_flips_boundary_nodes_and_names(self):
         c = seq(generator("f", [A], [B, C]), swap(B, C))
         r = reverse(c, {"f": "g"})

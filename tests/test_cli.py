@@ -1,12 +1,22 @@
 """Command-line interface contract: exit codes, outputs, report files."""
 from __future__ import annotations
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldckit.cli import build_parser, main
+from ldckit.io import serialize
+from ldckit.objects import Bot, Par, Tensor, Top
+from ldckit.rewrite import expand_wire
+
+from test_validity import circuits
 
 ROOT = Path(__file__).resolve().parent.parent
 VALID = ROOT / "fixtures" / "left-distributor.json"
@@ -266,3 +276,86 @@ class TestUsage:
         assert main(["examples"]) == 0
         assert main(["check"]) == 1
         assert build_parser.cache_info().misses == 1
+
+
+# -- fuzzing circuit documents ----------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from(
+        ["", "w", "gen", "top_elim", "bot_intro", "dagger_box", "atom"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["atom", "top", "tensor", "id",
+                                       "kind", "ports", "thin"]),
+                      inner, max_size=2),
+    max_leaves=6)
+
+
+def _slots(doc, out):
+    """Every (container, key) pair inside a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in list(items):
+        out.append((doc, key))
+        if isinstance(value, (dict, list)):
+            _slots(value, out)
+    return out
+
+
+@st.composite
+def circuit_documents(draw):
+    """A serialized random net, perhaps expanded, with up to three random
+    edits: a value replaced by a random JSON value or by one of the
+    document's wire ids, a value deleted, or a thinning anchor set on the
+    object that holds a value (a node, most often)."""
+    c, _ = draw(circuits())
+    for _ in range(draw(st.integers(0, 2))):
+        compound = sorted(w for w, t in c.wires.items()
+                          if isinstance(t, (Tensor, Par, Top, Bot)))
+        if compound:
+            c = expand_wire(c, draw(st.sampled_from(compound)))
+    doc = json.loads(serialize(c))
+    for _ in range(draw(st.integers(0, 3))):
+        slots = _slots(doc, [])
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        edit = draw(st.sampled_from(["value", "wire", "delete", "anchor"]))
+        if edit == "delete":
+            del container[key]
+        elif edit == "anchor":
+            if isinstance(container, dict):
+                container["thin"] = draw(st.sampled_from(sorted(c.wires)))
+        else:
+            container[key] = draw(json_values) if edit == "value" \
+                else draw(st.sampled_from(sorted(c.wires)))
+    return doc
+
+
+class TestFuzzCircuitDocuments:
+    @pytest.mark.parametrize("cmd", ["validate", "normalize", "render"])
+    def test_deeply_nested_document_exits_one(self, tmp_path, capsys, cmd):
+        # the JSON decoder raised RecursionError, and the CLI printed a
+        # traceback
+        wire_type = '{"dagger": ' * 5000 + '{"atom": "A"}' + "}" * 5000
+        path = tmp_path / "deep.json"
+        path.write_text('{"wires": [{"id": "a", "type": %s}], "nodes": [], '
+                        '"inputs": ["a"], "outputs": ["a"]}' % wire_type)
+        assert main([cmd, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=circuit_documents())
+    def test_commands_exit_cleanly(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "net.json"
+            path.write_text(json.dumps(doc))
+            for argv, ok in ((["validate"], (0, 2)),
+                             (["normalize", "-o", f"{tmp}/out.json"], (0,)),
+                             (["render"], (0,))):
+                err = io.StringIO()
+                with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                    rc = main(argv[:1] + [str(path)] + argv[1:])
+                text = err.getvalue()
+                assert "Traceback" not in text, argv
+                assert rc in ok or rc == 1 and text.startswith("error: "), \
+                    (argv, rc, text)

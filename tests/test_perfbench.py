@@ -3,7 +3,8 @@
 the constructor's positional arguments, so a change to the circuit API that
 drops any of them shows here.  The `exp` run also checks `exp demo`, and so
 the derived `complementary-idempotent-cond` suite, through the tracer's
-rewrapped `SUITES`."""
+rewrapped `SUITES`; the `validate` run normalizes expanded nets through the
+tracer's `rewrite.normalize` wrap, which counts the redexes erased."""
 from __future__ import annotations
 
 import json
@@ -16,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["check", "exp"])
+@pytest.mark.parametrize("workload", ["check", "exp", "validate"])
 def test_traced_tiny_run(workload):
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -26,3 +27,5 @@ def test_traced_tiny_run(workload):
     doc = json.loads(out.stdout.splitlines()[-1])
     assert doc["correct"] is True
     assert doc["metrics"]["circuit.constructed"]["value"] > 0
+    if workload == "validate":
+        assert doc["metrics"]["rewrite.redexes"]["value"] > 0
