@@ -326,13 +326,15 @@ def empty() -> Circuit:
 
 
 def _structural(kind: str, tin: Sequence[ObjectExpr],
-                tout: Sequence[ObjectExpr], **fields) -> Circuit:
-    """One node of `kind` on fresh wires of the given types, with its other
-    `Node` fields."""
+                tout: Sequence[ObjectExpr], *, name: Optional[str] = None,
+                dom: Optional[tuple[ObjectExpr, ...]] = None,
+                cod: Optional[tuple[ObjectExpr, ...]] = None,
+                inner: Optional[Circuit] = None) -> Circuit:
+    """One node of `kind` on fresh wires of the given types."""
     wi = [fresh_wire() for _ in tin]
     wo = [fresh_wire() for _ in tout]
     wires = dict(zip(wi, tin)) | dict(zip(wo, tout))
-    node = Node(kind=kind, ins=tuple(wi), outs=tuple(wo), **fields)
+    node = Node(kind, tuple(wi), tuple(wo), name, dom, cod, inner=inner)
     return Circuit(wires, {fresh_node(): node}, wi, wo)
 
 

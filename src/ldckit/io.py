@@ -46,12 +46,11 @@ def parse(text: bytes | str) -> Circuit:
     if isinstance(text, bytes):
         text = text.decode()
     try:
-        doc = json.loads(text)
+        return _circuit_from_json(json.loads(text))
     except json.JSONDecodeError as exc:
         raise CircuitSyntaxError(f"line {exc.lineno}: {exc.msg}") from exc
     except RecursionError:
         raise CircuitSyntaxError("document nested too deeply") from None
-    return _circuit_from_json(doc)
 
 
 def _circuit_from_json(doc: object) -> Circuit:

@@ -91,6 +91,43 @@ class TestTopoOrder:
         assert names == ["f", "g"]
 
 
+@st.composite
+def circuit_pairs(draw):
+    """A random net and a renamed, reordered copy of it, perhaps with one
+    anchor moved, two same-typed outputs exchanged or two same-typed inputs
+    of a generator exchanged; or two independent nets."""
+    c, _ = draw(circuits())
+    how = draw(st.sampled_from(["copy", "anchor", "outputs", "ports",
+                                "other"]))
+    if how == "other":
+        return c, draw(circuits())[0]
+    rnd = draw(st.randoms(use_true_random=False))
+    ren = {w: f"x{i}" for i, w in enumerate(rnd.sample(list(c.wires),
+                                                       len(c.wires)))}
+    wires = {ren[w]: t for w, t in c.wires.items()}
+    nodes = {f"m{i}": n.rewired(ren) for i, n in
+             enumerate(rnd.sample(list(c.nodes.values()), len(c.nodes)))}
+    outputs = [ren[w] for w in c.outputs]
+    anchored = [i for i, n in nodes.items() if n.thin is not None]
+    if how == "anchor" and anchored:
+        i = rnd.choice(anchored)
+        nodes[i] = replace(nodes[i], thin=rnd.choice(sorted(wires)))
+    pairs = [(i, j) for i, n in nodes.items() if n.kind == "gen"
+             for j in range(len(n.ins) - 1)
+             if wires[n.ins[j]] == wires[n.ins[j + 1]]]
+    if how == "ports" and pairs:
+        i, j = rnd.choice(pairs)
+        ins = list(nodes[i].ins)
+        ins[j:j + 2] = ins[j + 1], ins[j]
+        nodes[i] = replace(nodes[i], ins=tuple(ins))
+    same = [j for j in range(len(outputs) - 1)
+            if wires[outputs[j]] == wires[outputs[j + 1]]]
+    if how == "outputs" and same:
+        j = rnd.choice(same)
+        outputs[j:j + 2] = outputs[j + 1], outputs[j]
+    return c, Circuit(wires, nodes, [ren[w] for w in c.inputs], outputs)
+
+
 class TestIsomorphism:
     def test_renaming_invariance(self):
         c = seq(generator("f", [A], [B]), generator("g", [B], [C]))
@@ -118,7 +155,6 @@ class TestIsomorphism:
         assert isomorphic(c, c)
         assert not isomorphic(
             c, par(generator("f", [A], [B]), generator("f", [C], [C])))
-
 
     def test_long_chain_matches_without_recursing(self):
         # the backtracking search once recursed per node and raised
@@ -159,42 +195,7 @@ class TestIsomorphism:
             assert isomorphic(x, y) == circuit_oracle.isomorphic(x, y)
 
 
-@st.composite
-def circuit_pairs(draw):
-    """A random net and a renamed, reordered copy of it, perhaps with one
-    anchor moved, two same-typed outputs exchanged or two same-typed inputs
-    of a generator exchanged; or two independent nets."""
-    c, _ = draw(circuits())
-    how = draw(st.sampled_from(["copy", "anchor", "outputs", "ports",
-                                "other"]))
-    if how == "other":
-        return c, draw(circuits())[0]
-    rnd = draw(st.randoms(use_true_random=False))
-    ren = {w: f"x{i}" for i, w in enumerate(rnd.sample(list(c.wires),
-                                                       len(c.wires)))}
-    wires = {ren[w]: t for w, t in c.wires.items()}
-    nodes = {f"m{i}": n.rewired(ren) for i, n in
-             enumerate(rnd.sample(list(c.nodes.values()), len(c.nodes)))}
-    outputs = [ren[w] for w in c.outputs]
-    anchored = [i for i, n in nodes.items() if n.thin is not None]
-    if how == "anchor" and anchored:
-        i = rnd.choice(anchored)
-        nodes[i] = replace(nodes[i], thin=rnd.choice(sorted(wires)))
-    pairs = [(i, j) for i, n in nodes.items() if n.kind == "gen"
-             for j in range(len(n.ins) - 1)
-             if wires[n.ins[j]] == wires[n.ins[j + 1]]]
-    if how == "ports" and pairs:
-        i, j = rnd.choice(pairs)
-        ins = list(nodes[i].ins)
-        ins[j:j + 2] = ins[j + 1], ins[j]
-        nodes[i] = replace(nodes[i], ins=tuple(ins))
-    same = [j for j in range(len(outputs) - 1)
-            if wires[outputs[j]] == wires[outputs[j + 1]]]
-    if how == "outputs" and same:
-        j = rnd.choice(same)
-        outputs[j:j + 2] = outputs[j + 1], outputs[j]
-    return c, Circuit(wires, nodes, [ren[w] for w in c.inputs], outputs)
-
+class TestReverse:
     def test_flips_boundary_nodes_and_names(self):
         c = seq(generator("f", [A], [B, C]), swap(B, C))
         r = reverse(c, {"f": "g"})

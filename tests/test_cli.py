@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -332,10 +333,25 @@ def circuit_documents(draw):
 
 class TestFuzzCircuitDocuments:
     @pytest.mark.parametrize("cmd", ["validate", "normalize", "render"])
-    def test_deeply_nested_document_exits_one(self, tmp_path, capsys, cmd):
+    @pytest.mark.parametrize("depth", [sys.getrecursionlimit() - 10, 5000])
+    @pytest.mark.parametrize("lifted", [False, True])
+    def test_deeply_nested_document_exits_one(self, tmp_path, capsys,
+                                              monkeypatch, cmd, depth,
+                                              lifted):
         # the JSON decoder raised RecursionError, and the CLI printed a
-        # traceback
-        wire_type = '{"dagger": ' * 5000 + '{"atom": "A"}' + "}" * 5000
+        # traceback. With `lifted` the decoder's own depth limit lies above
+        # the frame limit, as in Python 3.12 and later, so the document
+        # parses and the recursion runs out while its types are read.
+        if lifted:
+            def loads(text, _loads=json.loads):
+                limit = sys.getrecursionlimit()
+                sys.setrecursionlimit(4 * depth)
+                try:
+                    return _loads(text)
+                finally:
+                    sys.setrecursionlimit(limit)
+            monkeypatch.setattr(json, "loads", loads)
+        wire_type = '{"dagger": ' * depth + '{"atom": "A"}' + "}" * depth
         path = tmp_path / "deep.json"
         path.write_text('{"wires": [{"id": "a", "type": %s}], "nodes": [], '
                         '"inputs": ["a"], "outputs": ["a"]}' % wire_type)
