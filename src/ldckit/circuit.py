@@ -11,10 +11,11 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .errors import IllTyped, TypeMismatch
-from .objects import ObjectExpr, Tensor, Par, Top, Bot, dagger_of
+from .objects import ObjectExpr, Tensor, Par, Top, Bot, dagger_of, factors
 
 NODE_KINDS = (
     "gen", "tensor_intro", "tensor_elim", "par_intro", "par_elim",
@@ -60,6 +61,8 @@ class Circuit:
         self.inputs = tuple(inputs)
         self.outputs = tuple(outputs)
         self._check()
+        # model.evaluate's compiled contractions, by factor dimensions
+        self._programs: dict = {}
 
     # -- structural views -------------------------------------------------
 
@@ -76,6 +79,27 @@ class Circuit:
     def consumer(self, w: str) -> Optional[str]:
         """Node id consuming wire w, or None when w is a circuit output."""
         return self._consumers.get(w)
+
+    def nested(self) -> list["Circuit"]:
+        """It and the circuits inside its dagger boxes, at any depth."""
+        out = [self]
+        for c in out:   # grows while it is walked
+            out += (n.inner for n in c.nodes.values() if n.inner is not None)
+        return out
+
+    @cached_property
+    def factors(self) -> tuple[ObjectExpr, ...]:
+        """The distinct Kronecker factors (`objects.factors`) of its wires
+        and of the wires inside its dagger boxes, in first-seen order."""
+        return tuple(dict.fromkeys(f for c in self.nested()
+                                   for t in c.wires.values()
+                                   for f in factors(t)))
+
+    @cached_property
+    def generator_names(self) -> frozenset[str]:
+        """Names of its generators, inside dagger boxes too."""
+        return frozenset(n.name for c in self.nested()
+                         for n in c.nodes.values() if n.kind == "gen")
 
     # -- validation -------------------------------------------------------
 

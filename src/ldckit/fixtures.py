@@ -118,13 +118,18 @@ def load_gadget(name_or_path: str, degree: int = 3) -> Gadget:
     if name_or_path in BUILTIN:
         ref = resources.files("ldckit") / "fixtures" / f"{name_or_path}.json"
         with resources.as_file(ref) as p:
-            doc = json.loads(p.read_text())
+            text = p.read_text()
     else:
         path = Path(name_or_path)
         if not path.exists():
             raise SchemaError(f"no such gadget or fixture: {name_or_path}")
-        doc = json.loads(path.read_text())
-    return gadget_from_json(doc, degree=degree)
+        text = path.read_text()
+    try:
+        return gadget_from_json(json.loads(text), degree=degree)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise SchemaError("gadget document nested too deeply") from None
 
 
 def write_builtin_fixtures(directory: str | Path) -> None:

@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from .circuit import Circuit, Node
-from .errors import CircuitSyntaxError, SchemaError
+from .errors import CircuitSyntaxError, LdcError, SchemaError
 from .objects import type_from_json, type_to_json
 
 _ARITY = {
@@ -20,9 +20,18 @@ _ARITY = {
 
 
 def serialize(c: Circuit) -> bytes:
-    order = c.topo_order()
+    """The JSON document of `c`: one dict, dagger box interiors nested in
+    place, encoded once."""
+    try:
+        return json.dumps(_circuit_to_json(c), indent=2).encode()
+    except RecursionError:
+        raise LdcError("circuit nested too deeply to write as JSON") \
+            from None
+
+
+def _circuit_to_json(c: Circuit) -> dict:
     nodes = []
-    for nid in order:
+    for nid in c.topo_order():
         n = c.nodes[nid]
         entry: dict = {"kind": n.kind, "ports": list(n.ins + n.outs)}
         if n.name is not None:
@@ -30,16 +39,15 @@ def serialize(c: Circuit) -> bytes:
         if n.thin is not None:
             entry["thin"] = n.thin
         if n.inner is not None:
-            entry["inner"] = json.loads(serialize(n.inner).decode())
+            entry["inner"] = _circuit_to_json(n.inner)
         nodes.append(entry)
-    doc = {
+    return {
         "wires": [{"id": w, "type": type_to_json(t)}
                   for w, t in c.wires.items()],
         "nodes": nodes,
         "inputs": list(c.inputs),
         "outputs": list(c.outputs),
     }
-    return json.dumps(doc, indent=2).encode()
 
 
 def parse(text: bytes | str) -> Circuit:

@@ -12,16 +12,18 @@ composite f;g is the product matG . matF.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import plan
 from .circuit import Circuit
-from .errors import (NotIdempotent, ResourceLimit, ShapeMismatch,
-                     UnassignedGenerator, UnboundAtom)
+from .errors import (NotIdempotent, ShapeMismatch, UnassignedGenerator,
+                     UnboundAtom)
 from .multiset import MultisetBasis
 from .objects import (Atom, Bang, Bot, Dagger, ObjectExpr, Par, Quest,
-                      Tensor, Top)
+                      Tensor, Top, factors)
 
 
 @dataclass
@@ -64,115 +66,166 @@ def interp(t: ObjectExpr, env: ModelEnv) -> tuple[int, tuple[str, ...]]:
     raise TypeError(f"not an object formula: {t!r}")
 
 
-# np.einsum names each index by one letter of a-z and A-Z.
-_EINSUM_INDICES = 52
-
-
 def dims_of(types: Sequence[ObjectExpr], env: ModelEnv) -> list[int]:
     return [interp(t, env)[0] for t in types]
 
 
+class _Program:
+    """A circuit's contraction at fixed factor dimensions: a binder per
+    operand, which reads its matrix from the environment, the pairwise
+    steps of the plan, and the final axis order.  Each step is
+    (i, j, axes of i, matrix shape of i, axes of j, matrix shape of j,
+    result shape): operand i, its kept axes first, times operand j, its
+    summed axes first, into slot i."""
+
+    def __init__(self, binders: list, steps: list, perm: list[int],
+                 rows: int, cols: int, cost: tuple[int, int]):
+        self.binders, self.steps, self.perm = binders, steps, perm
+        self.rows, self.cols = rows, cols
+        self.flops, self.largest = cost
+
+    def tensor(self, env: ModelEnv) -> np.ndarray:
+        """One axis per factor of the outputs, then of the inputs."""
+        t = [bind(env) for bind in self.binders]
+        if not t:
+            return np.ones((), dtype=complex)
+        i = 0
+        for i, j, pa, sa, pb, sb, shape in self.steps:
+            t[i] = (t[i].transpose(pa).reshape(sa)
+                    @ t[j].transpose(pb).reshape(sb)).reshape(shape)
+            t[j] = None
+        out = t[i].transpose(self.perm)
+        # without a step the result would share memory with an operand
+        return out if self.steps else out.copy()
+
+
+def _bind_generator(name: str, rows: int, cols: int, shape: list[int],
+                    conj: bool):
+    def bind(env: ModelEnv) -> np.ndarray:
+        m = env.generators.get(name)
+        if m is None:
+            raise UnassignedGenerator(name)
+        m = np.asarray(m, dtype=complex)
+        if m.shape != (rows, cols):
+            raise ShapeMismatch(f"generator {name!r}: expected "
+                                f"{(rows, cols)}, got {m.shape}")
+        return (np.conj(m) if conj else m).reshape(shape)
+    return bind
+
+
+_JOINS = ("tensor_intro", "par_intro", "tensor_elim", "par_elim", "swap")
+
+
+def _compile(c: Circuit, dim: dict[ObjectExpr, int]) -> _Program:
+    """Each wire carries one label per factor of its type.  Symmetries, the
+    introductions and eliminations of both tensors and the unit nodes only
+    join labels.  A dagger box is contracted where it stands: its interior
+    joins its boundary labels to the box's ports, mirrored, and its
+    generators enter conjugated (plain again two boxes deep).  So the
+    generators are the only operands, in flow order."""
+    size: list[int] = []
+    parent: list[int] = []
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def join(xs: list[int], ys: list[int]) -> None:
+        for x, y in zip(xs, ys):
+            parent[find(x)] = find(y)
+
+    def label(circ: Circuit) -> dict[str, list[int]]:
+        out = {}
+        for w, t in circ.wires.items():
+            out[w] = list(range(len(size), len(size) + len(factors(t))))
+            size.extend(dim[f] for f in factors(t))
+        parent.extend(range(len(parent), len(size)))
+        return out
+
+    def on(labels: dict, wires) -> list[int]:
+        return [x for w in wires for x in labels[w]]
+
+    binders, operands = [], []
+    outer = label(c)
+    # circuits being walked: (nodes left in flow order, labels, conjugated)
+    stack = [(iter(c.topo_order()), c, outer, False)]
+    while stack:
+        nodes, circ, labels, conj = stack[-1]
+        n = circ.nodes.get(next(nodes, None))
+        if n is None:
+            stack.pop()
+        elif n.kind in _JOINS:
+            outs = n.outs[::-1] if n.kind == "swap" else n.outs
+            join(on(labels, n.ins), on(labels, outs))
+        elif n.kind == "gen":
+            ax_out, ax_in = on(labels, n.outs), on(labels, n.ins)
+            binders.append(_bind_generator(
+                n.name, prod(size[x] for x in ax_out),
+                prod(size[x] for x in ax_in),
+                [size[x] for x in ax_out + ax_in], conj))
+            operands.append(ax_out + ax_in)
+        elif n.kind == "dagger_box":
+            inner = label(n.inner)
+            join(on(inner, n.inner.outputs), on(labels, n.ins[::-1]))
+            join(on(inner, n.inner.inputs), on(labels, n.outs[::-1]))
+            order = n.inner.topo_order()   # the interior flows backwards
+            stack.append((iter(order if conj else order[::-1]), n.inner,
+                          inner, not conj))
+        # unit nodes: unit wires carry no label
+    operands = [[find(x) for x in o] for o in operands]
+    out_ax = [find(x) for x in on(outer, c.outputs)]
+    in_ax = [find(x) for x in on(outer, c.inputs)]
+    # A strand from the input boundary straight to the output boundary is
+    # an identity operand: its output end gets a label of its own.
+    ends = {}
+    for x in sorted(set(out_ax) & set(in_ax)):
+        ends[x] = len(size)
+        size.append(size[x])
+        binders.append(lambda env, eye=np.eye(size[x], dtype=complex): eye)
+        operands.append([ends[x], x])
+    out_ax = [ends.get(x, x) for x in out_ax]
+    chosen, cost = plan.best(operands, size, range(len(operands)))
+    steps = []
+    for i, j in chosen:
+        a, b = operands[i], operands[j]
+        summed = [x for x in a if x in b]
+        keep_a = [x for x in a if x not in summed]
+        keep_b = [x for x in b if x not in summed]
+        m, k, n = (prod(size[x] for x in xs)
+                   for xs in (keep_a, summed, keep_b))
+        steps.append((i, j, [a.index(x) for x in keep_a + summed], (m, k),
+                      [b.index(x) for x in summed + keep_b], (k, n),
+                      [size[x] for x in keep_a + keep_b]))
+        operands[i], operands[j] = keep_a + keep_b, None
+    last = operands[steps[-1][0] if steps else 0] if operands else []
+    return _Program(binders, steps, [last.index(x) for x in out_ax + in_ax],
+                    prod(size[x] for x in out_ax),
+                    prod(size[x] for x in in_ax), cost)
+
+
+def _program(c: Circuit, env: ModelEnv) -> _Program:
+    key = tuple(interp(f, env)[0] for f in c.factors)
+    prog = c._programs.get(key)
+    if prog is None:
+        prog = c._programs[key] = _compile(c, dict(zip(c.factors, key)))
+    return prog
+
+
+def contraction_cost(c: Circuit, env: ModelEnv) -> tuple[int, int]:
+    """FLOPs and largest intermediate, in entries, of the contraction that
+    `evaluate` carries out on `c`."""
+    prog = _program(c, env)
+    return prog.flops, prog.largest
+
+
 def evaluate(c: Circuit, env: ModelEnv) -> np.ndarray:
     """Evaluate by tensor-network contraction.  Returns the matrix from the
-    tensored inputs to the parred outputs (both are Kronecker here)."""
-    operands: list = []
-    next_index = 0
-
-    def fresh() -> int:
-        nonlocal next_index
-        next_index += 1
-        return next_index - 1
-
-    wire_idx: dict[str, int] = {}
-    wire_second: dict[str, int] = {}
-
-    for w in c.wires:
-        wire_idx[w] = fresh()
-
-    # A wire passing straight from the boundary input to the boundary output
-    # needs two distinct indices joined by an identity operand.
-    for w in c.inputs:
-        if w in c.outputs and c.producer(w) is None and c.consumer(w) is None:
-            wire_second[w] = fresh()
-            d = interp(c.wires[w], env)[0]
-            operands.append((np.eye(d, dtype=complex),
-                             [wire_second[w], wire_idx[w]]))
-
-    def out_index(w: str) -> int:
-        return wire_second.get(w, wire_idx[w])
-
-    for nid, n in c.nodes.items():
-        din = dims_of([c.wires[w] for w in n.ins], env)
-        dout = dims_of([c.wires[w] for w in n.outs], env)
-        k = n.kind
-        if k == "gen":
-            if n.name not in env.generators:
-                raise UnassignedGenerator(n.name)
-            m = np.asarray(env.generators[n.name], dtype=complex)
-            rows = int(np.prod(dout)) if dout else 1
-            cols = int(np.prod(din)) if din else 1
-            if m.shape != (rows, cols):
-                raise ShapeMismatch(
-                    f"generator {n.name!r}: expected {(rows, cols)}, "
-                    f"got {m.shape}")
-            tens = m.reshape(dout + din)
-            operands.append((tens, [wire_idx[w] for w in n.outs]
-                             + [wire_idx[w] for w in n.ins]))
-        elif k in ("tensor_intro", "par_intro"):
-            d = din[0] * din[1]
-            tens = np.eye(d, dtype=complex).reshape(d, din[0], din[1])
-            operands.append((tens, [wire_idx[n.outs[0]],
-                                    wire_idx[n.ins[0]],
-                                    wire_idx[n.ins[1]]]))
-        elif k in ("tensor_elim", "par_elim"):
-            d = dout[0] * dout[1]
-            tens = np.eye(d, dtype=complex).reshape(dout[0], dout[1], d)
-            operands.append((tens, [wire_idx[n.outs[0]],
-                                    wire_idx[n.outs[1]],
-                                    wire_idx[n.ins[0]]]))
-        elif k in ("top_intro", "bot_intro"):
-            operands.append((np.ones(1, dtype=complex),
-                             [wire_idx[n.outs[0]]]))
-        elif k in ("top_elim", "bot_elim"):
-            operands.append((np.ones(1, dtype=complex),
-                             [wire_idx[n.ins[0]]]))
-        elif k == "swap":
-            operands.append((np.eye(din[1], dtype=complex),
-                             [wire_idx[n.outs[0]], wire_idx[n.ins[1]]]))
-            operands.append((np.eye(din[0], dtype=complex),
-                             [wire_idx[n.outs[1]], wire_idx[n.ins[0]]]))
-        elif k == "dagger_box":
-            inner = evaluate(n.inner, env)
-            idin = dims_of(n.inner.input_types(), env)
-            idout = dims_of(n.inner.output_types(), env)
-            tens = np.conj(inner).reshape(idout + idin)
-            # inner output axis i <-> box input wire (reversed order);
-            # inner input axis j <-> box output wire (reversed order)
-            idx = [wire_idx[n.ins[len(idout) - 1 - i]]
-                   for i in range(len(idout))]
-            idx += [wire_idx[n.outs[len(idin) - 1 - j]]
-                    for j in range(len(idin))]
-            operands.append((tens, idx))
-        else:  # pragma: no cover
-            raise AssertionError(k)
-
-    out_idx = [out_index(w) for w in c.outputs]
-    in_idx = [wire_idx[w] for w in c.inputs]
-    if not operands:
-        return np.eye(1, dtype=complex)
-    if next_index > _EINSUM_INDICES:
-        raise ResourceLimit("einsum indices", next_index, _EINSUM_INDICES)
-    args: list = []
-    for tens, idx in operands:
-        args.append(tens)
-        args.append(idx)
-    args.append(out_idx + in_idx)
-    result = np.einsum(*args, optimize="greedy")
-    rows = int(np.prod(dims_of(c.output_types(), env))) \
-        if c.outputs else 1
-    cols = int(np.prod(dims_of(c.input_types(), env))) \
-        if c.inputs else 1
-    return np.asarray(result, dtype=complex).reshape(rows, cols)
+    tensored inputs to the parred outputs (both are Kronecker here).  The
+    contraction is compiled once per circuit and factor dimensions, and
+    then only reads the generator matrices from `env`."""
+    prog = _program(c, env)
+    return prog.tensor(env).reshape(prog.rows, prog.cols)
 
 
 def matrices_equal(a: np.ndarray, b: np.ndarray,

@@ -71,6 +71,22 @@ def dagger_of(t: ObjectExpr) -> ObjectExpr:
     return Dagger(t)
 
 
+def factors(t: ObjectExpr) -> tuple[ObjectExpr, ...]:
+    """The formulas whose Kronecker product `t` is, left to right: the atoms
+    and exponentials under its tensors, pars and daggers.  Units contribute
+    none, so a unit is the empty product."""
+    out, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, (Tensor, Par)):
+            stack += (t.right, t.left)
+        elif isinstance(t, Dagger):
+            stack.append(t.inner)
+        elif not isinstance(t, (Top, Bot)):
+            out.append(t)
+    return tuple(out)
+
+
 def pretty(t: ObjectExpr) -> str:
     if isinstance(t, Atom):
         return t.name

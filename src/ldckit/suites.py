@@ -18,7 +18,7 @@ degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -69,18 +69,25 @@ class SuiteReport:
 
 # -- evaluation environment -------------------------------------------------
 
-def suite_env(g: Gadget) -> ModelEnv:
+# The derived generators of a role r: r_dag, r_t and r_inv (if invertible).
+_DERIVED = {"_dag": lambda m: np.conj(m).T, "_t": lambda m: m.T,
+            "_inv": np.linalg.inv}
+
+
+def suite_env(g: Gadget, reads: Optional[Collection[str]] = None
+              ) -> ModelEnv:
+    """The gadget's roles and their derived generators, only those named
+    in `reads` when it is given."""
     env = ModelEnv(atoms=dict(g.env.atoms), degree=g.env.degree)
     for role, mat in g.morphisms.items():
         m = np.asarray(mat, dtype=complex)
         env.assign(role, m)
-        env.assign(f"{role}_dag", np.conj(m).T)
-        env.assign(f"{role}_t", m.T)
-        if m.ndim == 2 and m.shape[0] == m.shape[1]:
-            try:
-                env.assign(f"{role}_inv", np.linalg.inv(m))
-            except np.linalg.LinAlgError:
-                pass
+        for suffix, derive in _DERIVED.items():
+            if reads is None or role + suffix in reads:
+                try:
+                    env.assign(role + suffix, derive(m))
+                except np.linalg.LinAlgError:   # not square, or singular
+                    pass
     return env
 
 
@@ -107,12 +114,31 @@ def _boundary_degrees(types: Sequence[ObjectExpr], env: ModelEnv,
     return out
 
 
+# Each equation's two sides by equation and object typing, oldest out
+# first: a template reads nothing of a gadget but its objects, and its
+# circuits keep their compiled contractions (`model.evaluate`).
+_TEMPLATES: dict = {}
+_TEMPLATES_KEPT = 1024
+
+
+def _sides(eq: Equation, g: Gadget) -> tuple[Circuit, Circuit]:
+    key = (eq, frozenset(g.objects.items()))
+    sides = _TEMPLATES.get(key)
+    if sides is None:
+        if len(_TEMPLATES) >= _TEMPLATES_KEPT:
+            del _TEMPLATES[next(iter(_TEMPLATES))]
+        sides = _TEMPLATES[key] = eq.build(g)
+    return sides
+
+
 def check_suite(g: Gadget, suite: EquationSuite,
                 tol: float = 1e-9) -> SuiteReport:
     for role in suite.roles:
         if role not in g.morphisms:
             raise MissingRole(role)
-    env = suite_env(g)
+    sides = [_sides(eq, g) for eq in suite.equations]
+    env = suite_env(g, frozenset().union(
+        *(c.generator_names for pair in sides for c in pair)))
     gradings = getattr(g, "gradings", None)
     table = {}
     if gradings:
@@ -120,8 +146,7 @@ def check_suite(g: Gadget, suite: EquationSuite,
                  for role, vec in gradings.items() if role in g.objects}
     residuals: dict[str, float] = {}
     passed = True
-    for eq in suite.equations:
-        lhs_c, rhs_c = eq.build(g)
+    for eq, (lhs_c, rhs_c) in zip(suite.equations, sides):
         lhs = evaluate(lhs_c, env)
         rhs = evaluate(rhs_c, env)
         if table:
@@ -480,22 +505,17 @@ def tensor_of_duals_cap(g: Gadget) -> Circuit:
 
 
 def _tensor_of_duals_suite() -> EquationSuite:
-    def snake_a(g):
-        A, C, D, B = (g.object("A"), g.object("C"),
-                      g.object("D"), g.object("B"))
-        return _snake_x([A, C], [D, B], tensor_of_duals_cup(g),
+    def snake(side):
+        def build(g):
+            A, C, D, B = (g.object(o) for o in "ACDB")
+            return side([A, C], [D, B], tensor_of_duals_cup(g),
                         tensor_of_duals_cap(g))
-
-    def snake_b(g):
-        A, C, D, B = (g.object("A"), g.object("C"),
-                      g.object("D"), g.object("B"))
-        return _snake_y([A, C], [D, B], tensor_of_duals_cup(g),
-                        tensor_of_duals_cap(g))
+        return build
 
     return EquationSuite("tensor-of-duals", "dual_pair",
                         ("eta", "eps", "eta2", "eps2"), (
-                            Equation("snake-left", snake_a),
-                            Equation("snake-right", snake_b),
+                            Equation("snake-left", snake(_snake_x)),
+                            Equation("snake-right", snake(_snake_y)),
                         ))
 
 
@@ -539,42 +559,39 @@ def _dagger_of_dual_suite() -> EquationSuite:
                                  flip=True))
 
 
-def _binary_idempotent_suite() -> EquationSuite:
-    def uvu(g):
-        A, B = g.object("A"), g.object("B")
-        u = generator("u", [A], [B])
-        v = generator("v", [B], [A])
-        return seq(u, v, u), u
+def _pair(label: str, lhs_role: str, rhs_role: str, dom: Sequence[str],
+          cod: Sequence[str], margin: int = 0) -> Equation:
+    """Two generators with the same domain and codomain objects are
+    equal."""
+    def build(g):
+        ts_dom = [g.object(o) for o in dom]
+        ts_cod = [g.object(o) for o in cod]
+        return (generator(lhs_role, ts_dom, ts_cod),
+                generator(rhs_role, ts_dom, ts_cod))
+    return Equation(label, build, margin)
 
-    def vuv(g):
+
+def _binary_idempotent_suite() -> EquationSuite:
+    def zigzag(g, roles: str):
         A, B = g.object("A"), g.object("B")
-        u = generator("u", [A], [B])
-        v = generator("v", [B], [A])
-        return seq(v, u, v), v
+        maps = {"u": generator("u", [A], [B]), "v": generator("v", [B], [A])}
+        x, y = (maps[r] for r in roles)
+        return seq(x, y, x), x
 
     return EquationSuite("binary-idempotent", "binary_idempotent",
                         ("u", "v"), (
-                            Equation("uvu", uvu),
-                            Equation("vuv", vuv),
+                            Equation("uvu", lambda g: zigzag(g, "uv")),
+                            Equation("vuv", lambda g: zigzag(g, "vu")),
                         ))
 
 
 def _dagger_binary_suite() -> EquationSuite:
     base = _binary_idempotent_suite()
-
-    def u_herm(g):
-        A, B = g.object("A"), g.object("B")
-        return generator("u", [A], [B]), generator("u_dag", [A], [B])
-
-    def v_herm(g):
-        A, B = g.object("A"), g.object("B")
-        return generator("v", [B], [A]), generator("v_dag", [B], [A])
-
     return EquationSuite("dagger-binary", "binary_idempotent",
                         ("u", "v"),
                         base.equations + (
-                            Equation("u-hermitian", u_herm),
-                            Equation("v-hermitian", v_herm),
+                            _pair("u-hermitian", "u", "u_dag", ["A"], ["B"]),
+                            _pair("v-hermitian", "v", "v_dag", ["B"], ["A"]),
                         ))
 
 
@@ -717,7 +734,6 @@ def _monoid_sectional_suite(retractional: bool = False) -> EquationSuite:
     def mult_eq(g):
         A = g.object("A")
         e = generator("e", [A], [A])
-        m = generator("m", [A, A], [A])
         both = seq(par(generator("e", [A], [A]), generator("e", [A], [A])),
                    generator("m", [A, A], [A]),
                    generator("e", [A], [A]))
@@ -794,30 +810,22 @@ def _dagger_linear_comonoid_suite() -> EquationSuite:
                           ))
 
 
-def _unitary_fixed_point_left(g: Gadget) -> Circuit:
-    A, B = g.object("A"), g.object("B")
-    return seq(par(identity([A]), _cup("eta_L", A, B)),
-               par(generator("m", [A, A], [A]), identity([B])),
-               par(generator("alpha", [A], [B]), identity([B])),
-               par(_k_left(g), identity([B])))
-
-
-def _unitary_fixed_point_right(g: Gadget) -> Circuit:
-    A, B = g.object("A"), g.object("B")
-    return seq(par(_cup("eta_R", B, A), identity([A])),
-               par(identity([B]), generator("m", [A, A], [A])),
-               par(identity([B]), generator("alpha", [A], [B])),
-               par(identity([B]), _k_right(g)))
-
-
 def _frobenius_equations() -> tuple[Equation, ...]:
     def unitary_l(g):
         A, B = g.object("A"), g.object("B")
-        return generator("alpha", [A], [B]), _unitary_fixed_point_left(g)
+        return generator("alpha", [A], [B]), seq(
+            par(identity([A]), _cup("eta_L", A, B)),
+            par(generator("m", [A, A], [A]), identity([B])),
+            par(generator("alpha", [A], [B]), identity([B])),
+            par(_k_left(g), identity([B])))
 
     def unitary_r(g):
         A, B = g.object("A"), g.object("B")
-        return generator("alpha", [A], [B]), _unitary_fixed_point_right(g)
+        return generator("alpha", [A], [B]), seq(
+            par(_cup("eta_R", B, A), identity([A])),
+            par(identity([B]), generator("m", [A, A], [A])),
+            par(identity([B]), generator("alpha", [A], [B])),
+            par(identity([B]), _k_right(g)))
 
     def action_l(g):
         A, B = g.object("A"), g.object("B")
@@ -875,8 +883,6 @@ def _frobenius_algebra_suite() -> EquationSuite:
     def frob(side: str):
         def build(g):
             A = g.object("A")
-            m = generator("m", [A, A], [A])
-            d = generator("d", [A], [A, A])
             mid = seq(generator("m", [A, A], [A]),
                       generator("d", [A], [A, A]))
             if side == "L":
@@ -1154,25 +1160,17 @@ def _preunitary_suite() -> EquationSuite:
 
 
 def _dagger_bang_coherence_suite() -> EquationSuite:
-    def pair(label, lhs_role, rhs_role, dom, cod, margin=0):
-        def build(g):
-            ts_dom = [g.object(o) for o in dom]
-            ts_cod = [g.object(o) for o in cod]
-            return (generator(lhs_role, ts_dom, ts_cod),
-                    generator(rhs_role, ts_dom, ts_cod))
-        return Equation(label, build, margin)
-
     return EquationSuite("dagger-bang-coherence", "exp_coherence",
                         ("Delta", "counit", "eps", "delta",
                          "nabla", "unit", "eta", "mu"), (
-                            pair("mult-is-comult-dagger", "nabla",
-                                 "Delta_dag", ["X", "X"], ["X"]),
-                            pair("unit-is-counit-dagger", "unit",
-                                 "counit_dag", [], ["X"]),
-                            pair("codereliction-is-dereliction-dagger",
-                                 "eta", "eps_dag", ["Y"], ["X"]),
-                            pair("comult-is-mult-dagger", "mu",
-                                 "delta_dag", ["Z"], ["X"], 0),
+                            _pair("mult-is-comult-dagger", "nabla",
+                                  "Delta_dag", ["X", "X"], ["X"]),
+                            _pair("unit-is-counit-dagger", "unit",
+                                  "counit_dag", [], ["X"]),
+                            _pair("codereliction-is-dereliction-dagger",
+                                  "eta", "eps_dag", ["Y"], ["X"]),
+                            _pair("comult-is-mult-dagger", "mu",
+                                  "delta_dag", ["Z"], ["X"], 0),
                         ))
 
 

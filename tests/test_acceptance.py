@@ -16,16 +16,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ldckit.circuit import (generator, isomorphic, seq, tensor_elim,
-                            tensor_intro)
-from ldckit.errors import SuiteFailure
+from ldckit.circuit import (dagger_box, generator, identity, isomorphic,
+                            seq, tensor_elim, tensor_intro)
+from ldckit.cli import main
+from ldckit.errors import LdcError, SuiteFailure
 from ldckit.exponential import (bang_matrix, build_exp,
                                 comonad_coassoc_report, comonoid_residual,
                                 retract_idempotent)
 from ldckit.gadget import Gadget
-from ldckit.io import parse
+from ldckit.io import parse, serialize
 from ldckit.model import ModelEnv, evaluate, split_idempotent
-from ldckit.objects import Atom, Bot, Par, Tensor, Top
+from ldckit.objects import Atom, Bot, Dagger, Par, Tensor, Top
 from ldckit.rewrite import expand_wire, normalize
 from ldckit.structures import (complementary_from_idempotent,
                                split_binary_idempotent, split_linear_comonoid,
@@ -131,6 +132,30 @@ class TestRewriteSoundness:
         elapsed = time.perf_counter() - t0
         assert isomorphic(reduced, seq(*gens))
         assert elapsed < 1.0
+
+    def test_nested_dagger_boxes_normalize_within_budget(self, tmp_path):
+        # `serialize` wrote each box interior as text and parsed it back at
+        # every level: 1.8 s at 80 levels, and past 100 s at 300.  The
+        # indented output still grows quadratically; 300 levels take about
+        # 1 s.
+        c = generator("f", [Atom("A")], [Atom("A")])
+        for _ in range(300):
+            c = dagger_box(c)
+        src, out = tmp_path / "nested.json", tmp_path / "out.json"
+        src.write_bytes(serialize(c))
+        t0 = time.perf_counter()
+        assert main(["normalize", str(src), "-o", str(out)]) == 0
+        elapsed = time.perf_counter() - t0
+        assert out.read_bytes() == src.read_bytes()
+        assert elapsed < 5.0
+
+    def test_type_nested_past_the_encoder_is_an_ldc_error(self):
+        # the JSON encoder's RecursionError escaped `serialize`
+        t = Atom("A")
+        for _ in range(5000):
+            t = Dagger(t)
+        with pytest.raises(LdcError, match="nested too deeply"):
+            serialize(identity([t]))
 
 
 class TestMatrixKernel:

@@ -375,3 +375,75 @@ class TestFuzzCircuitDocuments:
                 assert "Traceback" not in text, argv
                 assert rc in ok or rc == 1 and text.startswith("error: "), \
                     (argv, rc, text)
+
+
+# -- fuzzing gadget documents -----------------------------------------------
+
+QUBIT_DOC = ROOT / "src" / "ldckit" / "fixtures" / "qubit-zx.json"
+
+
+@st.composite
+def gadget_documents(draw):
+    """The qubit-zx gadget document with one to three random edits: a
+    value replaced by a random JSON value, or deleted."""
+    doc = json.loads(QUBIT_DOC.read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _slots(doc, [])
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        if draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(json_values)
+    return doc
+
+
+def _check_exits_cleanly(path: Path, suite: str, ok=(0, 2)) -> None:
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = main(["check", "--suite", suite, "--gadget", str(path)])
+    text = err.getvalue()
+    assert "Traceback" not in text
+    assert rc in ok or rc == 1 and text.startswith("error: "), (rc, text)
+
+
+class TestFuzzGadgetDocuments:
+    # the JSON decoder raised RecursionError, and `check` printed a
+    # traceback
+    @pytest.mark.parametrize("depth", [sys.getrecursionlimit() - 10, 3000])
+    def test_deeply_nested_atoms_exit_one(self, tmp_path, depth):
+        path = tmp_path / "deep.json"
+        path.write_text('{"kind": "dual", "objects": {}, "morphisms": {}, '
+                        '"atoms": %s}' % ("[" * depth + "]" * depth))
+        _check_exits_cleanly(path, "dual", ok=())
+
+    # With the decoder's depth limit above the frame limit, as in Python
+    # 3.12 and later, the recursion runs out while an object type is read.
+    def test_deeply_nested_object_type_exits_one(self, tmp_path,
+                                                 monkeypatch):
+        depth = 5000
+
+        def loads(text, _loads=json.loads):
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(4 * depth)
+            try:
+                return _loads(text)
+            finally:
+                sys.setrecursionlimit(limit)
+        monkeypatch.setattr(json, "loads", loads)
+        doc = json.loads(QUBIT_DOC.read_text())
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc | {"objects": {"A": "@", "B": "@"}})
+                        .replace('"@"', '{"dagger": ' * depth
+                                 + '{"atom": "Q"}' + "}" * depth))
+        _check_exits_cleanly(path, "dual", ok=())
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=gadget_documents(),
+           suite=st.sampled_from(["dual", "complementary", "hopf"]))
+    def test_check_exits_cleanly(self, doc, suite):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "gadget.json"
+            path.write_text(json.dumps(doc))
+            _check_exits_cleanly(path, suite)

@@ -10,6 +10,7 @@ from ldckit.fixtures import fixture_names, load_gadget
 from ldckit.gadget import Gadget
 from ldckit.model import ModelEnv, dims_of, evaluate
 from ldckit.objects import Atom
+from ldckit import suites
 from ldckit.suites import SUITES, check_suite
 
 TOL = 1e-9
@@ -109,6 +110,59 @@ class TestSensitivity:
         verdicts = [check_suite(perturbed, SUITES[name], TOL).passed
                     for name in ("complementary", "hopf", "linear-bialgebra")]
         assert not all(verdicts)
+
+
+class TestTemplateCache:
+    """Each equation's circuits are built once per object typing and kept
+    with their compiled contractions; the matrices are read anew by every
+    check."""
+
+    SUITE = "linear-monoid"
+
+    def fresh(self, g: Gadget) -> dict:
+        suites._TEMPLATES.clear()
+        return check_suite(g, SUITES[self.SUITE], TOL).to_json()
+
+    @pytest.mark.parametrize("names", [("qubit-zx", "weil"),
+                                       ("weil", "qubit-zx")])
+    def test_two_typings_in_either_order(self, names):
+        gadgets = [load_gadget(n) for n in names]
+        assert gadgets[0].objects != gadgets[1].objects
+        want = [self.fresh(g) for g in gadgets]
+        suites._TEMPLATES.clear()
+        for _ in range(2):
+            for g, doc in zip(gadgets, want):
+                assert check_suite(g, SUITES[self.SUITE], TOL).to_json() \
+                    == doc
+        assert len(suites._TEMPLATES) == 2 * len(SUITES[self.SUITE].equations)
+
+    @staticmethod
+    def rotated(g: Gadget, angle: float) -> Gadget:
+        """Every leg of every map of a qubit gadget turned by a rotation."""
+        q = np.array([[np.cos(angle), -np.sin(angle)],
+                      [np.sin(angle), np.cos(angle)]])
+
+        def legs(n: int) -> np.ndarray:
+            out = np.eye(1)
+            for _ in range(int(np.log2(n))):
+                out = np.kron(out, q)
+            return out
+        return g.with_morphisms(**{
+            r: legs(m.shape[0]) @ m @ legs(m.shape[1]).T
+            for r, m in g.morphisms.items()})
+
+    def test_same_typing_reads_its_own_matrices(self, qubit_gadget):
+        m = qubit_gadget.morphism("m").copy()
+        m[0, 0] += 1e-3
+        gadgets = (qubit_gadget, qubit_gadget.with_morphisms(m=m),
+                   self.rotated(qubit_gadget, 0.3))
+        want = [self.fresh(g) for g in gadgets]
+        assert [doc["pass"] for doc in want] == [True, False, True]
+        assert want[2] != want[0]   # rounding differs after the rotation
+        for order in ((0, 1, 2), (2, 1, 0), (1, 0, 2)):
+            for k in order:
+                assert check_suite(gadgets[k], SUITES[self.SUITE],
+                                   TOL).to_json() == want[k]
 
 
 class TestGradedMasking:
