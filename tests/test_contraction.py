@@ -22,12 +22,13 @@ from ldckit.errors import (LdcError, ResourceLimit, ShapeMismatch,
                            UnassignedGenerator)
 from ldckit.fixtures import fixture_names, load_gadget
 from ldckit.model import ModelEnv, contraction_cost, dims_of, evaluate
-from ldckit.objects import (BOT, TOP, Atom, Dagger, ObjectExpr, Par, Tensor,
-                            dagger_of)
+from ldckit.objects import (BOT, TOP, Atom, Bang, Dagger, ObjectExpr, Par,
+                            Quest, Tensor, dagger_of)
 from ldckit.suites import SUITES, suite_env
 
 A, B = Atom("A"), Atom("B")
-TYPES = [A, B, A, Tensor(A, B), Par(B, A), Dagger(A), TOP, BOT]
+TYPES = [A, B, A, Tensor(A, B), Par(B, A), Dagger(A), Bang(B),
+         Tensor(Quest(B), A), TOP, BOT]
 
 
 def assert_matches_oracle(c: Circuit, env: ModelEnv) -> None:
@@ -46,10 +47,11 @@ def assert_matches_oracle(c: Circuit, env: ModelEnv) -> None:
 
 
 class RandomNet:
-    """A random circuit over atoms A and B, layer by layer: generators,
-    symmetries, the introductions and eliminations of both tensors, unit
-    nodes, dagger boxes around random inner nets, and wires that no node
-    touches.  Every generator gets its own random matrix."""
+    """A random circuit over atoms A and B and the exponentials of B (one
+    factor each), layer by layer: generators, symmetries, the
+    introductions and eliminations of both tensors, unit nodes, dagger
+    boxes around random inner nets, and wires that no node touches.  Every
+    generator gets its own random matrix."""
 
     def __init__(self, rng: random.Random):
         self.rng = rng
