@@ -87,3 +87,15 @@ class ResourceLimit(LdcError):
         self.limit = limit
         self.needed = needed
         self.allowed = allowed
+
+
+# The most entries of any dense array that ldckit allocates: 2**27 complex
+# entries are 2 GiB.
+MAX_ENTRIES = 2 ** 27
+
+
+def check_entries(what: str, entries: int) -> None:
+    """Refuse, before allocating it, a dense array of more than
+    MAX_ENTRIES entries."""
+    if entries > MAX_ENTRIES:
+        raise ResourceLimit(f"{what} (dense entries)", entries, MAX_ENTRIES)

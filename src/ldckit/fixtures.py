@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, check_entries
 from .gadget import Gadget, gadget_from_json, gadget_to_json
 from .model import ModelEnv
 from .objects import Atom
@@ -101,6 +101,46 @@ def qubit_zx() -> Gadget:
     return Gadget("linear_bialgebra", {"A": Q, "B": Q}, morphs, env)
 
 
+def cyclic_group(n: int, degree: int = 3) -> Gadget:
+    """Group algebra of Z_n with the copy/delete comonoid and canonical-basis
+    duals: qubit-zx generalised from n = 2.  The Fourier transform on Z_n
+    exchanges the two structures (Coecke & Duncan, "Interacting quantum
+    observables", 2011)."""
+    check_entries(f"zn:{n} multiplication", n ** 3)
+    m = np.zeros((n, n * n), dtype=complex)
+    d = np.zeros((n * n, n), dtype=complex)
+    for i in range(n):
+        d[i * n + i, i] = 1
+        for j in range(n):
+            m[(i + j) % n, i * n + j] = 1
+    u = np.zeros((n, 1), dtype=complex)
+    u[0, 0] = 1
+    k = np.ones((1, n), dtype=complex)
+    cup = np.eye(n, dtype=complex).reshape(n * n, 1)
+    morphs = {"m": m, "u": u, "d": d, "k": k,
+              "alpha": np.eye(n, dtype=complex)}
+    for r in ("eta_L", "eta_R", "tau_L", "tau_R"):
+        morphs[r] = cup.copy()
+    for r in ("eps_L", "eps_R", "gam_L", "gam_R"):
+        morphs[r] = cup.T.copy()
+    atom = Atom(f"Z{n}")
+    env = ModelEnv.make({atom.name: n}, degree=degree)
+    return Gadget("linear_bialgebra", {"A": atom, "B": atom}, morphs, env)
+
+
+def _cyclic_order(name: str) -> int:
+    """The n of a `zn:<n>` gadget name: an integer of at least 2."""
+    text = name[len("zn:"):]
+    try:
+        n = int(text) if text.isascii() and text.isdigit() else 0
+    except ValueError:   # past Python's limit on digits
+        n = 0
+    if n < 2:
+        raise SchemaError(
+            f"zn:<n> needs an integer n >= 2, got {text[:20]!r}")
+    return n
+
+
 BUILTIN = {
     "weil": weil,
     "quad4": quad4,
@@ -110,11 +150,16 @@ BUILTIN = {
 
 
 def fixture_names() -> list[str]:
+    """The shipped fixtures.  The `zn:<n>` family is built, not shipped,
+    and is not listed."""
     return sorted(BUILTIN)
 
 
 def load_gadget(name_or_path: str, degree: int = 3) -> Gadget:
-    """Load a gadget by built-in name or from a JSON file path."""
+    """Load a gadget by built-in name, as `zn:<n>` for the Z_n group
+    algebra, or from a JSON file path."""
+    if name_or_path.startswith("zn:"):
+        return cyclic_group(_cyclic_order(name_or_path), degree)
     if name_or_path in BUILTIN:
         ref = resources.files("ldckit") / "fixtures" / f"{name_or_path}.json"
         with resources.as_file(ref) as p:

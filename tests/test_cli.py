@@ -8,11 +8,13 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldckit.cli import build_parser, main
+from ldckit.fixtures import load_gadget
 from ldckit.io import serialize
 from ldckit.objects import Bot, Par, Tensor, Top
 from ldckit.rewrite import expand_wire
@@ -256,6 +258,59 @@ class TestExamples:
         assert main(["examples"]) == 0
         names = capsys.readouterr().out.split()
         assert names == ["quad4", "quad4-flip", "qubit-zx", "weil"]
+
+
+class TestCyclicGadgets:
+    """`zn:<n>`: the Z_n group algebra with the copy comonoid, built on
+    demand and not listed among the shipped fixtures."""
+
+    def test_zn2_is_qubit_zx(self):
+        zn2, qubit = load_gadget("zn:2"), load_gadget("qubit-zx")
+        assert set(zn2.morphisms) == set(qubit.morphisms)
+        for role, mat in qubit.morphisms.items():
+            assert np.array_equal(zn2.morphism(role), mat), role
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 6])
+    def test_matches_the_bench_input(self, n):
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        try:
+            import inputs
+        finally:
+            sys.path.remove(str(ROOT / "perfbench"))
+        want = inputs.cyclic_bialgebra(n)
+        got = load_gadget(f"zn:{n}", degree=4)
+        assert got.env.degree == 4
+        assert got.env.atoms == want.env.atoms
+        assert set(got.morphisms) == set(want.morphisms)
+        for role, mat in want.morphisms.items():
+            assert np.array_equal(got.morphism(role), mat), role
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_is_a_complementary_bialgebra(self, n, capsys):
+        for suite in ("complementary", "linear-bialgebra"):
+            assert main(["check", "--suite", suite,
+                         "--gadget", f"zn:{n}"]) == 0
+        # the identity cups give the identity antipode, but Z_n's antipode
+        # is negation, which is the identity only for n = 2
+        assert main(["check", "--suite", "hopf", "--gadget", f"zn:{n}"]) == 2
+
+    @pytest.mark.parametrize("name", ["zn:1", "zn:x", "zn:-3", "zn:",
+                                      "zn:2.5", "zn:" + "9" * 5000])
+    def test_bad_order_exits_one(self, name, capsys):
+        assert main(["check", "--suite", "hopf", "--gadget", name]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n >= 2" in err
+
+    def test_huge_order_names_the_limit(self, capsys):
+        assert main(["check", "--suite", "hopf",
+                     "--gadget", "zn:100000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "the limit is" in err
+
+    def test_not_listed(self, capsys):
+        assert main(["examples"]) == 0
+        assert not any(name.startswith("zn:")
+                       for name in capsys.readouterr().out.split())
 
 
 class TestUsage:
