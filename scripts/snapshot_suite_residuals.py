@@ -6,8 +6,9 @@ the same residuals.
 
 The gadgets are the built-in ones, the compact reflections of the three
 algebra examples, the bialgebra that qubit-zx induces on its degree-2
-exponential (bare, and with the binary idempotent of the retract), and
-seeded random gadgets that hold every role of every suite.  On the random
+exponential (bare, and with the binary idempotent of the retract),
+seeded random gadgets that hold every role of every suite, and the same
+three for the Z_3 group algebra `zn:3`.  On the random
 gadgets every equation that is not an identity of circuits has a residual
 of order one, so a changed template shows.
 
@@ -134,6 +135,22 @@ def gadgets() -> dict[str, tuple[Gadget, list[str]]]:
     out = {name: (g, [s.name for s in SUITES.values() if g.has(*s.roles)])
            for name, g in out.items()}
     out.update(random_gadgets())
+    out.update(cyclic_gadgets())
+    return out
+
+
+def cyclic_gadgets() -> dict[str, tuple[Gadget, list[str]]]:
+    """The Z_3 group algebra on the suites of a complementary pair, and the
+    bialgebra it induces on its degree-2 exponential, bare and with the
+    retract's idempotent, on the suites of their qubit-zx counterparts.
+    They come last, so that the records before them stay as they were."""
+    zn3 = load_gadget("zn:3")
+    out = {"zn:3": (zn3, ["linear-bialgebra", "complementary", "hopf"])}
+    for name, g in (("induced-zn:3", induce_bang_monoid(zn3, EXP_DEGREE)),
+                    ("retract-zn:3",
+                     retract_idempotent(zn3, EXP_DEGREE)["gadget"])):
+        out[name] = (g, [s.name for s in SUITES.values()
+                         if g.has(*s.roles)])
     return out
 
 
