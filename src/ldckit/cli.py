@@ -250,6 +250,10 @@ def main(argv=None) -> int:
     except (LdcError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # below errors.MAX_ENTRIES per array, but past the memory there is
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,21 +9,30 @@ filled grade by grade, peeling one factor off each multiset, and the
 duplication !A -> !!A and the monoidal structure !A (x) !B -> !(A (x) B) are
 closed forms (Mellies-Tabareau-Tasson): the duplication sends a multiset to
 every multiset of parts with that union, and the monoidal structure sends a
-pair of multisets to every multiset of pairs with those projections.
-Couniversal lifts through the comonoid of a base gadget, which the retract
-needs, are computed degree by degree from the comonoid-morphism constraint
-and fail loudly when the constraints are inconsistent, making cofreeness an
-executable contract.
+pair of multisets to every multiset of pairs with those projections.  The
+index arithmetic of both forms is compiled once per basis shape (number of
+base elements, degree) into integer tables, held in a bounded LRU cache, so
+!f is one gather, product and segment sum per grade, and the monoidal
+structure is one column index per multiset of pairs, through which the
+induced multiplication and cups are summed without a dense matrix.  Every
+dense array left is refused with `ResourceLimit` past `errors.MAX_ENTRIES`
+entries, before it is allocated.  Couniversal lifts through the comonoid of
+a base gadget, which the retract needs, are computed degree by degree from
+the comonoid-morphism constraint and fail loudly when the constraints are
+inconsistent, making cofreeness an executable contract.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import LiftFailure, NotAComonoid, ShapeMismatch, SuiteFailure
+from .errors import (LiftFailure, NotAComonoid, ShapeMismatch, SuiteFailure,
+                     check_entries)
 from .gadget import Gadget
 from .model import ModelEnv, interp
 from .multiset import (MultisetBasis, multiset_union, remove_one,
@@ -36,6 +45,7 @@ from .objects import Atom
 def comult_matrix(basis: MultisetBasis) -> np.ndarray:
     """Delta: !A -> !A (x) !A, coefficient 1 per ordered sub-multiset pair."""
     n = basis.dim
+    check_entries("Delta", n * n * n)
     out = np.zeros((n * n, n), dtype=complex)
     for i, m in enumerate(basis.elements):
         for m1, m2 in sub_multiset_splits(m):
@@ -68,33 +78,84 @@ def dereliction_matrix(basis: MultisetBasis) -> np.ndarray:
     return out
 
 
+# -- compiled basis shapes ---------------------------------------------------
+#
+# The elements of a MultisetBasis depend only on its number of base elements
+# and its degree, so the index arithmetic of the explicit formulas
+# (Mellies, Tabareau & Tasson, "An explicit formula for the free exponential
+# modality of linear logic", ICALP 2009) is compiled once per such shape
+# into integer arrays, and the maps are a few NumPy calls over them.
+
+@dataclass(frozen=True)
+class _Grade:
+    """Index tables of the grade-n slice start:stop of a basis shape.  As
+    the target of !f, row r peels off its first element first[r], leaving
+    rest[r].  As the source, column c sums over its distinct elements: for
+    k in seg[c]:seg[c + 1], element elem[k] and the multiset without it,
+    elem_rest[k].  rest and elem_rest are positions within grade n - 1."""
+    start: int
+    stop: int
+    first: np.ndarray
+    rest: np.ndarray
+    elem: np.ndarray
+    elem_rest: np.ndarray
+    seg: np.ndarray
+
+
+def _frozen(xs) -> np.ndarray:
+    """A read-only index array: the caches hand one copy to every caller."""
+    out = np.array(xs, dtype=np.intp)
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _grades(size: int, degree: int) -> tuple[_Grade, ...]:
+    """The tables of grades 1..degree of the basis of multisets over `size`
+    elements, in `MultisetBasis` order."""
+    out = []
+    below = {(): 0}
+    start = 1
+    for n in range(1, degree + 1):
+        elems = list(itertools.combinations_with_replacement(range(size), n))
+        elem, elem_rest, seg = [], [], []
+        for m in elems:
+            seg.append(len(elem))
+            for j, a in enumerate(m):
+                if j == 0 or m[j - 1] != a:
+                    elem.append(a)
+                    elem_rest.append(below[m[:j] + m[j + 1:]])
+        out.append(_Grade(start, start + len(elems), *map(_frozen, (
+            [m[0] for m in elems], [below[m[1:]] for m in elems],
+            elem, elem_rest, seg))))
+        below = {m: i for i, m in enumerate(elems)}
+        start += len(elems)
+    return tuple(out)
+
+
 def bang_matrix(f: np.ndarray, basis_a: MultisetBasis,
                 basis_b: MultisetBasis) -> np.ndarray:
     """Functorial action !f: !A -> !B of f: A -> B, the symmetric power on
     each grade.  Grade n is filled from grade n - 1 by peeling the first
     factor off each target multiset:
-    !f[mb, ma] = sum over distinct a in ma of f[mb[0], a] * !f[mb[1:], ma - a].
+    !f[mb, ma] = sum over distinct a in ma of f[mb[0], a] * !f[mb[1:], ma - a],
+    one gather, product and segment sum per grade.
     """
     if f.shape != (len(basis_b.base), len(basis_a.base)):
         raise ShapeMismatch(
             f"expected {(len(basis_b.base), len(basis_a.base))}, "
             f"got {f.shape}")
+    check_entries("!f", basis_b.dim * basis_a.dim)
+    f = np.asarray(f, dtype=complex)
     out = np.zeros((basis_b.dim, basis_a.dim), dtype=complex)
-    out[basis_b.index[()], basis_a.index[()]] = 1
-    for n in range(1, min(basis_a.degree, basis_b.degree) + 1):
-        rows = basis_b.grade_indices(n)
-        first = [basis_b.elements[i][0] for i in rows]
-        below = out[[basis_b.index[basis_b.elements[i][1:]] for i in rows]]
-        # per base element a: the grade-n columns holding a, and ma - a
-        peel: dict[int, tuple[list[int], list[int]]] = {}
-        for ia in basis_a.grade_indices(n):
-            m = basis_a.elements[ia]
-            for a in set(m):
-                cols, rest = peel.setdefault(a, ([], []))
-                cols.append(ia)
-                rest.append(basis_a.index[remove_one(m, a)])
-        for a, (cols, rest) in peel.items():
-            out[np.ix_(rows, cols)] += f[first, a][:, None] * below[:, rest]
+    out[0, 0] = 1
+    below = out[:1, :1]
+    for rows, cols in zip(_grades(len(basis_b.base), basis_b.degree),
+                          _grades(len(basis_a.base), basis_a.degree)):
+        terms = f[rows.first][:, cols.elem]
+        terms *= below[rows.rest][:, cols.elem_rest]
+        below = out[rows.start:rows.stop, cols.start:cols.stop]
+        below[...] = np.add.reduceat(terms, cols.seg, axis=1)
     return out
 
 
@@ -203,6 +264,8 @@ def build_exp(base: Sequence[str] | int, degree: int,
     outer = None
     dup = None
     if with_duplication:
+        check_entries("delta: !A -> !!A",
+                      math.comb(basis.dim + degree, degree) * basis.dim)
         outer = MultisetBasis(basis.labels(), degree)
         dup = np.zeros((outer.dim, basis.dim), dtype=complex)
         for i, m in enumerate(basis.elements):
@@ -296,28 +359,30 @@ def comonad_coassoc_report(base_dim: int, degree: int,
     in-window exactly when that multiset fits in degree d.  Returns
     (pass, worst residual on the window, entries compared)."""
     basis = MultisetBasis([str(i) for i in range(base_dim)], degree)
+    columns: dict = {}
 
-    def sides(m: tuple, d: int) -> tuple[dict, dict]:
-        first = delta_sparse(m, d)
-        lhs: dict = {}
-        rhs: dict = {}
-        for mm, c in first.items():
-            for key, c2 in bang_apply_sparse(
-                    lambda x, d=d: delta_sparse(x, d), mm).items():
-                lhs[key] = lhs.get(key, 0) + c * c2
-            for key, c2 in delta_sparse(mm, d).items():
-                rhs[key] = rhs.get(key, 0) + c * c2
-        return lhs, rhs
+    def delta(m: tuple) -> dict:
+        col = columns.get(m)
+        if col is None:
+            col = columns[m] = delta_sparse(m, degree)
+        return col
 
     worst = 0.0
     checked = 0
     ok = True
     for m in basis.elements:
-        lhs, rhs = sides(m, degree)
-        keys = {k for k in set(lhs) | set(rhs) if _fits_degree(k, degree)}
-        for k in keys:
-            if sum(len(part) for part in k) > degree:
-                continue  # forced intermediate falls outside the bound
+        lhs: dict = {}
+        rhs: dict = {}
+        for mm, c in delta(m).items():
+            for key, c2 in bang_apply_sparse(delta, mm).items():
+                lhs[key] = lhs.get(key, 0) + c * c2
+            for key, c2 in delta(mm).items():
+                rhs[key] = rhs.get(key, 0) + c * c2
+        for k in set(lhs) | set(rhs):
+            # past the bound the forced intermediate is not in the basis
+            if sum(len(part) for part in k) > degree \
+                    or not _fits_degree(k, degree):
+                continue
             checked += 1
             r = abs(lhs.get(k, 0) - rhs.get(k, 0))
             worst = max(worst, float(r))
@@ -342,22 +407,65 @@ def _m_top(degree: int) -> np.ndarray:
     return np.ones((degree + 1, 1), dtype=complex)
 
 
-def monoidal_structure(exp_a: ExpStructure, exp_b: ExpStructure) \
-        -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m_top, m_tensor, nu_tensor) at the common degree bound.  Row M of
-    m_tensor, a multiset of pairs, holds a single 1, in the column of its
-    two projections: the first and second components of its pairs."""
+@dataclass(frozen=True)
+class _Monoidal:
+    """m_tensor: !A (x) !B -> !(A (x) B) as an index: row M, a multiset of
+    pairs, holds a single 1, in column index[M], that of its two
+    projections (the first and the second components of its pairs).  The
+    rows sorted by column are `order`; runs of one column start at
+    `starts` and land in `targets`."""
+    index: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+    targets: np.ndarray
+    cols: int
+
+    def push(self, x: np.ndarray) -> np.ndarray:
+        """x @ m_tensor for x with one column per multiset of pairs: each
+        column of the result sums the columns of x that map to it."""
+        out = np.zeros((x.shape[0], self.cols), dtype=complex)
+        out[:, self.targets] = np.add.reduceat(x[:, self.order], self.starts,
+                                               axis=1)
+        return out
+
+
+@functools.lru_cache(maxsize=64)
+def _monoidal(size_a: int, size_b: int, degree: int) -> _Monoidal:
+    basis_a = MultisetBasis(range(size_a), degree)
+    basis_b = MultisetBasis(range(size_b), degree)
+    prod = MultisetBasis(range(size_a * size_b), degree)
+    index = _frozen(
+        [basis_a.index[tuple(sorted(p // size_b for p in m))] * basis_b.dim
+         + basis_b.index[tuple(sorted(p % size_b for p in m))]
+         for m in prod.elements])
+    order = np.argsort(index, kind="stable")
+    run = np.flatnonzero(np.diff(index[order], prepend=-1))
+    return _Monoidal(index, *map(_frozen, (order, run, index[order][run])),
+                     basis_a.dim * basis_b.dim)
+
+
+def _monoidal_of(exp_a: ExpStructure, exp_b: ExpStructure) -> _Monoidal:
     if exp_a.basis.degree != exp_b.basis.degree:
         raise ShapeMismatch("degree bounds differ")
-    basis_a, basis_b = exp_a.basis, exp_b.basis
-    width = len(basis_b.base)
-    prod = _product_basis(exp_a, exp_b)
-    m_tensor = np.zeros((prod.dim, basis_a.dim * basis_b.dim), dtype=complex)
-    for i, m in enumerate(prod.elements):
-        ma = tuple(sorted(p // width for p in m))
-        mb = tuple(sorted(p % width for p in m))
-        m_tensor[i, basis_a.index[ma] * basis_b.dim + basis_b.index[mb]] = 1
-    return _m_top(basis_a.degree), m_tensor, m_tensor.conj().T
+    sizes = (len(exp_a.basis.base), len(exp_b.basis.base))
+    check_entries("!(A (x) B) basis",
+                  math.comb(sizes[0] * sizes[1] + exp_a.basis.degree,
+                            exp_a.basis.degree))
+    return _monoidal(*sizes, exp_a.basis.degree)
+
+
+def monoidal_structure(exp_a: ExpStructure, exp_b: ExpStructure) \
+        -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m_top, m_tensor, nu_tensor) at the common degree bound, as dense
+    matrices.  Row M of m_tensor, a multiset of pairs, holds a single 1, in
+    the column of its two projections: the first and second components of
+    its pairs.  The induced structure never builds this matrix; it pushes
+    through the index of `_monoidal` instead."""
+    mon = _monoidal_of(exp_a, exp_b)
+    check_entries("m_tensor", mon.index.size * mon.cols)
+    m_tensor = np.zeros((mon.index.size, mon.cols), dtype=complex)
+    m_tensor[np.arange(mon.index.size), mon.index] = 1
+    return _m_top(exp_a.basis.degree), m_tensor, m_tensor.conj().T
 
 
 # -- induced structure on the exponential ----------------------------------
@@ -370,12 +478,14 @@ def monoidal_structure(exp_a: ExpStructure, exp_b: ExpStructure) \
 def lifted_cup(state: np.ndarray, exp_a: ExpStructure,
                exp_b: ExpStructure) -> np.ndarray:
     """Induced cup T -> !A (x) !B of a cup T -> A (x) B: the functorial
-    image of the state, pushed back through the monoidal costructure."""
+    image of the state, pushed back through the monoidal costructure.  The
+    image summed over grades is one entry per multiset of pairs, and the
+    costructure sums those entries by their projections."""
+    mon = _monoidal_of(exp_a, exp_b)
     d = exp_a.basis.degree
-    _, _, nu_tensor = monoidal_structure(exp_a, exp_b)
     banged = bang_matrix(np.asarray(state, dtype=complex).reshape(-1, 1),
                          _top_basis(d), _product_basis(exp_a, exp_b))
-    return nu_tensor @ banged @ _m_top(d)
+    return mon.push((banged @ _m_top(d)).T).T
 
 
 def lifted_cap(costate: np.ndarray, exp_a: ExpStructure,
@@ -410,9 +520,9 @@ def induce_bang_monoid(g: Gadget, degree: int = 3,
     exp_a = build_exp(list(labels_a), degree, with_duplication=False)
     exp_b = exp_a if same \
         else build_exp(list(labels_b), degree, with_duplication=False)
-    m_bang = bang_matrix(np.asarray(g.morphism("m"), dtype=complex),
-                         _product_basis(exp_a, exp_a), exp_a.basis) \
-        @ monoidal_structure(exp_a, exp_a)[1]
+    m_bang = _monoidal_of(exp_a, exp_a).push(
+        bang_matrix(np.asarray(g.morphism("m"), dtype=complex),
+                    _product_basis(exp_a, exp_a), exp_a.basis))
     u_bang = bang_matrix(np.asarray(g.morphism("u"), dtype=complex),
                          _top_basis(degree), exp_a.basis) @ _m_top(degree)
     morphs = {

@@ -20,7 +20,7 @@ import numpy as np
 from . import plan
 from .circuit import Circuit
 from .errors import (NotIdempotent, ShapeMismatch, UnassignedGenerator,
-                     UnboundAtom)
+                     UnboundAtom, check_entries)
 from .multiset import MultisetBasis
 from .objects import (Atom, Bang, Bot, Dagger, ObjectExpr, Par, Quest,
                       Tensor, Top, factors)
@@ -85,7 +85,11 @@ class _Program:
         self.flops, self.largest = cost
 
     def tensor(self, env: ModelEnv) -> np.ndarray:
-        """One axis per factor of the outputs, then of the inputs."""
+        """One axis per factor of the outputs, then of the inputs.  A
+        program whose largest intermediate would pass `errors.MAX_ENTRIES`
+        is refused before anything is allocated; its cost can still be
+        read."""
+        check_entries("largest contraction intermediate", self.largest)
         t = [bind(env) for bind in self.binders]
         if not t:
             return np.ones((), dtype=complex)

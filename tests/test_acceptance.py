@@ -10,8 +10,12 @@ explicitly.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from ldckit.errors import LdcError, SuiteFailure
 from ldckit.exponential import (bang_matrix, build_exp,
                                 comonad_coassoc_report, comonoid_residual,
                                 retract_idempotent)
+from ldckit.fixtures import load_gadget
 from ldckit.gadget import Gadget
 from ldckit.io import parse, serialize
 from ldckit.model import ModelEnv, evaluate, split_idempotent
@@ -339,6 +344,44 @@ class TestRetractPipeline:
         finally:
             tracemalloc.stop()
         assert peak < 500e6
+
+    # Z_5 at degree 4 asked the dense monoidal structure for 5.6 GiB, and
+    # Z_6 at degree 3 for 2 GB
+    @pytest.mark.parametrize("n, degree", [(5, 4), (6, 3)])
+    def test_cyclic_retract_within_budget(self, n, degree):
+        g = load_gadget(f"zn:{n}")
+
+        def retract_error() -> float:
+            eps, flat, _, _ = retract_idempotent(g, degree)["splitting"]
+            return float(np.max(np.abs(eps @ flat - np.eye(n))))
+
+        t0 = time.perf_counter()
+        assert retract_error() <= 1e-8
+        assert time.perf_counter() - t0 < 5.0
+        tracemalloc.start()
+        try:
+            retract_error()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500e6
+
+    def test_exp_demo_past_the_contraction_limit_exits_cleanly(self):
+        # the suite checks on the dimension-126 exponential need a
+        # contraction intermediate of 126**4 entries
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        t0 = time.perf_counter()
+        out = subprocess.run(
+            [sys.executable, "-m", "ldckit.cli", "exp", "demo",
+             "--gadget", "zn:5", "--degree", "4"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert time.perf_counter() - t0 < 30.0
+        assert out.returncode == 1
+        assert out.stderr.startswith("error:")
+        assert "the limit is" in out.stderr
+        assert "Traceback" not in out.stderr
 
 
 class TestSplittingLemmas:

@@ -252,6 +252,22 @@ class TestExpDemo:
                      "--degree", "5"]) == 0
         assert "recovery error 0.000e+00" in capsys.readouterr().out
 
+    def test_zn3_recovers_at_degree_3(self, capsys):
+        assert main(["exp", "demo", "--gadget", "zn:3",
+                     "--degree", "3"]) == 0
+        assert "recovery error 0.000e+00" in capsys.readouterr().out
+
+    def test_out_of_memory_exits_one(self, capsys, monkeypatch):
+        import ldckit.cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 760. MiB")
+        monkeypatch.setattr(ldckit.cli, "retract_idempotent", exhausted)
+        assert main(["exp", "demo", "--gadget", "zn:3",
+                     "--degree", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory")
+
 
 class TestExamples:
     def test_lists_builtins(self, capsys):

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldckit.errors import LiftFailure, NotAComonoid, ShapeMismatch
-from ldckit.exponential import (_window_unions, bang_apply_sparse,
+from ldckit.errors import (MAX_ENTRIES, LiftFailure, NotAComonoid,
+                           ResourceLimit, ShapeMismatch)
+from ldckit.exponential import (_monoidal, _window_unions, bang_apply_sparse,
                                 bang_matrix, build_exp, comonad_coassoc_report,
                                 comonoid_residual, comult_matrix,
                                 counit_matrix, dereliction_matrix,
                                 induce_bang_monoid, lift_flat, lift_sharp,
                                 lifted_cap, lifted_cup, monoidal_structure,
                                 retract_idempotent)
+from ldckit.fixtures import load_gadget
 from ldckit.gadget import Gadget
 from ldckit.model import ModelEnv
 from ldckit.multiset import (MultisetBasis, distinct_orderings,
@@ -98,6 +100,15 @@ class TestStructureMaps:
         ok, worst, checked = comonad_coassoc_report(2, 3)
         assert ok and worst == 0.0
         assert checked > 0
+
+    # the reports as they were before the duplication's columns were
+    # memoized within a report
+    @pytest.mark.parametrize("base, degree, want", [
+        (2, 2, (True, 0.0, 42)), (3, 2, (True, 0.0, 71)),
+        (2, 3, (True, 0.0, 321)), (3, 3, (True, 0.0, 752)),
+        (2, 4, (True, 0.0, 2340))])
+    def test_comonad_coassoc_report_is_unchanged(self, base, degree, want):
+        assert comonad_coassoc_report(base, degree) == want
 
 
 class TestFunctoriality:
@@ -210,6 +221,117 @@ class TestAgainstOracle:
         want = exp_oracle.monoidal_structure(exp_a, exp_b)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+@st.composite
+def maps_and_wider_bases(draw):
+    """A random complex f: A -> B, 1-4 base elements and degree 0-5 on
+    each side, the two degrees drawn apart."""
+    na, nb = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = draw(st.lists(complexes, min_size=na * nb, max_size=na * nb))
+    f = np.array(entries, dtype=complex).reshape(nb, na)
+    return (f, MultisetBasis([str(i) for i in range(na)],
+                             draw(st.integers(0, 5))),
+            MultisetBasis([str(i) for i in range(nb)],
+                          draw(st.integers(0, 5))))
+
+
+def _close(got, want, rel=1e-12):
+    scale = max(1.0, float(np.max(np.abs(want))) if want.size else 0.0)
+    return got.shape == want.shape and (
+        not got.size or float(np.max(np.abs(got - want))) <= rel * scale)
+
+
+class TestAgainstTheGradeLoop:
+    """The compiled tables against the per-element Python loops and the
+    dense monoidal matrix that they replace."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=maps_and_wider_bases())
+    def test_bang_matrix(self, case):
+        f, basis_a, basis_b = case
+        assert _close(bang_matrix(f, basis_a, basis_b),
+                      exp_oracle.peel_bang_matrix(f, basis_a, basis_b))
+
+    @pytest.mark.parametrize("base_a, base_b, degree",
+                             [(a, b, d) for a in (1, 2, 3, 4)
+                              for b in (1, 2, 3, 4) for d in range(1, 5)
+                              if (a * b) ** d <= 20000])
+    def test_monoidal_index_is_the_dense_matrix(self, base_a, base_b,
+                                                degree):
+        exp_a = build_exp(base_a, degree, with_duplication=False)
+        exp_b = build_exp(base_b, degree, with_duplication=False)
+        want = exp_oracle.dense_monoidal_structure(exp_a, exp_b)
+        index = _monoidal(base_a, base_b, degree).index
+        assert np.array_equal(np.flatnonzero(want[1]),
+                              np.arange(index.size) * want[1].shape[1]
+                              + index)
+        for got, w in zip(monoidal_structure(exp_a, exp_b), want):
+            assert got.dtype == w.dtype and np.array_equal(got, w)
+
+    @pytest.mark.parametrize("name", ["qubit-zx", "zn:3", "weil"])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_lifted_cups_and_caps(self, name, degree):
+        g = load_gadget(name)
+        exp = build_exp(len(g.env.atoms[g.object("A").name][1]), degree,
+                        with_duplication=False)
+        for role in ("eta_L", "eta_R"):
+            assert _close(lifted_cup(g.morphism(role), exp, exp),
+                          exp_oracle.dense_lifted_cup(g.morphism(role),
+                                                      exp, exp))
+        for role in ("eps_L", "eps_R"):
+            assert _close(lifted_cap(g.morphism(role), exp, exp),
+                          exp_oracle.dense_lifted_cap(g.morphism(role),
+                                                      exp, exp))
+
+    def test_lifted_cup_of_distinct_spaces(self):
+        rng = np.random.default_rng(3)
+        exp_a = build_exp(2, 3, with_duplication=False)
+        exp_b = build_exp(3, 3, with_duplication=False)
+        state = rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))
+        assert _close(lifted_cup(state, exp_a, exp_b),
+                      exp_oracle.dense_lifted_cup(state, exp_a, exp_b))
+        assert _close(lifted_cap(state.T, exp_b, exp_a),
+                      exp_oracle.dense_lifted_cap(state.T, exp_b, exp_a))
+
+    @pytest.mark.parametrize("name", ["qubit-zx", "zn:3", "weil"])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_induce_bang_monoid(self, name, degree):
+        g = load_gadget(name)
+        got = induce_bang_monoid(g, degree)
+        want = exp_oracle.dense_induce_bang_monoid(g, degree)
+        assert got.env == want.env and got.objects == want.objects
+        assert got.gradings == want.gradings
+        assert set(got.morphisms) == set(want.morphisms)
+        for role, mat in want.morphisms.items():
+            assert _close(got.morphism(role), mat), role
+
+
+class TestResourceLimits:
+    """Every dense allocation of the exponential is refused, naming the
+    limit, before it is made."""
+
+    def test_bang_matrix_output(self):
+        basis = MultisetBasis([str(i) for i in range(12)], 6)
+        assert basis.dim ** 2 > MAX_ENTRIES
+        with pytest.raises(ResourceLimit, match="the limit is"):
+            bang_matrix(np.eye(12), basis, basis)
+
+    def test_comult_matrix(self):
+        basis = MultisetBasis([str(i) for i in range(10)], 4)
+        with pytest.raises(ResourceLimit, match="Delta"):
+            comult_matrix(basis)
+
+    def test_duplication(self):
+        with pytest.raises(ResourceLimit, match="delta"):
+            build_exp(5, 4)
+
+    def test_dense_monoidal_structure(self):
+        exp = build_exp(5, 4, with_duplication=False)
+        with pytest.raises(ResourceLimit, match="m_tensor"):
+            monoidal_structure(exp, exp)
+        # the index form stays within reach
+        lifted_cup(np.eye(5, dtype=complex).reshape(25, 1), exp, exp)
 
 
 class TestLifts:

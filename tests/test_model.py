@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from ldckit.circuit import (dagger_box, generator, identity, par, permutation,
                             seq, swap)
-from ldckit.errors import (NotIdempotent, ShapeMismatch, UnassignedGenerator,
-                           UnboundAtom)
+from ldckit.errors import (MAX_ENTRIES, NotIdempotent, ResourceLimit,
+                           ShapeMismatch, UnassignedGenerator, UnboundAtom)
 from ldckit.gadget import Gadget
-from ldckit.model import (ModelEnv, evaluate, interp, matrices_equal,
-                          split_idempotent)
+from ldckit.model import (ModelEnv, contraction_cost, evaluate, interp,
+                          matrices_equal, split_idempotent)
 from ldckit.objects import Atom, Bang, Bot, Par, Tensor, Top
 from ldckit.suites import SUITES, check_suite
 
@@ -141,6 +141,16 @@ class TestEvaluate:
         got = evaluate(chain, env)
         assert time.perf_counter() - start < 1.0
         assert np.allclose(got, product, rtol=1e-12, atol=1e-12)
+
+    def test_intermediate_past_the_limit_is_refused(self):
+        # two states of 2**14 entries each: their product has 2**28
+        env = env_with({"A": 2 ** 14}, s=np.ones((2 ** 14, 1)))
+        pair = par(generator("s", [], [A]), generator("s", [], [A]))
+        with pytest.raises(ResourceLimit, match="the limit is"):
+            evaluate(pair, env)
+        # the cost of the refused program can still be read
+        assert contraction_cost(pair, env)[1] == 2 ** 28 > MAX_ENTRIES
+        assert evaluate(generator("s", [], [A]), env).shape == (2 ** 14, 1)
 
 
 class TestSnakes:
