@@ -9,8 +9,8 @@ algebra examples, the bialgebra that qubit-zx induces on its degree-2
 exponential (bare, and with the binary idempotent of the retract),
 seeded random gadgets that hold every role of every suite, and the same
 three for the Z_3 group algebra `zn:3`.  On the random
-gadgets every equation that is not an identity of circuits has a residual
-of order one, so a changed template shows.
+gadgets every equation has a residual of order one, so a changed template
+shows.
 
     PYTHONPATH=src python scripts/snapshot_suite_residuals.py
 """
@@ -69,7 +69,7 @@ def _role_shapes(suite, base: Gadget) -> dict[str, tuple[int, int]]:
                 role, _, suffix = node.name.rpartition("_")
                 if node.name in suite.roles:
                     shapes[node.name] = (rows, cols)
-                elif role in suite.roles and suffix in ("dag", "t"):
+                elif role in suite.roles and suffix == "dag":
                     shapes[role] = (cols, rows)
                 elif role in suite.roles and suffix == "inv":
                     shapes[role] = (rows, cols)

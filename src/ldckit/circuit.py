@@ -453,6 +453,14 @@ def reverse(c: Circuit, rename: Mapping[str, str]) -> Circuit:
     return Circuit(c.wires, nodes, c.outputs, c.inputs)
 
 
+def dagger(c: Circuit) -> Circuit:
+    """`reverse` with each generator n renamed n_dag and each n_dag renamed
+    n.  With n_dag assigned the conjugate transpose of n's matrix, the
+    result evaluates to the conjugate transpose; its dagger is c again."""
+    return reverse(c, {n: n.removesuffix("_dag") if n.endswith("_dag")
+                       else n + "_dag" for n in c.generator_names})
+
+
 def substitute(c: Circuit, table: Mapping[str, Circuit]) -> Circuit:
     """Replace each generator whose name is in `table` by that circuit: its
     boundary is glued to the generator's ports and its nodes are inlined,

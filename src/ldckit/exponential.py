@@ -31,8 +31,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (LiftFailure, NotAComonoid, ShapeMismatch, SuiteFailure,
-                     check_entries)
+from .errors import (LdcError, LiftFailure, NotAComonoid, ShapeMismatch,
+                     SuiteFailure, check_entries)
 from .gadget import Gadget
 from .model import ModelEnv, interp
 from .multiset import (MultisetBasis, multiset_union, remove_one,
@@ -255,6 +255,8 @@ class ExpStructure:
 
 def build_exp(base: Sequence[str] | int, degree: int,
               with_duplication: bool = True) -> ExpStructure:
+    if degree < 1:
+        raise LdcError(f"degree must be at least 1, got {degree}")
     if isinstance(base, int):
         base = [str(i) for i in range(base)]
     basis = MultisetBasis(base, degree)

@@ -5,9 +5,10 @@ roles of a gadget kind.  Checking a suite instantiates every template,
 evaluates both sides in the matrix model, and compares them entrywise.
 
 Derived generators are available inside templates for every morphism role r:
-``r_dag`` (conjugate transpose), ``r_t`` (plain transpose, used where a cup
-must be re-read as a cap), and ``r_inv`` (matrix inverse, square invertible
-roles only).
+``r_dag`` (conjugate transpose) and ``r_inv`` (matrix inverse, square
+invertible roles only).  Templates do not name ``r_dag`` themselves: every
+dagger side is a plain circuit read through `circuit.dagger`, just as every
+comonoid side is a monoid side read through `circuit.reverse`.
 
 Graded gadgets (those with a ``gradings`` map from object roles to per-basis
 degree vectors) are compared only on boundary entries whose total degree is
@@ -22,8 +23,8 @@ from typing import Callable, Collection, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .circuit import (Circuit, empty, generator, identity, par, permutation,
-                      reverse, seq, substitute)
+from .circuit import (Circuit, dagger, empty, generator, identity, par,
+                      permutation, reverse, seq, substitute)
 from .errors import MissingRole
 from .gadget import Gadget
 from .model import ModelEnv, evaluate, interp, matrices_equal
@@ -69,9 +70,8 @@ class SuiteReport:
 
 # -- evaluation environment -------------------------------------------------
 
-# The derived generators of a role r: r_dag, r_t and r_inv (if invertible).
-_DERIVED = {"_dag": lambda m: np.conj(m).T, "_t": lambda m: m.T,
-            "_inv": np.linalg.inv}
+# The derived generators of a role r: r_dag and r_inv (if invertible).
+_DERIVED = {"_dag": lambda m: np.conj(m).T, "_inv": np.linalg.inv}
 
 
 def suite_env(g: Gadget, reads: Optional[Collection[str]] = None
@@ -244,22 +244,27 @@ _COMONOID_LABELS = {
 }
 
 
-def _flipped(equations: Sequence[Equation],
-             table: Mapping[str, str] = _MONOID_TO_COMONOID
-             ) -> tuple[Equation, ...]:
-    """The comonoid-side equations read off monoid-side ones by `reverse`,
-    in the order of `_COMONOID_LABELS`.  Each generator follows `table`,
-    and its derived ``_dag``/``_t``/``_inv`` forms follow it too."""
+def _reversal(table: Mapping[str, str]) -> Callable[[Circuit], Circuit]:
+    """`reverse` with each generator renamed through `table`, and its
+    ``_dag`` form with it."""
     rename = {role + suffix: new + suffix for role, new in table.items()
-              for suffix in ("", "_dag", "_t", "_inv")}
+              for suffix in ("", "_dag")}
+    return lambda c: reverse(c, rename)
+
+
+def _flipped(equations: Sequence[Equation], flip: Callable[[Circuit], Circuit],
+             labels: Mapping[str, str] = _COMONOID_LABELS
+             ) -> tuple[Equation, ...]:
+    """The equations read off `equations` by `flip` applied to both sides:
+    each label of `labels` with the label of the equation it flips, in the
+    order of `labels`."""
     by_label = {eq.label: eq for eq in equations}
 
-    def flip(eq: Equation) -> Template:
-        return lambda g: tuple(reverse(c, rename) for c in eq.build(g))
+    def flipped(eq: Equation) -> Template:
+        return lambda g: tuple(flip(c) for c in eq.build(g))
 
-    return tuple(Equation(new, flip(by_label[old]), by_label[old].margin)
-                 for new, old in _COMONOID_LABELS.items()
-                 if old in by_label)
+    return tuple(Equation(new, flipped(by_label[old]))
+                 for new, old in labels.items() if old in by_label)
 
 
 def _flipped_suite(suite: EquationSuite, name: str, kind: str,
@@ -267,7 +272,7 @@ def _flipped_suite(suite: EquationSuite, name: str, kind: str,
     return EquationSuite(
         name, kind,
         tuple(_MONOID_TO_COMONOID.get(r, r) for r in suite.roles),
-        _flipped(suite.equations) + extra)
+        _flipped(suite.equations, _reversal(_MONOID_TO_COMONOID)) + extra)
 
 
 def _monoid_laws(obj: str = "A", prefix: str = "") -> tuple[Equation, ...]:
@@ -295,7 +300,8 @@ def _monoid_laws(obj: str = "A", prefix: str = "") -> tuple[Equation, ...]:
 def _comonoid_laws(obj: str = "A", d: str = "d", k: str = "k",
                    prefix: str = "") -> tuple[Equation, ...]:
     return tuple(Equation(prefix + eq.label, eq.build)
-                 for eq in _flipped(_monoid_laws(obj), {"m": d, "u": k}))
+                 for eq in _flipped(_monoid_laws(obj),
+                                    _reversal({"m": d, "u": k})))
 
 
 # Derived structure on the dual object of a linear monoid (m, u) with left
@@ -522,8 +528,8 @@ def _tensor_of_duals_suite() -> EquationSuite:
 def _dagger_dual_suite() -> EquationSuite:
     def eq_a(g):
         A, B = g.object("A"), g.object("B")
-        lhs = seq(_cup("eps_dag", B, A), par(identity([B]),
-                                             generator("q", [A], [B])))
+        lhs = seq(dagger(_cap("eps", B, A)), par(identity([B]),
+                                                 generator("q", [A], [B])))
         rhs = seq(_cup("eta", A, B), par(generator("p", [A], [B]),
                                          identity([B])))
         return lhs, rhs
@@ -531,15 +537,15 @@ def _dagger_dual_suite() -> EquationSuite:
     def eq_b(g):
         A, B = g.object("A"), g.object("B")
         lhs = seq(par(identity([A]), generator("p", [A], [B])),
-                  _cap("eta_dag", A, B))
+                  dagger(_cup("eta", A, B)))
         rhs = seq(par(generator("q", [A], [B]), identity([A])),
                   _cap("eps", B, A))
         return lhs, rhs
 
     def eq_pq(g):
-        A = g.object("A")
-        return (seq(generator("p", [A], [g.object("B")]),
-                    generator("q_dag", [g.object("B")], [A])),
+        A, B = g.object("A"), g.object("B")
+        return (seq(generator("p", [A], [B]),
+                    dagger(generator("q", [A], [B]))),
                 identity([A]))
 
     return EquationSuite("dagger-dual", "dagger_dual",
@@ -553,22 +559,32 @@ def _dagger_dual_suite() -> EquationSuite:
 
 def _dagger_of_dual_suite() -> EquationSuite:
     # The dagger of a dual A -| B is the dual B -| A with cup the daggered
-    # cap and cap the daggered cup.
+    # cap and cap the daggered cup; each of its snakes is the other daggered.
     return EquationSuite("dagger-of-dual", "dual", ("eta", "eps"),
-                         _snakes(_SNAKE_LABELS, "eps_dag", "eta_dag",
-                                 flip=True))
+                         _flipped(_dual_suite().equations, dagger,
+                                  dict(zip(_SNAKE_LABELS,
+                                           _SNAKE_LABELS[::-1]))))
 
 
-def _pair(label: str, lhs_role: str, rhs_role: str, dom: Sequence[str],
-          cod: Sequence[str], margin: int = 0) -> Equation:
-    """Two generators with the same domain and codomain objects are
-    equal."""
+def _pair(label: str, role: str, other: str, dom: Sequence[str],
+          cod: Sequence[str]) -> Equation:
+    """`role`, from `dom` to `cod`, equals the dagger of `other`."""
     def build(g):
         ts_dom = [g.object(o) for o in dom]
         ts_cod = [g.object(o) for o in cod]
-        return (generator(lhs_role, ts_dom, ts_cod),
-                generator(rhs_role, ts_dom, ts_cod))
-    return Equation(label, build, margin)
+        return (generator(role, ts_dom, ts_cod),
+                dagger(generator(other, ts_cod, ts_dom)))
+    return Equation(label, build)
+
+
+def _hermitian(label: str, role: str, dom: str, cod: str) -> Equation:
+    """`role`, from `dom` to `cod` (or to `dom` when the gadget has no
+    `cod`), equals its own dagger."""
+    def build(g):
+        X = g.object(dom)
+        c = generator(role, [X], [g.objects.get(cod, X)])
+        return c, dagger(c)
+    return Equation(label, build)
 
 
 def _binary_idempotent_suite() -> EquationSuite:
@@ -590,27 +606,9 @@ def _dagger_binary_suite() -> EquationSuite:
     return EquationSuite("dagger-binary", "binary_idempotent",
                         ("u", "v"),
                         base.equations + (
-                            _pair("u-hermitian", "u", "u_dag", ["A"], ["B"]),
-                            _pair("v-hermitian", "v", "v_dag", ["B"], ["A"]),
+                            _hermitian("u-hermitian", "u", "A", "B"),
+                            _hermitian("v-hermitian", "v", "B", "A"),
                         ))
-
-
-def _coring_suite() -> EquationSuite:
-    # In this model the mixor is the identity, so the coring laws collapse
-    # to the same circuit on both sides; the suite is kept so splitting
-    # theorems that require a coring pair are formally exercised.
-    def kl(g, left: bool):
-        A, B = g.object("A"), g.object("B")
-        e = seq(generator("u", [A], [B]), generator("v", [B], [A]))
-        c = par(identity([A]), e) if left else par(e, identity([A]))
-        return c, c
-
-    return EquationSuite("coring", "binary_idempotent", ("u", "v"), (
-        Equation("KL.1", lambda g: kl(g, True)),
-        Equation("KL.2", lambda g: kl(g, True)),
-        Equation("KR.1", lambda g: kl(g, False)),
-        Equation("KR.2", lambda g: kl(g, False)),
-    ))
 
 
 def _linear_monoid_equations() -> tuple[Equation, ...]:
@@ -760,6 +758,17 @@ def _monoid_sectional_suite(retractional: bool = False) -> EquationSuite:
                          eqs + (_idem("e", "A"),))
 
 
+def _is_dagger(label: str, derived: Callable[[Gadget], Circuit],
+               role: str) -> Equation:
+    """The map `derived` on the dual object B equals the dagger of `role`,
+    with every object of its signature read as B."""
+    def build(g):
+        dom, cod = (len(objs) * [g.object("B")]
+                    for objs in _ROLE_SIGNATURES[role])
+        return derived(g), dagger(generator(role, dom, cod))
+    return Equation(label, build)
+
+
 def _dagger_linear_monoid_suite() -> EquationSuite:
     # The gadget must place A and B on the same object, since the dagger is
     # the identity on objects in this model.  With the canonical
@@ -769,25 +778,17 @@ def _dagger_linear_monoid_suite() -> EquationSuite:
         def build(g):
             A, B = g.object("A"), g.object("B")
             if side == "L":
-                return _cup("eps_L_dag", B, A), _cup("eta_L", A, B)
-            return _cup("eps_R_dag", A, B), _cup("eta_R", B, A)
+                return dagger(_cap("eps_L", B, A)), _cup("eta_L", A, B)
+            return dagger(_cap("eps_R", A, B)), _cup("eta_R", B, A)
         return build
-
-    def d_is_m_dag(g):
-        B = g.object("B")
-        return _d_left(g), generator("m_dag", [B], [B, B])
-
-    def k_is_u_dag(g):
-        B = g.object("B")
-        return _k_left(g), generator("u_dag", [B], [])
 
     return EquationSuite("dagger-linear-monoid", "linear_monoid",
                         _LINEAR_MONOID_ROLES,
                         _linear_monoid_equations() + (
                             Equation("dagger-dual-left", dag_dual("L")),
                             Equation("dagger-dual-right", dag_dual("R")),
-                            Equation("comult-is-mult-dagger", d_is_m_dag),
-                            Equation("counit-is-unit-dagger", k_is_u_dag),
+                            _is_dagger("comult-is-mult-dagger", _d_left, "m"),
+                            _is_dagger("counit-is-unit-dagger", _k_left, "u"),
                         ))
 
 
@@ -795,18 +796,12 @@ def _dagger_linear_comonoid_suite() -> EquationSuite:
     # The flip of the monoid suite, except for the comparisons of the
     # derived (co)monoid with the dagger, which are not flips of their
     # monoid-side counterparts.
-    def m_is_d_dag(g):
-        B = g.object("B")
-        return _m_left(g), generator("d_dag", [B, B], [B])
-
-    def u_is_k_dag(g):
-        B = g.object("B")
-        return _u_left(g), generator("k_dag", [], [B])
-
     return _flipped_suite(_dagger_linear_monoid_suite(),
                           "dagger-linear-comonoid", "linear_comonoid", (
-                              Equation("mult-is-comult-dagger", m_is_d_dag),
-                              Equation("unit-is-counit-dagger", u_is_k_dag),
+                              _is_dagger("mult-is-comult-dagger", _m_left,
+                                         "d"),
+                              _is_dagger("unit-is-counit-dagger", _u_left,
+                                         "k"),
                           ))
 
 
@@ -904,14 +899,12 @@ def _frobenius_algebra_suite() -> EquationSuite:
 
 def _dagger_frobenius_suite() -> EquationSuite:
     def unitary_a(g):
-        A, B = g.object("A"), g.object("B")
-        return (seq(generator("alpha", [A], [B]),
-                    generator("alpha_dag", [B], [A])), identity([A]))
+        alpha = generator("alpha", [g.object("A")], [g.object("B")])
+        return seq(alpha, dagger(alpha)), identity([g.object("A")])
 
     def unitary_b(g):
-        A, B = g.object("A"), g.object("B")
-        return (seq(generator("alpha_dag", [B], [A]),
-                    generator("alpha", [A], [B])), identity([B]))
+        alpha = generator("alpha", [g.object("A")], [g.object("B")])
+        return seq(dagger(alpha), alpha), identity([g.object("B")])
 
     return EquationSuite("dagger-frobenius", "frobenius",
                         _LINEAR_MONOID_ROLES + ("alpha",),
@@ -954,7 +947,7 @@ _LINEAR_BIALGEBRA_ROLES = ("m", "u", "d", "k",
                            "tau_L", "gam_L", "tau_R", "gam_R")
 
 
-def _bialgebra_tensor_equations(margin: int = 0) -> tuple[Equation, ...]:
+def _bialgebra_tensor_equations() -> tuple[Equation, ...]:
     def mult_comult(g):
         A = g.object("A")
         lhs = seq(generator("m", [A, A], [A]), generator("d", [A], [A, A]))
@@ -981,14 +974,14 @@ def _bialgebra_tensor_equations(margin: int = 0) -> tuple[Equation, ...]:
                 empty())
 
     return (
-        Equation("tensor-mult-comult", mult_comult, margin),
-        Equation("tensor-mult-counit", mult_counit, margin),
-        Equation("tensor-unit-comult", unit_comult, margin),
-        Equation("tensor-unit-counit", unit_counit, margin),
+        Equation("tensor-mult-comult", mult_comult),
+        Equation("tensor-mult-counit", mult_counit),
+        Equation("tensor-unit-comult", unit_comult),
+        Equation("tensor-unit-counit", unit_counit),
     )
 
 
-def _bialgebra_par_equations(margin: int = 0) -> tuple[Equation, ...]:
+def _bialgebra_par_equations() -> tuple[Equation, ...]:
     def mult_comult(g):
         B = g.object("B")
         lhs = seq(_m_left(g), _d_left(g))
@@ -1008,10 +1001,10 @@ def _bialgebra_par_equations(margin: int = 0) -> tuple[Equation, ...]:
         return seq(_u_left(g), _k_left(g)), empty()
 
     return (
-        Equation("par-mult-comult", mult_comult, margin),
-        Equation("par-mult-counit", mult_counit, margin),
-        Equation("par-unit-comult", unit_comult, margin),
-        Equation("par-unit-counit", unit_counit, margin),
+        Equation("par-mult-comult", mult_comult),
+        Equation("par-mult-counit", mult_counit),
+        Equation("par-unit-comult", unit_comult),
+        Equation("par-unit-counit", unit_counit),
     )
 
 
@@ -1143,19 +1136,14 @@ def _complementary_idempotent_suite() -> EquationSuite:
     return EquationSuite("complementary-idempotent-cond",
                         "linear_bialgebra_idempotent",
                         _LINEAR_BIALGEBRA_ROLES + ("ub", "vb"),
-                        tuple(Equation(label, sandwiched(eq), eq.margin)
+                        tuple(Equation(label, sandwiched(eq))
                               for label, eq in zip(
                                   labels, _complementary_suite().equations)))
 
 
 def _preunitary_suite() -> EquationSuite:
-    def hermitian(g):
-        A = g.object("A")
-        B = g.objects.get("B", A)
-        return generator("phi", [A], [B]), generator("phi_dag", [A], [B])
-
     return EquationSuite("preunitary", "preunitary", ("phi",), (
-        Equation("structure-map-hermitian", hermitian),
+        _hermitian("structure-map-hermitian", "phi", "A", "B"),
     ))
 
 
@@ -1164,13 +1152,13 @@ def _dagger_bang_coherence_suite() -> EquationSuite:
                         ("Delta", "counit", "eps", "delta",
                          "nabla", "unit", "eta", "mu"), (
                             _pair("mult-is-comult-dagger", "nabla",
-                                  "Delta_dag", ["X", "X"], ["X"]),
+                                  "Delta", ["X", "X"], ["X"]),
                             _pair("unit-is-counit-dagger", "unit",
-                                  "counit_dag", [], ["X"]),
+                                  "counit", [], ["X"]),
                             _pair("codereliction-is-dereliction-dagger",
-                                  "eta", "eps_dag", ["Y"], ["X"]),
+                                  "eta", "eps", ["Y"], ["X"]),
                             _pair("comult-is-mult-dagger", "mu",
-                                  "delta_dag", ["Z"], ["X"], 0),
+                                  "delta", ["Z"], ["X"]),
                         ))
 
 
@@ -1185,7 +1173,6 @@ def _build_registry() -> dict[str, EquationSuite]:
         _dagger_of_dual_suite(),
         _binary_idempotent_suite(),
         _dagger_binary_suite(),
-        _coring_suite(),
         _linear_monoid_suite(),
         _monoid_actions_suite(),
         _monoid_sectional_suite(False),

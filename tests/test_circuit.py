@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldckit.circuit import (Circuit, Node, compose, dagger_box, generator,
-                            identity, isomorphic, par, permutation, reverse,
-                            seq, substitute, swap, tensor_elim, tensor_intro)
+from ldckit.circuit import (Circuit, Node, compose, dagger, dagger_box,
+                            generator, identity, isomorphic, par, permutation,
+                            reverse, seq, substitute, swap, tensor_elim,
+                            tensor_intro)
 from ldckit.errors import IllTyped, SchemaError, TypeMismatch
 from ldckit.io import parse, serialize
 from ldckit.objects import Atom, Bot, Par, Tensor, Top
@@ -207,11 +208,18 @@ class TestReverse:
         assert isomorphic(reverse(generator("f", [A], [B]), {}),
                           generator("f", [B], [A]))
 
+    def test_dagger_renames_each_generator_to_and_from_its_dagger(self):
+        c = seq(generator("m", [B, B], [B]), generator("f_dag", [B], [C]))
+        assert isomorphic(dagger(c), seq(generator("f", [C], [B]),
+                                         generator("m_dag", [B], [B, B])))
+
     @pytest.mark.parametrize("build", [lambda: tensor_intro(A, B),
                                        lambda: dagger_box(identity([A]))])
     def test_other_node_kinds_are_refused(self, build):
         with pytest.raises(IllTyped):
             reverse(build(), {})
+        with pytest.raises(IllTyped):
+            dagger(build())
 
 
 class TestSubstitute:

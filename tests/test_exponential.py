@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldckit.errors import (MAX_ENTRIES, LiftFailure, NotAComonoid,
+from ldckit.errors import (MAX_ENTRIES, LdcError, LiftFailure, NotAComonoid,
                            ResourceLimit, ShapeMismatch)
 from ldckit.exponential import (_monoidal, _window_unions, bang_apply_sparse,
                                 bang_matrix, build_exp, comonad_coassoc_report,
@@ -75,6 +75,11 @@ class TestStructureMaps:
         assert np.array_equal(exp23.unit_u, exp23.counit_e.conj().T)
         assert np.array_equal(exp23.eta, exp23.eps.conj().T)
         assert np.array_equal(exp23.mu, exp23.delta.conj().T)
+
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_degree_below_one_is_refused(self, degree):
+        with pytest.raises(LdcError, match="at least 1"):
+            build_exp(2, degree)
 
     def test_dereliction_projects_singletons(self, exp23):
         basis = exp23.basis
