@@ -435,6 +435,21 @@ def dagger_box(inner: Circuit) -> Circuit:
         [dagger_of(t) for t in reversed(inner.input_types())], inner=inner)
 
 
+def _redrawn(c: Circuit, rename: Mapping[str, str], how: str,
+             order, redraw) -> dict[str, Node]:
+    """The nodes of `c`, taken in `order`, each generator renamed through
+    `rename` (names it lacks are kept) and then redrawn by `redraw`;
+    the loop of `reverse` and `mirror`, which `how` names."""
+    nodes = {}
+    for nid in order:
+        n = c.nodes[nid]
+        if n.kind not in ("gen", "swap"):
+            raise IllTyped(nid, f"cannot {how} a {n.kind} node")
+        name = rename.get(n.name, n.name) if n.kind == "gen" else None
+        nodes[nid] = redraw(n, name)
+    return nodes
+
+
 def reverse(c: Circuit, rename: Mapping[str, str]) -> Circuit:
     """Flip a circuit of generators and symmetries upside down: every node
     and the boundary swap inputs with outputs, and each generator is renamed
@@ -442,15 +457,25 @@ def reverse(c: Circuit, rename: Mapping[str, str]) -> Circuit:
     generator assigned the transpose of the original's matrix, the flipped
     circuit evaluates to the transpose.  Nodes come out in reverse order, so
     contraction meets them in the flipped flow order."""
-    nodes = {}
-    for nid in reversed(list(c.nodes)):
-        n = c.nodes[nid]
-        if n.kind not in ("gen", "swap"):
-            raise IllTyped(nid, f"cannot reverse a {n.kind} node")
-        name = rename.get(n.name, n.name) if n.kind == "gen" else None
-        nodes[nid] = Node(kind=n.kind, ins=n.outs, outs=n.ins, name=name,
-                          dom=n.cod, cod=n.dom)
+    nodes = _redrawn(c, rename, "reverse", reversed(list(c.nodes)),
+                     lambda n, name: Node(n.kind, n.outs, n.ins, name,
+                                          n.cod, n.dom))
     return Circuit(c.wires, nodes, c.outputs, c.inputs)
+
+
+def mirror(c: Circuit, rename: Mapping[str, str]) -> Circuit:
+    """Reflect a circuit of generators and symmetries left to right: every
+    node and the boundary reverse the order of their inputs and of their
+    outputs, and each generator is renamed through `rename` (names it lacks
+    are kept).  With every renamed generator assigned the original's matrix
+    with its ports reversed, the mirror evaluates to the matrix with its
+    boundary reversed.  Nodes keep their order, as the flow does."""
+    def flip(ts: Optional[tuple]) -> Optional[tuple]:
+        return None if ts is None else ts[::-1]
+    nodes = _redrawn(c, rename, "mirror", c.nodes,
+                     lambda n, name: Node(n.kind, n.ins[::-1], n.outs[::-1],
+                                          name, flip(n.dom), flip(n.cod)))
+    return Circuit(c.wires, nodes, c.inputs[::-1], c.outputs[::-1])
 
 
 def dagger(c: Circuit) -> Circuit:

@@ -32,24 +32,25 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (LdcError, LiftFailure, NotAComonoid, ShapeMismatch,
-                     SuiteFailure, check_entries)
+                     check_entries)
 from .gadget import Gadget
 from .model import ModelEnv, interp
 from .multiset import (MultisetBasis, multiset_union, remove_one,
                        sub_multiset_splits)
 from .objects import Atom
+from .suites import _require_suite
 
 
 # -- structure matrices ----------------------------------------------------
 
 def comult_matrix(basis: MultisetBasis) -> np.ndarray:
-    """Delta: !A -> !A (x) !A, coefficient 1 per ordered sub-multiset pair."""
+    """Delta: !A -> !A (x) !A, coefficient 1 per ordered sub-multiset pair:
+    a one at (m1, m2) and m1 + m2 for each pair of `_window_unions`."""
     n = basis.dim
     check_entries("Delta", n * n * n)
     out = np.zeros((n * n, n), dtype=complex)
-    for i, m in enumerate(basis.elements):
-        for m1, m2 in sub_multiset_splits(m):
-            out[basis.index[m1] * n + basis.index[m2], i] += 1
+    i1, i2, union = _window_unions(basis)
+    out[i1 * n + i2, union] = 1
     return out
 
 
@@ -498,13 +499,6 @@ def lifted_cap(costate: np.ndarray, exp_a: ExpStructure,
     number of distinct orderings and break the snake equations.)"""
     state = np.asarray(costate, dtype=complex).conj().reshape(-1, 1)
     return lifted_cup(state, exp_a, exp_b).conj().T
-
-
-def _require_suite(g: Gadget, name: str, tol: float) -> None:
-    from .suites import SUITES, check_suite
-    report = check_suite(g, SUITES[name], tol)
-    if not report.passed:
-        raise SuiteFailure(name, f"worst residual {report.worst():.3e}")
 
 
 def induce_bang_monoid(g: Gadget, degree: int = 3,

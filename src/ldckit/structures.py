@@ -11,7 +11,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import MissingRole, SuiteFailure
+from .errors import MissingRole
 from .gadget import Gadget
 from .model import ModelEnv, evaluate, interp, split_idempotent
 from .objects import Atom, ObjectExpr, Par, Tensor
@@ -19,15 +19,8 @@ from .suites import (SUITES, SuiteReport, check_suite, suite_env,
                      _MONOID_TO_COMONOID, _ROLE_SIGNATURES, _act_left,
                      _act_right, _antipode_par, _antipode_tensor,
                      _coact_left, _coact_right, _d_left, _k_left,
-                     tensor_of_duals_cap, tensor_of_duals_cup)
-
-
-def _require(g: Gadget, suite_name: str, tol: float) -> SuiteReport:
-    report = check_suite(g, SUITES[suite_name], tol)
-    if not report.passed:
-        raise SuiteFailure(suite_name,
-                           f"worst residual {report.worst():.3e}")
-    return report
+                     _require_suite, tensor_of_duals_cap,
+                     tensor_of_duals_cup)
 
 
 def _mat(g: Gadget, role: str) -> np.ndarray:
@@ -39,7 +32,7 @@ def _mat(g: Gadget, role: str) -> np.ndarray:
 def split_binary_idempotent(g: Gadget, tol: float = 1e-9) -> dict:
     """Split e_A = u;v and e_B = v;u and return the induced isomorphism
     pair between the two splittings: alpha = s;u;p and beta = q;v;r."""
-    _require(g, "binary-idempotent", tol)
+    _require_suite(g, "binary-idempotent", tol)
     u, v = _mat(g, "u"), _mat(g, "v")
     e_a = v @ u          # u;v diagrammatically
     e_b = u @ v
@@ -56,7 +49,7 @@ def weak_preunitary_from_dagger_split(g: Gadget, tol: float = 1e-9
                                       ) -> tuple[np.ndarray, SuiteReport]:
     """For a dagger binary idempotent, the splitting induces the structure
     isomorphism alpha = s;u;s-dagger, which must be Hermitian."""
-    _require(g, "dagger-binary", tol)
+    _require_suite(g, "dagger-binary", tol)
     u, v = _mat(g, "u"), _mat(g, "v")
     r, s = split_idempotent(v @ u, tol)
     alpha = np.conj(s).T @ u @ s
@@ -70,7 +63,7 @@ def weak_preunitary_from_dagger_split(g: Gadget, tol: float = 1e-9
 # -- linear monoids and the actions presentation ----------------------------
 
 def monoid_to_actions(g: Gadget, tol: float = 1e-9) -> Gadget:
-    _require(g, "linear-monoid", tol)
+    _require_suite(g, "linear-monoid", tol)
     env = suite_env(g)
     morphs = {
         "m": _mat(g, "m"), "u": _mat(g, "u"),
@@ -86,7 +79,7 @@ def monoid_to_actions(g: Gadget, tol: float = 1e-9) -> Gadget:
 
 
 def actions_to_monoid(g: Gadget, tol: float = 1e-9) -> Gadget:
-    _require(g, "monoid-actions", tol)
+    _require_suite(g, "monoid-actions", tol)
     env = suite_env(g)
     na = interp(g.object("A"), env)[0]
     nb = interp(g.object("B"), env)[0]
@@ -159,7 +152,7 @@ def _check_idempotent_compat(g: Gadget, e_a, e_b, tol, retractional,
     other = "sectional" if retractional else "retractional"
     kind = "monoid" if monoid else "comonoid"
     cup, cap = ("eta", "eps") if monoid else ("tau", "gam")
-    _require(g.with_morphisms(e=e_a), f"{kind}-{main}", tol)
+    _require_suite(g.with_morphisms(e=e_a), f"{kind}-{main}", tol)
 
     swapped = None
     if g.gradings is not None:
@@ -174,11 +167,11 @@ def _check_idempotent_compat(g: Gadget, e_a, e_b, tol, retractional,
                      {"eta": _mat(g, f"{cup}_R"), "eps": _mat(g, f"{cap}_R"),
                       "e_a": e_b, "e_b": e_a}, g.env, swapped)
     if monoid:
-        _require(probe_l, f"dual-{main}", tol)
-        _require(probe_r, f"dual-{other}", tol)
+        _require_suite(probe_l, f"dual-{main}", tol)
+        _require_suite(probe_r, f"dual-{other}", tol)
     else:
-        _require(probe_r, f"dual-{main}", tol)
-        _require(probe_l, f"dual-{other}", tol)
+        _require_suite(probe_r, f"dual-{main}", tol)
+        _require_suite(probe_l, f"dual-{other}", tol)
 
 
 def split_linear_monoid(g: Gadget, e_a: np.ndarray, e_b: np.ndarray,
@@ -186,7 +179,7 @@ def split_linear_monoid(g: Gadget, e_a: np.ndarray, e_b: np.ndarray,
                         retractional: bool = False,
                         splitting=None, check: bool = True) -> Gadget:
     if check:
-        _require(g, "linear-monoid", tol)
+        _require_suite(g, "linear-monoid", tol)
         _check_idempotent_compat(g, e_a, e_b, tol, retractional, monoid=True)
     r, s, r2, s2 = _split_pair(e_a, e_b, tol, splitting)
     objects, env = _split_objects(r, r2)
@@ -199,7 +192,7 @@ def split_linear_comonoid(g: Gadget, e_a: np.ndarray, e_b: np.ndarray,
                           retractional: bool = False,
                           splitting=None, check: bool = True) -> Gadget:
     if check:
-        _require(g, "linear-comonoid", tol)
+        _require_suite(g, "linear-comonoid", tol)
         _check_idempotent_compat(g, e_a, e_b, tol, retractional,
                                  monoid=False)
     r, s, r2, s2 = _split_pair(e_a, e_b, tol, splitting)
@@ -220,7 +213,7 @@ def split_linear_bialgebra(g: Gadget, e_a: np.ndarray, e_b: np.ndarray,
     mon_r, com_r = (retractional if isinstance(retractional, (tuple, list))
                     else (retractional, retractional))
     if check:
-        _require(g, "linear-bialgebra", tol)
+        _require_suite(g, "linear-bialgebra", tol)
         _check_idempotent_compat(g, e_a, e_b, tol, mon_r, monoid=True)
         _check_idempotent_compat(g, e_a, e_b, tol, com_r, monoid=False)
     r, s, r2, s2 = _split_pair(e_a, e_b, tol, splitting)
@@ -236,10 +229,10 @@ def compact_reflection(g: Gadget, tol: float = 1e-9) -> Gadget:
     A linear monoid becomes a linear comonoid and vice versa; applying the
     reflection twice returns the original gadget exactly."""
     if g.has("m", "u"):
-        _require(g, "linear-monoid", tol)
+        _require_suite(g, "linear-monoid", tol)
         table, kind = _MONOID_TO_COMONOID, "linear_comonoid"
     elif g.has("d", "k"):
-        _require(g, "linear-comonoid", tol)
+        _require_suite(g, "linear-comonoid", tol)
         table = {new: old for old, new in _MONOID_TO_COMONOID.items()}
         kind = "linear_monoid"
     else:
@@ -251,32 +244,32 @@ def compact_reflection(g: Gadget, tol: float = 1e-9) -> Gadget:
 # -- antipodes --------------------------------------------------------------
 
 def antipode(g: Gadget, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    _require(g, "complementary", tol)
+    _require_suite(g, "complementary", tol)
     env = suite_env(g)
     s_tensor = evaluate(_antipode_tensor(g), env)
     s_par = evaluate(_antipode_par(g), env)
-    _require(g, "hopf", tol)
+    _require_suite(g, "hopf", tol)
     return s_tensor, s_par
 
 
 # -- duals ------------------------------------------------------------------
 
 def dagger_of_dual(g: Gadget, tol: float = 1e-9) -> Gadget:
-    _require(g, "dual", tol)
+    _require_suite(g, "dual", tol)
     eta, eps = _mat(g, "eta"), _mat(g, "eps")
     objects = {"A": g.object("B"), "B": g.object("A")}
     morphs = {"eta": np.conj(eps).T, "eps": np.conj(eta).T}
     out = Gadget("dual", objects, morphs, g.env, g.gradings)
-    _require(out, "dual", tol)
+    _require_suite(out, "dual", tol)
     return out
 
 
 def tensor_of_duals(g: Gadget, tol: float = 1e-9) -> Gadget:
     """From duals A -| B and C -| D build (A (x) C) -| (D (+) B)."""
-    _require(Gadget("dual", {"A": g.object("A"), "B": g.object("B")},
+    _require_suite(Gadget("dual", {"A": g.object("A"), "B": g.object("B")},
                     {"eta": _mat(g, "eta"), "eps": _mat(g, "eps")},
                     g.env), "dual", tol)
-    _require(Gadget("dual", {"A": g.object("C"), "B": g.object("D")},
+    _require_suite(Gadget("dual", {"A": g.object("C"), "B": g.object("D")},
                     {"eta": _mat(g, "eta2"), "eps": _mat(g, "eps2")},
                     g.env), "dual", tol)
     env = suite_env(g)
@@ -285,7 +278,7 @@ def tensor_of_duals(g: Gadget, tol: float = 1e-9) -> Gadget:
     morphs = {"eta": evaluate(tensor_of_duals_cup(g), env),
               "eps": evaluate(tensor_of_duals_cap(g), env)}
     out = Gadget("dual", objects, morphs, g.env, g.gradings)
-    _require(out, "dual", tol)
+    _require_suite(out, "dual", tol)
     return out
 
 

@@ -10,6 +10,17 @@ invertible roles only).  Templates do not name ``r_dag`` themselves: every
 dagger side is a plain circuit read through `circuit.dagger`, just as every
 comonoid side is a monoid side read through `circuit.reverse`.
 
+Each structure is typed out on one side only.  A right-hand map or equation
+is its left-hand twin read through `circuit.mirror`, which renames each
+left-hand role (``eta_L``, ``eps_L``, ``tau_L``, ``gam_L``, ``act_l``,
+``coact_l``) to its right-hand twin and back; the comonoid's derived maps
+are the monoid's flipped.  The par-side bialgebra and Hopf laws are the
+tensor-side ones written on the dual object B, with m, d, k, u and the
+antipode s replaced by `circuit.substitute` with the maps derived on B, and
+the complementarity conditions of an idempotent are the `complementary`
+suite with every role replaced by its sandwiched image.  The few equations
+still written twice say why where they are built.
+
 Graded gadgets (those with a ``gradings`` map from object roles to per-basis
 degree vectors) are compared only on boundary entries whose total degree is
 within the truncation window; an equation's ``margin`` shrinks that window
@@ -23,9 +34,9 @@ from typing import Callable, Collection, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .circuit import (Circuit, dagger, empty, generator, identity, par,
-                      permutation, reverse, seq, substitute)
-from .errors import MissingRole
+from .circuit import (Circuit, dagger, empty, generator, identity, mirror,
+                      par, permutation, reverse, seq, substitute)
+from .errors import MissingRole, SuiteFailure
 from .gadget import Gadget
 from .model import ModelEnv, evaluate, interp, matrices_equal
 from .objects import Bot, Dagger, ObjectExpr, Par, Tensor, Top
@@ -163,6 +174,15 @@ def check_suite(g: Gadget, suite: EquationSuite,
                       residuals=residuals)
 
 
+def _require_suite(g: Gadget, name: str, tol: float) -> SuiteReport:
+    """The report of `g` on the suite `name`; `SuiteFailure` unless it
+    passes."""
+    report = check_suite(g, SUITES[name], tol)
+    if not report.passed:
+        raise SuiteFailure(name, f"worst residual {report.worst():.3e}")
+    return report
+
+
 # -- template building blocks ----------------------------------------------
 
 def _cup(role: str, left: ObjectExpr, right: ObjectExpr) -> Circuit:
@@ -190,15 +210,13 @@ def _snake_y(X: list[ObjectExpr], Y: list[ObjectExpr],
     return lhs, identity(Y)
 
 
-def _snakes(labels: tuple[str, str], cup: str, cap: str,
-            flip: bool = False) -> tuple[Equation, ...]:
-    """The two snake equations of the dual A -| B (B -| A when flipped)
-    with unit `cup` and counit `cap`."""
+def _snakes(labels: tuple[str, str], cup: str,
+            cap: str) -> tuple[Equation, ...]:
+    """The two snake equations of the dual A -| B with unit `cup` and
+    counit `cap`."""
     def build(snake):
         def b(g):
             X, Y = [g.object("A")], [g.object("B")]
-            if flip:
-                X, Y = Y, X
             return snake(X, Y, _cup(cup, *X, *Y), _cap(cap, *Y, *X))
         return b
     return tuple(Equation(label, build(snake))
@@ -244,12 +262,32 @@ _COMONOID_LABELS = {
 }
 
 
+def _with_dag(table: Mapping[str, str]) -> dict[str, str]:
+    """`table`, and each of its names with its ``_dag`` form."""
+    return {role + suffix: new + suffix for role, new in table.items()
+            for suffix in ("", "_dag")}
+
+
 def _reversal(table: Mapping[str, str]) -> Callable[[Circuit], Circuit]:
     """`reverse` with each generator renamed through `table`, and its
     ``_dag`` form with it."""
-    rename = {role + suffix: new + suffix for role, new in table.items()
-              for suffix in ("", "_dag")}
+    rename = _with_dag(table)
     return lambda c: reverse(c, rename)
+
+
+_to_comonoid = _reversal(_MONOID_TO_COMONOID)
+
+# The right-hand twin of each left-hand role.  A right-hand map or equation
+# is its left-hand twin reflected left to right (`circuit.mirror`), which
+# renames each role to its twin and back.
+_LEFT_TO_RIGHT = {"eta_L": "eta_R", "eps_L": "eps_R", "tau_L": "tau_R",
+                  "gam_L": "gam_R", "act_l": "act_r", "coact_l": "coact_r"}
+_MIRROR_NAMES = _with_dag(_LEFT_TO_RIGHT | {right: left for left, right
+                                            in _LEFT_TO_RIGHT.items()})
+
+
+def _mirror(c: Circuit) -> Circuit:
+    return mirror(c, _MIRROR_NAMES)
 
 
 def _flipped(equations: Sequence[Equation], flip: Callable[[Circuit], Circuit],
@@ -267,12 +305,45 @@ def _flipped(equations: Sequence[Equation], flip: Callable[[Circuit], Circuit],
                  for new, old in labels.items() if old in by_label)
 
 
+def _left_right(stem: str, build: Template) -> tuple[Equation, ...]:
+    """The equation `stem`-left built by `build`, then its mirror image
+    `stem`-right."""
+    left = Equation(f"{stem}-left", build)
+    return (left,) + _flipped((left,), _mirror, {f"{stem}-right": left.label})
+
+
+def _snake_pairs(label: str, ends: str, cup: str,
+                 cap: str) -> tuple[Equation, ...]:
+    """The snakes of the left dual A -| B with unit `cup` and counit `cap`,
+    then their mirror images, the snakes of the right dual B -| A: each
+    right snake mirrors the other left one.  Each is labelled `label`
+    formatted with its side and with its end of `ends`."""
+    left, right = ([label.format(side, end) for end in ends]
+                   for side in ("left", "right"))
+    snakes = _snakes(left, cup, cap)
+    return snakes + _flipped(snakes, _mirror, dict(zip(right, left[::-1])))
+
+
+def _substituted(equations: Sequence[Equation],
+                 table: Callable[[Gadget], Mapping[str, Circuit]]
+                 ) -> tuple[Equation, ...]:
+    """`equations` with each generator named in `table(g)` replaced by its
+    circuit (`circuit.substitute`)."""
+    def substituted(eq: Equation) -> Template:
+        def build(g):
+            subs = table(g)
+            return tuple(substitute(c, subs) for c in eq.build(g))
+        return build
+
+    return tuple(Equation(eq.label, substituted(eq)) for eq in equations)
+
+
 def _flipped_suite(suite: EquationSuite, name: str, kind: str,
                    extra: tuple[Equation, ...] = ()) -> EquationSuite:
     return EquationSuite(
         name, kind,
         tuple(_MONOID_TO_COMONOID.get(r, r) for r in suite.roles),
-        _flipped(suite.equations, _reversal(_MONOID_TO_COMONOID)) + extra)
+        _flipped(suite.equations, _to_comonoid) + extra)
 
 
 def _monoid_laws(obj: str = "A", prefix: str = "") -> tuple[Equation, ...]:
@@ -287,14 +358,8 @@ def _monoid_laws(obj: str = "A", prefix: str = "") -> tuple[Equation, ...]:
         return (seq(par(generator("u", [], [A]), identity([A])),
                     generator("m", [A, A], [A])), identity([A]))
 
-    def unit_r(g):
-        A = g.object(obj)
-        return (seq(par(identity([A]), generator("u", [], [A])),
-                    generator("m", [A, A], [A])), identity([A]))
-
     return (Equation(f"{prefix}assoc", assoc),
-            Equation(f"{prefix}unit-left", unit_l),
-            Equation(f"{prefix}unit-right", unit_r))
+            *_left_right(f"{prefix}unit", unit_l))
 
 
 def _comonoid_laws(obj: str = "A", d: str = "d", k: str = "k",
@@ -305,7 +370,8 @@ def _comonoid_laws(obj: str = "A", d: str = "d", k: str = "k",
 
 
 # Derived structure on the dual object of a linear monoid (m, u) with left
-# duals (eta_L, eps_L): A -| B and right duals (eta_R, eps_R): B -| A.
+# duals (eta_L, eps_L): A -| B and right duals (eta_R, eps_R): B -| A.  Each
+# right-hand map is the mirror image of its left-hand twin.
 
 def _d_left(g: Gadget) -> Circuit:
     A, B = g.object("A"), g.object("B")
@@ -317,11 +383,7 @@ def _d_left(g: Gadget) -> Circuit:
 
 
 def _d_right(g: Gadget) -> Circuit:
-    A, B = g.object("A"), g.object("B")
-    return seq(par(identity([B]), _cup("eta_R", B, A), _cup("eta_R", B, A)),
-               permutation([B, B, A, B, A], [4, 2, 0, 1, 3]),
-               par(generator("m", [A, A], [A]), identity([B, B, B])),
-               par(_cap("eps_R", A, B), identity([B, B])))
+    return _mirror(_d_left(g))
 
 
 def _k_left(g: Gadget) -> Circuit:
@@ -331,33 +393,23 @@ def _k_left(g: Gadget) -> Circuit:
 
 
 def _k_right(g: Gadget) -> Circuit:
-    A, B = g.object("A"), g.object("B")
-    return seq(par(generator("u", [], [A]), identity([B])),
-               _cap("eps_R", A, B))
+    return _mirror(_k_left(g))
 
 
 # Derived structure on the dual object of a linear comonoid (d, k) with
-# duals (tau_L, gam_L): A -| B and (tau_R, gam_R): B -| A.
+# duals (tau_L, gam_L): A -| B and (tau_R, gam_R): B -| A: the comonoid flip
+# of the monoid's right-hand maps, and their mirror images.
 
 def _m_left(g: Gadget) -> Circuit:
-    A, B = g.object("A"), g.object("B")
-    return seq(par(identity([B, B]), _cup("tau_L", A, B)),
-               par(identity([B, B]), generator("d", [A], [A, A]),
-                   identity([B])),
-               permutation([B, B, A, A, B], [1, 2, 0, 3, 4]),
-               par(_cap("gam_L", B, A), _cap("gam_L", B, A), identity([B])))
+    return _to_comonoid(_d_right(g))
 
 
 def _u_left(g: Gadget) -> Circuit:
-    A, B = g.object("A"), g.object("B")
-    return seq(_cup("tau_L", A, B),
-               par(generator("k", [A], []), identity([B])))
+    return _to_comonoid(_k_right(g))
 
 
 def _u_right(g: Gadget) -> Circuit:
-    A, B = g.object("A"), g.object("B")
-    return seq(_cup("tau_R", B, A),
-               par(identity([B]), generator("k", [A], [])))
+    return _mirror(_u_left(g))
 
 
 # Actions and coactions derived from a linear monoid.
@@ -372,12 +424,7 @@ def _act_left(g: Gadget) -> Circuit:
 
 
 def _act_right(g: Gadget) -> Circuit:
-    A, B = g.object("A"), g.object("B")
-    return seq(par(_cup("eta_R", B, A), identity([B, A])),
-               permutation([B, A, B, A], [3, 1, 0, 2]),
-               par(generator("m", [A, A], [A]), identity([B, B])),
-               permutation([A, B, B], [0, 2, 1]),
-               par(_cap("eps_R", A, B), identity([B])))
+    return _mirror(_act_left(g))
 
 
 def _coact_right(g: Gadget) -> Circuit:
@@ -387,9 +434,7 @@ def _coact_right(g: Gadget) -> Circuit:
 
 
 def _coact_left(g: Gadget) -> Circuit:
-    A, B = g.object("A"), g.object("B")
-    return seq(par(_cup("eta_R", B, A), identity([A])),
-               par(identity([B]), generator("m", [A, A], [A])))
+    return _mirror(_coact_right(g))
 
 
 # Antipodes of a complementary system.
@@ -424,6 +469,8 @@ _SNAKE_LABELS = ("snake-left", "snake-right")
 
 
 def _dual_suite() -> EquationSuite:
+    # Both snakes are written out: the mirror of the cup eta: () -> A, B is
+    # a cup () -> B, A of the same name, ill-typed when A != B.
     return EquationSuite("dual", "dual", ("eta", "eps"),
                          _snakes(_SNAKE_LABELS, "eta", "eps"))
 
@@ -548,6 +595,7 @@ def _dagger_dual_suite() -> EquationSuite:
                     dagger(generator("q", [A], [B]))),
                 identity([A]))
 
+    # The snakes of `dual`, written out as there.
     return EquationSuite("dagger-dual", "dagger_dual",
                         ("eta", "eps", "p", "q"),
                         _snakes(_SNAKE_LABELS, "eta", "eps") + (
@@ -619,10 +667,7 @@ def _linear_monoid_equations() -> tuple[Equation, ...]:
         return _k_left(g), _k_right(g)
 
     return (_monoid_laws()
-            + _snakes(("snake-left-dual-a", "snake-left-dual-b"),
-                      "eta_L", "eps_L")
-            + _snakes(("snake-right-dual-a", "snake-right-dual-b"),
-                      "eta_R", "eps_R", flip=True)
+            + _snake_pairs("snake-{}-dual-{}", "ab", "eta_L", "eps_L")
             + (Equation("comult-coincide", d_coincide),
                Equation("counit-coincide", k_coincide)))
 
@@ -641,11 +686,6 @@ def _monoid_actions_suite() -> EquationSuite:
         return (seq(par(generator("u", [], [A]), identity([B])),
                     generator("act_l", [A, B], [B])), identity([B]))
 
-    def unit_r(g):
-        A, B = g.object("A"), g.object("B")
-        return (seq(par(identity([B]), generator("u", [], [A])),
-                    generator("act_r", [B, A], [B])), identity([B]))
-
     def assoc_l(g):
         # act_l evaluates its argument against multiplication on the other
         # side, so iterating the action consumes the algebra arguments in
@@ -656,14 +696,6 @@ def _monoid_actions_suite() -> EquationSuite:
                   generator("act_l", [A, B], [B]))
         rhs = seq(par(identity([A]), generator("act_l", [A, B], [B])),
                   generator("act_l", [A, B], [B]))
-        return lhs, rhs
-
-    def assoc_r(g):
-        A, B = g.object("A"), g.object("B")
-        lhs = seq(par(identity([B]), generator("m", [A, A], [A])),
-                  generator("act_r", [B, A], [B]))
-        rhs = seq(par(generator("act_r", [B, A], [B]), identity([A])),
-                  generator("act_r", [B, A], [B]))
         return lhs, rhs
 
     def commute(g):
@@ -679,20 +711,6 @@ def _monoid_actions_suite() -> EquationSuite:
         return (seq(generator("coact_l", [A], [B, A]),
                     par(generator("k_b", [B], []), identity([A]))),
                 identity([A]))
-
-    def counit_r(g):
-        A, B = g.object("A"), g.object("B")
-        return (seq(generator("coact_r", [A], [A, B]),
-                    par(identity([A]), generator("k_b", [B], []))),
-                identity([A]))
-
-    def coassoc_r(g):
-        A, B = g.object("A"), g.object("B")
-        lhs = seq(generator("coact_r", [A], [A, B]),
-                  par(identity([A]), generator("d_b", [B], [B, B])))
-        rhs = seq(generator("coact_r", [A], [A, B]),
-                  par(generator("coact_r", [A], [A, B]), identity([B])))
-        return lhs, rhs
 
     def coassoc_l(g):
         A, B = g.object("A"), g.object("B")
@@ -716,16 +734,12 @@ def _monoid_actions_suite() -> EquationSuite:
     return EquationSuite("monoid-actions", "monoid_actions", A_roles,
                          _monoid_laws("A", "monoid-")
                          + _comonoid_laws("B", "d_b", "k_b", "comonoid-")
-                         + (Equation("action-unit-left", unit_l),
-                            Equation("action-unit-right", unit_r),
-                            Equation("action-assoc-left", assoc_l),
-                            Equation("action-assoc-right", assoc_r),
-                            Equation("actions-commute", commute),
-                            Equation("coaction-counit-left", counit_l),
-                            Equation("coaction-counit-right", counit_r),
-                            Equation("coaction-coassoc-left", coassoc_l),
-                            Equation("coaction-coassoc-right", coassoc_r),
-                            Equation("coactions-commute", cocommute)))
+                         + _left_right("action-unit", unit_l)
+                         + _left_right("action-assoc", assoc_l)
+                         + (Equation("actions-commute", commute),)
+                         + _left_right("coaction-counit", counit_l)
+                         + _left_right("coaction-coassoc", coassoc_l)
+                         + (Equation("coactions-commute", cocommute),))
 
 
 def _monoid_sectional_suite(retractional: bool = False) -> EquationSuite:
@@ -774,19 +788,14 @@ def _dagger_linear_monoid_suite() -> EquationSuite:
     # the identity on objects in this model.  With the canonical
     # section/retraction pair taken to be identities, the dagger-dual
     # equations reduce to the daggered cap equalling the cup entry for entry.
-    def dag_dual(side: str):
-        def build(g):
-            A, B = g.object("A"), g.object("B")
-            if side == "L":
-                return dagger(_cap("eps_L", B, A)), _cup("eta_L", A, B)
-            return dagger(_cap("eps_R", A, B)), _cup("eta_R", B, A)
-        return build
+    def dag_dual(g):
+        A, B = g.object("A"), g.object("B")
+        return dagger(_cap("eps_L", B, A)), _cup("eta_L", A, B)
 
     return EquationSuite("dagger-linear-monoid", "linear_monoid",
                         _LINEAR_MONOID_ROLES,
-                        _linear_monoid_equations() + (
-                            Equation("dagger-dual-left", dag_dual("L")),
-                            Equation("dagger-dual-right", dag_dual("R")),
+                        _linear_monoid_equations()
+                        + _left_right("dagger-dual", dag_dual) + (
                             _is_dagger("comult-is-mult-dagger", _d_left, "m"),
                             _is_dagger("counit-is-unit-dagger", _k_left, "u"),
                         ))
@@ -814,14 +823,6 @@ def _frobenius_equations() -> tuple[Equation, ...]:
             par(generator("alpha", [A], [B]), identity([B])),
             par(_k_left(g), identity([B])))
 
-    def unitary_r(g):
-        A, B = g.object("A"), g.object("B")
-        return generator("alpha", [A], [B]), seq(
-            par(_cup("eta_R", B, A), identity([A])),
-            par(identity([B]), generator("m", [A, A], [A])),
-            par(identity([B]), generator("alpha", [A], [B])),
-            par(identity([B]), _k_right(g)))
-
     def action_l(g):
         A, B = g.object("A"), g.object("B")
         rhs = seq(par(generator("alpha", [A], [B]), identity([A]),
@@ -829,16 +830,6 @@ def _frobenius_equations() -> tuple[Equation, ...]:
                   par(identity([B]), generator("m", [A, A], [A]),
                       identity([B])),
                   par(_cap("eps_L", B, A), identity([B])),
-                  generator("alpha_inv", [B], [A]))
-        return generator("m", [A, A], [A]), rhs
-
-    def action_r(g):
-        A, B = g.object("A"), g.object("B")
-        rhs = seq(par(_cup("eta_R", B, A), identity([A]),
-                      generator("alpha", [A], [B])),
-                  par(identity([B]), generator("m", [A, A], [A]),
-                      identity([B])),
-                  par(identity([B]), _cap("eps_R", A, B)),
                   generator("alpha_inv", [B], [A]))
         return generator("m", [A, A], [A]), rhs
 
@@ -850,6 +841,8 @@ def _frobenius_equations() -> tuple[Equation, ...]:
                   _cap("eps_L", B, A))
         return lhs, rhs
 
+    # Written out, not mirrored: its lhs reads _k_left, which the mirror of
+    # cup_l would turn into _k_right, another map.
     def cup_r(g):
         A, B = g.object("A"), g.object("B")
         lhs = seq(generator("m", [A, A], [A]),
@@ -858,14 +851,10 @@ def _frobenius_equations() -> tuple[Equation, ...]:
                   _cap("eps_R", A, B))
         return lhs, rhs
 
-    return (
-        Equation("unitary-coincidence-left", unitary_l),
-        Equation("unitary-coincidence-right", unitary_r),
-        Equation("action-coincidence-left", action_l),
-        Equation("action-coincidence-right", action_r),
-        Equation("cup-coincidence-left", cup_l),
-        Equation("cup-coincidence-right", cup_r),
-    )
+    return (_left_right("unitary-coincidence", unitary_l)
+            + _left_right("action-coincidence", action_l)
+            + (Equation("cup-coincidence-left", cup_l),
+               Equation("cup-coincidence-right", cup_r)))
 
 
 def _frobenius_coincidence_suite() -> EquationSuite:
@@ -875,26 +864,17 @@ def _frobenius_coincidence_suite() -> EquationSuite:
 
 
 def _frobenius_algebra_suite() -> EquationSuite:
-    def frob(side: str):
-        def build(g):
-            A = g.object("A")
-            mid = seq(generator("m", [A, A], [A]),
-                      generator("d", [A], [A, A]))
-            if side == "L":
-                lhs = seq(par(generator("d", [A], [A, A]), identity([A])),
-                          par(identity([A]), generator("m", [A, A], [A])))
-            else:
-                lhs = seq(par(identity([A]), generator("d", [A], [A, A])),
-                          par(generator("m", [A, A], [A]), identity([A])))
-            return lhs, mid
-        return build
+    def frob(g):
+        A = g.object("A")
+        lhs = seq(par(generator("d", [A], [A, A]), identity([A])),
+                  par(identity([A]), generator("m", [A, A], [A])))
+        return lhs, seq(generator("m", [A, A], [A]),
+                        generator("d", [A], [A, A]))
 
     return EquationSuite("frobenius-algebra", "frobenius_algebra",
                         ("m", "u", "d", "k"),
-                        _monoid_laws() + _comonoid_laws() + (
-                            Equation("frobenius-left", frob("L")),
-                            Equation("frobenius-right", frob("R")),
-                        ))
+                        _monoid_laws() + _comonoid_laws()
+                        + _left_right("frobenius", frob))
 
 
 def _dagger_frobenius_suite() -> EquationSuite:
@@ -915,31 +895,18 @@ def _dagger_frobenius_suite() -> EquationSuite:
 
 
 def _frobenius_splitting_suite() -> EquationSuite:
-    def cond(side: str):
-        def build(g):
-            A, B = g.object("A"), g.object("B")
-            ub = generator("ub", [A], [B])
-            if side == "L":
-                pre = seq(par(identity([A]), _cup("eta_L", A, B)),
-                          par(_e_a(g), _e_a(g), _e_b(g)),
-                          par(generator("m", [A, A], [A]), identity([B])),
-                          par(seq(generator("ub", [A], [B]), _k_left(g)),
-                              identity([B])))
-            else:
-                pre = seq(par(identity([A]), _cup("eta_R", B, A)),
-                          permutation([A, B, A], [2, 0, 1]),
-                          par(_e_a(g), _e_a(g), _e_b(g)),
-                          par(generator("m", [A, A], [A]), identity([B])),
-                          par(seq(generator("ub", [A], [B]), _k_right(g)),
-                              identity([B])))
-            return ub, pre
-        return build
+    def cond(g):
+        A, B = g.object("A"), g.object("B")
+        pre = seq(par(identity([A]), _cup("eta_L", A, B)),
+                  par(_e_a(g), _e_a(g), _e_b(g)),
+                  par(generator("m", [A, A], [A]), identity([B])),
+                  par(seq(generator("ub", [A], [B]), _k_left(g)),
+                      identity([B])))
+        return generator("ub", [A], [B]), pre
 
     return EquationSuite("frobenius-splitting-cond", "monoid_idempotent",
-                        _LINEAR_MONOID_ROLES + ("ub", "vb"), (
-                            Equation("splitting-left", cond("L")),
-                            Equation("splitting-right", cond("R")),
-                        ))
+                        _LINEAR_MONOID_ROLES + ("ub", "vb"),
+                        _left_right("splitting", cond))
 
 
 _LINEAR_BIALGEBRA_ROLES = ("m", "u", "d", "k",
@@ -947,9 +914,10 @@ _LINEAR_BIALGEBRA_ROLES = ("m", "u", "d", "k",
                            "tau_L", "gam_L", "tau_R", "gam_R")
 
 
-def _bialgebra_tensor_equations() -> tuple[Equation, ...]:
+def _bialgebra_laws(obj: str, prefix: str) -> tuple[Equation, ...]:
+    """The bialgebra laws of m, u, d and k on the object `obj`."""
     def mult_comult(g):
-        A = g.object("A")
+        A = g.object(obj)
         lhs = seq(generator("m", [A, A], [A]), generator("d", [A], [A, A]))
         rhs = seq(par(generator("d", [A], [A, A]),
                       generator("d", [A], [A, A])),
@@ -959,147 +927,96 @@ def _bialgebra_tensor_equations() -> tuple[Equation, ...]:
         return lhs, rhs
 
     def mult_counit(g):
-        A = g.object("A")
+        A = g.object(obj)
         return (seq(generator("m", [A, A], [A]), generator("k", [A], [])),
                 par(generator("k", [A], []), generator("k", [A], [])))
 
     def unit_comult(g):
-        A = g.object("A")
+        A = g.object(obj)
         return (seq(generator("u", [], [A]), generator("d", [A], [A, A])),
                 par(generator("u", [], [A]), generator("u", [], [A])))
 
     def unit_counit(g):
-        A = g.object("A")
+        A = g.object(obj)
         return (seq(generator("u", [], [A]), generator("k", [A], [])),
                 empty())
 
     return (
-        Equation("tensor-mult-comult", mult_comult),
-        Equation("tensor-mult-counit", mult_counit),
-        Equation("tensor-unit-comult", unit_comult),
-        Equation("tensor-unit-counit", unit_counit),
+        Equation(f"{prefix}mult-comult", mult_comult),
+        Equation(f"{prefix}mult-counit", mult_counit),
+        Equation(f"{prefix}unit-comult", unit_comult),
+        Equation(f"{prefix}unit-counit", unit_counit),
     )
 
 
-def _bialgebra_par_equations() -> tuple[Equation, ...]:
-    def mult_comult(g):
-        B = g.object("B")
-        lhs = seq(_m_left(g), _d_left(g))
-        rhs = seq(par(_d_left(g), _d_left(g)),
-                  permutation([B, B, B, B], [0, 2, 1, 3]),
-                  par(_m_left(g), _m_left(g)))
-        return lhs, rhs
-
-    def mult_counit(g):
-        return (seq(_m_left(g), _k_left(g)),
-                par(_k_left(g), _k_left(g)))
-
-    def unit_comult(g):
-        return seq(_u_left(g), _d_left(g)), par(_u_left(g), _u_left(g))
-
-    def unit_counit(g):
-        return seq(_u_left(g), _k_left(g)), empty()
-
-    return (
-        Equation("par-mult-comult", mult_comult),
-        Equation("par-mult-counit", mult_counit),
-        Equation("par-unit-comult", unit_comult),
-        Equation("par-unit-counit", unit_counit),
-    )
+def _on_dual(g: Gadget) -> dict[str, Circuit]:
+    """The bialgebra structure derived on the dual object B, by the role it
+    stands in for: the par-side laws are the tensor-side ones written on B
+    with these substituted."""
+    return {"m": _m_left(g), "d": _d_left(g), "k": _k_left(g),
+            "u": _u_left(g)}
 
 
 def _linear_bialgebra_suite() -> EquationSuite:
-    snakes = sum((_snakes((f"snake-{name}-x", f"snake-{name}-y"),
-                          cup, cap, flip)
-                  for name, cup, cap, flip in (
-                      ("monoid-left", "eta_L", "eps_L", False),
-                      ("monoid-right", "eta_R", "eps_R", True),
-                      ("comonoid-left", "tau_L", "gam_L", False),
-                      ("comonoid-right", "tau_R", "gam_R", True))), ())
+    snakes = (_snake_pairs("snake-monoid-{}-{}", "xy", "eta_L", "eps_L")
+              + _snake_pairs("snake-comonoid-{}-{}", "xy", "tau_L", "gam_L"))
     return EquationSuite("linear-bialgebra", "linear_bialgebra",
                         _LINEAR_BIALGEBRA_ROLES,
                         _monoid_laws() + _comonoid_laws() + snakes
-                        + _bialgebra_tensor_equations()
-                        + _bialgebra_par_equations())
+                        + _bialgebra_laws("A", "tensor-")
+                        + _substituted(_bialgebra_laws("B", "par-"),
+                                       _on_dual))
 
 
 def _complementary_suite() -> EquationSuite:
-    def comp1(side: str):
-        def build(g):
-            A, B = g.object("A"), g.object("B")
-            if side == "L":
-                lhs = seq(par(identity([A]), _u_left(g)),
-                          permutation([A, B], [1, 0]),
-                          _cap("eps_L", B, A))
-            else:
-                lhs = seq(par(identity([A]), _u_right(g)),
-                          _cap("eps_R", A, B))
-            return lhs, generator("k", [A], [])
-        return build
+    def comp1(g):
+        A, B = g.object("A"), g.object("B")
+        lhs = seq(par(identity([A]), _u_left(g)),
+                  permutation([A, B], [1, 0]),
+                  _cap("eps_L", B, A))
+        return lhs, generator("k", [A], [])
 
-    def comp2(side: str):
-        def build(g):
-            A, B = g.object("A"), g.object("B")
-            if side == "L":
-                lhs = seq(_cup("tau_L", A, B),
-                          par(identity([A]), _k_left(g)))
-            else:
-                lhs = seq(_cup("tau_R", B, A),
-                          par(_k_right(g), identity([A])))
-            return lhs, generator("u", [], [A])
-        return build
+    def comp2(g):
+        A, B = g.object("A"), g.object("B")
+        lhs = seq(_cup("tau_L", A, B), par(identity([A]), _k_left(g)))
+        return lhs, generator("u", [], [A])
 
-    def comp3(side: str):
-        def build(g):
-            if side == "L":
-                return (seq(_u_left(g), _d_left(g)),
-                        par(_u_left(g), _u_left(g)))
-            return (seq(_u_right(g), _d_right(g)),
-                    par(_u_right(g), _u_right(g)))
-        return build
+    def comp3(g):
+        return seq(_u_left(g), _d_left(g)), par(_u_left(g), _u_left(g))
 
     return EquationSuite("complementary", "linear_bialgebra",
-                        _LINEAR_BIALGEBRA_ROLES, (
-                            Equation("comp.1-left", comp1("L")),
-                            Equation("comp.1-right", comp1("R")),
-                            Equation("comp.2-left", comp2("L")),
-                            Equation("comp.2-right", comp2("R")),
-                            Equation("comp.3-left", comp3("L")),
-                            Equation("comp.3-right", comp3("R")),
-                        ))
+                        _LINEAR_BIALGEBRA_ROLES,
+                        _left_right("comp.1", comp1)
+                        + _left_right("comp.2", comp2)
+                        + _left_right("comp.3", comp3))
 
 
 def _hopf_suite() -> EquationSuite:
-    def hopf_tensor(side: str):
+    # The Hopf laws of m, u, d and k on an object, with the antipode a
+    # generator s.  The right law is written out, not mirrored: both laws
+    # take the one antipode, while the mirror of an antipode is another map.
+    def hopf(obj: str, side: str) -> Template:
         def build(g):
-            A = g.object("A")
-            s = _antipode_tensor(g)
-            first = par(s, identity([A])) if side == "L" \
-                else par(identity([A]), s)
-            lhs = seq(generator("d", [A], [A, A]), first,
-                      generator("m", [A, A], [A]))
-            rhs = seq(generator("k", [A], []), generator("u", [], [A]))
+            X = g.object(obj)
+            s = generator("s", [X], [X])
+            first = par(s, identity([X])) if side == "left" \
+                else par(identity([X]), s)
+            lhs = seq(generator("d", [X], [X, X]), first,
+                      generator("m", [X, X], [X]))
+            rhs = seq(generator("k", [X], []), generator("u", [], [X]))
             return lhs, rhs
         return build
 
-    def hopf_par(side: str):
-        def build(g):
-            B = g.object("B")
-            s = _antipode_par(g)
-            first = par(s, identity([B])) if side == "L" \
-                else par(identity([B]), s)
-            lhs = seq(_d_left(g), first, _m_left(g))
-            rhs = seq(_k_left(g), _u_left(g))
-            return lhs, rhs
-        return build
+    def laws(obj: str, prefix: str) -> tuple[Equation, ...]:
+        return tuple(Equation(f"{prefix}-{side}", hopf(obj, side))
+                     for side in ("left", "right"))
 
-    return EquationSuite("hopf", "linear_bialgebra",
-                        _LINEAR_BIALGEBRA_ROLES, (
-                            Equation("hopf-tensor-left", hopf_tensor("L")),
-                            Equation("hopf-tensor-right", hopf_tensor("R")),
-                            Equation("hopf-par-left", hopf_par("L")),
-                            Equation("hopf-par-right", hopf_par("R")),
-                        ))
+    return EquationSuite(
+        "hopf", "linear_bialgebra", _LINEAR_BIALGEBRA_ROLES,
+        _substituted(laws("A", "hopf-tensor"),
+                     lambda g: {"s": _antipode_tensor(g)})
+        + _substituted(laws("B", "hopf-par"),
+                       lambda g: _on_dual(g) | {"s": _antipode_par(g)}))
 
 
 def _sandwiched(g: Gadget) -> dict[str, Circuit]:
@@ -1125,20 +1042,14 @@ def _complementary_idempotent_suite() -> EquationSuite:
     # retraction/section composites collapse between consecutive maps,
     # checking these on the ambient gadget is equivalent to splitting the
     # idempotent and checking the complementary suite on the quotient.
-    def sandwiched(eq: Equation) -> Template:
-        def build(g):
-            table = _sandwiched(g)
-            return tuple(substitute(c, table) for c in eq.build(g))
-        return build
-
     labels = [f"idemcomp.{c}-{side}" for c in "abc"
               for side in ("left", "right")]
+    conditions = _substituted(_complementary_suite().equations, _sandwiched)
     return EquationSuite("complementary-idempotent-cond",
                         "linear_bialgebra_idempotent",
                         _LINEAR_BIALGEBRA_ROLES + ("ub", "vb"),
-                        tuple(Equation(label, sandwiched(eq))
-                              for label, eq in zip(
-                                  labels, _complementary_suite().equations)))
+                        tuple(Equation(label, eq.build)
+                              for label, eq in zip(labels, conditions)))
 
 
 def _preunitary_suite() -> EquationSuite:

@@ -11,6 +11,9 @@ derelictions through the dense product comultiplication.  All three take
 time and memory exponential in the degree, so the tests use them on small
 bases only.
 
+`split_comult_matrix` fills Delta multiset by multiset, one entry per
+split into an ordered pair of sub-multisets.
+
 `peel_bang_matrix`, `dense_monoidal_structure`, `dense_lifted_cup`,
 `dense_lifted_cap` and `dense_induce_bang_monoid` are the closed forms that
 came next, kept verbatim but for their names: the functor filled grade by
@@ -24,13 +27,24 @@ import numpy as np
 
 from ldckit.errors import ShapeMismatch
 from ldckit.exponential import (ExpStructure, _m_top, _product_basis,
-                                _require_suite, _top_basis, build_exp,
-                                comult_matrix, counit_matrix, lift_flat)
+                                _top_basis, build_exp, comult_matrix,
+                                counit_matrix, lift_flat)
 from ldckit.gadget import Gadget
 from ldckit.model import ModelEnv, interp
 from ldckit.multiset import (MultisetBasis, distinct_orderings,
-                             multiset_union, remove_one)
+                             multiset_union, remove_one, sub_multiset_splits)
 from ldckit.objects import Atom
+from ldckit.suites import _require_suite
+
+
+def split_comult_matrix(basis: MultisetBasis) -> np.ndarray:
+    """Delta: !A -> !A (x) !A, coefficient 1 per ordered sub-multiset pair."""
+    n = basis.dim
+    out = np.zeros((n * n, n), dtype=complex)
+    for i, m in enumerate(basis.elements):
+        for m1, m2 in sub_multiset_splits(m):
+            out[basis.index[m1] * n + basis.index[m2], i] += 1
+    return out
 
 
 def bang_matrix(f: np.ndarray, basis_a: MultisetBasis,

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldckit.circuit import (Circuit, Node, compose, dagger, dagger_box,
-                            generator, identity, isomorphic, par, permutation,
-                            reverse, seq, substitute, swap, tensor_elim,
-                            tensor_intro)
+                            generator, identity, isomorphic, mirror, par,
+                            permutation, reverse, seq, substitute, swap,
+                            tensor_elim, tensor_intro)
 from ldckit.errors import IllTyped, SchemaError, TypeMismatch
 from ldckit.io import parse, serialize
 from ldckit.objects import Atom, Bot, Par, Tensor, Top
@@ -213,6 +213,18 @@ class TestReverse:
         assert isomorphic(dagger(c), seq(generator("f", [C], [B]),
                                          generator("m_dag", [B], [B, B])))
 
+    def test_mirror_reflects_boundary_ports_and_names(self):
+        c = seq(par(generator("f", [A], [B, C]), identity([D])),
+                par(identity([B]), swap(C, D)))
+        r = mirror(c, {"f": "g"})
+        assert r.input_types() == (D, A)
+        assert r.output_types() == (C, D, B)
+        assert isomorphic(r, seq(par(identity([D]), generator("g", [A],
+                                                              [C, B])),
+                                 par(swap(D, C), identity([B]))))
+        assert isomorphic(mirror(generator("f", [A, B], [C]), {}),
+                          generator("f", [B, A], [C]))
+
     @pytest.mark.parametrize("build", [lambda: tensor_intro(A, B),
                                        lambda: dagger_box(identity([A]))])
     def test_other_node_kinds_are_refused(self, build):
@@ -220,6 +232,8 @@ class TestReverse:
             reverse(build(), {})
         with pytest.raises(IllTyped):
             dagger(build())
+        with pytest.raises(IllTyped):
+            mirror(build(), {})
 
 
 class TestSubstitute:

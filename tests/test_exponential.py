@@ -192,6 +192,13 @@ class TestAgainstOracle:
                 got[basis_b.index[k]] = v
             assert float(np.max(np.abs(got - dense[:, i]))) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("base", [1, 2, 3, 4])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_comult_matrix_scatters_the_splits(self, base, degree):
+        basis = MultisetBasis([str(i) for i in range(base)], degree)
+        assert np.array_equal(comult_matrix(basis),
+                              exp_oracle.split_comult_matrix(basis))
+
     @pytest.mark.parametrize("base, degree",
                              [(1, 3), (2, 2), (2, 5), (3, 3), (4, 2)])
     def test_window_unions_gather_delta_apply(self, base, degree):

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ldckit.circuit import dagger, isomorphic, reverse
+from ldckit.circuit import dagger, isomorphic, mirror, reverse
 from ldckit.errors import MissingRole, TypeMismatch
 from ldckit.fixtures import fixture_names, load_gadget
 from ldckit.gadget import Gadget
@@ -217,30 +217,84 @@ def test_sides_differ(suite, label, lhs, rhs):
     assert not isomorphic(lhs, rhs)
 
 
+# The roles that a suite declares and none of its templates reads.
+_UNREAD = {
+    "monoid-retractional": {"u"},
+    "comonoid-sectional": {"k"},
+    "complementary": {"d", "gam_L", "gam_R"},
+    "complementary-idempotent-cond": {"d", "gam_L", "gam_R"},
+    "hopf": {"eta_R", "eps_R", "tau_R"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_templates_read_declared_roles(name):
+    """Every generator a template reads, less its _dag/_inv suffix, is a
+    declared role, and the roles read by none are pinned."""
+    reads = {n.removesuffix("_dag").removesuffix("_inv")
+             for s, _, _, c in _TEMPLATES if s == name
+             for n in c.generator_names}
+    roles = set(SUITES[name].roles)
+    assert reads <= roles
+    assert roles - reads == _UNREAD.get(name, set())
+
+
+def test_sides_with_other_boundary_types():
+    """`check_suite` compares matrices of equal shape only; these are the
+    equations whose sides differ in boundary types at the typings above."""
+    differ = {(s, label) for s, label, lhs, rhs in _EQUATIONS
+              if (lhs.input_types(), lhs.output_types())
+              != (rhs.input_types(), rhs.output_types())}
+    assert differ == {
+        ("dagger-binary", "u-hermitian"), ("dagger-binary", "v-hermitian"),
+        ("preunitary", "structure-map-hermitian"),
+        ("dagger-linear-monoid", "dagger-dual-left"),
+        ("dagger-linear-monoid", "dagger-dual-right"),
+        ("dagger-linear-comonoid", "dagger-dual-left"),
+        ("dagger-linear-comonoid", "dagger-dual-right"),
+    }
+
+
 def _toggle(suffix: str):
     """The renaming n <-> n + suffix."""
     return lambda n: n.removesuffix(suffix) if n.endswith(suffix) \
         else n + suffix
 
 
+def _ports_reversed(m: np.ndarray, rows: list[int],
+                    cols: list[int]) -> np.ndarray:
+    """The matrix `m`, from ports of dimensions `cols` to ports of
+    dimensions `rows`, with the order of each reversed."""
+    axes = [*reversed(range(len(rows))),
+            *reversed(range(len(rows), len(rows) + len(cols)))]
+    return m.reshape(rows + cols).transpose(axes).reshape(m.shape)
+
+
 _prime = _toggle("'")
+
+
+def _primed(flip):
+    return lambda c: flip(c, {n: _prime(n) for n in c.generator_names})
+
+
 # Each flip of a template: how it renames a generator, the flip itself, and
-# what it does to each generator's matrix and so to the template's.
+# what it does to a matrix with ports of the given output and input
+# dimensions: each generator's, and so the template's.
 _FLIPS = {
-    "reverse": (_prime,
-                lambda c: reverse(c, {n: _prime(n)
-                                      for n in c.generator_names}),
-                np.transpose),
-    "dagger": (_toggle("_dag"), dagger, lambda m: m.conj().T),
+    "reverse": (_prime, _primed(reverse), lambda m, rows, cols: m.T),
+    "dagger": (_toggle("_dag"), dagger, lambda m, rows, cols: m.conj().T),
+    "mirror": (_prime, _primed(mirror), _ports_reversed),
 }
-_FLIP_CASES = ([("reverse", *t) for t in _TEMPLATES]
-               + [("dagger", *t) for t in _TEMPLATES])
-_FLIP_IDS = _IDS + [f"dagger:{i}" for i in _IDS]
+_FLIP_CASES = [(flip, *t) for flip in _FLIPS for t in _TEMPLATES]
+_FLIP_IDS = _IDS + [f"{flip}:{i}" for flip in ("dagger", "mirror")
+                    for i in _IDS]
 
 
 class TestReverse:
-    """`reverse`, with every generator primed, and `dagger` on every
-    equation template of every suite."""
+    """`reverse` and `mirror`, with every generator primed, and `dagger` on
+    every equation template of every suite: each is its own inverse, and
+    evaluates to the transpose, the conjugate transpose and the matrix with
+    its boundary reversed."""
 
     @pytest.mark.parametrize("flip,suite,label,side,c", _FLIP_CASES,
                              ids=_FLIP_IDS)
@@ -257,13 +311,14 @@ class TestReverse:
         flipped_env = ModelEnv(atoms=_ENV.atoms)
         for n in c.nodes.values():
             if n.kind == "gen" and n.name not in env.generators:
-                shape = (int(np.prod(dims_of(n.cod, env))),
-                         int(np.prod(dims_of(n.dom, env))))
+                rows, cols = dims_of(n.cod, env), dims_of(n.dom, env)
+                shape = (int(np.prod(rows)), int(np.prod(cols)))
                 m = rng.standard_normal(shape) \
                     + 1j * rng.standard_normal(shape)
                 env.assign(n.name, m)
-                flipped_env.assign(rename(n.name), on_matrix(m))
-        want = on_matrix(evaluate(c, env))
+                flipped_env.assign(rename(n.name), on_matrix(m, rows, cols))
+        want = on_matrix(evaluate(c, env), dims_of(c.output_types(), env),
+                         dims_of(c.input_types(), env))
         got = evaluate(flipped(c), flipped_env)
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
