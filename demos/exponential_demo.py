@@ -34,7 +34,6 @@ def main() -> None:
           f"{np.array_equal(e_bang @ e_bang, e_bang)}")
 
     out = complementary_from_idempotent(result["gadget"], tol=1e-8,
-                                        retractional=(True, False),
                                         splitting=result["splitting"])
     print(f"compatibility conditions: "
           f"{'pass' if out['conditions'].passed else 'FAIL'} "

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LdcError, SuiteFailure
+from .errors import LdcError, ShapeMismatch, SuiteFailure
 from .exponential import retract_idempotent
 from .fixtures import fixture_names, load_gadget
 from .gadget import Gadget, gadget_to_json
@@ -107,6 +107,9 @@ def cmd_split(args) -> int:
         print(f"rank {alpha.shape[0]}, iso residual {res:.3e}")
         return 0 if res <= args.tol * 10 else 2
     ub, vb = gadget.morphism("ub"), gadget.morphism("vb")
+    if vb.shape != ub.shape[::-1]:
+        raise ShapeMismatch(f"ub {ub.shape} and vb {vb.shape} do not "
+                            f"compose both ways")
     split = _SPLITTERS[args.kind](gadget, vb @ ub, ub @ vb, args.tol)
     _emit(json.dumps(gadget_to_json(split), indent=1).encode() + b"\n",
           args.output)
@@ -136,7 +139,6 @@ def cmd_exp_demo(args) -> int:
 
     degenerate = args.degree < 2
     out = complementary_from_idempotent(induced, tol=args.tol,
-                                        retractional=(True, False),
                                         splitting=result["splitting"],
                                         check=not degenerate)
     cond, verdict = out["conditions"], out["complementary"]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -64,10 +64,6 @@ def interp(t: ObjectExpr, env: ModelEnv) -> tuple[int, tuple[str, ...]]:
         basis = MultisetBasis(labels, env.degree)
         return basis.dim, tuple(basis.labels())
     raise TypeError(f"not an object formula: {t!r}")
-
-
-def dims_of(types: Sequence[ObjectExpr], env: ModelEnv) -> list[int]:
-    return [interp(t, env)[0] for t in types]
 
 
 class _Program:

@@ -11,10 +11,10 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import MissingRole
+from .errors import MissingRole, SuiteFailure
 from .gadget import Gadget
 from .model import ModelEnv, evaluate, interp, split_idempotent
-from .objects import Atom, ObjectExpr, Par, Tensor
+from .objects import Atom, Par, Tensor
 from .suites import (SUITES, SuiteReport, check_suite, suite_env,
                      _MONOID_TO_COMONOID, _ROLE_SIGNATURES, _act_left,
                      _act_right, _antipode_par, _antipode_tensor,
@@ -110,18 +110,12 @@ def actions_to_monoid(g: Gadget, tol: float = 1e-9) -> Gadget:
 
 # -- splittings along sectional/retractional idempotents --------------------
 
-def _split_pair(e_a: np.ndarray, e_b: np.ndarray, tol: float,
-                splitting=None):
-    if splitting is not None:
-        return splitting                   # caller-supplied (r, s, r', s')
-    r, s = split_idempotent(e_a, tol)      # A -> E -> A
-    r2, s2 = split_idempotent(e_b, tol)    # B -> E' -> B
-    return r, s, r2, s2
-
-
-def _split_objects(r, r2) -> tuple[dict[str, ObjectExpr], ModelEnv]:
-    env = ModelEnv.make({"E": r.shape[0], "E2": r2.shape[0]})
-    return {"A": Atom("E"), "B": Atom("E2")}, env
+# Each side a linear bialgebra may have: the roles of its duals' cups and
+# caps, and the roles that its splitting conjugates.
+_SIDES = {
+    "monoid": ("eta", "eps", tuple(_MONOID_TO_COMONOID)),
+    "comonoid": ("tau", "gam", tuple(_MONOID_TO_COMONOID.values())),
+}
 
 
 def _split_roles(g, r, s, r2, s2, roles) -> dict[str, np.ndarray]:
@@ -142,18 +136,15 @@ def _split_roles(g, r, s, r2, s2, roles) -> dict[str, np.ndarray]:
     return out
 
 
-def _check_idempotent_compat(g: Gadget, e_a, e_b, tol, retractional,
-                             monoid: bool) -> None:
-    # The chosen flavour applies to the (co)monoid itself and to the dual
-    # whose left object carries the structure; the other dual, read with
-    # the idempotents swapped, is preserved in the opposite flavour.  The
+def _require_flavour(g: Gadget, side: str, e_a, e_b, tol) -> None:
+    """Accept the idempotents on one side of `g` if its three compatibility
+    suites pass with them sectional, or else retractional; otherwise raise
+    one `SuiteFailure` naming the suite that failed in each flavour."""
+    # A flavour applies to the (co)monoid itself and to the dual whose
+    # left object carries the structure; the other dual, read with the
+    # idempotents swapped, is preserved in the opposite flavour.  The
     # comonoid sits on the right of its duals, so its two probes swap.
-    main = "retractional" if retractional else "sectional"
-    other = "sectional" if retractional else "retractional"
-    kind = "monoid" if monoid else "comonoid"
-    cup, cap = ("eta", "eps") if monoid else ("tau", "gam")
-    _require_suite(g.with_morphisms(e=e_a), f"{kind}-{main}", tol)
-
+    cup, cap, _ = _SIDES[side]
     swapped = None
     if g.gradings is not None:
         swapped = dict(g.gradings)
@@ -166,60 +157,67 @@ def _check_idempotent_compat(g: Gadget, e_a, e_b, tol, retractional,
                      {"A": g.object("B"), "B": g.object("A")},
                      {"eta": _mat(g, f"{cup}_R"), "eps": _mat(g, f"{cap}_R"),
                       "e_a": e_b, "e_b": e_a}, g.env, swapped)
-    if monoid:
-        _require_suite(probe_l, f"dual-{main}", tol)
-        _require_suite(probe_r, f"dual-{other}", tol)
-    else:
-        _require_suite(probe_r, f"dual-{main}", tol)
-        _require_suite(probe_l, f"dual-{other}", tol)
+    main, other = ((probe_l, probe_r) if side == "monoid"
+                   else (probe_r, probe_l))
+    probe = g.with_morphisms(e=e_a)
+    failed = {}
+    for flavour, opposite in (("sectional", "retractional"),
+                              ("retractional", "sectional")):
+        for target, name in ((probe, f"{side}-{flavour}"),
+                             (main, f"dual-{flavour}"),
+                             (other, f"dual-{opposite}")):
+            report = check_suite(target, SUITES[name], tol)
+            if not report.passed:
+                failed[flavour] = report
+                break
+        else:
+            return
+    raise SuiteFailure(
+        " and ".join(f"{rep.suite} ({flavour})"
+                     for flavour, rep in failed.items()),
+        "worst residuals " + " and ".join(f"{rep.worst():.3e}"
+                                          for rep in failed.values()))
+
+
+def _split(g: Gadget, structure: str, e_a, e_b, tol, splitting,
+           check: bool) -> Gadget:
+    """The linear `structure` g split along e_a on A and e_b on B, by the
+    caller's (r, s, r2, s2) if `splitting` is given.  With `check`, g must
+    pass its own suite, and each of its sides must preserve the idempotents
+    as sectional or as retractional ones."""
+    sides = list(_SIDES) if structure == "bialgebra" else [structure]
+    if check:
+        _require_suite(g, f"linear-{structure}", tol)
+        for side in sides:
+            _require_flavour(g, side, e_a, e_b, tol)
+    if splitting is None:
+        splitting = (*split_idempotent(e_a, tol), *split_idempotent(e_b, tol))
+    r, s, r2, s2 = splitting
+    env = ModelEnv.make({"E": r.shape[0], "E2": r2.shape[0]})
+    roles = [role for side in sides for role in _SIDES[side][2]]
+    return Gadget(f"linear_{structure}", {"A": Atom("E"), "B": Atom("E2")},
+                  _split_roles(g, r, s, r2, s2, roles), env)
 
 
 def split_linear_monoid(g: Gadget, e_a: np.ndarray, e_b: np.ndarray,
                         tol: float = 1e-9,
-                        retractional: bool = False,
                         splitting=None, check: bool = True) -> Gadget:
-    if check:
-        _require_suite(g, "linear-monoid", tol)
-        _check_idempotent_compat(g, e_a, e_b, tol, retractional, monoid=True)
-    r, s, r2, s2 = _split_pair(e_a, e_b, tol, splitting)
-    objects, env = _split_objects(r, r2)
-    return Gadget("linear_monoid", objects,
-                  _split_roles(g, r, s, r2, s2, _MONOID_TO_COMONOID), env)
+    return _split(g, "monoid", e_a, e_b, tol, splitting, check)
 
 
 def split_linear_comonoid(g: Gadget, e_a: np.ndarray, e_b: np.ndarray,
                           tol: float = 1e-9,
-                          retractional: bool = False,
                           splitting=None, check: bool = True) -> Gadget:
-    if check:
-        _require_suite(g, "linear-comonoid", tol)
-        _check_idempotent_compat(g, e_a, e_b, tol, retractional,
-                                 monoid=False)
-    r, s, r2, s2 = _split_pair(e_a, e_b, tol, splitting)
-    objects, env = _split_objects(r, r2)
-    return Gadget("linear_comonoid", objects,
-                  _split_roles(g, r, s, r2, s2, _MONOID_TO_COMONOID.values()),
-                  env)
+    return _split(g, "comonoid", e_a, e_b, tol, splitting, check)
 
 
 def split_linear_bialgebra(g: Gadget, e_a: np.ndarray, e_b: np.ndarray,
                            tol: float = 1e-9,
-                           retractional=False,
                            splitting=None, check: bool = True) -> Gadget:
-    """``retractional`` may be a single flag or a (monoid, comonoid) pair;
-    the mixed form covers idempotents whose retraction is a monoid morphism
-    while the section is a comonoid morphism, as happens for the canonical
-    retract of an exponential."""
-    mon_r, com_r = (retractional if isinstance(retractional, (tuple, list))
-                    else (retractional, retractional))
-    if check:
-        _require_suite(g, "linear-bialgebra", tol)
-        _check_idempotent_compat(g, e_a, e_b, tol, mon_r, monoid=True)
-        _check_idempotent_compat(g, e_a, e_b, tol, com_r, monoid=False)
-    r, s, r2, s2 = _split_pair(e_a, e_b, tol, splitting)
-    objects, env = _split_objects(r, r2)
-    return Gadget("linear_bialgebra", objects,
-                  _split_roles(g, r, s, r2, s2, _ROLE_SIGNATURES), env)
+    """Each side's idempotents may be of either flavour: in the canonical
+    retract of an exponential the retraction is a monoid morphism while
+    the section is a comonoid morphism."""
+    return _split(g, "bialgebra", e_a, e_b, tol, splitting, check)
 
 
 # -- compact reflection -----------------------------------------------------
@@ -285,17 +283,17 @@ def tensor_of_duals(g: Gadget, tol: float = 1e-9) -> Gadget:
 # -- complementary systems from idempotents ---------------------------------
 
 def complementary_from_idempotent(g: Gadget, tol: float = 1e-9,
-                                  retractional: bool = False,
                                   splitting=None, check: bool = True) -> dict:
-    """Check the complementarity conditions of a coring binary idempotent
-    on a linear bialgebra, split it, and report whether the split gadget is
-    a complementary system.  The two verdicts must agree."""
+    """Report the complementary suite sandwiched between e_A = ub;vb and
+    e_B = vb;ub, split the linear bialgebra along e_A and e_B, and report
+    the complementary suite on the split gadget.  The two verdicts must
+    agree.  With `check`, the split first requires the linear-bialgebra
+    suite and, on each side, the compatibility suites of one flavour."""
+    # the conditions read ub and vb, so a pair that does not compose both
+    # ways is refused there with ShapeMismatch
     conditions = check_suite(g, SUITES["complementary-idempotent-cond"], tol)
     ub, vb = _mat(g, "ub"), _mat(g, "vb")
-    e_a = vb @ ub
-    e_b = ub @ vb
-    split = split_linear_bialgebra(g, e_a, e_b, tol,
-                                   retractional=retractional,
+    split = split_linear_bialgebra(g, vb @ ub, ub @ vb, tol,
                                    splitting=splitting, check=check)
     verdict = check_suite(split, SUITES["complementary"], tol)
     return {"conditions": conditions, "split": split,

@@ -398,7 +398,7 @@ def _k_right(g: Gadget) -> Circuit:
 
 # Derived structure on the dual object of a linear comonoid (d, k) with
 # duals (tau_L, gam_L): A -| B and (tau_R, gam_R): B -| A: the comonoid flip
-# of the monoid's right-hand maps, and their mirror images.
+# of the monoid's right-hand maps.
 
 def _m_left(g: Gadget) -> Circuit:
     return _to_comonoid(_d_right(g))
@@ -406,10 +406,6 @@ def _m_left(g: Gadget) -> Circuit:
 
 def _u_left(g: Gadget) -> Circuit:
     return _to_comonoid(_k_right(g))
-
-
-def _u_right(g: Gadget) -> Circuit:
-    return _mirror(_u_left(g))
 
 
 # Actions and coactions derived from a linear monoid.

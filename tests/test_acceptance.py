@@ -316,8 +316,7 @@ class TestRetractPipeline:
         e_bang = result["e_bang"]
         assert np.array_equal(e_bang @ e_bang, e_bang)
         out = complementary_from_idempotent(
-            result["gadget"], tol=1e-8, retractional=(True, False),
-            splitting=result["splitting"])
+            result["gadget"], tol=1e-8, splitting=result["splitting"])
         assert out["conditions"].passed
         assert out["conditions"].worst() <= 1e-8
         assert out["complementary"].passed
@@ -414,10 +413,10 @@ class TestSplittingLemmas:
 
     def test_monoid_lemma(self):
         g = pointwise_monoid()
-        split = split_linear_monoid(g, E_GOOD, E_GOOD, retractional=True)
+        split = split_linear_monoid(g, E_GOOD, E_GOOD)
         assert check_suite(split, SUITES["linear-monoid"], 1e-9).passed
         with pytest.raises(SuiteFailure):
-            split_linear_monoid(g, E_BAD, E_BAD, retractional=True)
+            split_linear_monoid(g, E_BAD, E_BAD)
         forced = split_linear_monoid(g, E_BAD, E_BAD, check=False)
         assert not check_suite(forced, SUITES["linear-monoid"], 1e-9).passed
 
@@ -436,8 +435,7 @@ class TestSplittingLemmas:
         # exponential splits back to a complementary system
         result = retract_idempotent(qubit_gadget, degree=2)
         out = complementary_from_idempotent(
-            result["gadget"], tol=1e-9, retractional=(True, False),
-            splitting=result["splitting"])
+            result["gadget"], tol=1e-9, splitting=result["splitting"])
         assert out["conditions"].passed and out["complementary"].passed
 
         # counterexample: phase-twisted comonoid duals keep the linear

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldckit.cli import build_parser, main
+from ldckit.exponential import retract_idempotent
 from ldckit.fixtures import load_gadget
+from ldckit.gadget import gadget_to_json
 from ldckit.io import serialize
 from ldckit.objects import Bot, Par, Tensor, Top
 from ldckit.rewrite import expand_wire
@@ -207,6 +209,34 @@ class TestSplit:
     def test_missing_roles_exit_one(self, capsys):
         assert main(["split", "--gadget", "qubit-zx",
                      "--kind", "binary"]) == 1
+
+    @pytest.mark.parametrize("name", ["qubit-zx", "zn:3"])
+    def test_saved_retract_splits_as_every_kind(self, tmp_path, capsys,
+                                                name):
+        # the retraction preserves the monoid and the section the
+        # comonoid, so each side's idempotents have a different flavour
+        g = retract_idempotent(load_gadget(name), degree=2)["gadget"]
+        path = tmp_path / "retract.json"
+        path.write_text(json.dumps(gadget_to_json(g)))
+        for kind in ("monoid", "comonoid", "bialgebra"):
+            assert main(["split", "--gadget", str(path), "--kind", kind,
+                         "-o", str(tmp_path / f"{kind}.json")]) == 0, kind
+        assert main(["check", "--suite", "complementary", "--gadget",
+                     str(tmp_path / "bialgebra.json")]) == 0
+        assert capsys.readouterr().out.strip().endswith("pass")
+
+    @pytest.mark.parametrize("kind", ["monoid", "comonoid", "bialgebra"])
+    def test_idempotents_that_do_not_compose_exit_one(self, tmp_path,
+                                                      capsys, kind):
+        doc = json.loads(QUBIT_DOC.read_text())
+        doc["morphisms"] |= {
+            "ub": {"rows": 2, "cols": 3, "data": [[1, 0]] * 6},
+            "vb": {"rows": 2, "cols": 2, "data": [[1, 0]] * 4}}
+        path = tmp_path / "gadget.json"
+        path.write_text(json.dumps(doc))
+        assert main(["split", "--gadget", str(path), "--kind", kind]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestExpDemo:
@@ -470,13 +500,34 @@ def gadget_documents(draw):
     return doc
 
 
-def _check_exits_cleanly(path: Path, suite: str, ok=(0, 2)) -> None:
+@st.composite
+def split_documents(draw):
+    """The qubit-zx gadget document with a pair ub, vb of random shapes,
+    half the time transposed to one another, and entries in {-1, 0, 1}."""
+    doc = json.loads(QUBIT_DOC.read_text())
+    shape = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    for role in ("ub", "vb"):
+        rows, cols = shape
+        data = draw(st.lists(st.lists(st.integers(-1, 1), min_size=2,
+                                      max_size=2),
+                             min_size=rows * cols, max_size=rows * cols))
+        doc["morphisms"][role] = {"rows": rows, "cols": cols, "data": data}
+        shape = (shape[::-1] if draw(st.booleans())
+                 else (draw(st.integers(0, 3)), draw(st.integers(0, 3))))
+    return doc
+
+
+def _exits_cleanly(argv: list[str], ok=(0, 2)) -> None:
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        rc = main(["check", "--suite", suite, "--gadget", str(path)])
+        rc = main(argv)
     text = err.getvalue()
     assert "Traceback" not in text
     assert rc in ok or rc == 1 and text.startswith("error: "), (rc, text)
+
+
+def _check_exits_cleanly(path: Path, suite: str, ok=(0, 2)) -> None:
+    _exits_cleanly(["check", "--suite", suite, "--gadget", str(path)], ok)
 
 
 class TestFuzzGadgetDocuments:
@@ -518,3 +569,14 @@ class TestFuzzGadgetDocuments:
             path = Path(tmp) / "gadget.json"
             path.write_text(json.dumps(doc))
             _check_exits_cleanly(path, suite)
+
+    # `split` multiplied ub and vb before any check, and a pair that did
+    # not compose raised NumPy's ValueError
+    @settings(max_examples=100, deadline=None)
+    @given(doc=split_documents(),
+           kind=st.sampled_from(["monoid", "comonoid", "bialgebra"]))
+    def test_split_exits_cleanly(self, doc, kind):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "gadget.json"
+            path.write_text(json.dumps(doc))
+            _exits_cleanly(["split", "--gadget", str(path), "--kind", kind])

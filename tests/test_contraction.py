@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import model_oracle
+from model_oracle import dims_of
 from ldckit import plan
 from ldckit.circuit import (Circuit, bot_elim, bot_intro_on, dagger_box,
                             generator, identity, par, par_elim, par_intro,
@@ -21,7 +22,7 @@ from ldckit.circuit import (Circuit, bot_elim, bot_intro_on, dagger_box,
 from ldckit.errors import (LdcError, ResourceLimit, ShapeMismatch,
                            UnassignedGenerator)
 from ldckit.fixtures import fixture_names, load_gadget
-from ldckit.model import ModelEnv, contraction_cost, dims_of, evaluate
+from ldckit.model import ModelEnv, contraction_cost, evaluate
 from ldckit.objects import (BOT, TOP, Atom, Bang, Dagger, ObjectExpr, Par,
                             Quest, Tensor, dagger_of)
 from ldckit.suites import SUITES, suite_env

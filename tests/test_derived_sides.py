@@ -14,11 +14,12 @@ from ldckit.circuit import Circuit, isomorphic
 from ldckit.errors import TypeMismatch
 from ldckit.fixtures import load_gadget
 from ldckit.gadget import Gadget
-from ldckit.model import ModelEnv, contraction_cost, dims_of, evaluate
+from ldckit.model import ModelEnv, contraction_cost, evaluate
 from ldckit.objects import Atom
 from ldckit.suites import SUITES
 
 import suite_oracle as oracle
+from model_oracle import dims_of
 
 REFERENCES = oracle.hand_written()
 _IDS = [f"{suite}/{label}" for suite, label in REFERENCES]

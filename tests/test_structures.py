@@ -2,10 +2,15 @@
 the metamorphic guarantees of the four splitting lemmas."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
-from ldckit.errors import MissingRole, SuiteFailure
+from ldckit import structures
+from ldckit.errors import MissingRole, ShapeMismatch, SuiteFailure
+from ldckit.exponential import retract_idempotent
+from ldckit.fixtures import load_gadget
 from ldckit.gadget import Gadget
 from ldckit.model import ModelEnv, split_idempotent
 from ldckit.objects import Atom
@@ -17,6 +22,8 @@ from ldckit.structures import (actions_to_monoid, antipode,
                                split_linear_monoid, tensor_of_duals,
                                weak_preunitary_from_dagger_split)
 from ldckit.suites import SUITES, check_suite
+
+import structures_oracle
 
 TOL = 1e-9
 X = Atom("X")
@@ -201,8 +208,7 @@ class TestMonoidSplitLemma:
         g = pointwise_monoid()
         probe = g.with_morphisms(e=E_GOOD)
         assert check_suite(probe, SUITES["monoid-retractional"], TOL).passed
-        split = split_linear_monoid(g, E_GOOD, E_GOOD, tol=TOL,
-                                    retractional=True)
+        split = split_linear_monoid(g, E_GOOD, E_GOOD, tol=TOL)
         assert check_suite(split, SUITES["linear-monoid"], TOL).passed
 
     def test_incompatible_idempotent_fails_both_ways(self):
@@ -211,7 +217,7 @@ class TestMonoidSplitLemma:
         assert not check_suite(probe, SUITES["monoid-retractional"],
                                TOL).passed
         with pytest.raises(SuiteFailure):
-            split_linear_monoid(g, E_BAD, E_BAD, tol=TOL, retractional=True)
+            split_linear_monoid(g, E_BAD, E_BAD, tol=TOL)
         forced = split_linear_monoid(g, E_BAD, E_BAD, tol=TOL, check=False)
         assert not check_suite(forced, SUITES["linear-monoid"], TOL).passed
 
@@ -243,6 +249,11 @@ class TestBialgebraSplitLemma:
         with pytest.raises(MissingRole) as err:
             complementary_from_idempotent(g, tol=TOL)
         assert err.value.role == missing
+
+    def test_idempotents_that_do_not_compose_are_refused(self, qubit_gadget):
+        g = qubit_gadget.with_morphisms(ub=np.ones((2, 3)), vb=np.eye(2))
+        with pytest.raises(ShapeMismatch):
+            complementary_from_idempotent(g, tol=TOL, check=False)
 
     def test_identity_idempotent_reproduces_the_system(self, qubit_gadget):
         eye = np.eye(2, dtype=complex)
@@ -277,3 +288,129 @@ class TestBialgebraSplitLemma:
         out = complementary_from_idempotent(g, tol=TOL, check=False)
         assert not out["conditions"].passed
         assert not out["complementary"].passed
+
+
+# -- the one split path against the splitters that took a flavour -----------
+
+def _oracle_splits(kind: str, g: Gadget, e_a, e_b, splitting=None) -> dict:
+    """The oracle's split gadget under each flavour it accepts: each
+    `retractional` flag, and for the bialgebra each (monoid, comonoid)
+    pair."""
+    split = getattr(structures_oracle, f"split_linear_{kind}")
+    flavours = (list(itertools.product((False, True), repeat=2))
+                if kind == "bialgebra" else [False, True])
+    out = {}
+    for flavour in flavours:
+        try:
+            out[flavour] = split(g, e_a, e_b, TOL, retractional=flavour,
+                                 splitting=splitting)
+        except SuiteFailure:
+            pass
+    return out
+
+
+def _assert_matches_oracle(kind: str, g: Gadget, e_a, e_b,
+                           splitting=None) -> list:
+    """Where the oracle accepts some flavour, the split is its gadget bit
+    for bit; where it refuses every one, the split raises SuiteFailure.
+    Returns the accepted flavours."""
+    accepted = _oracle_splits(kind, g, e_a, e_b, splitting)
+    split = getattr(structures, f"split_linear_{kind}")
+    if not accepted:
+        with pytest.raises(SuiteFailure):
+            split(g, e_a, e_b, TOL, splitting=splitting)
+        return []
+    got = split(g, e_a, e_b, TOL, splitting=splitting)
+    for ref in accepted.values():
+        assert (got.kind, got.objects, got.env, got.gradings) \
+            == (ref.kind, ref.objects, ref.env, ref.gradings)
+        assert list(got.morphisms) == list(ref.morphisms)
+        for role, mat in ref.morphisms.items():
+            assert np.array_equal(got.morphisms[role], mat), role
+    return list(accepted)
+
+
+def _qubit_idempotent(which: str) -> tuple:
+    g = load_gadget("qubit-zx")
+    e = (np.eye(2, dtype=complex) if which == "identity"
+         else g.morphism("u") @ g.morphism("k"))
+    return g, e, e, None
+
+
+def _retract(name: str) -> tuple:
+    result = retract_idempotent(load_gadget(name), degree=2)
+    g = result["gadget"]
+    ub, vb = g.morphism("ub"), g.morphism("vb")
+    return g, vb @ ub, ub @ vb, result["splitting"]
+
+
+BOTH = list(itertools.product((False, True), repeat=2))
+# case: (build, {kind: the flavours the oracle accepts})
+ORACLE_CASES = {
+    "pointwise-good": (lambda: (pointwise_monoid(), E_GOOD, E_GOOD, None),
+                       {"monoid": [True]}),
+    "pointwise-bad": (lambda: (pointwise_monoid(), E_BAD, E_BAD, None),
+                      {"monoid": []}),
+    "copy-good": (lambda: (copy_comonoid(), E_GOOD, E_GOOD, None),
+                  {"comonoid": [False]}),
+    "copy-bad": (lambda: (copy_comonoid(), E_BAD, E_BAD, None),
+                 {"comonoid": []}),
+    "qubit-identity": (lambda: _qubit_idempotent("identity"),
+                       {"monoid": [False, True], "comonoid": [False, True],
+                        "bialgebra": BOTH}),
+    "qubit-counit-unit": (lambda: _qubit_idempotent("u;k"),
+                          {"monoid": [], "comonoid": [],
+                           "bialgebra": []}),
+    "qubit-zx-retract": (lambda: _retract("qubit-zx"),
+                         {"monoid": [True], "comonoid": [False],
+                          "bialgebra": [(True, False)]}),
+    "zn3-retract": (lambda: _retract("zn:3"),
+                    {"monoid": [True], "comonoid": [False],
+                     "bialgebra": [(True, False)]}),
+}
+
+
+def _random_idempotent(rng, n: int) -> np.ndarray:
+    """A coordinate projector of rank 1 to n, half the time conjugated by
+    an integer matrix of determinant 1."""
+    d = np.zeros(n)
+    d[rng.choice(n, int(rng.integers(1, n + 1)), replace=False)] = 1
+    if rng.random() < 0.5:
+        return np.diag(d).astype(complex)
+    p = ((np.eye(n) + np.triu(rng.integers(-2, 3, (n, n)), 1))
+         @ (np.eye(n) + np.tril(rng.integers(-2, 3, (n, n)), -1)))
+    return (p @ np.diag(d) @ np.linalg.inv(p)).astype(complex)
+
+
+class TestSplitAgainstOracle:
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_named_cases(self, case):
+        build, expected = ORACLE_CASES[case]
+        g, e_a, e_b, splitting = build()
+        for kind, flavours in expected.items():
+            assert _assert_matches_oracle(kind, g, e_a, e_b,
+                                          splitting) == flavours, kind
+
+    def test_seeded_random_idempotents(self):
+        rng = np.random.default_rng(0)
+        qubit = load_gadget("qubit-zx")
+        outcomes = []
+        for _ in range(30):
+            for g, n, kinds in ((pointwise_monoid(), 3, ["monoid"]),
+                                (copy_comonoid(), 3, ["comonoid"]),
+                                (qubit, 2, ["monoid", "comonoid",
+                                            "bialgebra"])):
+                e_a = _random_idempotent(rng, n)
+                e_b = (e_a.copy() if rng.random() < 0.5
+                       else _random_idempotent(rng, n))
+                for kind in kinds:
+                    outcomes.append(bool(
+                        _assert_matches_oracle(kind, g, e_a, e_b)))
+        # both verdicts occur, so neither branch is compared vacuously
+        assert 0 < sum(outcomes) < len(outcomes)
+
+    def test_refusal_names_the_failing_suite_of_each_flavour(self):
+        with pytest.raises(SuiteFailure) as err:
+            split_linear_monoid(pointwise_monoid(), E_BAD, E_BAD, tol=TOL)
+        assert err.value.suite == ("monoid-sectional (sectional) and "
+                                   "monoid-retractional (retractional)")
