@@ -90,7 +90,7 @@ class ResourceLimit(LdcError):
 
 
 # The most entries of any dense array that ldckit allocates: 2**27 complex
-# entries are 2 GiB.
+# entries are 2 GiB, and 2**27 real ones 1 GiB.
 MAX_ENTRIES = 2 ** 27
 
 

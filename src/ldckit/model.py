@@ -1,5 +1,8 @@
 """The concrete model: finite-dimensional complex matrices.
 
+A matrix whose entries are all real is kept, and contracted, over the
+reals: `ModelEnv.assign` stores it as float64 and anything else as
+complex128, and a contraction multiplies in the field of its operands.
 Both tensors are interpreted by the same Kronecker product with left index
 major, both units by the one-dimensional space, and the dagger by conjugate
 transpose.  The mix map, mixors, laxors, and the canonical involution are
@@ -37,11 +40,22 @@ class ModelEnv:
              generators: Optional[dict[str, np.ndarray]] = None) -> "ModelEnv":
         atoms = {name: (dim, tuple(str(i) for i in range(dim)))
                  for name, dim in atom_dims.items()}
-        return ModelEnv(atoms=atoms, degree=degree,
-                        generators=dict(generators or {}))
+        env = ModelEnv(atoms=atoms, degree=degree)
+        for name, matrix in (generators or {}).items():
+            env.assign(name, matrix)
+        return env
 
     def assign(self, name: str, matrix: np.ndarray) -> None:
-        self.generators[name] = np.asarray(matrix, dtype=complex)
+        """Bind `name` to `matrix`: a contiguous float64 array when its
+        imaginary part is all zero, a complex128 one otherwise."""
+        m = np.asarray(matrix)
+        if m.dtype.kind not in "biuf":
+            m = np.asarray(m, dtype=complex)
+            if np.count_nonzero(m.imag):
+                self.generators[name] = m
+                return
+            m = m.real
+        self.generators[name] = np.ascontiguousarray(m, dtype=float)
 
 
 def interp(t: ObjectExpr, env: ModelEnv) -> tuple[int, tuple[str, ...]]:
@@ -88,7 +102,7 @@ class _Program:
         check_entries("largest contraction intermediate", self.largest)
         t = [bind(env) for bind in self.binders]
         if not t:
-            return np.ones((), dtype=complex)
+            return np.ones(())
         i = 0
         for i, j, pa, sa, pb, sb, shape in self.steps:
             t[i] = (t[i].transpose(pa).reshape(sa)
@@ -105,11 +119,15 @@ def _bind_generator(name: str, rows: int, cols: int, shape: list[int],
         m = env.generators.get(name)
         if m is None:
             raise UnassignedGenerator(name)
-        m = np.asarray(m, dtype=complex)
+        m = np.asarray(m)
+        if m.dtype != np.float64:
+            m = m.astype(complex, copy=False)
         if m.shape != (rows, cols):
             raise ShapeMismatch(f"generator {name!r}: expected "
                                 f"{(rows, cols)}, got {m.shape}")
-        return (np.conj(m) if conj else m).reshape(shape)
+        if conj and m.dtype == complex:
+            m = np.conj(m)
+        return m.reshape(shape)
     return bind
 
 
@@ -182,7 +200,7 @@ def _compile(c: Circuit, dim: dict[ObjectExpr, int]) -> _Program:
     for x in sorted(set(out_ax) & set(in_ax)):
         ends[x] = len(size)
         size.append(size[x])
-        binders.append(lambda env, eye=np.eye(size[x], dtype=complex): eye)
+        binders.append(lambda env, eye=np.eye(size[x]): eye)
         operands.append([ends[x], x])
     out_ax = [ends.get(x, x) for x in out_ax]
     chosen, cost = plan.best(operands, size, range(len(operands)))
@@ -223,21 +241,24 @@ def evaluate(c: Circuit, env: ModelEnv) -> np.ndarray:
     """Evaluate by tensor-network contraction.  Returns the matrix from the
     tensored inputs to the parred outputs (both are Kronecker here).  The
     contraction is compiled once per circuit and factor dimensions, and
-    then only reads the generator matrices from `env`."""
+    then only reads the generator matrices from `env`.  The result is
+    float64 exactly when every generator that `c` reads is bound to a
+    float64 matrix, and complex128 otherwise."""
     prog = _program(c, env)
     return prog.tensor(env).reshape(prog.rows, prog.cols)
 
 
 def matrices_equal(a: np.ndarray, b: np.ndarray,
                    tol: float = 1e-9) -> tuple[bool, float]:
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = np.asarray(a), np.asarray(b)
+    field = np.result_type(a, b, np.float64)
+    a, b = a.astype(field, copy=False), b.astype(field, copy=False)
     if a.shape != b.shape:
         raise ShapeMismatch(f"{a.shape} vs {b.shape}")
-    residual = float(np.max(np.abs(a - b))) if a.size else 0.0
-    scale = max(1.0,
-                float(np.max(np.abs(a))) if a.size else 0.0,
-                float(np.max(np.abs(b))) if b.size else 0.0)
+    if not a.size:
+        return True, 0.0
+    residual = float(np.abs(a - b).max())
+    scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
     return residual <= tol * scale, residual
 
 

@@ -91,14 +91,17 @@ def suite_env(g: Gadget, reads: Optional[Collection[str]] = None
     in `reads` when it is given."""
     env = ModelEnv(atoms=dict(g.env.atoms), degree=g.env.degree)
     for role, mat in g.morphisms.items():
-        m = np.asarray(mat, dtype=complex)
-        env.assign(role, m)
-        for suffix, derive in _DERIVED.items():
-            if reads is None or role + suffix in reads:
-                try:
-                    env.assign(role + suffix, derive(m))
-                except np.linalg.LinAlgError:   # not square, or singular
-                    pass
+        derived = [suffix for suffix in _DERIVED
+                   if reads is None or role + suffix in reads]
+        if not derived and reads is not None and role not in reads:
+            continue
+        env.assign(role, mat)
+        m = env.generators[role]
+        for suffix in derived:
+            try:
+                env.assign(role + suffix, _DERIVED[suffix](m))
+            except np.linalg.LinAlgError:   # not square, or singular
+                pass
     return env
 
 

@@ -26,7 +26,7 @@ from ldckit.cli import main
 from ldckit.errors import LdcError, SuiteFailure
 from ldckit.exponential import (bang_matrix, build_exp,
                                 comonad_coassoc_report, comonoid_residual,
-                                retract_idempotent)
+                                induce_bang_monoid, retract_idempotent)
 from ldckit.fixtures import load_gadget
 from ldckit.gadget import Gadget
 from ldckit.io import parse, serialize
@@ -364,6 +364,21 @@ class TestRetractPipeline:
         finally:
             tracemalloc.stop()
         assert peak < 500e6
+
+    def test_real_exponential_suite_check_within_memory_budget(self):
+        # the dimension-35 exponential of Z_4 is real, so its laws on
+        # A (x) A -> A (x) A are contracted in float64: 35**4 entries of
+        # 8 bytes each; in complex128 the check peaked at 144 MB
+        g = induce_bang_monoid(load_gadget("zn:4"), 3)
+        assert check_suite(g, SUITES["linear-bialgebra"]).passed
+        tracemalloc.start()
+        try:
+            report = check_suite(g, SUITES["linear-bialgebra"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.worst() == 0.0
+        assert peak < 100e6
 
     def test_exp_demo_past_the_contraction_limit_exits_cleanly(self):
         # the suite checks on the dimension-126 exponential need a

@@ -33,6 +33,8 @@ TYPES = [A, B, A, Tensor(A, B), Par(B, A), Dagger(A), Bang(B),
 
 
 def assert_matches_oracle(c: Circuit, env: ModelEnv) -> None:
+    """`evaluate` equals the oracle, and is real exactly when every
+    generator that `c` reads is bound to a real matrix."""
     try:
         want = model_oracle.evaluate(c, env)
     except ResourceLimit:   # past the oracle's 52 einsum indices
@@ -43,6 +45,9 @@ def assert_matches_oracle(c: Circuit, env: ModelEnv) -> None:
         return
     got = evaluate(c, env)
     assert got.shape == want.shape
+    real = all(env.generators[name].dtype == np.float64
+               for name in c.generator_names)
+    assert got.dtype == (np.float64 if real else np.complex128)
     scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
     assert float(np.max(np.abs(got - want), initial=0.0)) <= 1e-12 * scale
 
@@ -52,7 +57,8 @@ class RandomNet:
     factor each), layer by layer: generators, symmetries, the
     introductions and eliminations of both tensors, unit nodes, dagger
     boxes around random inner nets, and wires that no node touches.  Every
-    generator gets its own random matrix."""
+    generator gets its own random matrix: all real, all complex, or each
+    one either, by net."""
 
     def __init__(self, rng: random.Random):
         self.rng = rng
@@ -115,11 +121,14 @@ class RandomNet:
         env = ModelEnv.make({"A": self.rng.randint(1, 3),
                              "B": self.rng.randint(1, 2)})
         rng = np.random.default_rng(self.rng.randrange(2**32))
+        field = self.rng.choice(["real", "complex", "mixed"])
         for name, dom, cod in self.gens:
             shape = (int(np.prod(dims_of(cod, env))),
                      int(np.prod(dims_of(dom, env))))
-            env.assign(name, rng.standard_normal(shape)
-                       + 1j * rng.standard_normal(shape))
+            m = rng.standard_normal(shape)
+            if field == "complex" or field == "mixed" and rng.random() < 0.5:
+                m = m + 1j * rng.standard_normal(shape)
+            env.assign(name, m)
         return env
 
 
@@ -141,9 +150,10 @@ class TestAgainstOracle:
         assert_matches_oracle(c, env)
 
     def test_random_nets_cover_every_node_kind(self):
-        kinds, scalar, through = set(), False, False
+        kinds, scalar, through, fields = set(), False, False, set()
         for seed in range(300):
-            c, _ = random_net(seed)
+            c, env = random_net(seed)
+            fields.add(frozenset(m.dtype for m in env.generators.values()))
             kinds |= {n.kind for n in c.nodes.values()}
             scalar |= not c.inputs and not c.outputs and bool(c.nodes)
             through |= any(w in c.outputs and c.producer(w) is None
@@ -152,6 +162,9 @@ class TestAgainstOracle:
                          "par_elim", "top_intro", "top_elim", "bot_intro",
                          "bot_elim", "swap", "dagger_box"}
         assert scalar and through
+        real, cplx = np.dtype(np.float64), np.dtype(np.complex128)
+        assert {frozenset([real]), frozenset([cplx]),
+                frozenset([real, cplx])} <= fields
 
     @pytest.mark.parametrize("gadget", fixture_names())
     @pytest.mark.parametrize("suite", sorted(SUITES))

@@ -57,6 +57,21 @@ class TestEvaluate:
         env = env_with({"A": 2, "B": 3}, f=f)
         assert np.array_equal(evaluate(generator("f", [A], [B]), env), f)
 
+    @pytest.mark.parametrize("rows, field", [
+        ([[1, 2], [3, 4], [5, 6]], np.float64),
+        ([[1, 2j], [3, 4], [5, 6]], np.complex128)])
+    def test_make_binds_generators_in_their_field(self, rows, field):
+        env = ModelEnv.make({"A": 2, "B": 3}, generators={"f": rows})
+        got = evaluate(generator("f", [A], [B]), env)
+        assert got.dtype == field and np.array_equal(got, rows)
+
+    def test_zero_imaginary_part_is_stored_real(self):
+        f = (np.arange(6).reshape(2, 3) + 0j).T
+        env = env_with({"A": 2, "B": 3}, f=f)
+        assert env.generators["f"].dtype == np.float64
+        assert env.generators["f"].flags.c_contiguous
+        assert np.array_equal(env.generators["f"], f)
+
     def test_unassigned_generator_rejected(self):
         with pytest.raises(UnassignedGenerator):
             evaluate(generator("mystery", [A], [A]), ModelEnv.make({"A": 2}))
@@ -179,6 +194,11 @@ class TestMatricesEqual:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeMismatch):
             matrices_equal(np.eye(2), np.eye(3))
+
+    def test_real_against_complex(self):
+        ok, residual = matrices_equal(np.eye(2), np.eye(2) + 0.5j)
+        assert not ok and residual == 0.5
+        assert matrices_equal([[True]], [[False]]) == (False, 1.0)
 
 
 class TestSplitIdempotent:
