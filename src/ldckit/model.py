@@ -1,8 +1,5 @@
 """The concrete model: finite-dimensional complex matrices.
 
-A matrix whose entries are all real is kept, and contracted, over the
-reals: `ModelEnv.assign` stores it as float64 and anything else as
-complex128, and a contraction multiplies in the field of its operands.
 Both tensors are interpreted by the same Kronecker product with left index
 major, both units by the one-dimensional space, and the dagger by conjugate
 transpose.  The mix map, mixors, laxors, and the canonical involution are
@@ -11,6 +8,10 @@ is independent of validity by design.
 
 A morphism X -> Y is stored as a |Y| x |X| matrix; the diagrammatic
 composite f;g is the product matG . matF.
+
+A matrix whose entries are all real is kept, and contracted, over the
+reals: `ModelEnv.assign` stores it as float64 and anything else as
+complex128, and a contraction multiplies in the field of its operands.
 """
 from __future__ import annotations
 
@@ -120,13 +121,13 @@ def _bind_generator(name: str, rows: int, cols: int, shape: list[int],
         if m is None:
             raise UnassignedGenerator(name)
         m = np.asarray(m)
-        if m.dtype != np.float64:
-            m = m.astype(complex, copy=False)
         if m.shape != (rows, cols):
             raise ShapeMismatch(f"generator {name!r}: expected "
                                 f"{(rows, cols)}, got {m.shape}")
-        if conj and m.dtype == complex:
-            m = np.conj(m)
+        if m.dtype != np.float64:
+            m = m.astype(complex, copy=False)
+            if conj:
+                m = np.conj(m)
         return m.reshape(shape)
     return bind
 
