@@ -1,6 +1,7 @@
 """JSON formats for circuits and matrices."""
 from __future__ import annotations
 
+import base64
 import json
 from typing import Optional
 
@@ -8,6 +9,7 @@ import numpy as np
 
 from .circuit import Circuit, Node
 from .errors import CircuitSyntaxError, LdcError, SchemaError
+from .model import in_field
 from .objects import type_from_json, type_to_json
 
 _ARITY = {
@@ -191,37 +193,85 @@ def _claim(table: dict, wire: str, endpoint: tuple) -> None:
 
 # -- matrices --------------------------------------------------------------
 
+# Each entry type of the `base64` encoding: its name in a document and its
+# little-endian NumPy dtype.
+_ENTRY_DTYPES = {"float64": "<f8", "complex128": "<c16"}
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
+    """The document of a two-dimensional matrix: `rows`, `cols`, and the
+    entries, row-major, as the standard `base64` of their little-endian
+    bytes.  Their `dtype` is float64 when every imaginary part is zero (the
+    rule of `ModelEnv.assign`), complex128 otherwise."""
+    m = in_field(m)
     if m.ndim != 2:
         raise SchemaError("matrix must be two-dimensional")
+    dtype = "float64" if m.dtype == float else "complex128"
+    raw = m.astype(_ENTRY_DTYPES[dtype], copy=False).tobytes()
     return {
         "rows": m.shape[0],
         "cols": m.shape[1],
-        "data": [[float(v.real), float(v.imag)] for v in m.reshape(-1)],
+        "dtype": dtype,
+        "base64": base64.b64encode(raw).decode("ascii"),
     }
 
 
 def matrix_from_json(doc: object) -> np.ndarray:
-    if not isinstance(doc, dict) or not {"rows", "cols", "data"} <= set(doc):
+    """The complex128 matrix of a matrix document.  Its entries are either
+    `base64` of `dtype` entries, as `matrix_to_json` writes them, or
+    `data`, a list of pairs [re, im] of numbers, as it wrote them before."""
+    if not isinstance(doc, dict) or not {"rows", "cols"} <= set(doc):
         raise SchemaError(f"bad matrix document: {doc!r}")
-    rows, cols, data = doc["rows"], doc["cols"], doc["data"]
+    rows, cols = doc["rows"], doc["cols"]
     for dim in (rows, cols):
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise SchemaError(f"matrix rows and cols must be nonnegative "
                               f"integers, got {dim!r}")
-    if not isinstance(data, list) or len(data) != rows * cols:
+    if ("base64" in doc) == ("data" in doc):
+        raise SchemaError("a matrix document holds its entries in exactly "
+                          "one of base64 and data")
+    if "base64" in doc:
+        vals = _base64_entries(doc["base64"], doc.get("dtype"), rows * cols)
+    else:
+        vals = _pair_entries(doc["data"], rows * cols)
+    if not np.all(np.isfinite(vals)):
+        raise SchemaError("matrix entries must be finite")
+    return vals.reshape(rows, cols)
+
+
+def _base64_entries(text: object, dtype: object, n: int) -> np.ndarray:
+    """The `n` entries of a `base64` encoding, as a new complex128 array."""
+    if not isinstance(dtype, str) or dtype not in _ENTRY_DTYPES:
+        raise SchemaError(f"matrix dtype must be one of "
+                          f"{sorted(_ENTRY_DTYPES)}, got {dtype!r}")
+    if not isinstance(text, str):
+        raise SchemaError("matrix base64 must be a string")
+    entry = np.dtype(_ENTRY_DTYPES[dtype])
+    nbytes = n * entry.itemsize
+    wrong_size = f"matrix base64 must hold rows*cols = {n} {dtype} entries"
+    # the padded length first, so that nothing is decoded for a document
+    # whose shape and payload disagree
+    if len(text) != 4 * -(-nbytes // 3):
+        raise SchemaError(wrong_size)
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:   # binascii.Error, or a non-ASCII character
+        raise SchemaError("matrix base64 is not valid base64") from None
+    if len(raw) != nbytes:
+        raise SchemaError(wrong_size)
+    return np.frombuffer(raw, entry).astype(complex)
+
+
+def _pair_entries(data: object, n: int) -> np.ndarray:
+    """The `n` entries of a `data` list of pairs, as a complex128 array."""
+    if not isinstance(data, list) or len(data) != n:
         raise SchemaError("matrix data must be a list of rows*cols entries")
     not_pairs = "matrix entries must be pairs [re, im] of numbers"
     try:
         pairs = np.array(data) if data else np.zeros((0, 2))
     except ValueError:  # ragged entries
         raise SchemaError(not_pairs) from None
-    if pairs.shape != (len(data), 2) or pairs.dtype.kind not in "iuf":
+    if pairs.shape != (n, 2) or pairs.dtype.kind not in "iuf":
         raise SchemaError(not_pairs)
     # each row (re, im) of float64 is one complex128
-    vals = np.ascontiguousarray(pairs, dtype=float).view(complex)
-    m = vals.reshape(rows, cols)
-    if not np.all(np.isfinite(m.view(float))):
-        raise SchemaError("matrix entries must be finite")
-    return m
+    return np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(n)

@@ -47,16 +47,20 @@ class ModelEnv:
         return env
 
     def assign(self, name: str, matrix: np.ndarray) -> None:
-        """Bind `name` to `matrix`: a contiguous float64 array when its
-        imaginary part is all zero, a complex128 one otherwise."""
-        m = np.asarray(matrix)
-        if m.dtype.kind not in "biuf":
-            m = np.asarray(m, dtype=complex)
-            if np.count_nonzero(m.imag):
-                self.generators[name] = m
-                return
-            m = m.real
-        self.generators[name] = np.ascontiguousarray(m, dtype=float)
+        """Bind `name` to `matrix` in its field (see `in_field`)."""
+        self.generators[name] = in_field(matrix)
+
+
+def in_field(matrix: np.ndarray) -> np.ndarray:
+    """`matrix` as a contiguous float64 array when its imaginary part is
+    all zero, as a complex128 one otherwise."""
+    m = np.asarray(matrix)
+    if m.dtype.kind not in "biuf":
+        m = np.asarray(m, dtype=complex)
+        if np.count_nonzero(m.imag):
+            return m
+        m = m.real
+    return np.ascontiguousarray(m, dtype=float)
 
 
 def interp(t: ObjectExpr, env: ModelEnv) -> tuple[int, tuple[str, ...]]:

@@ -28,7 +28,7 @@ from ldckit.exponential import (bang_matrix, build_exp,
                                 comonad_coassoc_report, comonoid_residual,
                                 induce_bang_monoid, retract_idempotent)
 from ldckit.fixtures import load_gadget
-from ldckit.gadget import Gadget
+from ldckit.gadget import Gadget, gadget_to_json
 from ldckit.io import parse, serialize
 from ldckit.model import ModelEnv, evaluate, split_idempotent
 from ldckit.objects import Atom, Bot, Dagger, Par, Tensor, Top
@@ -379,6 +379,25 @@ class TestRetractPipeline:
             tracemalloc.stop()
         assert report.passed and report.worst() == 0.0
         assert peak < 100e6
+
+    def test_saved_exponential_reloads_within_memory_budget(self, tmp_path):
+        # 376 k entries; written as one JSON pair of floats each, saving
+        # peaked at 55 MiB and loading at 67 MiB, for a 4.5 MB file
+        g = induce_bang_monoid(load_gadget("zn:5"), 3)
+        path = tmp_path / "exp.json"
+        tracemalloc.start()
+        try:
+            path.write_text(json.dumps(gadget_to_json(g)))
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            reloaded = load_gadget(str(path))
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert save_peak < 30e6 and load_peak < 30e6
+        assert all(np.array_equal(reloaded.morphism(role), m)
+                   for role, m in g.morphisms.items())
+        assert check_suite(reloaded, SUITES["linear-bialgebra"]).passed
 
     def test_exp_demo_past_the_contraction_limit_exits_cleanly(self):
         # the suite checks on the dimension-126 exponential need a

@@ -21,6 +21,7 @@ from ldckit.io import serialize
 from ldckit.objects import Bot, Par, Tensor, Top
 from ldckit.rewrite import expand_wire
 
+from io_oracle import gadget_to_pair_json
 from test_validity import circuits
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -481,13 +482,22 @@ class TestFuzzCircuitDocuments:
 # -- fuzzing gadget documents -----------------------------------------------
 
 QUBIT_DOC = ROOT / "src" / "ldckit" / "fixtures" / "qubit-zx.json"
+# The shipped qubit-zx document, its matrices in base64, and the same
+# gadget with its matrices written as [re, im] pairs.
+QUBIT_DOCS = (QUBIT_DOC.read_text(),
+              json.dumps(gadget_to_pair_json(load_gadget("qubit-zx"))))
+# Values that a matrix document in base64 holds, and some that are close.
+matrix_values = st.sampled_from(["float64", "complex128", "complex64", "",
+                                 "AAAA", "AAAAAAAA8D8=", "AAAAAAAA8D8",
+                                 "AAAAAAAA8H8=", "A?==", "=="])
 
 
 @st.composite
 def gadget_documents(draw):
-    """The qubit-zx gadget document with one to three random edits: a
-    value replaced by a random JSON value, or deleted."""
-    doc = json.loads(QUBIT_DOC.read_text())
+    """The qubit-zx gadget document, in either matrix encoding, with one
+    to three random edits: a value replaced by a random JSON value, or
+    deleted."""
+    doc = json.loads(draw(st.sampled_from(QUBIT_DOCS)))
     for _ in range(draw(st.integers(1, 3))):
         slots = _slots(doc, [])
         if not slots:
@@ -496,7 +506,7 @@ def gadget_documents(draw):
         if draw(st.booleans()):
             del container[key]
         else:
-            container[key] = draw(json_values)
+            container[key] = draw(json_values | matrix_values)
     return doc
 
 
