@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldckit.errors import SchemaError
-from ldckit.fixtures import fixture_names, load_gadget
+from ldckit.fixtures import (fixture_names, load_gadget,
+                             write_builtin_fixtures)
 from ldckit.gadget import gadget_from_json, gadget_to_json
 from ldckit.io import matrix_from_json, matrix_to_json
 
@@ -173,6 +174,17 @@ def test_huge_shape_with_short_payload_allocates_nothing(encoding):
     finally:
         tracemalloc.stop()
     assert peak < 1e5
+
+
+def test_shipped_fixtures_are_what_the_builders_write(tmp_path):
+    write_builtin_fixtures(tmp_path)
+    shipped = ROOT / "src" / "ldckit" / "fixtures"
+    names = {f"{name}.json" for name in fixture_names()}
+    assert {p.name for p in tmp_path.iterdir()} == names
+    assert {p.name for p in shipped.glob("*.json")} == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() \
+            == (shipped / name).read_bytes(), name
 
 
 def legacy_gadgets():
