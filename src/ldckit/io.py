@@ -202,7 +202,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
     """The document of a two-dimensional matrix: `rows`, `cols`, and the
     entries, row-major, as the standard `base64` of their little-endian
     bytes.  Their `dtype` is float64 when every imaginary part is zero (the
-    rule of `ModelEnv.assign`), complex128 otherwise."""
+    rule of `model.in_field`), complex128 otherwise."""
     m = in_field(m)
     if m.ndim != 2:
         raise SchemaError("matrix must be two-dimensional")
@@ -221,7 +221,9 @@ def matrix_from_json(doc: object) -> np.ndarray:
     `base64` of `dtype` entries, as `matrix_to_json` writes them, or
     `data`, a list of pairs [re, im] of numbers, as it wrote them before."""
     if not isinstance(doc, dict) or not {"rows", "cols"} <= set(doc):
-        raise SchemaError(f"bad matrix document: {doc!r}")
+        # not the document itself, which may hold megabytes of entries
+        raise SchemaError("a matrix document is an object with rows and "
+                          "cols")
     rows, cols = doc["rows"], doc["cols"]
     for dim in (rows, cols):
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:

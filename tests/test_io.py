@@ -125,6 +125,8 @@ MALFORMED = {
     "padding extra": {"base64": "AAAAAAAA8D8AAAAAAAAAQA==="},
     "padding inside": {"base64": "AAAAAAAA8D8=AAAAAAAAQA=="},
     "no padding where due": {"base64": "AAAAAAAA8D8AAAAAAAAAQAAA"},
+    "padding after a full group": {"cols": 3, "base64": _payload(
+        1, 2, 3, fmt="<3d") + "=="},
     "one entry short": {"base64": _payload(1.0, fmt="<d")},
     "one entry long": {"base64": _payload(1, 2, 3, fmt="<3d")},
     "real payload as complex": {"dtype": "complex128"},
@@ -153,6 +155,13 @@ def test_malformed_document_is_refused(edit):
             doc[key] = value
     with pytest.raises(SchemaError):
         matrix_from_json(through_json(doc))
+
+
+def test_refusal_does_not_repeat_the_entries():
+    doc = {"cols": 1, "base64": "A" * 10 ** 5}
+    with pytest.raises(SchemaError) as exc:
+        matrix_from_json(doc)
+    assert len(str(exc.value)) < 100
 
 
 def test_valid_document_is_read():
