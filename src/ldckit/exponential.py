@@ -19,7 +19,9 @@ dense array left is refused with `ResourceLimit` past `errors.MAX_ENTRIES`
 entries, before it is allocated.  Couniversal lifts through the comonoid of
 a base gadget, which the retract needs, are computed degree by degree from
 the comonoid-morphism constraint and fail loudly when the constraints are
-inconsistent, making cofreeness an executable contract.
+inconsistent, making cofreeness an executable contract.  The structure
+maps are real 0/1 matrices, and every map built from a gadget's roles is
+computed in their field: real data stays real.
 """
 from __future__ import annotations
 
@@ -48,7 +50,7 @@ def comult_matrix(basis: MultisetBasis) -> np.ndarray:
     a one at (m1, m2) and m1 + m2 for each pair of `_window_unions`."""
     n = basis.dim
     check_entries("Delta", n * n * n)
-    out = np.zeros((n * n, n), dtype=complex)
+    out = np.zeros((n * n, n))
     i1, i2, union = _window_unions(basis)
     out[i1 * n + i2, union] = 1
     return out
@@ -66,14 +68,14 @@ def _window_unions(basis: MultisetBasis) \
 
 
 def counit_matrix(basis: MultisetBasis) -> np.ndarray:
-    out = np.zeros((1, basis.dim), dtype=complex)
+    out = np.zeros((1, basis.dim))
     out[0, basis.index[()]] = 1
     return out
 
 
 def dereliction_matrix(basis: MultisetBasis) -> np.ndarray:
     """eps: !A -> A, projection onto singleton multisets."""
-    out = np.zeros((len(basis.base), basis.dim), dtype=complex)
+    out = np.zeros((len(basis.base), basis.dim))
     for a in range(len(basis.base)):
         out[a, basis.index[(a,)]] = 1
     return out
@@ -140,15 +142,16 @@ def bang_matrix(f: np.ndarray, basis_a: MultisetBasis,
     each grade.  Grade n is filled from grade n - 1 by peeling the first
     factor off each target multiset:
     !f[mb, ma] = sum over distinct a in ma of f[mb[0], a] * !f[mb[1:], ma - a],
-    one gather, product and segment sum per grade.
+    one gather, product and segment sum per grade, over the reals when f
+    is real.
     """
     if f.shape != (len(basis_b.base), len(basis_a.base)):
         raise ShapeMismatch(
             f"expected {(len(basis_b.base), len(basis_a.base))}, "
             f"got {f.shape}")
     check_entries("!f", basis_b.dim * basis_a.dim)
-    f = np.asarray(f, dtype=complex)
-    out = np.zeros((basis_b.dim, basis_a.dim), dtype=complex)
+    f = np.asarray(f, dtype=np.result_type(f, float))
+    out = np.zeros((basis_b.dim, basis_a.dim), dtype=f.dtype)
     out[0, 0] = 1
     below = out[:1, :1]
     for rows, cols in zip(_grades(len(basis_b.base), basis_b.degree),
@@ -171,7 +174,7 @@ def comonoid_residual(delta_c: np.ndarray, e_c: np.ndarray) -> float:
     r1 = float(np.max(np.abs(left - right))) if dim else 0.0
     lhs = np.einsum("xyc,x->yc", d3, e_c[0])
     rhs = np.einsum("xyc,y->xc", d3, e_c[0])
-    eye = np.eye(dim, dtype=complex)
+    eye = np.eye(dim)
     r2 = float(np.max(np.abs(lhs - eye)))
     r3 = float(np.max(np.abs(rhs - eye)))
     return max(r1, r2, r3)
@@ -183,8 +186,7 @@ def lift_flat(comonoid: tuple[np.ndarray, np.ndarray], f: np.ndarray,
     (C, delta_c, e_c) and f: C -> A.  Solved degree by degree; the grade-n
     row of F is forced by any single element of the multiset, and the
     remaining choices must agree (checked, with loud failure)."""
-    delta_c, e_c = (np.asarray(x, dtype=complex) for x in comonoid)
-    f = np.asarray(f, dtype=complex)
+    delta_c, e_c, f = map(np.asarray, (*comonoid, f))
     dim_c = f.shape[1]
     if delta_c.shape != (dim_c * dim_c, dim_c) or e_c.shape != (1, dim_c):
         raise ShapeMismatch("comonoid data shapes do not match f")
@@ -194,7 +196,7 @@ def lift_flat(comonoid: tuple[np.ndarray, np.ndarray], f: np.ndarray,
     if res > tol:
         raise NotAComonoid(res)
     d3 = delta_c.reshape(dim_c, dim_c, dim_c)
-    big = np.zeros((target.dim, dim_c), dtype=complex)
+    big = np.zeros((target.dim, dim_c), np.result_type(d3, e_c, f, float))
     big[target.index[()], :] = e_c[0]
     for a in range(len(target.base)):
         big[target.index[(a,)], :] = f[a]
@@ -228,7 +230,7 @@ def lift_sharp(monoid: tuple[np.ndarray, np.ndarray], g: np.ndarray,
                target: MultisetBasis, tol: float = 1e-9) -> np.ndarray:
     """Unique monoid morphism ?B -> M with eta;g# = g: the dagger dual of
     lift_flat applied to the daggered data."""
-    mult, unit = (np.asarray(x, dtype=complex) for x in monoid)
+    mult, unit, g = map(np.asarray, (*monoid, g))
     flat = lift_flat((mult.conj().T, unit.conj().T), g.conj().T, target,
                      tol=tol)
     return flat.conj().T
@@ -270,7 +272,7 @@ def build_exp(base: Sequence[str] | int, degree: int,
         check_entries("delta: !A -> !!A",
                       math.comb(basis.dim + degree, degree) * basis.dim)
         outer = MultisetBasis(basis.labels(), degree)
-        dup = np.zeros((outer.dim, basis.dim), dtype=complex)
+        dup = np.zeros((outer.dim, basis.dim))
         for i, m in enumerate(basis.elements):
             for parts, c in delta_sparse(m, degree).items():
                 key = tuple(sorted(basis.index[p] for p in parts))
@@ -407,7 +409,7 @@ def _top_basis(degree: int) -> MultisetBasis:
 
 def _m_top(degree: int) -> np.ndarray:
     """T -> !T: the unit of the monoidal structure, one per grade."""
-    return np.ones((degree + 1, 1), dtype=complex)
+    return np.ones((degree + 1, 1))
 
 
 @dataclass(frozen=True)
@@ -426,7 +428,7 @@ class _Monoidal:
     def push(self, x: np.ndarray) -> np.ndarray:
         """x @ m_tensor for x with one column per multiset of pairs: each
         column of the result sums the columns of x that map to it."""
-        out = np.zeros((x.shape[0], self.cols), dtype=complex)
+        out = np.zeros((x.shape[0], self.cols), np.result_type(x, float))
         out[:, self.targets] = np.add.reduceat(x[:, self.order], self.starts,
                                                axis=1)
         return out
@@ -466,7 +468,7 @@ def monoidal_structure(exp_a: ExpStructure, exp_b: ExpStructure) \
     through the index of `_monoidal` instead."""
     mon = _monoidal_of(exp_a, exp_b)
     check_entries("m_tensor", mon.index.size * mon.cols)
-    m_tensor = np.zeros((mon.index.size, mon.cols), dtype=complex)
+    m_tensor = np.zeros((mon.index.size, mon.cols))
     m_tensor[np.arange(mon.index.size), mon.index] = 1
     return _m_top(exp_a.basis.degree), m_tensor, m_tensor.conj().T
 
@@ -486,7 +488,7 @@ def lifted_cup(state: np.ndarray, exp_a: ExpStructure,
     costructure sums those entries by their projections."""
     mon = _monoidal_of(exp_a, exp_b)
     d = exp_a.basis.degree
-    banged = bang_matrix(np.asarray(state, dtype=complex).reshape(-1, 1),
+    banged = bang_matrix(np.asarray(state).reshape(-1, 1),
                          _top_basis(d), _product_basis(exp_a, exp_b))
     return mon.push((banged @ _m_top(d)).T).T
 
@@ -497,7 +499,7 @@ def lifted_cap(costate: np.ndarray, exp_a: ExpStructure,
     dagger of the lifted cup of the daggered costate.  (Pushing the costate
     forward with the functor instead would overcount each multiset by its
     number of distinct orderings and break the snake equations.)"""
-    state = np.asarray(costate, dtype=complex).conj().reshape(-1, 1)
+    state = np.asarray(costate).conj().reshape(-1, 1)
     return lifted_cup(state, exp_a, exp_b).conj().T
 
 
@@ -517,10 +519,10 @@ def induce_bang_monoid(g: Gadget, degree: int = 3,
     exp_b = exp_a if same \
         else build_exp(list(labels_b), degree, with_duplication=False)
     m_bang = _monoidal_of(exp_a, exp_a).push(
-        bang_matrix(np.asarray(g.morphism("m"), dtype=complex),
-                    _product_basis(exp_a, exp_a), exp_a.basis))
-    u_bang = bang_matrix(np.asarray(g.morphism("u"), dtype=complex),
-                         _top_basis(degree), exp_a.basis) @ _m_top(degree)
+        bang_matrix(g.morphism("m"), _product_basis(exp_a, exp_a),
+                    exp_a.basis))
+    u_bang = bang_matrix(g.morphism("u"), _top_basis(degree),
+                         exp_a.basis) @ _m_top(degree)
     morphs = {
         "m": m_bang, "u": u_bang,
         "d": exp_a.Delta, "k": exp_a.counit_e,
@@ -563,7 +565,7 @@ def retract_idempotent(g: Gadget, degree: int = 3,
     na, _ = interp(g.object("A"), g.env)
     induced = induce_bang_monoid(g, degree, tol)
     basis = MultisetBasis(list(interp(g.object("A"), g.env)[1]), degree)
-    eye = np.eye(na, dtype=complex)
+    eye = np.eye(na)
     flat = lift_flat((g.morphism("d"), g.morphism("k")), eye, basis, tol)
     sharp = lift_sharp((g.morphism("m"), g.morphism("u")), eye, basis, tol)
     eps = dereliction_matrix(basis)

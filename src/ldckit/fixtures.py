@@ -26,20 +26,20 @@ def _algebra_gadget(name: str, labels: list[str],
     cups/caps as the dual witness and the identity as the candidate
     coincidence isomorphism."""
     n = len(labels)
+    # complex, since quad4's table holds +-i; the gadget narrows weil's
     m = np.zeros((n, n * n), dtype=complex)
     for (i, j), out in mult.items():
         for k, c in out.items():
             m[k, i * n + j] = c
-    u = np.zeros((n, 1), dtype=complex)
+    u = np.zeros((n, 1))
     u[unit_idx, 0] = 1
-    eps = np.eye(n, dtype=complex).reshape(1, n * n)
-    eta = eps.conj().T
+    eps = np.eye(n).reshape(1, n * n)
+    eta = eps.T
     A = Atom(name)
     env = ModelEnv.make({name: n})
     env.atoms[name] = (n, tuple(labels))
-    morphs = {"m": m, "u": u, "alpha": np.eye(n, dtype=complex),
-              "eta_L": eta.copy(), "eps_L": eps.copy(),
-              "eta_R": eta.copy(), "eps_R": eps.copy()}
+    morphs = {"m": m, "u": u, "alpha": np.eye(n),
+              "eta_L": eta, "eps_L": eps, "eta_R": eta, "eps_R": eps}
     return Gadget("linear_monoid", {"A": A, "B": A}, morphs, env)
 
 
@@ -80,25 +80,10 @@ def qubit_zx() -> Gadget:
     """Self-linear bialgebra on the qubit: parity (XOR) monoid with the
     computational-basis copy/delete comonoid and canonical-basis duals.
     Passes the complementary and Hopf suites; the coincidence
-    isomorphism is the identity."""
-    m = np.array([[1, 0, 0, 1], [0, 1, 1, 0]], dtype=complex)
-    u = np.array([[1], [0]], dtype=complex)
-    d = np.zeros((4, 2), dtype=complex)
-    d[0, 0] = 1
-    d[3, 1] = 1
-    k = np.array([[1, 1]], dtype=complex)
-    cup = np.eye(2, dtype=complex).reshape(4, 1)
-    cap = np.eye(2, dtype=complex).reshape(1, 4)
+    isomorphism is the identity.  It is `cyclic_group(2)` on the atom Q."""
     Q = Atom("Q")
-    env = ModelEnv.make({"Q": 2})
-    env.atoms["Q"] = (2, ("0", "1"))
-    morphs = {"m": m, "u": u, "d": d, "k": k,
-              "alpha": np.eye(2, dtype=complex)}
-    for r in ("eta_L", "eta_R", "tau_L", "tau_R"):
-        morphs[r] = cup.copy()
-    for r in ("eps_L", "eps_R", "gam_L", "gam_R"):
-        morphs[r] = cap.copy()
-    return Gadget("linear_bialgebra", {"A": Q, "B": Q}, morphs, env)
+    return Gadget("linear_bialgebra", {"A": Q, "B": Q},
+                  cyclic_group(2).morphisms, ModelEnv.make({"Q": 2}))
 
 
 def cyclic_group(n: int, degree: int = 3) -> Gadget:
@@ -107,22 +92,21 @@ def cyclic_group(n: int, degree: int = 3) -> Gadget:
     exchanges the two structures (Coecke & Duncan, "Interacting quantum
     observables", 2011)."""
     check_entries(f"zn:{n} multiplication", n ** 3)
-    m = np.zeros((n, n * n), dtype=complex)
-    d = np.zeros((n * n, n), dtype=complex)
+    m = np.zeros((n, n * n))
+    d = np.zeros((n * n, n))
     for i in range(n):
         d[i * n + i, i] = 1
         for j in range(n):
             m[(i + j) % n, i * n + j] = 1
-    u = np.zeros((n, 1), dtype=complex)
+    u = np.zeros((n, 1))
     u[0, 0] = 1
-    k = np.ones((1, n), dtype=complex)
-    cup = np.eye(n, dtype=complex).reshape(n * n, 1)
-    morphs = {"m": m, "u": u, "d": d, "k": k,
-              "alpha": np.eye(n, dtype=complex)}
+    cup = np.eye(n).reshape(n * n, 1)
+    morphs = {"m": m, "u": u, "d": d, "k": np.ones((1, n)),
+              "alpha": np.eye(n)}
     for r in ("eta_L", "eta_R", "tau_L", "tau_R"):
-        morphs[r] = cup.copy()
+        morphs[r] = cup
     for r in ("eps_L", "eps_R", "gam_L", "gam_R"):
-        morphs[r] = cup.T.copy()
+        morphs[r] = cup.T
     atom = Atom(f"Z{n}")
     env = ModelEnv.make({atom.name: n}, degree=degree)
     return Gadget("linear_bialgebra", {"A": atom, "B": atom}, morphs, env)

@@ -1,4 +1,5 @@
-"""Role-tagged bundles of objects and morphisms instantiating a structure."""
+"""Role-tagged bundles of objects and morphisms instantiating a structure.
+A gadget stores each role in its field (`model.in_field`), decided once."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -8,7 +9,7 @@ import numpy as np
 
 from .errors import MissingRole, SchemaError
 from .io import matrix_from_json, matrix_to_json
-from .model import ModelEnv
+from .model import ModelEnv, in_field
 from .objects import ObjectExpr, type_from_json, type_to_json
 
 
@@ -21,6 +22,10 @@ class Gadget:
     # Per-basis-vector degrees for truncated objects, keyed by object role;
     # present only on gadgets living over an exponential space.
     gradings: Optional[dict[str, list[int]]] = None
+
+    def __post_init__(self) -> None:
+        self.morphisms = {role: in_field(m)
+                          for role, m in self.morphisms.items()}
 
     def object(self, role: str) -> ObjectExpr:
         if role not in self.objects:
@@ -36,11 +41,8 @@ class Gadget:
         return all(r in self.morphisms for r in roles)
 
     def with_morphisms(self, **extra: np.ndarray) -> "Gadget":
-        morphs = dict(self.morphisms)
-        morphs.update({k: np.asarray(v, dtype=complex)
-                       for k, v in extra.items()})
-        return Gadget(self.kind, dict(self.objects), morphs, self.env,
-                      self.gradings)
+        return Gadget(self.kind, dict(self.objects),
+                      {**self.morphisms, **extra}, self.env, self.gradings)
 
 
 def gadget_to_json(g: Gadget) -> dict:

@@ -217,9 +217,12 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(doc: object) -> np.ndarray:
-    """The complex128 matrix of a matrix document.  Its entries are either
-    `base64` of `dtype` entries, as `matrix_to_json` writes them, or
-    `data`, a list of pairs [re, im] of numbers, as it wrote them before."""
+    """The matrix of a matrix document, in the document's own entry type.
+    Its entries are either `base64` of `dtype` entries, as `matrix_to_json`
+    writes them, which give a float64 or a complex128 matrix, or `data`, a
+    list of pairs [re, im] of numbers, as it wrote them before, which give a
+    complex128 one.  A `Gadget` narrows a role whose imaginary part is all
+    zero to float64."""
     if not isinstance(doc, dict) or not {"rows", "cols"} <= set(doc):
         # not the document itself, which may hold megabytes of entries
         raise SchemaError("a matrix document is an object with rows and "
@@ -242,7 +245,8 @@ def matrix_from_json(doc: object) -> np.ndarray:
 
 
 def _base64_entries(text: object, dtype: object, n: int) -> np.ndarray:
-    """The `n` entries of a `base64` encoding, as a new complex128 array."""
+    """The `n` entries of a `base64` encoding, as a new native array of
+    `dtype`."""
     if not isinstance(dtype, str) or dtype not in _ENTRY_DTYPES:
         raise SchemaError(f"matrix dtype must be one of "
                           f"{sorted(_ENTRY_DTYPES)}, got {dtype!r}")
@@ -261,7 +265,7 @@ def _base64_entries(text: object, dtype: object, n: int) -> np.ndarray:
         raise SchemaError("matrix base64 is not valid base64") from None
     if len(raw) != nbytes:
         raise SchemaError(wrong_size)
-    return np.frombuffer(raw, entry).astype(complex)
+    return np.frombuffer(raw, entry).astype(dtype)
 
 
 def _pair_entries(data: object, n: int) -> np.ndarray:

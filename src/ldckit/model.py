@@ -10,8 +10,9 @@ A morphism X -> Y is stored as a |Y| x |X| matrix; the diagrammatic
 composite f;g is the product matG . matF.
 
 A matrix whose entries are all real is kept, and contracted, over the
-reals: `ModelEnv.assign` stores it as float64 and anything else as
-complex128, and a contraction multiplies in the field of its operands.
+reals.  `in_field` decides the field where a matrix enters, in
+`ModelEnv.assign` and in `Gadget`; past them every map, contraction
+included, computes in the field of its operands.
 """
 from __future__ import annotations
 
@@ -129,6 +130,7 @@ def _bind_generator(name: str, rows: int, cols: int, shape: list[int],
             raise ShapeMismatch(f"generator {name!r}: expected "
                                 f"{(rows, cols)}, got {m.shape}")
         if m.dtype != np.float64:
+            # bound without `assign`, so perhaps complex64 or integer
             m = m.astype(complex, copy=False)
             if conj:
                 m = np.conj(m)
@@ -271,7 +273,9 @@ def split_idempotent(e: np.ndarray, tol: float = 1e-9) \
         -> tuple[np.ndarray, np.ndarray]:
     """Rank factorization of an idempotent: returns (r, s) with r k x n and
     s n x k such that s.r = e and r.s = I (so diagrammatically r;s = e and
-    s;r = 1)."""
+    s;r = 1).  The SVD runs over the complex numbers even on a real `e`,
+    and r and s are complex128: a real SVD rounds differently, and would
+    change the gadgets that `ldckit split` writes."""
     e = np.asarray(e, dtype=complex)
     if e.ndim != 2 or e.shape[0] != e.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got {e.shape}")

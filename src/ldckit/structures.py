@@ -23,17 +23,13 @@ from .suites import (SUITES, SuiteReport, check_suite, suite_env,
                      tensor_of_duals_cup)
 
 
-def _mat(g: Gadget, role: str) -> np.ndarray:
-    return np.asarray(g.morphism(role), dtype=complex)
-
-
 # -- binary idempotents -----------------------------------------------------
 
 def split_binary_idempotent(g: Gadget, tol: float = 1e-9) -> dict:
     """Split e_A = u;v and e_B = v;u and return the induced isomorphism
     pair between the two splittings: alpha = s;u;p and beta = q;v;r."""
     _require_suite(g, "binary-idempotent", tol)
-    u, v = _mat(g, "u"), _mat(g, "v")
+    u, v = g.morphism("u"), g.morphism("v")
     e_a = v @ u          # u;v diagrammatically
     e_b = u @ v
     r, s = split_idempotent(e_a, tol)    # A -> E -> A, r then s
@@ -50,7 +46,7 @@ def weak_preunitary_from_dagger_split(g: Gadget, tol: float = 1e-9
     """For a dagger binary idempotent, the splitting induces the structure
     isomorphism alpha = s;u;s-dagger, which must be Hermitian."""
     _require_suite(g, "dagger-binary", tol)
-    u, v = _mat(g, "u"), _mat(g, "v")
+    u, v = g.morphism("u"), g.morphism("v")
     r, s = split_idempotent(v @ u, tol)
     alpha = np.conj(s).T @ u @ s
     k = alpha.shape[0]
@@ -66,7 +62,7 @@ def monoid_to_actions(g: Gadget, tol: float = 1e-9) -> Gadget:
     _require_suite(g, "linear-monoid", tol)
     env = suite_env(g)
     morphs = {
-        "m": _mat(g, "m"), "u": _mat(g, "u"),
+        "m": g.morphism("m"), "u": g.morphism("u"),
         "d_b": evaluate(_d_left(g), env),
         "k_b": evaluate(_k_left(g), env),
         "act_l": evaluate(_act_left(g), env),
@@ -83,12 +79,11 @@ def actions_to_monoid(g: Gadget, tol: float = 1e-9) -> Gadget:
     env = suite_env(g)
     na = interp(g.object("A"), env)[0]
     nb = interp(g.object("B"), env)[0]
-    u = _mat(g, "u")
-    k_b = _mat(g, "k_b")
-    act_l = _mat(g, "act_l").reshape(nb, na, nb)      # [b'; a, b]
-    act_r = _mat(g, "act_r").reshape(nb, nb, na)      # [b'; b, a]
-    coact_l = _mat(g, "coact_l").reshape(nb, na, na)  # [(b, x); a]
-    coact_r = _mat(g, "coact_r").reshape(na, nb, na)  # [(x, b); a]
+    u, k_b = g.morphism("u"), g.morphism("k_b")
+    act_l = g.morphism("act_l").reshape(nb, na, nb)      # [b'; a, b]
+    act_r = g.morphism("act_r").reshape(nb, nb, na)      # [b'; b, a]
+    coact_l = g.morphism("coact_l").reshape(nb, na, na)  # [(b, x); a]
+    coact_r = g.morphism("coact_r").reshape(na, nb, na)  # [(x, b); a]
     # The duals are re-expressed through the actions: the cup is the unit
     # coacted upon, the cap is the counit of an acted element.
     eta_l = np.einsum("xba,a->xb", coact_r, u[:, 0])        # (x, b)
@@ -127,7 +122,7 @@ def _split_roles(g, r, s, r2, s2, roles) -> dict[str, np.ndarray]:
     for role, (dom, cod) in _ROLE_SIGNATURES.items():
         if role not in roles:
             continue
-        mat = _mat(g, role)
+        mat = g.morphism(role)
         if cod:
             mat = reduce(np.kron, [retract[o] for o in cod]) @ mat
         if dom:
@@ -151,11 +146,13 @@ def _require_flavour(g: Gadget, side: str, e_a, e_b, tol) -> None:
         if "A" in swapped and "B" in swapped:
             swapped["A"], swapped["B"] = swapped["B"], swapped["A"]
     probe_l = Gadget("dual_idempotent", dict(g.objects),
-                     {"eta": _mat(g, f"{cup}_L"), "eps": _mat(g, f"{cap}_L"),
+                     {"eta": g.morphism(f"{cup}_L"),
+                      "eps": g.morphism(f"{cap}_L"),
                       "e_a": e_a, "e_b": e_b}, g.env, g.gradings)
     probe_r = Gadget("dual_idempotent",
                      {"A": g.object("B"), "B": g.object("A")},
-                     {"eta": _mat(g, f"{cup}_R"), "eps": _mat(g, f"{cap}_R"),
+                     {"eta": g.morphism(f"{cup}_R"),
+                      "eps": g.morphism(f"{cap}_R"),
                       "e_a": e_b, "e_b": e_a}, g.env, swapped)
     main, other = ((probe_l, probe_r) if side == "monoid"
                    else (probe_r, probe_l))
@@ -235,7 +232,7 @@ def compact_reflection(g: Gadget, tol: float = 1e-9) -> Gadget:
         kind = "linear_monoid"
     else:
         raise MissingRole("m")
-    morphs = {new: _mat(g, old).T for old, new in table.items()}
+    morphs = {new: g.morphism(old).T for old, new in table.items()}
     return Gadget(kind, dict(g.objects), morphs, g.env, g.gradings)
 
 
@@ -254,7 +251,7 @@ def antipode(g: Gadget, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
 
 def dagger_of_dual(g: Gadget, tol: float = 1e-9) -> Gadget:
     _require_suite(g, "dual", tol)
-    eta, eps = _mat(g, "eta"), _mat(g, "eps")
+    eta, eps = g.morphism("eta"), g.morphism("eps")
     objects = {"A": g.object("B"), "B": g.object("A")}
     morphs = {"eta": np.conj(eps).T, "eps": np.conj(eta).T}
     out = Gadget("dual", objects, morphs, g.env, g.gradings)
@@ -265,10 +262,10 @@ def dagger_of_dual(g: Gadget, tol: float = 1e-9) -> Gadget:
 def tensor_of_duals(g: Gadget, tol: float = 1e-9) -> Gadget:
     """From duals A -| B and C -| D build (A (x) C) -| (D (+) B)."""
     _require_suite(Gadget("dual", {"A": g.object("A"), "B": g.object("B")},
-                    {"eta": _mat(g, "eta"), "eps": _mat(g, "eps")},
+                    {"eta": g.morphism("eta"), "eps": g.morphism("eps")},
                     g.env), "dual", tol)
     _require_suite(Gadget("dual", {"A": g.object("C"), "B": g.object("D")},
-                    {"eta": _mat(g, "eta2"), "eps": _mat(g, "eps2")},
+                    {"eta": g.morphism("eta2"), "eps": g.morphism("eps2")},
                     g.env), "dual", tol)
     env = suite_env(g)
     objects = {"A": Tensor(g.object("A"), g.object("C")),
@@ -292,7 +289,7 @@ def complementary_from_idempotent(g: Gadget, tol: float = 1e-9,
     # the conditions read ub and vb, so a pair that does not compose both
     # ways is refused there with ShapeMismatch
     conditions = check_suite(g, SUITES["complementary-idempotent-cond"], tol)
-    ub, vb = _mat(g, "ub"), _mat(g, "vb")
+    ub, vb = g.morphism("ub"), g.morphism("vb")
     split = split_linear_bialgebra(g, vb @ ub, ub @ vb, tol,
                                    splitting=splitting, check=check)
     verdict = check_suite(split, SUITES["complementary"], tol)

@@ -279,7 +279,7 @@ class TestAgainstTheGradeLoop:
                               np.arange(index.size) * want[1].shape[1]
                               + index)
         for got, w in zip(monoidal_structure(exp_a, exp_b), want):
-            assert got.dtype == w.dtype and np.array_equal(got, w)
+            assert got.dtype == np.float64 and np.array_equal(got, w)
 
     @pytest.mark.parametrize("name", ["qubit-zx", "zn:3", "weil"])
     @pytest.mark.parametrize("degree", [1, 2, 3])
