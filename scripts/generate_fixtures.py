@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate the circuit conformance corpus in fixtures/ and the shipped
-gadget fixtures in src/ldckit/fixtures/."""
+gadget fixtures in src/ldckit/fixtures/.
+
+    PYTHONPATH=src python scripts/generate_fixtures.py
+"""
+import itertools
 import json
 from pathlib import Path
 
@@ -74,19 +78,47 @@ CORPUS = [
 ]
 
 
-def main() -> None:
-    root = Path(__file__).resolve().parent.parent
-    out = root / "fixtures"
-    out.mkdir(exist_ok=True)
+def renumbered(doc: dict, count=None) -> dict:
+    """The circuit document `doc` with its wires renamed w0, w1, ... in
+    listed order, and the wires of each dagger box's interior after them,
+    so that the ids do not depend on what the process built before."""
+    count = itertools.count() if count is None else count
+    new = {w["id"]: f"w{next(count)}" for w in doc["wires"]}
+    nodes = []
+    for node in doc["nodes"]:
+        node = dict(node, ports=[new[w] for w in node["ports"]])
+        if "thin" in node:
+            node["thin"] = new[node["thin"]]
+        if "inner" in node:
+            node["inner"] = renumbered(node["inner"], count)
+        nodes.append(node)
+    return {"wires": [dict(w, id=new[w["id"]]) for w in doc["wires"]],
+            "nodes": nodes,
+            "inputs": [new[w] for w in doc["inputs"]],
+            "outputs": [new[w] for w in doc["outputs"]]}
+
+
+def corpus() -> dict[str, str]:
+    """The text of each corpus file, by file name."""
+    out = {}
     for name, circuit, expect, note in CORPUS:
         verdict = validate(circuit).valid
         if verdict != expect:
             raise SystemExit(f"{name}: expected valid={expect}, "
                              f"checker says {verdict}")
-        doc = json.loads(serialize(circuit).decode())
+        doc = renumbered(json.loads(serialize(circuit).decode()))
         doc["expect"] = "valid" if expect else "invalid"
         doc["note"] = note
-        (out / f"{name}.json").write_text(json.dumps(doc, indent=1) + "\n")
+        out[f"{name}.json"] = json.dumps(doc, indent=1) + "\n"
+    return out
+
+
+def main() -> None:
+    root = Path(__file__).resolve().parent.parent
+    out = root / "fixtures"
+    out.mkdir(exist_ok=True)
+    for name, text in corpus().items():
+        (out / name).write_text(text)
     write_builtin_fixtures(root / "src" / "ldckit" / "fixtures")
     print(f"wrote {len(CORPUS)} circuit fixtures and the gadget fixtures")
 
