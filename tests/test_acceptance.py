@@ -365,6 +365,19 @@ class TestRetractPipeline:
             tracemalloc.stop()
         assert peak < 500e6
 
+    def test_real_exponential_builds_within_memory_budget(self):
+        # the induced roles are real, 3.0 MB in all; built in complex128
+        # they took 6.0 MB and the build peaked at 18 MB
+        g = load_gadget("zn:5")
+        induce_bang_monoid(g, 3)
+        tracemalloc.start()
+        try:
+            induce_bang_monoid(g, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
     def test_real_exponential_suite_check_within_memory_budget(self):
         # the dimension-35 exponential of Z_4 is real, so its laws on
         # A (x) A -> A (x) A are contracted in float64: 35**4 entries of

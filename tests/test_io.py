@@ -17,11 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldckit.circuit import dagger_box, generator, identity, isomorphic, seq
 from ldckit.errors import SchemaError
 from ldckit.fixtures import (fixture_names, load_gadget,
                              write_builtin_fixtures)
 from ldckit.gadget import gadget_from_json, gadget_to_json
-from ldckit.io import matrix_from_json, matrix_to_json
+from ldckit.io import matrix_from_json, matrix_to_json, parse, serialize
+from ldckit.objects import Atom, Dagger
 
 import io_oracle
 
@@ -195,6 +197,43 @@ def test_shipped_fixtures_are_what_the_builders_write(tmp_path):
     for name in names:
         assert (tmp_path / name).read_bytes() \
             == (shipped / name).read_bytes(), name
+
+
+def _fixture_script():
+    """scripts/generate_fixtures.py, run now: its corpus is built after
+    whatever this process has built before."""
+    spec = importlib.util.spec_from_file_location(
+        "generate_fixtures", ROOT / "scripts" / "generate_fixtures.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_corpus_is_what_the_script_writes():
+    identity([Atom("A")] * 100)   # the id counter is not where it was
+    texts = _fixture_script().corpus()
+    shipped = ROOT / "fixtures"
+    assert set(texts) == {p.name for p in shipped.glob("*.json")}
+    for name, text in texts.items():
+        assert (shipped / name).read_text() == text, name
+
+
+def test_renumbered_reaches_into_dagger_boxes():
+    A, B = Atom("A"), Atom("B")
+    inner = dagger_box(generator("h", [Dagger(B)], [Dagger(A)]))
+    c = seq(generator("f", [A], [Dagger(B)]),
+            dagger_box(seq(generator("g", [B], [A]), inner)))
+    doc = _fixture_script().renumbered(json.loads(serialize(c)))
+    ids = []
+
+    def collect(d):
+        ids.extend(w["id"] for w in d["wires"])
+        for node in d["nodes"]:
+            if "inner" in node:
+                collect(node["inner"])
+    collect(doc)
+    assert ids == [f"w{i}" for i in range(len(ids))]
+    assert isomorphic(parse(json.dumps(doc)), c)
 
 
 def legacy_gadgets():
