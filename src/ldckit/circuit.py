@@ -8,6 +8,7 @@ where the circuit boundary counts as an endpoint.  Flow is acyclic.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
@@ -239,20 +240,20 @@ class Circuit:
     # -- utilities --------------------------------------------------------
 
     def topo_order(self) -> list[str]:
+        """Its nodes in flow order; of the nodes ready at once, the one
+        created first (the first in `nodes`) goes first."""
         succ, indeg = self._flow()
+        names = list(self.nodes)
+        place = {n: k for k, n in enumerate(names)}
+        ready = [k for k, n in enumerate(names) if indeg[n] == 0]
         order = []
-        ready = sorted((n for n, d in indeg.items() if d == 0), reverse=True)
         while ready:
-            n = ready.pop()
+            n = names[heapq.heappop(ready)]
             order.append(n)
-            changed = False
             for m in succ[n]:
                 indeg[m] -= 1
                 if indeg[m] == 0:
-                    ready.append(m)
-                    changed = True
-            if changed:
-                ready.sort(reverse=True)
+                    heapq.heappush(ready, place[m])
         return order
 
 

@@ -89,14 +89,26 @@ def interp(t: ObjectExpr, env: ModelEnv) -> tuple[int, tuple[str, ...]]:
 class _Program:
     """A circuit's contraction at fixed factor dimensions: a binder per
     operand, which reads its matrix from the environment, the pairwise
-    steps of the plan, and the final axis order.  Each step is
-    (i, j, axes of i, matrix shape of i, axes of j, matrix shape of j,
-    result shape): operand i, its kept axes first, times operand j, its
-    summed axes first, into slot i."""
+    steps of the plan, and the layout of the result.
 
-    def __init__(self, binders: list, steps: list, perm: list[int],
+    Each step is one matrix product into slot i, after which slot j is
+    free: (i, j, then for its left and its right factor the slot it reads,
+    a shape and an axis permutation, and the matrix shape it is read as).
+    A factor whose permutation is None is only reshaped, so it is read
+    where it lies; any other is copied through the permutation first,
+    unless that too is a view, as a transposed matrix is.  `_compile`
+    tracks the memory order of every operand's axes, so most steps read
+    the larger operand in place: reshaped to (p, s, q) around the run of
+    its summed axes, it is multiplied by the smaller operand as one
+    matrix when p or q is 1, else as a batch of p products (`_step`).
+    The last result's axes lie in the order `shape`, and `perm` (None
+    when it is the identity) puts the outputs first, then the inputs."""
+
+    def __init__(self, binders: list, steps: list, last: int,
+                 shape: list[int], perm: Optional[list[int]],
                  rows: int, cols: int, cost: tuple[int, int]):
-        self.binders, self.steps, self.perm = binders, steps, perm
+        self.binders, self.steps = binders, steps
+        self.last, self.shape, self.perm = last, shape, perm
         self.rows, self.cols = rows, cols
         self.flops, self.largest = cost
 
@@ -109,18 +121,21 @@ class _Program:
         t = [bind(env) for bind in self.binders]
         if not t:
             return np.ones(())
-        i = 0
-        for i, j, pa, sa, pb, sb, shape in self.steps:
-            t[i] = (t[i].transpose(pa).reshape(sa)
-                    @ t[j].transpose(pb).reshape(sb)).reshape(shape)
-            t[j] = None
-        out = t[i].transpose(self.perm)
+        for i, j, ka, sa, pa, ma, kb, sb, pb, mb in self.steps:
+            a, b = t[ka], t[kb]
+            if pa is not None:
+                a = a.reshape(sa).transpose(pa)
+            if pb is not None:
+                b = b.reshape(sb).transpose(pb)
+            t[i], t[j] = a.reshape(ma) @ b.reshape(mb), None
+        out = t[self.last].reshape(self.shape)
+        if self.perm is not None:
+            out = out.transpose(self.perm)
         # without a step the result would share memory with an operand
         return out if self.steps else out.copy()
 
 
-def _bind_generator(name: str, rows: int, cols: int, shape: list[int],
-                    conj: bool):
+def _bind_generator(name: str, rows: int, cols: int, conj: bool):
     def bind(env: ModelEnv) -> np.ndarray:
         m = env.generators.get(name)
         if m is None:
@@ -134,20 +149,27 @@ def _bind_generator(name: str, rows: int, cols: int, shape: list[int],
             m = m.astype(complex, copy=False)
             if conj:
                 m = np.conj(m)
-        return m.reshape(shape)
+        return m
     return bind
 
 
 _JOINS = ("tensor_intro", "par_intro", "tensor_elim", "par_elim", "swap")
 
+# A batch of p products of the smaller operand by (s, q) slices of the
+# larger one runs slower than one product of copies when the smaller one
+# has more than _BATCH_SMALL entries, or when q is below _BATCH_WIDE.
+_BATCH_SMALL, _BATCH_WIDE = 2 ** 16, 8
 
-def _compile(c: Circuit, dim: dict[ObjectExpr, int]) -> _Program:
+
+def _network(c: Circuit, dim: dict[ObjectExpr, int]) -> tuple:
     """Each wire carries one label per factor of its type.  Symmetries, the
     introductions and eliminations of both tensors and the unit nodes only
     join labels.  A dagger box is contracted where it stands: its interior
     joins its boundary labels to the box's ports, mirrored, and its
     generators enter conjugated (plain again two boxes deep).  So the
-    generators are the only operands, in flow order."""
+    generators are the only operands, in flow order.  Returns a binder and
+    the labels of each operand, the size of each label, and the labels of
+    the outputs and of the inputs."""
     size: list[int] = []
     parent: list[int] = []
 
@@ -187,8 +209,7 @@ def _compile(c: Circuit, dim: dict[ObjectExpr, int]) -> _Program:
             ax_out, ax_in = on(labels, n.outs), on(labels, n.ins)
             binders.append(_bind_generator(
                 n.name, prod(size[x] for x in ax_out),
-                prod(size[x] for x in ax_in),
-                [size[x] for x in ax_out + ax_in], conj))
+                prod(size[x] for x in ax_in), conj))
             operands.append(ax_out + ax_in)
         elif n.kind == "dagger_box":
             inner = label(n.inner)
@@ -210,21 +231,82 @@ def _compile(c: Circuit, dim: dict[ObjectExpr, int]) -> _Program:
         binders.append(lambda env, eye=np.eye(size[x]): eye)
         operands.append([ends[x], x])
     out_ax = [ends.get(x, x) for x in out_ax]
+    return binders, operands, size, out_ax, in_ax
+
+
+def _read(k: int, axes: list[int], rows: list[int], cols: list[int],
+          size: list[int]) -> tuple:
+    """The factor spec (slot, shape, perm, matrix shape) that reads operand
+    k, whose axes lie in the order `axes`, as a matrix over `rows` by
+    `cols`: a reshape when they lie in that order, a transposed view of a
+    matrix when they lie as `cols` then `rows`, a copy otherwise."""
+    m, n = prod(size[x] for x in rows), prod(size[x] for x in cols)
+    if axes == rows + cols:
+        return k, None, None, (m, n)
+    if axes == cols + rows:
+        return k, (n, m), (1, 0), (m, n)
+    return (k, [size[x] for x in axes],
+            [axes.index(x) for x in rows + cols], (m, n))
+
+
+def _step(i: int, j: int, a: list[int], b: list[int], size: list[int]
+          ) -> tuple[tuple, list[int]]:
+    """One step of the plan, operand j into operand i, whose axes lie in
+    the orders `a` and `b`: the step and the order of the result's axes.
+    When the summed axes of the larger operand x (failing that, of the
+    smaller) lie in one run, x is read in place as (p, s, q) and the other
+    operand y is arranged around it: x (p, s) times y (s, r) when q is 1,
+    y (r, s) times x (s, q) when p is 1, else a batch of p products
+    y (r, s) times x (s, q), if y is small and q wide enough.  The result
+    lies as x's axes before the run, y's kept axes, then x's axes after
+    the run.  Otherwise both are arranged as matrices, i's kept axes by
+    the summed ones times the summed ones by j's kept axes."""
+    pairs = [(i, a, j, b), (j, b, i, a)]
+    if prod(size[x] for x in b) > prod(size[x] for x in a):
+        pairs.reverse()
+    for kx, x, ky, y in pairs:
+        summed = [ax for ax in x if ax in y]
+        at = x.index(summed[0]) if summed else len(x)
+        if x[at:at + len(summed)] != summed:
+            continue
+        before, after = x[:at], x[at + len(summed):]
+        kept = [ax for ax in y if ax not in summed]
+        p, s, q = (prod(size[ax] for ax in axes)
+                   for axes in (before, summed, after))
+        if q == 1:
+            step = (kx, None, None, (p, s)) \
+                + _read(ky, y, summed, kept, size)
+        elif p == 1:
+            step = _read(ky, y, kept, summed, size) \
+                + (kx, None, None, (s, q))
+        elif q >= _BATCH_WIDE and prod(size[ax] for ax in y) <= _BATCH_SMALL:
+            step = _read(ky, y, kept, summed, size) + (kx, None, None,
+                                                       (p, s, q))
+        else:
+            continue
+        return (i, j) + step, before + kept + after
+    summed = [ax for ax in a if ax in b]
+    keep_a = [ax for ax in a if ax not in summed]
+    keep_b = [ax for ax in b if ax not in summed]
+    return ((i, j) + _read(i, a, keep_a, summed, size)
+            + _read(j, b, summed, keep_b, size)), keep_a + keep_b
+
+
+def _compile(c: Circuit, dim: dict[ObjectExpr, int]) -> _Program:
+    """The contraction network of `c` (`_network`), the plan of
+    `plan.best` over it in flow order, and the steps that carry it out."""
+    binders, operands, size, out_ax, in_ax = _network(c, dim)
     chosen, cost = plan.best(operands, size, range(len(operands)))
     steps = []
     for i, j in chosen:
-        a, b = operands[i], operands[j]
-        summed = [x for x in a if x in b]
-        keep_a = [x for x in a if x not in summed]
-        keep_b = [x for x in b if x not in summed]
-        m, k, n = (prod(size[x] for x in xs)
-                   for xs in (keep_a, summed, keep_b))
-        steps.append((i, j, [a.index(x) for x in keep_a + summed], (m, k),
-                      [b.index(x) for x in summed + keep_b], (k, n),
-                      [size[x] for x in keep_a + keep_b]))
-        operands[i], operands[j] = keep_a + keep_b, None
-    last = operands[steps[-1][0] if steps else 0] if operands else []
-    return _Program(binders, steps, [last.index(x) for x in out_ax + in_ax],
+        step, operands[i] = _step(i, j, operands[i], operands[j], size)
+        operands[j] = None
+        steps.append(step)
+    last = chosen[-1][0] if chosen else 0
+    axes = operands[last] if operands else []
+    perm = [axes.index(x) for x in out_ax + in_ax]
+    return _Program(binders, steps, last, [size[x] for x in axes],
+                    None if perm == sorted(perm) else perm,
                     prod(size[x] for x in out_ax),
                     prod(size[x] for x in in_ax), cost)
 
@@ -257,15 +339,22 @@ def evaluate(c: Circuit, env: ModelEnv) -> np.ndarray:
 
 def matrices_equal(a: np.ndarray, b: np.ndarray,
                    tol: float = 1e-9) -> tuple[bool, float]:
+    """Whether no entry of `a - b` passes `tol` times the largest modulus
+    in `a` and `b` (at least 1) in modulus; and the largest modulus of
+    `a - b`.  Computed in the field of both, in one temporary of their
+    size (over the complex numbers, a second of half that size); neither
+    is written."""
     a, b = np.asarray(a), np.asarray(b)
-    field = np.result_type(a, b, np.float64)
-    a, b = a.astype(field, copy=False), b.astype(field, copy=False)
     if a.shape != b.shape:
         raise ShapeMismatch(f"{a.shape} vs {b.shape}")
     if not a.size:
         return True, 0.0
-    residual = float(np.abs(a - b).max())
-    scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
+    field = np.result_type(a, b, np.float64)
+    d = np.subtract(a, b, dtype=field)
+    d = np.abs(d, out=d if field.kind == "f" else None)
+    residual = float(d.max())
+    scale = max(1.0, float(np.abs(a, out=d).max()),
+                float(np.abs(b, out=d).max()))
     return residual <= tol * scale, residual
 
 

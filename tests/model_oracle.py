@@ -1,5 +1,7 @@
 """`evaluate` as it was before the compiled contraction engine, kept
-verbatim as the reference that `ldckit.model.evaluate` is tested against.
+verbatim as the reference that `ldckit.model.evaluate` is tested against;
+and `evaluate_by_copies`, the compiled program's runner as it was before
+its steps read operands where they lie.
 
 The whole network goes to one `np.einsum(..., optimize="greedy")` call:
 one index per wire, an operand for every node (identities for the
@@ -37,6 +39,9 @@ class _GuardedNumpy:
 
 np = _GuardedNumpy()
 
+from math import prod
+
+from ldckit import model, plan
 from ldckit.circuit import Circuit
 from ldckit.errors import ResourceLimit, ShapeMismatch, UnassignedGenerator
 from ldckit.model import ModelEnv, interp
@@ -152,3 +157,37 @@ def evaluate(c: Circuit, env: ModelEnv) -> np.ndarray:
     cols = int(np.prod(dims_of(c.input_types(), env))) \
         if c.inputs else 1
     return np.asarray(result, dtype=complex).reshape(rows, cols)
+
+
+def evaluate_by_copies(c: Circuit, env: ModelEnv) -> numpy.ndarray:
+    """`model.evaluate` on the same network and plan, by the runner it had
+    before the copy-free steps: each step copies operand i, its kept axes
+    first, and operand j, its summed axes first, into matrices, and the
+    result is copied into the order of the outputs, then the inputs."""
+    key = tuple(interp(f, env)[0] for f in c.factors)
+    binders, operands, size, out_ax, in_ax = model._network(
+        c, dict(zip(c.factors, key)))
+    chosen, _ = plan.best(operands, size, range(len(operands)))
+    rows = prod(size[x] for x in out_ax)
+    cols = prod(size[x] for x in in_ax)
+    t = [bind(env).reshape([size[x] for x in o])
+         for bind, o in zip(binders, operands)]
+    if not t:
+        return numpy.ones((rows, cols))
+    i = 0
+    for i, j in chosen:
+        a, b = operands[i], operands[j]
+        summed = [x for x in a if x in b]
+        keep_a = [x for x in a if x not in summed]
+        keep_b = [x for x in b if x not in summed]
+        m, k, n = (prod(size[x] for x in xs)
+                   for xs in (keep_a, summed, keep_b))
+        t[i] = (t[i].transpose([a.index(x) for x in keep_a + summed])
+                .reshape(m, k)
+                @ t[j].transpose([b.index(x) for x in summed + keep_b])
+                .reshape(k, n)).reshape([size[x] for x in keep_a + keep_b])
+        t[j] = None
+        operands[i], operands[j] = keep_a + keep_b, None
+    last = operands[i]
+    out = t[i].transpose([last.index(x) for x in out_ax + in_ax])
+    return (out if chosen else out.copy()).reshape(rows, cols)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from ldckit.circuit import (dagger_box, generator, identity, isomorphic,
-                            seq, tensor_elim, tensor_intro)
+                            par, seq, tensor_elim, tensor_intro)
 from ldckit.cli import main
 from ldckit.errors import LdcError, SuiteFailure
 from ldckit.exponential import (bang_matrix, build_exp,
@@ -186,6 +186,32 @@ class TestMatrixKernel:
             got = evaluate(seq(generator("f", [A], [B]),
                                generator("g", [B], [C])), env)
             assert float(np.max(np.abs(got - g @ f))) <= 1e-10
+
+    def test_brickwork_evaluates_within_memory_budget(self):
+        # twelve dense complex gates in brickwork on three wires of
+        # dimension 8; the result is 512 x 512, 4.2 MB.  Copying both
+        # operands of every step peaked at 12.1 MB
+        atoms = [Atom(f"X{i}") for i in range(3)]
+        env = ModelEnv.make({a.name: 8 for a in atoms})
+        rng = np.random.default_rng(8)
+        layers = []
+        for k in range(12):
+            i = k % 2
+            env.assign(f"G{k}", rng.standard_normal((64, 64))
+                       + 1j * rng.standard_normal((64, 64)))
+            layers.append(par(identity(atoms[:i]),
+                              generator(f"G{k}", atoms[i:i + 2],
+                                        atoms[i:i + 2]),
+                              identity(atoms[i + 2:])))
+        c = seq(*layers)
+        evaluate(c, env)   # compiled outside the measurement
+        tracemalloc.start()
+        try:
+            evaluate(c, env)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9e6
 
 
 class TestIdempotentSplitting:

@@ -1,6 +1,7 @@
 """Circuit construction, well-formedness checks, and serialization."""
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldckit import circuit
 from ldckit.circuit import (Circuit, Node, compose, dagger, dagger_box,
                             generator, identity, isomorphic, mirror, par,
                             permutation, reverse, seq, substitute, swap,
@@ -90,6 +92,19 @@ class TestTopoOrder:
         order = c.topo_order()
         names = [c.nodes[nid].name for nid in order]
         assert names == ["f", "g"]
+
+    def test_ties_go_in_creation_order(self, monkeypatch):
+        # ids such as n8 and n11 sort out of creation order as strings, so
+        # the serialized node order used to depend on the id counter
+        straddled = 0
+        for start in [*range(15), *range(95, 105), *range(9995, 10005)]:
+            monkeypatch.setattr(circuit, "_counter", itertools.count(start))
+            c = par(generator("f", [A], [A]), generator("g", [A], [A]))
+            f, g = c.nodes
+            straddled += g < f
+            doc = json.loads(serialize(c))
+            assert [n["name"] for n in doc["nodes"]] == ["f", "g"], start
+        assert straddled
 
 
 @st.composite

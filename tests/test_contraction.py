@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 import time
+from math import prod
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import model_oracle
 from model_oracle import dims_of
-from ldckit import plan
+from ldckit import model, plan
 from ldckit.circuit import (Circuit, bot_elim, bot_intro_on, dagger_box,
                             generator, identity, par, par_elim, par_intro,
                             seq, swap, tensor_elim, tensor_intro, top_elim_on,
@@ -33,8 +34,9 @@ TYPES = [A, B, A, Tensor(A, B), Par(B, A), Dagger(A), Bang(B),
 
 
 def assert_matches_oracle(c: Circuit, env: ModelEnv) -> None:
-    """`evaluate` equals the oracle, and is real exactly when every
-    generator that `c` reads is bound to a real matrix."""
+    """`evaluate` equals the oracle and the runner that copies both
+    operands of every step (within 1e-12 relative), and is real exactly
+    when every generator that `c` reads is bound to a real matrix."""
     try:
         want = model_oracle.evaluate(c, env)
     except ResourceLimit:   # past the oracle's 52 einsum indices
@@ -44,12 +46,23 @@ def assert_matches_oracle(c: Circuit, env: ModelEnv) -> None:
             evaluate(c, env)
         return
     got = evaluate(c, env)
-    assert got.shape == want.shape
+    copies = model_oracle.evaluate_by_copies(c, env)
     real = all(env.generators[name].dtype == np.float64
                for name in c.generator_names)
-    assert got.dtype == (np.float64 if real else np.complex128)
-    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
-    assert float(np.max(np.abs(got - want), initial=0.0)) <= 1e-12 * scale
+    assert got.dtype == copies.dtype == (np.float64 if real
+                                         else np.complex128)
+    for other in (want, copies):
+        assert got.shape == other.shape
+        scale = max(1.0, float(np.max(np.abs(other), initial=0.0)))
+        assert float(np.max(np.abs(got - other), initial=0.0)) \
+            <= 1e-12 * scale
+
+
+def step_form(shape, perm, mat) -> str:
+    """How a step reads one of its factors (see `model._Program`)."""
+    if perm is None:
+        return "batch" if len(mat) == 3 else "in place"
+    return "transposed view" if perm == (1, 0) else "copy"
 
 
 class RandomNet:
@@ -166,6 +179,17 @@ class TestAgainstOracle:
         assert {frozenset([real]), frozenset([cplx]),
                 frozenset([real, cplx])} <= fields
 
+    def test_random_nets_cover_every_step_form(self):
+        forms = set()
+        for seed in range(300):
+            c, env = random_net(seed)
+            prog = model._program(c, env)
+            for step in prog.steps:
+                forms |= {step_form(*step[3:6]), step_form(*step[7:10])}
+            forms.add("permuted" if prog.perm else "in order")
+        assert forms == {"in place", "batch", "transposed view", "copy",
+                         "permuted", "in order"}
+
     @pytest.mark.parametrize("gadget", fixture_names())
     @pytest.mark.parametrize("suite", sorted(SUITES))
     def test_every_suite_template(self, suite, gadget):
@@ -249,10 +273,80 @@ class TestPlans:
         rng.shuffle(order)
         chosen, cost = plan.best(ops, size, order)
         assert cost == plan.cost(ops, size, chosen)
-        assert cost[0] <= plan.cost(ops, size, plan.sweep(order))[0]
+        sweep = plan.cost(ops, size, plan.sweep(order))
+        assert cost[0] <= sweep[0]
+        # the first-found tie-break is tried only past _SEARCH_FROM FLOPs
+        tried = [plan.greedy(ops, size)]
+        if cost[0] >= plan._SEARCH_FROM:
+            tried.append(plan.greedy(ops, size, True))
+        for other in tried:
+            flops, largest = plan.cost(ops, size, other)
+            assert cost[0] <= flops or largest > sweep[1]
+        sliced = plan.slices(ops, size, order)
+        assert plan.cost(ops, size, sliced)[0] <= sweep[0]
+        capped = plan.cost(ops, size, plan.slices(ops, size, order,
+                                                  sweep[1]))
+        assert capped[0] <= sweep[0] and capped[1] <= sweep[1]
         # every operand but the last one left is contracted away once
-        last = chosen[-1][0] if chosen else order[0]
-        assert sorted([j for _, j in chosen] + [last]) == list(range(n_ops))
+        for steps in (chosen, sliced):
+            last = steps[-1][0] if steps else order[0]
+            assert sorted([j for _, j in steps] + [last]) \
+                == list(range(n_ops))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           brickwork=st.booleans())
+    def test_layered_plan_within_numpy_greedy(self, seed, brickwork):
+        # against NumPy's greedy plan of the same network, whose FLOPs
+        # NumPy prints to four digits
+        rng = np.random.default_rng(seed)
+        dims = [int(x) for x in rng.integers(2, 9, size=rng.integers(3, 6))]
+        c, env, _ = layered(rng, dims, int(rng.integers(1, 13)), brickwork)
+        _, ops, size, out_ax, in_ax = model._network(
+            c, {f: model.interp(f, env)[0] for f in c.factors})
+        labels = {x: k for k, x in enumerate(sorted(set(sum(ops, []))))}
+        args = []
+        for o in ops:
+            args += [np.empty([size[x] for x in o]), [labels[x] for x in o]]
+        report = np.einsum_path(*args, [labels[x] for x in out_ax + in_ax],
+                                optimize="greedy")[1]
+        numpy_flops = float(next(line for line in report.splitlines()
+                                 if "Optimized FLOP" in line).split(":")[1])
+        order = range(len(ops))
+        sweep = plan.cost(ops, size, plan.sweep(order))[0]
+        assert plan.cost(ops, size, plan.slices(ops, size, order))[0] <= sweep
+        assert contraction_cost(c, env)[0] <= numpy_flops * (1 + 5e-4)
+
+
+class TestCopyFreeSteps:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           brickwork=st.booleans())
+    def test_layered_nets_match_the_copying_runner(self, seed, brickwork):
+        rng = np.random.default_rng(seed)
+        while True:
+            dims = [int(x) for x in rng.integers(2, 9,
+                                                 size=rng.integers(3, 6))]
+            if np.prod(dims) <= 600:
+                break
+        c, env, _ = layered(rng, dims, int(rng.integers(1, 20)), brickwork)
+        got = evaluate(c, env)
+        want = model_oracle.evaluate_by_copies(c, env)
+        assert got.dtype == want.dtype == np.float64
+        assert float(np.max(np.abs(got - want))) \
+            <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+    def test_brickwork_steps_read_the_larger_operand_in_place(self):
+        c, env, _ = layered(np.random.default_rng(0), [8, 8, 8], 12,
+                            brickwork=True)
+        prog = model._program(c, env)
+        assert len(prog.steps) == 11
+        for step in prog.steps:
+            sides = [(prod(step[5]), step_form(*step[3:6])),
+                     (prod(step[9]), step_form(*step[7:10]))]
+            larger = max(n for n, _ in sides)
+            assert {"in place", "batch"} & {form for n, form in sides
+                                            if n == larger}, step
 
 
 class TestDaggerBoxes:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,32 @@ class TestMatricesEqual:
         ok, residual = matrices_equal(np.eye(2), np.eye(2) + 0.5j)
         assert not ok and residual == 0.5
         assert matrices_equal([[True]], [[False]]) == (False, 1.0)
+
+    def test_scale_reads_negative_entries(self):
+        a = np.array([[-5.0, 1.0]])
+        ok, residual = matrices_equal(a, a + 4e-9)
+        assert ok and residual == pytest.approx(4e-9)
+        assert not matrices_equal(a, a + 6e-9)[0]
+
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_inputs_untouched_within_one_temporary(self, field):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((256, 256))
+        if field is complex:
+            a = a + 1j * rng.standard_normal((256, 256))
+        b = a + 1e-3
+        a.flags.writeable = b.flags.writeable = False
+        kept = a.copy(), b.copy()
+        tracemalloc.start()
+        try:
+            ok, residual = matrices_equal(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not ok and residual == pytest.approx(1e-3)
+        assert np.array_equal(a, kept[0]) and np.array_equal(b, kept[1])
+        # |a - b| of complex data is a second, real temporary
+        assert peak < (1.1 if field is float else 1.6) * a.nbytes
 
 
 class TestSplitIdempotent:
