@@ -5,6 +5,19 @@ introduction/elimination structure for the two tensors and their units,
 thinning-linked unit nodes, symmetries, named generators, and dagger boxes.
 Every wire has exactly one producer endpoint and one consumer endpoint,
 where the circuit boundary counts as an endpoint.  Flow is acyclic.
+
+Two entry points make a circuit.  The public constructor `Circuit(...)`
+checks all of this, node by node, and so does `io.parse` through it: they
+take untrusted input.  The builders of this module (`identity`, `empty`,
+the one-node builders, `permutation`, `seq`, `par`, `reverse`, `mirror`,
+`dagger` and `substitute`) and `rewrite.expand_wire` join parts that are
+already checked in ways that keep every wire typed, with one producer and
+one consumer, and the flow acyclic; they go through `Circuit._assembled`,
+which checks nothing again.  `rewrite.normalize` goes through it too and
+checks its result for cycles alone.  What a builder checks of its own
+arguments it still checks: `generator` that it has a name, `seq` the types
+where parts meet, `substitute` each replacement's boundary, `reverse` and
+`mirror` the kinds of the nodes they redraw.
 """
 from __future__ import annotations
 
@@ -41,16 +54,17 @@ class Node:
     def rewired(self, wire_map: Mapping[str, str]) -> "Node":
         """This node with its ports and thinning anchor renamed through
         `wire_map` (ids it lacks are kept)."""
-        def rw(ws: tuple[str, ...]) -> tuple[str, ...]:
-            return tuple(wire_map.get(w, w) for w in ws)
-        thin = None if self.thin is None else wire_map.get(self.thin,
-                                                           self.thin)
-        return Node(self.kind, rw(self.ins), rw(self.outs), self.name,
+        get = wire_map.get
+        thin = None if self.thin is None else get(self.thin, self.thin)
+        return Node(self.kind, tuple([get(w, w) for w in self.ins]),
+                    tuple([get(w, w) for w in self.outs]), self.name,
                     self.dom, self.cod, thin, self.inner)
 
 
 class Circuit:
-    """Immutable typed port graph with an ordered boundary."""
+    """Immutable typed port graph with an ordered boundary.  `Circuit(...)`
+    checks its arguments and raises `IllTyped` on any fault; the builders
+    of this module build through `_assembled`, which trusts them."""
 
     def __init__(self,
                  wires: dict[str, ObjectExpr],
@@ -64,6 +78,21 @@ class Circuit:
         self._check()
         # model.evaluate's compiled contractions, by factor dimensions
         self._programs: dict = {}
+
+    @classmethod
+    def _assembled(cls, wires: dict[str, ObjectExpr], nodes: dict[str, Node],
+                   inputs: Sequence[str], outputs: Sequence[str]) -> "Circuit":
+        """A circuit that a builder assembled from checked parts, well
+        formed by construction: its wires' endpoints are indexed and
+        nothing is checked.  It keeps `wires` and `nodes` themselves, so
+        the caller hands over dicts that no other circuit holds."""
+        c = cls.__new__(cls)
+        c.wires, c.nodes = wires, nodes
+        c.inputs, c.outputs = tuple(inputs), tuple(outputs)
+        c._producers = {w: nid for nid, n in nodes.items() for w in n.outs}
+        c._consumers = {w: nid for nid, n in nodes.items() for w in n.ins}
+        c._programs = {}
+        return c
 
     # -- structural views -------------------------------------------------
 
@@ -275,11 +304,13 @@ def fresh_node() -> str:
 def identity(types: Sequence[ObjectExpr]) -> Circuit:
     wires = {fresh_wire(): t for t in types}
     ids = list(wires)
-    return Circuit(wires, {}, ids, ids)
+    return Circuit._assembled(wires, {}, ids, ids)
 
 
 def generator(name: str, dom: Sequence[ObjectExpr],
               cod: Sequence[ObjectExpr]) -> Circuit:
+    if name is None:
+        raise IllTyped("<generator>", "generator node needs a name")
     return _structural("gen", dom, cod, name=name, dom=tuple(dom),
                        cod=tuple(cod))
 
@@ -320,7 +351,7 @@ def seq(first: Circuit, *rest: Circuit) -> Circuit:
     inputs, outputs = _place(first, wires, nodes)
     for c in rest:
         outputs = _place(c, wires, nodes, outputs)[1]
-    return Circuit(wires, nodes, inputs, outputs)
+    return Circuit._assembled(wires, nodes, inputs, outputs)
 
 
 def par(first: Circuit, *rest: Circuit) -> Circuit:
@@ -333,7 +364,7 @@ def par(first: Circuit, *rest: Circuit) -> Circuit:
         ins, outs = _place(c, wires, nodes)
         inputs += ins
         outputs += outs
-    return Circuit(wires, nodes, inputs, outputs)
+    return Circuit._assembled(wires, nodes, inputs, outputs)
 
 
 def compose(f: Circuit, g: Circuit) -> Circuit:
@@ -347,7 +378,7 @@ def tensor_parallel(f: Circuit, g: Circuit) -> Circuit:
 
 
 def empty() -> Circuit:
-    return Circuit({}, {}, (), ())
+    return Circuit._assembled({}, {}, (), ())
 
 
 def _structural(kind: str, tin: Sequence[ObjectExpr],
@@ -360,7 +391,7 @@ def _structural(kind: str, tin: Sequence[ObjectExpr],
     wo = [fresh_wire() for _ in tout]
     wires = dict(zip(wi, tin)) | dict(zip(wo, tout))
     node = Node(kind, tuple(wi), tuple(wo), name, dom, cod, inner=inner)
-    return Circuit(wires, {fresh_node(): node}, wi, wo)
+    return Circuit._assembled(wires, {fresh_node(): node}, wi, wo)
 
 
 def tensor_intro(a: ObjectExpr, b: ObjectExpr) -> Circuit:
@@ -392,7 +423,7 @@ def top_elim_on(carrier: ObjectExpr) -> Circuit:
     wt, wc = fresh_wire(), fresh_wire()
     wires = {wt: Top(), wc: carrier}
     node = Node(kind="top_elim", ins=(wt,), outs=(), thin=wc)
-    return Circuit(wires, {fresh_node(): node}, [wt, wc], [wc])
+    return Circuit._assembled(wires, {fresh_node(): node}, [wt, wc], [wc])
 
 
 def bot_intro_on(carrier: ObjectExpr) -> Circuit:
@@ -400,7 +431,7 @@ def bot_intro_on(carrier: ObjectExpr) -> Circuit:
     wb, wc = fresh_wire(), fresh_wire()
     wires = {wb: Bot(), wc: carrier}
     node = Node(kind="bot_intro", ins=(), outs=(wb,), thin=wc)
-    return Circuit(wires, {fresh_node(): node}, [wc], [wb, wc])
+    return Circuit._assembled(wires, {fresh_node(): node}, [wc], [wb, wc])
 
 
 def permutation(types: Sequence[ObjectExpr],
@@ -421,7 +452,7 @@ def permutation(types: Sequence[ObjectExpr],
     while True:
         j = next((j for j in range(n - 1) if dest[j] > dest[j + 1]), None)
         if j is None:
-            return Circuit(wires, nodes, inputs, line)
+            return Circuit._assembled(wires, nodes, inputs, line)
         outs = (fresh_wire(), fresh_wire())
         wires[outs[0]], wires[outs[1]] = wires[line[j + 1]], wires[line[j]]
         nodes[fresh_node()] = Node(kind="swap", ins=tuple(line[j:j + 2]),
@@ -461,7 +492,7 @@ def reverse(c: Circuit, rename: Mapping[str, str]) -> Circuit:
     nodes = _redrawn(c, rename, "reverse", reversed(list(c.nodes)),
                      lambda n, name: Node(n.kind, n.outs, n.ins, name,
                                           n.cod, n.dom))
-    return Circuit(c.wires, nodes, c.outputs, c.inputs)
+    return Circuit._assembled(dict(c.wires), nodes, c.outputs, c.inputs)
 
 
 def mirror(c: Circuit, rename: Mapping[str, str]) -> Circuit:
@@ -476,7 +507,8 @@ def mirror(c: Circuit, rename: Mapping[str, str]) -> Circuit:
     nodes = _redrawn(c, rename, "mirror", c.nodes,
                      lambda n, name: Node(n.kind, n.ins[::-1], n.outs[::-1],
                                           name, flip(n.dom), flip(n.cod)))
-    return Circuit(c.wires, nodes, c.inputs[::-1], c.outputs[::-1])
+    return Circuit._assembled(dict(c.wires), nodes, c.inputs[::-1],
+                              c.outputs[::-1])
 
 
 def dagger(c: Circuit) -> Circuit:
@@ -507,6 +539,9 @@ def substitute(c: Circuit, table: Mapping[str, Circuit]) -> Circuit:
                 tuple(c.wires[w] for w in n.outs)):
             raise IllTyped(nid, f"replacement for {n.name!r} does not "
                                 "match the generator's port types")
+        if not set(sub.inputs).isdisjoint(sub.outputs):
+            raise IllTyped(nid, f"replacement for {n.name!r} passes a wire "
+                                "straight through")
         wire_map = dict(zip(sub.inputs + sub.outputs, n.ins + n.outs))
         for w, t in sub.wires.items():
             if w not in wire_map:
@@ -514,7 +549,7 @@ def substitute(c: Circuit, table: Mapping[str, Circuit]) -> Circuit:
                 wires[wire_map[w]] = t
         for node in sub.nodes.values():
             nodes[fresh_node()] = node.rewired(wire_map)
-    return Circuit(wires, nodes, c.inputs, c.outputs)
+    return Circuit._assembled(wires, nodes, c.inputs, c.outputs)
 
 
 # -- graph isomorphism -----------------------------------------------------

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import SchemaError
+
 
 class ObjectExpr:
     """Base class for object formulas. Instances are immutable and compare
@@ -128,8 +130,6 @@ def type_to_json(t: ObjectExpr) -> object:
 
 
 def type_from_json(data: object) -> ObjectExpr:
-    from .errors import SchemaError
-
     if not isinstance(data, dict) or len(data) != 1:
         raise SchemaError(f"bad type expression: {data!r}")
     key, val = next(iter(data.items()))

@@ -109,7 +109,10 @@ def normalize(c: Circuit) -> Circuit:
     topological order, and after each erasure the producers and consumers of
     the wires it merged or released are tried again.  Every erasure removes
     two nodes, so the process terminates; one `Circuit` is built at the end,
-    and `c` itself is returned when nothing was erased."""
+    and `c` itself is returned when nothing was erased.  Erasures keep every
+    wire typed with one producer and one consumer, so the result is checked
+    for cycles only: a thinning link is no flow edge, and merging the wires
+    of a pair that it links can close one, which raises `IllTyped`."""
     g = _Graph(c)
     work = c.topo_order()[::-1]
     while work:
@@ -121,7 +124,9 @@ def normalize(c: Circuit) -> Circuit:
                          if n is not None]
     if len(g.nodes) == len(c.nodes):
         return c
-    return Circuit(g.wires, g.nodes, c.inputs, g.outputs)
+    out = Circuit._assembled(g.wires, g.nodes, c.inputs, g.outputs)
+    out._check_acyclic()
+    return out
 
 
 def _unused(taken: Container[str], fresh: Callable[[], str]) -> str:
@@ -163,4 +168,4 @@ def expand_wire(c: Circuit, wire: str) -> Circuit:
         f = Node(first, (wire,), tuple(links))
         s = Node(second, tuple(links), (out,))
     nodes |= {_unused(c.nodes, fresh_node): n for n in (f, s)}
-    return Circuit(wires, nodes, c.inputs, outputs)
+    return Circuit._assembled(wires, nodes, c.inputs, outputs)

@@ -130,7 +130,9 @@ def _boundary_degrees(types: Sequence[ObjectExpr], env: ModelEnv,
 
 # Each equation's two sides by equation and object typing, oldest out
 # first: a template reads nothing of a gadget but its objects, and its
-# circuits keep their compiled contractions (`model.evaluate`).
+# circuits keep their compiled contractions (`model.evaluate`).  The
+# builders do not check what they assemble (`circuit`), so each side is
+# checked once, by `Circuit(...)`, as it enters the cache.
 _TEMPLATES: dict = {}
 _TEMPLATES_KEPT = 1024
 
@@ -141,7 +143,9 @@ def _sides(eq: Equation, g: Gadget) -> tuple[Circuit, Circuit]:
     if sides is None:
         if len(_TEMPLATES) >= _TEMPLATES_KEPT:
             del _TEMPLATES[next(iter(_TEMPLATES))]
-        sides = _TEMPLATES[key] = eq.build(g)
+        sides = _TEMPLATES[key] = tuple(
+            Circuit(c.wires, c.nodes, c.inputs, c.outputs)
+            for c in eq.build(g))
     return sides
 
 
@@ -328,14 +332,18 @@ def _snake_pairs(label: str, ends: str, cup: str,
 
 
 def _substituted(equations: Sequence[Equation],
-                 table: Callable[[Gadget], Mapping[str, Circuit]]
+                 table: Mapping[str, Callable[[Gadget], Circuit]]
                  ) -> tuple[Equation, ...]:
-    """`equations` with each generator named in `table(g)` replaced by its
-    circuit (`circuit.substitute`)."""
+    """`equations` with each generator named in `table` replaced by the
+    circuit that its entry builds on the gadget (`circuit.substitute`).
+    Only the entries that name a generator of the sides are built."""
     def substituted(eq: Equation) -> Template:
         def build(g):
-            subs = table(g)
-            return tuple(substitute(c, subs) for c in eq.build(g))
+            sides = eq.build(g)
+            names = frozenset().union(*(c.generator_names for c in sides))
+            subs = {name: make(g) for name, make in table.items()
+                    if name in names}
+            return tuple(substitute(c, subs) for c in sides)
         return build
 
     return tuple(Equation(eq.label, substituted(eq)) for eq in equations)
@@ -948,12 +956,10 @@ def _bialgebra_laws(obj: str, prefix: str) -> tuple[Equation, ...]:
     )
 
 
-def _on_dual(g: Gadget) -> dict[str, Circuit]:
-    """The bialgebra structure derived on the dual object B, by the role it
-    stands in for: the par-side laws are the tensor-side ones written on B
-    with these substituted."""
-    return {"m": _m_left(g), "d": _d_left(g), "k": _k_left(g),
-            "u": _u_left(g)}
+# The bialgebra structure derived on the dual object B, by the role it
+# stands in for: the par-side laws are the tensor-side ones written on B
+# with these substituted.
+_ON_DUAL = {"m": _m_left, "d": _d_left, "k": _k_left, "u": _u_left}
 
 
 def _linear_bialgebra_suite() -> EquationSuite:
@@ -964,7 +970,7 @@ def _linear_bialgebra_suite() -> EquationSuite:
                         _monoid_laws() + _comonoid_laws() + snakes
                         + _bialgebra_laws("A", "tensor-")
                         + _substituted(_bialgebra_laws("B", "par-"),
-                                       _on_dual))
+                                       _ON_DUAL))
 
 
 def _complementary_suite() -> EquationSuite:
@@ -1012,26 +1018,33 @@ def _hopf_suite() -> EquationSuite:
 
     return EquationSuite(
         "hopf", "linear_bialgebra", _LINEAR_BIALGEBRA_ROLES,
-        _substituted(laws("A", "hopf-tensor"),
-                     lambda g: {"s": _antipode_tensor(g)})
+        _substituted(laws("A", "hopf-tensor"), {"s": _antipode_tensor})
         + _substituted(laws("B", "hopf-par"),
-                       lambda g: _on_dual(g) | {"s": _antipode_par(g)}))
+                       _ON_DUAL | {"s": _antipode_par}))
 
 
-def _sandwiched(g: Gadget) -> dict[str, Circuit]:
-    """Each structure map conjugated by the idempotent pair e_A = ub;vb,
+def _sandwich(role: str) -> Callable[[Gadget], Circuit]:
+    """The builder of `role` conjugated by the idempotent pair e_A = ub;vb,
     e_B = vb;ub: the image of the role under the (would-be) splitting,
     expressed on the ambient object."""
-    e = {"A": _e_a(g), "B": _e_b(g)}
+    dom, cod = _ROLE_SIGNATURES[role]
+    pair = {"A": _e_a, "B": _e_b}
 
-    def on(objs: tuple[str, ...]) -> Circuit:
-        return par(empty(), *(e[o] for o in objs))
+    def build(g: Gadget) -> Circuit:
+        e = {o: pair[o](g) for o in dict.fromkeys(dom + cod)}
 
-    return {role: seq(on(dom),
-                      generator(role, [g.object(o) for o in dom],
-                                [g.object(o) for o in cod]),
-                      on(cod))
-            for role, (dom, cod) in _ROLE_SIGNATURES.items()}
+        def on(objs: tuple[str, ...]) -> Circuit:
+            return par(empty(), *(e[o] for o in objs))
+
+        return seq(on(dom),
+                   generator(role, [g.object(o) for o in dom],
+                             [g.object(o) for o in cod]),
+                   on(cod))
+    return build
+
+
+# Every role's sandwiched image, by role.
+_SANDWICHED = {role: _sandwich(role) for role in _ROLE_SIGNATURES}
 
 
 def _complementary_idempotent_suite() -> EquationSuite:
@@ -1043,7 +1056,7 @@ def _complementary_idempotent_suite() -> EquationSuite:
     # idempotent and checking the complementary suite on the quotient.
     labels = [f"idemcomp.{c}-{side}" for c in "abc"
               for side in ("left", "right")]
-    conditions = _substituted(_complementary_suite().equations, _sandwiched)
+    conditions = _substituted(_complementary_suite().equations, _SANDWICHED)
     return EquationSuite("complementary-idempotent-cond",
                         "linear_bialgebra_idempotent",
                         _LINEAR_BIALGEBRA_ROLES + ("ub", "vb"),
