@@ -18,15 +18,24 @@ checks its result for cycles alone.  What a builder checks of its own
 arguments it still checks: `generator` that it has a name, `seq` the types
 where parts meet, `substitute` each replacement's boundary, `reverse` and
 `mirror` the kinds of the nodes they redraw.
+
+`seq` and `par` join their parts in time proportional to the wires they
+glue, not to the parts' sizes: a part whose wire and node ids the circuit
+being built lacks is moved into it whole, keeping its ids and its `Node`
+objects, and only the nodes that consume a glued wire or are thinned onto
+one are redrawn.  A part whose ids clash with ones already placed (a part
+used twice, or a parsed part) is copied first under ids that none of the
+placed wires and nodes has.  So a built circuit keeps its parts' ids where
+they do not clash, and its wires and nodes come in the order of its parts.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter, defaultdict, deque
+from collections import ChainMap, Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Container, Mapping, Optional, Sequence
 
 from .errors import IllTyped, TypeMismatch
 from .objects import ObjectExpr, Tensor, Par, Top, Bot, dagger_of, factors
@@ -61,6 +70,23 @@ class Node:
                     self.dom, self.cod, thin, self.inner)
 
 
+def _anchors(nodes: Mapping[str, Node]) -> dict[str, tuple[str, ...]]:
+    """The anchor index of `nodes`: each wire that nodes are thinned onto,
+    with their ids in node order."""
+    anchored: dict[str, tuple[str, ...]] = {}
+    for nid, n in nodes.items():
+        if n.thin is not None:
+            anchored[n.thin] = anchored.get(n.thin, ()) + (nid,)
+    return anchored
+
+
+def _index(nodes: Mapping[str, Node]) -> tuple[dict, dict, dict]:
+    """The producer map, consumer map and anchor index of `nodes`."""
+    return ({w: nid for nid, n in nodes.items() for w in n.outs},
+            {w: nid for nid, n in nodes.items() for w in n.ins},
+            _anchors(nodes))
+
+
 class Circuit:
     """Immutable typed port graph with an ordered boundary.  `Circuit(...)`
     checks its arguments and raises `IllTyped` on any fault; the builders
@@ -81,16 +107,20 @@ class Circuit:
 
     @classmethod
     def _assembled(cls, wires: dict[str, ObjectExpr], nodes: dict[str, Node],
-                   inputs: Sequence[str], outputs: Sequence[str]) -> "Circuit":
+                   inputs: Sequence[str], outputs: Sequence[str],
+                   index: Optional[tuple[dict, dict, dict]] = None
+                   ) -> "Circuit":
         """A circuit that a builder assembled from checked parts, well
-        formed by construction: its wires' endpoints are indexed and
-        nothing is checked.  It keeps `wires` and `nodes` themselves, so
-        the caller hands over dicts that no other circuit holds."""
+        formed by construction: nothing is checked.  `index` holds its
+        producer map, consumer map and anchor index (`_index`), which a
+        builder that derived them from its parts' hands over; without it
+        they are indexed from `nodes`.  It keeps `wires`, `nodes` and the
+        maps themselves, so the caller hands over dicts that no other
+        circuit holds."""
         c = cls.__new__(cls)
         c.wires, c.nodes = wires, nodes
         c.inputs, c.outputs = tuple(inputs), tuple(outputs)
-        c._producers = {w: nid for nid, n in nodes.items() for w in n.outs}
-        c._consumers = {w: nid for nid, n in nodes.items() for w in n.ins}
+        c._producers, c._consumers, c._anchored = index or _index(nodes)
         c._programs = {}
         return c
 
@@ -173,6 +203,7 @@ class Circuit:
                                   "one consumer endpoint")
         self._producers = producers
         self._consumers = consumers
+        self._anchored = _anchors(self.nodes)
         self._check_acyclic()
 
     def _check_node(self, nid: str, node: Node) -> None:
@@ -299,6 +330,14 @@ def fresh_node() -> str:
     return f"n{next(_counter)}"
 
 
+def _unused(taken: Container[str], fresh: Callable[[], str]) -> str:
+    """A fresh id that `taken` lacks (parsed ids, and the ids that built
+    circuits keep, need not lie behind the counter)."""
+    while (new := fresh()) in taken:
+        pass
+    return new
+
+
 # -- builders --------------------------------------------------------------
 
 def identity(types: Sequence[ObjectExpr]) -> Circuit:
@@ -319,21 +358,72 @@ def swap(a: ObjectExpr, b: ObjectExpr) -> Circuit:
     return _structural("swap", [a, b], [b, a])
 
 
-def _place(part: Circuit, wires: dict[str, ObjectExpr],
-           nodes: dict[str, Node], glued: Sequence[str] = ()
+class _Pool:
+    """The wires and nodes of a circuit that `seq` or `par` is joining,
+    with its producer map, consumer map and anchor index."""
+
+    def __init__(self):
+        self.wires: dict[str, ObjectExpr] = {}
+        self.nodes: dict[str, Node] = {}
+        self.producers: dict[str, str] = {}
+        self.consumers: dict[str, str] = {}
+        self.anchored: dict[str, tuple[str, ...]] = {}
+
+    def circuit(self, inputs: Sequence[str],
+                outputs: Sequence[str]) -> Circuit:
+        return Circuit._assembled(self.wires, self.nodes, inputs, outputs,
+                                  (self.producers, self.consumers,
+                                   self.anchored))
+
+
+def _copied(part: Circuit, pool: _Pool) -> Circuit:
+    """`part` under new wire and node ids that `pool` lacks."""
+    wire_map = {w: _unused(pool.wires, fresh_wire) for w in part.wires}
+    return Circuit._assembled(
+        {wire_map[w]: t for w, t in part.wires.items()},
+        {_unused(pool.nodes, fresh_node): n.rewired(wire_map)
+         for n in part.nodes.values()},
+        [wire_map[w] for w in part.inputs],
+        [wire_map[w] for w in part.outputs])
+
+
+def _place(part: Circuit, pool: _Pool, glued: Sequence[str] = ()
            ) -> tuple[list[str], list[str]]:
-    """Copy `part` into the shared `wires` and `nodes` pools under fresh
-    ids, in its own order; its inputs take the ids in `glued`, which are
-    already pooled.  Returns the new ids of its inputs and outputs."""
-    wire_map = dict(zip(part.inputs, glued))
-    for w, t in part.wires.items():
-        if w not in wire_map:
-            wire_map[w] = fresh_wire()
-            wires[wire_map[w]] = t
-    for node in part.nodes.values():
-        nodes[fresh_node()] = node.rewired(wire_map)
-    return ([wire_map[w] for w in part.inputs],
-            [wire_map[w] for w in part.outputs])
+    """Move `part` into `pool`, in its own order; its inputs take the ids
+    in `glued`, which are pooled already.  Its other wires and its nodes
+    keep their ids and `Node` objects unless the pool holds one of those
+    ids, in which case the part is `_copied` first.  Only the nodes that
+    consume a glued input or are thinned onto one are redrawn, found
+    through the part's consumer map and anchor index, so the time taken
+    in Python grows with `glued`, not with the part.  Returns the ids of
+    its inputs and outputs in the pool."""
+    # views both, so that the test walks the smaller side
+    if not (part.wires.keys().isdisjoint(pool.wires.keys())
+            and part.nodes.keys().isdisjoint(pool.nodes.keys())):
+        part = _copied(part, pool)
+    pool.wires.update(part.wires)
+    pool.nodes.update(part.nodes)
+    pool.producers.update(part._producers)
+    pool.consumers.update(part._consumers)
+    if part._anchored:
+        pool.anchored.update(part._anchored)
+    if not glued:
+        return list(part.inputs), list(part.outputs)
+    glue = dict(zip(part.inputs, glued))
+    redraw = set()
+    for w, g in glue.items():
+        del pool.wires[w]
+        nid = pool.consumers.pop(w, None)
+        if nid is not None:
+            pool.consumers[g] = nid
+            redraw.add(nid)
+        if w in pool.anchored:
+            held = pool.anchored.pop(w)
+            pool.anchored[g] = pool.anchored.get(g, ()) + held
+            redraw.update(held)
+    for nid in redraw:   # an overwritten key keeps its place
+        pool.nodes[nid] = pool.nodes[nid].rewired(glue)
+    return list(glued), [glue.get(w, w) for w in part.outputs]
 
 
 def seq(first: Circuit, *rest: Circuit) -> Circuit:
@@ -346,25 +436,23 @@ def seq(first: Circuit, *rest: Circuit) -> Circuit:
         for i, (a, b) in enumerate(zip(fo, gi)):
             if a != b:
                 raise TypeMismatch(i, a, b)
-    wires: dict[str, ObjectExpr] = {}
-    nodes: dict[str, Node] = {}
-    inputs, outputs = _place(first, wires, nodes)
+    pool = _Pool()
+    inputs, outputs = _place(first, pool)
     for c in rest:
-        outputs = _place(c, wires, nodes, outputs)[1]
-    return Circuit._assembled(wires, nodes, inputs, outputs)
+        outputs = _place(c, pool, outputs)[1]
+    return pool.circuit(inputs, outputs)
 
 
 def par(first: Circuit, *rest: Circuit) -> Circuit:
     """Disjoint union with concatenated boundaries."""
-    wires: dict[str, ObjectExpr] = {}
-    nodes: dict[str, Node] = {}
+    pool = _Pool()
     inputs: list[str] = []
     outputs: list[str] = []
     for c in (first,) + rest:
-        ins, outs = _place(c, wires, nodes)
+        ins, outs = _place(c, pool)
         inputs += ins
         outputs += outs
-    return Circuit._assembled(wires, nodes, inputs, outputs)
+    return pool.circuit(inputs, outputs)
 
 
 def compose(f: Circuit, g: Circuit) -> Circuit:
@@ -488,11 +576,14 @@ def reverse(c: Circuit, rename: Mapping[str, str]) -> Circuit:
     through `rename` (names it lacks are kept).  With every renamed
     generator assigned the transpose of the original's matrix, the flipped
     circuit evaluates to the transpose.  Nodes come out in reverse order, so
-    contraction meets them in the flipped flow order."""
+    contraction meets them in the flipped flow order.  Each wire's producer
+    becomes its consumer and each consumer its producer."""
     nodes = _redrawn(c, rename, "reverse", reversed(list(c.nodes)),
                      lambda n, name: Node(n.kind, n.outs, n.ins, name,
                                           n.cod, n.dom))
-    return Circuit._assembled(dict(c.wires), nodes, c.outputs, c.inputs)
+    return Circuit._assembled(dict(c.wires), nodes, c.outputs, c.inputs,
+                              (dict(c._consumers), dict(c._producers),
+                               dict(c._anchored)))
 
 
 def mirror(c: Circuit, rename: Mapping[str, str]) -> Circuit:
@@ -501,14 +592,17 @@ def mirror(c: Circuit, rename: Mapping[str, str]) -> Circuit:
     outputs, and each generator is renamed through `rename` (names it lacks
     are kept).  With every renamed generator assigned the original's matrix
     with its ports reversed, the mirror evaluates to the matrix with its
-    boundary reversed.  Nodes keep their order, as the flow does."""
+    boundary reversed.  Nodes keep their order, as the flow does, and every
+    wire its producer and consumer."""
     def flip(ts: Optional[tuple]) -> Optional[tuple]:
         return None if ts is None else ts[::-1]
     nodes = _redrawn(c, rename, "mirror", c.nodes,
                      lambda n, name: Node(n.kind, n.ins[::-1], n.outs[::-1],
                                           name, flip(n.dom), flip(n.cod)))
     return Circuit._assembled(dict(c.wires), nodes, c.inputs[::-1],
-                              c.outputs[::-1])
+                              c.outputs[::-1],
+                              (dict(c._producers), dict(c._consumers),
+                               dict(c._anchored)))
 
 
 def dagger(c: Circuit) -> Circuit:
@@ -522,13 +616,15 @@ def dagger(c: Circuit) -> Circuit:
 def substitute(c: Circuit, table: Mapping[str, Circuit]) -> Circuit:
     """Replace each generator whose name is in `table` by that circuit: its
     boundary is glued to the generator's ports and its nodes are inlined,
-    under fresh ids, where the generator stood in node order.  Replacements
-    are not substituted again; generators inside dagger boxes are kept.  A
-    replacement whose boundary types differ from the generator's ports
-    raises `IllTyped`, and so does one that passes a wire straight through,
-    since that wire would join two of the circuit's wires into one."""
+    under ids that `c` and the earlier replacements lack, where the
+    generator stood in node order.  Replacements are not substituted
+    again; generators inside dagger boxes are kept.  A replacement whose
+    boundary types differ from the generator's ports raises `IllTyped`,
+    and so does one that passes a wire straight through, since that wire
+    would join two of the circuit's wires into one."""
     wires = dict(c.wires)
     nodes: dict[str, Node] = {}
+    taken = ChainMap(nodes, c.nodes)
     for nid, n in c.nodes.items():
         sub = table.get(n.name) if n.kind == "gen" else None
         if sub is None:
@@ -545,10 +641,10 @@ def substitute(c: Circuit, table: Mapping[str, Circuit]) -> Circuit:
         wire_map = dict(zip(sub.inputs + sub.outputs, n.ins + n.outs))
         for w, t in sub.wires.items():
             if w not in wire_map:
-                wire_map[w] = fresh_wire()
+                wire_map[w] = _unused(wires, fresh_wire)
                 wires[wire_map[w]] = t
         for node in sub.nodes.values():
-            nodes[fresh_node()] = node.rewired(wire_map)
+            nodes[_unused(taken, fresh_node)] = node.rewired(wire_map)
     return Circuit._assembled(wires, nodes, c.inputs, c.outputs)
 
 
@@ -572,13 +668,8 @@ def _search_order(c: Circuit) -> list[str]:
     anchors; a part that the boundary does not reach starts from its least
     node id.  Every other node is reached through a wire of the boundary or
     of an earlier node."""
-    anchored = defaultdict(list)
-    for nid, n in c.nodes.items():
-        if n.thin is not None:
-            anchored[n.thin].append(nid)
-
     def near(w: Optional[str]) -> tuple:
-        return c.producer(w), c.consumer(w), *anchored[w]
+        return c.producer(w), c.consumer(w), *c._anchored.get(w, ())
 
     order: dict[str, None] = {}   # an insertion-ordered set
     queue = deque(m for w in c.inputs + c.outputs for m in near(w))

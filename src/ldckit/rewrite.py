@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import replace
-from typing import Callable, Container, Optional
+from typing import Optional
 
-from .circuit import Circuit, Node, fresh_node, fresh_wire
+from .circuit import Circuit, Node, _unused, fresh_node, fresh_wire
 from .errors import NotExpandable
 from .objects import Bot, Par, Tensor, Top
 
@@ -48,14 +48,10 @@ class _Graph:
         self.nodes = dict(c.nodes)
         self.outputs = list(c.outputs)
         self.output_at = {w: i for i, w in enumerate(c.outputs)}
-        self.producer: dict[str, str] = {}
-        self.consumer: dict[str, str] = {}
-        self.anchored: defaultdict[str, set[str]] = defaultdict(set)
-        for nid, n in c.nodes.items():
-            self.consumer.update(dict.fromkeys(n.ins, nid))
-            self.producer.update(dict.fromkeys(n.outs, nid))
-            if n.thin is not None:
-                self.anchored[n.thin].add(nid)
+        self.producer = dict(c._producers)
+        self.consumer = dict(c._consumers)
+        self.anchored: defaultdict[str, set[str]] = defaultdict(
+            set, {w: set(held) for w, held in c._anchored.items()})
 
     def partner(self, nid: str) -> Optional[str]:
         """The second node of a redex whose first node is `nid`, if any."""
@@ -129,18 +125,12 @@ def normalize(c: Circuit) -> Circuit:
     return out
 
 
-def _unused(taken: Container[str], fresh: Callable[[], str]) -> str:
-    """A fresh id that `taken` lacks (a parsed document's ids need not come
-    from the in-process counter)."""
-    while (new := fresh()) in taken:
-        pass
-    return new
-
-
 def expand_wire(c: Circuit, wire: str) -> Circuit:
     """Replace a wire by the pair of the `_REDEXES` row that erases to one
     wire of its type: an elimination-then-introduction pair for the tensor
-    and par, and a unit pair thinned onto itself for the units."""
+    and par, and a unit pair thinned onto itself for the units.  The
+    result's endpoint maps and anchor index are `c`'s with the entries of
+    the moved wire end and of the pair changed."""
     if wire not in c.wires:
         raise NotExpandable(wire, "no such wire")
     t = c.wires[wire]
@@ -150,13 +140,16 @@ def expand_wire(c: Circuit, wire: str) -> Circuit:
     first, second, by_anchor, _ = row
     out, *links = [_unused(c.wires, fresh_wire) for _ in range(3)]
     wires, nodes, outputs = c.wires | {out: t}, dict(c.nodes), list(c.outputs)
-    cons = c.consumer(wire)
+    producers, consumers = dict(c._producers), dict(c._consumers)
+    anchored = dict(c._anchored)
+    cons = consumers.pop(wire, None)
     if cons is None:
         outputs[outputs.index(wire)] = out
     else:
         n = nodes[cons]
         nodes[cons] = replace(n, ins=tuple(out if w == wire else w
                                            for w in n.ins))
+        consumers[out] = cons
     if by_anchor:
         # the elimination takes the wire, the introduction makes the new one
         ports = {k: ((), (out,)) if k.endswith("_intro") else ((wire,), ())
@@ -167,5 +160,12 @@ def expand_wire(c: Circuit, wire: str) -> Circuit:
         wires |= dict(zip(links, (t.left, t.right)))
         f = Node(first, (wire,), tuple(links))
         s = Node(second, tuple(links), (out,))
-    nodes |= {_unused(c.nodes, fresh_node): n for n in (f, s)}
-    return Circuit._assembled(wires, nodes, c.inputs, outputs)
+    for n in (f, s):
+        nid = _unused(c.nodes, fresh_node)
+        nodes[nid] = n
+        consumers.update(dict.fromkeys(n.ins, nid))
+        producers.update(dict.fromkeys(n.outs, nid))
+        if n.thin is not None:
+            anchored[n.thin] = anchored.get(n.thin, ()) + (nid,)
+    return Circuit._assembled(wires, nodes, c.inputs, outputs,
+                              (producers, consumers, anchored))
