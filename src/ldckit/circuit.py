@@ -27,6 +27,12 @@ one are redrawn.  A part whose ids clash with ones already placed (a part
 used twice, or a parsed part) is copied first under ids that none of the
 placed wires and nodes has.  So a built circuit keeps its parts' ids where
 they do not clash, and its wires and nodes come in the order of its parts.
+
+This module alone knows the two formats a circuit is held in: the table
+of structural node kinds (`_STRUCTURAL`), by which `Circuit(...)` types
+nodes and `io.parse` splits their ports, and a circuit's endpoint index
+(`_index`).  What edits a circuit's graph, here or in `rewrite`, edits a
+`_Pool`, which keeps the index in step.
 """
 from __future__ import annotations
 
@@ -40,10 +46,34 @@ from typing import Callable, Container, Mapping, Optional, Sequence
 from .errors import IllTyped, TypeMismatch
 from .objects import ObjectExpr, Tensor, Par, Top, Bot, dagger_of, factors
 
-NODE_KINDS = (
-    "gen", "tensor_intro", "tensor_elim", "par_intro", "par_elim",
-    "top_intro", "top_elim", "bot_intro", "bot_elim", "swap", "dagger_box",
-)
+# The structural node kinds: each one's numbers of inputs and outputs, the
+# rule that its port types obey, the error when they do not, and, for a
+# unit thinned onto a wire, the error when its anchor is missing.
+# `Circuit._check_node` types nodes by it and `io.parse` splits their ports.
+_STRUCTURAL = {
+    "tensor_intro": (2, 1, lambda i, o: o[0] == Tensor(*i),
+                     "tensor introduction must be (A, B) -> A*B", None),
+    "tensor_elim": (1, 2, lambda i, o: i[0] == Tensor(*o),
+                    "tensor elimination must be A*B -> (A, B)", None),
+    "par_intro": (2, 1, lambda i, o: o[0] == Par(*i),
+                  "par introduction must be (A, B) -> A+B", None),
+    "par_elim": (1, 2, lambda i, o: i[0] == Par(*o),
+                 "par elimination must be A+B -> (A, B)", None),
+    "top_intro": (0, 1, lambda i, o: isinstance(o[0], Top),
+                  "top introduction must be () -> T", None),
+    "top_elim": (1, 0, lambda i, o: isinstance(i[0], Top),
+                 "top elimination must be T -> ()",
+                 "top elimination needs an existing thinning anchor wire"),
+    "bot_intro": (0, 1, lambda i, o: isinstance(o[0], Bot),
+                  "bot introduction must be () -> _|_",
+                  "bot introduction needs an existing thinning anchor wire"),
+    "bot_elim": (1, 0, lambda i, o: isinstance(i[0], Bot),
+                 "bot elimination must be _|_ -> ()", None),
+    "swap": (2, 2, lambda i, o: o == i[::-1],
+             "symmetry must be (A, B) -> (B, A)", None),
+}
+
+NODE_KINDS = ("gen", *_STRUCTURAL, "dagger_box")
 
 
 @dataclass(frozen=True)
@@ -214,8 +244,13 @@ class Circuit:
                 raise IllTyped(nid, f"port references unknown wire {w}")
         tin = tuple(self.wires[w] for w in node.ins)
         tout = tuple(self.wires[w] for w in node.outs)
-        k = node.kind
-        if k == "gen":
+        if node.kind in _STRUCTURAL:
+            n_in, n_out, typed, wrong, unanchored = _STRUCTURAL[node.kind]
+            if (len(tin), len(tout)) != (n_in, n_out) or not typed(tin, tout):
+                raise IllTyped(nid, wrong)
+            if unanchored and node.thin not in self.wires:
+                raise IllTyped(nid, unanchored)
+        elif node.kind == "gen":
             if node.name is None:
                 raise IllTyped(nid, "generator node needs a name")
             dom = node.dom if node.dom is not None else tin
@@ -223,47 +258,7 @@ class Circuit:
             if tuple(dom) != tin or tuple(cod) != tout:
                 raise IllTyped(nid, "generator signature does not match "
                                     "port wire types")
-        elif k == "tensor_intro":
-            if len(tin) != 2 or len(tout) != 1 or \
-                    tout[0] != Tensor(tin[0], tin[1]):
-                raise IllTyped(nid, "tensor introduction must be "
-                                    "(A, B) -> A*B")
-        elif k == "tensor_elim":
-            if len(tin) != 1 or len(tout) != 2 or \
-                    tin[0] != Tensor(tout[0], tout[1]):
-                raise IllTyped(nid, "tensor elimination must be "
-                                    "A*B -> (A, B)")
-        elif k == "par_intro":
-            if len(tin) != 2 or len(tout) != 1 or \
-                    tout[0] != Par(tin[0], tin[1]):
-                raise IllTyped(nid, "par introduction must be (A, B) -> A+B")
-        elif k == "par_elim":
-            if len(tin) != 1 or len(tout) != 2 or \
-                    tin[0] != Par(tout[0], tout[1]):
-                raise IllTyped(nid, "par elimination must be A+B -> (A, B)")
-        elif k == "top_intro":
-            if tin or len(tout) != 1 or not isinstance(tout[0], Top):
-                raise IllTyped(nid, "top introduction must be () -> T")
-        elif k == "top_elim":
-            if len(tin) != 1 or tout or not isinstance(tin[0], Top):
-                raise IllTyped(nid, "top elimination must be T -> ()")
-            if node.thin is None or node.thin not in self.wires:
-                raise IllTyped(nid, "top elimination needs an existing "
-                                    "thinning anchor wire")
-        elif k == "bot_intro":
-            if tin or len(tout) != 1 or not isinstance(tout[0], Bot):
-                raise IllTyped(nid, "bot introduction must be () -> _|_")
-            if node.thin is None or node.thin not in self.wires:
-                raise IllTyped(nid, "bot introduction needs an existing "
-                                    "thinning anchor wire")
-        elif k == "bot_elim":
-            if len(tin) != 1 or tout or not isinstance(tin[0], Bot):
-                raise IllTyped(nid, "bot elimination must be _|_ -> ()")
-        elif k == "swap":
-            if len(tin) != 2 or len(tout) != 2 or \
-                    (tout[0], tout[1]) != (tin[1], tin[0]):
-                raise IllTyped(nid, "symmetry must be (A, B) -> (B, A)")
-        elif k == "dagger_box":
+        else:
             if node.inner is None:
                 raise IllTyped(nid, "dagger box needs an inner circuit")
             want_in = tuple(dagger_of(t)
@@ -359,15 +354,60 @@ def swap(a: ObjectExpr, b: ObjectExpr) -> Circuit:
 
 
 class _Pool:
-    """The wires and nodes of a circuit that `seq` or `par` is joining,
-    with its producer map, consumer map and anchor index."""
+    """The wires and nodes of a circuit under construction or rewriting,
+    with its producer map, consumer map and anchor index (`_index`) kept
+    in step: `seq` and `par` join their parts in one, and `rewrite`
+    edits a copy of the circuit it rewrites in one."""
 
-    def __init__(self):
-        self.wires: dict[str, ObjectExpr] = {}
-        self.nodes: dict[str, Node] = {}
-        self.producers: dict[str, str] = {}
-        self.consumers: dict[str, str] = {}
-        self.anchored: dict[str, tuple[str, ...]] = {}
+    def __init__(self, c: Optional[Circuit] = None):
+        """An empty pool, or one holding copies of `c`'s dicts."""
+        self.wires: dict[str, ObjectExpr] = dict(c.wires) if c else {}
+        self.nodes: dict[str, Node] = dict(c.nodes) if c else {}
+        self.producers: dict[str, str] = dict(c._producers) if c else {}
+        self.consumers: dict[str, str] = dict(c._consumers) if c else {}
+        self.anchored: dict[str, tuple[str, ...]] = (dict(c._anchored)
+                                                     if c else {})
+
+    def add(self, nid: str, node: Node) -> None:
+        """Enter `node` as `nid`, after the nodes held."""
+        self.nodes[nid] = node
+        self.consumers.update(dict.fromkeys(node.ins, nid))
+        self.producers.update(dict.fromkeys(node.outs, nid))
+        if node.thin is not None:
+            held = self.anchored.get(node.thin, ())
+            self.anchored[node.thin] = held + (nid,)
+
+    def drop(self, nid: str) -> Node:
+        """Remove node `nid`, leaving its wires without that endpoint."""
+        node = self.nodes.pop(nid)
+        for w in node.ins:
+            del self.consumers[w]
+        for w in node.outs:
+            del self.producers[w]
+        if node.thin is not None:
+            held = tuple(m for m in self.anchored.pop(node.thin) if m != nid)
+            if held:
+                self.anchored[node.thin] = held
+        return node
+
+    def merge(self, glue: Mapping[str, str]) -> None:
+        """Join each wire `w` of `glue`, which has no producer, to the
+        wire `glue[w]`, which has no consumer: `w` is deleted, and its
+        consumer and the nodes thinned onto it pass to `glue[w]`.  Each
+        node moved is redrawn once, keeping its place in node order."""
+        redraw = set()
+        for w, g in glue.items():
+            del self.wires[w]
+            nid = self.consumers.pop(w, None)
+            if nid is not None:
+                self.consumers[g] = nid
+                redraw.add(nid)
+            if w in self.anchored:
+                held = self.anchored.pop(w)
+                self.anchored[g] = self.anchored.get(g, ()) + held
+                redraw.update(held)
+        for nid in redraw:   # an overwritten key keeps its place
+            self.nodes[nid] = self.nodes[nid].rewired(glue)
 
     def circuit(self, inputs: Sequence[str],
                 outputs: Sequence[str]) -> Circuit:
@@ -410,19 +450,7 @@ def _place(part: Circuit, pool: _Pool, glued: Sequence[str] = ()
     if not glued:
         return list(part.inputs), list(part.outputs)
     glue = dict(zip(part.inputs, glued))
-    redraw = set()
-    for w, g in glue.items():
-        del pool.wires[w]
-        nid = pool.consumers.pop(w, None)
-        if nid is not None:
-            pool.consumers[g] = nid
-            redraw.add(nid)
-        if w in pool.anchored:
-            held = pool.anchored.pop(w)
-            pool.anchored[g] = pool.anchored.get(g, ()) + held
-            redraw.update(held)
-    for nid in redraw:   # an overwritten key keeps its place
-        pool.nodes[nid] = pool.nodes[nid].rewired(glue)
+    pool.merge(glue)
     return list(glued), [glue.get(w, w) for w in part.outputs]
 
 

@@ -6,8 +6,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -102,8 +104,11 @@ def cmd_split(args) -> int:
     if args.kind == "binary":
         result = split_binary_idempotent(gadget, tol=args.tol)
         alpha, beta = result["alpha"], result["beta"]
-        res = max(float(np.max(np.abs(alpha @ beta - np.eye(alpha.shape[0])))),
-                  float(np.max(np.abs(beta @ alpha - np.eye(beta.shape[0])))))
+        # initial=0: at rank 0 both products are 0 x 0
+        res = max(float(np.max(np.abs(alpha @ beta - np.eye(len(alpha))),
+                               initial=0.0)),
+                  float(np.max(np.abs(beta @ alpha - np.eye(len(beta))),
+                               initial=0.0)))
         print(f"rank {alpha.shape[0]}, iso residual {res:.3e}")
         return 0 if res <= args.tol * 10 else 2
     ub, vb = gadget.morphism("ub"), gadget.morphism("vb")
@@ -168,21 +173,33 @@ def cmd_examples(args) -> int:
     return 0
 
 
-def _exp_degree(text: str) -> int:
-    """The degree bound of an exponential: an integer of at least 1."""
-    degree = int(text)
-    if degree < 1:
-        raise argparse.ArgumentTypeError(
-            f"degree must be at least 1, got {degree}")
+def _exp_degree(least: int) -> Callable[[str], int]:
+    """The parser of a degree bound: an integer of at least `least`."""
+    def degree(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"degree must be at least {least}, got {value}")
+        return value
     return degree
 
 
-def _common(p: argparse.ArgumentParser, degree=int, default=None,
+def _tolerance(text: str) -> float:
+    """A tolerance: a finite number of at least 0."""
+    tol = float(text)
+    if not math.isfinite(tol) or tol < 0:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite number of at least 0, got {text}")
+    return tol
+
+
+def _common(p: argparse.ArgumentParser, least: int = 0, default=None,
             degree_help: str = "degree bound of the model's exponentials "
                                "(default 3); a gadget with gradings fixes "
                                "its own") -> None:
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--degree", type=degree, default=default, help=degree_help)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--degree", type=_exp_degree(least), default=default,
+                   help=degree_help)
 
 
 @functools.cache
@@ -227,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd = esub.add_parser("demo", help="lift, retract, and re-split a "
                                       "complementary system")
     pd.add_argument("--gadget", required=True)
-    _common(pd, degree=_exp_degree, default=3,
+    _common(pd, least=1, default=3,
             degree_help="degree bound of the exponential to build "
                         "(default 3)")
     pd.set_defaults(func=cmd_exp_demo)

@@ -3,22 +3,13 @@ from __future__ import annotations
 
 import base64
 import json
-from typing import Optional
 
 import numpy as np
 
-from .circuit import Circuit, Node
+from .circuit import _STRUCTURAL, Circuit, Node
 from .errors import CircuitSyntaxError, LdcError, SchemaError
 from .model import in_field
 from .objects import type_from_json, type_to_json
-
-_ARITY = {
-    "tensor_intro": (2, 1), "tensor_elim": (1, 2),
-    "par_intro": (2, 1), "par_elim": (1, 2),
-    "top_intro": (0, 1), "top_elim": (1, 0),
-    "bot_intro": (0, 1), "bot_elim": (1, 0),
-    "swap": (2, 2),
-}
 
 
 def serialize(c: Circuit) -> bytes:
@@ -116,8 +107,8 @@ def _circuit_from_json(doc: object) -> Circuit:
     inners: dict[int, Circuit] = {}
     for idx, entry in enumerate(raw_nodes):
         kind, ports = entry["kind"], list(entry["ports"])
-        if kind in _ARITY:
-            n_in, n_out = _ARITY[kind]
+        if kind in _STRUCTURAL:
+            n_in, n_out = _STRUCTURAL[kind][:2]
             if len(ports) != n_in + n_out:
                 raise SchemaError(f"{kind} node takes {n_in + n_out} ports")
             ins, outs = ports[:n_in], ports[n_in:]
@@ -137,11 +128,7 @@ def _circuit_from_json(doc: object) -> Circuit:
             continue
         else:
             raise SchemaError(f"unknown node kind {kind!r}")
-        split_nodes[idx] = (ins, outs)
-        for w in ins:
-            _claim(consumed, w, ("node", idx))
-        for w in outs:
-            _claim(produced, w, ("node", idx))
+        split_nodes[idx] = _claimed(consumed, produced, idx, ins, outs)
 
     for idx, ports in gen_ports:
         ins, outs = [], []
@@ -156,11 +143,7 @@ def _circuit_from_json(doc: object) -> Circuit:
                 if not other:
                     raise SchemaError(f"wire {w!r} has a dangling endpoint")
                 (ins if other[0] < idx else outs).append(w)
-        split_nodes[idx] = (ins, outs)
-        for w in ins:
-            _claim(consumed, w, ("node", idx))
-        for w in outs:
-            _claim(produced, w, ("node", idx))
+        split_nodes[idx] = _claimed(consumed, produced, idx, ins, outs)
 
     nodes = {}
     for idx, entry in enumerate(raw_nodes):
@@ -184,11 +167,17 @@ def _wire_refs(refs: object, wires: dict, what: str) -> list[str]:
     return refs
 
 
-def _claim(table: dict, wire: str, endpoint: tuple) -> None:
-    if wire in table:
-        raise SchemaError(f"wire {wire!r} has two endpoints of the "
-                          "same polarity")
-    table[wire] = endpoint
+def _claimed(consumed: dict, produced: dict, idx: int, ins: list[str],
+             outs: list[str]) -> tuple[list[str], list[str]]:
+    """Enter node `idx` as the consumer of `ins` and the producer of
+    `outs`; returns both."""
+    for table, ends in ((consumed, ins), (produced, outs)):
+        for w in ends:
+            if w in table:
+                raise SchemaError(f"wire {w!r} has two endpoints of the "
+                                  "same polarity")
+            table[w] = ("node", idx)
+    return ins, outs
 
 
 # -- matrices --------------------------------------------------------------

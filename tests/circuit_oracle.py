@@ -10,17 +10,25 @@ takes time quadratic in n, so the tests use them on small circuits only.
 `isomorphic` recurses once per node and re-sorts the second circuit's
 nodes at every step, so it is quadratic and raises `RecursionError` on
 circuits of about a thousand nodes.
+
+`CheckedCircuit` types each node by the branch of its kind, as
+`Circuit._check_node` did before the node-kind table, and `parse_one`
+reads a document of one node by the port counts of the parser's own
+table `ARITY`, as `io.parse` did.
 """
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 from typing import Sequence
 
 from ldckit.circuit import (Circuit, Node, fresh_node, fresh_wire, identity,
                             swap)
-from ldckit.errors import TypeMismatch
-from ldckit.objects import ObjectExpr
+from ldckit.errors import IllTyped, SchemaError, TypeMismatch
+from ldckit.io import parse
+from ldckit.objects import (Bot, ObjectExpr, Par, Tensor, Top, dagger_of,
+                            type_from_json)
 
 
 def _fresh_copy(c: Circuit) -> Circuit:
@@ -202,3 +210,137 @@ def isomorphic(c1: Circuit, c2: Circuit) -> bool:
         return t1 in wire_map and wire_map[t1] == t2
 
     return try_node(0, dict(wire_map))
+
+
+# -- node typing and port splitting, one branch per kind ---------------------
+
+NODE_KINDS = (
+    "gen", "tensor_intro", "tensor_elim", "par_intro", "par_elim",
+    "top_intro", "top_elim", "bot_intro", "bot_elim", "swap", "dagger_box",
+)
+
+ARITY = {
+    "tensor_intro": (2, 1), "tensor_elim": (1, 2),
+    "par_intro": (2, 1), "par_elim": (1, 2),
+    "top_intro": (0, 1), "top_elim": (1, 0),
+    "bot_intro": (0, 1), "bot_elim": (1, 0),
+    "swap": (2, 2),
+}
+
+
+class CheckedCircuit(Circuit):
+    """`Circuit` with each node typed by the branch of its kind."""
+
+    def _check_node(self, nid: str, node: Node) -> None:
+        if node.kind not in NODE_KINDS:
+            raise IllTyped(nid, f"unknown node kind {node.kind!r}")
+        for w in node.ports():
+            if w not in self.wires:
+                raise IllTyped(nid, f"port references unknown wire {w}")
+        tin = tuple(self.wires[w] for w in node.ins)
+        tout = tuple(self.wires[w] for w in node.outs)
+        k = node.kind
+        if k == "gen":
+            if node.name is None:
+                raise IllTyped(nid, "generator node needs a name")
+            dom = node.dom if node.dom is not None else tin
+            cod = node.cod if node.cod is not None else tout
+            if tuple(dom) != tin or tuple(cod) != tout:
+                raise IllTyped(nid, "generator signature does not match "
+                                    "port wire types")
+        elif k == "tensor_intro":
+            if len(tin) != 2 or len(tout) != 1 or \
+                    tout[0] != Tensor(tin[0], tin[1]):
+                raise IllTyped(nid, "tensor introduction must be "
+                                    "(A, B) -> A*B")
+        elif k == "tensor_elim":
+            if len(tin) != 1 or len(tout) != 2 or \
+                    tin[0] != Tensor(tout[0], tout[1]):
+                raise IllTyped(nid, "tensor elimination must be "
+                                    "A*B -> (A, B)")
+        elif k == "par_intro":
+            if len(tin) != 2 or len(tout) != 1 or \
+                    tout[0] != Par(tin[0], tin[1]):
+                raise IllTyped(nid, "par introduction must be (A, B) -> A+B")
+        elif k == "par_elim":
+            if len(tin) != 1 or len(tout) != 2 or \
+                    tin[0] != Par(tout[0], tout[1]):
+                raise IllTyped(nid, "par elimination must be A+B -> (A, B)")
+        elif k == "top_intro":
+            if tin or len(tout) != 1 or not isinstance(tout[0], Top):
+                raise IllTyped(nid, "top introduction must be () -> T")
+        elif k == "top_elim":
+            if len(tin) != 1 or tout or not isinstance(tin[0], Top):
+                raise IllTyped(nid, "top elimination must be T -> ()")
+            if node.thin is None or node.thin not in self.wires:
+                raise IllTyped(nid, "top elimination needs an existing "
+                                    "thinning anchor wire")
+        elif k == "bot_intro":
+            if tin or len(tout) != 1 or not isinstance(tout[0], Bot):
+                raise IllTyped(nid, "bot introduction must be () -> _|_")
+            if node.thin is None or node.thin not in self.wires:
+                raise IllTyped(nid, "bot introduction needs an existing "
+                                    "thinning anchor wire")
+        elif k == "bot_elim":
+            if len(tin) != 1 or tout or not isinstance(tin[0], Bot):
+                raise IllTyped(nid, "bot elimination must be _|_ -> ()")
+        elif k == "swap":
+            if len(tin) != 2 or len(tout) != 2 or \
+                    (tout[0], tout[1]) != (tin[1], tin[0]):
+                raise IllTyped(nid, "symmetry must be (A, B) -> (B, A)")
+        elif k == "dagger_box":
+            if node.inner is None:
+                raise IllTyped(nid, "dagger box needs an inner circuit")
+            want_in = tuple(dagger_of(t)
+                            for t in reversed(node.inner.output_types()))
+            want_out = tuple(dagger_of(t)
+                             for t in reversed(node.inner.input_types()))
+            if tin != want_in or tout != want_out:
+                raise IllTyped(nid, "dagger box boundary must mirror the "
+                                    "daggered inner boundary")
+
+
+
+def parse_one(doc: dict) -> Circuit:
+    """What `io.parse` makes of a well-formed document of one node whose
+    ports and anchor name listed wires: its ports split by `ARITY` (a
+    generator's by the boundary, a dagger box's by its inner circuit),
+    each wire claimed by one producer and one consumer, and the circuit
+    checked by `CheckedCircuit`."""
+    wires = {w["id"]: type_from_json(w["type"]) for w in doc["wires"]}
+    inputs, outputs = doc["inputs"], doc["outputs"]
+    (entry,) = doc["nodes"]
+    kind, ports = entry["kind"], entry["ports"]
+    inner = None
+    if kind in ARITY:
+        n_in, n_out = ARITY[kind]
+        if len(ports) != n_in + n_out:
+            raise SchemaError(f"{kind} node takes {n_in + n_out} ports")
+    elif kind == "dagger_box":
+        inner = parse(json.dumps(entry["inner"]))
+        n_in = len(inner.outputs)
+        if len(ports) != n_in + len(inner.inputs):
+            raise SchemaError("dagger_box port count does not match "
+                              "its inner circuit boundary")
+    elif kind != "gen":
+        raise SchemaError(f"unknown node kind {kind!r}")
+    if kind == "gen":
+        ins, outs = [], []
+        for w in ports:
+            if w in inputs:
+                ins.append(w)
+            elif w in outputs:
+                outs.append(w)
+            else:
+                raise SchemaError(f"wire {w!r} has a dangling endpoint")
+    else:
+        ins, outs = ports[:n_in], ports[n_in:]
+    for taken, ends in ((list(outputs), ins), (list(inputs), outs)):
+        for w in ends:
+            if w in taken:
+                raise SchemaError(f"wire {w!r} has two endpoints of the "
+                                  "same polarity")
+            taken.append(w)
+    node = Node(kind, tuple(ins), tuple(outs), name=entry.get("name"),
+                thin=entry.get("thin"), inner=inner)
+    return CheckedCircuit(wires, {"n0": node}, inputs, outputs)

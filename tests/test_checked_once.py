@@ -32,11 +32,13 @@ EXPANDABLE = (Tensor, Par, Top, Bot)
 
 def assert_checked(c: Circuit) -> None:
     """The checking constructor accepts `c` and its dagger boxes' insides,
-    and indexes and orders them as `c` does."""
+    and indexes and orders them as `c` does: the same producer and
+    consumer maps, anchor index and flow order."""
     for part in c.nested():
         again = Circuit(part.wires, part.nodes, part.inputs, part.outputs)
         assert again._producers == part._producers
         assert again._consumers == part._consumers
+        assert again._anchored == part._anchored
         assert again.topo_order() == part.topo_order()
 
 

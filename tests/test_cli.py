@@ -211,6 +211,25 @@ class TestSplit:
         assert main(["split", "--gadget", "qubit-zx",
                      "--kind", "binary"]) == 1
 
+    def test_rank_zero_binary_split_reports_rank_zero(self, tmp_path,
+                                                      capsys):
+        # u = 0 (2 x 3) and v = 0 (3 x 2) pass the suite; their splitting
+        # maps are 0 x 0, whose residuals are maxima over no entries
+        zero = {"data": [[0, 0]] * 6}
+        doc = {"kind": "binary_idempotent",
+               "atoms": {"P": {"dim": 3}, "Q": {"dim": 2}},
+               "objects": {"A": {"atom": "P"}, "B": {"atom": "Q"}},
+               "morphisms": {"u": {"rows": 2, "cols": 3} | zero,
+                             "v": {"rows": 3, "cols": 2} | zero}}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", "--suite", "binary-idempotent",
+                     "--gadget", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["split", "--gadget", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "rank 0, iso residual 0.000e+00\n" and err == ""
+
     @pytest.mark.parametrize("name", ["qubit-zx", "zn:3"])
     def test_saved_retract_splits_as_every_kind(self, tmp_path, capsys,
                                                 name):
@@ -373,6 +392,44 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["check", "--help"]) == 0
         assert "--suite" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cmd", [["check", "--suite", "linear-monoid"],
+                                     ["split", "--kind", "monoid"]])
+    def test_negative_degree_exits_one(self, tmp_path, capsys, cmd):
+        # the model's exponentials reached MultisetBasis, whose ValueError
+        # escaped as a traceback
+        doc = json.loads(QUBIT_DOC.read_text())
+        doc["objects"] = {"A": {"bang": {"atom": "Q"}},
+                          "B": {"bang": {"atom": "Q"}}}
+        path = tmp_path / "bang.json"
+        path.write_text(json.dumps(doc))
+        assert main(cmd + ["--gadget", str(path), "--degree", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "error: argument --degree: degree must be at least 0, " \
+               "got -1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "x"])
+    @pytest.mark.parametrize("cmd", [
+        ["check", "--suite", "linear-monoid", "--gadget", "zn:2"],
+        ["check", "--suite", "dagger-linear-monoid", "--gadget",
+         "quad4-flip"],
+        ["split", "--kind", "monoid", "--gadget", "zn:2"],
+        ["exp", "demo", "--gadget", "qubit-zx", "--degree", "2"]])
+    def test_tolerance_must_be_finite_and_nonnegative(self, capsys, cmd,
+                                                      tol):
+        # nan and -1 failed checks that pass, and inf passed ones that fail
+        assert main(cmd + ["--tol", tol]) == 1
+        err = capsys.readouterr().err
+        assert "error: argument --tol:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("cmd, code", [
+        (["check", "--suite", "linear-monoid", "--gadget", "zn:2"], 0),
+        (["check", "--suite", "dagger-linear-monoid", "--gadget",
+          "quad4-flip"], 2),
+        (["exp", "demo", "--gadget", "qubit-zx", "--degree", "2"], 0)])
+    def test_zero_tolerance_is_accepted(self, capsys, cmd, code):
+        assert main(cmd + ["--tol", "0"]) == code
+        assert "error" not in capsys.readouterr().err
 
     def test_parser_is_built_once(self, capsys):
         build_parser.cache_clear()
