@@ -13,6 +13,15 @@ gadgets every equation has a residual of order one, so a changed template
 shows.
 
     PYTHONPATH=src python scripts/snapshot_suite_residuals.py
+
+The committed file is not reproduced byte for byte on every host.  Written
+on another host, 40 residuals can differ from it in the last digit (for
+example a `dagger-cap` residual of 8.916208344510858 against
+8.91620834451086).  `tests/test_suite_snapshot.py` compares residuals at a
+relative tolerance (`REL`) that admits such digits.  So a byte-for-byte
+check of a refactor must compare this script's output on the parent
+commit, regenerated on the same host, with its output on the change; it
+cannot compare either with the committed file.
 """
 from __future__ import annotations
 

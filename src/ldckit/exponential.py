@@ -19,9 +19,14 @@ dense array left is refused with `ResourceLimit` past `errors.MAX_ENTRIES`
 entries, before it is allocated.  Couniversal lifts through the comonoid of
 a base gadget, which the retract needs, are computed degree by degree from
 the comonoid-morphism constraint and fail loudly when the constraints are
-inconsistent, making cofreeness an executable contract.  The structure
-maps are real 0/1 matrices, and every map built from a gadget's roles is
-computed in their field: real data stays real.
+inconsistent, making cofreeness an executable contract.  The comonad law
+delta;!delta = delta;delta is checked on sparse columns, on the degree
+window where the intermediate multiset of part-unions has size at most d,
+and only that window is built: a partial product of !delta is dropped once
+the sizes of its parts sum past d, which no further factor can undo, as
+each adds a size of at least 0.  The structure maps are real 0/1 matrices,
+and every map built from a gadget's roles is computed in their field: real
+data stays real.
 """
 from __future__ import annotations
 
@@ -305,64 +310,75 @@ def _multiplicity_factorial(m: tuple) -> int:
 def delta_sparse(m: tuple, degree: int) -> dict:
     """Column of the duplication at a multiset m: all multisets of parts
     with union m, parts of size <= degree, at most degree parts including
-    empty padding; coefficient 1 each."""
-    found: set = set()
+    empty padding; coefficient 1 each.  Parts are split off one at a time,
+    and the part split off holds the least element left, so each split of
+    what is left is built once: that element with one sub-multiset of the
+    rest.  Parts are kept only in sorted order, each at least the one
+    before: the parts of a multiset of parts, sorted, hold their least
+    elements in order, so each multiset of parts is reached on that one
+    path only, and no repeat is built."""
+    out: dict = {}
 
     def rec(remaining: tuple, acc: tuple) -> None:
-        if len(acc) > degree:
-            return
         if not remaining:
             for extra in range(degree - len(acc) + 1):
-                found.add(tuple(sorted(acc + ((),) * extra)))
+                out[((),) * extra + acc] = 1
             return
-        first = remaining[0]
-        seen = set()
-        for p1, rest in sub_multiset_splits(remaining):
-            if not p1 or first not in p1 or len(p1) > degree:
-                continue
-            if (p1, rest) in seen:
-                continue
-            seen.add((p1, rest))
-            rec(rest, tuple(sorted(acc + (p1,))))
+        if len(acc) == degree:
+            return
+        least = remaining[:1]
+        for head, rest in sub_multiset_splits(remaining[1:]):
+            part = least + head
+            if len(part) <= degree and (not acc or part >= acc[-1]):
+                rec(rest, acc + (part,))
 
-    rec(tuple(m), ())
-    return {key: 1 for key in found}
+    rec(tuple(sorted(m)), ())
+    return out
 
 
-def bang_apply_sparse(f_col, m: tuple) -> dict:
+def bang_apply_sparse(f_col, m: tuple, bound: Optional[int] = None) -> dict:
     """Column of !f at the multiset m, where f_col(x) gives the sparse
     column of f at a base element x.  It is the product of the columns
     f(x) for x in m, one factor peeled at a time as in `bang_matrix`, with
-    the monomial k scaled by k!/m! (products of multiplicity factorials)."""
-    prod: dict = {(): 1}
+    the monomial k scaled by k!/m! (products of multiplicity factorials).
+
+    With a `bound`, the monomials are multisets of tuples t, and only
+    those of total size sum(len(t)) <= bound are built: a partial product
+    is dropped as soon as its size passes the bound.  Each factor adds a
+    tuple of size >= 0, so the size of a product never falls as factors are
+    multiplied in, and a dropped product could only have ended past the
+    bound.  Every kept monomial is summed over the same terms, in the same
+    order, as without the bound."""
+    limit = math.inf if bound is None else bound
+    prod: dict = {(): (0, 1)}
     for x in m:
-        col = [(t, c) for t, c in f_col(x).items() if c != 0]
+        col = [(t, 0 if bound is None else len(t), c)
+               for t, c in f_col(x).items() if c != 0]
         nxt: dict = {}
-        for key, v in prod.items():
-            for t, c in col:
+        for key, (size, v) in prod.items():
+            for t, n, c in col:
+                if size + n > limit:
+                    continue
                 k = tuple(sorted(key + (t,)))
-                nxt[k] = nxt.get(k, 0) + v * c
+                old = nxt.get(k)
+                nxt[k] = (size + n, v * c if old is None else old[1] + v * c)
         prod = nxt
     scale = _multiplicity_factorial(m)
     return {k: v * _multiplicity_factorial(k) / scale
-            for k, v in prod.items() if v != 0}
-
-
-def _fits_degree(elt, degree: int) -> bool:
-    """Whether a nested multiset element lies in the degree-d basis at
-    every level."""
-    if not isinstance(elt, tuple):
-        return True
-    return len(elt) <= degree and all(_fits_degree(x, degree) for x in elt)
+            for k, (_, v) in prod.items() if v != 0}
 
 
 def comonad_coassoc_report(base_dim: int, degree: int,
                            tol: float = 1e-9) -> tuple[bool, float, int]:
     """Check delta;!delta = delta;delta on the window where no intermediate
-    value exceeds the degree bound.  For a target entry, the only
-    contributing intermediate is the multiset of part-unions; the entry is
-    in-window exactly when that multiset fits in degree d.  Returns
-    (pass, worst residual on the window, entries compared)."""
+    value exceeds the degree bound.  For a target entry, a multiset of
+    multisets of parts, the only contributing intermediate is the multiset
+    of part-unions, and the entry is in the window exactly when the sizes
+    of those unions sum to at most d.  Only the window is built:
+    delta;!delta is the product of the duplication's columns bounded by d
+    (`bang_apply_sparse`), and every entry of delta;delta at a multiset of
+    parts P is in the window already, as its sizes sum to len(P) <= d.
+    Returns (pass, worst residual on the window, entries compared)."""
     basis = MultisetBasis([str(i) for i in range(base_dim)], degree)
     columns: dict = {}
 
@@ -379,15 +395,11 @@ def comonad_coassoc_report(base_dim: int, degree: int,
         lhs: dict = {}
         rhs: dict = {}
         for mm, c in delta(m).items():
-            for key, c2 in bang_apply_sparse(delta, mm).items():
+            for key, c2 in bang_apply_sparse(delta, mm, degree).items():
                 lhs[key] = lhs.get(key, 0) + c * c2
             for key, c2 in delta(mm).items():
                 rhs[key] = rhs.get(key, 0) + c * c2
-        for k in set(lhs) | set(rhs):
-            # past the bound the forced intermediate is not in the basis
-            if sum(len(part) for part in k) > degree \
-                    or not _fits_degree(k, degree):
-                continue
+        for k in lhs.keys() | rhs.keys():
             checked += 1
             r = abs(lhs.get(k, 0) - rhs.get(k, 0))
             worst = max(worst, float(r))

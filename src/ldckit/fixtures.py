@@ -139,6 +139,15 @@ def fixture_names() -> list[str]:
     return sorted(BUILTIN)
 
 
+def _read_text(path: Path) -> str:
+    """The file's text, which must be UTF-8."""
+    try:
+        return path.read_bytes().decode()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(
+            f"byte {exc.start}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_gadget(name_or_path: str, degree: int = 3) -> Gadget:
     """Load a gadget by built-in name, as `zn:<n>` for the Z_n group
     algebra, or from a JSON file path."""
@@ -147,12 +156,12 @@ def load_gadget(name_or_path: str, degree: int = 3) -> Gadget:
     if name_or_path in BUILTIN:
         ref = resources.files("ldckit") / "fixtures" / f"{name_or_path}.json"
         with resources.as_file(ref) as p:
-            text = p.read_text()
+            text = _read_text(p)
     else:
         path = Path(name_or_path)
         if not path.exists():
             raise SchemaError(f"no such gadget or fixture: {name_or_path}")
-        text = path.read_text()
+        text = _read_text(path)
     try:
         return gadget_from_json(json.loads(text), degree=degree)
     except json.JSONDecodeError as exc:

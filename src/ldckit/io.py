@@ -44,10 +44,13 @@ def _circuit_to_json(c: Circuit) -> dict:
 
 
 def parse(text: bytes | str) -> Circuit:
-    if isinstance(text, bytes):
-        text = text.decode()
     try:
+        if isinstance(text, bytes):
+            text = text.decode()
         return _circuit_from_json(json.loads(text))
+    except UnicodeDecodeError as exc:
+        raise CircuitSyntaxError(
+            f"byte {exc.start}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise CircuitSyntaxError(f"line {exc.lineno}: {exc.msg}") from exc
     except RecursionError:

@@ -25,9 +25,10 @@ class MultisetBasis:
                     range(len(self.base)), n))
         self.index = {m: i for i, m in enumerate(self.elements)}
         self.dim = len(self.elements)
-        expected = sum(math.comb(len(self.base) + n - 1, n)
-                       for n in range(degree + 1))
-        assert self.dim == expected
+        # multisets of size <= d over k letters: multisets of size d over
+        # k + 1 letters, the extra letter padding; 1 (the empty multiset)
+        # when k = 0
+        assert self.dim == math.comb(len(self.base) + degree, degree)
 
     def label(self, m: tuple[int, ...]) -> str:
         return "[" + ",".join(self.base[i] for i in m) + "]"

@@ -20,13 +20,21 @@ came next, kept verbatim but for their names: the functor filled grade by
 grade in a Python loop, and the monoidal structure as a dense matrix with
 one 1 per multiset of pairs, through which the induced multiplication and
 the lifted cups are pushed by matrix products.
+
+`delta_sparse`, `bang_apply_sparse`, `_fits_degree` and
+`comonad_coassoc_report` are the sparse column calculus as it was before
+the coassociativity check built only its degree window, kept verbatim: the
+duplication's columns from every split of each multiset, deduplicated,
+and the check that builds the whole product delta;!delta and then drops
+the entries outside the window.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from ldckit.errors import ShapeMismatch
-from ldckit.exponential import (ExpStructure, _m_top, _product_basis,
+from ldckit.exponential import (ExpStructure, _m_top,
+                                _multiplicity_factorial, _product_basis,
                                 _top_basis, build_exp, comult_matrix,
                                 counit_matrix, lift_flat)
 from ldckit.gadget import Gadget
@@ -232,3 +240,97 @@ def dense_induce_bang_monoid(g: Gadget, degree: int = 3,
     env = ModelEnv(atoms=atoms, degree=degree)
     gradings = {"A": exp_a.basis.degrees(), "B": exp_b.basis.degrees()}
     return Gadget("linear_bialgebra", objects, morphs, env, gradings)
+
+
+def delta_sparse(m: tuple, degree: int) -> dict:
+    """Column of the duplication at a multiset m: all multisets of parts
+    with union m, parts of size <= degree, at most degree parts including
+    empty padding; coefficient 1 each."""
+    found: set = set()
+
+    def rec(remaining: tuple, acc: tuple) -> None:
+        if len(acc) > degree:
+            return
+        if not remaining:
+            for extra in range(degree - len(acc) + 1):
+                found.add(tuple(sorted(acc + ((),) * extra)))
+            return
+        first = remaining[0]
+        seen = set()
+        for p1, rest in sub_multiset_splits(remaining):
+            if not p1 or first not in p1 or len(p1) > degree:
+                continue
+            if (p1, rest) in seen:
+                continue
+            seen.add((p1, rest))
+            rec(rest, tuple(sorted(acc + (p1,))))
+
+    rec(tuple(m), ())
+    return {key: 1 for key in found}
+
+
+def bang_apply_sparse(f_col, m: tuple) -> dict:
+    """Column of !f at the multiset m, where f_col(x) gives the sparse
+    column of f at a base element x.  It is the product of the columns
+    f(x) for x in m, one factor peeled at a time as in `bang_matrix`, with
+    the monomial k scaled by k!/m! (products of multiplicity factorials)."""
+    prod: dict = {(): 1}
+    for x in m:
+        col = [(t, c) for t, c in f_col(x).items() if c != 0]
+        nxt: dict = {}
+        for key, v in prod.items():
+            for t, c in col:
+                k = tuple(sorted(key + (t,)))
+                nxt[k] = nxt.get(k, 0) + v * c
+        prod = nxt
+    scale = _multiplicity_factorial(m)
+    return {k: v * _multiplicity_factorial(k) / scale
+            for k, v in prod.items() if v != 0}
+
+
+def _fits_degree(elt, degree: int) -> bool:
+    """Whether a nested multiset element lies in the degree-d basis at
+    every level."""
+    if not isinstance(elt, tuple):
+        return True
+    return len(elt) <= degree and all(_fits_degree(x, degree) for x in elt)
+
+
+def comonad_coassoc_report(base_dim: int, degree: int,
+                           tol: float = 1e-9) -> tuple[bool, float, int]:
+    """Check delta;!delta = delta;delta on the window where no intermediate
+    value exceeds the degree bound.  For a target entry, the only
+    contributing intermediate is the multiset of part-unions; the entry is
+    in-window exactly when that multiset fits in degree d.  Returns
+    (pass, worst residual on the window, entries compared)."""
+    basis = MultisetBasis([str(i) for i in range(base_dim)], degree)
+    columns: dict = {}
+
+    def delta(m: tuple) -> dict:
+        col = columns.get(m)
+        if col is None:
+            col = columns[m] = delta_sparse(m, degree)
+        return col
+
+    worst = 0.0
+    checked = 0
+    ok = True
+    for m in basis.elements:
+        lhs: dict = {}
+        rhs: dict = {}
+        for mm, c in delta(m).items():
+            for key, c2 in bang_apply_sparse(delta, mm).items():
+                lhs[key] = lhs.get(key, 0) + c * c2
+            for key, c2 in delta(mm).items():
+                rhs[key] = rhs.get(key, 0) + c * c2
+        for k in set(lhs) | set(rhs):
+            # past the bound the forced intermediate is not in the basis
+            if sum(len(part) for part in k) > degree \
+                    or not _fits_degree(k, degree):
+                continue
+            checked += 1
+            r = abs(lhs.get(k, 0) - rhs.get(k, 0))
+            worst = max(worst, float(r))
+            if r > tol:
+                ok = False
+    return ok, worst, checked

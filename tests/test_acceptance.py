@@ -329,6 +329,13 @@ class TestExponentialLaws:
         assert np.array_equal(exp.mu, exp.delta.conj().T)
         assert time.perf_counter() - t0 < 1.0
 
+    def test_comonad_coassociativity_at_degree_5_within_budget(self):
+        # built whole and then cut to the window, the product delta;!delta
+        # took about 4 s here; built only on the window, about 0.25 s
+        t0 = time.perf_counter()
+        assert comonad_coassoc_report(2, 5) == (True, 0.0, 15477)
+        assert time.perf_counter() - t0 < 1.0
+
 
 class TestRetractPipeline:
     @staticmethod

@@ -431,6 +431,20 @@ class TestUsage:
         assert main(cmd + ["--tol", "0"]) == code
         assert "error" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", [
+        ["validate"], ["normalize"], ["render"],
+        ["check", "--suite", "complementary", "--gadget"],
+        ["split", "--gadget"], ["exp", "demo", "--gadget"]])
+    def test_file_that_is_not_utf8_exits_one(self, tmp_path, capsys, cmd):
+        # the file was decoded outside the parsers' error handling, and its
+        # UnicodeDecodeError escaped as a traceback
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main(cmd + [str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in out + err
+
     def test_parser_is_built_once(self, capsys):
         build_parser.cache_clear()
         assert main(["examples"]) == 0

@@ -12,7 +12,8 @@ from ldckit.errors import (MAX_ENTRIES, LdcError, LiftFailure, NotAComonoid,
 from ldckit.exponential import (_monoidal, _window_unions, bang_apply_sparse,
                                 bang_matrix, build_exp, comonad_coassoc_report,
                                 comonoid_residual, comult_matrix,
-                                counit_matrix, dereliction_matrix,
+                                counit_matrix, delta_sparse,
+                                dereliction_matrix,
                                 induce_bang_monoid, lift_flat, lift_sharp,
                                 lifted_cap, lifted_cup, monoidal_structure,
                                 retract_idempotent)
@@ -39,6 +40,23 @@ class TestMultisetBasis:
         # iterating: multisets of size <= 3 over those 10 labels
         inner = MultisetBasis(["0", "1"], 3)
         assert MultisetBasis(inner.labels(), 3).dim == 286
+
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    def test_empty_base_has_the_empty_multiset_only(self, degree):
+        # the dimension check evaluated math.comb(-1, 0) and raised
+        basis = MultisetBasis([], degree)
+        assert basis.elements == [()] and basis.dim == 1
+        assert basis.labels() == ["[]"]
+
+    def test_exponential_of_the_empty_base(self):
+        for base in ([], 0):
+            exp = build_exp(base, 2)
+            assert exp.dim == 1 and exp.outer.dim == 3
+            assert exp.eps.shape == (0, 1)
+            # the empty multiset is the multiset of any number of empty parts
+            assert exp.delta.tolist() == [[1.0], [1.0], [1.0]]
+            assert comonoid_residual(exp.Delta, exp.counit_e) == 0.0
+        assert comonad_coassoc_report(0, 2) == (True, 0.0, 8)
 
     @settings(max_examples=50, deadline=None)
     @given(m=st.lists(st.integers(min_value=0, max_value=2),
@@ -107,11 +125,13 @@ class TestStructureMaps:
         assert checked > 0
 
     # the reports as they were before the duplication's columns were
-    # memoized within a report
+    # memoized within a report, and (3, 4) and (2, 5) as they were before
+    # the report built only its degree window
     @pytest.mark.parametrize("base, degree, want", [
         (2, 2, (True, 0.0, 42)), (3, 2, (True, 0.0, 71)),
         (2, 3, (True, 0.0, 321)), (3, 3, (True, 0.0, 752)),
-        (2, 4, (True, 0.0, 2340))])
+        (2, 4, (True, 0.0, 2340)), (3, 4, (True, 0.0, 7458)),
+        (2, 5, (True, 0.0, 15477))])
     def test_comonad_coassoc_report_is_unchanged(self, base, degree, want):
         assert comonad_coassoc_report(base, degree) == want
 
@@ -164,6 +184,17 @@ def maps_and_bases(draw):
     return f, basis_a, basis_b
 
 
+@st.composite
+def duplication_products(draw):
+    """A multiset of parts P from a column of the duplication, its degree
+    bound d, and a bound on the total size of the monomials of !delta at P."""
+    degree = draw(st.integers(1, 4))
+    base = draw(st.integers(1, 3 if degree < 4 else 2))
+    m = draw(st.sampled_from(MultisetBasis(range(base), degree).elements))
+    parts = draw(st.sampled_from(sorted(delta_sparse(m, degree))))
+    return parts, degree, draw(st.integers(0, degree + 1))
+
+
 class TestAgainstOracle:
     """The grade recursion and the closed-form duplication against the
     ordering sum and the couniversal lift they replace."""
@@ -192,6 +223,17 @@ class TestAgainstOracle:
                 got[basis_b.index[k]] = v
             assert float(np.max(np.abs(got - dense[:, i]))) <= 1e-12 * scale
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=duplication_products())
+    def test_bounded_product_is_the_restricted_product(self, case):
+        parts, degree, bound = case
+
+        def column(x):
+            return delta_sparse(x, degree)
+        full = bang_apply_sparse(column, parts)
+        assert bang_apply_sparse(column, parts, bound) == {
+            k: v for k, v in full.items() if sum(map(len, k)) <= bound}
+
     @pytest.mark.parametrize("base", [1, 2, 3, 4])
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
     def test_comult_matrix_scatters_the_splits(self, base, degree):
@@ -210,6 +252,28 @@ class TestAgainstOracle:
         got = np.zeros((basis.dim, basis.dim, 3), dtype=complex)
         got[i1, i2] = f[union]
         assert np.array_equal(got, exp_oracle.comult_apply(basis, f))
+
+    @pytest.mark.parametrize("base, degree",
+                             [(n, d) for n in range(5) for d in range(5)]
+                             + [(2, 5)])
+    def test_comonad_coassoc_report(self, base, degree):
+        assert comonad_coassoc_report(base, degree) \
+            == exp_oracle.comonad_coassoc_report(base, degree)
+
+    @pytest.mark.parametrize("base, degree",
+                             [(n, d) for n in range(5) for d in range(5)])
+    def test_duplication_columns(self, base, degree):
+        # build_exp scatters these columns: equal columns, equal matrices
+        for m in MultisetBasis(range(base), degree).elements:
+            assert delta_sparse(m, degree) \
+                == exp_oracle.delta_sparse(m, degree)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.lists(st.integers(0, 3), max_size=6).map(tuple),
+           degree=st.integers(0, 5))
+    def test_duplication_column_of_any_tuple(self, m, degree):
+        # unsorted, and past the degree bound
+        assert delta_sparse(m, degree) == exp_oracle.delta_sparse(m, degree)
 
     # (3, 3) is left out: the oracle's lift takes seconds and a gigabyte
     @pytest.mark.parametrize("base, degree",

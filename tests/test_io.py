@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldckit.circuit import dagger_box, generator, identity, isomorphic, seq
-from ldckit.errors import SchemaError
+from ldckit.errors import CircuitSyntaxError, SchemaError
 from ldckit.fixtures import (fixture_names, load_gadget,
                              write_builtin_fixtures)
 from ldckit.gadget import gadget_from_json, gadget_to_json
@@ -169,6 +169,18 @@ def test_refusal_does_not_repeat_the_entries():
 
 def test_valid_document_is_read():
     assert matrix_from_json(_valid()).tolist() == [[1, 2]]
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe", b'{"wires": "\xe9"}'])
+def test_text_that_is_not_utf8_is_refused(data, tmp_path):
+    # decoding ran outside the parsers' error handling and raised
+    # UnicodeDecodeError
+    with pytest.raises(CircuitSyntaxError, match="not UTF-8"):
+        parse(data)
+    path = tmp_path / "gadget.json"
+    path.write_bytes(data)
+    with pytest.raises(SchemaError, match="not UTF-8"):
+        load_gadget(str(path))
 
 
 @pytest.mark.parametrize("encoding", ["base64", "data"])
