@@ -266,7 +266,7 @@ def main(argv=None) -> int:
     except SuiteFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (LdcError, OSError, json.JSONDecodeError) as exc:
+    except (LdcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -45,7 +45,7 @@ from .model import ModelEnv, interp
 from .multiset import (MultisetBasis, multiset_union, remove_one,
                        sub_multiset_splits)
 from .objects import Atom
-from .suites import _require_suite
+from .suites import _ROLE_SIGNATURES, _require_suite
 
 
 # -- structure matrices ----------------------------------------------------
@@ -535,21 +535,18 @@ def induce_bang_monoid(g: Gadget, degree: int = 3,
                     exp_a.basis))
     u_bang = bang_matrix(g.morphism("u"), _top_basis(degree),
                          exp_a.basis) @ _m_top(degree)
-    morphs = {
-        "m": m_bang, "u": u_bang,
-        "d": exp_a.Delta, "k": exp_a.counit_e,
-        "eta_L": lifted_cup(g.morphism("eta_L"), exp_a, exp_b),
-        "eps_L": lifted_cap(g.morphism("eps_L"), exp_b, exp_a),
-        "eta_R": lifted_cup(g.morphism("eta_R"), exp_b, exp_a),
-        "eps_R": lifted_cap(g.morphism("eps_R"), exp_a, exp_b),
-    }
-    com = (("tau_L", "gam_L", "tau_R", "gam_R")
-           if g.has("tau_L", "gam_L", "tau_R", "gam_R")
-           else ("eta_L", "eps_L", "eta_R", "eps_R"))
-    morphs["tau_L"] = lifted_cup(g.morphism(com[0]), exp_a, exp_b)
-    morphs["gam_L"] = lifted_cap(g.morphism(com[1]), exp_b, exp_a)
-    morphs["tau_R"] = lifted_cup(g.morphism(com[2]), exp_b, exp_a)
-    morphs["gam_R"] = lifted_cap(g.morphism(com[3]), exp_a, exp_b)
+    morphs = {"m": m_bang, "u": u_bang,
+              "d": exp_a.Delta, "k": exp_a.counit_e}
+    # every other role is a cup, onto (X, Y), or a cap, from (Y, X)
+    exp = {"A": exp_a, "B": exp_b}
+    own_duals = g.has("tau_L", "gam_L", "tau_R", "gam_R")
+    for role, (dom, cod) in _ROLE_SIGNATURES.items():
+        if role in morphs:
+            continue
+        mat = g.morphism(role if own_duals else
+                         role.replace("tau", "eta").replace("gam", "eps"))
+        morphs[role] = (lifted_cap(mat, *(exp[o] for o in dom)) if dom
+                        else lifted_cup(mat, *(exp[o] for o in cod)))
 
     atoms = {"bangA": (exp_a.dim, tuple(exp_a.basis.labels()))}
     objects = {"A": Atom("bangA"), "B": Atom("bangA")}

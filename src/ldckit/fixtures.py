@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import SchemaError, check_entries
 from .gadget import Gadget, gadget_from_json, gadget_to_json
+from .io import _read_document
 from .model import ModelEnv
 from .objects import Atom
 
@@ -139,15 +140,6 @@ def fixture_names() -> list[str]:
     return sorted(BUILTIN)
 
 
-def _read_text(path: Path) -> str:
-    """The file's text, which must be UTF-8."""
-    try:
-        return path.read_bytes().decode()
-    except UnicodeDecodeError as exc:
-        raise SchemaError(
-            f"byte {exc.start}: not UTF-8 text ({exc.reason})") from None
-
-
 def load_gadget(name_or_path: str, degree: int = 3) -> Gadget:
     """Load a gadget by built-in name, as `zn:<n>` for the Z_n group
     algebra, or from a JSON file path."""
@@ -155,19 +147,14 @@ def load_gadget(name_or_path: str, degree: int = 3) -> Gadget:
         return cyclic_group(_cyclic_order(name_or_path), degree)
     if name_or_path in BUILTIN:
         ref = resources.files("ldckit") / "fixtures" / f"{name_or_path}.json"
-        with resources.as_file(ref) as p:
-            text = _read_text(p)
+        data = ref.read_bytes()
     else:
         path = Path(name_or_path)
         if not path.exists():
             raise SchemaError(f"no such gadget or fixture: {name_or_path}")
-        text = _read_text(path)
-    try:
-        return gadget_from_json(json.loads(text), degree=degree)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"line {exc.lineno}: {exc.msg}") from exc
-    except RecursionError:
-        raise SchemaError("gadget document nested too deeply") from None
+        data = path.read_bytes()
+    return _read_document(data, lambda doc: gadget_from_json(doc, degree),
+                          SchemaError, "gadget document")
 
 
 def write_builtin_fixtures(directory: str | Path) -> None:

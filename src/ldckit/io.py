@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import base64
 import json
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -10,6 +11,8 @@ from .circuit import _STRUCTURAL, Circuit, Node
 from .errors import CircuitSyntaxError, LdcError, SchemaError
 from .model import in_field
 from .objects import type_from_json, type_to_json
+
+T = TypeVar("T")
 
 
 def serialize(c: Circuit) -> bytes:
@@ -43,18 +46,27 @@ def _circuit_to_json(c: Circuit) -> dict:
     }
 
 
-def parse(text: bytes | str) -> Circuit:
+def _read_document(text: bytes | str, build: Callable[[object], T],
+                   error: type[LdcError], what: str) -> T:
+    """`build` applied to the JSON document `text`, which must be UTF-8 if
+    it is bytes.  Text that is not UTF-8 or not JSON, or a `what` nested
+    too deeply to read or build, is refused with `error`."""
     try:
         if isinstance(text, bytes):
             text = text.decode()
-        return _circuit_from_json(json.loads(text))
+        return build(json.loads(text))
     except UnicodeDecodeError as exc:
-        raise CircuitSyntaxError(
+        raise error(
             f"byte {exc.start}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
-        raise CircuitSyntaxError(f"line {exc.lineno}: {exc.msg}") from exc
+        raise error(f"line {exc.lineno}: {exc.msg}") from exc
     except RecursionError:
-        raise CircuitSyntaxError("document nested too deeply") from None
+        raise error(f"{what} nested too deeply") from None
+
+
+def parse(text: bytes | str) -> Circuit:
+    return _read_document(text, _circuit_from_json, CircuitSyntaxError,
+                          "document")
 
 
 def _circuit_from_json(doc: object) -> Circuit:

@@ -11,6 +11,8 @@ import itertools
 import math
 from typing import Iterator, Sequence
 
+from .errors import MAX_ENTRIES, ResourceLimit
+
 
 class MultisetBasis:
     def __init__(self, base_labels: Sequence[str], degree: int):
@@ -18,17 +20,25 @@ class MultisetBasis:
             raise ValueError("degree bound must be nonnegative")
         self.base = tuple(base_labels)
         self.degree = degree
+        # multisets of size <= d over k letters: multisets of size d over
+        # k + 1 letters, the extra letter padding; 1 (the empty multiset)
+        # when k = 0.  They hold k C(k + d, k + 1) letters in all.  Both
+        # counts are refused before any multiset is built.
+        k = len(self.base)
+        self.dim = math.comb(k + degree, degree)
+        for what, size in (("multisets", self.dim),
+                           ("letters of all multisets",
+                            k * math.comb(k + degree, k + 1))):
+            if size > MAX_ENTRIES:
+                raise ResourceLimit(f"degree-{degree} multiset basis over "
+                                    f"{k} letters ({what})", size,
+                                    MAX_ENTRIES)
         self.elements: list[tuple[int, ...]] = []
         for n in range(degree + 1):
             self.elements.extend(
-                itertools.combinations_with_replacement(
-                    range(len(self.base)), n))
+                itertools.combinations_with_replacement(range(k), n))
         self.index = {m: i for i, m in enumerate(self.elements)}
-        self.dim = len(self.elements)
-        # multisets of size <= d over k letters: multisets of size d over
-        # k + 1 letters, the extra letter padding; 1 (the empty multiset)
-        # when k = 0
-        assert self.dim == math.comb(len(self.base) + degree, degree)
+        assert len(self.elements) == self.dim
 
     def label(self, m: tuple[int, ...]) -> str:
         return "[" + ",".join(self.base[i] for i in m) + "]"

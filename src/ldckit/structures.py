@@ -18,8 +18,8 @@ from .objects import Atom, Par, Tensor
 from .suites import (SUITES, SuiteReport, check_suite, suite_env,
                      _MONOID_TO_COMONOID, _ROLE_SIGNATURES, _act_left,
                      _act_right, _antipode_par, _antipode_tensor,
-                     _coact_left, _coact_right, _d_left, _k_left,
-                     _require_suite, tensor_of_duals_cap,
+                     _coact_left, _coact_right, _d_left, _flavour_checks,
+                     _k_left, _require_suite, tensor_of_duals_cap,
                      tensor_of_duals_cup)
 
 
@@ -105,12 +105,9 @@ def actions_to_monoid(g: Gadget, tol: float = 1e-9) -> Gadget:
 
 # -- splittings along sectional/retractional idempotents --------------------
 
-# Each side a linear bialgebra may have: the roles of its duals' cups and
-# caps, and the roles that its splitting conjugates.
-_SIDES = {
-    "monoid": ("eta", "eps", tuple(_MONOID_TO_COMONOID)),
-    "comonoid": ("tau", "gam", tuple(_MONOID_TO_COMONOID.values())),
-}
+# The roles that the splitting of each side of a linear bialgebra conjugates.
+_SIDES = {"monoid": tuple(_MONOID_TO_COMONOID),
+          "comonoid": tuple(_MONOID_TO_COMONOID.values())}
 
 
 def _split_roles(g, r, s, r2, s2, roles) -> dict[str, np.ndarray]:
@@ -132,38 +129,15 @@ def _split_roles(g, r, s, r2, s2, roles) -> dict[str, np.ndarray]:
 
 
 def _require_flavour(g: Gadget, side: str, e_a, e_b, tol) -> None:
-    """Accept the idempotents on one side of `g` if its three compatibility
-    suites pass with them sectional, or else retractional; otherwise raise
-    one `SuiteFailure` naming the suite that failed in each flavour."""
-    # A flavour applies to the (co)monoid itself and to the dual whose
-    # left object carries the structure; the other dual, read with the
-    # idempotents swapped, is preserved in the opposite flavour.  The
-    # comonoid sits on the right of its duals, so its two probes swap.
-    cup, cap, _ = _SIDES[side]
-    swapped = None
-    if g.gradings is not None:
-        swapped = dict(g.gradings)
-        if "A" in swapped and "B" in swapped:
-            swapped["A"], swapped["B"] = swapped["B"], swapped["A"]
-    probe_l = Gadget("dual_idempotent", dict(g.objects),
-                     {"eta": g.morphism(f"{cup}_L"),
-                      "eps": g.morphism(f"{cap}_L"),
-                      "e_a": e_a, "e_b": e_b}, g.env, g.gradings)
-    probe_r = Gadget("dual_idempotent",
-                     {"A": g.object("B"), "B": g.object("A")},
-                     {"eta": g.morphism(f"{cup}_R"),
-                      "eps": g.morphism(f"{cap}_R"),
-                      "e_a": e_b, "e_b": e_a}, g.env, swapped)
-    main, other = ((probe_l, probe_r) if side == "monoid"
-                   else (probe_r, probe_l))
-    probe = g.with_morphisms(e=e_a)
+    """Accept the idempotents on one side of `g` if its compatibility
+    suites (`suites._flavour_checks`) pass with them sectional, or else
+    retractional; otherwise raise one `SuiteFailure` naming the suite that
+    failed in each flavour."""
+    probe = g.with_morphisms(e=e_a, e_a=e_a, e_b=e_b)
     failed = {}
-    for flavour, opposite in (("sectional", "retractional"),
-                              ("retractional", "sectional")):
-        for target, name in ((probe, f"{side}-{flavour}"),
-                             (main, f"dual-{flavour}"),
-                             (other, f"dual-{opposite}")):
-            report = check_suite(target, SUITES[name], tol)
+    for flavour in ("sectional", "retractional"):
+        for suite in _flavour_checks(side, flavour):
+            report = check_suite(probe, suite, tol)
             if not report.passed:
                 failed[flavour] = report
                 break
@@ -191,7 +165,7 @@ def _split(g: Gadget, structure: str, e_a, e_b, tol, splitting,
         splitting = (*split_idempotent(e_a, tol), *split_idempotent(e_b, tol))
     r, s, r2, s2 = splitting
     env = ModelEnv.make({"E": r.shape[0], "E2": r2.shape[0]})
-    roles = [role for side in sides for role in _SIDES[side][2]]
+    roles = [role for side in sides for role in _SIDES[side]]
     return Gadget(f"linear_{structure}", {"A": Atom("E"), "B": Atom("E2")},
                   _split_roles(g, r, s, r2, s2, roles), env)
 

@@ -19,7 +19,15 @@ tensor-side ones written on the dual object B, with m, d, k, u and the
 antipode s replaced by `circuit.substitute` with the maps derived on B, and
 the complementarity conditions of an idempotent are the `complementary`
 suite with every role replaced by its sandwiched image.  The few equations
-still written twice say why where they are built.
+still written twice say why where they are built: the snakes of a dual,
+`cup-coincidence-right` and the right Hopf laws.
+
+Both flavours of idempotent follow one leg rule (`_absorbed`): a role with
+idempotents on its absorbed legs (side, object) equals the role with them
+on every leg, the sandwich.  Sectional idempotents are absorbed on (dom, A)
+and (cod, B), retractional ones on (cod, A) and (dom, B), B being A's dual.
+The dual and monoid flavour suites are read off the rule; the comonoid
+ones are the monoid ones of the other flavour, flipped.
 
 Graded gadgets (those with a ``gradings`` map from object roles to per-basis
 degree vectors) are compared only on boundary entries whose total degree is
@@ -29,6 +37,7 @@ degrees.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Collection, Mapping, Optional, Sequence
 
@@ -461,14 +470,58 @@ def _antipode_par(g: Gadget) -> Circuit:
                par(identity([A]), _cap("gam_R", A, B)))
 
 
-def _e_a(g: Gadget) -> Circuit:
-    A, B = g.object("A"), g.object("B")
-    return seq(generator("ub", [A], [B]), generator("vb", [B], [A]))
+# The legs on which each flavour is absorbed (see the module docstring);
+# a role absorbed on every leg, such as a retractional unit, has no equation.
+_SECTIONAL = frozenset({("dom", "A"), ("cod", "B")})
+_RETRACTIONAL = frozenset({("cod", "A"), ("dom", "B")})
+_FLAVOURS = {"sectional": _SECTIONAL, "retractional": _RETRACTIONAL}
+_EVERY_LEG = _SECTIONAL | _RETRACTIONAL
+
+# The signatures of the roles that absorptions read besides a linear
+# bialgebra's: a dual's cup and cap, and the idempotents.
+_SIGNATURES = _ROLE_SIGNATURES | {
+    "eta": _ROLE_SIGNATURES["eta_L"], "eps": _ROLE_SIGNATURES["eps_L"],
+    "e": (("A",), ("A",)), "e_a": (("A",), ("A",)), "e_b": (("B",), ("B",)),
+    "ub": (("A",), ("B",)), "vb": (("B",), ("A",))}
+
+_UB_VB = {"A": ("ub", "vb"), "B": ("vb", "ub")}
 
 
-def _e_b(g: Gadget) -> Circuit:
-    A, B = g.object("A"), g.object("B")
-    return seq(generator("vb", [B], [A]), generator("ub", [A], [B]))
+def _composite(roles: Sequence[str], g: Gadget) -> Circuit:
+    return seq(*(generator(r, *([g.object(o) for o in objs]
+                                for objs in _SIGNATURES[r]))
+                 for r in roles))
+
+
+def _absorbed(role: str, idempotents: Mapping[str, Sequence[str]],
+              legs: frozenset) -> Callable[[Gadget], Circuit]:
+    """The builder of `role` with, on each of its legs in `legs`, the
+    composite that `idempotents` names for the object of that leg."""
+    dom, cod = _SIGNATURES[role]
+
+    def build(g: Gadget) -> Circuit:
+        def on(side: str, objs: tuple[str, ...]) -> Circuit:
+            return par(empty(), *(
+                _composite(idempotents[o], g) if (side, o) in legs
+                else identity([g.object(o)]) for o in objs))
+
+        return seq(on("dom", dom), _composite((role,), g), on("cod", cod))
+    return build
+
+
+def _absorptions(roles: Mapping[str, str],
+                 idempotents: Mapping[str, Sequence[str]],
+                 legs: frozenset) -> tuple[Equation, ...]:
+    """For each label of `roles`, its role with `idempotents` absorbed on
+    `legs`: none where `legs` holds every leg of the role."""
+    def build(role: str) -> Template:
+        return lambda g: (_absorbed(role, idempotents, legs)(g),
+                          _absorbed(role, idempotents, _EVERY_LEG)(g))
+
+    return tuple(Equation(label, build(role))
+                 for label, role in roles.items()
+                 if not {("dom", o) for o in _SIGNATURES[role][0]}
+                 | {("cod", o) for o in _SIGNATURES[role][1]} <= legs)
 
 
 # -- suite definitions ------------------------------------------------------
@@ -509,6 +562,7 @@ def _dual_morphism_suite() -> EquationSuite:
                         ))
 
 
+@functools.cache   # one equation, so its sides are cached once
 def _idem(role: str, obj: str) -> Equation:
     def build(g):
         X = g.object(obj)
@@ -517,37 +571,20 @@ def _idem(role: str, obj: str) -> Equation:
     return Equation(f"{role}-idempotent", build)
 
 
-def _dual_sectional_suite(retractional: bool = False) -> EquationSuite:
-    def cup_eq(g):
-        A, B = g.object("A"), g.object("B")
-        ea = generator("e_a", [A], [A])
-        eb = generator("e_b", [B], [B])
-        if retractional:
-            lhs = seq(_cup("eta", A, B), par(ea, identity([B])))
-        else:
-            lhs = seq(_cup("eta", A, B), par(identity([A]), eb))
-        rhs = seq(_cup("eta", A, B), par(ea, eb))
-        return lhs, rhs
-
-    def cap_eq(g):
-        A, B = g.object("A"), g.object("B")
-        ea = generator("e_a", [A], [A])
-        eb = generator("e_b", [B], [B])
-        if retractional:
-            lhs = seq(par(eb, identity([A])), _cap("eps", B, A))
-        else:
-            lhs = seq(par(identity([B]), ea), _cap("eps", B, A))
-        rhs = seq(par(eb, ea), _cap("eps", B, A))
-        return lhs, rhs
-
-    name = "dual-retractional" if retractional else "dual-sectional"
-    return EquationSuite(name, "dual_idempotent",
-                        ("eta", "eps", "e_a", "e_b"), (
-                            Equation("cup-absorption", cup_eq),
-                            Equation("cap-absorption", cap_eq),
-                            _idem("e_a", "A"),
-                            _idem("e_b", "B"),
-                        ))
+@functools.cache
+def _dual_absorption(cup: str, cap: str, legs: frozenset) -> EquationSuite:
+    """e_a on A and e_b on B absorbed on `legs` by the dual with unit `cup`
+    and counit `cap`, named by the flavour of `legs` as the dual reads them:
+    a dual B -| A reads A as B and B as A, which exchanges the flavours."""
+    exchanged = _SIGNATURES[cup][1][0] == "B"
+    flavour = next(f for f, f_legs in _FLAVOURS.items()
+                   if (f_legs == legs) != exchanged)
+    return EquationSuite(f"dual-{flavour}", "dual_idempotent",
+                         (cup, cap, "e_a", "e_b"),
+                         _absorptions({"cup-absorption": cup,
+                                       "cap-absorption": cap},
+                                      {"A": ("e_a",), "B": ("e_b",)}, legs)
+                         + (_idem("e_a", "A"), _idem("e_b", "B")))
 
 
 def tensor_of_duals_cup(g: Gadget) -> Circuit:
@@ -750,34 +787,32 @@ def _monoid_actions_suite() -> EquationSuite:
                          + (Equation("coactions-commute", cocommute),))
 
 
-def _monoid_sectional_suite(retractional: bool = False) -> EquationSuite:
-    def mult_eq(g):
-        A = g.object("A")
-        e = generator("e", [A], [A])
-        both = seq(par(generator("e", [A], [A]), generator("e", [A], [A])),
-                   generator("m", [A, A], [A]),
-                   generator("e", [A], [A]))
-        if retractional:
-            lhs = seq(generator("m", [A, A], [A]), e)
-        else:
-            lhs = seq(par(generator("e", [A], [A]),
-                          generator("e", [A], [A])),
-                      generator("m", [A, A], [A]))
-        return lhs, both
+def _monoid_absorption(flavour: str) -> EquationSuite:
+    return EquationSuite(f"monoid-{flavour}", "monoid_idempotent",
+                         ("m", "u", "e"),
+                         _absorptions({"mult-absorption": "m",
+                                       "unit-absorption": "u"},
+                                      {"A": ("e",)}, _FLAVOURS[flavour])
+                         + (_idem("e", "A"),))
 
-    def unit_eq(g):
-        A = g.object("A")
-        return (seq(generator("u", [], [A]), generator("e", [A], [A])),
-                generator("u", [], [A]))
 
-    # Only the sectional flavour constrains the unit; the retractional one
-    # constrains multiplication alone.
-    name = "monoid-retractional" if retractional else "monoid-sectional"
-    eqs: tuple[Equation, ...] = (Equation("mult-absorption", mult_eq),)
-    if not retractional:
-        eqs += (Equation("unit-absorption", unit_eq),)
-    return EquationSuite(name, "monoid_idempotent", ("m", "u", "e"),
-                         eqs + (_idem("e", "A"),))
+# Each side of a linear bialgebra with the unit and counit of its two
+# duals: first the dual whose absorption is named after the side's flavour.
+_SIDE_DUALS = {"monoid": (("eta_L", "eps_L"), ("eta_R", "eps_R")),
+               "comonoid": (("tau_R", "gam_R"), ("tau_L", "gam_L"))}
+
+
+def _flavour_checks(side: str, flavour: str) -> list[EquationSuite]:
+    """The suites in which idempotents e = e_a on A and e_b on B are
+    `flavour` on the `side` of a linear bialgebra: the side's suite from
+    `SUITES`, then its duals' absorptions.  Reversing arrows exchanges
+    sections and retractions: the comonoid's duals take the other legs."""
+    legs = _FLAVOURS[flavour]
+    if side == "comonoid":
+        legs = _EVERY_LEG - legs
+    return [SUITES[f"{side}-{flavour}"],
+            *(_dual_absorption(cup, cap, legs)
+              for cup, cap in _SIDE_DUALS[side])]
 
 
 def _is_dagger(label: str, derived: Callable[[Gadget], Circuit],
@@ -906,7 +941,7 @@ def _frobenius_splitting_suite() -> EquationSuite:
     def cond(g):
         A, B = g.object("A"), g.object("B")
         pre = seq(par(identity([A]), _cup("eta_L", A, B)),
-                  par(_e_a(g), _e_a(g), _e_b(g)),
+                  par(*(_composite(_UB_VB[o], g) for o in "AAB")),
                   par(generator("m", [A, A], [A]), identity([B])),
                   par(seq(generator("ub", [A], [B]), _k_left(g)),
                       identity([B])))
@@ -1024,28 +1059,10 @@ def _hopf_suite() -> EquationSuite:
                        _ON_DUAL | {"s": _antipode_par}))
 
 
-def _sandwich(role: str) -> Callable[[Gadget], Circuit]:
-    """The builder of `role` conjugated by the idempotent pair e_A = ub;vb,
-    e_B = vb;ub: the image of the role under the (would-be) splitting,
-    expressed on the ambient object."""
-    dom, cod = _ROLE_SIGNATURES[role]
-    pair = {"A": _e_a, "B": _e_b}
-
-    def build(g: Gadget) -> Circuit:
-        e = {o: pair[o](g) for o in dict.fromkeys(dom + cod)}
-
-        def on(objs: tuple[str, ...]) -> Circuit:
-            return par(empty(), *(e[o] for o in objs))
-
-        return seq(on(dom),
-                   generator(role, [g.object(o) for o in dom],
-                             [g.object(o) for o in cod]),
-                   on(cod))
-    return build
-
-
-# Every role's sandwiched image, by role.
-_SANDWICHED = {role: _sandwich(role) for role in _ROLE_SIGNATURES}
+# Every role's image under the (would-be) splitting of e_A = ub;vb and
+# e_B = vb;ub, expressed on the ambient object, by role.
+_SANDWICHED = {role: _absorbed(role, _UB_VB, _EVERY_LEG)
+               for role in _ROLE_SIGNATURES}
 
 
 def _complementary_idempotent_suite() -> EquationSuite:
@@ -1090,8 +1107,8 @@ def _build_registry() -> dict[str, EquationSuite]:
     suites = [
         _dual_suite(),
         _dual_morphism_suite(),
-        _dual_sectional_suite(False),
-        _dual_sectional_suite(True),
+        _dual_absorption("eta", "eps", _SECTIONAL),
+        _dual_absorption("eta", "eps", _RETRACTIONAL),
         _tensor_of_duals_suite(),
         _dagger_dual_suite(),
         _dagger_of_dual_suite(),
@@ -1099,8 +1116,8 @@ def _build_registry() -> dict[str, EquationSuite]:
         _dagger_binary_suite(),
         _linear_monoid_suite(),
         _monoid_actions_suite(),
-        _monoid_sectional_suite(False),
-        _monoid_sectional_suite(True),
+        _monoid_absorption("sectional"),
+        _monoid_absorption("retractional"),
         _dagger_linear_monoid_suite(),
         _frobenius_coincidence_suite(),
         _frobenius_algebra_suite(),
@@ -1109,9 +1126,9 @@ def _build_registry() -> dict[str, EquationSuite]:
         _flipped_suite(_linear_monoid_suite(), "linear-comonoid",
                        "linear_comonoid"),
         # Reversing arrows exchanges sections and retractions.
-        _flipped_suite(_monoid_sectional_suite(True), "comonoid-sectional",
-                       "comonoid_idempotent"),
-        _flipped_suite(_monoid_sectional_suite(False),
+        _flipped_suite(_monoid_absorption("retractional"),
+                       "comonoid-sectional", "comonoid_idempotent"),
+        _flipped_suite(_monoid_absorption("sectional"),
                        "comonoid-retractional", "comonoid_idempotent"),
         _dagger_linear_comonoid_suite(),
         _linear_bialgebra_suite(),

@@ -21,6 +21,10 @@ grade in a Python loop, and the monoidal structure as a dense matrix with
 one 1 per multiset of pairs, through which the induced multiplication and
 the lifted cups are pushed by matrix products.
 
+`lifted_duals` is the induced bialgebra's eight lifted cups and caps as
+they were before one loop over the role signatures read them: each lift
+called by hand with its pair of exponentials.
+
 `delta_sparse`, `bang_apply_sparse`, `_fits_degree` and
 `comonad_coassoc_report` are the sparse column calculus as it was before
 the coassociativity check built only its degree window, kept verbatim: the
@@ -36,7 +40,8 @@ from ldckit.errors import ShapeMismatch
 from ldckit.exponential import (ExpStructure, _m_top,
                                 _multiplicity_factorial, _product_basis,
                                 _top_basis, build_exp, comult_matrix,
-                                counit_matrix, lift_flat)
+                                counit_matrix, lift_flat, lifted_cap,
+                                lifted_cup)
 from ldckit.gadget import Gadget
 from ldckit.model import ModelEnv, interp
 from ldckit.multiset import (MultisetBasis, distinct_orderings,
@@ -240,6 +245,24 @@ def dense_induce_bang_monoid(g: Gadget, degree: int = 3,
     env = ModelEnv(atoms=atoms, degree=degree)
     gradings = {"A": exp_a.basis.degrees(), "B": exp_b.basis.degrees()}
     return Gadget("linear_bialgebra", objects, morphs, env, gradings)
+
+
+def lifted_duals(g: Gadget, exp_a: ExpStructure,
+                 exp_b: ExpStructure) -> dict[str, np.ndarray]:
+    morphs = {
+        "eta_L": lifted_cup(g.morphism("eta_L"), exp_a, exp_b),
+        "eps_L": lifted_cap(g.morphism("eps_L"), exp_b, exp_a),
+        "eta_R": lifted_cup(g.morphism("eta_R"), exp_b, exp_a),
+        "eps_R": lifted_cap(g.morphism("eps_R"), exp_a, exp_b),
+    }
+    com = (("tau_L", "gam_L", "tau_R", "gam_R")
+           if g.has("tau_L", "gam_L", "tau_R", "gam_R")
+           else ("eta_L", "eps_L", "eta_R", "eps_R"))
+    morphs["tau_L"] = lifted_cup(g.morphism(com[0]), exp_a, exp_b)
+    morphs["gam_L"] = lifted_cap(g.morphism(com[1]), exp_b, exp_a)
+    morphs["tau_R"] = lifted_cup(g.morphism(com[2]), exp_b, exp_a)
+    morphs["gam_R"] = lifted_cap(g.morphism(com[3]), exp_a, exp_b)
+    return morphs
 
 
 def delta_sparse(m: tuple, degree: int) -> dict:

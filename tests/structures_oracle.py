@@ -5,6 +5,11 @@ against.
 Each splitter takes the flavour of its idempotents as a `retractional` flag,
 for the bialgebra a flag or a (monoid, comonoid) pair, and checks only that
 flavour.  The three bodies differ only in the suites and roles they read.
+
+`_require_flavour` is the one splitter's flavour check as it was before one
+leg rule derived it: two probe gadgets of kind dual_idempotent, the second
+with its objects, idempotents and gradings exchanged, checked against the
+idempotent suites as first written (`suite_oracle.IDEMPOTENT_SUITES`).
 """
 from __future__ import annotations
 
@@ -12,11 +17,14 @@ from functools import reduce
 
 import numpy as np
 
+from ldckit.errors import SuiteFailure
 from ldckit.gadget import Gadget
 from ldckit.model import ModelEnv, split_idempotent
 from ldckit.objects import Atom, ObjectExpr
 from ldckit.suites import (_MONOID_TO_COMONOID, _ROLE_SIGNATURES,
-                           _require_suite)
+                           _require_suite, check_suite)
+
+from suite_oracle import IDEMPOTENT_SUITES as SUITES
 
 
 def _mat(g: Gadget, role: str) -> np.ndarray:
@@ -133,3 +141,56 @@ def split_linear_bialgebra(g: Gadget, e_a: np.ndarray, e_b: np.ndarray,
     objects, env = _split_objects(r, r2)
     return Gadget("linear_bialgebra", objects,
                   _split_roles(g, r, s, r2, s2, _ROLE_SIGNATURES), env)
+
+
+# Each side a linear bialgebra may have: the roles of its duals' cups and
+# caps, and the roles that its splitting conjugates.
+_SIDES = {
+    "monoid": ("eta", "eps", tuple(_MONOID_TO_COMONOID)),
+    "comonoid": ("tau", "gam", tuple(_MONOID_TO_COMONOID.values())),
+}
+
+
+def _require_flavour(g: Gadget, side: str, e_a, e_b, tol) -> None:
+    """Accept the idempotents on one side of `g` if its three compatibility
+    suites pass with them sectional, or else retractional; otherwise raise
+    one `SuiteFailure` naming the suite that failed in each flavour."""
+    # A flavour applies to the (co)monoid itself and to the dual whose
+    # left object carries the structure; the other dual, read with the
+    # idempotents swapped, is preserved in the opposite flavour.  The
+    # comonoid sits on the right of its duals, so its two probes swap.
+    cup, cap, _ = _SIDES[side]
+    swapped = None
+    if g.gradings is not None:
+        swapped = dict(g.gradings)
+        if "A" in swapped and "B" in swapped:
+            swapped["A"], swapped["B"] = swapped["B"], swapped["A"]
+    probe_l = Gadget("dual_idempotent", dict(g.objects),
+                     {"eta": g.morphism(f"{cup}_L"),
+                      "eps": g.morphism(f"{cap}_L"),
+                      "e_a": e_a, "e_b": e_b}, g.env, g.gradings)
+    probe_r = Gadget("dual_idempotent",
+                     {"A": g.object("B"), "B": g.object("A")},
+                     {"eta": g.morphism(f"{cup}_R"),
+                      "eps": g.morphism(f"{cap}_R"),
+                      "e_a": e_b, "e_b": e_a}, g.env, swapped)
+    main, other = ((probe_l, probe_r) if side == "monoid"
+                   else (probe_r, probe_l))
+    probe = g.with_morphisms(e=e_a)
+    failed = {}
+    for flavour, opposite in (("sectional", "retractional"),
+                              ("retractional", "sectional")):
+        for target, name in ((probe, f"{side}-{flavour}"),
+                             (main, f"dual-{flavour}"),
+                             (other, f"dual-{opposite}")):
+            report = check_suite(target, SUITES[name], tol)
+            if not report.passed:
+                failed[flavour] = report
+                break
+        else:
+            return
+    raise SuiteFailure(
+        " and ".join(f"{rep.suite} ({flavour})"
+                     for flavour, rep in failed.items()),
+        "worst residuals " + " and ".join(f"{rep.worst():.3e}"
+                                          for rep in failed.values()))

@@ -10,17 +10,131 @@ The right-hand and par-side templates (`hand_written`): every right-hand
 twin of a left-hand derived map or equation typed out by hand, and the
 bialgebra and Hopf laws on the dual object B typed out over the maps
 derived there, instead of read off the left-hand and tensor-side ones.
+
+The idempotent suites (`IDEMPOTENT_SUITES`) and the sandwich builder
+(`_sandwich`) as they were before one leg rule derived them: each flavour of
+absorption written out behind a `retractional` flag, and the idempotent pair
+e_A = ub;vb, e_B = vb;ub as two builders of its own.
 """
 from __future__ import annotations
+
+from typing import Callable
 
 from ldckit.circuit import (Circuit, dagger, empty, generator, identity, par,
                             permutation, seq)
 from ldckit.gadget import Gadget
 from ldckit.suites import (_COMONOID_LABELS, _LINEAR_BIALGEBRA_ROLES,
-                           _MONOID_TO_COMONOID, Equation, EquationSuite,
-                           _antipode_tensor, _cap, _cup, _d_left, _e_a, _e_b,
-                           _flipped, _is_dagger, _k_left, _reversal,
-                           _snake_x, _snake_y)
+                           _MONOID_TO_COMONOID, _ROLE_SIGNATURES, Equation,
+                           EquationSuite, _antipode_tensor, _cap, _cup,
+                           _d_left, _flipped, _flipped_suite, _idem,
+                           _is_dagger, _k_left, _reversal, _snake_x, _snake_y)
+
+
+def _e_a(g: Gadget) -> Circuit:
+    A, B = g.object("A"), g.object("B")
+    return seq(generator("ub", [A], [B]), generator("vb", [B], [A]))
+
+
+def _e_b(g: Gadget) -> Circuit:
+    A, B = g.object("A"), g.object("B")
+    return seq(generator("vb", [B], [A]), generator("ub", [A], [B]))
+
+
+def _sandwich(role: str) -> Callable[[Gadget], Circuit]:
+    """The builder of `role` conjugated by the idempotent pair e_A = ub;vb,
+    e_B = vb;ub: the image of the role under the (would-be) splitting,
+    expressed on the ambient object."""
+    dom, cod = _ROLE_SIGNATURES[role]
+    pair = {"A": _e_a, "B": _e_b}
+
+    def build(g: Gadget) -> Circuit:
+        e = {o: pair[o](g) for o in dict.fromkeys(dom + cod)}
+
+        def on(objs: tuple[str, ...]) -> Circuit:
+            return par(empty(), *(e[o] for o in objs))
+
+        return seq(on(dom),
+                   generator(role, [g.object(o) for o in dom],
+                             [g.object(o) for o in cod]),
+                   on(cod))
+    return build
+
+
+def _dual_sectional_suite(retractional: bool = False) -> EquationSuite:
+    def cup_eq(g):
+        A, B = g.object("A"), g.object("B")
+        ea = generator("e_a", [A], [A])
+        eb = generator("e_b", [B], [B])
+        if retractional:
+            lhs = seq(_cup("eta", A, B), par(ea, identity([B])))
+        else:
+            lhs = seq(_cup("eta", A, B), par(identity([A]), eb))
+        rhs = seq(_cup("eta", A, B), par(ea, eb))
+        return lhs, rhs
+
+    def cap_eq(g):
+        A, B = g.object("A"), g.object("B")
+        ea = generator("e_a", [A], [A])
+        eb = generator("e_b", [B], [B])
+        if retractional:
+            lhs = seq(par(eb, identity([A])), _cap("eps", B, A))
+        else:
+            lhs = seq(par(identity([B]), ea), _cap("eps", B, A))
+        rhs = seq(par(eb, ea), _cap("eps", B, A))
+        return lhs, rhs
+
+    name = "dual-retractional" if retractional else "dual-sectional"
+    return EquationSuite(name, "dual_idempotent",
+                        ("eta", "eps", "e_a", "e_b"), (
+                            Equation("cup-absorption", cup_eq),
+                            Equation("cap-absorption", cap_eq),
+                            _idem("e_a", "A"),
+                            _idem("e_b", "B"),
+                        ))
+
+
+def _monoid_sectional_suite(retractional: bool = False) -> EquationSuite:
+    def mult_eq(g):
+        A = g.object("A")
+        e = generator("e", [A], [A])
+        both = seq(par(generator("e", [A], [A]), generator("e", [A], [A])),
+                   generator("m", [A, A], [A]),
+                   generator("e", [A], [A]))
+        if retractional:
+            lhs = seq(generator("m", [A, A], [A]), e)
+        else:
+            lhs = seq(par(generator("e", [A], [A]),
+                          generator("e", [A], [A])),
+                      generator("m", [A, A], [A]))
+        return lhs, both
+
+    def unit_eq(g):
+        A = g.object("A")
+        return (seq(generator("u", [], [A]), generator("e", [A], [A])),
+                generator("u", [], [A]))
+
+    # Only the sectional flavour constrains the unit; the retractional one
+    # constrains multiplication alone.
+    name = "monoid-retractional" if retractional else "monoid-sectional"
+    eqs: tuple[Equation, ...] = (Equation("mult-absorption", mult_eq),)
+    if not retractional:
+        eqs += (Equation("unit-absorption", unit_eq),)
+    return EquationSuite(name, "monoid_idempotent", ("m", "u", "e"),
+                         eqs + (_idem("e", "A"),))
+
+
+# The six idempotent suites by name, the comonoid ones flipped from the
+# monoid ones as in the registry.
+IDEMPOTENT_SUITES = {s.name: s for s in (
+    _dual_sectional_suite(False),
+    _dual_sectional_suite(True),
+    _monoid_sectional_suite(False),
+    _monoid_sectional_suite(True),
+    _flipped_suite(_monoid_sectional_suite(True), "comonoid-sectional",
+                   "comonoid_idempotent"),
+    _flipped_suite(_monoid_sectional_suite(False),
+                   "comonoid-retractional", "comonoid_idempotent"),
+)}
 
 
 def _sandwiched(g: Gadget) -> dict[str, Circuit]:

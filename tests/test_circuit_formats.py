@@ -9,7 +9,7 @@ import json
 import re
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from ldckit.circuit import Circuit, Node, generator, identity
@@ -42,13 +42,15 @@ _WELL_TYPED = {
 
 
 @st.composite
-def one_node(draw, dangling: bool = True):
+def one_node(draw, dangling: bool = True,
+             kinds: tuple[str, ...] = oracle.NODE_KINDS + ("cut",)):
     """A one-node circuit as (wires, nodes, inputs, outputs): a node of
-    any kind, or of none, on ports of nearly right, right or random
-    counts and types, whose inputs and outputs are the boundary's.  Its
-    anchor is none, one of its ports, a wire passed straight through or,
-    when `dangling`, a missing wire, and so may one of its ports be."""
-    kind = draw(st.sampled_from(oracle.NODE_KINDS + ("cut",)))
+    any of `kinds` (by default every kind, and one of none), on ports of
+    nearly right, right or random counts and types, whose inputs and
+    outputs are the boundary's.  Its anchor is none, one of its ports, a
+    wire passed straight through or, when `dangling`, a missing wire, and
+    so may one of its ports be."""
+    kind = draw(st.sampled_from(kinds))
     a, b = draw(_TYPES), draw(_TYPES)
     inner = None
     if kind == "dagger_box":
@@ -129,19 +131,16 @@ def test_parse_splits_every_kind_as_its_table_did(case):
 
 
 def test_the_cases_reach_every_kind_both_ways():
-    """The strategies make circuits of every kind that are accepted and
-    ones that are refused."""
-    seen = set()
-
-    @settings(max_examples=600, deadline=None, database=None)
-    @given(case=one_node())
-    def record(case):
-        (node,) = case[1].values()
-        got = _outcome(lambda: Circuit(*case))
-        seen.add((node.kind, got == "accepted"))
-    record()
+    """The strategy makes circuits of every kind that are accepted and
+    ones that are refused: a search for each, with the kind fixed, finds
+    one."""
+    search = settings(max_examples=5000, deadline=None, database=None)
     for kind in oracle.NODE_KINDS:
-        assert {(kind, True), (kind, False)} <= seen, kind
+        for accepted in (True, False):
+            find(one_node(kinds=(kind,)),
+                 lambda case: (_outcome(lambda: Circuit(*case))
+                               == "accepted") == accepted,
+                 settings=search)
 
 
 def test_only_circuit_reads_the_endpoint_index():

@@ -5,6 +5,7 @@ import io
 import json
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -306,6 +307,29 @@ class TestExpDemo:
         assert main(["exp", "demo", "--gadget", "zn:3",
                      "--degree", "3"]) == 0
         assert "recovery error 0.000e+00" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cmd", [
+        ["exp", "demo", "--gadget", "zn:3", "--degree", "99999999999"],
+        ["exp", "demo", "--gadget", "zn:3", "--degree", "400"],
+        ["exp", "demo", "--gadget", "qubit-zx", "--degree", "3000"],
+        ["check", "--suite", "linear-monoid", "--degree", "99999999999"]])
+    def test_huge_degree_is_refused_before_enumerating(self, tmp_path, capsys,
+                                                       cmd):
+        # the multiset basis was enumerated before any size check: still
+        # running after 60 s, or out of memory
+        if "--gadget" not in cmd:
+            doc = json.loads(QUBIT_DOC.read_text())
+            doc["objects"] = {"A": {"bang": {"atom": "Q"}},
+                              "B": {"bang": {"atom": "Q"}}}
+            path = tmp_path / "bang.json"
+            path.write_text(json.dumps(doc))
+            cmd = cmd + ["--gadget", str(path)]
+        t0 = time.perf_counter()
+        assert main(cmd) == 1
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: degree-")
+        assert "multiset basis" in err[0]
 
     def test_out_of_memory_exits_one(self, capsys, monkeypatch):
         import ldckit.cli

@@ -2,6 +2,9 @@
 and the induced bialgebra."""
 from __future__ import annotations
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,8 @@ from ldckit.exponential import (_monoidal, _window_unions, bang_apply_sparse,
                                 retract_idempotent)
 from ldckit.fixtures import load_gadget
 from ldckit.gadget import Gadget
-from ldckit.model import ModelEnv
+from ldckit.model import ModelEnv, interp
+from ldckit import multiset
 from ldckit.multiset import (MultisetBasis, distinct_orderings,
                              multiset_union, sub_multiset_splits)
 from ldckit.objects import Atom
@@ -387,6 +391,29 @@ class TestResourceLimits:
     """Every dense allocation of the exponential is refused, naming the
     limit, before it is made."""
 
+    @pytest.mark.parametrize("letters, degree, what", [
+        (3, 99_999_999_999, "multisets"),
+        (3, 400, "letters of all multisets"),
+        (2, 3000, "letters of all multisets"),
+        (1, 2 ** 27, "multisets")])
+    def test_multiset_basis(self, letters, degree, what):
+        # every multiset was built before any size was checked: degree 400
+        # over 3 letters ran out of 3 GB
+        with pytest.raises(ResourceLimit, match=re.escape(f"({what})")):
+            MultisetBasis([str(i) for i in range(letters)], degree)
+
+    def test_multiset_basis_at_the_limit_is_counted_exactly(self,
+                                                           monkeypatch):
+        # over 2 letters, the 10 multisets of size <= 3 hold 2 C(5, 3) = 20
+        # letters in all
+        monkeypatch.setattr(multiset, "MAX_ENTRIES", 20)
+        basis = MultisetBasis(["0", "1"], 3)
+        assert sum(map(len, basis.elements)) == 20
+        monkeypatch.setattr(multiset, "MAX_ENTRIES", 19)
+        with pytest.raises(ResourceLimit, match=r"letters of all multisets\)"
+                                                r": needs 20, the limit is 19"):
+            MultisetBasis(["0", "1"], 3)
+
     def test_bang_matrix_output(self):
         basis = MultisetBasis([str(i) for i in range(12)], 6)
         assert basis.dim ** 2 > MAX_ENTRIES
@@ -470,7 +497,34 @@ class TestMonoidalStructure:
         assert report.passed and report.worst() == 0.0
 
 
+def _two_object_monoid() -> Gadget:
+    """The function algebra on 2 points with its dual on another atom."""
+    m = np.zeros((2, 4))
+    m[0, 0] = m[1, 3] = 1
+    cup = np.eye(2).reshape(4, 1)
+    return Gadget("linear_monoid", {"A": Atom("X"), "B": Atom("Y")},
+                  {"m": m, "u": np.ones((2, 1)), "eta_L": cup,
+                   "eps_L": cup.T, "eta_R": cup, "eps_R": cup.T},
+                  ModelEnv.make({"X": 2, "Y": 2}))
+
+
 class TestInducedBialgebra:
+    @pytest.mark.parametrize("name", ["qubit-zx", "zn:3", "weil", "quad4",
+                                      "two-objects"])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_lifted_duals_match_the_hand_ordered_lifts(self, name, degree):
+        g = (_two_object_monoid() if name == "two-objects"
+             else load_gadget(name))
+        induced = induce_bang_monoid(g, degree)
+        labels = [interp(g.object(o), g.env)[1] for o in "AB"]
+        exp_a, exp_b = (build_exp(list(ls), degree, with_duplication=False)
+                        for ls in labels)
+        ref = exp_oracle.lifted_duals(g, exp_a, exp_b)
+        assert list(induced.morphisms) == ["m", "u", "d", "k", *ref]
+        for role, mat in ref.items():
+            assert np.array_equal(induced.morphisms[role], mat), role
+        assert (name == "two-objects") == (induced.object("A")
+                                           != induced.object("B"))
     def test_induced_structure_is_a_linear_bialgebra(self, qubit_gadget):
         induced = induce_bang_monoid(qubit_gadget, degree=2)
         report = check_suite(induced, SUITES["linear-bialgebra"], 1e-9)

@@ -183,6 +183,23 @@ def test_text_that_is_not_utf8_is_refused(data, tmp_path):
         load_gadget(str(path))
 
 
+@pytest.mark.parametrize("data, circuit_error, gadget_error", [
+    (b"\xff\xfe", "byte 0: not UTF-8 text (invalid start byte)", None),
+    (b'{"wires": ', "line 1: Expecting value", None),
+    (b"[" * 10 ** 5 + b"]" * 10 ** 5, "document nested too deeply",
+     "gadget document nested too deeply")])
+def test_both_readers_refuse_with_their_own_class(data, circuit_error,
+                                                  gadget_error, tmp_path):
+    with pytest.raises(CircuitSyntaxError) as err:
+        parse(data)
+    assert str(err.value) == circuit_error
+    path = tmp_path / "gadget.json"
+    path.write_bytes(data)
+    with pytest.raises(SchemaError) as err:
+        load_gadget(str(path))
+    assert str(err.value) == (gadget_error or circuit_error)
+
+
 @pytest.mark.parametrize("encoding", ["base64", "data"])
 def test_huge_shape_with_short_payload_allocates_nothing(encoding):
     doc = {"rows": 2 ** 40, "cols": 2 ** 40, "dtype": "complex128",

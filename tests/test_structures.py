@@ -382,6 +382,21 @@ def _random_idempotent(rng, n: int) -> np.ndarray:
     return (p @ np.diag(d) @ np.linalg.inv(p)).astype(complex)
 
 
+def _seeded_cases():
+    """Thirty seeded rounds of random idempotents (e_a, e_b) on each of
+    three gadgets, each with the kinds of split it is tried with."""
+    rng = np.random.default_rng(0)
+    qubit = load_gadget("qubit-zx")
+    for _ in range(30):
+        for g, n, kinds in ((pointwise_monoid(), 3, ["monoid"]),
+                            (copy_comonoid(), 3, ["comonoid"]),
+                            (qubit, 2, ["monoid", "comonoid", "bialgebra"])):
+            e_a = _random_idempotent(rng, n)
+            e_b = (e_a.copy() if rng.random() < 0.5
+                   else _random_idempotent(rng, n))
+            yield g, e_a, e_b, kinds
+
+
 class TestSplitAgainstOracle:
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_named_cases(self, case):
@@ -392,20 +407,9 @@ class TestSplitAgainstOracle:
                                           splitting) == flavours, kind
 
     def test_seeded_random_idempotents(self):
-        rng = np.random.default_rng(0)
-        qubit = load_gadget("qubit-zx")
-        outcomes = []
-        for _ in range(30):
-            for g, n, kinds in ((pointwise_monoid(), 3, ["monoid"]),
-                                (copy_comonoid(), 3, ["comonoid"]),
-                                (qubit, 2, ["monoid", "comonoid",
-                                            "bialgebra"])):
-                e_a = _random_idempotent(rng, n)
-                e_b = (e_a.copy() if rng.random() < 0.5
-                       else _random_idempotent(rng, n))
-                for kind in kinds:
-                    outcomes.append(bool(
-                        _assert_matches_oracle(kind, g, e_a, e_b)))
+        outcomes = [bool(_assert_matches_oracle(kind, g, e_a, e_b))
+                    for g, e_a, e_b, kinds in _seeded_cases()
+                    for kind in kinds]
         # both verdicts occur, so neither branch is compared vacuously
         assert 0 < sum(outcomes) < len(outcomes)
 
@@ -414,3 +418,52 @@ class TestSplitAgainstOracle:
             split_linear_monoid(pointwise_monoid(), E_BAD, E_BAD, tol=TOL)
         assert err.value.suite == ("monoid-sectional (sectional) and "
                                    "monoid-retractional (retractional)")
+
+
+# -- the flavour check against the one that built two probes ----------------
+
+def _flavour_outcome(require, g, side, e_a, e_b):
+    """The suite and message of the refusal of `require`, or None."""
+    try:
+        require(g, side, e_a, e_b, TOL)
+    except SuiteFailure as exc:
+        return exc.suite, str(exc)
+    return None
+
+
+def _assert_flavour_matches_oracle(g, e_a, e_b, kinds) -> list:
+    """The flavour check of each side that `kinds` split accepts and
+    refuses as the oracle's does, with the same message; returns whether
+    each side was accepted."""
+    sides = {side for kind in kinds
+             for side in (["monoid", "comonoid"] if kind == "bialgebra"
+                          else [kind])}
+    accepted = []
+    for side in sorted(sides):
+        got = _flavour_outcome(structures._require_flavour, g, side, e_a, e_b)
+        assert got == _flavour_outcome(structures_oracle._require_flavour,
+                                       g, side, e_a, e_b), side
+        accepted.append(got is None)
+    return accepted
+
+
+class TestFlavourAgainstOracle:
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_named_cases(self, case):
+        build, expected = ORACLE_CASES[case]
+        g, e_a, e_b, _ = build()
+        _assert_flavour_matches_oracle(g, e_a, e_b, expected)
+
+    def test_seeded_random_idempotents(self):
+        outcomes = sum((_assert_flavour_matches_oracle(g, e_a, e_b, kinds)
+                        for g, e_a, e_b, kinds in _seeded_cases()), [])
+        assert 0 < sum(outcomes) < len(outcomes)
+
+    def test_checks_build_no_gadget_of_their_own(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(structures, "Gadget",
+                            lambda *args, **kw: built.append(args))
+        g, e_a, e_b, _ = _retract("qubit-zx")
+        for side in ("monoid", "comonoid"):
+            structures._require_flavour(g, side, e_a, e_b, TOL)
+        assert built == []
