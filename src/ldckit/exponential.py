@@ -4,22 +4,23 @@ The space !A has the multisets of basis labels of A of size at most d as
 basis.  The comultiplication has coefficient 1 for every distinct ordered
 pair of sub-multisets; the counit projects onto the empty multiset; the
 dereliction projects onto singletons.  The monad side is given by conjugate
-transposes.  Each structure map has one construction: the functor !f is
-filled grade by grade, peeling one factor off each multiset, and the
-duplication !A -> !!A and the monoidal structure !A (x) !B -> !(A (x) B) are
-closed forms (Mellies-Tabareau-Tasson): the duplication sends a multiset to
-every multiset of parts with that union, and the monoidal structure sends a
-pair of multisets to every multiset of pairs with those projections.  The
-index arithmetic of both forms is compiled once per basis shape (number of
-base elements, degree) into integer tables, held in a bounded LRU cache, so
-!f is one gather, product and segment sum per grade, and the monoidal
-structure is one column index per multiset of pairs, through which the
-induced multiplication and cups are summed without a dense matrix.  Every
-dense array left is refused with `ResourceLimit` past `errors.MAX_ENTRIES`
-entries, before it is allocated.  Couniversal lifts through the comonoid of
-a base gadget, which the retract needs, are computed degree by degree from
-the comonoid-morphism constraint and fail loudly when the constraints are
-inconsistent, making cofreeness an executable contract.  The comonad law
+transposes.  Each structure map is built one way, through integer tables
+compiled once per basis shape (number of base elements, degree) from the
+shape's one multiset enumeration in `multiset`, in bounded LRU caches.
+Delta scatters the splits of each multiset into ordered pairs.  The functor
+!f is one gather, product and segment sum per grade, peeling one factor off
+each multiset; the couniversal lift through the comonoid of a base gadget,
+which the retract needs, is one gather per grade over the same peel tables,
+checked against the comonoid-morphism law on Delta's splits, and fails
+loudly when the constraints are inconsistent, making cofreeness an
+executable contract.  The duplication !A -> !!A and the monoidal structure
+!A (x) !B -> !(A (x) B) are closed forms (Mellies-Tabareau-Tasson): the
+duplication sends a multiset to every multiset of parts with that union,
+and the monoidal structure, one column index per multiset of pairs through
+which the induced multiplication and cups are summed without a dense
+matrix, sends a pair of multisets to every multiset of pairs with those
+projections.  Every dense array left is refused with `ResourceLimit` past
+`errors.MAX_ENTRIES` entries, before it is allocated.  The comonad law
 delta;!delta = delta;delta is checked on sparse columns, on the degree
 window where the intermediate multiset of part-unions has size at most d,
 and only that window is built: a partial product of !delta is dropped once
@@ -31,7 +32,6 @@ data stays real.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -42,8 +42,7 @@ from .errors import (LdcError, LiftFailure, NotAComonoid, ShapeMismatch,
                      check_entries)
 from .gadget import Gadget
 from .model import ModelEnv, interp
-from .multiset import (MultisetBasis, multiset_union, remove_one,
-                       sub_multiset_splits)
+from .multiset import MultisetBasis, _multisets, sub_multiset_splits
 from .objects import Atom
 from .suites import _ROLE_SIGNATURES, _require_suite
 
@@ -52,30 +51,18 @@ from .suites import _ROLE_SIGNATURES, _require_suite
 
 def comult_matrix(basis: MultisetBasis) -> np.ndarray:
     """Delta: !A -> !A (x) !A, coefficient 1 per ordered sub-multiset pair:
-    a one at (m1, m2) and m1 + m2 for each pair of `_window_unions`."""
+    a one at (m1, m2) and m1 + m2 for each split of `_window_unions`."""
     n = basis.dim
     check_entries("Delta", n * n * n)
     out = np.zeros((n * n, n))
-    i1, i2, union = _window_unions(basis)
+    i1, i2, union = _window_unions(len(basis.base), basis.degree)
     out[i1 * n + i2, union] = 1
     return out
 
 
-def _window_unions(basis: MultisetBasis) \
-        -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays (m1, m2, m1 + m2) over every pair of basis multisets
-    whose union is within the degree bound: the nonzero entries of Delta."""
-    triples = [(i1, i2, basis.index[multiset_union(m1, m2)])
-               for i1, m1 in enumerate(basis.elements)
-               for i2, m2 in enumerate(basis.elements)
-               if len(m1) + len(m2) <= basis.degree]
-    return tuple(np.array(x, dtype=int) for x in zip(*triples))
-
-
 def counit_matrix(basis: MultisetBasis) -> np.ndarray:
-    out = np.zeros((1, basis.dim))
-    out[0, basis.index[()]] = 1
-    return out
+    """e: !A -> T, projection onto the empty multiset, the first."""
+    return np.eye(1, basis.dim)
 
 
 def dereliction_matrix(basis: MultisetBasis) -> np.ndarray:
@@ -88,11 +75,11 @@ def dereliction_matrix(basis: MultisetBasis) -> np.ndarray:
 
 # -- compiled basis shapes ---------------------------------------------------
 #
-# The elements of a MultisetBasis depend only on its number of base elements
-# and its degree, so the index arithmetic of the explicit formulas
-# (Mellies, Tabareau & Tasson, "An explicit formula for the free exponential
-# modality of linear logic", ICALP 2009) is compiled once per such shape
-# into integer arrays, and the maps are a few NumPy calls over them.
+# The multisets of a basis depend only on its shape (number of base elements,
+# degree), so the index arithmetic of the explicit formulas (Mellies,
+# Tabareau & Tasson, "An explicit formula for the free exponential modality
+# of linear logic", ICALP 2009) is compiled once per shape, from the shape's
+# one enumeration, into integer arrays; the maps are NumPy calls over them.
 
 @dataclass(frozen=True)
 class _Grade:
@@ -120,25 +107,37 @@ def _frozen(xs) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _grades(size: int, degree: int) -> tuple[_Grade, ...]:
     """The tables of grades 1..degree of the basis of multisets over `size`
-    elements, in `MultisetBasis` order."""
+    elements, in `MultisetBasis` order.  Grade n ends at C(size + n, n),
+    the number of multisets of size at most n."""
+    elements, index = _multisets(size, degree)
     out = []
-    below = {(): 0}
-    start = 1
+    below, start = 0, 1
     for n in range(1, degree + 1):
-        elems = list(itertools.combinations_with_replacement(range(size), n))
+        stop = math.comb(size + n, n)
+        grade = elements[start:stop]
         elem, elem_rest, seg = [], [], []
-        for m in elems:
+        for m in grade:
             seg.append(len(elem))
             for j, a in enumerate(m):
                 if j == 0 or m[j - 1] != a:
                     elem.append(a)
-                    elem_rest.append(below[m[:j] + m[j + 1:]])
-        out.append(_Grade(start, start + len(elems), *map(_frozen, (
-            [m[0] for m in elems], [below[m[1:]] for m in elems],
+                    elem_rest.append(index[m[:j] + m[j + 1:]] - below)
+        out.append(_Grade(start, stop, *map(_frozen, (
+            [m[0] for m in grade], [index[m[1:]] - below for m in grade],
             elem, elem_rest, seg))))
-        below = {m: i for i, m in enumerate(elems)}
-        start += len(elems)
+        below, start = start, stop
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=64)
+def _window_unions(size: int, degree: int) -> tuple[np.ndarray, ...]:
+    """Index arrays (m1, m2, m1 + m2) over every split of every multiset of
+    the basis shape into an ordered pair of sub-multisets: the nonzero
+    entries of Delta, column by column."""
+    elements, index = _multisets(size, degree)
+    return tuple(map(_frozen, zip(*(
+        (index[m1], index[m2], i) for i, m in enumerate(elements)
+        for m1, m2 in sub_multiset_splits(m)))))
 
 
 def bang_matrix(f: np.ndarray, basis_a: MultisetBasis,
@@ -188,11 +187,15 @@ def comonoid_residual(delta_c: np.ndarray, e_c: np.ndarray) -> float:
 def lift_flat(comonoid: tuple[np.ndarray, np.ndarray], f: np.ndarray,
               target: MultisetBasis, tol: float = 1e-9) -> np.ndarray:
     """Unique comonoid morphism F: C -> !A with F;eps = f, for a comonoid
-    (C, delta_c, e_c) and f: C -> A.  Solved degree by degree; the grade-n
-    row of F is forced by any single element of the multiset, and the
-    remaining choices must agree (checked, with loud failure)."""
+    (C, delta_c, e_c) and f: C -> A.  Solved grade by grade, one gather over
+    the peel tables of `bang_matrix` each: row m is f[a] (x) F[m - a]
+    through delta_c for any distinct element a of m, a = m[0] is taken, and
+    the others must agree (checked, with loud failure)."""
     delta_c, e_c, f = map(np.asarray, (*comonoid, f))
     dim_c = f.shape[1]
+    if target.degree < 1:
+        raise LdcError(f"a lift needs a target of degree at least 1, "
+                       f"got {target.degree}")
     if delta_c.shape != (dim_c * dim_c, dim_c) or e_c.shape != (1, dim_c):
         raise ShapeMismatch("comonoid data shapes do not match f")
     if f.shape[0] != len(target.base):
@@ -200,35 +203,41 @@ def lift_flat(comonoid: tuple[np.ndarray, np.ndarray], f: np.ndarray,
     res = comonoid_residual(delta_c, e_c)
     if res > tol:
         raise NotAComonoid(res)
-    d3 = delta_c.reshape(dim_c, dim_c, dim_c)
-    big = np.zeros((target.dim, dim_c), np.result_type(d3, e_c, f, float))
-    big[target.index[()], :] = e_c[0]
-    for a in range(len(target.base)):
-        big[target.index[(a,)], :] = f[a]
-    scale = max(1.0, float(np.max(np.abs(f))) if f.size else 0.0)
+    size = len(target.base)
+    big = np.zeros((target.dim, dim_c),
+                   np.result_type(delta_c, e_c, f, float))
+    big[0] = e_c[0]
+    big[1:1 + size] = f
     worst = 0.0
-    for n in range(2, target.degree + 1):
-        for i in target.grade_indices(n):
-            m = target.elements[i]
-            rows = []
-            for a in sorted(set(m)):
-                rest = target.index[remove_one(m, a)]
-                rows.append(np.einsum("i,j,ijc->c", f[a], big[rest], d3))
-            big[i, :] = rows[0]
-            for other in rows[1:]:
-                worst = max(worst, float(np.max(np.abs(other - rows[0]))))
-    if worst > tol * scale:
+    grades = _grades(size, target.degree)
+    for prev, grade in zip(grades, grades[1:]):
+        rows = _tensor_rows(f[grade.elem],
+                            big[prev.start:prev.stop][grade.elem_rest],
+                            delta_c)
+        block = big[grade.start:grade.stop]
+        block[...] = rows[grade.seg]
+        counts = np.diff(grade.seg, append=len(grade.elem))
+        worst = max(worst, float(np.max(
+            np.abs(rows - np.repeat(block, counts, axis=0)), initial=0.0)))
+    if worst > tol * float(np.max(np.abs(f), initial=1.0)):
         raise LiftFailure(
             f"degree-wise constraints are inconsistent (residual {worst:.3e})")
     # Compare only on the degree window: outside it the truncated
     # comultiplication cannot produce the term, by construction.  Inside
-    # it, Delta . big reads big at the union of the pair.
-    i1, i2, union = _window_unions(target)
-    rhs = np.einsum("mc,nd,cde->mne", big, big, d3, optimize=True)
-    r = float(np.max(np.abs(big[union] - rhs[i1, i2])))
+    # it, Delta . big reads big at the union of each split.
+    i1, i2, union = _window_unions(size, target.degree)
+    r = float(np.max(np.abs(big[union]
+                            - _tensor_rows(big[i1], big[i2], delta_c))))
     if r > tol * max(1.0, float(np.max(np.abs(big)))):
         raise LiftFailure(f"comonoid morphism law fails ({r:.3e})")
     return big
+
+
+def _tensor_rows(x: np.ndarray, y: np.ndarray,
+                 delta_c: np.ndarray) -> np.ndarray:
+    """Row r is (x[r] (x) y[r]) . delta_c, for delta_c: C -> C (x) C."""
+    pairs = x[:, :, None] * y[:, None, :]
+    return pairs.reshape(len(x), len(delta_c)) @ delta_c
 
 
 def lift_sharp(monoid: tuple[np.ndarray, np.ndarray], g: np.ndarray,
@@ -266,6 +275,9 @@ def build_exp(base: Sequence[str] | int, degree: int,
     if degree < 1:
         raise LdcError(f"degree must be at least 1, got {degree}")
     if isinstance(base, int):
+        if base < 0:
+            raise LdcError(f"a base has a nonnegative number of elements, "
+                           f"got {base}")
         base = [str(i) for i in range(base)]
     basis = MultisetBasis(base, degree)
     delta_mat = comult_matrix(basis)
@@ -379,19 +391,12 @@ def comonad_coassoc_report(base_dim: int, degree: int,
     (`bang_apply_sparse`), and every entry of delta;delta at a multiset of
     parts P is in the window already, as its sizes sum to len(P) <= d.
     Returns (pass, worst residual on the window, entries compared)."""
-    basis = MultisetBasis([str(i) for i in range(base_dim)], degree)
-    columns: dict = {}
-
-    def delta(m: tuple) -> dict:
-        col = columns.get(m)
-        if col is None:
-            col = columns[m] = delta_sparse(m, degree)
-        return col
-
+    # the duplication's columns, each built once per report
+    delta = functools.cache(functools.partial(delta_sparse, degree=degree))
     worst = 0.0
     checked = 0
     ok = True
-    for m in basis.elements:
+    for m in _multisets(base_dim, degree)[0]:
         lhs: dict = {}
         rhs: dict = {}
         for mm, c in delta(m).items():
@@ -410,15 +415,6 @@ def comonad_coassoc_report(base_dim: int, degree: int,
 
 # -- monoidal structure ----------------------------------------------------
 
-def _product_basis(exp_a: ExpStructure, exp_b: ExpStructure) -> MultisetBasis:
-    labels = [f"{x}{y}" for x in exp_a.basis.base for y in exp_b.basis.base]
-    return MultisetBasis(labels, exp_a.basis.degree)
-
-
-def _top_basis(degree: int) -> MultisetBasis:
-    return MultisetBasis(["*"], degree)
-
-
 def _m_top(degree: int) -> np.ndarray:
     """T -> !T: the unit of the monoidal structure, one per grade."""
     return np.ones((degree + 1, 1))
@@ -427,10 +423,11 @@ def _m_top(degree: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _Monoidal:
     """m_tensor: !A (x) !B -> !(A (x) B) as an index: row M, a multiset of
-    pairs, holds a single 1, in column index[M], that of its two
-    projections (the first and the second components of its pairs).  The
-    rows sorted by column are `order`; runs of one column start at
-    `starts` and land in `targets`."""
+    pairs in the basis `prod` of !(A (x) B), holds a single 1, in column
+    index[M], that of its two projections (the first and the second
+    components of its pairs).  The rows sorted by column are `order`; runs
+    of one column start at `starts` and land in `targets`."""
+    prod: MultisetBasis
     index: np.ndarray
     order: np.ndarray
     starts: np.ndarray
@@ -448,27 +445,25 @@ class _Monoidal:
 
 @functools.lru_cache(maxsize=64)
 def _monoidal(size_a: int, size_b: int, degree: int) -> _Monoidal:
-    basis_a = MultisetBasis(range(size_a), degree)
-    basis_b = MultisetBasis(range(size_b), degree)
+    index_a = _multisets(size_a, degree)[1]
+    index_b = _multisets(size_b, degree)[1]
     prod = MultisetBasis(range(size_a * size_b), degree)
     index = _frozen(
-        [basis_a.index[tuple(sorted(p // size_b for p in m))] * basis_b.dim
-         + basis_b.index[tuple(sorted(p % size_b for p in m))]
+        [index_a[tuple(sorted(p // size_b for p in m))] * len(index_b)
+         + index_b[tuple(sorted(p % size_b for p in m))]
          for m in prod.elements])
     order = np.argsort(index, kind="stable")
     run = np.flatnonzero(np.diff(index[order], prepend=-1))
-    return _Monoidal(index, *map(_frozen, (order, run, index[order][run])),
-                     basis_a.dim * basis_b.dim)
+    return _Monoidal(prod, index,
+                     *map(_frozen, (order, run, index[order][run])),
+                     len(index_a) * len(index_b))
 
 
 def _monoidal_of(exp_a: ExpStructure, exp_b: ExpStructure) -> _Monoidal:
     if exp_a.basis.degree != exp_b.basis.degree:
         raise ShapeMismatch("degree bounds differ")
-    sizes = (len(exp_a.basis.base), len(exp_b.basis.base))
-    check_entries("!(A (x) B) basis",
-                  math.comb(sizes[0] * sizes[1] + exp_a.basis.degree,
-                            exp_a.basis.degree))
-    return _monoidal(*sizes, exp_a.basis.degree)
+    return _monoidal(len(exp_a.basis.base), len(exp_b.basis.base),
+                     exp_a.basis.degree)
 
 
 def monoidal_structure(exp_a: ExpStructure, exp_b: ExpStructure) \
@@ -501,7 +496,7 @@ def lifted_cup(state: np.ndarray, exp_a: ExpStructure,
     mon = _monoidal_of(exp_a, exp_b)
     d = exp_a.basis.degree
     banged = bang_matrix(np.asarray(state).reshape(-1, 1),
-                         _top_basis(d), _product_basis(exp_a, exp_b))
+                         MultisetBasis(["*"], d), mon.prod)
     return mon.push((banged @ _m_top(d)).T).T
 
 
@@ -523,6 +518,12 @@ def induce_bang_monoid(g: Gadget, degree: int = 3,
     the comonoid is the free one, and all cups and caps are lifted states
     and costates.  When the input also carries comonoid-side cups and caps
     those are lifted for the comonoid; otherwise the monoid's are reused."""
+    return _induced(g, degree, tol)[0]
+
+
+def _induced(g: Gadget, degree: int, tol: float) \
+        -> tuple[Gadget, ExpStructure]:
+    """`induce_bang_monoid`, and the exponential of A it lives on."""
     _require_suite(g, "linear-monoid", tol)
     labels_a = interp(g.object("A"), g.env)[1]
     labels_b = interp(g.object("B"), g.env)[1]
@@ -530,10 +531,9 @@ def induce_bang_monoid(g: Gadget, degree: int = 3,
     exp_a = build_exp(list(labels_a), degree, with_duplication=False)
     exp_b = exp_a if same \
         else build_exp(list(labels_b), degree, with_duplication=False)
-    m_bang = _monoidal_of(exp_a, exp_a).push(
-        bang_matrix(g.morphism("m"), _product_basis(exp_a, exp_a),
-                    exp_a.basis))
-    u_bang = bang_matrix(g.morphism("u"), _top_basis(degree),
+    mon = _monoidal_of(exp_a, exp_a)
+    m_bang = mon.push(bang_matrix(g.morphism("m"), mon.prod, exp_a.basis))
+    u_bang = bang_matrix(g.morphism("u"), MultisetBasis(["*"], degree),
                          exp_a.basis) @ _m_top(degree)
     morphs = {"m": m_bang, "u": u_bang,
               "d": exp_a.Delta, "k": exp_a.counit_e}
@@ -555,7 +555,8 @@ def induce_bang_monoid(g: Gadget, degree: int = 3,
         objects["B"] = Atom("bangB")
     env = ModelEnv(atoms=atoms, degree=degree)
     gradings = {"A": exp_a.basis.degrees(), "B": exp_b.basis.degrees()}
-    return Gadget("linear_bialgebra", objects, morphs, env, gradings)
+    return (Gadget("linear_bialgebra", objects, morphs, env, gradings),
+            exp_a)
 
 
 def retract_idempotent(g: Gadget, degree: int = 3,
@@ -571,14 +572,12 @@ def retract_idempotent(g: Gadget, degree: int = 3,
     _require_suite(g, "linear-bialgebra", tol)
     if g.object("A") != g.object("B"):
         raise ShapeMismatch("retract requires a self-linear bialgebra")
-    na, _ = interp(g.object("A"), g.env)
-    induced = induce_bang_monoid(g, degree, tol)
-    basis = MultisetBasis(list(interp(g.object("A"), g.env)[1]), degree)
-    eye = np.eye(na)
-    flat = lift_flat((g.morphism("d"), g.morphism("k")), eye, basis, tol)
-    sharp = lift_sharp((g.morphism("m"), g.morphism("u")), eye, basis, tol)
-    eps = dereliction_matrix(basis)
-    eta = eps.conj().T
+    induced, exp = _induced(g, degree, tol)
+    eye = np.eye(len(exp.basis.base))
+    flat = lift_flat((g.morphism("d"), g.morphism("k")), eye, exp.basis, tol)
+    sharp = lift_sharp((g.morphism("m"), g.morphism("u")), eye, exp.basis,
+                       tol)
+    eps, eta = exp.eps, exp.eta
     ub = eta @ eps       # !A -> ?A through the base
     vb = flat @ sharp    # ?A -> !A through the base
     gadget = induced.with_morphisms(ub=ub, vb=vb)

@@ -3,51 +3,62 @@
 The basis of the degree-d exponential over a base space consists of all
 multisets of base labels of size at most d, ordered by (size, lexicographic
 by base index).  A multiset is represented as a sorted tuple of base
-indices.
+indices.  They are enumerated once per basis shape (letters, degree), in a
+bounded LRU cache, as a read-only tuple and index that every `MultisetBasis`
+of that shape and every index table built over it share.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
-from .errors import MAX_ENTRIES, ResourceLimit
+from .errors import MAX_ENTRIES, LdcError, ResourceLimit
+
+
+def _multisets(letters: int, degree: int) -> tuple[tuple, Mapping]:
+    """The multisets of size <= degree over `letters` letters, in basis
+    order, and the position of each.  They are the multisets of size d over
+    k + 1 letters, the extra letter padding: C(k + d, d) of them, holding
+    k C(k + d, k + 1) letters in all.  Both counts are refused on every
+    call, before any multiset is built."""
+    if degree < 0:
+        raise ValueError("degree bound must be nonnegative")
+    if letters < 0:
+        raise LdcError(f"a base has a nonnegative number of elements, "
+                       f"got {letters}")
+    for what, size in (("multisets", math.comb(letters + degree, degree)),
+                       ("letters of all multisets",
+                        letters * math.comb(letters + degree, letters + 1))):
+        if size > MAX_ENTRIES:
+            raise ResourceLimit(f"degree-{degree} multiset basis over "
+                                f"{letters} letters ({what})", size,
+                                MAX_ENTRIES)
+    return _enumerated(letters, degree)
+
+
+@functools.lru_cache(maxsize=64)
+def _enumerated(letters: int, degree: int) -> tuple[tuple, Mapping]:
+    elements = tuple(itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(letters), n)
+        for n in range(degree + 1)))
+    return elements, MappingProxyType({m: i for i, m in enumerate(elements)})
 
 
 class MultisetBasis:
     def __init__(self, base_labels: Sequence[str], degree: int):
-        if degree < 0:
-            raise ValueError("degree bound must be nonnegative")
         self.base = tuple(base_labels)
         self.degree = degree
-        # multisets of size <= d over k letters: multisets of size d over
-        # k + 1 letters, the extra letter padding; 1 (the empty multiset)
-        # when k = 0.  They hold k C(k + d, k + 1) letters in all.  Both
-        # counts are refused before any multiset is built.
-        k = len(self.base)
-        self.dim = math.comb(k + degree, degree)
-        for what, size in (("multisets", self.dim),
-                           ("letters of all multisets",
-                            k * math.comb(k + degree, k + 1))):
-            if size > MAX_ENTRIES:
-                raise ResourceLimit(f"degree-{degree} multiset basis over "
-                                    f"{k} letters ({what})", size,
-                                    MAX_ENTRIES)
-        self.elements: list[tuple[int, ...]] = []
-        for n in range(degree + 1):
-            self.elements.extend(
-                itertools.combinations_with_replacement(range(k), n))
-        self.index = {m: i for i, m in enumerate(self.elements)}
-        assert len(self.elements) == self.dim
+        self.elements, self.index = _multisets(len(self.base), degree)
+        self.dim = len(self.elements)
 
     def label(self, m: tuple[int, ...]) -> str:
         return "[" + ",".join(self.base[i] for i in m) + "]"
 
     def labels(self) -> list[str]:
         return [self.label(m) for m in self.elements]
-
-    def grade_indices(self, n: int) -> list[int]:
-        return [i for i, m in enumerate(self.elements) if len(m) == n]
 
     def degrees(self) -> list[int]:
         return [len(m) for m in self.elements]
@@ -66,16 +77,5 @@ def sub_multiset_splits(m: tuple[int, ...]) \
         yield m1, m2
 
 
-def remove_one(m: tuple[int, ...], x: int) -> tuple[int, ...]:
-    out = list(m)
-    out.remove(x)
-    return tuple(out)
-
-
 def distinct_orderings(m: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted(set(itertools.permutations(m)))
-
-
-def multiset_union(m1: tuple[int, ...], m2: tuple[int, ...]) \
-        -> tuple[int, ...]:
-    return tuple(sorted(m1 + m2))

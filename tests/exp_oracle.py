@@ -31,23 +31,44 @@ the coassociativity check built only its degree window, kept verbatim: the
 duplication's columns from every split of each multiset, deduplicated,
 and the check that builds the whole product delta;!delta and then drops
 the entries outside the window.
+
+`lift_flat`, `_grades`, `_window_unions`, `remove_one`, `multiset_union`
+and `grade_indices` are the couniversal lift and the multiset index as they
+were before one cached enumeration per basis shape served them all, kept
+verbatim but for `grade_indices`, once a method of `MultisetBasis`: the
+lift solved multiset by multiset in Python, the peel tables enumerating
+their own multisets, and Delta's nonzeros found by a scan of all pairs of
+multisets.  `delta` and `monoidal_structure` lift through this copy.
+`_product_basis` and `_top_basis` are the bases they and the dense forms
+built on every call, kept verbatim.
 """
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 
-from ldckit.errors import ShapeMismatch
-from ldckit.exponential import (ExpStructure, _m_top,
-                                _multiplicity_factorial, _product_basis,
-                                _top_basis, build_exp, comult_matrix,
-                                counit_matrix, lift_flat, lifted_cap,
-                                lifted_cup)
+from ldckit.errors import LiftFailure, NotAComonoid, ShapeMismatch
+from ldckit.exponential import (ExpStructure, _frozen, _Grade, _m_top,
+                                _multiplicity_factorial, build_exp,
+                                comonoid_residual, comult_matrix,
+                                counit_matrix, lifted_cap, lifted_cup)
 from ldckit.gadget import Gadget
 from ldckit.model import ModelEnv, interp
 from ldckit.multiset import (MultisetBasis, distinct_orderings,
-                             multiset_union, remove_one, sub_multiset_splits)
+                             sub_multiset_splits)
 from ldckit.objects import Atom
 from ldckit.suites import _require_suite
+
+
+def _product_basis(exp_a: ExpStructure, exp_b: ExpStructure) -> MultisetBasis:
+    labels = [f"{x}{y}" for x in exp_a.basis.base for y in exp_b.basis.base]
+    return MultisetBasis(labels, exp_a.basis.degree)
+
+
+def _top_basis(degree: int) -> MultisetBasis:
+    return MultisetBasis(["*"], degree)
 
 
 def split_comult_matrix(basis: MultisetBasis) -> np.ndarray:
@@ -71,10 +92,10 @@ def bang_matrix(f: np.ndarray, basis_a: MultisetBasis,
     out = np.zeros((basis_b.dim, basis_a.dim), dtype=complex)
     out[basis_b.index[()], basis_a.index[()]] = 1
     for n in range(1, min(basis_a.degree, basis_b.degree) + 1):
-        for ia in basis_a.grade_indices(n):
+        for ia in grade_indices(basis_a, n):
             m = basis_a.elements[ia]
             orderings = distinct_orderings(m)
-            for ib in basis_b.grade_indices(n):
+            for ib in grade_indices(basis_b, n):
                 mp = basis_b.elements[ib]  # fixed ordering of the target
                 coeff = 0
                 for w in orderings:
@@ -143,12 +164,12 @@ def peel_bang_matrix(f: np.ndarray, basis_a: MultisetBasis,
     out = np.zeros((basis_b.dim, basis_a.dim), dtype=complex)
     out[basis_b.index[()], basis_a.index[()]] = 1
     for n in range(1, min(basis_a.degree, basis_b.degree) + 1):
-        rows = basis_b.grade_indices(n)
+        rows = grade_indices(basis_b, n)
         first = [basis_b.elements[i][0] for i in rows]
         below = out[[basis_b.index[basis_b.elements[i][1:]] for i in rows]]
         # per base element a: the grade-n columns holding a, and ma - a
         peel: dict[int, tuple[list[int], list[int]]] = {}
-        for ia in basis_a.grade_indices(n):
+        for ia in grade_indices(basis_a, n):
             m = basis_a.elements[ia]
             for a in set(m):
                 cols, rest = peel.setdefault(a, ([], []))
@@ -357,3 +378,99 @@ def comonad_coassoc_report(base_dim: int, degree: int,
             if r > tol:
                 ok = False
     return ok, worst, checked
+
+
+def remove_one(m: tuple[int, ...], x: int) -> tuple[int, ...]:
+    out = list(m)
+    out.remove(x)
+    return tuple(out)
+
+
+def multiset_union(m1: tuple[int, ...], m2: tuple[int, ...]) \
+        -> tuple[int, ...]:
+    return tuple(sorted(m1 + m2))
+
+
+def grade_indices(basis: MultisetBasis, n: int) -> list[int]:
+    return [i for i, m in enumerate(basis.elements) if len(m) == n]
+
+
+@functools.lru_cache(maxsize=64)
+def _grades(size: int, degree: int) -> tuple[_Grade, ...]:
+    """The tables of grades 1..degree of the basis of multisets over `size`
+    elements, in `MultisetBasis` order."""
+    out = []
+    below = {(): 0}
+    start = 1
+    for n in range(1, degree + 1):
+        elems = list(itertools.combinations_with_replacement(range(size), n))
+        elem, elem_rest, seg = [], [], []
+        for m in elems:
+            seg.append(len(elem))
+            for j, a in enumerate(m):
+                if j == 0 or m[j - 1] != a:
+                    elem.append(a)
+                    elem_rest.append(below[m[:j] + m[j + 1:]])
+        out.append(_Grade(start, start + len(elems), *map(_frozen, (
+            [m[0] for m in elems], [below[m[1:]] for m in elems],
+            elem, elem_rest, seg))))
+        below = {m: i for i, m in enumerate(elems)}
+        start += len(elems)
+    return tuple(out)
+
+
+def _window_unions(basis: MultisetBasis) \
+        -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays (m1, m2, m1 + m2) over every pair of basis multisets
+    whose union is within the degree bound: the nonzero entries of Delta."""
+    triples = [(i1, i2, basis.index[multiset_union(m1, m2)])
+               for i1, m1 in enumerate(basis.elements)
+               for i2, m2 in enumerate(basis.elements)
+               if len(m1) + len(m2) <= basis.degree]
+    return tuple(np.array(x, dtype=int) for x in zip(*triples))
+
+
+def lift_flat(comonoid: tuple[np.ndarray, np.ndarray], f: np.ndarray,
+              target: MultisetBasis, tol: float = 1e-9) -> np.ndarray:
+    """Unique comonoid morphism F: C -> !A with F;eps = f, for a comonoid
+    (C, delta_c, e_c) and f: C -> A.  Solved degree by degree; the grade-n
+    row of F is forced by any single element of the multiset, and the
+    remaining choices must agree (checked, with loud failure)."""
+    delta_c, e_c, f = map(np.asarray, (*comonoid, f))
+    dim_c = f.shape[1]
+    if delta_c.shape != (dim_c * dim_c, dim_c) or e_c.shape != (1, dim_c):
+        raise ShapeMismatch("comonoid data shapes do not match f")
+    if f.shape[0] != len(target.base):
+        raise ShapeMismatch("f must land in the base of the target")
+    res = comonoid_residual(delta_c, e_c)
+    if res > tol:
+        raise NotAComonoid(res)
+    d3 = delta_c.reshape(dim_c, dim_c, dim_c)
+    big = np.zeros((target.dim, dim_c), np.result_type(d3, e_c, f, float))
+    big[target.index[()], :] = e_c[0]
+    for a in range(len(target.base)):
+        big[target.index[(a,)], :] = f[a]
+    scale = max(1.0, float(np.max(np.abs(f))) if f.size else 0.0)
+    worst = 0.0
+    for n in range(2, target.degree + 1):
+        for i in grade_indices(target, n):
+            m = target.elements[i]
+            rows = []
+            for a in sorted(set(m)):
+                rest = target.index[remove_one(m, a)]
+                rows.append(np.einsum("i,j,ijc->c", f[a], big[rest], d3))
+            big[i, :] = rows[0]
+            for other in rows[1:]:
+                worst = max(worst, float(np.max(np.abs(other - rows[0]))))
+    if worst > tol * scale:
+        raise LiftFailure(
+            f"degree-wise constraints are inconsistent (residual {worst:.3e})")
+    # Compare only on the degree window: outside it the truncated
+    # comultiplication cannot produce the term, by construction.  Inside
+    # it, Delta . big reads big at the union of the pair.
+    i1, i2, union = _window_unions(target)
+    rhs = np.einsum("mc,nd,cde->mne", big, big, d3, optimize=True)
+    r = float(np.max(np.abs(big[union] - rhs[i1, i2])))
+    if r > tol * max(1.0, float(np.max(np.abs(big)))):
+        raise LiftFailure(f"comonoid morphism law fails ({r:.3e})")
+    return big
