@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate the circuit conformance corpus in fixtures/ and the shipped
-gadget fixtures in src/ldckit/fixtures/.
+"""Regenerate the circuit conformance corpus in fixtures/.  The built-in
+gadgets are not files: `ldckit.fixtures` builds each one on demand.
 
     PYTHONPATH=src python scripts/generate_fixtures.py
 """
@@ -11,7 +11,6 @@ from pathlib import Path
 from ldckit.circuit import (bot_intro_on, generator, identity, par, par_elim,
                             par_intro, seq, swap, tensor_elim, tensor_intro,
                             top_elim_on, top_intro)
-from ldckit.fixtures import write_builtin_fixtures
 from ldckit.io import serialize
 from ldckit.objects import Atom, Bot, Par, Tensor, Top
 from ldckit.validity import validate
@@ -119,8 +118,7 @@ def main() -> None:
     out.mkdir(exist_ok=True)
     for name, text in corpus().items():
         (out / name).write_text(text)
-    write_builtin_fixtures(root / "src" / "ldckit" / "fixtures")
-    print(f"wrote {len(CORPUS)} circuit fixtures and the gadget fixtures")
+    print(f"wrote {len(CORPUS)} circuit fixtures to {out}")
 
 
 if __name__ == "__main__":

@@ -67,6 +67,9 @@ def counit_matrix(basis: MultisetBasis) -> np.ndarray:
 
 def dereliction_matrix(basis: MultisetBasis) -> np.ndarray:
     """eps: !A -> A, projection onto singleton multisets."""
+    if basis.degree < 1:
+        raise LdcError(f"a dereliction needs a basis of degree at least 1, "
+                       f"got {basis.degree}")
     out = np.zeros((len(basis.base), basis.dim))
     for a in range(len(basis.base)):
         out[a, basis.index[(a,)]] = 1

@@ -1,20 +1,19 @@
-"""Built-in example gadgets and the fixture loader.
+"""Built-in example gadgets and the gadget loader.
 
-The three algebra examples (weil, quad4, quad4-flip) ship with canonical
+Each built-in is made by its builder on demand; none is stored as a file.
+The three algebra examples (weil, quad4, quad4-flip) come with canonical
 basis cups as their derived dual witnesses: the multiplication tables turn
 out to satisfy the dagger-dual equations (or fail them, for quad4-flip)
 with this choice already, so no twisted pairing is needed.
 """
 from __future__ import annotations
 
-import json
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .errors import SchemaError, check_entries
-from .gadget import Gadget, gadget_from_json, gadget_to_json
+from .gadget import Gadget, gadget_from_json
 from .io import _read_document
 from .model import ModelEnv
 from .objects import Atom
@@ -22,7 +21,7 @@ from .objects import Atom
 
 def _algebra_gadget(name: str, labels: list[str],
                     mult: dict[tuple[int, int], dict[int, complex]],
-                    unit_idx: int) -> Gadget:
+                    unit_idx: int, degree: int) -> Gadget:
     """Linear monoid from a multiplication table, with canonical-basis
     cups/caps as the dual witness and the identity as the candidate
     coincidence isomorphism."""
@@ -37,18 +36,18 @@ def _algebra_gadget(name: str, labels: list[str],
     eps = np.eye(n).reshape(1, n * n)
     eta = eps.T
     A = Atom(name)
-    env = ModelEnv.make({name: n})
+    env = ModelEnv.make({name: n}, degree=degree)
     env.atoms[name] = (n, tuple(labels))
     morphs = {"m": m, "u": u, "alpha": np.eye(n),
               "eta_L": eta, "eps_L": eps, "eta_R": eta, "eps_R": eps}
     return Gadget("linear_monoid", {"A": A, "B": A}, morphs, env)
 
 
-def weil() -> Gadget:
+def weil(degree: int = 3) -> Gadget:
     """Dual numbers C[x]/(x^2): commutative, passes the dagger linear
     monoid suite, fails the Frobenius coincidence suite."""
     mult = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {}}
-    return _algebra_gadget("W", ["1", "x"], mult, 0)
+    return _algebra_gadget("W", ["1", "x"], mult, 0, degree)
 
 
 def _quad_mult(flip: bool) -> dict:
@@ -64,27 +63,30 @@ def _quad_mult(flip: bool) -> dict:
     return mult
 
 
-def quad4() -> Gadget:
+def quad4(degree: int = 3) -> Gadget:
     """C<x,y,z> with x^2=y^2=z^2=0, xy=iz, yx=-iz, xz=zx=yz=zy=0:
     non-commutative, passes the dagger linear monoid suite, fails the
     Frobenius coincidence suite."""
-    return _algebra_gadget("Q", ["1", "x", "y", "z"], _quad_mult(False), 0)
+    return _algebra_gadget("Q", ["1", "x", "y", "z"], _quad_mult(False), 0,
+                           degree)
 
 
-def quad4_flip() -> Gadget:
+def quad4_flip(degree: int = 3) -> Gadget:
     """The xy=-iz variant of quad4: still a linear monoid, but the
     dagger linear monoid suite fails (comult-is-mult-dagger)."""
-    return _algebra_gadget("Qf", ["1", "x", "y", "z"], _quad_mult(True), 0)
+    return _algebra_gadget("Qf", ["1", "x", "y", "z"], _quad_mult(True), 0,
+                           degree)
 
 
-def qubit_zx() -> Gadget:
+def qubit_zx(degree: int = 3) -> Gadget:
     """Self-linear bialgebra on the qubit: parity (XOR) monoid with the
     computational-basis copy/delete comonoid and canonical-basis duals.
     Passes the complementary and Hopf suites; the coincidence
     isomorphism is the identity.  It is `cyclic_group(2)` on the atom Q."""
     Q = Atom("Q")
     return Gadget("linear_bialgebra", {"A": Q, "B": Q},
-                  cyclic_group(2).morphisms, ModelEnv.make({"Q": 2}))
+                  cyclic_group(2).morphisms,
+                  ModelEnv.make({"Q": 2}, degree=degree))
 
 
 def cyclic_group(n: int, degree: int = 3) -> Gadget:
@@ -135,45 +137,22 @@ BUILTIN = {
 
 
 def fixture_names() -> list[str]:
-    """The shipped fixtures.  The `zn:<n>` family is built, not shipped,
-    and is not listed."""
+    """The names of the built-in gadgets.  The `zn:<n>` family is built
+    for any n and is not listed."""
     return sorted(BUILTIN)
 
 
 def load_gadget(name_or_path: str, degree: int = 3) -> Gadget:
     """Load a gadget by built-in name, as `zn:<n>` for the Z_n group
-    algebra, or from a JSON file path."""
+    algebra, or from a JSON file path.  `degree` bounds the model's
+    exponentials, as in `gadget_from_json`."""
     if name_or_path.startswith("zn:"):
         return cyclic_group(_cyclic_order(name_or_path), degree)
     if name_or_path in BUILTIN:
-        ref = resources.files("ldckit") / "fixtures" / f"{name_or_path}.json"
-        data = ref.read_bytes()
-    else:
-        path = Path(name_or_path)
-        if not path.exists():
-            raise SchemaError(f"no such gadget or fixture: {name_or_path}")
-        data = path.read_bytes()
-    return _read_document(data, lambda doc: gadget_from_json(doc, degree),
+        return BUILTIN[name_or_path](degree)
+    path = Path(name_or_path)
+    if not path.exists():
+        raise SchemaError(f"no such gadget or fixture: {name_or_path}")
+    return _read_document(path.read_bytes(),
+                          lambda doc: gadget_from_json(doc, degree),
                           SchemaError, "gadget document")
-
-
-def write_builtin_fixtures(directory: str | Path) -> None:
-    """Regenerate the shipped fixture files from the builders."""
-    notes = {
-        "weil": ("Dual numbers C[x]/(x^2). Dual witness: canonical basis "
-                 "cup/cap; coincidence candidate alpha = identity."),
-        "quad4": ("x^2=y^2=z^2=0, xy=iz, yx=-iz, xz=zx=0; yz=zy=0 by "
-                  "the grading deg x = deg y = 1, deg z = 2. Dual "
-                  "witness: canonical basis cup/cap."),
-        "quad4-flip": ("quad4 with xy=-iz: commutes, remains a linear "
-                       "monoid, fails the dagger-dualised comonoid "
-                       "comparison."),
-        "qubit-zx": ("Parity monoid + copy/delete comonoid on the "
-                     "qubit with canonical-basis duals."),
-    }
-    directory = Path(directory)
-    for name, build in BUILTIN.items():
-        doc = gadget_to_json(build())
-        doc["note"] = notes[name]
-        path = directory / f"{name}.json"
-        path.write_text(json.dumps(doc, indent=1) + "\n")

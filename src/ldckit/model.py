@@ -18,14 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
 from . import plan
 from .circuit import Circuit
-from .errors import (NotIdempotent, ShapeMismatch, UnassignedGenerator,
-                     UnboundAtom, check_entries)
+from .errors import (LdcError, NotIdempotent, ShapeMismatch,
+                     UnassignedGenerator, UnboundAtom, check_entries)
 from .multiset import MultisetBasis
 from .objects import (Atom, Bang, Bot, Dagger, ObjectExpr, Par, Quest,
                       Tensor, Top, factors)
@@ -40,6 +41,12 @@ class ModelEnv:
     @staticmethod
     def make(atom_dims: dict[str, int], degree: int = 3,
              generators: Optional[dict[str, np.ndarray]] = None) -> "ModelEnv":
+        for name, dim in atom_dims.items():
+            # 0 is a dimension: a rank-0 idempotent splits through it
+            if not isinstance(dim, Integral) or isinstance(dim, bool) \
+                    or dim < 0:
+                raise LdcError(f"atom {name!r}: dim must be a nonnegative "
+                               f"integer, got {dim!r}")
         atoms = {name: (dim, tuple(str(i) for i in range(dim)))
                  for name, dim in atom_dims.items()}
         env = ModelEnv(atoms=atoms, degree=degree)
@@ -368,6 +375,9 @@ def split_idempotent(e: np.ndarray, tol: float = 1e-9) \
     e = np.asarray(e, dtype=complex)
     if e.ndim != 2 or e.shape[0] != e.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got {e.shape}")
+    # a NaN residual would pass the comparison below
+    if not np.all(np.isfinite(e)):
+        raise LdcError("an idempotent to split must have finite entries")
     scale = max(1.0, float(np.max(np.abs(e))) if e.size else 0.0)
     residual = float(np.max(np.abs(e @ e - e))) if e.size else 0.0
     if residual > tol * scale:

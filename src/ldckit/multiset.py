@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -24,8 +25,10 @@ def _multisets(letters: int, degree: int) -> tuple[tuple, Mapping]:
     k + 1 letters, the extra letter padding: C(k + d, d) of them, holding
     k C(k + d, k + 1) letters in all.  Both counts are refused on every
     call, before any multiset is built."""
-    if degree < 0:
-        raise ValueError("degree bound must be nonnegative")
+    if not isinstance(degree, numbers.Integral) or isinstance(degree, bool) \
+            or degree < 0:
+        raise LdcError(f"a degree bound is a nonnegative integer, "
+                       f"got {degree!r}")
     if letters < 0:
         raise LdcError(f"a base has a nonnegative number of elements, "
                        f"got {letters}")

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from ldckit.cli import build_parser, main
 from ldckit.exponential import retract_idempotent
-from ldckit.fixtures import load_gadget
+from ldckit.fixtures import fixture_names, load_gadget
 from ldckit.gadget import gadget_to_json
 from ldckit.io import serialize
 from ldckit.objects import Bot, Par, Tensor, Top
@@ -143,8 +143,7 @@ class TestCheck:
         {"gradings": {"A": [0, -1]}},
     ])
     def test_malformed_gadget_exits_one(self, tmp_path, capsys, patch):
-        fixture = ROOT / "src" / "ldckit" / "fixtures" / "qubit-zx.json"
-        doc = json.loads(fixture.read_text()) | patch
+        doc = json.loads(QUBIT_DOC) | patch
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert main(["check", "--suite", "complementary",
@@ -249,7 +248,7 @@ class TestSplit:
     @pytest.mark.parametrize("kind", ["monoid", "comonoid", "bialgebra"])
     def test_idempotents_that_do_not_compose_exit_one(self, tmp_path,
                                                       capsys, kind):
-        doc = json.loads(QUBIT_DOC.read_text())
+        doc = json.loads(QUBIT_DOC)
         doc["morphisms"] |= {
             "ub": {"rows": 2, "cols": 3, "data": [[1, 0]] * 6},
             "vb": {"rows": 2, "cols": 2, "data": [[1, 0]] * 4}}
@@ -318,7 +317,7 @@ class TestExpDemo:
         # the multiset basis was enumerated before any size check: still
         # running after 60 s, or out of memory
         if "--gadget" not in cmd:
-            doc = json.loads(QUBIT_DOC.read_text())
+            doc = json.loads(QUBIT_DOC)
             doc["objects"] = {"A": {"bang": {"atom": "Q"}},
                               "B": {"bang": {"atom": "Q"}}}
             path = tmp_path / "bang.json"
@@ -348,11 +347,12 @@ class TestExamples:
         assert main(["examples"]) == 0
         names = capsys.readouterr().out.split()
         assert names == ["quad4", "quad4-flip", "qubit-zx", "weil"]
+        assert names == fixture_names()
 
 
 class TestCyclicGadgets:
     """`zn:<n>`: the Z_n group algebra with the copy comonoid, built on
-    demand and not listed among the shipped fixtures."""
+    demand for any n and not listed by `ldckit examples`."""
 
     def test_zn2_is_qubit_zx(self):
         zn2, qubit = load_gadget("zn:2"), load_gadget("qubit-zx")
@@ -422,7 +422,7 @@ class TestUsage:
     def test_negative_degree_exits_one(self, tmp_path, capsys, cmd):
         # the model's exponentials reached MultisetBasis, whose ValueError
         # escaped as a traceback
-        doc = json.loads(QUBIT_DOC.read_text())
+        doc = json.loads(QUBIT_DOC)
         doc["objects"] = {"A": {"bang": {"atom": "Q"}},
                           "B": {"bang": {"atom": "Q"}}}
         path = tmp_path / "bang.json"
@@ -576,10 +576,10 @@ class TestFuzzCircuitDocuments:
 
 # -- fuzzing gadget documents -----------------------------------------------
 
-QUBIT_DOC = ROOT / "src" / "ldckit" / "fixtures" / "qubit-zx.json"
-# The shipped qubit-zx document, its matrices in base64, and the same
-# gadget with its matrices written as [re, im] pairs.
-QUBIT_DOCS = (QUBIT_DOC.read_text(),
+# The qubit-zx document, its matrices in base64, and the same gadget with
+# its matrices written as [re, im] pairs.
+QUBIT_DOC = json.dumps(gadget_to_json(load_gadget("qubit-zx")))
+QUBIT_DOCS = (QUBIT_DOC,
               json.dumps(gadget_to_pair_json(load_gadget("qubit-zx"))))
 # Values that a matrix document in base64 holds, and some that are close.
 matrix_values = st.sampled_from(["float64", "complex128", "complex64", "",
@@ -609,7 +609,7 @@ def gadget_documents(draw):
 def split_documents(draw):
     """The qubit-zx gadget document with a pair ub, vb of random shapes,
     half the time transposed to one another, and entries in {-1, 0, 1}."""
-    doc = json.loads(QUBIT_DOC.read_text())
+    doc = json.loads(QUBIT_DOC)
     shape = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
     for role in ("ub", "vb"):
         rows, cols = shape
@@ -659,7 +659,7 @@ class TestFuzzGadgetDocuments:
             finally:
                 sys.setrecursionlimit(limit)
         monkeypatch.setattr(json, "loads", loads)
-        doc = json.loads(QUBIT_DOC.read_text())
+        doc = json.loads(QUBIT_DOC)
         path = tmp_path / "deep.json"
         path.write_text(json.dumps(doc | {"objects": {"A": "@", "B": "@"}})
                         .replace('"@"', '{"dagger": ' * depth

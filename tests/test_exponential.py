@@ -62,6 +62,14 @@ class TestMultisetBasis:
             assert comonoid_residual(exp.Delta, exp.counit_e) == 0.0
         assert comonad_coassoc_report(0, 2) == (True, 0.0, 8)
 
+    # a negative bound raised a bare ValueError, and 1.5 a TypeError
+    @pytest.mark.parametrize("degree", [-1, 1.5, "2"])
+    def test_bad_degree_is_refused(self, degree):
+        with pytest.raises(LdcError, match=f"got {degree!r}"):
+            MultisetBasis(["a"], degree)
+        with pytest.raises(LdcError, match=f"got {degree!r}"):
+            comonad_coassoc_report(2, degree)
+
     @settings(max_examples=50, deadline=None)
     @given(m=st.lists(st.integers(min_value=0, max_value=2),
                       max_size=4).map(lambda xs: tuple(sorted(xs))))
@@ -111,6 +119,11 @@ class TestStructureMaps:
             col = basis.index[(a,)]
             assert eps[a, col] == 1
         assert np.count_nonzero(eps) == 2
+
+    def test_dereliction_of_degree_zero_is_refused(self):
+        # it looked up the singleton (0,), which a degree-0 basis lacks
+        with pytest.raises(LdcError, match="at least 1, got 0"):
+            dereliction_matrix(MultisetBasis(["0", "1"], 0))
 
     def test_dagger_coherence_suite(self, exp23):
         env = ModelEnv.make({"bangA": 10, "A": 2, "bbA": 286})

@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 
 from ldckit.circuit import dagger_box, generator, identity, isomorphic, seq
 from ldckit.errors import CircuitSyntaxError, SchemaError
-from ldckit.fixtures import (fixture_names, load_gadget,
-                             write_builtin_fixtures)
+from ldckit.fixtures import BUILTIN, fixture_names, load_gadget
 from ldckit.gadget import gadget_from_json, gadget_to_json
 from ldckit.io import matrix_from_json, matrix_to_json, parse, serialize
 from ldckit.objects import Atom, Dagger
@@ -217,15 +216,23 @@ def test_huge_shape_with_short_payload_allocates_nothing(encoding):
     assert peak < 1e5
 
 
-def test_shipped_fixtures_are_what_the_builders_write(tmp_path):
-    write_builtin_fixtures(tmp_path)
-    shipped = ROOT / "src" / "ldckit" / "fixtures"
-    names = {f"{name}.json" for name in fixture_names()}
-    assert {p.name for p in tmp_path.iterdir()} == names
-    assert {p.name for p in shipped.glob("*.json")} == names
-    for name in names:
-        assert (tmp_path / name).read_bytes() \
-            == (shipped / name).read_bytes(), name
+@pytest.mark.parametrize("name", fixture_names())
+def test_builtin_gadget_is_its_builder_output(name):
+    # a built-in by name is its builder's gadget, which its own document
+    # reads back to: no second copy of it is kept
+    loaded = load_gadget(name)
+    doc = gadget_from_json(gadget_to_json(BUILTIN[name]()))
+    assert loaded.kind == doc.kind
+    assert loaded.objects == doc.objects
+    assert loaded.env.atoms == doc.env.atoms
+    assert loaded.env.degree == doc.env.degree == 3
+    assert loaded.gradings is doc.gradings is None
+    assert list(loaded.morphisms) == list(doc.morphisms)
+    for role, m in doc.morphisms.items():
+        got = loaded.morphism(role)
+        assert (got.dtype, got.shape) == (m.dtype, m.shape), role
+        assert got.tobytes() == m.tobytes(), role
+    assert load_gadget(name, degree=5).env.degree == 5
 
 
 def _fixture_script():

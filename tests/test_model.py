@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from ldckit.circuit import (dagger_box, generator, identity, par, permutation,
                             seq, swap)
-from ldckit.errors import (MAX_ENTRIES, NotIdempotent, ResourceLimit,
-                           ShapeMismatch, UnassignedGenerator, UnboundAtom)
+from ldckit.errors import (MAX_ENTRIES, LdcError, NotIdempotent,
+                           ResourceLimit, ShapeMismatch, UnassignedGenerator,
+                           UnboundAtom)
 from ldckit.gadget import Gadget
 from ldckit.model import (ModelEnv, contraction_cost, evaluate, interp,
                           matrices_equal, split_idempotent)
@@ -50,6 +51,18 @@ class TestInterp:
     def test_unbound_atom_rejected(self):
         with pytest.raises(UnboundAtom):
             interp(Atom("missing"), ModelEnv.make({}))
+
+    # -2 was accepted, and evaluating over it raised NumPy's ValueError
+    @pytest.mark.parametrize("dim", [-2, 1.5, True, "2"])
+    def test_bad_dimension_is_refused(self, dim):
+        with pytest.raises(LdcError, match=f"atom 'A': .*got {dim!r}"):
+            ModelEnv.make({"A": dim})
+
+    def test_dimension_zero_is_kept(self):
+        env = ModelEnv.make({"A": 0, "B": np.int64(2)})
+        assert interp(Atom("A"), env) == (0, ())
+        assert evaluate(identity([Atom("A")]), env).shape == (0, 0)
+        assert interp(Atom("B"), env)[0] == 2
 
 
 class TestEvaluate:
@@ -232,6 +245,13 @@ class TestSplitIdempotent:
     def test_non_idempotent_rejected(self):
         with pytest.raises(NotIdempotent):
             split_idempotent(np.array([[0.0, 1.0], [0.0, 0.0]]) + 0.5)
+
+    # inf was split, and NaN passed the idempotency check (a NaN residual
+    # compares False) to fail in NumPy's SVD
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(LdcError, match="finite"):
+            split_idempotent(np.array([[bad, 0], [0, 1.0]]))
 
     def test_zero_rank(self):
         r, s = split_idempotent(np.zeros((3, 3)))

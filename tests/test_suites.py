@@ -1,4 +1,4 @@
-"""Equation suites on the shipped example gadgets."""
+"""Equation suites on the built-in example gadgets."""
 from __future__ import annotations
 
 import numpy as np
@@ -50,7 +50,7 @@ class TestRegistry:
 
 
 class TestExampleVerdicts:
-    """The shipped algebras behave as documented: all three are linear
+    """The built-in algebras behave as documented: all three are linear
     monoids, two are dagger linear monoids, none admits the identity as a
     Frobenius coincidence isomorphism, and the qubit gadget is a
     complementary Hopf system."""
