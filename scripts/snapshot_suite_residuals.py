@@ -12,7 +12,9 @@ three for the Z_3 group algebra `zn:3`.  On the random
 gadgets every equation has a residual of order one, so a changed template
 shows.
 
-    PYTHONPATH=src python scripts/snapshot_suite_residuals.py
+    PYTHONPATH=src python scripts/snapshot_suite_residuals.py [OUT]
+
+writes the report to OUT, by default the committed file.
 
 The committed file is not reproduced byte for byte on every host.  Written
 on another host, 40 residuals can differ from it in the last digit (for
@@ -21,11 +23,18 @@ example a `dagger-cap` residual of 8.916208344510858 against
 relative tolerance (`REL`) that admits such digits.  So a byte-for-byte
 check of a refactor must compare this script's output on the parent
 commit, regenerated on the same host, with its output on the change; it
-cannot compare either with the committed file.
+cannot compare either with the committed file.  With the parent's tree in
+../parent (from `git archive`, say), run this script from the change on
+both sources, then `cmp parent.json change.json`:
+
+    PYTHONPATH=../parent/src python scripts/snapshot_suite_residuals.py \
+        parent.json
+    PYTHONPATH=src python scripts/snapshot_suite_residuals.py change.json
 """
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -169,12 +178,15 @@ def snapshot() -> list[dict]:
             for gname, (g, suites) in gadgets().items() for suite in suites]
 
 
-def main() -> None:
+def main(argv: list[str]) -> None:
+    if len(argv) > 1:
+        sys.exit(f"usage: {Path(__file__).name} [OUT]")
+    out = Path(argv[0]) if argv else SNAPSHOT
     records = snapshot()
-    SNAPSHOT.parent.mkdir(parents=True, exist_ok=True)
-    SNAPSHOT.write_text(json.dumps(records, indent=1) + "\n")
-    print(f"wrote {len(records)} (suite, gadget) reports to {SNAPSHOT}")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(records, indent=1) + "\n")
+    print(f"wrote {len(records)} (suite, gadget) reports to {out}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -521,12 +521,6 @@ def induce_bang_monoid(g: Gadget, degree: int = 3,
     the comonoid is the free one, and all cups and caps are lifted states
     and costates.  When the input also carries comonoid-side cups and caps
     those are lifted for the comonoid; otherwise the monoid's are reused."""
-    return _induced(g, degree, tol)[0]
-
-
-def _induced(g: Gadget, degree: int, tol: float) \
-        -> tuple[Gadget, ExpStructure]:
-    """`induce_bang_monoid`, and the exponential of A it lives on."""
     _require_suite(g, "linear-monoid", tol)
     labels_a = interp(g.object("A"), g.env)[1]
     labels_b = interp(g.object("B"), g.env)[1]
@@ -558,8 +552,7 @@ def _induced(g: Gadget, degree: int, tol: float) \
         objects["B"] = Atom("bangB")
     env = ModelEnv(atoms=atoms, degree=degree)
     gradings = {"A": exp_a.basis.degrees(), "B": exp_b.basis.degrees()}
-    return (Gadget("linear_bialgebra", objects, morphs, env, gradings),
-            exp_a)
+    return Gadget("linear_bialgebra", objects, morphs, env, gradings)
 
 
 def retract_idempotent(g: Gadget, degree: int = 3,
@@ -575,12 +568,13 @@ def retract_idempotent(g: Gadget, degree: int = 3,
     _require_suite(g, "linear-bialgebra", tol)
     if g.object("A") != g.object("B"):
         raise ShapeMismatch("retract requires a self-linear bialgebra")
-    induced, exp = _induced(g, degree, tol)
-    eye = np.eye(len(exp.basis.base))
-    flat = lift_flat((g.morphism("d"), g.morphism("k")), eye, exp.basis, tol)
-    sharp = lift_sharp((g.morphism("m"), g.morphism("u")), eye, exp.basis,
-                       tol)
-    eps, eta = exp.eps, exp.eta
+    induced = induce_bang_monoid(g, degree, tol)
+    basis = MultisetBasis(interp(g.object("A"), g.env)[1], degree)
+    eye = np.eye(len(basis.base))
+    flat = lift_flat((g.morphism("d"), g.morphism("k")), eye, basis, tol)
+    sharp = lift_sharp((g.morphism("m"), g.morphism("u")), eye, basis, tol)
+    eps = dereliction_matrix(basis)
+    eta = eps.conj().T
     ub = eta @ eps       # !A -> ?A through the base
     vb = flat @ sharp    # ?A -> !A through the base
     gadget = induced.with_morphisms(ub=ub, vb=vb)

@@ -11,8 +11,10 @@ composite f;g is the product matG . matF.
 
 A matrix whose entries are all real is kept, and contracted, over the
 reals.  `in_field` decides the field where a matrix enters, in
-`ModelEnv.assign` and in `Gadget`; past them every map, contraction
-included, computes in the field of its operands.
+`ModelEnv.assign` and in `Gadget`, and refuses one with a NaN or infinite
+entry; past them every map, contraction included, computes in the field of
+its operands.  The atom table is checked where it enters, in the
+`ModelEnv` constructor.
 """
 from __future__ import annotations
 
@@ -38,16 +40,24 @@ class ModelEnv:
     degree: int = 3
     generators: dict[str, np.ndarray] = field(default_factory=dict)
 
-    @staticmethod
-    def make(atom_dims: dict[str, int], degree: int = 3,
-             generators: Optional[dict[str, np.ndarray]] = None) -> "ModelEnv":
-        for name, dim in atom_dims.items():
+    def __post_init__(self) -> None:
+        for name, (dim, labels) in self.atoms.items():
             # 0 is a dimension: a rank-0 idempotent splits through it
             if not isinstance(dim, Integral) or isinstance(dim, bool) \
                     or dim < 0:
                 raise LdcError(f"atom {name!r}: dim must be a nonnegative "
                                f"integer, got {dim!r}")
-        atoms = {name: (dim, tuple(str(i) for i in range(dim)))
+            if len(labels) != dim:
+                raise LdcError(f"atom {name!r}: {dim} basis labels "
+                               f"expected, got {len(labels)}")
+
+    @staticmethod
+    def make(atom_dims: dict[str, int], degree: int = 3,
+             generators: Optional[dict[str, np.ndarray]] = None) -> "ModelEnv":
+        # a dim that is no integer gets no labels, and the constructor
+        # refuses it
+        atoms = {name: (dim, tuple(str(i) for i in range(dim))
+                        if isinstance(dim, Integral) else ())
                  for name, dim in atom_dims.items()}
         env = ModelEnv(atoms=atoms, degree=degree)
         for name, matrix in (generators or {}).items():
@@ -61,10 +71,14 @@ class ModelEnv:
 
 def in_field(matrix: np.ndarray) -> np.ndarray:
     """`matrix` as a contiguous float64 array when its imaginary part is
-    all zero, as a complex128 one otherwise."""
+    all zero, as a complex128 one otherwise; `LdcError` if an entry is NaN
+    or infinite."""
     m = np.asarray(matrix)
     if m.dtype.kind not in "biuf":
         m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        raise LdcError("matrix entries must be finite")
+    if m.dtype.kind == "c":
         if np.count_nonzero(m.imag):
             return m
         m = m.real

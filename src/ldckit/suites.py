@@ -22,6 +22,11 @@ suite with every role replaced by its sandwiched image.  The few equations
 still written twice say why where they are built: the snakes of a dual,
 `cup-coincidence-right` and the right Hopf laws.
 
+Every generator is typed by the one role-signature table `_SIGNATURES`
+(`_role`), on the gadget's objects, except the few names that mean
+different maps in different suites, which are typed where they are built
+and listed beside `_role`.
+
 Both flavours of idempotent follow one leg rule (`_absorbed`): a role with
 idempotents on its absorbed legs (side, object) equals the role with them
 on every leg, the sandwich.  Sectional idempotents are absorbed on (dom, A)
@@ -97,18 +102,19 @@ _DERIVED = {"_dag": lambda m: np.conj(m).T, "_inv": np.linalg.inv}
 def suite_env(g: Gadget, reads: Optional[Collection[str]] = None
               ) -> ModelEnv:
     """The gadget's roles and their derived generators, only those named
-    in `reads` when it is given."""
+    in `reads` when it is given.  The roles are bound as stored, each in
+    its field since the `Gadget` was built; only the derived generators go
+    through `ModelEnv.assign`."""
     env = ModelEnv(atoms=dict(g.env.atoms), degree=g.env.degree)
     for role, mat in g.morphisms.items():
         derived = [suffix for suffix in _DERIVED
                    if reads is None or role + suffix in reads]
         if not derived and reads is not None and role not in reads:
             continue
-        env.assign(role, mat)
-        m = env.generators[role]
+        env.generators[role] = mat
         for suffix in derived:
             try:
-                env.assign(role + suffix, _DERIVED[suffix](m))
+                env.assign(role + suffix, _DERIVED[suffix](mat))
             except np.linalg.LinAlgError:   # not square, or singular
                 pass
     return env
@@ -202,12 +208,18 @@ def _require_suite(g: Gadget, name: str, tol: float) -> SuiteReport:
 
 # -- template building blocks ----------------------------------------------
 
-def _cup(role: str, left: ObjectExpr, right: ObjectExpr) -> Circuit:
-    return generator(role, [], [left, right])
-
-
-def _cap(role: str, left: ObjectExpr, right: ObjectExpr) -> Circuit:
-    return generator(role, [left, right], [])
+# Typed where they are built, not by `_SIGNATURES`, are the names that mean
+# different maps in different suites: binary-idempotent's u: A -> B and
+# v: B -> A, where the monoid's u is a unit; eta2/eps2, a dual on A2, B2 in
+# dual-morphism and on C, D in tensor-of-duals; and the coherence suite's
+# eta: Y -> X and eps: X -> Y, elsewhere a dual's cup and cap.  So is
+# preunitary's phi, read A -> A on a gadget without B (`_hermitian`).
+def _role(r: str, g: Gadget, on: str = "A") -> Circuit:
+    """The generator of role `r` typed by `_SIGNATURES` on the objects of
+    `g`, with the table's A read as `on`."""
+    dom, cod = ([g.object(on if o == "A" else o) for o in objs]
+                for objs in _SIGNATURES[r])
+    return generator(r, dom, cod)
 
 
 def _snake_x(X: list[ObjectExpr], Y: list[ObjectExpr],
@@ -232,10 +244,8 @@ def _snakes(labels: tuple[str, str], cup: str,
     """The two snake equations of the dual A -| B with unit `cup` and
     counit `cap`."""
     def build(snake):
-        def b(g):
-            X, Y = [g.object("A")], [g.object("B")]
-            return snake(X, Y, _cup(cup, *X, *Y), _cap(cap, *Y, *X))
-        return b
+        return lambda g: snake([g.object("A")], [g.object("B")],
+                               _role(cup, g), _role(cap, g))
     return tuple(Equation(label, build(snake))
                  for label, snake in zip(labels, (_snake_x, _snake_y)))
 
@@ -258,6 +268,24 @@ _ROLE_SIGNATURES = {
 }
 _ROLE_SIGNATURES |= {new: _ROLE_SIGNATURES[old][::-1]
                      for old, new in _MONOID_TO_COMONOID.items()}
+
+# The signature of every role whose name means one map in every suite: a
+# linear bialgebra's, a dual's cup and cap, the idempotents, the antipode
+# placeholder s, and the roles of one suite each.
+_SIGNATURES = _ROLE_SIGNATURES | {
+    "eta": _ROLE_SIGNATURES["eta_L"], "eps": _ROLE_SIGNATURES["eps_L"],
+    "e": (("A",), ("A",)), "e_a": (("A",), ("A",)), "e_b": (("B",), ("B",)),
+    "s": (("A",), ("A",)), "ub": (("A",), ("B",)), "vb": (("B",), ("A",)),
+    "alpha": (("A",), ("B",)), "alpha_inv": (("B",), ("A",)),
+    "p": (("A",), ("B",)), "q": (("A",), ("B",)),
+    "f": (("A",), ("A2",)), "g": (("B2",), ("B",)),
+    "act_l": (("A", "B"), ("B",)), "act_r": (("B", "A"), ("B",)),
+    "coact_l": (("A",), ("B", "A")), "coact_r": (("A",), ("A", "B")),
+    "d_b": (("B",), ("B", "B")), "k_b": (("B",), ()),
+    "nabla": (("X", "X"), ("X",)), "Delta": (("X",), ("X", "X")),
+    "unit": ((), ("X",)), "counit": (("X",), ()),
+    "mu": (("Z",), ("X",)), "delta": (("X",), ("Z",)),
+}
 
 # Each comonoid-side label with the monoid-side label of the equation it
 # flips.  The flip exchanges the two duals and the two snakes of each.
@@ -305,6 +333,13 @@ _MIRROR_NAMES = _with_dag(_LEFT_TO_RIGHT | {right: left for left, right
 
 def _mirror(c: Circuit) -> Circuit:
     return mirror(c, _MIRROR_NAMES)
+
+
+def _read(build: Callable[[Gadget], Circuit],
+          through: Callable[[Circuit], Circuit]
+          ) -> Callable[[Gadget], Circuit]:
+    """The builder of `build`'s circuit read `through` a reflection."""
+    return lambda g: through(build(g))
 
 
 def _flipped(equations: Sequence[Equation], flip: Callable[[Circuit], Circuit],
@@ -369,15 +404,14 @@ def _flipped_suite(suite: EquationSuite, name: str, kind: str,
 
 def _monoid_laws(obj: str = "A", prefix: str = "") -> tuple[Equation, ...]:
     def assoc(g):
-        A = g.object(obj)
-        m = generator("m", [A, A], [A])
-        return (seq(par(generator("m", [A, A], [A]), identity([A])), m),
-                seq(par(identity([A]), generator("m", [A, A], [A])), m))
+        A, m = g.object(obj), _role("m", g, obj)
+        return (seq(par(m, identity([A])), m),
+                seq(par(identity([A]), m), m))
 
     def unit_l(g):
         A = g.object(obj)
-        return (seq(par(generator("u", [], [A]), identity([A])),
-                    generator("m", [A, A], [A])), identity([A]))
+        return (seq(par(_role("u", g, obj), identity([A])),
+                    _role("m", g, obj)), identity([A]))
 
     return (Equation(f"{prefix}assoc", assoc),
             *_left_right(f"{prefix}unit", unit_l))
@@ -395,79 +429,62 @@ def _comonoid_laws(obj: str = "A", d: str = "d", k: str = "k",
 # right-hand map is the mirror image of its left-hand twin.
 
 def _d_left(g: Gadget) -> Circuit:
-    A, B = g.object("A"), g.object("B")
-    return seq(par(identity([B]), _cup("eta_L", A, B), _cup("eta_L", A, B)),
+    A, B, eta = g.object("A"), g.object("B"), _role("eta_L", g)
+    return seq(par(identity([B]), eta, eta),
                permutation([B, A, B, A, B], [1, 3, 0, 4, 2]),
-               par(generator("m", [A, A], [A]), identity([B, B, B])),
+               par(_role("m", g), identity([B, B, B])),
                permutation([A, B, B, B], [1, 0, 2, 3]),
-               par(_cap("eps_L", B, A), identity([B, B])))
-
-
-def _d_right(g: Gadget) -> Circuit:
-    return _mirror(_d_left(g))
+               par(_role("eps_L", g), identity([B, B])))
 
 
 def _k_left(g: Gadget) -> Circuit:
-    A, B = g.object("A"), g.object("B")
-    return seq(par(identity([B]), generator("u", [], [A])),
-               _cap("eps_L", B, A))
+    return seq(par(identity([g.object("B")]), _role("u", g)),
+               _role("eps_L", g))
 
 
-def _k_right(g: Gadget) -> Circuit:
-    return _mirror(_k_left(g))
-
+_d_right, _k_right = _read(_d_left, _mirror), _read(_k_left, _mirror)
 
 # Derived structure on the dual object of a linear comonoid (d, k) with
 # duals (tau_L, gam_L): A -| B and (tau_R, gam_R): B -| A: the comonoid flip
 # of the monoid's right-hand maps.
-
-def _m_left(g: Gadget) -> Circuit:
-    return _to_comonoid(_d_right(g))
-
-
-def _u_left(g: Gadget) -> Circuit:
-    return _to_comonoid(_k_right(g))
+_m_left = _read(_d_right, _to_comonoid)
+_u_left = _read(_k_right, _to_comonoid)
 
 
 # Actions and coactions derived from a linear monoid.
 
 def _act_left(g: Gadget) -> Circuit:
     A, B = g.object("A"), g.object("B")
-    return seq(par(identity([A, B]), _cup("eta_L", A, B)),
+    return seq(par(identity([A, B]), _role("eta_L", g)),
                permutation([A, B, A, B], [2, 0, 1, 3]),
-               par(generator("m", [A, A], [A]), identity([B, B])),
+               par(_role("m", g), identity([B, B])),
                permutation([A, B, B], [1, 0, 2]),
-               par(_cap("eps_L", B, A), identity([B])))
-
-
-def _act_right(g: Gadget) -> Circuit:
-    return _mirror(_act_left(g))
+               par(_role("eps_L", g), identity([B])))
 
 
 def _coact_right(g: Gadget) -> Circuit:
-    A, B = g.object("A"), g.object("B")
-    return seq(par(identity([A]), _cup("eta_L", A, B)),
-               par(generator("m", [A, A], [A]), identity([B])))
+    return seq(par(identity([g.object("A")]), _role("eta_L", g)),
+               par(_role("m", g), identity([g.object("B")])))
 
 
-def _coact_left(g: Gadget) -> Circuit:
-    return _mirror(_coact_right(g))
+_act_right = _read(_act_left, _mirror)
+_coact_left = _read(_coact_right, _mirror)
 
 
 # Antipodes of a complementary system.
 
 def _antipode_tensor(g: Gadget) -> Circuit:
-    A, B = g.object("A"), g.object("B")
-    return seq(par(_cup("tau_L", A, B), identity([A])),
-               par(identity([A]), generator("m", [A, A], [A])),
+    A = g.object("A")
+    return seq(par(_role("tau_L", g), identity([A])),
+               par(identity([A]), _role("m", g)),
                par(identity([A]), _k_left(g)))
 
 
 def _antipode_par(g: Gadget) -> Circuit:
     A, B = g.object("A"), g.object("B")
     return seq(par(_u_left(g), identity([B])),
-               par(generator("d", [A], [A, A]), identity([B])),
-               par(identity([A]), _cap("gam_R", A, B)))
+               par(_role("d", g), identity([B])),
+               par(identity([A]), _role("gam_R", g)))
 
 
 # The legs on which each flavour is absorbed (see the module docstring);
@@ -477,20 +494,11 @@ _RETRACTIONAL = frozenset({("cod", "A"), ("dom", "B")})
 _FLAVOURS = {"sectional": _SECTIONAL, "retractional": _RETRACTIONAL}
 _EVERY_LEG = _SECTIONAL | _RETRACTIONAL
 
-# The signatures of the roles that absorptions read besides a linear
-# bialgebra's: a dual's cup and cap, and the idempotents.
-_SIGNATURES = _ROLE_SIGNATURES | {
-    "eta": _ROLE_SIGNATURES["eta_L"], "eps": _ROLE_SIGNATURES["eps_L"],
-    "e": (("A",), ("A",)), "e_a": (("A",), ("A",)), "e_b": (("B",), ("B",)),
-    "ub": (("A",), ("B",)), "vb": (("B",), ("A",))}
-
 _UB_VB = {"A": ("ub", "vb"), "B": ("vb", "ub")}
 
 
 def _composite(roles: Sequence[str], g: Gadget) -> Circuit:
-    return seq(*(generator(r, *([g.object(o) for o in objs]
-                                for objs in _SIGNATURES[r]))
-                 for r in roles))
+    return seq(*(_role(r, g) for r in roles))
 
 
 def _absorbed(role: str, idempotents: Mapping[str, Sequence[str]],
@@ -505,7 +513,7 @@ def _absorbed(role: str, idempotents: Mapping[str, Sequence[str]],
                 _composite(idempotents[o], g) if (side, o) in legs
                 else identity([g.object(o)]) for o in objs))
 
-        return seq(on("dom", dom), _composite((role,), g), on("cod", cod))
+        return seq(on("dom", dom), _role(role, g), on("cod", cod))
     return build
 
 
@@ -538,21 +546,19 @@ def _dual_suite() -> EquationSuite:
 
 def _dual_morphism_suite() -> EquationSuite:
     def eq_a(g):
-        A2, B = g.object("A2"), g.object("B")
-        A, B2 = g.object("A"), g.object("B2")
-        lhs = seq(_cup("eta2", A2, B2), par(identity([A2]),
-                                            generator("g", [B2], [B])))
-        rhs = seq(_cup("eta", A, B), par(generator("f", [A], [A2]),
-                                         identity([B])))
+        A2, B2 = g.object("A2"), g.object("B2")
+        lhs = seq(generator("eta2", [], [A2, B2]),
+                  par(identity([A2]), _role("g", g)))
+        rhs = seq(_role("eta", g),
+                  par(_role("f", g), identity([g.object("B")])))
         return lhs, rhs
 
     def eq_b(g):
-        A, B, A2, B2 = (g.object("A"), g.object("B"),
-                        g.object("A2"), g.object("B2"))
-        lhs = seq(par(identity([B2]), generator("f", [A], [A2])),
-                  _cap("eps2", B2, A2))
-        rhs = seq(par(generator("g", [B2], [B]), identity([A])),
-                  _cap("eps", B, A))
+        A2, B2 = g.object("A2"), g.object("B2")
+        lhs = seq(par(identity([B2]), _role("f", g)),
+                  generator("eps2", [B2, A2], []))
+        rhs = seq(par(_role("g", g), identity([g.object("A")])),
+                  _role("eps", g))
         return lhs, rhs
 
     return EquationSuite("dual-morphism", "dual_morphism",
@@ -563,10 +569,9 @@ def _dual_morphism_suite() -> EquationSuite:
 
 
 @functools.cache   # one equation, so its sides are cached once
-def _idem(role: str, obj: str) -> Equation:
+def _idem(role: str) -> Equation:
     def build(g):
-        X = g.object(obj)
-        e = generator(role, [X], [X])
+        e = _role(role, g)
         return seq(e, e), e
     return Equation(f"{role}-idempotent", build)
 
@@ -584,22 +589,20 @@ def _dual_absorption(cup: str, cap: str, legs: frozenset) -> EquationSuite:
                          _absorptions({"cup-absorption": cup,
                                        "cap-absorption": cap},
                                       {"A": ("e_a",), "B": ("e_b",)}, legs)
-                         + (_idem("e_a", "A"), _idem("e_b", "B")))
+                         + (_idem("e_a"), _idem("e_b")))
 
 
 def tensor_of_duals_cup(g: Gadget) -> Circuit:
     """Composite cup for (A (x) C) -| (D (+) B) from A -| B and C -| D."""
-    A, B, C, D = (g.object("A"), g.object("B"),
-                  g.object("C"), g.object("D"))
-    return seq(par(_cup("eta", A, B), _cup("eta2", C, D)),
+    A, B, C, D = (g.object(o) for o in "ABCD")
+    return seq(par(_role("eta", g), generator("eta2", [], [C, D])),
                permutation([A, B, C, D], [0, 2, 3, 1]))
 
 
 def tensor_of_duals_cap(g: Gadget) -> Circuit:
-    A, B, C, D = (g.object("A"), g.object("B"),
-                  g.object("C"), g.object("D"))
+    A, B, C, D = (g.object(o) for o in "ABCD")
     return seq(permutation([D, B, A, C], [0, 3, 1, 2]),
-               par(_cap("eps2", D, C), _cap("eps", B, A)))
+               par(generator("eps2", [D, C], []), _role("eps", g)))
 
 
 def _tensor_of_duals_suite() -> EquationSuite:
@@ -619,26 +622,20 @@ def _tensor_of_duals_suite() -> EquationSuite:
 
 def _dagger_dual_suite() -> EquationSuite:
     def eq_a(g):
-        A, B = g.object("A"), g.object("B")
-        lhs = seq(dagger(_cap("eps", B, A)), par(identity([B]),
-                                                 generator("q", [A], [B])))
-        rhs = seq(_cup("eta", A, B), par(generator("p", [A], [B]),
-                                         identity([B])))
+        B = g.object("B")
+        lhs = seq(dagger(_role("eps", g)), par(identity([B]), _role("q", g)))
+        rhs = seq(_role("eta", g), par(_role("p", g), identity([B])))
         return lhs, rhs
 
     def eq_b(g):
-        A, B = g.object("A"), g.object("B")
-        lhs = seq(par(identity([A]), generator("p", [A], [B])),
-                  dagger(_cup("eta", A, B)))
-        rhs = seq(par(generator("q", [A], [B]), identity([A])),
-                  _cap("eps", B, A))
+        A = g.object("A")
+        lhs = seq(par(identity([A]), _role("p", g)), dagger(_role("eta", g)))
+        rhs = seq(par(_role("q", g), identity([A])), _role("eps", g))
         return lhs, rhs
 
     def eq_pq(g):
-        A, B = g.object("A"), g.object("B")
-        return (seq(generator("p", [A], [B]),
-                    dagger(generator("q", [A], [B]))),
-                identity([A]))
+        return (seq(_role("p", g), dagger(_role("q", g))),
+                identity([g.object("A")]))
 
     # The snakes of `dual`, written out as there.
     return EquationSuite("dagger-dual", "dagger_dual",
@@ -659,15 +656,10 @@ def _dagger_of_dual_suite() -> EquationSuite:
                                            _SNAKE_LABELS[::-1]))))
 
 
-def _pair(label: str, role: str, other: str, dom: Sequence[str],
-          cod: Sequence[str]) -> Equation:
-    """`role`, from `dom` to `cod`, equals the dagger of `other`."""
-    def build(g):
-        ts_dom = [g.object(o) for o in dom]
-        ts_cod = [g.object(o) for o in cod]
-        return (generator(role, ts_dom, ts_cod),
-                dagger(generator(other, ts_cod, ts_dom)))
-    return Equation(label, build)
+def _pair(label: str, role: str, other: str) -> Equation:
+    """`role` equals the dagger of `other`."""
+    return Equation(label, lambda g: (_role(role, g),
+                                      dagger(_role(other, g))))
 
 
 def _hermitian(label: str, role: str, dom: str, cod: str) -> Equation:
@@ -727,51 +719,39 @@ def _linear_monoid_suite() -> EquationSuite:
 
 def _monoid_actions_suite() -> EquationSuite:
     def unit_l(g):
-        A, B = g.object("A"), g.object("B")
-        return (seq(par(generator("u", [], [A]), identity([B])),
-                    generator("act_l", [A, B], [B])), identity([B]))
+        B = g.object("B")
+        return (seq(par(_role("u", g), identity([B])), _role("act_l", g)),
+                identity([B]))
 
     def assoc_l(g):
         # act_l evaluates its argument against multiplication on the other
         # side, so iterating the action consumes the algebra arguments in
         # their given order (inserting a swap here would only be correct
         # for commutative algebras).
-        A, B = g.object("A"), g.object("B")
-        lhs = seq(par(generator("m", [A, A], [A]), identity([B])),
-                  generator("act_l", [A, B], [B]))
-        rhs = seq(par(identity([A]), generator("act_l", [A, B], [B])),
-                  generator("act_l", [A, B], [B]))
-        return lhs, rhs
+        A, B, act = g.object("A"), g.object("B"), _role("act_l", g)
+        return (seq(par(_role("m", g), identity([B])), act),
+                seq(par(identity([A]), act), act))
 
     def commute(g):
-        A, B = g.object("A"), g.object("B")
-        lhs = seq(par(generator("act_l", [A, B], [B]), identity([A])),
-                  generator("act_r", [B, A], [B]))
-        rhs = seq(par(identity([A]), generator("act_r", [B, A], [B])),
-                  generator("act_l", [A, B], [B]))
-        return lhs, rhs
+        A, act_l, act_r = g.object("A"), _role("act_l", g), _role("act_r", g)
+        return (seq(par(act_l, identity([A])), act_r),
+                seq(par(identity([A]), act_r), act_l))
 
     def counit_l(g):
-        A, B = g.object("A"), g.object("B")
-        return (seq(generator("coact_l", [A], [B, A]),
-                    par(generator("k_b", [B], []), identity([A]))),
-                identity([A]))
+        A = g.object("A")
+        return (seq(_role("coact_l", g),
+                    par(_role("k_b", g), identity([A]))), identity([A]))
 
     def coassoc_l(g):
-        A, B = g.object("A"), g.object("B")
-        lhs = seq(generator("coact_l", [A], [B, A]),
-                  par(generator("d_b", [B], [B, B]), identity([A])))
-        rhs = seq(generator("coact_l", [A], [B, A]),
-                  par(identity([B]), generator("coact_l", [A], [B, A])))
-        return lhs, rhs
+        A, B, coact = g.object("A"), g.object("B"), _role("coact_l", g)
+        return (seq(coact, par(_role("d_b", g), identity([A]))),
+                seq(coact, par(identity([B]), coact)))
 
     def cocommute(g):
-        A, B = g.object("A"), g.object("B")
-        lhs = seq(generator("coact_l", [A], [B, A]),
-                  par(identity([B]), generator("coact_r", [A], [A, B])))
-        rhs = seq(generator("coact_r", [A], [A, B]),
-                  par(generator("coact_l", [A], [B, A]), identity([B])))
-        return lhs, rhs
+        B = g.object("B")
+        coact_l, coact_r = _role("coact_l", g), _role("coact_r", g)
+        return (seq(coact_l, par(identity([B]), coact_r)),
+                seq(coact_r, par(coact_l, identity([B]))))
 
     A_roles = ("m", "u", "d_b", "k_b", "act_l", "act_r",
                "coact_l", "coact_r")
@@ -793,7 +773,7 @@ def _monoid_absorption(flavour: str) -> EquationSuite:
                          _absorptions({"mult-absorption": "m",
                                        "unit-absorption": "u"},
                                       {"A": ("e",)}, _FLAVOURS[flavour])
-                         + (_idem("e", "A"),))
+                         + (_idem("e"),))
 
 
 # Each side of a linear bialgebra with the unit and counit of its two
@@ -819,11 +799,8 @@ def _is_dagger(label: str, derived: Callable[[Gadget], Circuit],
                role: str) -> Equation:
     """The map `derived` on the dual object B equals the dagger of `role`,
     with every object of its signature read as B."""
-    def build(g):
-        dom, cod = (len(objs) * [g.object("B")]
-                    for objs in _ROLE_SIGNATURES[role])
-        return derived(g), dagger(generator(role, dom, cod))
-    return Equation(label, build)
+    return Equation(label, lambda g: (derived(g),
+                                      dagger(_role(role, g, "B"))))
 
 
 def _dagger_linear_monoid_suite() -> EquationSuite:
@@ -832,8 +809,7 @@ def _dagger_linear_monoid_suite() -> EquationSuite:
     # section/retraction pair taken to be identities, the dagger-dual
     # equations reduce to the daggered cap equalling the cup entry for entry.
     def dag_dual(g):
-        A, B = g.object("A"), g.object("B")
-        return dagger(_cap("eps_L", B, A)), _cup("eta_L", A, B)
+        return dagger(_role("eps_L", g)), _role("eta_L", g)
 
     return EquationSuite("dagger-linear-monoid", "linear_monoid",
                         _LINEAR_MONOID_ROLES,
@@ -859,40 +835,31 @@ def _dagger_linear_comonoid_suite() -> EquationSuite:
 
 def _frobenius_equations() -> tuple[Equation, ...]:
     def unitary_l(g):
-        A, B = g.object("A"), g.object("B")
-        return generator("alpha", [A], [B]), seq(
-            par(identity([A]), _cup("eta_L", A, B)),
-            par(generator("m", [A, A], [A]), identity([B])),
-            par(generator("alpha", [A], [B]), identity([B])),
-            par(_k_left(g), identity([B])))
+        A, B, alpha = g.object("A"), g.object("B"), _role("alpha", g)
+        return alpha, seq(par(identity([A]), _role("eta_L", g)),
+                          par(_role("m", g), identity([B])),
+                          par(alpha, identity([B])),
+                          par(_k_left(g), identity([B])))
 
     def action_l(g):
-        A, B = g.object("A"), g.object("B")
-        rhs = seq(par(generator("alpha", [A], [B]), identity([A]),
-                      _cup("eta_L", A, B)),
-                  par(identity([B]), generator("m", [A, A], [A]),
-                      identity([B])),
-                  par(_cap("eps_L", B, A), identity([B])),
-                  generator("alpha_inv", [B], [A]))
-        return generator("m", [A, A], [A]), rhs
+        A, B, m = g.object("A"), g.object("B"), _role("m", g)
+        return m, seq(par(_role("alpha", g), identity([A]),
+                          _role("eta_L", g)),
+                      par(identity([B]), m, identity([B])),
+                      par(_role("eps_L", g), identity([B])),
+                      _role("alpha_inv", g))
 
     def cup_l(g):
-        A, B = g.object("A"), g.object("B")
-        lhs = seq(generator("m", [A, A], [A]),
-                  generator("alpha", [A], [B]), _k_left(g))
-        rhs = seq(par(generator("alpha", [A], [B]), identity([A])),
-                  _cap("eps_L", B, A))
-        return lhs, rhs
+        A, alpha = g.object("A"), _role("alpha", g)
+        return (seq(_role("m", g), alpha, _k_left(g)),
+                seq(par(alpha, identity([A])), _role("eps_L", g)))
 
     # Written out, not mirrored: its lhs reads _k_left, which the mirror of
     # cup_l would turn into _k_right, another map.
     def cup_r(g):
-        A, B = g.object("A"), g.object("B")
-        lhs = seq(generator("m", [A, A], [A]),
-                  generator("alpha", [A], [B]), _k_left(g))
-        rhs = seq(par(identity([A]), generator("alpha", [A], [B])),
-                  _cap("eps_R", A, B))
-        return lhs, rhs
+        A, alpha = g.object("A"), _role("alpha", g)
+        return (seq(_role("m", g), alpha, _k_left(g)),
+                seq(par(identity([A]), alpha), _role("eps_R", g)))
 
     return (_left_right("unitary-coincidence", unitary_l)
             + _left_right("action-coincidence", action_l)
@@ -908,11 +875,8 @@ def _frobenius_coincidence_suite() -> EquationSuite:
 
 def _frobenius_algebra_suite() -> EquationSuite:
     def frob(g):
-        A = g.object("A")
-        lhs = seq(par(generator("d", [A], [A, A]), identity([A])),
-                  par(identity([A]), generator("m", [A, A], [A])))
-        return lhs, seq(generator("m", [A, A], [A]),
-                        generator("d", [A], [A, A]))
+        A, m, d = g.object("A"), _role("m", g), _role("d", g)
+        return seq(par(d, identity([A])), par(identity([A]), m)), seq(m, d)
 
     return EquationSuite("frobenius-algebra", "frobenius_algebra",
                         ("m", "u", "d", "k"),
@@ -922,11 +886,11 @@ def _frobenius_algebra_suite() -> EquationSuite:
 
 def _dagger_frobenius_suite() -> EquationSuite:
     def unitary_a(g):
-        alpha = generator("alpha", [g.object("A")], [g.object("B")])
+        alpha = _role("alpha", g)
         return seq(alpha, dagger(alpha)), identity([g.object("A")])
 
     def unitary_b(g):
-        alpha = generator("alpha", [g.object("A")], [g.object("B")])
+        alpha = _role("alpha", g)
         return seq(dagger(alpha), alpha), identity([g.object("B")])
 
     return EquationSuite("dagger-frobenius", "frobenius",
@@ -939,13 +903,11 @@ def _dagger_frobenius_suite() -> EquationSuite:
 
 def _frobenius_splitting_suite() -> EquationSuite:
     def cond(g):
-        A, B = g.object("A"), g.object("B")
-        pre = seq(par(identity([A]), _cup("eta_L", A, B)),
-                  par(*(_composite(_UB_VB[o], g) for o in "AAB")),
-                  par(generator("m", [A, A], [A]), identity([B])),
-                  par(seq(generator("ub", [A], [B]), _k_left(g)),
-                      identity([B])))
-        return generator("ub", [A], [B]), pre
+        A, B, ub = g.object("A"), g.object("B"), _role("ub", g)
+        return ub, seq(par(identity([A]), _role("eta_L", g)),
+                       par(*(_composite(_UB_VB[o], g) for o in "AAB")),
+                       par(_role("m", g), identity([B])),
+                       par(seq(ub, _k_left(g)), identity([B])))
 
     return EquationSuite("frobenius-splitting-cond", "monoid_idempotent",
                         _LINEAR_MONOID_ROLES + ("ub", "vb"),
@@ -960,29 +922,21 @@ _LINEAR_BIALGEBRA_ROLES = ("m", "u", "d", "k",
 def _bialgebra_laws(obj: str, prefix: str) -> tuple[Equation, ...]:
     """The bialgebra laws of m, u, d and k on the object `obj`."""
     def mult_comult(g):
-        A = g.object(obj)
-        lhs = seq(generator("m", [A, A], [A]), generator("d", [A], [A, A]))
-        rhs = seq(par(generator("d", [A], [A, A]),
-                      generator("d", [A], [A, A])),
-                  permutation([A, A, A, A], [0, 2, 1, 3]),
-                  par(generator("m", [A, A], [A]),
-                      generator("m", [A, A], [A])))
-        return lhs, rhs
+        m, d = _role("m", g, obj), _role("d", g, obj)
+        return seq(m, d), seq(par(d, d),
+                              permutation(4 * [g.object(obj)], [0, 2, 1, 3]),
+                              par(m, m))
 
     def mult_counit(g):
-        A = g.object(obj)
-        return (seq(generator("m", [A, A], [A]), generator("k", [A], [])),
-                par(generator("k", [A], []), generator("k", [A], [])))
+        k = _role("k", g, obj)
+        return seq(_role("m", g, obj), k), par(k, k)
 
     def unit_comult(g):
-        A = g.object(obj)
-        return (seq(generator("u", [], [A]), generator("d", [A], [A, A])),
-                par(generator("u", [], [A]), generator("u", [], [A])))
+        u = _role("u", g, obj)
+        return seq(u, _role("d", g, obj)), par(u, u)
 
     def unit_counit(g):
-        A = g.object(obj)
-        return (seq(generator("u", [], [A]), generator("k", [A], [])),
-                empty())
+        return seq(_role("u", g, obj), _role("k", g, obj)), empty()
 
     return (
         Equation(f"{prefix}mult-comult", mult_comult),
@@ -1012,18 +966,18 @@ def _linear_bialgebra_suite() -> EquationSuite:
 def _complementary_suite() -> EquationSuite:
     def comp1(g):
         A, B = g.object("A"), g.object("B")
-        lhs = seq(par(identity([A]), _u_left(g)),
-                  permutation([A, B], [1, 0]),
-                  _cap("eps_L", B, A))
-        return lhs, generator("k", [A], [])
+        return (seq(par(identity([A]), _u_left(g)),
+                    permutation([A, B], [1, 0]), _role("eps_L", g)),
+                _role("k", g))
 
     def comp2(g):
-        A, B = g.object("A"), g.object("B")
-        lhs = seq(_cup("tau_L", A, B), par(identity([A]), _k_left(g)))
-        return lhs, generator("u", [], [A])
+        return (seq(_role("tau_L", g),
+                    par(identity([g.object("A")]), _k_left(g))),
+                _role("u", g))
 
     def comp3(g):
-        return seq(_u_left(g), _d_left(g)), par(_u_left(g), _u_left(g))
+        u = _u_left(g)
+        return seq(u, _d_left(g)), par(u, u)
 
     return EquationSuite("complementary", "linear_bialgebra",
                         _LINEAR_BIALGEBRA_ROLES,
@@ -1038,14 +992,11 @@ def _hopf_suite() -> EquationSuite:
     # take the one antipode, while the mirror of an antipode is another map.
     def hopf(obj: str, side: str) -> Template:
         def build(g):
-            X = g.object(obj)
-            s = generator("s", [X], [X])
+            X, s = g.object(obj), _role("s", g, obj)
             first = par(s, identity([X])) if side == "left" \
                 else par(identity([X]), s)
-            lhs = seq(generator("d", [X], [X, X]), first,
-                      generator("m", [X, X], [X]))
-            rhs = seq(generator("k", [X], []), generator("u", [], [X]))
-            return lhs, rhs
+            return (seq(_role("d", g, obj), first, _role("m", g, obj)),
+                    seq(_role("k", g, obj), _role("u", g, obj)))
         return build
 
     def laws(obj: str, prefix: str) -> tuple[Equation, ...]:
@@ -1089,17 +1040,18 @@ def _preunitary_suite() -> EquationSuite:
 
 
 def _dagger_bang_coherence_suite() -> EquationSuite:
+    def codereliction(g):   # eta and eps, typed here (see `_role`)
+        X, Y = g.object("X"), g.object("Y")
+        return generator("eta", [Y], [X]), dagger(generator("eps", [X], [Y]))
+
     return EquationSuite("dagger-bang-coherence", "exp_coherence",
                         ("Delta", "counit", "eps", "delta",
                          "nabla", "unit", "eta", "mu"), (
-                            _pair("mult-is-comult-dagger", "nabla",
-                                  "Delta", ["X", "X"], ["X"]),
-                            _pair("unit-is-counit-dagger", "unit",
-                                  "counit", [], ["X"]),
-                            _pair("codereliction-is-dereliction-dagger",
-                                  "eta", "eps", ["Y"], ["X"]),
-                            _pair("comult-is-mult-dagger", "mu",
-                                  "delta", ["Z"], ["X"]),
+                            _pair("mult-is-comult-dagger", "nabla", "Delta"),
+                            _pair("unit-is-counit-dagger", "unit", "counit"),
+                            Equation("codereliction-is-dereliction-dagger",
+                                     codereliction),
+                            _pair("comult-is-mult-dagger", "mu", "delta"),
                         ))
 
 

@@ -23,11 +23,21 @@ from typing import Callable
 from ldckit.circuit import (Circuit, dagger, empty, generator, identity, par,
                             permutation, seq)
 from ldckit.gadget import Gadget
+from ldckit.objects import ObjectExpr
 from ldckit.suites import (_COMONOID_LABELS, _LINEAR_BIALGEBRA_ROLES,
                            _MONOID_TO_COMONOID, _ROLE_SIGNATURES, Equation,
-                           EquationSuite, _antipode_tensor, _cap, _cup,
-                           _d_left, _flipped, _flipped_suite, _idem,
-                           _is_dagger, _k_left, _reversal, _snake_x, _snake_y)
+                           EquationSuite, _antipode_tensor, _d_left, _flipped,
+                           _flipped_suite, _idem, _is_dagger, _k_left,
+                           _reversal, _snake_x, _snake_y)
+
+
+# The typed cups and caps that the templates were written with.
+def _cup(role: str, left: ObjectExpr, right: ObjectExpr) -> Circuit:
+    return generator(role, [], [left, right])
+
+
+def _cap(role: str, left: ObjectExpr, right: ObjectExpr) -> Circuit:
+    return generator(role, [left, right], [])
 
 
 def _e_a(g: Gadget) -> Circuit:
@@ -88,8 +98,8 @@ def _dual_sectional_suite(retractional: bool = False) -> EquationSuite:
                         ("eta", "eps", "e_a", "e_b"), (
                             Equation("cup-absorption", cup_eq),
                             Equation("cap-absorption", cap_eq),
-                            _idem("e_a", "A"),
-                            _idem("e_b", "B"),
+                            _idem("e_a"),
+                            _idem("e_b"),
                         ))
 
 
@@ -120,7 +130,7 @@ def _monoid_sectional_suite(retractional: bool = False) -> EquationSuite:
     if not retractional:
         eqs += (Equation("unit-absorption", unit_eq),)
     return EquationSuite(name, "monoid_idempotent", ("m", "u", "e"),
-                         eqs + (_idem("e", "A"),))
+                         eqs + (_idem("e"),))
 
 
 # The six idempotent suites by name, the comonoid ones flipped from the

@@ -23,7 +23,7 @@ from ldckit.exponential import (_monoidal, _window_unions, bang_apply_sparse,
 from ldckit.fixtures import load_gadget
 from ldckit.gadget import Gadget
 from ldckit.model import ModelEnv, interp
-from ldckit import multiset
+from ldckit import exponential, multiset
 from ldckit.multiset import (MultisetBasis, distinct_orderings,
                              sub_multiset_splits)
 from ldckit.objects import Atom
@@ -552,6 +552,22 @@ class TestInducedBialgebra:
         assert np.array_equal(e_bang @ e_bang, e_bang)
         e_whim = result["e_whim"]
         assert np.array_equal(e_whim @ e_whim, e_whim)
+
+    # it built through a private twin, out of sight of a wrapper
+    def test_retract_builds_through_the_public_induction(self, qubit_gadget,
+                                                         monkeypatch):
+        calls = []
+
+        def induce(*args):
+            calls.append(args[1:])
+            return induce_bang_monoid(*args)
+
+        monkeypatch.setattr(exponential, "induce_bang_monoid", induce)
+        result = retract_idempotent(qubit_gadget, degree=2, tol=1e-8)
+        assert calls == [(2, 1e-8)]
+        basis = MultisetBasis(["0", "1"], 2)
+        assert np.array_equal(result["splitting"][0],
+                              dereliction_matrix(basis))
 
     def test_non_self_bialgebra_rejected(self, qubit_gadget):
         env = ModelEnv.make({"Q": 2, "R": 2})

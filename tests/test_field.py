@@ -15,8 +15,10 @@ from ldckit.exponential import (bang_matrix, build_exp, induce_bang_monoid,
                                 retract_idempotent)
 from ldckit.fixtures import BUILTIN, fixture_names, load_gadget
 from ldckit.gadget import Gadget
-from ldckit.model import ModelEnv
+from ldckit import model
+from ldckit.model import ModelEnv, in_field
 from ldckit.multiset import MultisetBasis
+from ldckit.suites import suite_env
 
 import exp_oracle
 
@@ -67,6 +69,23 @@ class TestGadgetNarrows:
                                  "c": [[1 + 0j, 2j]]}, ModelEnv())
         assert g.morphism("i").dtype == g.morphism("l").dtype == np.float64
         assert g.morphism("c").dtype == np.complex128
+
+
+def test_suite_env_binds_the_roles_as_stored(monkeypatch):
+    """A gadget's roles were fielded when it was built, so the suites' env
+    binds the very arrays and fields only the derived generators."""
+    g = load_gadget("quad4")
+    fielded = []
+    monkeypatch.setattr(model, "in_field",
+                        lambda m: fielded.append(m) or in_field(m))
+    env = suite_env(g, {"m", "m_dag", "alpha_inv"})
+    assert set(env.generators) == {"m", "m_dag", "alpha", "alpha_inv"}
+    assert len(fielded) == 2
+    for role in ("m", "alpha"):
+        assert env.generators[role] is g.morphism(role)
+    assert np.array_equal(env.generators["m_dag"], g.morphism("m").conj().T)
+    assert env.generators["m_dag"].dtype == np.complex128
+    assert env.generators["alpha_inv"].dtype == np.float64
 
 
 def _assert_real(g: Gadget, complex_roles=()) -> None:

@@ -64,6 +64,53 @@ class TestInterp:
         assert evaluate(identity([Atom("A")]), env).shape == (0, 0)
         assert interp(Atom("B"), env)[0] == 2
 
+    # the constructor took any table, and evaluating over -2 raised NumPy's
+    # ValueError
+    @pytest.mark.parametrize("dim", [-2, 1.5, True, "2"])
+    def test_constructor_refuses_a_bad_dimension(self, dim):
+        with pytest.raises(LdcError, match=f"atom 'A': .*got {dim!r}"):
+            ModelEnv(atoms={"A": (dim, ())})
+
+    @pytest.mark.parametrize("labels", [(), ("0",), ("0", "1", "2")])
+    def test_constructor_refuses_one_label_too_few_or_many(self, labels):
+        with pytest.raises(LdcError, match=f"atom 'A': 2 basis labels "
+                                           f"expected, got {len(labels)}"):
+            ModelEnv(atoms={"A": (2, labels)})
+
+    def test_constructor_keeps_its_labels(self):
+        env = ModelEnv(atoms={"A": (0, ()), "B": (2, ("x", "y"))})
+        assert interp(Atom("A"), env) == (0, ())
+        assert interp(Atom("B"), env) == (2, ("x", "y"))
+
+
+class TestNonFinite:
+    """A NaN or infinite entry is refused where a matrix enters."""
+    BAD = [np.nan, np.inf, -np.inf, complex(1, np.nan), complex(np.inf, 2)]
+
+    # assign took [[nan]], and evaluating the generator returned it
+    @pytest.mark.parametrize("bad", BAD)
+    def test_assign(self, bad):
+        env = ModelEnv.make({"A": 1})
+        with pytest.raises(LdcError, match="finite"):
+            env.assign("f", np.array([[bad]]))
+        assert "f" not in env.generators
+        with pytest.raises(LdcError, match="finite"):
+            ModelEnv.make({"A": 1}, generators={"f": np.array([[bad]])})
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_gadget(self, bad):
+        m = np.array([[1.0, bad]])
+        with pytest.raises(LdcError, match="finite"):
+            Gadget("probe", {}, {"f": m}, ModelEnv())
+        with pytest.raises(LdcError, match="finite"):
+            Gadget("probe", {}, {}, ModelEnv()).with_morphisms(f=m)
+
+    def test_finite_entries_pass(self):
+        big = np.finfo(float).max
+        env = env_with({"A": 1}, f=[[big]], g=[[complex(-big, 5e-324)]])
+        assert evaluate(generator("f", [A], [A]), env)[0, 0] == big
+        assert env.generators["g"].dtype == complex
+
 
 class TestEvaluate:
     def test_generator_is_its_matrix(self):

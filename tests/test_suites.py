@@ -186,25 +186,28 @@ class TestGradedMasking:
 
 def _templates():
     """(suite, label, side, circuit) for every equation template, built
-    over distinct objects A and B where the template allows it."""
+    over distinct objects A and B where the template allows it, and the
+    probe gadget that each (suite, label) was built on."""
     dims = {"A": 2, "B": 3, "A2": 2, "B2": 3, "C": 2, "D": 3,
             "X": 2, "Y": 3, "Z": 2}
     env = ModelEnv.make(dims)
     apart = Gadget("objects", {r: Atom(r) for r in dims}, {}, env)
     shared = Gadget("objects", {**apart.objects, "B": Atom("A")}, {}, env)
-    out = []
+    out, typings = [], {}
     for suite in SUITES.values():
         for eq in suite.equations:
             try:
                 sides = eq.build(apart)
+                typings[suite.name, eq.label] = apart
             except TypeMismatch:
                 sides = eq.build(shared)
+                typings[suite.name, eq.label] = shared
             out += [(suite.name, eq.label, side, c)
                     for side, c in zip(("lhs", "rhs"), sides)]
-    return env, out
+    return env, out, typings
 
 
-_ENV, _TEMPLATES = _templates()
+_ENV, _TEMPLATES, _TYPINGS = _templates()
 _IDS = [f"{s}/{label}/{side}" for s, label, side, _ in _TEMPLATES]
 
 
@@ -239,6 +242,49 @@ def test_templates_read_declared_roles(name):
     roles = set(SUITES[name].roles)
     assert reads <= roles
     assert roles - reads == _UNREAD.get(name, set())
+
+
+# The roles typed where they are built, as their names mean other maps in
+# other suites (see `suites._role`).
+_CLASHES = {("binary-idempotent", "u"), ("dagger-binary", "u"),
+            ("dagger-bang-coherence", "eta"), ("dagger-bang-coherence", "eps")}
+
+
+def test_generators_carry_the_table_signatures():
+    """Every generator whose name, less _dag, is in `suites._SIGNATURES`
+    carries the table's signature on the probe it was built on, with A read
+    as A or as B, and dom and cod exchanged for a _dag; the roles of
+    `_CLASHES` carry another.  Every role of the table is read but the
+    antipode placeholder s, which the Hopf laws substitute away."""
+    seen = set()
+    for s, label, _, c in _TEMPLATES:
+        objects = _TYPINGS[s, label].objects
+        for node in c.nodes.values():
+            if node.kind != "gen":
+                continue
+            role = node.name.removesuffix("_dag")
+            if role not in suites._SIGNATURES:
+                continue
+            typed = (tuple(node.dom), tuple(node.cod))
+            if role != node.name:
+                typed = typed[::-1]
+            table = [tuple(tuple(objects[on if o == "A" else o] for o in objs)
+                           for objs in suites._SIGNATURES[role])
+                     for on in "AB"]
+            assert (typed in table) != ((s, role) in _CLASHES), \
+                (s, label, node.name, typed)
+            seen.add(role)
+    assert seen == set(suites._SIGNATURES) - {"s"}
+
+
+def test_only_the_antipodes_need_a_shared_object():
+    """The Hopf laws, whose antipodes need B = A, are the only templates
+    built on the shared probe, so a generator typed off the table shows on
+    the distinct one."""
+    assert {key for key, g in _TYPINGS.items()
+            if g.objects["B"] == g.objects["A"]} == {
+        ("hopf", f"hopf-{side}-{hand}") for side in ("tensor", "par")
+        for hand in ("left", "right")}
 
 
 def test_sides_with_other_boundary_types():
