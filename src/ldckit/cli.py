@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import LdcError, ShapeMismatch, SuiteFailure
+from .errors import LdcError, ShapeMismatch, SuiteFailure, count
 from .exponential import retract_idempotent
 from .fixtures import fixture_names, load_gadget
 from .gadget import Gadget, gadget_to_json
@@ -58,9 +58,6 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_render(args) -> int:
-    if args.format != "dot":
-        print(f"unknown format {args.format!r}", file=sys.stderr)
-        return 1
     circuit = parse(Path(args.path).read_bytes())
     _emit(render_dot(circuit), args.output)
     return 0
@@ -176,11 +173,8 @@ def cmd_examples(args) -> int:
 def _exp_degree(least: int) -> Callable[[str], int]:
     """The parser of a degree bound: an integer of at least `least`."""
     def degree(text: str) -> int:
-        value = int(text)
-        if value < least:
-            raise argparse.ArgumentTypeError(
-                f"degree must be at least {least}, got {value}")
-        return value
+        return count(int(text), f"degree must be at least {least}", least,
+                     argparse.ArgumentTypeError)
     return degree
 
 
@@ -220,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="emit a DOT drawing")
     p.add_argument("path")
-    p.add_argument("--format", default="dot")
+    p.add_argument("--format", default="dot", choices=("dot",))
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_render)
 

@@ -1,5 +1,7 @@
-"""Shared error types."""
+"""Shared error types, and the rules for a count and a finite matrix."""
 from __future__ import annotations
+
+import numpy as np
 
 
 class LdcError(Exception):
@@ -99,3 +101,20 @@ def check_entries(what: str, entries: int) -> None:
     MAX_ENTRIES entries."""
     if entries > MAX_ENTRIES:
         raise ResourceLimit(f"{what} (dense entries)", entries, MAX_ENTRIES)
+
+
+def count(value: object, rule: str, floor: int = 0,
+          error: type[Exception] = LdcError) -> int:
+    """`value` as an int, if it is an integer, not a bool, of at least
+    `floor`; otherwise `error("<rule>, got <value>")`."""
+    if isinstance(value, bool) \
+            or not isinstance(value, (int, np.integer)) or value < floor:
+        raise error(f"{rule}, got {value!r}")
+    return int(value)
+
+
+def finite(m: np.ndarray, error: type[LdcError] = LdcError) -> np.ndarray:
+    """`m`, if none of its entries is NaN or infinite."""
+    if not np.isfinite(m).all():
+        raise error("matrix entries must be finite")
+    return m

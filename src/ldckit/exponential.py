@@ -34,12 +34,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (LdcError, LiftFailure, NotAComonoid, ShapeMismatch,
-                     check_entries)
+from .errors import (LiftFailure, NotAComonoid, ShapeMismatch, check_entries,
+                     count)
 from .gadget import Gadget
 from .model import ModelEnv, interp
 from .multiset import MultisetBasis, _multisets, sub_multiset_splits
@@ -67,9 +67,8 @@ def counit_matrix(basis: MultisetBasis) -> np.ndarray:
 
 def dereliction_matrix(basis: MultisetBasis) -> np.ndarray:
     """eps: !A -> A, projection onto singleton multisets."""
-    if basis.degree < 1:
-        raise LdcError(f"a dereliction needs a basis of degree at least 1, "
-                       f"got {basis.degree}")
+    count(basis.degree, "a dereliction needs a basis of degree at least 1",
+          floor=1)
     out = np.zeros((len(basis.base), basis.dim))
     for a in range(len(basis.base)):
         out[a, basis.index[(a,)]] = 1
@@ -196,9 +195,8 @@ def lift_flat(comonoid: tuple[np.ndarray, np.ndarray], f: np.ndarray,
     the others must agree (checked, with loud failure)."""
     delta_c, e_c, f = map(np.asarray, (*comonoid, f))
     dim_c = f.shape[1]
-    if target.degree < 1:
-        raise LdcError(f"a lift needs a target of degree at least 1, "
-                       f"got {target.degree}")
+    count(target.degree, "a lift needs a target of degree at least 1",
+          floor=1)
     if delta_c.shape != (dim_c * dim_c, dim_c) or e_c.shape != (1, dim_c):
         raise ShapeMismatch("comonoid data shapes do not match f")
     if f.shape[0] != len(target.base):
@@ -275,13 +273,11 @@ class ExpStructure:
 
 def build_exp(base: Sequence[str] | int, degree: int,
               with_duplication: bool = True) -> ExpStructure:
-    if degree < 1:
-        raise LdcError(f"degree must be at least 1, got {degree}")
-    if isinstance(base, int):
-        if base < 0:
-            raise LdcError(f"a base has a nonnegative number of elements, "
-                           f"got {base}")
-        base = [str(i) for i in range(base)]
+    """The exponential over `base`, a list of labels or a count of them."""
+    degree = count(degree, "degree must be at least 1", floor=1)
+    if not isinstance(base, Iterable):
+        base = [str(i) for i in range(count(
+            base, "a base has a nonnegative number of elements"))]
     basis = MultisetBasis(base, degree)
     delta_mat = comult_matrix(basis)
     e_mat = counit_matrix(basis)
@@ -545,10 +541,10 @@ def induce_bang_monoid(g: Gadget, degree: int = 3,
         morphs[role] = (lifted_cap(mat, *(exp[o] for o in dom)) if dom
                         else lifted_cup(mat, *(exp[o] for o in cod)))
 
-    atoms = {"bangA": (exp_a.dim, tuple(exp_a.basis.labels()))}
+    atoms = {"bangA": (exp_a.dim, exp_a.basis.labels())}
     objects = {"A": Atom("bangA"), "B": Atom("bangA")}
     if not same:
-        atoms["bangB"] = (exp_b.dim, tuple(exp_b.basis.labels()))
+        atoms["bangB"] = (exp_b.dim, exp_b.basis.labels())
         objects["B"] = Atom("bangB")
     env = ModelEnv(atoms=atoms, degree=degree)
     gradings = {"A": exp_a.basis.degrees(), "B": exp_b.basis.degrees()}

@@ -36,7 +36,7 @@ def _algebra_gadget(name: str, labels: list[str],
     eps = np.eye(n).reshape(1, n * n)
     eta = eps.T
     A = Atom(name)
-    env = ModelEnv(atoms={name: (n, tuple(labels))}, degree=degree)
+    env = ModelEnv(atoms={name: (n, labels)}, degree=degree)
     morphs = {"m": m, "u": u, "alpha": np.eye(n),
               "eta_L": eta, "eps_L": eps, "eta_R": eta, "eps_R": eps}
     return Gadget("linear_monoid", {"A": A, "B": A}, morphs, env)

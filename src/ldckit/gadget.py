@@ -7,9 +7,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MissingRole, SchemaError
+from .errors import LdcError, MissingRole, SchemaError, count
 from .io import matrix_from_json, matrix_to_json
-from .model import ModelEnv, in_field
+from .model import ModelEnv, _dim, in_field
 from .objects import ObjectExpr, type_from_json, type_to_json
 
 
@@ -72,25 +72,9 @@ def gadget_from_json(doc: object, degree: int = 3) -> Gadget:
     for key in ("objects", "morphisms", "atoms", "gradings"):
         if not isinstance(doc.get(key, {}), dict):
             raise SchemaError(f"{key} must be an object")
-    atoms = {}
     for name, spec in doc["atoms"].items():
-        if not isinstance(spec, dict):
-            raise SchemaError(f"atom {name!r} must be an object")
-        if "dim" not in spec:
-            raise SchemaError(f"atom {name!r} needs a dim")
-        dim = spec["dim"]
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-            raise SchemaError(f"atom {name!r}: dim must be a positive "
-                              f"integer, got {dim!r}")
-        basis = spec.get("basis") or [str(i) for i in range(dim)]
-        if not isinstance(basis, list) \
-                or not all(isinstance(x, str) for x in basis):
-            raise SchemaError(f"atom {name!r}: basis must be a list of "
-                              f"labels")
-        basis = tuple(basis)
-        if len(basis) != dim:
-            raise SchemaError(f"atom {name!r}: basis length != dim")
-        atoms[name] = (dim, basis)
+        if not isinstance(spec, dict) or "dim" not in spec:
+            raise SchemaError(f"atom {name!r} must be an object with a dim")
     objects = {role: type_from_json(t)
                for role, t in doc["objects"].items()}
     morphisms = {role: matrix_from_json(m)
@@ -99,15 +83,19 @@ def gadget_from_json(doc: object, degree: int = 3) -> Gadget:
     if "gradings" in doc:
         gradings = {}
         for role, vec in doc["gradings"].items():
-            if not isinstance(vec, list) or not all(
-                    isinstance(x, int) and not isinstance(x, bool)
-                    and x >= 0 for x in vec):
-                raise SchemaError(f"grading {role!r} must be a list of "
-                                  f"nonnegative integers")
-            gradings[role] = vec
+            rule = f"grading {role!r} must be a list of nonnegative integers"
+            if not isinstance(vec, list):
+                raise SchemaError(f"{rule}, got {vec!r}")
+            gradings[role] = [count(x, rule, error=SchemaError) for x in vec]
         # Graded roles live on a degree-truncated exponential, whose
         # bound is the top grade.
         degree = max((max(vec, default=0) for vec in gradings.values()),
                      default=0) or degree
-    env = ModelEnv(atoms=atoms, degree=degree)
+    try:   # the constructor checks the atom table and the degree
+        env = ModelEnv(atoms={
+            name: (spec["dim"], spec.get("basis")
+                   or [str(i) for i in range(_dim(name, spec["dim"]))])
+            for name, spec in doc["atoms"].items()}, degree=degree)
+    except LdcError as exc:
+        raise SchemaError(str(exc)) from None
     return Gadget(str(doc["kind"]), objects, morphisms, env, gradings)

@@ -8,7 +8,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .circuit import _STRUCTURAL, Circuit, Node
-from .errors import CircuitSyntaxError, LdcError, SchemaError
+from .errors import CircuitSyntaxError, LdcError, SchemaError, count, finite
 from .model import in_field
 from .objects import type_from_json, type_to_json
 
@@ -231,11 +231,9 @@ def matrix_from_json(doc: object) -> np.ndarray:
         # not the document itself, which may hold megabytes of entries
         raise SchemaError("a matrix document is an object with rows and "
                           "cols")
-    rows, cols = doc["rows"], doc["cols"]
-    for dim in (rows, cols):
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
-            raise SchemaError(f"matrix rows and cols must be nonnegative "
-                              f"integers, got {dim!r}")
+    rows, cols = (count(doc[key], "matrix rows and cols must be "
+                        "nonnegative integers", error=SchemaError)
+                  for key in ("rows", "cols"))
     if ("base64" in doc) == ("data" in doc):
         raise SchemaError("a matrix document holds its entries in exactly "
                           "one of base64 and data")
@@ -243,9 +241,7 @@ def matrix_from_json(doc: object) -> np.ndarray:
         vals = _base64_entries(doc["base64"], doc.get("dtype"), rows * cols)
     else:
         vals = _pair_entries(doc["data"], rows * cols)
-    if not np.all(np.isfinite(vals)):
-        raise SchemaError("matrix entries must be finite")
-    return vals.reshape(rows, cols)
+    return finite(vals, SchemaError).reshape(rows, cols)
 
 
 def _base64_entries(text: object, dtype: object, n: int) -> np.ndarray:

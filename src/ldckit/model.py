@@ -10,17 +10,17 @@ A morphism X -> Y is stored as a |Y| x |X| matrix; the diagrammatic
 composite f;g is the product matG . matF.
 
 A matrix whose entries are all real is kept, and contracted, over the
-reals.  `in_field` decides the field where a matrix enters, in
-`ModelEnv.assign` and in `Gadget`, and refuses one with a NaN or infinite
-entry; past them every map, contraction included, computes in the field of
-its operands.  The atom table is checked where it enters, in the
-`ModelEnv` constructor.
+reals.  `in_field` decides the field where a matrix enters, in the
+`ModelEnv` constructor and `ModelEnv.assign` and in `Gadget`, and refuses
+one with a NaN or infinite entry; past them every map, contraction
+included, computes in the field of its operands.  The atom table is
+checked where it enters, in the `ModelEnv` constructor, and stored as
+pairs of an int and a tuple of labels.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -28,7 +28,8 @@ import numpy as np
 from . import plan
 from .circuit import Circuit
 from .errors import (LdcError, NotIdempotent, ShapeMismatch,
-                     UnassignedGenerator, UnboundAtom, check_entries)
+                     UnassignedGenerator, UnboundAtom, check_entries, count,
+                     finite)
 from .multiset import MultisetBasis
 from .objects import (Atom, Bang, Bot, Dagger, ObjectExpr, Par, Quest,
                       Tensor, Top, factors)
@@ -41,32 +42,39 @@ class ModelEnv:
     generators: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name, (dim, labels) in self.atoms.items():
-            # 0 is a dimension: a rank-0 idempotent splits through it
-            if not isinstance(dim, Integral) or isinstance(dim, bool) \
-                    or dim < 0:
-                raise LdcError(f"atom {name!r}: dim must be a nonnegative "
-                               f"integer, got {dim!r}")
+        self.degree = count(self.degree,
+                            "a degree bound is a nonnegative integer")
+        atoms = {}
+        for name, entry in self.atoms.items():
+            if not isinstance(entry, (tuple, list)) or len(entry) != 2 \
+                    or not isinstance(entry[1], (tuple, list)) \
+                    or not all(isinstance(x, str) for x in entry[1]):
+                raise LdcError(f"atom {name!r}: an entry is a dim and a "
+                               f"list of string labels, got {entry!r}")
+            dim, labels = _dim(name, entry[0]), entry[1]
             if len(labels) != dim:
                 raise LdcError(f"atom {name!r}: {dim} basis labels "
                                f"expected, got {len(labels)}")
+            atoms[name] = dim, tuple(labels)
+        self.atoms = atoms
+        self.generators = {name: in_field(m)
+                           for name, m in self.generators.items()}
 
     @staticmethod
     def make(atom_dims: dict[str, int], degree: int = 3,
              generators: Optional[dict[str, np.ndarray]] = None) -> "ModelEnv":
-        # a dim that is no integer gets no labels, and the constructor
-        # refuses it
-        atoms = {name: (dim, tuple(str(i) for i in range(dim))
-                        if isinstance(dim, Integral) else ())
+        atoms = {name: (dim, tuple(map(str, range(_dim(name, dim)))))
                  for name, dim in atom_dims.items()}
-        env = ModelEnv(atoms=atoms, degree=degree)
-        for name, matrix in (generators or {}).items():
-            env.assign(name, matrix)
-        return env
+        return ModelEnv(atoms, degree, generators or {})
 
     def assign(self, name: str, matrix: np.ndarray) -> None:
         """Bind `name` to `matrix` in its field (see `in_field`)."""
         self.generators[name] = in_field(matrix)
+
+
+def _dim(name: str, dim: object) -> int:
+    # 0 is a dimension: a rank-0 idempotent splits through it
+    return count(dim, f"atom {name!r}: dim must be a nonnegative integer")
 
 
 def in_field(matrix: np.ndarray) -> np.ndarray:
@@ -76,8 +84,7 @@ def in_field(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix)
     if m.dtype.kind not in "biuf":
         m = np.asarray(m, dtype=complex)
-    if not np.isfinite(m).all():
-        raise LdcError("matrix entries must be finite")
+    finite(m)
     if m.dtype.kind == "c":
         if np.count_nonzero(m.imag):
             return m
@@ -389,9 +396,7 @@ def split_idempotent(e: np.ndarray, tol: float = 1e-9) \
     e = np.asarray(e, dtype=complex)
     if e.ndim != 2 or e.shape[0] != e.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got {e.shape}")
-    # a NaN residual would pass the comparison below
-    if not np.all(np.isfinite(e)):
-        raise LdcError("an idempotent to split must have finite entries")
+    finite(e)   # a NaN residual would pass the comparison below
     scale = max(1.0, float(np.max(np.abs(e))) if e.size else 0.0)
     residual = float(np.max(np.abs(e @ e - e))) if e.size else 0.0
     if residual > tol * scale:

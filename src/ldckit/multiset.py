@@ -12,11 +12,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .errors import MAX_ENTRIES, LdcError, ResourceLimit
+from .errors import MAX_ENTRIES, ResourceLimit, count
 
 
 def _multisets(letters: int, degree: int) -> tuple[tuple, Mapping]:
@@ -25,13 +24,8 @@ def _multisets(letters: int, degree: int) -> tuple[tuple, Mapping]:
     k + 1 letters, the extra letter padding: C(k + d, d) of them, holding
     k C(k + d, k + 1) letters in all.  Both counts are refused on every
     call, before any multiset is built."""
-    if not isinstance(degree, numbers.Integral) or isinstance(degree, bool) \
-            or degree < 0:
-        raise LdcError(f"a degree bound is a nonnegative integer, "
-                       f"got {degree!r}")
-    if letters < 0:
-        raise LdcError(f"a base has a nonnegative number of elements, "
-                       f"got {letters}")
+    degree = count(degree, "a degree bound is a nonnegative integer")
+    letters = count(letters, "a base has a nonnegative number of elements")
     for what, size in (("multisets", math.comb(letters + degree, degree)),
                        ("letters of all multisets",
                         letters * math.comb(letters + degree, letters + 1))):
@@ -53,8 +47,8 @@ def _enumerated(letters: int, degree: int) -> tuple[tuple, Mapping]:
 class MultisetBasis:
     def __init__(self, base_labels: Sequence[str], degree: int):
         self.base = tuple(base_labels)
-        self.degree = degree
         self.elements, self.index = _multisets(len(self.base), degree)
+        self.degree = int(degree)
         self.dim = len(self.elements)
 
     def label(self, m: tuple[int, ...]) -> str:

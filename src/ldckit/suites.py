@@ -105,7 +105,7 @@ def suite_env(g: Gadget, reads: Optional[Collection[str]] = None
     in `reads` when it is given.  The roles are bound as stored, each in
     its field since the `Gadget` was built; only the derived generators go
     through `ModelEnv.assign`."""
-    env = ModelEnv(atoms=dict(g.env.atoms), degree=g.env.degree)
+    env = ModelEnv(atoms=g.env.atoms, degree=g.env.degree)
     for role, mat in g.morphisms.items():
         derived = [suffix for suffix in _DERIVED
                    if reads is None or role + suffix in reads]

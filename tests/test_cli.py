@@ -83,6 +83,11 @@ class TestRender:
     def test_unknown_format_exits_one(self, capsys):
         assert main(["render", "--format", "svg", str(VALID)]) == 1
 
+    def test_format_is_a_parser_choice(self, capsys):
+        assert main(["render", "--format", "svg", str(VALID)]) == 1
+        assert "argument --format: invalid choice: 'svg'" \
+            in capsys.readouterr().err
+
 
 def _matrix_m(**fields) -> dict:
     """A gadget patch whose only morphism is a 2 x 4 matrix m with some
@@ -243,6 +248,23 @@ class TestSplit:
                          "-o", str(tmp_path / f"{kind}.json")]) == 0, kind
         assert main(["check", "--suite", "complementary", "--gadget",
                      str(tmp_path / "bialgebra.json")]) == 0
+        assert capsys.readouterr().out.strip().endswith("pass")
+
+    @pytest.mark.parametrize("kind", ["monoid", "comonoid", "bialgebra"])
+    def test_rank_zero_split_checks_as_written(self, tmp_path, capsys,
+                                               kind):
+        # the split wrote atoms of dim 0, which `check` refused to read
+        doc = json.loads(QUBIT_DOC)
+        zero = {"rows": 2, "cols": 2, "data": [[0, 0]] * 4}
+        doc["morphisms"] |= {"ub": zero, "vb": zero}
+        path, out = tmp_path / "gadget.json", tmp_path / "split.json"
+        path.write_text(json.dumps(doc))
+        assert main(["split", "--gadget", str(path), "--kind", kind,
+                     "-o", str(out)]) == 0
+        assert {spec["dim"] for spec in
+                json.loads(out.read_text())["atoms"].values()} == {0}
+        suite = "linear-comonoid" if kind == "comonoid" else "linear-monoid"
+        assert main(["check", "--suite", suite, "--gadget", str(out)]) == 0
         assert capsys.readouterr().out.strip().endswith("pass")
 
     @pytest.mark.parametrize("kind", ["monoid", "comonoid", "bialgebra"])

@@ -77,6 +77,23 @@ class TestInterp:
                                            f"expected, got {len(labels)}"):
             ModelEnv(atoms={"A": (2, labels)})
 
+    # {"A": 2} raised "cannot unpack non-iterable int object"; labels that
+    # were no strings were taken, and MultisetBasis.label raised TypeError
+    @pytest.mark.parametrize("entry", [2, (2,), "2", (2, ("0", "1"), ()),
+                                       (2, (0, 1)), (2, "01"), (1, None)])
+    def test_constructor_refuses_an_entry_that_is_no_pair_of_labels(
+            self, entry):
+        with pytest.raises(LdcError, match=f"atom 'A': .*got "):
+            ModelEnv(atoms={"A": entry})
+
+    def test_constructor_stores_an_int_and_a_tuple(self):
+        env = ModelEnv(atoms={"A": [np.int64(2), ["x", "y"]]},
+                       degree=np.int64(2))
+        assert env.atoms == {"A": (2, ("x", "y"))}
+        assert type(env.atoms["A"][0]) is type(env.degree) is int
+        assert interp(Bang(Atom("A")), env)[1] == ("[]", "[x]", "[y]",
+                                                   "[x,x]", "[x,y]", "[y,y]")
+
     def test_constructor_keeps_its_labels(self):
         env = ModelEnv(atoms={"A": (0, ()), "B": (2, ("x", "y"))})
         assert interp(Atom("A"), env) == (0, ())
@@ -96,6 +113,17 @@ class TestNonFinite:
         assert "f" not in env.generators
         with pytest.raises(LdcError, match="finite"):
             ModelEnv.make({"A": 1}, generators={"f": np.array([[bad]])})
+
+    # the constructor took generators={"f": [[nan]]} unchecked, and
+    # evaluating the generator returned it
+    @pytest.mark.parametrize("bad", BAD)
+    def test_constructor(self, bad):
+        with pytest.raises(LdcError, match="finite"):
+            ModelEnv(atoms={"A": (1, ("0",))},
+                     generators={"f": np.array([[bad]])})
+        env = ModelEnv(generators={"f": [[1, 2]], "g": [[1j]]})
+        assert env.generators["f"].dtype == float
+        assert env.generators["g"].dtype == complex
 
     @pytest.mark.parametrize("bad", BAD)
     def test_gadget(self, bad):
