@@ -6,14 +6,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .errors import LdcError, ShapeMismatch, SuiteFailure, count
+from .errors import LdcError, SuiteFailure, count, shaped, tolerance
 from .exponential import retract_idempotent
 from .fixtures import fixture_names, load_gadget
 from .gadget import Gadget, gadget_to_json
@@ -108,10 +107,9 @@ def cmd_split(args) -> int:
                                initial=0.0)))
         print(f"rank {alpha.shape[0]}, iso residual {res:.3e}")
         return 0 if res <= args.tol * 10 else 2
-    ub, vb = gadget.morphism("ub"), gadget.morphism("vb")
-    if vb.shape != ub.shape[::-1]:
-        raise ShapeMismatch(f"ub {ub.shape} and vb {vb.shape} do not "
-                            f"compose both ways")
+    ub = gadget.morphism("ub")
+    vb = shaped(gadget.morphism("vb"), ub.shape[::-1],
+                f"ub {ub.shape} and vb {{shape}} do not compose both ways")
     split = _SPLITTERS[args.kind](gadget, vb @ ub, ub @ vb, args.tol)
     _emit(json.dumps(gadget_to_json(split), indent=1).encode() + b"\n",
           args.output)
@@ -170,30 +168,25 @@ def cmd_examples(args) -> int:
     return 0
 
 
-def _exp_degree(least: int) -> Callable[[str], int]:
-    """The parser of a degree bound: an integer of at least `least`."""
-    def degree(text: str) -> int:
-        return count(int(text), f"degree must be at least {least}", least,
-                     argparse.ArgumentTypeError)
-    return degree
-
-
-def _tolerance(text: str) -> float:
-    """A tolerance: a finite number of at least 0."""
-    tol = float(text)
-    if not math.isfinite(tol) or tol < 0:
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be a finite number of at least 0, got {text}")
-    return tol
+def _argument(name: str, read: Callable[[str], object], rule: Callable,
+              *args) -> Callable[[str], object]:
+    """The argparse type `name`: the text `read` as a value and judged by
+    one rule of `errors`, whose refusal is a usage error."""
+    def parse(text: str):
+        return rule(read(text), *args, error=argparse.ArgumentTypeError)
+    parse.__name__ = name   # argparse names it in "invalid <name> value"
+    return parse
 
 
 def _common(p: argparse.ArgumentParser, least: int = 0, default=None,
             degree_help: str = "degree bound of the model's exponentials "
                                "(default 3); a gadget with gradings fixes "
                                "its own") -> None:
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
-    p.add_argument("--degree", type=_exp_degree(least), default=default,
-                   help=degree_help)
+    p.add_argument("--tol", type=_argument("tolerance", float, tolerance),
+                   default=1e-9)
+    p.add_argument("--degree", default=default, help=degree_help,
+                   type=_argument("degree", int, count,
+                                  f"degree must be at least {least}", least))
 
 
 @functools.cache

@@ -1,5 +1,10 @@
-"""Shared error types, and the rules for a count and a finite matrix."""
+"""Shared error types, and one rule per kind of argument: a count, a
+finite matrix, a matrix shape, a list of basis labels and a tolerance.
+Each is called where its argument enters the package, and no other module
+refuses a value of these kinds by a check of its own."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -118,3 +123,41 @@ def finite(m: np.ndarray, error: type[LdcError] = LdcError) -> np.ndarray:
     if not np.isfinite(m).all():
         raise error("matrix entries must be finite")
     return m
+
+
+def shaped(value: object, want: tuple, message: str,
+           error: type[LdcError] = ShapeMismatch) -> np.ndarray:
+    """`value` read as an array, if its shape matches `want`, a tuple of
+    extents in which None matches any; otherwise `error(message)`, with
+    `{want}` and `{shape}` in it read as `want` and the shape found."""
+    m = np.asarray(value)
+    if m.shape != want and (m.ndim != len(want) or any(
+            w is not None and w != n for w, n in zip(want, m.shape))):
+        raise error(message.replace("{want}", str(want))
+                    .replace("{shape}", str(m.shape)))
+    return m
+
+
+def string_labels(value: object, rule: str,
+                  error: type[LdcError] = LdcError) -> tuple[str, ...]:
+    """`value` as a tuple, if it is a list or tuple of strings; otherwise
+    `error("<rule>, got <value>")`."""
+    if not isinstance(value, (list, tuple)) \
+            or not all(isinstance(x, str) for x in value):
+        raise error(f"{rule}, got {value!r}")
+    return tuple(value)
+
+
+def tolerance(value: object, error: type[Exception] = LdcError) -> float:
+    """`value` as a float, if it is a real number, not a bool, finite and
+    at least 0; otherwise `error("tolerance must be ..., got <value>")`."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) \
+        and not isinstance(value, bool)
+    try:
+        tol = float(value) if real else math.nan
+    except OverflowError:   # an int past the largest float
+        tol = math.inf
+    if not 0 <= tol < math.inf:
+        raise error(f"tolerance must be a finite number of at least 0, "
+                    f"got {value!r}")
+    return tol

@@ -39,7 +39,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import (LiftFailure, NotAComonoid, ShapeMismatch, check_entries,
-                     count)
+                     count, shaped, tolerance)
 from .gadget import Gadget
 from .model import ModelEnv, interp
 from .multiset import MultisetBasis, _multisets, sub_multiset_splits
@@ -151,10 +151,8 @@ def bang_matrix(f: np.ndarray, basis_a: MultisetBasis,
     one gather, product and segment sum per grade, over the reals when f
     is real.
     """
-    if f.shape != (len(basis_b.base), len(basis_a.base)):
-        raise ShapeMismatch(
-            f"expected {(len(basis_b.base), len(basis_a.base))}, "
-            f"got {f.shape}")
+    f = shaped(f, (len(basis_b.base), len(basis_a.base)),
+               "expected {want}, got {shape}")
     check_entries("!f", basis_b.dim * basis_a.dim)
     f = np.asarray(f, dtype=np.result_type(f, float))
     out = np.zeros((basis_b.dim, basis_a.dim), dtype=f.dtype)
@@ -172,18 +170,22 @@ def bang_matrix(f: np.ndarray, basis_a: MultisetBasis,
 # -- couniversal lifts -----------------------------------------------------
 
 def comonoid_residual(delta_c: np.ndarray, e_c: np.ndarray) -> float:
-    """Worst residual of coassociativity and the two counit laws."""
-    dim = delta_c.shape[1]
-    d3 = delta_c.reshape(dim, dim, dim)
+    """Worst residual of coassociativity and the two counit laws, for a
+    counit e_c of shape (1, n) and a comultiplication delta_c of shape
+    (n * n, n).  All three are 0 at n = 0."""
+    e_c = shaped(e_c, (1, None), "comonoid counit must be a row, "
+                 "got {shape}")
+    dim = e_c.shape[1]
+    d3 = shaped(delta_c, (dim * dim, dim), "comonoid comultiplication "
+                "must be {want} to match the counit, got {shape}"
+                ).reshape(dim, dim, dim)
     left = np.einsum("xyc,pqx->pqyc", d3, d3, optimize=True)
     right = np.einsum("xyc,pqy->xpqc", d3, d3, optimize=True)
-    r1 = float(np.max(np.abs(left - right))) if dim else 0.0
     lhs = np.einsum("xyc,x->yc", d3, e_c[0])
     rhs = np.einsum("xyc,y->xc", d3, e_c[0])
     eye = np.eye(dim)
-    r2 = float(np.max(np.abs(lhs - eye)))
-    r3 = float(np.max(np.abs(rhs - eye)))
-    return max(r1, r2, r3)
+    return max(float(np.max(np.abs(x - y), initial=0.0))
+               for x, y in ((left, right), (lhs, eye), (rhs, eye)))
 
 
 def lift_flat(comonoid: tuple[np.ndarray, np.ndarray], f: np.ndarray,
@@ -193,18 +195,18 @@ def lift_flat(comonoid: tuple[np.ndarray, np.ndarray], f: np.ndarray,
     the peel tables of `bang_matrix` each: row m is f[a] (x) F[m - a]
     through delta_c for any distinct element a of m, a = m[0] is taken, and
     the others must agree (checked, with loud failure)."""
-    delta_c, e_c, f = map(np.asarray, (*comonoid, f))
-    dim_c = f.shape[1]
+    tol = tolerance(tol)
     count(target.degree, "a lift needs a target of degree at least 1",
           floor=1)
-    if delta_c.shape != (dim_c * dim_c, dim_c) or e_c.shape != (1, dim_c):
-        raise ShapeMismatch("comonoid data shapes do not match f")
-    if f.shape[0] != len(target.base):
-        raise ShapeMismatch("f must land in the base of the target")
+    size = len(target.base)
+    f = shaped(f, (size, None), "f must land in the base of the target")
+    dim_c = f.shape[1]
+    comonoid_shapes = "comonoid data shapes do not match f"
+    delta_c = shaped(comonoid[0], (dim_c * dim_c, dim_c), comonoid_shapes)
+    e_c = shaped(comonoid[1], (1, dim_c), comonoid_shapes)
     res = comonoid_residual(delta_c, e_c)
     if res > tol:
         raise NotAComonoid(res)
-    size = len(target.base)
     big = np.zeros((target.dim, dim_c),
                    np.result_type(delta_c, e_c, f, float))
     big[0] = e_c[0]
@@ -228,8 +230,9 @@ def lift_flat(comonoid: tuple[np.ndarray, np.ndarray], f: np.ndarray,
     # it, Delta . big reads big at the union of each split.
     i1, i2, union = _window_unions(size, target.degree)
     r = float(np.max(np.abs(big[union]
-                            - _tensor_rows(big[i1], big[i2], delta_c))))
-    if r > tol * max(1.0, float(np.max(np.abs(big)))):
+                            - _tensor_rows(big[i1], big[i2], delta_c)),
+                     initial=0.0))
+    if r > tol * max(1.0, float(np.max(np.abs(big), initial=0.0))):
         raise LiftFailure(f"comonoid morphism law fails ({r:.3e})")
     return big
 
@@ -273,10 +276,11 @@ class ExpStructure:
 
 def build_exp(base: Sequence[str] | int, degree: int,
               with_duplication: bool = True) -> ExpStructure:
-    """The exponential over `base`, a list of labels or a count of them."""
+    """The exponential over `base`, an iterable of string labels (a string
+    reads as its characters) or a count of them."""
     degree = count(degree, "degree must be at least 1", floor=1)
-    if not isinstance(base, Iterable):
-        base = [str(i) for i in range(count(
+    base = list(base) if isinstance(base, Iterable) else [
+        str(i) for i in range(count(
             base, "a base has a nonnegative number of elements"))]
     basis = MultisetBasis(base, degree)
     delta_mat = comult_matrix(basis)
@@ -390,6 +394,7 @@ def comonad_coassoc_report(base_dim: int, degree: int,
     (`bang_apply_sparse`), and every entry of delta;delta at a multiset of
     parts P is in the window already, as its sizes sum to len(P) <= d.
     Returns (pass, worst residual on the window, entries compared)."""
+    tol = tolerance(tol)
     # the duplication's columns, each built once per report
     delta = functools.cache(functools.partial(delta_sparse, degree=degree))
     worst = 0.0
@@ -446,7 +451,7 @@ class _Monoidal:
 def _monoidal(size_a: int, size_b: int, degree: int) -> _Monoidal:
     index_a = _multisets(size_a, degree)[1]
     index_b = _multisets(size_b, degree)[1]
-    prod = MultisetBasis(range(size_a * size_b), degree)
+    prod = MultisetBasis([str(p) for p in range(size_a * size_b)], degree)
     index = _frozen(
         [index_a[tuple(sorted(p // size_b for p in m))] * len(index_b)
          + index_b[tuple(sorted(p % size_b for p in m))]

@@ -8,7 +8,8 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .circuit import _STRUCTURAL, Circuit, Node
-from .errors import CircuitSyntaxError, LdcError, SchemaError, count, finite
+from .errors import (CircuitSyntaxError, LdcError, SchemaError, count, finite,
+                     shaped)
 from .model import in_field
 from .objects import type_from_json, type_to_json
 
@@ -207,9 +208,8 @@ def matrix_to_json(m: np.ndarray) -> dict:
     entries, row-major, as the standard `base64` of their little-endian
     bytes.  Their `dtype` is float64 when every imaginary part is zero (the
     rule of `model.in_field`), complex128 otherwise."""
-    m = in_field(m)
-    if m.ndim != 2:
-        raise SchemaError("matrix must be two-dimensional")
+    m = shaped(in_field(m), (None, None), "matrix must be two-dimensional",
+               SchemaError)
     dtype = "float64" if m.dtype == float else "complex128"
     raw = m.astype(_ENTRY_DTYPES[dtype], copy=False).tobytes()
     return {
@@ -277,7 +277,7 @@ def _pair_entries(data: object, n: int) -> np.ndarray:
         pairs = np.array(data) if data else np.zeros((0, 2))
     except ValueError:  # ragged entries
         raise SchemaError(not_pairs) from None
-    if pairs.shape != (n, 2) or pairs.dtype.kind not in "iuf":
+    if shaped(pairs, (n, 2), not_pairs, SchemaError).dtype.kind not in "iuf":
         raise SchemaError(not_pairs)
     # each row (re, im) of float64 is one complex128
     return np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(n)

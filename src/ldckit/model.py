@@ -12,13 +12,14 @@ composite f;g is the product matG . matF.
 A matrix whose entries are all real is kept, and contracted, over the
 reals.  `in_field` decides the field where a matrix enters, in the
 `ModelEnv` constructor and `ModelEnv.assign` and in `Gadget`, and refuses
-one with a NaN or infinite entry; past them every map, contraction
-included, computes in the field of its operands.  The atom table is
-checked where it enters, in the `ModelEnv` constructor, and stored as
-pairs of an int and a tuple of labels.
+one whose entries are not numbers, or are NaN or infinite; past them every
+map, contraction included, computes in the field of its operands.  The
+atom table is checked where it enters, in the `ModelEnv` constructor, and
+stored as pairs of an int and a tuple of labels.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import prod
 from typing import Optional
@@ -27,9 +28,9 @@ import numpy as np
 
 from . import plan
 from .circuit import Circuit
-from .errors import (LdcError, NotIdempotent, ShapeMismatch,
-                     UnassignedGenerator, UnboundAtom, check_entries, count,
-                     finite)
+from .errors import (LdcError, NotIdempotent, UnassignedGenerator,
+                     UnboundAtom, check_entries, count, finite, shaped,
+                     string_labels, tolerance)
 from .multiset import MultisetBasis
 from .objects import (Atom, Bang, Bot, Dagger, ObjectExpr, Par, Quest,
                       Tensor, Top, factors)
@@ -45,31 +46,39 @@ class ModelEnv:
         self.degree = count(self.degree,
                             "a degree bound is a nonnegative integer")
         atoms = {}
-        for name, entry in self.atoms.items():
-            if not isinstance(entry, (tuple, list)) or len(entry) != 2 \
-                    or not isinstance(entry[1], (tuple, list)) \
-                    or not all(isinstance(x, str) for x in entry[1]):
-                raise LdcError(f"atom {name!r}: an entry is a dim and a "
-                               f"list of string labels, got {entry!r}")
-            dim, labels = _dim(name, entry[0]), entry[1]
+        for name, entry in _table(self.atoms, "an atom table").items():
+            rule = (f"atom {name!r}: an entry is a dim and a list of string "
+                    f"labels")
+            if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+                raise LdcError(f"{rule}, got {entry!r}")
+            dim, labels = _dim(name, entry[0]), string_labels(entry[1], rule)
             if len(labels) != dim:
                 raise LdcError(f"atom {name!r}: {dim} basis labels "
                                f"expected, got {len(labels)}")
-            atoms[name] = dim, tuple(labels)
+            atoms[name] = dim, labels
         self.atoms = atoms
-        self.generators = {name: in_field(m)
-                           for name, m in self.generators.items()}
+        self.generators = {
+            name: in_field(m) for name, m in
+            _table(self.generators, "a generator table").items()}
 
     @staticmethod
     def make(atom_dims: dict[str, int], degree: int = 3,
              generators: Optional[dict[str, np.ndarray]] = None) -> "ModelEnv":
         atoms = {name: (dim, tuple(map(str, range(_dim(name, dim)))))
-                 for name, dim in atom_dims.items()}
+                 for name, dim in _table(atom_dims, "an atom table").items()}
         return ModelEnv(atoms, degree, generators or {})
 
     def assign(self, name: str, matrix: np.ndarray) -> None:
         """Bind `name` to `matrix` in its field (see `in_field`)."""
         self.generators[name] = in_field(matrix)
+
+
+def _table(value: object, what: str) -> Mapping:
+    """`value`, if it is a mapping of names to entries."""
+    if not isinstance(value, Mapping):
+        raise LdcError(f"{what} is a mapping of names to entries, "
+                       f"got {value!r}")
+    return value
 
 
 def _dim(name: str, dim: object) -> int:
@@ -79,10 +88,13 @@ def _dim(name: str, dim: object) -> int:
 
 def in_field(matrix: np.ndarray) -> np.ndarray:
     """`matrix` as a contiguous float64 array when its imaginary part is
-    all zero, as a complex128 one otherwise; `LdcError` if an entry is NaN
-    or infinite."""
+    all zero, as a complex128 one otherwise; `LdcError` if an entry is not
+    a number (a string or an object), or is NaN or infinite."""
     m = np.asarray(matrix)
-    if m.dtype.kind not in "biuf":
+    if m.dtype.kind not in "biufc":
+        raise LdcError(f"matrix entries must be numbers, got {m.dtype} "
+                       f"entries")
+    if m.dtype.kind == "c":
         m = np.asarray(m, dtype=complex)
     finite(m)
     if m.dtype.kind == "c":
@@ -164,14 +176,13 @@ class _Program:
 
 
 def _bind_generator(name: str, rows: int, cols: int, conj: bool):
+    mismatch = f"generator {name!r}: expected {{want}}, got {{shape}}"
+
     def bind(env: ModelEnv) -> np.ndarray:
         m = env.generators.get(name)
         if m is None:
             raise UnassignedGenerator(name)
-        m = np.asarray(m)
-        if m.shape != (rows, cols):
-            raise ShapeMismatch(f"generator {name!r}: expected "
-                                f"{(rows, cols)}, got {m.shape}")
+        m = shaped(m, (rows, cols), mismatch)
         if m.dtype != np.float64:
             # bound without `assign`, so perhaps complex64 or integer
             m = m.astype(complex, copy=False)
@@ -372,9 +383,9 @@ def matrices_equal(a: np.ndarray, b: np.ndarray,
     `a - b`.  Computed in the field of both, in one temporary of their
     size (over the complex numbers, a second of half that size); neither
     is written."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"{a.shape} vs {b.shape}")
+    tol = tolerance(tol)
+    a = np.asarray(a)
+    b = shaped(b, a.shape, "{want} vs {shape}")
     if not a.size:
         return True, 0.0
     field = np.result_type(a, b, np.float64)
@@ -393,9 +404,10 @@ def split_idempotent(e: np.ndarray, tol: float = 1e-9) \
     s;r = 1).  The SVD runs over the complex numbers even on a real `e`,
     and r and s are complex128: a real SVD rounds differently, and would
     change the gadgets that `ldckit split` writes."""
+    tol = tolerance(tol)
     e = np.asarray(e, dtype=complex)
-    if e.ndim != 2 or e.shape[0] != e.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got {e.shape}")
+    n = len(e) if e.ndim else 0   # a 0-d array has no rows, and is refused
+    shaped(e, (n, n), "expected a square matrix, got {shape}")
     finite(e)   # a NaN residual would pass the comparison below
     scale = max(1.0, float(np.max(np.abs(e))) if e.size else 0.0)
     residual = float(np.max(np.abs(e @ e - e))) if e.size else 0.0

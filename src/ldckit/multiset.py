@@ -15,7 +15,7 @@ import math
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .errors import MAX_ENTRIES, ResourceLimit, count
+from .errors import MAX_ENTRIES, ResourceLimit, count, string_labels
 
 
 def _multisets(letters: int, degree: int) -> tuple[tuple, Mapping]:
@@ -46,7 +46,8 @@ def _enumerated(letters: int, degree: int) -> tuple[tuple, Mapping]:
 
 class MultisetBasis:
     def __init__(self, base_labels: Sequence[str], degree: int):
-        self.base = tuple(base_labels)
+        self.base = string_labels(base_labels,
+                                  "base labels are a list of strings")
         self.elements, self.index = _multisets(len(self.base), degree)
         self.degree = int(degree)
         self.dim = len(self.elements)

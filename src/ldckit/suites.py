@@ -50,7 +50,7 @@ import numpy as np
 
 from .circuit import (Circuit, dagger, empty, generator, identity, mirror,
                       par, permutation, reverse, seq, substitute)
-from .errors import MissingRole, SuiteFailure
+from .errors import MissingRole, SuiteFailure, tolerance
 from .gadget import Gadget
 from .model import ModelEnv, evaluate, interp, matrices_equal
 from .objects import Bot, Dagger, ObjectExpr, Par, Tensor, Top
@@ -79,6 +79,9 @@ class SuiteReport:
     passed: bool
     tol: float
     residuals: dict[str, float]
+
+    def __post_init__(self) -> None:
+        self.tol = tolerance(self.tol)
 
     def worst(self) -> float:
         return max(self.residuals.values()) if self.residuals else 0.0

@@ -1,10 +1,17 @@
 """One rule per argument kind.  A count (an integer, not a bool, at or
-above a floor) and a finite matrix are decided in `ldckit.errors` alone,
-and the atom table in the `ModelEnv` constructor.  Every public function
-that takes a count refuses a bad one with an `LdcError`, and reads a NumPy
-integer as the int it holds."""
+above a floor), a finite matrix, a matrix shape, a list of basis labels and
+a tolerance are decided in `ldckit.errors` alone, and the atom table in the
+`ModelEnv` constructor.  Every public function that takes one of them
+refuses a bad one with an `LdcError`, a bad shape with `ShapeMismatch`
+(`SchemaError` in a document), and reads a NumPy number as the Python
+number it holds.  The tolerance table is checked against
+`ldckit.__all__`: a public callable with a `tol` parameter and no entry
+fails the test."""
 from __future__ import annotations
 
+import functools
+import inspect
+import math
 import re
 from collections.abc import Mapping
 from pathlib import Path
@@ -12,14 +19,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ldckit.errors import LdcError
-from ldckit.exponential import (build_exp, comonad_coassoc_report,
-                                induce_bang_monoid, retract_idempotent)
+import ldckit
+from ldckit.circuit import generator
+from ldckit.errors import LdcError, SchemaError, ShapeMismatch
+from ldckit.exponential import (bang_matrix, build_exp,
+                                comonad_coassoc_report, comonoid_residual,
+                                induce_bang_monoid, lift_flat, lift_sharp,
+                                retract_idempotent)
 from ldckit.fixtures import load_gadget
-from ldckit.gadget import gadget_from_json, gadget_to_json
-from ldckit.io import matrix_from_json
-from ldckit.model import ModelEnv, split_idempotent
+from ldckit.gadget import Gadget, gadget_from_json, gadget_to_json
+from ldckit.io import matrix_from_json, matrix_to_json
+from ldckit.model import (ModelEnv, evaluate, matrices_equal,
+                          split_idempotent)
 from ldckit.multiset import MultisetBasis
+from ldckit.objects import Atom
+from ldckit.structures import (complementary_from_idempotent,
+                               split_binary_idempotent,
+                               split_linear_comonoid, split_linear_monoid)
+from ldckit.suites import SUITES, SuiteReport, check_suite
 
 ROOT = Path(__file__).resolve().parent.parent
 QUBIT = gadget_to_json(load_gadget("qubit-zx"))
@@ -105,8 +122,233 @@ def test_a_count_returns_or_raises_an_ldc_error(name, value):
         assert isinstance(got[0], type) and issubclass(got[0], LdcError)
 
 
-def test_only_errors_holds_the_count_and_finite_rules():
-    rules = re.compile(r"isinstance\([^()]*\bbool\b|np\.isfinite")
-    found = {path.name: len(rules.findall(path.read_text()))
-             for path in sorted((ROOT / "src" / "ldckit").glob("*.py"))}
-    assert {name: n for name, n in found.items() if n} == {"errors.py": 2}
+
+
+@functools.cache
+def _qubit() -> Gadget:
+    return load_gadget("qubit-zx")
+
+
+@functools.cache
+def _retract() -> dict:
+    """The retract of qubit-zx at degree 2, whose gadget has ub and vb."""
+    return retract_idempotent(_qubit(), 2)
+
+
+def _comonoid() -> tuple[np.ndarray, np.ndarray]:
+    return _qubit().morphism("d"), _qubit().morphism("k")
+
+
+def _monoid() -> tuple[np.ndarray, np.ndarray]:
+    return _qubit().morphism("m"), _qubit().morphism("u")
+
+
+def _idempotents() -> tuple[Gadget, np.ndarray, np.ndarray]:
+    g = _retract()["gadget"]
+    ub, vb = g.morphism("ub"), g.morphism("vb")
+    return g, vb @ ub, ub @ vb
+
+
+def _binary(tol) -> dict:
+    e = _qubit().morphism("u") @ _qubit().morphism("k")
+    g = Gadget("binary_idempotent", dict(_qubit().objects),
+               {"u": e, "v": e}, _qubit().env)
+    return split_binary_idempotent(g, tol)
+
+
+def _basis(n: int = 2, degree: int = 2) -> MultisetBasis:
+    return MultisetBasis([str(i) for i in range(n)], degree)
+
+
+def _evaluate(matrix) -> np.ndarray:
+    env = ModelEnv.make({"A": 2}, generators={"f": matrix})
+    return evaluate(generator("f", [Atom("A")], [Atom("A")]), env)
+
+
+# (name, the call with a wrong shape in one of its places, and the error
+# it raises)
+SHAPES = {
+    "bang_matrix": (lambda: bang_matrix(np.eye(3), _basis(), _basis()),
+                    ShapeMismatch),
+    "bang_matrix vector":
+        (lambda: bang_matrix(np.ones(2), _basis(), _basis()), ShapeMismatch),
+    # an IndexError when f is a vector
+    "lift_flat f": (lambda: lift_flat(_comonoid(), np.array([1., 0.]),
+                                      _basis()), ShapeMismatch),
+    "lift_flat comonoid": (lambda: lift_flat(
+        (np.ones((4, 2)), np.ones((1, 3))), np.eye(2), _basis()),
+        ShapeMismatch),
+    "lift_sharp g": (lambda: lift_sharp(_monoid(), np.array([1., 0.]),
+                                        _basis()), ShapeMismatch),
+    # a ValueError from the reshape
+    "comonoid_residual delta":
+        (lambda: comonoid_residual(np.zeros((4, 3)), np.zeros((1, 2))),
+         ShapeMismatch),
+    "comonoid_residual counit":
+        (lambda: comonoid_residual(np.zeros((4, 2)), np.zeros(2)),
+         ShapeMismatch),
+    "evaluate generator": (lambda: _evaluate(np.eye(3)), ShapeMismatch),
+    "evaluate vector": (lambda: _evaluate(np.ones(4)), ShapeMismatch),
+    "matrices_equal": (lambda: matrices_equal(np.eye(2), np.eye(3)),
+                       ShapeMismatch),
+    "split_idempotent rectangle":
+        (lambda: split_idempotent(np.ones((2, 3))), ShapeMismatch),
+    "split_idempotent vector":
+        (lambda: split_idempotent(np.ones(2)), ShapeMismatch),
+    "split_idempotent scalar":
+        (lambda: split_idempotent(np.float64(1)), ShapeMismatch),
+    "matrix_to_json": (lambda: matrix_to_json(np.ones(3)), SchemaError),
+    "matrix_from_json data": (lambda: matrix_from_json(
+        _matrix(data=[[1, 0, 0], [2, 0, 0]])), SchemaError),
+}
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_a_wrong_shape_raises_its_error(name):
+    call, error = SHAPES[name]
+    with pytest.raises(LdcError) as info:
+        call()
+    assert type(info.value) is error
+
+
+def test_a_nested_list_is_read_as_an_array():
+    # an AttributeError: bang_matrix read f.shape before reading f
+    basis = _basis(2, 3)
+    assert np.array_equal(bang_matrix([[1, 0], [0, 1]], basis, basis),
+                          np.eye(basis.dim))
+
+
+def test_a_comonoid_of_dimension_zero_has_residual_zero():
+    # "zero-size array to reduction operation maximum which has no
+    # identity", from comonoid_residual and so from lift_flat
+    delta, e = np.zeros((0, 0)), np.zeros((1, 0))
+    assert comonoid_residual(delta, e) == 0.0
+    basis = _basis(2, 2)
+    lifted = lift_flat((delta, e), np.zeros((2, 0)), basis)
+    assert lifted.shape == (basis.dim, 0)
+
+
+# (name, the call with a list of labels in one of its places)
+LABEL_CALLS = {
+    "MultisetBasis": lambda v: MultisetBasis(v, 1),
+    "ModelEnv atom": lambda v: ModelEnv(atoms={"A": (2, v)}),
+    "build_exp": lambda v: build_exp(v, 2),
+    "gadget_from_json basis": lambda v: gadget_from_json(
+        QUBIT | {"atoms": {"Q": {"dim": 2, "basis": v}}}),
+}
+# labels that are not strings, a list holding a non-string, missing, a
+# number, and bytes
+LABELS = [[0, 1], ["a", None], None, 2.5, b"ab"]
+
+
+@pytest.mark.parametrize("value", LABELS, ids=repr)
+@pytest.mark.parametrize("name", LABEL_CALLS)
+def test_labels_are_a_list_of_strings(name, value):
+    # MultisetBasis([0, 1], 1).labels(), MultisetBasis(None, 1) and
+    # build_exp([0, 1], 2).basis.labels() raised TypeError
+    if (name, value) == ("gadget_from_json basis", None):
+        # a document without labels takes the default ones
+        LABEL_CALLS[name](value)
+        return
+    with pytest.raises(LdcError):
+        LABEL_CALLS[name](value)
+
+
+def test_labels_are_kept_as_a_tuple():
+    assert MultisetBasis(["a", "b"], 1).base == ("a", "b")
+    assert ModelEnv(atoms={"A": (2, ["a", "b"])}).atoms["A"] == (2, ("a",
+                                                                     "b"))
+    # a string base reads as its labels
+    assert build_exp("ab", 2).basis.base == ("a", "b")
+
+
+@pytest.mark.parametrize("table", [None, [("A", (2, ("0", "1")))], "A"],
+                         ids=repr)
+@pytest.mark.parametrize("call", [lambda t: ModelEnv(atoms=t),
+                                  ModelEnv.make,
+                                  lambda t: ModelEnv(generators=t)],
+                         ids=["ModelEnv atoms", "ModelEnv.make",
+                              "ModelEnv generators"])
+def test_a_table_is_a_mapping(call, table):
+    # AttributeError: ... has no attribute 'items'
+    with pytest.raises(LdcError, match="is a mapping of names to entries"):
+        call(table)
+
+
+@pytest.mark.parametrize("entries", ["abc", [["a"]], None,
+                                     np.array([1, "x"], dtype=object)],
+                         ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda m: Gadget("x", {"A": Atom("Q")}, {"m": m}, _qubit().env),
+    lambda m: ModelEnv(generators={"m": m}),
+    lambda m: ModelEnv().assign("m", m)],
+    ids=["Gadget", "ModelEnv", "assign"])
+def test_matrix_entries_are_numbers(call, entries):
+    # ValueError: complex() arg is a malformed string
+    with pytest.raises(LdcError, match="matrix entries must be numbers"):
+        call(entries)
+
+
+# Every public callable with a `tol` parameter: (name, the call with a
+# tolerance in that place).  A call with 1e-9 returns.
+TOLERANCES = {
+    "SuiteReport": lambda t: SuiteReport("dual", True, t, {}),
+    "check_suite":
+        lambda t: check_suite(_qubit(), SUITES["complementary"], t),
+    "comonad_coassoc_report": lambda t: comonad_coassoc_report(2, 2, t),
+    "complementary_from_idempotent": lambda t: complementary_from_idempotent(
+        _retract()["gadget"], t, splitting=_retract()["splitting"]),
+    "induce_bang_monoid": lambda t: induce_bang_monoid(_qubit(), 2, t),
+    "lift_flat": lambda t: lift_flat(_comonoid(), np.eye(2), _basis(), t),
+    "lift_sharp": lambda t: lift_sharp(_monoid(), np.eye(2), _basis(), t),
+    "matrices_equal": lambda t: matrices_equal(np.eye(2), np.eye(2), t),
+    "retract_idempotent": lambda t: retract_idempotent(_qubit(), 2, t),
+    "split_binary_idempotent": _binary,
+    "split_idempotent": lambda t: split_idempotent(np.eye(2), t),
+    "split_linear_comonoid":
+        lambda t: split_linear_comonoid(*_idempotents(), t),
+    "split_linear_monoid": lambda t: split_linear_monoid(*_idempotents(), t),
+}
+# not a number, negative, infinite, a string, missing, and a bool
+BAD_TOLERANCES = [math.nan, -1, math.inf, "1e-9", None, True]
+
+
+def _takes_tol(obj: object) -> bool:
+    try:
+        return "tol" in inspect.signature(obj).parameters
+    except (TypeError, ValueError):   # not callable, or an error class
+        return False
+
+
+def test_every_public_tolerance_has_an_entry():
+    public = {name for name in ldckit.__all__
+              if _takes_tol(getattr(ldckit, name))}
+    assert public == set(TOLERANCES)
+
+
+@pytest.mark.parametrize("name", TOLERANCES)
+def test_a_good_tolerance_is_taken(name):
+    TOLERANCES[name](1e-9)
+    TOLERANCES[name](np.float64(1e-9))
+
+
+@pytest.mark.parametrize("value", BAD_TOLERANCES, ids=repr)
+@pytest.mark.parametrize("name", TOLERANCES)
+def test_a_bad_tolerance_raises_an_ldc_error(name, value):
+    # retract_idempotent(g, 2, nan) failed the linear-bialgebra suite at
+    # residual 0, check_suite(g, s, -1) failed it with every residual 0, and
+    # matrices_equal(a, b, "x") or lift_flat(..., tol=None) raised TypeError
+    with pytest.raises(LdcError, match="tolerance must be a finite number "
+                                       "of at least 0"):
+        TOLERANCES[name](value)
+
+
+def test_only_errors_holds_the_rules():
+    # an integer test, a finite test, and a refusal by comparing a shape
+    rules = re.compile(
+        r"isinstance\([^()]*\bbool\b|\bisfinite\("
+        r"|\.(?:shape|ndim)\b(?:\[[^\]\n]*\])?\)?\s*(?:[!=]=|[<>]=?)"
+        r"|(?:[!=]=|[<>]=?)\s*[\w.]+\.(?:shape|ndim)\b")
+    found = {path.name for path in (ROOT / "src" / "ldckit").glob("*.py")
+             if rules.search(path.read_text())}
+    assert found == {"errors.py"}

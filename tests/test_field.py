@@ -130,8 +130,10 @@ def real_maps_and_bases(draw):
     values = draw(st.lists(real_entries, min_size=na * nb,
                            max_size=na * nb))
     f = np.array(values).reshape(nb, na)
-    return (f, MultisetBasis(range(na), draw(st.integers(0, 4))),
-            MultisetBasis(range(nb), draw(st.integers(0, 4))))
+    return (f, MultisetBasis([str(i) for i in range(na)],
+                             draw(st.integers(0, 4))),
+            MultisetBasis([str(i) for i in range(nb)],
+                          draw(st.integers(0, 4))))
 
 
 class TestExponentialStaysReal:
