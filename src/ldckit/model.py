@@ -176,13 +176,14 @@ class _Program:
 
 
 def _bind_generator(name: str, rows: int, cols: int, conj: bool):
+    shape = rows, cols
     mismatch = f"generator {name!r}: expected {{want}}, got {{shape}}"
 
     def bind(env: ModelEnv) -> np.ndarray:
         m = env.generators.get(name)
         if m is None:
             raise UnassignedGenerator(name)
-        m = shaped(m, (rows, cols), mismatch)
+        m = shaped(m, shape, mismatch)
         if m.dtype != np.float64:
             # bound without `assign`, so perhaps complex64 or integer
             m = m.astype(complex, copy=False)
