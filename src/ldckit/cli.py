@@ -178,11 +178,24 @@ def _argument(name: str, read: Callable[[str], object], rule: Callable,
     return parse
 
 
+class _Typed(float):
+    """A number read from the command line that shows as the text typed,
+    so a refusal names what the user wrote ("got -1", not "got -1.0")."""
+    def __new__(cls, text: str) -> "_Typed":
+        number = super().__new__(cls, text)
+        number.text = text
+        return number
+
+    def __repr__(self) -> str:
+        return self.text
+
+
 def _common(p: argparse.ArgumentParser, least: int = 0, default=None,
             degree_help: str = "degree bound of the model's exponentials "
                                "(default 3); a gadget with gradings fixes "
                                "its own") -> None:
-    p.add_argument("--tol", type=_argument("tolerance", float, tolerance),
+    # argparse shows the name in "invalid _tolerance value", kept stable
+    p.add_argument("--tol", type=_argument("_tolerance", _Typed, tolerance),
                    default=1e-9)
     p.add_argument("--degree", default=default, help=degree_help,
                    type=_argument("degree", int, count,

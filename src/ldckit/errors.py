@@ -138,13 +138,12 @@ def shaped(value: object, want: tuple, message: str,
     return m
 
 
-def string_labels(value: object, rule: str,
-                  error: type[LdcError] = LdcError) -> tuple[str, ...]:
+def string_labels(value: object, rule: str) -> tuple[str, ...]:
     """`value` as a tuple, if it is a list or tuple of strings; otherwise
-    `error("<rule>, got <value>")`."""
+    `LdcError("<rule>, got <value>")`."""
     if not isinstance(value, (list, tuple)) \
             or not all(isinstance(x, str) for x in value):
-        raise error(f"{rule}, got {value!r}")
+        raise LdcError(f"{rule}, got {value!r}")
     return tuple(value)
 
 

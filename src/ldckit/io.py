@@ -277,7 +277,7 @@ def _pair_entries(data: object, n: int) -> np.ndarray:
         pairs = np.array(data) if data else np.zeros((0, 2))
     except ValueError:  # ragged entries
         raise SchemaError(not_pairs) from None
-    if shaped(pairs, (n, 2), not_pairs, SchemaError).dtype.kind not in "iuf":
+    if pairs.shape != (n, 2) or pairs.dtype.kind not in "iuf":
         raise SchemaError(not_pairs)
     # each row (re, im) of float64 is one complex128
     return np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(n)

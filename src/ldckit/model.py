@@ -49,9 +49,13 @@ class ModelEnv:
         for name, entry in _table(self.atoms, "an atom table").items():
             rule = (f"atom {name!r}: an entry is a dim and a list of string "
                     f"labels")
-            if not isinstance(entry, (tuple, list)) or len(entry) != 2:
-                raise LdcError(f"{rule}, got {entry!r}")
-            dim, labels = _dim(name, entry[0]), string_labels(entry[1], rule)
+            try:
+                if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+                    raise LdcError(rule)
+                labels = string_labels(entry[1], rule)
+            except LdcError:   # the refusal names the whole entry
+                raise LdcError(f"{rule}, got {entry!r}") from None
+            dim = _dim(name, entry[0])
             if len(labels) != dim:
                 raise LdcError(f"atom {name!r}: {dim} basis labels "
                                f"expected, got {len(labels)}")
@@ -407,8 +411,9 @@ def split_idempotent(e: np.ndarray, tol: float = 1e-9) \
     change the gadgets that `ldckit split` writes."""
     tol = tolerance(tol)
     e = np.asarray(e, dtype=complex)
-    n = len(e) if e.ndim else 0   # a 0-d array has no rows, and is refused
-    shaped(e, (n, n), "expected a square matrix, got {shape}")
+    square = "expected a square matrix, got {shape}"
+    shaped(e, (None, None), square)        # a matrix,
+    shaped(e, (len(e), len(e)), square)    # with as many columns as rows
     finite(e)   # a NaN residual would pass the comparison below
     scale = max(1.0, float(np.max(np.abs(e))) if e.size else 0.0)
     residual = float(np.max(np.abs(e @ e - e))) if e.size else 0.0

@@ -468,6 +468,26 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "error: argument --tol:" in err and "Traceback" not in err
 
+    # the refusal names the text typed, as it always has
+    @pytest.mark.parametrize("tol, message", [
+        ("-1", "tolerance must be a finite number of at least 0, got -1"),
+        ("-0.50", "tolerance must be a finite number of at least 0, "
+                  "got -0.50"),
+        ("1e400", "tolerance must be a finite number of at least 0, "
+                  "got 1e400"),
+        ("x", "invalid _tolerance value: 'x'")])
+    def test_tolerance_refusal_names_the_text_typed(self, capsys, tol,
+                                                    message):
+        assert main(["check", "--suite", "linear-monoid", "--gadget", "zn:2",
+                     "--tol", tol]) == 1
+        assert f"error: argument --tol: {message}\n" \
+            in capsys.readouterr().err
+
+    def test_tolerance_is_read_as_a_float(self):
+        args = build_parser().parse_args(
+            ["check", "--suite", "s", "--gadget", "g", "--tol", "0.50"])
+        assert type(args.tol) is float and repr(args.tol) == "0.5"
+
     @pytest.mark.parametrize("cmd, code", [
         (["check", "--suite", "linear-monoid", "--gadget", "zn:2"], 0),
         (["check", "--suite", "dagger-linear-monoid", "--gadget",

@@ -86,6 +86,15 @@ class TestInterp:
         with pytest.raises(LdcError, match=f"atom 'A': .*got "):
             ModelEnv(atoms={"A": entry})
 
+    # labels are judged before the dim, and the refusal names the entry
+    @pytest.mark.parametrize("entry", [(2, (0, 1)), (-1, (0, 1)),
+                                       (2.5, (1,)), [2, ["a", 1]]])
+    def test_constructor_names_the_whole_entry(self, entry):
+        with pytest.raises(LdcError) as info:
+            ModelEnv(atoms={"A": entry})
+        assert str(info.value) == (f"atom 'A': an entry is a dim and a list "
+                                   f"of string labels, got {entry!r}")
+
     def test_constructor_stores_an_int_and_a_tuple(self):
         env = ModelEnv(atoms={"A": [np.int64(2), ["x", "y"]]},
                        degree=np.int64(2))
