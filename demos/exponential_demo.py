@@ -10,7 +10,7 @@ import numpy as np
 
 from ldckit import (build_exp, comonad_coassoc_report,
                     complementary_from_idempotent, load_gadget,
-                    retract_idempotent)
+                    matrices_equal, retract_idempotent)
 
 DEGREE = 3
 
@@ -41,7 +41,7 @@ def main() -> None:
     print(f"split is complementary: "
           f"{'pass' if out['complementary'].passed else 'FAIL'}")
     recovered = out["split"]
-    err = max(float(np.max(np.abs(recovered.morphism(r) - qubit.morphism(r))))
+    err = max(matrices_equal(recovered.morphism(r), qubit.morphism(r))[1]
               for r in recovered.morphisms if r in qubit.morphisms)
     print(f"recovery error vs the original qubit gadget: {err:.3e}")
     print(f"total time: {time.perf_counter() - t0:.2f}s")

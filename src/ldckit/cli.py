@@ -17,6 +17,7 @@ from .exponential import retract_idempotent
 from .fixtures import fixture_names, load_gadget
 from .gadget import Gadget, gadget_to_json
 from .io import parse, serialize
+from .model import matrices_equal
 from .render import render_dot
 from .rewrite import normalize
 from .structures import (complementary_from_idempotent,
@@ -100,11 +101,8 @@ def cmd_split(args) -> int:
     if args.kind == "binary":
         result = split_binary_idempotent(gadget, tol=args.tol)
         alpha, beta = result["alpha"], result["beta"]
-        # initial=0: at rank 0 both products are 0 x 0
-        res = max(float(np.max(np.abs(alpha @ beta - np.eye(len(alpha))),
-                               initial=0.0)),
-                  float(np.max(np.abs(beta @ alpha - np.eye(len(beta))),
-                               initial=0.0)))
+        res = max(matrices_equal(alpha @ beta, np.eye(len(alpha)))[1],
+                  matrices_equal(beta @ alpha, np.eye(len(beta)))[1])
         print(f"rank {alpha.shape[0]}, iso residual {res:.3e}")
         return 0 if res <= args.tol * 10 else 2
     ub = gadget.morphism("ub")
@@ -131,9 +129,9 @@ def cmd_exp_demo(args) -> int:
     induced = result["gadget"]
     eps, flat, sharp, eta = result["splitting"]
     dim = flat.shape[1]
-    r1 = float(np.max(np.abs(eps @ flat - np.eye(dim))))
+    r1 = matrices_equal(eps @ flat, np.eye(dim))[1]
     e_bang = result["e_bang"]
-    r2 = float(np.max(np.abs(e_bang @ e_bang - e_bang)))
+    r2 = matrices_equal(e_bang @ e_bang, e_bang)[1]
     print(f"retraction: flat;eps deviation {r1:.3e}, "
           f"idempotency deviation {r2:.3e}")
 
@@ -151,8 +149,8 @@ def cmd_exp_demo(args) -> int:
             return 2
 
     recovered = out["split"]
-    err = max(float(np.max(np.abs(recovered.morphism(role)
-                                  - gadget.morphism(role))))
+    err = max(matrices_equal(recovered.morphism(role),
+                             gadget.morphism(role))[1]
               for role in recovered.morphisms if role in gadget.morphisms)
     print(f"recovery error {err:.3e}")
     if degenerate and err > args.tol * 10:

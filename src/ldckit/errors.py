@@ -1,7 +1,8 @@
-"""Shared error types, and one rule per kind of argument: a count, a
-finite matrix, a matrix shape, a list of basis labels and a tolerance.
-Each is called where its argument enters the package, and no other module
-refuses a value of these kinds by a check of its own."""
+"""Shared error types, and one rule per kind of argument: a count, an
+array of numbers, a finite matrix, a matrix shape, a list of basis labels
+and a tolerance.  Each is called where its argument enters the package,
+and no other module refuses a value of these kinds by a check of its
+own."""
 from __future__ import annotations
 
 import math
@@ -118,6 +119,21 @@ def count(value: object, rule: str, floor: int = 0,
     return int(value)
 
 
+def numbers(value: object) -> np.ndarray:
+    """`value` read as an array, if it is one or a rectangular nesting of
+    numbers (bools, integers, reals or complex numbers); otherwise
+    `LdcError`.  Only the dtype's kind is tested, in constant time."""
+    try:
+        m = np.asarray(value)
+    except ValueError:   # nested sequences of unequal lengths
+        raise LdcError("matrix rows must be of one length, got a ragged "
+                       "nesting") from None
+    if m.dtype.kind not in "biufc":
+        raise LdcError(f"matrix entries must be numbers, got {m.dtype} "
+                       f"entries")
+    return m
+
+
 def finite(m: np.ndarray, error: type[LdcError] = LdcError) -> np.ndarray:
     """`m`, if none of its entries is NaN or infinite."""
     if not np.isfinite(m).all():
@@ -127,10 +143,11 @@ def finite(m: np.ndarray, error: type[LdcError] = LdcError) -> np.ndarray:
 
 def shaped(value: object, want: tuple, message: str,
            error: type[LdcError] = ShapeMismatch) -> np.ndarray:
-    """`value` read as an array, if its shape matches `want`, a tuple of
-    extents in which None matches any; otherwise `error(message)`, with
-    `{want}` and `{shape}` in it read as `want` and the shape found."""
-    m = np.asarray(value)
+    """`value` read as an array of numbers (`numbers`), if its shape
+    matches `want`, a tuple of extents in which None matches any; otherwise
+    `error(message)`, with `{want}` and `{shape}` in it read as `want` and
+    the shape found."""
+    m = numbers(value)
     if m.shape != want and (m.ndim != len(want) or any(
             w is not None and w != n for w, n in zip(want, m.shape))):
         raise error(message.replace("{want}", str(want))

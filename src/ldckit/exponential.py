@@ -13,7 +13,8 @@ each multiset; the couniversal lift through the comonoid of a base gadget,
 which the retract needs, is one gather per grade over the same peel tables,
 checked against the comonoid-morphism law on Delta's splits, and fails
 loudly when the constraints are inconsistent, making cofreeness an
-executable contract.  The duplication !A -> !!A and the monoidal structure
+executable contract; the comonoid it lifts through is checked by the
+comonoid laws of `suites`, on a gadget of one object.  The duplication !A -> !!A and the monoidal structure
 !A (x) !B -> !(A (x) B) are closed forms (Mellies-Tabareau-Tasson): the
 duplication sends a multiset to every multiset of parts with that union,
 and the monoidal structure, one column index per multiset of pairs through
@@ -39,12 +40,12 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import (LiftFailure, NotAComonoid, ShapeMismatch, check_entries,
-                     count, shaped, tolerance)
+                     count, finite, numbers, shaped, tolerance)
 from .gadget import Gadget
-from .model import ModelEnv, interp
+from .model import ModelEnv, interp, matrices_equal
 from .multiset import MultisetBasis, _multisets, sub_multiset_splits
 from .objects import Atom
-from .suites import _ROLE_SIGNATURES, _require_suite
+from .suites import _COMONOID, _ROLE_SIGNATURES, _require_suite, check_suite
 
 
 # -- structure matrices ----------------------------------------------------
@@ -151,8 +152,8 @@ def bang_matrix(f: np.ndarray, basis_a: MultisetBasis,
     one gather, product and segment sum per grade, over the reals when f
     is real.
     """
-    f = shaped(f, (len(basis_b.base), len(basis_a.base)),
-               "expected {want}, got {shape}")
+    f = finite(shaped(f, (len(basis_b.base), len(basis_a.base)),
+                      "expected {want}, got {shape}"))
     check_entries("!f", basis_b.dim * basis_a.dim)
     f = np.asarray(f, dtype=np.result_type(f, float))
     out = np.zeros((basis_b.dim, basis_a.dim), dtype=f.dtype)
@@ -170,22 +171,18 @@ def bang_matrix(f: np.ndarray, basis_a: MultisetBasis,
 # -- couniversal lifts -----------------------------------------------------
 
 def comonoid_residual(delta_c: np.ndarray, e_c: np.ndarray) -> float:
-    """Worst residual of coassociativity and the two counit laws, for a
-    counit e_c of shape (1, n) and a comultiplication delta_c of shape
-    (n * n, n).  All three are 0 at n = 0."""
+    """Worst residual of the comonoid laws of `suites` (coassociativity
+    and the two counit laws), for a counit e_c of shape (1, n) and a
+    comultiplication delta_c of shape (n * n, n), checked by `check_suite`
+    on a gadget of one object of dimension n.  All three are 0 at n = 0."""
     e_c = shaped(e_c, (1, None), "comonoid counit must be a row, "
                  "got {shape}")
     dim = e_c.shape[1]
-    d3 = shaped(delta_c, (dim * dim, dim), "comonoid comultiplication "
-                "must be {want} to match the counit, got {shape}"
-                ).reshape(dim, dim, dim)
-    left = np.einsum("xyc,pqx->pqyc", d3, d3, optimize=True)
-    right = np.einsum("xyc,pqy->xpqc", d3, d3, optimize=True)
-    lhs = np.einsum("xyc,x->yc", d3, e_c[0])
-    rhs = np.einsum("xyc,y->xc", d3, e_c[0])
-    eye = np.eye(dim)
-    return max(float(np.max(np.abs(x - y), initial=0.0))
-               for x, y in ((left, right), (lhs, eye), (rhs, eye)))
+    delta_c = shaped(delta_c, (dim * dim, dim), "comonoid comultiplication "
+                     "must be {want} to match the counit, got {shape}")
+    comonoid = Gadget("comonoid", {"A": Atom("C")}, {"d": delta_c, "k": e_c},
+                      ModelEnv.make({"C": dim}))
+    return check_suite(comonoid, _COMONOID).worst()
 
 
 def lift_flat(comonoid: tuple[np.ndarray, np.ndarray], f: np.ndarray,
@@ -199,7 +196,8 @@ def lift_flat(comonoid: tuple[np.ndarray, np.ndarray], f: np.ndarray,
     count(target.degree, "a lift needs a target of degree at least 1",
           floor=1)
     size = len(target.base)
-    f = shaped(f, (size, None), "f must land in the base of the target")
+    f = finite(shaped(f, (size, None),
+                      "f must land in the base of the target"))
     dim_c = f.shape[1]
     comonoid_shapes = "comonoid data shapes do not match f"
     delta_c = shaped(comonoid[0], (dim_c * dim_c, dim_c), comonoid_shapes)
@@ -220,8 +218,8 @@ def lift_flat(comonoid: tuple[np.ndarray, np.ndarray], f: np.ndarray,
         block = big[grade.start:grade.stop]
         block[...] = rows[grade.seg]
         counts = np.diff(grade.seg, append=len(grade.elem))
-        worst = max(worst, float(np.max(
-            np.abs(rows - np.repeat(block, counts, axis=0)), initial=0.0)))
+        worst = max(worst, matrices_equal(
+            rows, np.repeat(block, counts, axis=0))[1])
     if worst > tol * float(np.max(np.abs(f), initial=1.0)):
         raise LiftFailure(
             f"degree-wise constraints are inconsistent (residual {worst:.3e})")
@@ -229,10 +227,9 @@ def lift_flat(comonoid: tuple[np.ndarray, np.ndarray], f: np.ndarray,
     # comultiplication cannot produce the term, by construction.  Inside
     # it, Delta . big reads big at the union of each split.
     i1, i2, union = _window_unions(size, target.degree)
-    r = float(np.max(np.abs(big[union]
-                            - _tensor_rows(big[i1], big[i2], delta_c)),
-                     initial=0.0))
-    if r > tol * max(1.0, float(np.max(np.abs(big), initial=0.0))):
+    r = matrices_equal(big[union],
+                       _tensor_rows(big[i1], big[i2], delta_c))[1]
+    if r > tol * float(np.max(np.abs(big), initial=1.0)):
         raise LiftFailure(f"comonoid morphism law fails ({r:.3e})")
     return big
 
@@ -248,7 +245,7 @@ def lift_sharp(monoid: tuple[np.ndarray, np.ndarray], g: np.ndarray,
                target: MultisetBasis, tol: float = 1e-9) -> np.ndarray:
     """Unique monoid morphism ?B -> M with eta;g# = g: the dagger dual of
     lift_flat applied to the daggered data."""
-    mult, unit, g = map(np.asarray, (*monoid, g))
+    mult, unit, g = map(numbers, (*monoid, g))
     flat = lift_flat((mult.conj().T, unit.conj().T), g.conj().T, target,
                      tol=tol)
     return flat.conj().T

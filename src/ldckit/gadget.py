@@ -1,5 +1,6 @@
 """Role-tagged bundles of objects and morphisms instantiating a structure.
-A gadget stores each role in its field (`model.in_field`), decided once."""
+A gadget stores each role in its field (`model.in_field`), decided once,
+and its object and role tables are mappings, its env a `ModelEnv`."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -9,7 +10,7 @@ import numpy as np
 
 from .errors import LdcError, MissingRole, SchemaError, count
 from .io import matrix_from_json, matrix_to_json
-from .model import ModelEnv, _dim, in_field
+from .model import ModelEnv, _dim, _table, in_field
 from .objects import ObjectExpr, type_from_json, type_to_json
 
 
@@ -24,8 +25,11 @@ class Gadget:
     gradings: Optional[dict[str, list[int]]] = None
 
     def __post_init__(self) -> None:
-        self.morphisms = {role: in_field(m)
-                          for role, m in self.morphisms.items()}
+        _table(self.objects, "an object table")
+        self.morphisms = {role: in_field(m) for role, m in
+                          _table(self.morphisms, "a role table").items()}
+        if not isinstance(self.env, ModelEnv):
+            raise LdcError(f"a gadget's env is a ModelEnv, got {self.env!r}")
 
     def object(self, role: str) -> ObjectExpr:
         if role not in self.objects:

@@ -29,8 +29,8 @@ import numpy as np
 from . import plan
 from .circuit import Circuit
 from .errors import (LdcError, NotIdempotent, UnassignedGenerator,
-                     UnboundAtom, check_entries, count, finite, shaped,
-                     string_labels, tolerance)
+                     UnboundAtom, check_entries, count, finite, numbers,
+                     shaped, string_labels, tolerance)
 from .multiset import MultisetBasis
 from .objects import (Atom, Bang, Bot, Dagger, ObjectExpr, Par, Quest,
                       Tensor, Top, factors)
@@ -92,12 +92,9 @@ def _dim(name: str, dim: object) -> int:
 
 def in_field(matrix: np.ndarray) -> np.ndarray:
     """`matrix` as a contiguous float64 array when its imaginary part is
-    all zero, as a complex128 one otherwise; `LdcError` if an entry is not
-    a number (a string or an object), or is NaN or infinite."""
-    m = np.asarray(matrix)
-    if m.dtype.kind not in "biufc":
-        raise LdcError(f"matrix entries must be numbers, got {m.dtype} "
-                       f"entries")
+    all zero, as a complex128 one otherwise; `LdcError` if it is not an
+    array of numbers (`errors.numbers`), or an entry is NaN or infinite."""
+    m = numbers(matrix)
     if m.dtype.kind == "c":
         m = np.asarray(m, dtype=complex)
     finite(m)
@@ -389,7 +386,7 @@ def matrices_equal(a: np.ndarray, b: np.ndarray,
     size (over the complex numbers, a second of half that size); neither
     is written."""
     tol = tolerance(tol)
-    a = np.asarray(a)
+    a = numbers(a)
     b = shaped(b, a.shape, "{want} vs {shape}")
     if not a.size:
         return True, 0.0
@@ -410,13 +407,13 @@ def split_idempotent(e: np.ndarray, tol: float = 1e-9) \
     and r and s are complex128: a real SVD rounds differently, and would
     change the gadgets that `ldckit split` writes."""
     tol = tolerance(tol)
-    e = np.asarray(e, dtype=complex)
+    e = np.asarray(numbers(e), dtype=complex)
     square = "expected a square matrix, got {shape}"
     shaped(e, (None, None), square)        # a matrix,
     shaped(e, (len(e), len(e)), square)    # with as many columns as rows
     finite(e)   # a NaN residual would pass the comparison below
-    scale = max(1.0, float(np.max(np.abs(e))) if e.size else 0.0)
-    residual = float(np.max(np.abs(e @ e - e))) if e.size else 0.0
+    scale = float(np.max(np.abs(e), initial=1.0))
+    residual = matrices_equal(e @ e, e)[1]
     if residual > tol * scale:
         raise NotIdempotent(residual)
     if e.size == 0:

@@ -427,6 +427,12 @@ def _comonoid_laws(obj: str = "A", d: str = "d", k: str = "k",
                                     _reversal({"m": d, "u": k})))
 
 
+# The comonoid laws alone, kept out of `SUITES`: the check of
+# `exponential.comonoid_residual`, on a gadget of one object.
+_COMONOID = EquationSuite("comonoid-laws", "comonoid", ("d", "k"),
+                          _comonoid_laws())
+
+
 # Derived structure on the dual object of a linear monoid (m, u) with left
 # duals (eta_L, eps_L): A -| B and right duals (eta_R, eps_R): B -| A.  Each
 # right-hand map is the mirror image of its left-hand twin.

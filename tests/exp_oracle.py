@@ -41,6 +41,11 @@ their own multisets, and Delta's nonzeros found by a scan of all pairs of
 multisets.  `delta` and `monoidal_structure` lift through this copy.
 `_product_basis` and `_top_basis` are the bases they and the dense forms
 built on every call, kept verbatim.
+
+`comonoid_residual` is the comonoid check as it was before the laws of
+`suites` decided it, kept verbatim: coassociativity and the two counit
+laws as four `np.einsum` contractions of the comultiplication reshaped to
+(n, n, n).  The copy of `lift_flat` here calls it.
 """
 from __future__ import annotations
 
@@ -50,10 +55,11 @@ import itertools
 import numpy as np
 
 from ldckit.errors import LiftFailure, NotAComonoid, ShapeMismatch
+from ldckit.errors import shaped
 from ldckit.exponential import (ExpStructure, _frozen, _Grade, _m_top,
                                 _multiplicity_factorial, build_exp,
-                                comonoid_residual, comult_matrix,
-                                counit_matrix, lifted_cap, lifted_cup)
+                                comult_matrix, counit_matrix, lifted_cap,
+                                lifted_cup)
 from ldckit.gadget import Gadget
 from ldckit.model import ModelEnv, interp
 from ldckit.multiset import (MultisetBasis, distinct_orderings,
@@ -428,6 +434,25 @@ def _window_unions(basis: MultisetBasis) \
                for i2, m2 in enumerate(basis.elements)
                if len(m1) + len(m2) <= basis.degree]
     return tuple(np.array(x, dtype=int) for x in zip(*triples))
+
+
+def comonoid_residual(delta_c: np.ndarray, e_c: np.ndarray) -> float:
+    """Worst residual of coassociativity and the two counit laws, for a
+    counit e_c of shape (1, n) and a comultiplication delta_c of shape
+    (n * n, n).  All three are 0 at n = 0."""
+    e_c = shaped(e_c, (1, None), "comonoid counit must be a row, "
+                 "got {shape}")
+    dim = e_c.shape[1]
+    d3 = shaped(delta_c, (dim * dim, dim), "comonoid comultiplication "
+                "must be {want} to match the counit, got {shape}"
+                ).reshape(dim, dim, dim)
+    left = np.einsum("xyc,pqx->pqyc", d3, d3, optimize=True)
+    right = np.einsum("xyc,pqy->xpqc", d3, d3, optimize=True)
+    lhs = np.einsum("xyc,x->yc", d3, e_c[0])
+    rhs = np.einsum("xyc,y->xc", d3, e_c[0])
+    eye = np.eye(dim)
+    return max(float(np.max(np.abs(x - y), initial=0.0))
+               for x, y in ((left, right), (lhs, eye), (rhs, eye)))
 
 
 def lift_flat(comonoid: tuple[np.ndarray, np.ndarray], f: np.ndarray,

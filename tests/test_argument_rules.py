@@ -289,6 +289,66 @@ def test_matrix_entries_are_numbers(call, entries):
         call(entries)
 
 
+_RAGGED = [[1, 2], [3]]
+_OBJECTS = np.array([[None, 1], [2, 3]], dtype=object)
+_NAN = np.eye(2) * math.nan
+
+# (name, a call with a NaN or infinite matrix, a ragged nesting, entries
+# that are not numbers, or a gadget table that is not a mapping)
+BAD_ARRAYS = {
+    # NaN rows, or NaN: a NaN residual passed `res > tol`
+    "lift_flat NaN comonoid":
+        lambda: lift_flat((_comonoid()[0] * math.nan, _comonoid()[1]),
+                          np.eye(2), _basis()),
+    "comonoid_residual NaN":
+        lambda: comonoid_residual(_comonoid()[0] * math.nan, _comonoid()[1]),
+    "lift_flat NaN f": lambda: lift_flat(_comonoid(), _NAN, _basis()),
+    "lift_sharp NaN monoid":
+        lambda: lift_sharp((_monoid()[0] * math.nan, _monoid()[1]),
+                           np.eye(2), _basis()),
+    "bang_matrix NaN": lambda: bang_matrix(_NAN, _basis(), _basis()),
+    "bang_matrix infinite": lambda: bang_matrix(np.full((2, 2), math.inf),
+                                                _basis(), _basis()),
+    # ValueError: setting an array element with a sequence
+    "matrices_equal ragged": lambda: matrices_equal(_RAGGED, _RAGGED),
+    "Gadget ragged": lambda: Gadget("x", dict(_qubit().objects),
+                                    {"m": _RAGGED}, _qubit().env),
+    "ModelEnv.assign ragged": lambda: ModelEnv().assign("m", _RAGGED),
+    "matrix_to_json ragged": lambda: matrix_to_json(_RAGGED),
+    "comonoid_residual ragged":
+        lambda: comonoid_residual(_RAGGED, _comonoid()[1]),
+    "split_idempotent ragged": lambda: split_idempotent(_RAGGED),
+    "lift_sharp ragged":
+        lambda: lift_sharp((_RAGGED, _monoid()[1]), np.eye(2), _basis()),
+    # UFuncTypeError, TypeError or ValueError, or taken
+    "bang_matrix strings":
+        lambda: bang_matrix([["a", "b"], ["c", "d"]], _basis(), _basis()),
+    "bang_matrix objects": lambda: bang_matrix(_OBJECTS, _basis(), _basis()),
+    "matrices_equal strings": lambda: matrices_equal([["a"]], [["a"]]),
+    "matrices_equal objects": lambda: matrices_equal(_OBJECTS, _OBJECTS),
+    "split_idempotent strings": lambda: split_idempotent([["a"]]),
+    "comonoid_residual strings":
+        lambda: comonoid_residual(_comonoid()[0], [["a", "b"]]),
+    "comonoid_residual objects":
+        lambda: comonoid_residual(_comonoid()[0].astype(object),
+                                  _comonoid()[1]),
+    # AttributeError
+    "Gadget roles None": lambda: Gadget("x", dict(_qubit().objects), None,
+                                        _qubit().env),
+    "Gadget objects list":
+        lambda: Gadget("x", list(_qubit().objects.items()),
+                       dict(_qubit().morphisms), _qubit().env),
+    "Gadget env None": lambda: Gadget("x", dict(_qubit().objects),
+                                      dict(_qubit().morphisms), None),
+}
+
+
+@pytest.mark.parametrize("name", BAD_ARRAYS)
+def test_a_bad_array_or_table_raises_an_ldc_error(name):
+    with pytest.raises(LdcError):
+        BAD_ARRAYS[name]()
+
+
 # Every public callable with a `tol` parameter: (name, the call with a
 # tolerance in that place).  A call with 1e-9 returns.
 TOLERANCES = {

@@ -450,6 +450,69 @@ class TestResourceLimits:
         # the index form stays within reach
         lifted_cup(np.eye(5, dtype=complex).reshape(25, 1), exp, exp)
 
+    def test_comonoid_check(self):
+        # coassociativity holds 110**4 = 146 M entries, which the einsum
+        # form built
+        n = 110
+        with pytest.raises(ResourceLimit,
+                           match="largest contraction intermediate"):
+            comonoid_residual(np.zeros((n * n, n)), np.zeros((1, n)))
+
+
+def _copy_comonoid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The comonoid that copies each of n basis vectors."""
+    d = np.zeros((n * n, n))
+    d[np.arange(n) * (n + 1), np.arange(n)] = 1
+    return d, np.ones((1, n))
+
+
+def _free_comonoid(base: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    exp = build_exp(base, degree, with_duplication=False)
+    return exp.Delta, exp.counit_e
+
+
+# (base, degree) of every free exponential of dimension 1 to 6
+_FREE = [(0, 1), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (4, 1),
+         (2, 2), (1, 5), (5, 1)]
+
+
+class TestComonoidResidual:
+    """The comonoid laws of `suites`, checked by `check_suite`, against the
+    four `np.einsum` contractions that decided them before."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=6),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           field=st.sampled_from([float, complex]),
+           near=st.sampled_from([None, 1e-1, 1e-2]))
+    def test_matches_the_einsum_form(self, n, seed, field, near):
+        # random pairs, or copy comonoids moved by `near`
+        rng = np.random.default_rng(seed)
+
+        def noise(shape):
+            out = rng.standard_normal(shape)
+            if field is complex:
+                out = out + 1j * rng.standard_normal(shape)
+            return out
+
+        if near is None:
+            d, k = noise((n * n, n)), noise((1, n))
+        else:
+            d, k = _copy_comonoid(n)
+            d, k = d + near * noise(d.shape), k + near * noise(k.shape)
+        want = exp_oracle.comonoid_residual(d, k)
+        assert comonoid_residual(d, k) == pytest.approx(want, rel=1e-12,
+                                                        abs=0)
+
+    @pytest.mark.parametrize("comonoid",
+                             [_copy_comonoid(n) for n in range(7)]
+                             + [_free_comonoid(*bd) for bd in _FREE],
+                             ids=[f"copy{n}" for n in range(7)]
+                             + [f"free{b}-{d}" for b, d in _FREE])
+    def test_a_comonoid_has_residual_zero_both_ways(self, comonoid):
+        assert comonoid_residual(*comonoid) == 0.0
+        assert exp_oracle.comonoid_residual(*comonoid) == 0.0
+
 
 class TestLifts:
     def test_lift_of_dereliction_identity_sections_the_counit(self, exp23):

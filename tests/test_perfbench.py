@@ -17,7 +17,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["check", "exp", "validate"])
+@pytest.mark.parametrize("workload",
+                         ["check", "evaluate", "exp", "validate"])
 def test_traced_tiny_run(workload):
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
