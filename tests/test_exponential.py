@@ -471,7 +471,7 @@ def _free_comonoid(base: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return exp.Delta, exp.counit_e
 
 
-# (base, degree) of every free exponential of dimension 1 to 6
+# (base, degree) of free exponentials of each dimension 1 to 6
 _FREE = [(0, 1), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (4, 1),
          (2, 2), (1, 5), (5, 1)]
 
