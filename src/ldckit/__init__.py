@@ -22,8 +22,7 @@ from .structures import (complementary_from_idempotent,
 from .exponential import (ExpStructure, bang_matrix, build_exp,
                           comonad_coassoc_report, comonoid_residual,
                           induce_bang_monoid, lift_flat, lift_sharp,
-                          lifted_cap, lifted_cup, monoidal_structure,
-                          retract_idempotent)
+                          monoidal_structure, retract_idempotent)
 from .multiset import MultisetBasis
 from .fixtures import fixture_names, load_gadget
 from .errors import (CircuitSyntaxError, IllTyped, LiftFailure, MissingRole,

@@ -64,14 +64,14 @@ def cmd_render(args) -> int:
 
 
 def _load(args) -> Gadget:
-    """The gadget named by --gadget.  A graded document fixes its own
-    degree bound; --degree sets the bound of any other (default 3)."""
+    """The gadget named by --gadget.  A document that states its degree
+    bound keeps it; --degree sets the bound of any other (default 3)."""
     if args.degree is None:
         return load_gadget(args.gadget)
     gadget = load_gadget(args.gadget, degree=args.degree)
     if gadget.env.degree != args.degree:
         raise LdcError(f"--degree {args.degree} conflicts with the degree "
-                       f"{gadget.env.degree} of the gadget's gradings")
+                       f"{gadget.env.degree} of the gadget document")
     return gadget
 
 
@@ -190,8 +190,8 @@ class _Typed(float):
 
 def _common(p: argparse.ArgumentParser, least: int = 0, default=None,
             degree_help: str = "degree bound of the model's exponentials "
-                               "(default 3); a gadget with gradings fixes "
-                               "its own") -> None:
+                               "(default 3); a gadget document over an "
+                               "exponential states its own") -> None:
     # argparse shows the name in "invalid _tolerance value", kept stable
     p.add_argument("--tol", type=_argument("_tolerance", _Typed, tolerance),
                    default=1e-9)

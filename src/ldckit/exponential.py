@@ -44,7 +44,7 @@ from .errors import (LiftFailure, NotAComonoid, ShapeMismatch, check_entries,
 from .gadget import Gadget
 from .model import ModelEnv, interp, matrices_equal
 from .multiset import MultisetBasis, _multisets, sub_multiset_splits
-from .objects import Atom
+from .objects import Atom, Bang
 from .suites import _COMONOID, _ROLE_SIGNATURES, _require_suite, check_suite
 
 
@@ -348,28 +348,23 @@ def delta_sparse(m: tuple, degree: int) -> dict:
     return out
 
 
-def bang_apply_sparse(f_col, m: tuple, bound: Optional[int] = None) -> dict:
+def bang_apply_sparse(f_col, m: tuple, bound: int) -> dict:
     """Column of !f at the multiset m, where f_col(x) gives the sparse
-    column of f at a base element x.  It is the product of the columns
-    f(x) for x in m, one factor peeled at a time as in `bang_matrix`, with
-    the monomial k scaled by k!/m! (products of multiplicity factorials).
-
-    With a `bound`, the monomials are multisets of tuples t, and only
-    those of total size sum(len(t)) <= bound are built: a partial product
-    is dropped as soon as its size passes the bound.  Each factor adds a
-    tuple of size >= 0, so the size of a product never falls as factors are
-    multiplied in, and a dropped product could only have ended past the
-    bound.  Every kept monomial is summed over the same terms, in the same
-    order, as without the bound."""
-    limit = math.inf if bound is None else bound
+    column of f at a base element x, on the monomials k (multisets of
+    tuples t) of total size sum(len(t)) <= bound.  It is the product of
+    the columns f(x) for x in m, one factor peeled at a time as in
+    `bang_matrix`, scaled by k!/m! (products of multiplicity factorials).
+    A partial product is dropped as soon as its size passes the bound:
+    each factor adds a size >= 0, so it could only have ended past it, and
+    every kept monomial sums the same terms in the same order as the
+    unbounded product."""
     prod: dict = {(): (0, 1)}
     for x in m:
-        col = [(t, 0 if bound is None else len(t), c)
-               for t, c in f_col(x).items() if c != 0]
+        col = [(t, len(t), c) for t, c in f_col(x).items() if c != 0]
         nxt: dict = {}
         for key, (size, v) in prod.items():
             for t, n, c in col:
-                if size + n > limit:
+                if size + n > bound:
                     continue
                 k = tuple(sorted(key + (t,)))
                 old = nxt.get(k)
@@ -488,8 +483,8 @@ def monoidal_structure(exp_a: ExpStructure, exp_b: ExpStructure) \
 # structure, the cups and caps are lifted as states/costates of the
 # exponential, and the comonoid is the free comultiplication/counit.
 
-def lifted_cup(state: np.ndarray, exp_a: ExpStructure,
-               exp_b: ExpStructure) -> np.ndarray:
+def _lifted_cup(state: np.ndarray, exp_a: ExpStructure,
+                exp_b: ExpStructure) -> np.ndarray:
     """Induced cup T -> !A (x) !B of a cup T -> A (x) B: the functorial
     image of the state, pushed back through the monoidal costructure.  The
     image summed over grades is one entry per multiset of pairs, and the
@@ -501,14 +496,14 @@ def lifted_cup(state: np.ndarray, exp_a: ExpStructure,
     return mon.push((banged @ _m_top(d)).T).T
 
 
-def lifted_cap(costate: np.ndarray, exp_a: ExpStructure,
-               exp_b: ExpStructure) -> np.ndarray:
+def _lifted_cap(costate: np.ndarray, exp_a: ExpStructure,
+                exp_b: ExpStructure) -> np.ndarray:
     """Induced cap !A (x) !B -> _|_ of a cap A (x) B -> _|_, built as the
     dagger of the lifted cup of the daggered costate.  (Pushing the costate
     forward with the functor instead would overcount each multiset by its
     number of distinct orderings and break the snake equations.)"""
     state = np.asarray(costate).conj().reshape(-1, 1)
-    return lifted_cup(state, exp_a, exp_b).conj().T
+    return _lifted_cup(state, exp_a, exp_b).conj().T
 
 
 def induce_bang_monoid(g: Gadget, degree: int = 3,
@@ -518,7 +513,8 @@ def induce_bang_monoid(g: Gadget, degree: int = 3,
     image of the base multiplication composed with the monoidal structure,
     the comonoid is the free one, and all cups and caps are lifted states
     and costates.  When the input also carries comonoid-side cups and caps
-    those are lifted for the comonoid; otherwise the monoid's are reused."""
+    those are lifted for the comonoid; otherwise the monoid's are reused.
+    Its objects are !X and !Y on the input's X and Y, over its atoms."""
     _require_suite(g, "linear-monoid", tol)
     labels_a = interp(g.object("A"), g.env)[1]
     labels_b = interp(g.object("B"), g.env)[1]
@@ -540,17 +536,12 @@ def induce_bang_monoid(g: Gadget, degree: int = 3,
             continue
         mat = g.morphism(role if own_duals else
                          role.replace("tau", "eta").replace("gam", "eps"))
-        morphs[role] = (lifted_cap(mat, *(exp[o] for o in dom)) if dom
-                        else lifted_cup(mat, *(exp[o] for o in cod)))
+        morphs[role] = (_lifted_cap(mat, *(exp[o] for o in dom)) if dom
+                        else _lifted_cup(mat, *(exp[o] for o in cod)))
 
-    atoms = {"bangA": (exp_a.dim, exp_a.basis.labels())}
-    objects = {"A": Atom("bangA"), "B": Atom("bangA")}
-    if not same:
-        atoms["bangB"] = (exp_b.dim, exp_b.basis.labels())
-        objects["B"] = Atom("bangB")
-    env = ModelEnv(atoms=atoms, degree=degree)
-    gradings = {"A": exp_a.basis.degrees(), "B": exp_b.basis.degrees()}
-    return Gadget("linear_bialgebra", objects, morphs, env, gradings)
+    objects = {"A": Bang(g.object("A")), "B": Bang(g.object("B"))}
+    return Gadget("linear_bialgebra", objects, morphs,
+                  ModelEnv(atoms=g.env.atoms, degree=degree))
 
 
 def retract_idempotent(g: Gadget, degree: int = 3,

@@ -1,17 +1,18 @@
 """Role-tagged bundles of objects and morphisms instantiating a structure.
 A gadget stores each role in its field (`model.in_field`), decided once,
-and its object and role tables are mappings, its env a `ModelEnv`."""
+and its object and role tables are mappings of formulas and matrices, its
+env a `ModelEnv`; an exponential is typed by `Bang` or `Quest`."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import LdcError, MissingRole, SchemaError, count
 from .io import matrix_from_json, matrix_to_json
 from .model import ModelEnv, _dim, _table, in_field
-from .objects import ObjectExpr, type_from_json, type_to_json
+from .objects import (Bang, ObjectExpr, Quest, factors, type_from_json,
+                      type_to_json)
 
 
 @dataclass
@@ -20,9 +21,8 @@ class Gadget:
     objects: dict[str, ObjectExpr]
     morphisms: dict[str, np.ndarray]
     env: ModelEnv
-    # Per-basis-vector degrees for truncated objects, keyed by object role;
-    # present only on gadgets living over an exponential space.
-    gradings: Optional[dict[str, list[int]]] = None
+    # None only; kept while the benchmark's inputs pass it, then deleted
+    gradings: None = None
 
     def __post_init__(self) -> None:
         _table(self.objects, "an object table")
@@ -30,6 +30,14 @@ class Gadget:
                           _table(self.morphisms, "a role table").items()}
         if not isinstance(self.env, ModelEnv):
             raise LdcError(f"a gadget's env is a ModelEnv, got {self.env!r}")
+        for role, t in self.objects.items():
+            try:   # a formula at every depth
+                type_to_json(t)
+            except TypeError as exc:
+                raise LdcError(f"object {role!r}: {exc}") from None
+        if self.gradings is not None:
+            raise LdcError("gradings are read from the objects' bang and "
+                           f"quest types, got {self.gradings!r}")
 
     def object(self, role: str) -> ObjectExpr:
         if role not in self.objects:
@@ -46,7 +54,13 @@ class Gadget:
 
     def with_morphisms(self, **extra: np.ndarray) -> "Gadget":
         return Gadget(self.kind, dict(self.objects),
-                      {**self.morphisms, **extra}, self.env, self.gradings)
+                      {**self.morphisms, **extra}, self.env)
+
+
+def _exponential(g: Gadget) -> bool:
+    """Whether an object of `g` has a `Bang` or `Quest` factor."""
+    return any(isinstance(f, (Bang, Quest))
+               for t in g.objects.values() for f in factors(t))
 
 
 def gadget_to_json(g: Gadget) -> dict:
@@ -58,23 +72,25 @@ def gadget_to_json(g: Gadget) -> dict:
         "atoms": {name: {"dim": dim, "basis": list(labels)}
                   for name, (dim, labels) in g.env.atoms.items()},
     }
-    if g.gradings is not None:
-        doc["gradings"] = {role: list(map(int, vec))
-                           for role, vec in g.gradings.items()}
+    if _exponential(g):
+        doc["degree"] = g.env.degree
     return doc
 
 
 def gadget_from_json(doc: object, degree: int = 3) -> Gadget:
     """The gadget of a JSON document.  `degree` bounds the model's
-    exponentials, except in a graded document, whose bound is its top
-    grade."""
+    exponentials, except in a document that states its own `degree`."""
     if not isinstance(doc, dict):
         raise SchemaError("gadget document must be an object")
     for key in ("kind", "objects", "morphisms", "atoms"):
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")
-    for key in ("objects", "morphisms", "atoms", "gradings"):
-        if not isinstance(doc.get(key, {}), dict):
+    if "gradings" in doc:
+        raise SchemaError("'gradings' is no longer read: rebuild the gadget "
+                          "and re-save it with gadget_to_json, which types "
+                          "its objects {\"bang\": ...} with a \"degree\"")
+    for key in ("objects", "morphisms", "atoms"):
+        if not isinstance(doc[key], dict):
             raise SchemaError(f"{key} must be an object")
     for name, spec in doc["atoms"].items():
         if not isinstance(spec, dict) or "dim" not in spec:
@@ -83,18 +99,9 @@ def gadget_from_json(doc: object, degree: int = 3) -> Gadget:
                for role, t in doc["objects"].items()}
     morphisms = {role: matrix_from_json(m)
                  for role, m in doc["morphisms"].items()}
-    gradings = None
-    if "gradings" in doc:
-        gradings = {}
-        for role, vec in doc["gradings"].items():
-            rule = f"grading {role!r} must be a list of nonnegative integers"
-            if not isinstance(vec, list):
-                raise SchemaError(f"{rule}, got {vec!r}")
-            gradings[role] = [count(x, rule, error=SchemaError) for x in vec]
-        # Graded roles live on a degree-truncated exponential, whose
-        # bound is the top grade.
-        degree = max((max(vec, default=0) for vec in gradings.values()),
-                     default=0) or degree
+    if "degree" in doc:
+        degree = count(doc["degree"], "a document's degree is a "
+                       "nonnegative integer", error=SchemaError)
     try:   # the constructor checks the atom table and the degree
         env = ModelEnv(atoms={
             name: (spec["dim"], spec.get("basis")
@@ -102,4 +109,4 @@ def gadget_from_json(doc: object, degree: int = 3) -> Gadget:
             for name, spec in doc["atoms"].items()}, degree=degree)
     except LdcError as exc:
         raise SchemaError(str(exc)) from None
-    return Gadget(str(doc["kind"]), objects, morphisms, env, gradings)
+    return Gadget(str(doc["kind"]), objects, morphisms, env)

@@ -19,6 +19,7 @@ stored as pairs of an int and a tuple of labels.
 """
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import prod
@@ -121,10 +122,16 @@ def interp(t: ObjectExpr, env: ModelEnv) -> tuple[int, tuple[str, ...]]:
     if isinstance(t, Dagger):
         return interp(t.inner, env)
     if isinstance(t, (Bang, Quest)):
-        _, labels = interp(t.inner, env)
-        basis = MultisetBasis(labels, env.degree)
-        return basis.dim, tuple(basis.labels())
+        return _exponential_shape(interp(t.inner, env)[1], env.degree)
     raise TypeError(f"not an object formula: {t!r}")
+
+
+@functools.lru_cache(maxsize=64)
+def _exponential_shape(labels: tuple[str, ...], degree: int
+                 ) -> tuple[int, tuple[str, ...]]:
+    """The multiset basis's dim and labels, once per shape (`_program`)."""
+    basis = MultisetBasis(labels, degree)
+    return basis.dim, tuple(basis.labels())
 
 
 class _Program:

@@ -70,8 +70,7 @@ def monoid_to_actions(g: Gadget, tol: float = 1e-9) -> Gadget:
         "coact_l": evaluate(_coact_left(g), env),
         "coact_r": evaluate(_coact_right(g), env),
     }
-    return Gadget("monoid_actions", dict(g.objects), morphs, g.env,
-                  g.gradings)
+    return Gadget("monoid_actions", dict(g.objects), morphs, g.env)
 
 
 def actions_to_monoid(g: Gadget, tol: float = 1e-9) -> Gadget:
@@ -99,8 +98,7 @@ def actions_to_monoid(g: Gadget, tol: float = 1e-9) -> Gadget:
         "eta_R": eta_r.reshape(nb * na, 1),
         "eps_R": eps_r.reshape(1, na * nb),
     }
-    return Gadget("linear_monoid", dict(g.objects), morphs, g.env,
-                  g.gradings)
+    return Gadget("linear_monoid", dict(g.objects), morphs, g.env)
 
 
 # -- splittings along sectional/retractional idempotents --------------------
@@ -207,7 +205,7 @@ def compact_reflection(g: Gadget, tol: float = 1e-9) -> Gadget:
     else:
         raise MissingRole("m")
     morphs = {new: g.morphism(old).T for old, new in table.items()}
-    return Gadget(kind, dict(g.objects), morphs, g.env, g.gradings)
+    return Gadget(kind, dict(g.objects), morphs, g.env)
 
 
 # -- antipodes --------------------------------------------------------------
@@ -228,7 +226,7 @@ def dagger_of_dual(g: Gadget, tol: float = 1e-9) -> Gadget:
     eta, eps = g.morphism("eta"), g.morphism("eps")
     objects = {"A": g.object("B"), "B": g.object("A")}
     morphs = {"eta": np.conj(eps).T, "eps": np.conj(eta).T}
-    out = Gadget("dual", objects, morphs, g.env, g.gradings)
+    out = Gadget("dual", objects, morphs, g.env)
     _require_suite(out, "dual", tol)
     return out
 
@@ -246,7 +244,7 @@ def tensor_of_duals(g: Gadget, tol: float = 1e-9) -> Gadget:
                "B": Par(g.object("D"), g.object("B"))}
     morphs = {"eta": evaluate(tensor_of_duals_cup(g), env),
               "eps": evaluate(tensor_of_duals_cap(g), env)}
-    out = Gadget("dual", objects, morphs, g.env, g.gradings)
+    out = Gadget("dual", objects, morphs, g.env)
     _require_suite(out, "dual", tol)
     return out
 

@@ -34,11 +34,11 @@ and (cod, B), retractional ones on (cod, A) and (dom, B), B being A's dual.
 The dual and monoid flavour suites are read off the rule; the comonoid
 ones are the monoid ones of the other flavour, flipped.
 
-Graded gadgets (those with a ``gradings`` map from object roles to per-basis
-degree vectors) are compared only on boundary entries whose total degree is
-within the truncation window; an equation's ``margin`` shrinks that window
-further for composites whose intermediate degrees exceed their boundary
-degrees.
+A gadget over an exponential (a `Bang` or `Quest` object) is compared
+only on boundary entries whose total degree, read from the types
+(`_boundary_degrees`), is within the truncation window; an equation's
+``margin`` shrinks that window further for composites whose intermediate
+degrees exceed their boundary degrees.
 """
 from __future__ import annotations
 
@@ -51,9 +51,10 @@ import numpy as np
 from .circuit import (Circuit, dagger, empty, generator, identity, mirror,
                       par, permutation, reverse, seq, substitute)
 from .errors import MissingRole, SuiteFailure, tolerance
-from .gadget import Gadget
+from .gadget import Gadget, _exponential
 from .model import ModelEnv, evaluate, interp, matrices_equal
-from .objects import Bot, Dagger, ObjectExpr, Par, Tensor, Top
+from .multiset import MultisetBasis
+from .objects import Bang, ObjectExpr, Quest, factors
 
 Template = Callable[[Gadget], tuple[Circuit, Circuit]]
 
@@ -123,26 +124,25 @@ def suite_env(g: Gadget, reads: Optional[Collection[str]] = None
     return env
 
 
-def _degree_vector(t: ObjectExpr, env: ModelEnv,
-                   table: dict[ObjectExpr, np.ndarray]) -> np.ndarray:
-    if t in table:
-        return table[t]
-    if isinstance(t, (Top, Bot)):
-        return np.zeros(1, dtype=int)
-    if isinstance(t, (Tensor, Par)):
-        dl = _degree_vector(t.left, env, table)
-        dr = _degree_vector(t.right, env, table)
-        return np.add.outer(dl, dr).reshape(-1)
-    if isinstance(t, Dagger):
-        return _degree_vector(t.inner, env, table)
-    return np.zeros(interp(t, env)[0], dtype=int)
+@functools.lru_cache(maxsize=64)
+def _grades(labels: tuple[str, ...], degree: int) -> np.ndarray:
+    """The multiset size of each basis vector of the exponential."""
+    out = np.array(MultisetBasis(labels, degree).degrees(), dtype=int)
+    out.setflags(write=False)
+    return out
 
 
-def _boundary_degrees(types: Sequence[ObjectExpr], env: ModelEnv,
-                      table: dict[ObjectExpr, np.ndarray]) -> np.ndarray:
+def _boundary_degrees(types: Sequence[ObjectExpr], env: ModelEnv
+                      ) -> np.ndarray:
+    """The grade of each basis vector of the boundary `types`: the sum of
+    its multiset sizes on `Bang` and `Quest` factors, atoms adding 0."""
     out = np.zeros(1, dtype=int)
-    for t in types:
-        out = np.add.outer(out, _degree_vector(t, env, table)).reshape(-1)
+    for f in (f for t in types for f in factors(t)):
+        if isinstance(f, (Bang, Quest)):
+            vec = _grades(interp(f.inner, env)[1], env.degree)
+        else:
+            vec = np.zeros(interp(f, env)[0], dtype=int)
+        out = np.add.outer(out, vec).reshape(-1)
     return out
 
 
@@ -175,20 +175,16 @@ def check_suite(g: Gadget, suite: EquationSuite,
     sides = [_sides(eq, g) for eq in suite.equations]
     env = suite_env(g, frozenset().union(
         *(c.generator_names for pair in sides for c in pair)))
-    gradings = getattr(g, "gradings", None)
-    table = {}
-    if gradings:
-        table = {g.objects[role]: np.asarray(vec, dtype=int)
-                 for role, vec in gradings.items() if role in g.objects}
+    windowed = _exponential(g)
     residuals: dict[str, float] = {}
     passed = True
     for eq, (lhs_c, rhs_c) in zip(suite.equations, sides):
         lhs = evaluate(lhs_c, env)
         rhs = evaluate(rhs_c, env)
-        if table:
+        if windowed:
             limit = env.degree - eq.margin
-            rows = _boundary_degrees(lhs_c.output_types(), env, table)
-            cols = _boundary_degrees(lhs_c.input_types(), env, table)
+            rows = _boundary_degrees(lhs_c.output_types(), env)
+            cols = _boundary_degrees(lhs_c.input_types(), env)
             # entries outside the window count as 0 on both sides, which
             # moves neither the residual nor the scale (maxima of moduli)
             window = np.ix_(rows <= limit, cols <= limit)

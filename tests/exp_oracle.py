@@ -16,10 +16,11 @@ split into an ordered pair of sub-multisets.
 
 `peel_bang_matrix`, `dense_monoidal_structure`, `dense_lifted_cup`,
 `dense_lifted_cap` and `dense_induce_bang_monoid` are the closed forms that
-came next, kept verbatim but for their names: the functor filled grade by
-grade in a Python loop, and the monoidal structure as a dense matrix with
-one 1 per multiset of pairs, through which the induced multiplication and
-the lifted cups are pushed by matrix products.
+came next, kept verbatim but for their names and the typing of the induced
+gadget, which follows the library's (!X over the base atoms): the functor
+filled grade by grade in a Python loop, and the monoidal structure as a
+dense matrix with one 1 per multiset of pairs, through which the induced
+multiplication and the lifted cups are pushed by matrix products.
 
 `lifted_duals` is the induced bialgebra's eight lifted cups and caps as
 they were before one loop over the role signatures read them: each lift
@@ -58,13 +59,13 @@ from ldckit.errors import LiftFailure, NotAComonoid, ShapeMismatch
 from ldckit.errors import shaped
 from ldckit.exponential import (ExpStructure, _frozen, _Grade, _m_top,
                                 _multiplicity_factorial, build_exp,
-                                comult_matrix, counit_matrix, lifted_cap,
-                                lifted_cup)
+                                _lifted_cap, _lifted_cup, comult_matrix,
+                                counit_matrix)
 from ldckit.gadget import Gadget
 from ldckit.model import ModelEnv, interp
 from ldckit.multiset import (MultisetBasis, distinct_orderings,
                              sub_multiset_splits)
-from ldckit.objects import Atom
+from ldckit.objects import Bang
 from ldckit.suites import _require_suite
 
 
@@ -264,31 +265,26 @@ def dense_induce_bang_monoid(g: Gadget, degree: int = 3,
     morphs["tau_R"] = dense_lifted_cup(g.morphism(com[2]), exp_b, exp_a)
     morphs["gam_R"] = dense_lifted_cap(g.morphism(com[3]), exp_a, exp_b)
 
-    atoms = {"bangA": (exp_a.dim, tuple(exp_a.basis.labels()))}
-    objects = {"A": Atom("bangA"), "B": Atom("bangA")}
-    if not same:
-        atoms["bangB"] = (exp_b.dim, tuple(exp_b.basis.labels()))
-        objects["B"] = Atom("bangB")
-    env = ModelEnv(atoms=atoms, degree=degree)
-    gradings = {"A": exp_a.basis.degrees(), "B": exp_b.basis.degrees()}
-    return Gadget("linear_bialgebra", objects, morphs, env, gradings)
+    objects = {"A": Bang(g.object("A")), "B": Bang(g.object("B"))}
+    return Gadget("linear_bialgebra", objects, morphs,
+                  ModelEnv(atoms=g.env.atoms, degree=degree))
 
 
 def lifted_duals(g: Gadget, exp_a: ExpStructure,
                  exp_b: ExpStructure) -> dict[str, np.ndarray]:
     morphs = {
-        "eta_L": lifted_cup(g.morphism("eta_L"), exp_a, exp_b),
-        "eps_L": lifted_cap(g.morphism("eps_L"), exp_b, exp_a),
-        "eta_R": lifted_cup(g.morphism("eta_R"), exp_b, exp_a),
-        "eps_R": lifted_cap(g.morphism("eps_R"), exp_a, exp_b),
+        "eta_L": _lifted_cup(g.morphism("eta_L"), exp_a, exp_b),
+        "eps_L": _lifted_cap(g.morphism("eps_L"), exp_b, exp_a),
+        "eta_R": _lifted_cup(g.morphism("eta_R"), exp_b, exp_a),
+        "eps_R": _lifted_cap(g.morphism("eps_R"), exp_a, exp_b),
     }
     com = (("tau_L", "gam_L", "tau_R", "gam_R")
            if g.has("tau_L", "gam_L", "tau_R", "gam_R")
            else ("eta_L", "eps_L", "eta_R", "eps_R"))
-    morphs["tau_L"] = lifted_cup(g.morphism(com[0]), exp_a, exp_b)
-    morphs["gam_L"] = lifted_cap(g.morphism(com[1]), exp_b, exp_a)
-    morphs["tau_R"] = lifted_cup(g.morphism(com[2]), exp_b, exp_a)
-    morphs["gam_R"] = lifted_cap(g.morphism(com[3]), exp_a, exp_b)
+    morphs["tau_L"] = _lifted_cup(g.morphism(com[0]), exp_a, exp_b)
+    morphs["gam_L"] = _lifted_cap(g.morphism(com[1]), exp_b, exp_a)
+    morphs["tau_R"] = _lifted_cup(g.morphism(com[2]), exp_b, exp_a)
+    morphs["gam_R"] = _lifted_cap(g.morphism(com[3]), exp_a, exp_b)
     return morphs
 
 

@@ -8,7 +8,8 @@ flavour.  The three bodies differ only in the suites and roles they read.
 
 `_require_flavour` is the one splitter's flavour check as it was before one
 leg rule derived it: two probe gadgets of kind dual_idempotent, the second
-with its objects, idempotents and gradings exchanged, checked against the
+with its objects and idempotents exchanged (an exponential's grades are
+read off its objects' types, so they go with them), checked against the
 idempotent suites as first written (`suite_oracle.IDEMPOTENT_SUITES`).
 """
 from __future__ import annotations
@@ -75,18 +76,13 @@ def _check_idempotent_compat(g: Gadget, e_a, e_b, tol, retractional,
     cup, cap = ("eta", "eps") if monoid else ("tau", "gam")
     _require_suite(g.with_morphisms(e=e_a), f"{kind}-{main}", tol)
 
-    swapped = None
-    if g.gradings is not None:
-        swapped = dict(g.gradings)
-        if "A" in swapped and "B" in swapped:
-            swapped["A"], swapped["B"] = swapped["B"], swapped["A"]
     probe_l = Gadget("dual_idempotent", dict(g.objects),
                      {"eta": _mat(g, f"{cup}_L"), "eps": _mat(g, f"{cap}_L"),
-                      "e_a": e_a, "e_b": e_b}, g.env, g.gradings)
+                      "e_a": e_a, "e_b": e_b}, g.env)
     probe_r = Gadget("dual_idempotent",
                      {"A": g.object("B"), "B": g.object("A")},
                      {"eta": _mat(g, f"{cup}_R"), "eps": _mat(g, f"{cap}_R"),
-                      "e_a": e_b, "e_b": e_a}, g.env, swapped)
+                      "e_a": e_b, "e_b": e_a}, g.env)
     if monoid:
         _require_suite(probe_l, f"dual-{main}", tol)
         _require_suite(probe_r, f"dual-{other}", tol)
@@ -160,20 +156,15 @@ def _require_flavour(g: Gadget, side: str, e_a, e_b, tol) -> None:
     # idempotents swapped, is preserved in the opposite flavour.  The
     # comonoid sits on the right of its duals, so its two probes swap.
     cup, cap, _ = _SIDES[side]
-    swapped = None
-    if g.gradings is not None:
-        swapped = dict(g.gradings)
-        if "A" in swapped and "B" in swapped:
-            swapped["A"], swapped["B"] = swapped["B"], swapped["A"]
     probe_l = Gadget("dual_idempotent", dict(g.objects),
                      {"eta": g.morphism(f"{cup}_L"),
                       "eps": g.morphism(f"{cap}_L"),
-                      "e_a": e_a, "e_b": e_b}, g.env, g.gradings)
+                      "e_a": e_a, "e_b": e_b}, g.env)
     probe_r = Gadget("dual_idempotent",
                      {"A": g.object("B"), "B": g.object("A")},
                      {"eta": g.morphism(f"{cup}_R"),
                       "eps": g.morphism(f"{cap}_R"),
-                      "e_a": e_b, "e_b": e_a}, g.env, swapped)
+                      "e_a": e_b, "e_b": e_a}, g.env)
     main, other = ((probe_l, probe_r) if side == "monoid"
                    else (probe_r, probe_l))
     probe = g.with_morphisms(e=e_a)

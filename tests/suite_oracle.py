@@ -15,20 +15,33 @@ The idempotent suites (`IDEMPOTENT_SUITES`) and the sandwich builder
 (`_sandwich`) as they were before one leg rule derived them: each flavour of
 absorption written out behind a `retractional` flag, and the idempotent pair
 e_A = ub;vb, e_B = vb;ub as two builders of its own.
+
+The degree window as it was before it was read from the objects' types
+(`graded_check_suite`): a gadget over an exponential typed its objects as
+opaque atoms, and a separate gradings table, from object role to the
+degree of each basis vector, gave the window.  `atom_typed` turns a gadget
+typed !X back into that form.
 """
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from ldckit.circuit import (Circuit, dagger, empty, generator, identity, par,
                             permutation, seq)
+from ldckit.errors import MissingRole
 from ldckit.gadget import Gadget
-from ldckit.objects import ObjectExpr
+from ldckit.model import ModelEnv, evaluate, interp, matrices_equal
+from ldckit.multiset import MultisetBasis
+from ldckit.objects import (Atom, Bang, Bot, Dagger, ObjectExpr, Par, Tensor,
+                            Top)
 from ldckit.suites import (_COMONOID_LABELS, _LINEAR_BIALGEBRA_ROLES,
                            _MONOID_TO_COMONOID, _ROLE_SIGNATURES, Equation,
-                           EquationSuite, _antipode_tensor, _d_left, _flipped,
-                           _flipped_suite, _idem, _is_dagger, _k_left,
-                           _reversal, _snake_x, _snake_y)
+                           EquationSuite, SuiteReport, _antipode_tensor,
+                           _d_left, _flipped, _flipped_suite, _idem,
+                           _is_dagger, _k_left, _reversal, _sides, _snake_x,
+                           _snake_y, suite_env)
 
 
 # The typed cups and caps that the templates were written with.
@@ -569,3 +582,79 @@ def hand_written() -> dict[tuple[str, str], Equation]:
     }
     return {(suite, eq.label): eq
             for suite, eqs in suites.items() for eq in eqs}
+
+
+# -- the degree window read from a gradings table -----------------------------
+
+def atom_typed(g: Gadget) -> tuple[Gadget, dict[str, list[int]]]:
+    """`g`, whose objects A and B are !X and !Y, typed on the atoms bangA
+    and bangB (one atom when A = B) that hold the exponentials' bases, and
+    the gradings table of its objects."""
+    atoms, objects, gradings = {}, {}, {}
+    for role in ("A", "B"):
+        t = g.object(role)
+        assert isinstance(t, Bang)
+        name = "bangA" if t == g.object("A") else "bangB"
+        labels = interp(t.inner, g.env)[1]
+        basis = MultisetBasis(labels, g.env.degree)
+        atoms[name] = (basis.dim, tuple(basis.labels()))
+        objects[role] = Atom(name)
+        gradings[role] = basis.degrees()
+    env = ModelEnv(atoms=atoms, degree=g.env.degree)
+    return Gadget(g.kind, objects, dict(g.morphisms), env), gradings
+
+
+def _degree_vector(t: ObjectExpr, env: ModelEnv,
+                   table: dict[ObjectExpr, np.ndarray]) -> np.ndarray:
+    if t in table:
+        return table[t]
+    if isinstance(t, (Top, Bot)):
+        return np.zeros(1, dtype=int)
+    if isinstance(t, (Tensor, Par)):
+        dl = _degree_vector(t.left, env, table)
+        dr = _degree_vector(t.right, env, table)
+        return np.add.outer(dl, dr).reshape(-1)
+    if isinstance(t, Dagger):
+        return _degree_vector(t.inner, env, table)
+    return np.zeros(interp(t, env)[0], dtype=int)
+
+
+def _boundary_degrees(types: Sequence[ObjectExpr], env: ModelEnv,
+                      table: dict[ObjectExpr, np.ndarray]) -> np.ndarray:
+    out = np.zeros(1, dtype=int)
+    for t in types:
+        out = np.add.outer(out, _degree_vector(t, env, table)).reshape(-1)
+    return out
+
+
+def graded_check_suite(g: Gadget, suite: EquationSuite,
+                       gradings: dict[str, list[int]],
+                       tol: float = 1e-9) -> SuiteReport:
+    for role in suite.roles:
+        if role not in g.morphisms:
+            raise MissingRole(role)
+    sides = [_sides(eq, g) for eq in suite.equations]
+    env = suite_env(g, frozenset().union(
+        *(c.generator_names for pair in sides for c in pair)))
+    table = {}
+    if gradings:
+        table = {g.objects[role]: np.asarray(vec, dtype=int)
+                 for role, vec in gradings.items() if role in g.objects}
+    residuals: dict[str, float] = {}
+    passed = True
+    for eq, (lhs_c, rhs_c) in zip(suite.equations, sides):
+        lhs = evaluate(lhs_c, env)
+        rhs = evaluate(rhs_c, env)
+        if table:
+            limit = env.degree - eq.margin
+            rows = _boundary_degrees(lhs_c.output_types(), env, table)
+            cols = _boundary_degrees(lhs_c.input_types(), env, table)
+            # entries outside the window count as 0 on both sides, which
+            # moves neither the residual nor the scale (maxima of moduli)
+            window = np.ix_(rows <= limit, cols <= limit)
+            lhs, rhs = lhs[window], rhs[window]
+        ok, residual = matrices_equal(lhs, rhs, tol)
+        residuals[eq.label] = residual
+        passed = passed and ok
+    return SuiteReport(suite=suite.name, passed=passed, tol=tol,
+                      residuals=residuals)

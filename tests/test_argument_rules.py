@@ -32,7 +32,7 @@ from ldckit.io import matrix_from_json, matrix_to_json
 from ldckit.model import (ModelEnv, evaluate, matrices_equal,
                           split_idempotent)
 from ldckit.multiset import MultisetBasis
-from ldckit.objects import Atom
+from ldckit.objects import Atom, Bang
 from ldckit.structures import (complementary_from_idempotent,
                                split_binary_idempotent,
                                split_linear_comonoid, split_linear_monoid)
@@ -74,8 +74,8 @@ CALLS = {
     "load_gadget zn degree": lambda n: load_gadget("zn:3", n),
     "gadget_from_json degree": lambda n: gadget_from_json(QUBIT, n),
     "gadget_from_json dim": lambda n: gadget_from_json(_doc(n)),
-    "gadget_from_json grading":
-        lambda n: gadget_from_json(QUBIT | {"gradings": {"A": [0, n]}}),
+    "gadget_from_json document degree":
+        lambda n: gadget_from_json(QUBIT | {"degree": n}),
     "matrix_from_json rows":
         lambda n: matrix_from_json(_matrix(rows=n, cols=1)),
     "matrix_from_json cols": lambda n: matrix_from_json(_matrix(cols=n)),
@@ -349,6 +349,61 @@ def test_a_bad_array_or_table_raises_an_ldc_error(name):
         BAD_ARRAYS[name]()
 
 
+@functools.cache
+def _induced_doc() -> dict:
+    """The document of the bialgebra qubit-zx induces at degree 2."""
+    return gadget_to_json(induce_bang_monoid(_qubit(), 2))
+
+
+def _with_objects(objects) -> Gadget:
+    return Gadget("x", objects, dict(_qubit().morphisms), _qubit().env)
+
+
+# (name, a call that states an exponential's grades apart from its types,
+# or types a gadget's object by no formula, the error and its message)
+TYPING = {
+    # taken, and check_suite raised AttributeError, ValueError or TypeError
+    "Gadget gradings": (lambda: Gadget(
+        "x", dict(_qubit().objects), dict(_qubit().morphisms), _qubit().env,
+        {"A": [0, 1], "B": [0, 1]}), LdcError,
+        "gradings are read from the objects' bang and quest types, got "
+        "{'A': [0, 1], 'B': [0, 1]}"),
+    "Gadget gradings list": (lambda: Gadget(
+        "x", dict(_qubit().objects), dict(_qubit().morphisms), _qubit().env,
+        gradings=[1, 2]), LdcError, "quest types, got [1, 2]"),
+    # the window was read from the table
+    "document gradings": (lambda: gadget_from_json(
+        _induced_doc() | {"gradings": {"A": [0, 1, 1], "B": [0, 1, 1]}}),
+        SchemaError, "rebuild the gadget and re-save it with "
+        "gadget_to_json"),
+    "document degree -1": (lambda: gadget_from_json(
+        _induced_doc() | {"degree": -1}), SchemaError,
+        "a document's degree is a nonnegative integer, got -1"),
+    "document degree 2.5": (lambda: gadget_from_json(
+        _induced_doc() | {"degree": 2.5}), SchemaError,
+        "a document's degree is a nonnegative integer, got 2.5"),
+    "document degree '2'": (lambda: gadget_from_json(
+        _induced_doc() | {"degree": "2"}), SchemaError,
+        "a document's degree is a nonnegative integer, got '2'"),
+    # taken, and check_suite raised TypeError: not an object formula: 5
+    "Gadget object 5": (lambda: _with_objects({"A": 5, "B": 5}), LdcError,
+                        "object 'A': not an object formula: 5"),
+    "Gadget object name": (lambda: _with_objects({"A": "Q", "B": "Q"}),
+                           LdcError, "object 'A': not an object formula: "
+                           "'Q'"),
+    "Gadget object !5": (lambda: _with_objects({"A": Bang(5)}), LdcError,
+                         "object 'A': not an object formula: 5"),
+}
+
+
+@pytest.mark.parametrize("name", TYPING)
+def test_grades_come_only_from_formulas(name):
+    call, error, message = TYPING[name]
+    with pytest.raises(LdcError, match=re.escape(message)) as info:
+        call()
+    assert type(info.value) is error
+
+
 # Every public callable with a `tol` parameter: (name, the call with a
 # tolerance in that place).  A call with 1e-9 returns.
 TOLERANCES = {
@@ -407,6 +462,18 @@ def test_a_bad_tolerance_raises_an_ldc_error(name, value):
 # refused with the document's message, not the shape of an argument.
 FORMAT_CHECKS = {
     ("io.py", 'if pairs.shape != (n, 2) or pairs.dtype.kind not in "iuf":')}
+
+
+def test_the_window_is_read_only_from_types():
+    # gradings is left only as the Gadget field that refuses any value but
+    # None, and in the reader's refusal of a document that holds them; no
+    # exponential is typed on an opaque atom
+    texts = {path.name: path.read_text()
+             for path in (ROOT / "src" / "ldckit").glob("*.py")}
+    assert {name for name, text in texts.items()
+            if "gradings" in text} == {"gadget.py"}
+    assert not {name for name, text in texts.items()
+                if re.search(r"""Atom\(\s*["']bang""", text)}
 
 
 def test_only_errors_holds_the_rules():

@@ -136,16 +136,17 @@ class TestCheck:
         {"atoms": {"Q": {"dim": True}}},
         {"objects": ["A"]},
         {"morphisms": [1]},
-        {"gradings": [1]},
+        {"degree": [1]},
         {"atoms": {"Q": {"dim": 2, "basis": 5}}},
-        {"gradings": {"A": 5}},
-        {"gradings": {"A": ["a"]}},
+        {"degree": 2.5},
+        {"degree": "2"},
         _matrix_m(data=5),
         _matrix_m(data=[[1]] * 8),
         _matrix_m(data=[["a", "b"]] * 8),
         _matrix_m(rows=-2, cols=-4),
         _matrix_m(rows=2.0),
-        {"gradings": {"A": [0, -1]}},
+        {"degree": -1},
+        {"gradings": {"A": [0, 1, 1, 2], "B": [0, 1]}},
     ])
     def test_malformed_gadget_exits_one(self, tmp_path, capsys, patch):
         doc = json.loads(QUBIT_DOC) | patch
@@ -158,7 +159,7 @@ class TestCheck:
 
     @pytest.fixture
     def induced_doc(self, tmp_path):
-        """A saved degree-2 exponential gadget; its gradings top out at 2."""
+        """A saved degree-2 exponential gadget, which states its degree."""
         from ldckit.exponential import induce_bang_monoid
         from ldckit.fixtures import load_gadget
         from ldckit.gadget import gadget_to_json
@@ -169,7 +170,7 @@ class TestCheck:
 
     def test_saved_induced_gadget_keeps_its_degree(self, induced_doc,
                                                    capsys):
-        # the top grade fixes the degree over the --degree default of 3
+        # the document's degree holds over the --degree default of 3
         assert main(["check", "--suite", "linear-bialgebra",
                      "--gadget", str(induced_doc)]) == 0
         assert capsys.readouterr().out.strip().endswith("pass")
@@ -178,7 +179,7 @@ class TestCheck:
 
     @pytest.mark.parametrize("cmd", [["check", "--suite", "linear-bialgebra"],
                                      ["split", "--kind", "bialgebra"]])
-    def test_degree_conflicting_with_gradings_exits_one(
+    def test_degree_conflicting_with_the_document_exits_one(
             self, induced_doc, capsys, cmd):
         assert main(cmd + ["--gadget", str(induced_doc),
                            "--degree", "4"]) == 1
@@ -186,15 +187,21 @@ class TestCheck:
         assert err.startswith("error: --degree 4 conflicts with the "
                               "degree 2")
 
-    def test_graded_document_bound_is_its_top_grade(self):
+    def test_document_degree_holds_over_the_argument(self):
+        from ldckit.exponential import induce_bang_monoid
         from ldckit.fixtures import load_gadget
         from ldckit.gadget import gadget_from_json, gadget_to_json
-        doc = gadget_to_json(load_gadget("qubit-zx"))
+        qubit = load_gadget("qubit-zx")
+        doc = gadget_to_json(qubit)
+        # a gadget with no exponential object writes no degree
+        assert "degree" not in doc
         assert gadget_from_json(doc, degree=5).env.degree == 5
-        doc["gradings"] = {"A": [0, 1, 1, 2], "B": [0, 1]}
-        assert gadget_from_json(doc, degree=5).env.degree == 2
-        doc["gradings"] = {"A": [0, 0]}
-        assert gadget_from_json(doc, degree=5).env.degree == 5
+        assert gadget_from_json(doc | {"degree": 2}, 5).env.degree == 2
+        assert gadget_from_json(doc | {"degree": 0}, 5).env.degree == 0
+        induced = gadget_to_json(induce_bang_monoid(qubit, 2))
+        assert induced["degree"] == 2
+        assert induced["objects"]["A"] == {"bang": {"atom": "Q"}}
+        assert gadget_from_json(induced, degree=5).env.degree == 2
 
 
 class TestSplit:

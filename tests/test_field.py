@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldckit.exponential import (bang_matrix, build_exp, induce_bang_monoid,
-                                lift_flat, lifted_cap, lifted_cup,
+from ldckit.exponential import (_lifted_cap, _lifted_cup, bang_matrix,
+                                build_exp, induce_bang_monoid, lift_flat,
                                 retract_idempotent)
 from ldckit.fixtures import BUILTIN, fixture_names, load_gadget
 from ldckit.gadget import Gadget
@@ -172,9 +172,9 @@ class TestExponentialStaysReal:
         rng = np.random.default_rng([base_a, base_b, degree])
         state = rng.standard_normal((base_a * base_b, 1))
         for got, want in (
-                (lifted_cup(state, exp_a, exp_b),
+                (_lifted_cup(state, exp_a, exp_b),
                  exp_oracle.dense_lifted_cup(state, exp_a, exp_b)),
-                (lifted_cap(state.T, exp_a, exp_b),
+                (_lifted_cap(state.T, exp_a, exp_b),
                  exp_oracle.dense_lifted_cap(state.T, exp_a, exp_b))):
             assert got.dtype == np.float64 and want.dtype == np.complex128
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -6,13 +6,15 @@ import pytest
 
 from ldckit.circuit import dagger, isomorphic, mirror, reverse
 from ldckit.errors import MissingRole, TypeMismatch
+from ldckit.exponential import induce_bang_monoid, retract_idempotent
 from ldckit.fixtures import fixture_names, load_gadget
 from ldckit.gadget import Gadget
-from ldckit.model import ModelEnv, evaluate
-from ldckit.objects import Atom
+from ldckit.model import ModelEnv, evaluate, interp
+from ldckit.objects import Atom, Bang
 from ldckit import suites
 from ldckit.suites import SUITES, check_suite
 
+import suite_oracle
 from model_oracle import dims_of
 
 TOL = 1e-9
@@ -168,20 +170,59 @@ class TestTemplateCache:
 
 class TestGradedMasking:
     def test_out_of_window_entries_are_ignored(self):
-        """With a grading on the object, equations only constrain entries
-        whose boundary degree stays within the environment's bound."""
-        n = 3
-        eta = np.eye(n, dtype=complex).reshape(n * n, 1)
-        # spoil the snake exactly on the highest-degree basis vector
-        eta_bad = eta.copy()
-        eta_bad[(n - 1) * n + (n - 1), 0] = 0
-        env = ModelEnv.make({"X": n}, degree=1)
-        g = Gadget("dual", {"A": Atom("X"), "B": Atom("X")},
-                   {"eta": eta_bad, "eps": eta.conj().T}, env,
-                   gradings={"A": [0, 1, 2], "B": [0, 1, 2]})
-        assert check_suite(g, SUITES["dual"], TOL).passed
-        ungraded = Gadget("dual", g.objects, g.morphisms, env)
-        assert not check_suite(ungraded, SUITES["dual"], TOL).passed
+        """On objects typed !X, equations only constrain entries whose
+        boundary degree stays within the environment's bound.  A single
+        wire of !X never passes the bound, so the spoiled entry is a cup's,
+        at the pair ([0], [0]) of degree 2 on a two-wire boundary."""
+        env = ModelEnv.make({"X": 2}, degree=1)
+        bang = Bang(Atom("X"))
+        n = interp(bang, env)[0]          # [], [0], [1]
+        cup = np.eye(n).reshape(n * n, 1)
+        spoiled = cup.copy()
+        spoiled[1 * n + 1, 0] = 0
+        morphs = {"eta": cup, "eps": cup.T, "eta2": spoiled, "eps2": cup.T,
+                  "f": np.eye(n), "g": np.eye(n)}
+        roles = ("A", "B", "A2", "B2")
+        g = Gadget("dual_morphism", {r: bang for r in roles}, morphs, env)
+        report = check_suite(g, SUITES["dual-morphism"], TOL)
+        assert report.passed and report.worst() == 0.0
+        # the same matrices on an atom of the same dimension: no window
+        flat = Gadget("dual_morphism", {r: Atom("E") for r in roles},
+                      morphs, ModelEnv.make({"E": n}, degree=1))
+        report = check_suite(flat, SUITES["dual-morphism"], TOL)
+        assert report.residuals == {"cup-morphism": 1.0,
+                                    "cap-morphism": 0.0}
+
+
+def _exponential_gadgets():
+    """The induced and retract gadgets of qubit-zx, zn:3 and zn:4 at
+    degrees 1-3, by name."""
+    for name in ("qubit-zx", "zn:3", "zn:4"):
+        base = load_gadget(name)
+        for degree in (1, 2, 3):
+            yield f"induced-{name}@{degree}", induce_bang_monoid(base, degree)
+            yield (f"retract-{name}@{degree}",
+                   retract_idempotent(base, degree)["gadget"])
+
+
+class TestTypedWindow:
+    def test_the_window_of_the_types_is_the_gradings_window(self):
+        # the window read from the Bang types against the one read from a
+        # gradings table on the same gadget typed on opaque atoms, for
+        # every suite that applies: every residual exactly equal
+        checked = 0
+        for name, g in _exponential_gadgets():
+            assert all(isinstance(t, Bang) for t in g.objects.values())
+            flat, gradings = suite_oracle.atom_typed(g)
+            for suite in SUITES.values():
+                if not g.has(*suite.roles):
+                    continue
+                got = check_suite(g, suite, TOL).to_json()
+                want = suite_oracle.graded_check_suite(flat, suite, gradings,
+                                                       TOL).to_json()
+                assert got == want, (name, suite.name)
+                checked += 1
+        assert checked == 162
 
 
 def _templates():
