@@ -128,7 +128,7 @@ def interp(t: ObjectExpr, env: ModelEnv) -> tuple[int, tuple[str, ...]]:
 
 @functools.lru_cache(maxsize=64)
 def _exponential_shape(labels: tuple[str, ...], degree: int
-                 ) -> tuple[int, tuple[str, ...]]:
+                       ) -> tuple[int, tuple[str, ...]]:
     """The multiset basis's dim and labels, once per shape (`_program`)."""
     basis = MultisetBasis(labels, degree)
     return basis.dim, tuple(basis.labels())
