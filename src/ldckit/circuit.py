@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Container, Mapping, Optional, Sequence
 
-from .errors import IllTyped, TypeMismatch
+from .errors import IllTyped, LdcError, TypeMismatch
 from .objects import ObjectExpr, Tensor, Par, Top, Bot, dagger_of, factors
 
 # The structural node kinds: each one's numbers of inputs and outputs, the
@@ -557,8 +557,12 @@ def permutation(types: Sequence[ObjectExpr],
     Each symmetry exchanges the first adjacent pair still out of order.
     """
     n = len(types)
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {order}")
+    try:
+        bijective = sorted(order) == list(range(n))
+    except TypeError:   # entries that do not compare, such as "a" and 0
+        bijective = False
+    if not bijective:
+        raise LdcError(f"not a permutation of 0..{n - 1}: {order}")
     wires = {fresh_wire(): t for t in types}
     inputs = list(wires)
     # the wire at each position, and the output position it is bound for

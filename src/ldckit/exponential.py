@@ -4,10 +4,10 @@ The space !A has the multisets of basis labels of A of size at most d as
 basis.  The comultiplication has coefficient 1 for every distinct ordered
 pair of sub-multisets; the counit projects onto the empty multiset; the
 dereliction projects onto singletons.  The monad side is given by conjugate
-transposes.  Each structure map is built one way, through integer tables
-compiled once per basis shape (number of base elements, degree) from the
-shape's one multiset enumeration in `multiset`, in bounded LRU caches.
-Delta scatters the splits of each multiset into ordered pairs.  The functor
+transposes.  Each structure map is built one way, through the integer
+tables of its basis's shape (number of base elements, degree), which
+`multiset` builds once per shape (`MultisetBasis.shape`).  Delta scatters
+the splits of each multiset into ordered pairs.  The functor
 !f is one gather, product and segment sum per grade, peeling one factor off
 each multiset; the couniversal lift through the comonoid of a base gadget,
 which the retract needs, is one gather per grade over the same peel tables,
@@ -43,7 +43,8 @@ from .errors import (LiftFailure, NotAComonoid, ShapeMismatch, check_entries,
                      count, finite, numbers, shaped, tolerance)
 from .gadget import Gadget
 from .model import ModelEnv, interp, matrices_equal
-from .multiset import MultisetBasis, _multisets, sub_multiset_splits
+from .multiset import (MultisetBasis, _frozen, _multisets,
+                       sub_multiset_splits)
 from .objects import Atom, Bang
 from .suites import _COMONOID, _ROLE_SIGNATURES, _require_suite, check_suite
 
@@ -52,11 +53,11 @@ from .suites import _COMONOID, _ROLE_SIGNATURES, _require_suite, check_suite
 
 def comult_matrix(basis: MultisetBasis) -> np.ndarray:
     """Delta: !A -> !A (x) !A, coefficient 1 per ordered sub-multiset pair:
-    a one at (m1, m2) and m1 + m2 for each split of `_window_unions`."""
+    a one at (m1, m2) and m1 + m2 for each of the shape's splits."""
     n = basis.dim
     check_entries("Delta", n * n * n)
     out = np.zeros((n * n, n))
-    i1, i2, union = _window_unions(len(basis.base), basis.degree)
+    i1, i2, union = basis.shape.splits
     out[i1 * n + i2, union] = 1
     return out
 
@@ -76,73 +77,6 @@ def dereliction_matrix(basis: MultisetBasis) -> np.ndarray:
     return out
 
 
-# -- compiled basis shapes ---------------------------------------------------
-#
-# The multisets of a basis depend only on its shape (number of base elements,
-# degree), so the index arithmetic of the explicit formulas (Mellies,
-# Tabareau & Tasson, "An explicit formula for the free exponential modality
-# of linear logic", ICALP 2009) is compiled once per shape, from the shape's
-# one enumeration, into integer arrays; the maps are NumPy calls over them.
-
-@dataclass(frozen=True)
-class _Grade:
-    """Index tables of the grade-n slice start:stop of a basis shape.  As
-    the target of !f, row r peels off its first element first[r], leaving
-    rest[r].  As the source, column c sums over its distinct elements: for
-    k in seg[c]:seg[c + 1], element elem[k] and the multiset without it,
-    elem_rest[k].  rest and elem_rest are positions within grade n - 1."""
-    start: int
-    stop: int
-    first: np.ndarray
-    rest: np.ndarray
-    elem: np.ndarray
-    elem_rest: np.ndarray
-    seg: np.ndarray
-
-
-def _frozen(xs) -> np.ndarray:
-    """A read-only index array: the caches hand one copy to every caller."""
-    out = np.array(xs, dtype=np.intp)
-    out.setflags(write=False)
-    return out
-
-
-@functools.lru_cache(maxsize=64)
-def _grades(size: int, degree: int) -> tuple[_Grade, ...]:
-    """The tables of grades 1..degree of the basis of multisets over `size`
-    elements, in `MultisetBasis` order.  Grade n ends at C(size + n, n),
-    the number of multisets of size at most n."""
-    elements, index = _multisets(size, degree)
-    out = []
-    below, start = 0, 1
-    for n in range(1, degree + 1):
-        stop = math.comb(size + n, n)
-        grade = elements[start:stop]
-        elem, elem_rest, seg = [], [], []
-        for m in grade:
-            seg.append(len(elem))
-            for j, a in enumerate(m):
-                if j == 0 or m[j - 1] != a:
-                    elem.append(a)
-                    elem_rest.append(index[m[:j] + m[j + 1:]] - below)
-        out.append(_Grade(start, stop, *map(_frozen, (
-            [m[0] for m in grade], [index[m[1:]] - below for m in grade],
-            elem, elem_rest, seg))))
-        below, start = start, stop
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=64)
-def _window_unions(size: int, degree: int) -> tuple[np.ndarray, ...]:
-    """Index arrays (m1, m2, m1 + m2) over every split of every multiset of
-    the basis shape into an ordered pair of sub-multisets: the nonzero
-    entries of Delta, column by column."""
-    elements, index = _multisets(size, degree)
-    return tuple(map(_frozen, zip(*(
-        (index[m1], index[m2], i) for i, m in enumerate(elements)
-        for m1, m2 in sub_multiset_splits(m)))))
-
-
 def bang_matrix(f: np.ndarray, basis_a: MultisetBasis,
                 basis_b: MultisetBasis) -> np.ndarray:
     """Functorial action !f: !A -> !B of f: A -> B, the symmetric power on
@@ -159,8 +93,7 @@ def bang_matrix(f: np.ndarray, basis_a: MultisetBasis,
     out = np.zeros((basis_b.dim, basis_a.dim), dtype=f.dtype)
     out[0, 0] = 1
     below = out[:1, :1]
-    for rows, cols in zip(_grades(len(basis_b.base), basis_b.degree),
-                          _grades(len(basis_a.base), basis_a.degree)):
+    for rows, cols in zip(basis_b.shape.grades, basis_a.shape.grades):
         terms = f[rows.first][:, cols.elem]
         terms *= below[rows.rest][:, cols.elem_rest]
         below = out[rows.start:rows.stop, cols.start:cols.stop]
@@ -210,7 +143,7 @@ def lift_flat(comonoid: tuple[np.ndarray, np.ndarray], f: np.ndarray,
     big[0] = e_c[0]
     big[1:1 + size] = f
     worst = 0.0
-    grades = _grades(size, target.degree)
+    grades = target.shape.grades
     for prev, grade in zip(grades, grades[1:]):
         rows = _tensor_rows(f[grade.elem],
                             big[prev.start:prev.stop][grade.elem_rest],
@@ -226,7 +159,7 @@ def lift_flat(comonoid: tuple[np.ndarray, np.ndarray], f: np.ndarray,
     # Compare only on the degree window: outside it the truncated
     # comultiplication cannot produce the term, by construction.  Inside
     # it, Delta . big reads big at the union of each split.
-    i1, i2, union = _window_unions(size, target.degree)
+    i1, i2, union = target.shape.splits
     r = matrices_equal(big[union],
                        _tensor_rows(big[i1], big[i2], delta_c))[1]
     if r > tol * float(np.max(np.abs(big), initial=1.0)):
@@ -392,7 +325,7 @@ def comonad_coassoc_report(base_dim: int, degree: int,
     worst = 0.0
     checked = 0
     ok = True
-    for m in _multisets(base_dim, degree)[0]:
+    for m in _multisets(base_dim, degree).elements:
         lhs: dict = {}
         rhs: dict = {}
         for mm, c in delta(m).items():
@@ -441,8 +374,8 @@ class _Monoidal:
 
 @functools.lru_cache(maxsize=64)
 def _monoidal(size_a: int, size_b: int, degree: int) -> _Monoidal:
-    index_a = _multisets(size_a, degree)[1]
-    index_b = _multisets(size_b, degree)[1]
+    index_a = _multisets(size_a, degree).index
+    index_b = _multisets(size_b, degree).index
     prod = MultisetBasis([str(p) for p in range(size_a * size_b)], degree)
     index = _frozen(
         [index_a[tuple(sorted(p // size_b for p in m))] * len(index_b)
@@ -455,11 +388,10 @@ def _monoidal(size_a: int, size_b: int, degree: int) -> _Monoidal:
                      len(index_a) * len(index_b))
 
 
-def _monoidal_of(exp_a: ExpStructure, exp_b: ExpStructure) -> _Monoidal:
-    if exp_a.basis.degree != exp_b.basis.degree:
+def _monoidal_of(basis_a: MultisetBasis, basis_b: MultisetBasis) -> _Monoidal:
+    if basis_a.degree != basis_b.degree:
         raise ShapeMismatch("degree bounds differ")
-    return _monoidal(len(exp_a.basis.base), len(exp_b.basis.base),
-                     exp_a.basis.degree)
+    return _monoidal(len(basis_a.base), len(basis_b.base), basis_a.degree)
 
 
 def monoidal_structure(exp_a: ExpStructure, exp_b: ExpStructure) \
@@ -469,7 +401,7 @@ def monoidal_structure(exp_a: ExpStructure, exp_b: ExpStructure) \
     the column of its two projections: the first and second components of
     its pairs.  The induced structure never builds this matrix; it pushes
     through the index of `_monoidal` instead."""
-    mon = _monoidal_of(exp_a, exp_b)
+    mon = _monoidal_of(exp_a.basis, exp_b.basis)
     check_entries("m_tensor", mon.index.size * mon.cols)
     m_tensor = np.zeros((mon.index.size, mon.cols))
     m_tensor[np.arange(mon.index.size), mon.index] = 1
@@ -483,27 +415,27 @@ def monoidal_structure(exp_a: ExpStructure, exp_b: ExpStructure) \
 # structure, the cups and caps are lifted as states/costates of the
 # exponential, and the comonoid is the free comultiplication/counit.
 
-def _lifted_cup(state: np.ndarray, exp_a: ExpStructure,
-                exp_b: ExpStructure) -> np.ndarray:
+def _lifted_cup(state: np.ndarray, basis_a: MultisetBasis,
+                basis_b: MultisetBasis) -> np.ndarray:
     """Induced cup T -> !A (x) !B of a cup T -> A (x) B: the functorial
     image of the state, pushed back through the monoidal costructure.  The
     image summed over grades is one entry per multiset of pairs, and the
     costructure sums those entries by their projections."""
-    mon = _monoidal_of(exp_a, exp_b)
-    d = exp_a.basis.degree
+    mon = _monoidal_of(basis_a, basis_b)
+    d = basis_a.degree
     banged = bang_matrix(np.asarray(state).reshape(-1, 1),
                          MultisetBasis(["*"], d), mon.prod)
     return mon.push((banged @ _m_top(d)).T).T
 
 
-def _lifted_cap(costate: np.ndarray, exp_a: ExpStructure,
-                exp_b: ExpStructure) -> np.ndarray:
+def _lifted_cap(costate: np.ndarray, basis_a: MultisetBasis,
+                basis_b: MultisetBasis) -> np.ndarray:
     """Induced cap !A (x) !B -> _|_ of a cap A (x) B -> _|_, built as the
     dagger of the lifted cup of the daggered costate.  (Pushing the costate
     forward with the functor instead would overcount each multiset by its
     number of distinct orderings and break the snake equations.)"""
     state = np.asarray(costate).conj().reshape(-1, 1)
-    return _lifted_cup(state, exp_a, exp_b).conj().T
+    return _lifted_cup(state, basis_a, basis_b).conj().T
 
 
 def induce_bang_monoid(g: Gadget, degree: int = 3,
@@ -516,28 +448,25 @@ def induce_bang_monoid(g: Gadget, degree: int = 3,
     those are lifted for the comonoid; otherwise the monoid's are reused.
     Its objects are !X and !Y on the input's X and Y, over its atoms."""
     _require_suite(g, "linear-monoid", tol)
-    labels_a = interp(g.object("A"), g.env)[1]
-    labels_b = interp(g.object("B"), g.env)[1]
-    same = g.object("A") == g.object("B")
-    exp_a = build_exp(list(labels_a), degree, with_duplication=False)
-    exp_b = exp_a if same \
-        else build_exp(list(labels_b), degree, with_duplication=False)
-    mon = _monoidal_of(exp_a, exp_a)
-    m_bang = mon.push(bang_matrix(g.morphism("m"), mon.prod, exp_a.basis))
+    degree = count(degree, "degree must be at least 1", floor=1)
+    bases = {o: MultisetBasis(interp(g.object(o), g.env)[1], degree)
+             for o in "AB"}
+    basis = bases["A"]
+    mon = _monoidal_of(basis, basis)
+    m_bang = mon.push(bang_matrix(g.morphism("m"), mon.prod, basis))
     u_bang = bang_matrix(g.morphism("u"), MultisetBasis(["*"], degree),
-                         exp_a.basis) @ _m_top(degree)
+                         basis) @ _m_top(degree)
     morphs = {"m": m_bang, "u": u_bang,
-              "d": exp_a.Delta, "k": exp_a.counit_e}
+              "d": comult_matrix(basis), "k": counit_matrix(basis)}
     # every other role is a cup, onto (X, Y), or a cap, from (Y, X)
-    exp = {"A": exp_a, "B": exp_b}
     own_duals = g.has("tau_L", "gam_L", "tau_R", "gam_R")
     for role, (dom, cod) in _ROLE_SIGNATURES.items():
         if role in morphs:
             continue
         mat = g.morphism(role if own_duals else
                          role.replace("tau", "eta").replace("gam", "eps"))
-        morphs[role] = (_lifted_cap(mat, *(exp[o] for o in dom)) if dom
-                        else _lifted_cup(mat, *(exp[o] for o in cod)))
+        morphs[role] = (_lifted_cap(mat, *(bases[o] for o in dom)) if dom
+                        else _lifted_cup(mat, *(bases[o] for o in cod)))
 
     objects = {"A": Bang(g.object("A")), "B": Bang(g.object("B"))}
     return Gadget("linear_bialgebra", objects, morphs,
@@ -572,5 +501,4 @@ def retract_idempotent(g: Gadget, degree: int = 3,
         "e_bang": flat @ eps,
         "e_whim": eta @ sharp,
         "splitting": (eps, flat, sharp, eta),   # r, s, r', s'
-        "flat": flat, "sharp": sharp,
     }

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SchemaError
+from .errors import LdcError, SchemaError
 
 
 class ObjectExpr:
@@ -21,8 +21,8 @@ class Atom(ObjectExpr):
     name: str
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("atom name must be nonempty")
+        if not isinstance(self.name, str) or not self.name:
+            raise LdcError(f"bad atom name: {self.name!r}")
 
 
 @dataclass(frozen=True, repr=False)

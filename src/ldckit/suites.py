@@ -53,7 +53,7 @@ from .circuit import (Circuit, dagger, empty, generator, identity, mirror,
 from .errors import MissingRole, SuiteFailure, tolerance
 from .gadget import Gadget, _exponential
 from .model import ModelEnv, evaluate, interp, matrices_equal
-from .multiset import MultisetBasis
+from .multiset import _multisets
 from .objects import Bang, ObjectExpr, Quest, factors
 
 Template = Callable[[Gadget], tuple[Circuit, Circuit]]
@@ -124,24 +124,15 @@ def suite_env(g: Gadget, reads: Optional[Collection[str]] = None
     return env
 
 
-@functools.lru_cache(maxsize=64)
-def _grades(labels: tuple[str, ...], degree: int) -> np.ndarray:
-    """The multiset size of each basis vector of the exponential."""
-    out = np.array(MultisetBasis(labels, degree).degrees(), dtype=int)
-    out.setflags(write=False)
-    return out
-
-
 def _boundary_degrees(types: Sequence[ObjectExpr], env: ModelEnv
                       ) -> np.ndarray:
     """The grade of each basis vector of the boundary `types`: the sum of
     its multiset sizes on `Bang` and `Quest` factors, atoms adding 0."""
     out = np.zeros(1, dtype=int)
     for f in (f for t in types for f in factors(t)):
-        if isinstance(f, (Bang, Quest)):
-            vec = _grades(interp(f.inner, env)[1], env.degree)
-        else:
-            vec = np.zeros(interp(f, env)[0], dtype=int)
+        vec = (_multisets(interp(f.inner, env)[0], env.degree).degrees
+               if isinstance(f, (Bang, Quest))
+               else np.zeros(interp(f, env)[0], dtype=int))
         out = np.add.outer(out, vec).reshape(-1)
     return out
 

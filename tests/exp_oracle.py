@@ -24,7 +24,7 @@ multiplication and the lifted cups are pushed by matrix products.
 
 `lifted_duals` is the induced bialgebra's eight lifted cups and caps as
 they were before one loop over the role signatures read them: each lift
-called by hand with its pair of exponentials.
+called by hand with its pair of bases.
 
 `delta_sparse`, `bang_apply_sparse`, `_fits_degree` and
 `comonad_coassoc_report` are the sparse column calculus as it was before
@@ -57,14 +57,14 @@ import numpy as np
 
 from ldckit.errors import LiftFailure, NotAComonoid, ShapeMismatch
 from ldckit.errors import shaped
-from ldckit.exponential import (ExpStructure, _frozen, _Grade, _m_top,
+from ldckit.exponential import (ExpStructure, _m_top,
                                 _multiplicity_factorial, build_exp,
                                 _lifted_cap, _lifted_cup, comult_matrix,
                                 counit_matrix)
 from ldckit.gadget import Gadget
 from ldckit.model import ModelEnv, interp
-from ldckit.multiset import (MultisetBasis, distinct_orderings,
-                             sub_multiset_splits)
+from ldckit.multiset import (MultisetBasis, _frozen, _Grade,
+                             distinct_orderings, sub_multiset_splits)
 from ldckit.objects import Bang
 from ldckit.suites import _require_suite
 
@@ -270,21 +270,21 @@ def dense_induce_bang_monoid(g: Gadget, degree: int = 3,
                   ModelEnv(atoms=g.env.atoms, degree=degree))
 
 
-def lifted_duals(g: Gadget, exp_a: ExpStructure,
-                 exp_b: ExpStructure) -> dict[str, np.ndarray]:
+def lifted_duals(g: Gadget, basis_a: MultisetBasis,
+                 basis_b: MultisetBasis) -> dict[str, np.ndarray]:
     morphs = {
-        "eta_L": _lifted_cup(g.morphism("eta_L"), exp_a, exp_b),
-        "eps_L": _lifted_cap(g.morphism("eps_L"), exp_b, exp_a),
-        "eta_R": _lifted_cup(g.morphism("eta_R"), exp_b, exp_a),
-        "eps_R": _lifted_cap(g.morphism("eps_R"), exp_a, exp_b),
+        "eta_L": _lifted_cup(g.morphism("eta_L"), basis_a, basis_b),
+        "eps_L": _lifted_cap(g.morphism("eps_L"), basis_b, basis_a),
+        "eta_R": _lifted_cup(g.morphism("eta_R"), basis_b, basis_a),
+        "eps_R": _lifted_cap(g.morphism("eps_R"), basis_a, basis_b),
     }
     com = (("tau_L", "gam_L", "tau_R", "gam_R")
            if g.has("tau_L", "gam_L", "tau_R", "gam_R")
            else ("eta_L", "eps_L", "eta_R", "eps_R"))
-    morphs["tau_L"] = _lifted_cup(g.morphism(com[0]), exp_a, exp_b)
-    morphs["gam_L"] = _lifted_cap(g.morphism(com[1]), exp_b, exp_a)
-    morphs["tau_R"] = _lifted_cup(g.morphism(com[2]), exp_b, exp_a)
-    morphs["gam_R"] = _lifted_cap(g.morphism(com[3]), exp_a, exp_b)
+    morphs["tau_L"] = _lifted_cup(g.morphism(com[0]), basis_a, basis_b)
+    morphs["gam_L"] = _lifted_cap(g.morphism(com[1]), basis_b, basis_a)
+    morphs["tau_R"] = _lifted_cup(g.morphism(com[2]), basis_b, basis_a)
+    morphs["gam_R"] = _lifted_cap(g.morphism(com[3]), basis_a, basis_b)
     return morphs
 
 

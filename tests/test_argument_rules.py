@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import ldckit
-from ldckit.circuit import generator
+from ldckit.circuit import generator, permutation
 from ldckit.errors import LdcError, SchemaError, ShapeMismatch
 from ldckit.exponential import (bang_matrix, build_exp,
                                 comonad_coassoc_report, comonoid_residual,
@@ -32,7 +32,7 @@ from ldckit.io import matrix_from_json, matrix_to_json
 from ldckit.model import (ModelEnv, evaluate, matrices_equal,
                           split_idempotent)
 from ldckit.multiset import MultisetBasis
-from ldckit.objects import Atom, Bang
+from ldckit.objects import Atom, Bang, type_from_json
 from ldckit.structures import (complementary_from_idempotent,
                                split_binary_idempotent,
                                split_linear_comonoid, split_linear_monoid)
@@ -456,6 +456,33 @@ def test_a_bad_tolerance_raises_an_ldc_error(name, value):
     with pytest.raises(LdcError, match="tolerance must be a finite number "
                                        "of at least 0"):
         TOLERANCES[name](value)
+
+
+# Atom("") raised a bare ValueError, and Atom(5) was taken and failed
+# later as UnboundAtom: 5.  A permutation of a repeated or missing index
+# raised a bare ValueError, and one of mixed entries sorted's TypeError.
+BAD_NAMES_AND_ORDERS = {
+    "atom ''": (lambda: Atom(""), "bad atom name: ''"),
+    "atom 5": (lambda: Atom(5), "bad atom name: 5"),
+    **{f"order {order}": (
+        lambda order=order: permutation([Atom("A"), Atom("A")], order),
+        f"not a permutation of 0..1: {order}")
+       for order in ([0, 0], [0], ["a", 0])}}
+
+
+@pytest.mark.parametrize("name", BAD_NAMES_AND_ORDERS)
+def test_a_bad_atom_name_or_order_raises_an_ldc_error(name):
+    call, message = BAD_NAMES_AND_ORDERS[name]
+    with pytest.raises(LdcError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value", ["", 5])
+def test_a_document_keeps_its_own_atom_refusal(value):
+    with pytest.raises(SchemaError) as info:
+        type_from_json({"atom": value})
+    assert str(info.value) == f"bad atom name: {value!r}"
 
 
 # A matrix document's entries are pairs [re, im]: the reader's own format,

@@ -14,7 +14,7 @@ from ldckit.circuit import (Circuit, Node, compose, dagger, dagger_box,
                             generator, identity, isomorphic, mirror, par,
                             permutation, reverse, seq, substitute, swap,
                             tensor_elim, tensor_intro)
-from ldckit.errors import IllTyped, SchemaError, TypeMismatch
+from ldckit.errors import IllTyped, LdcError, SchemaError, TypeMismatch
 from ldckit.io import parse, serialize
 from ldckit.objects import Atom, Bot, Par, Tensor, Top
 
@@ -65,7 +65,7 @@ class TestConstruction:
         assert c.output_types() == (B, A)
 
     def test_permutation_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(LdcError):
             permutation([A, B], [0, 0])
 
     def test_structural_nodes_have_composite_boundary(self):

@@ -172,9 +172,9 @@ class TestExponentialStaysReal:
         rng = np.random.default_rng([base_a, base_b, degree])
         state = rng.standard_normal((base_a * base_b, 1))
         for got, want in (
-                (_lifted_cup(state, exp_a, exp_b),
+                (_lifted_cup(state, exp_a.basis, exp_b.basis),
                  exp_oracle.dense_lifted_cup(state, exp_a, exp_b)),
-                (_lifted_cap(state.T, exp_a, exp_b),
+                (_lifted_cap(state.T, exp_a.basis, exp_b.basis),
                  exp_oracle.dense_lifted_cap(state.T, exp_a, exp_b))):
             assert got.dtype == np.float64 and want.dtype == np.complex128
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)

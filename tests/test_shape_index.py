@@ -2,10 +2,12 @@
 serves every `MultisetBasis` of that shape, the peel tables of
 `bang_matrix`, Delta's nonzeros, the monoidal index and the couniversal
 lift.  Each is tested against its copy in tests/exp_oracle.py, as it was
-when it enumerated its own multisets, and the enumeration is shared,
-read-only and made in `ldckit.multiset` alone."""
+when it enumerated its own multisets, and the enumeration and the tables
+read over it are one shared, read-only `_Shape` made in `ldckit.multiset`
+alone."""
 from __future__ import annotations
 
+import ast
 import dataclasses
 import itertools
 import re
@@ -14,14 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ldckit import exponential, multiset
+from ldckit import exponential, model, multiset
 from ldckit.cli import main
 from ldckit.errors import LdcError, LiftFailure, NotAComonoid, ShapeMismatch
-from ldckit.exponential import (_grades, _window_unions, build_exp,
-                                comonad_coassoc_report, comult_matrix,
-                                lift_flat, lift_sharp)
+from ldckit.exponential import (build_exp, comonad_coassoc_report,
+                                comult_matrix, lift_flat, lift_sharp)
 from ldckit.fixtures import load_gadget
-from ldckit.multiset import MultisetBasis
+from ldckit.multiset import MultisetBasis, _multisets
 
 import exp_oracle
 
@@ -142,7 +143,8 @@ class TestLiftFlat:
 class TestTablesAgainstTheParent:
     @pytest.mark.parametrize("size, degree", SHAPES)
     def test_grades(self, size, degree):
-        got, want = _grades(size, degree), exp_oracle._grades(size, degree)
+        got = _multisets(size, degree).grades
+        want = exp_oracle._grades(size, degree)
         assert len(got) == len(want) == degree
         for g, w in zip(got, want):
             for field in dataclasses.fields(g):
@@ -152,7 +154,8 @@ class TestTablesAgainstTheParent:
 
     @pytest.mark.parametrize("size, degree", SHAPES)
     def test_window_unions_hold_the_same_triples(self, size, degree):
-        got = list(zip(*(x.tolist() for x in _window_unions(size, degree))))
+        got = list(zip(*(x.tolist()
+                         for x in _multisets(size, degree).splits)))
         want = exp_oracle._window_unions(_basis(size, degree))
         assert len(set(got)) == len(got)
         assert set(got) == set(zip(*(x.tolist() for x in want)))
@@ -183,6 +186,23 @@ class TestSharedEnumeration:
             basis.index[(0, 0, 0)] = 6
         assert len(other.elements) == len(other.index) == other.dim == 6
 
+    def test_bases_of_one_shape_share_one_shape_and_its_tables(self):
+        basis = MultisetBasis(["0", "1"], 3)
+        other = MultisetBasis(["x", "y"], 3)
+        assert other.shape is basis.shape is _multisets(2, 3)
+        assert (basis.shape.letters, basis.shape.degree) == (2, 3)
+        for table in ("degrees", "grades", "splits"):
+            assert getattr(other.shape, table) \
+                is getattr(basis.shape, table), table
+        assert basis.degrees() == other.degrees() == [0, 1, 1, 2, 2, 2,
+                                                      3, 3, 3, 3]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            basis.shape.elements = ()
+        arrays = [basis.shape.degrees, *basis.shape.splits, *(
+            getattr(g, f.name) for g in basis.shape.grades
+            for f in dataclasses.fields(g) if f.name not in ("start", "stop"))]
+        assert all(not a.flags.writeable for a in arrays)
+
     def test_only_multiset_enumerates_multisets(self):
         calls = {path.name: path.read_text().count(
                      "combinations_with_replacement")
@@ -190,14 +210,43 @@ class TestSharedEnumeration:
         assert {name: n for name, n in calls.items() if n} \
             == {"multiset.py": 1}
 
+    def test_three_caches_and_no_other(self):
+        # the tables of one basis shape are the `_Shape`'s own; a second
+        # cache of them, or of anything else, is a new entry here
+        named, mentions = set(), 0
+        for path in sorted((ROOT / "src" / "ldckit").glob("*.py")):
+            text = path.read_text()
+            mentions += text.count("lru_cache")
+            named |= {(path.name, node.name)
+                      for node in ast.walk(ast.parse(text))
+                      if isinstance(node, ast.FunctionDef)
+                      for dec in node.decorator_list
+                      if "lru_cache" in ast.unparse(dec)}
+        assert named == {("multiset.py", "_enumerated"),
+                         ("model.py", "_exponential_shape"),
+                         ("exponential.py", "_monoidal")}
+        assert mentions == 3
+
     def test_a_second_demo_builds_no_table_again(self, capsys):
         argv = ["exp", "demo", "--gadget", "qubit-zx", "--degree", "2"]
-        caches = (multiset._enumerated, exponential._grades,
-                  exponential._window_unions, exponential._monoidal)
+        caches = (multiset._enumerated, model._exponential_shape,
+                  exponential._monoidal)
         assert main(argv) == 0
         misses = [cache.cache_info().misses for cache in caches]
+        # the base's shape, the product basis's for the monoidal index,
+        # and the unit's, which the lifted cups read
+        shapes = [_multisets(n, 2) for n in (2, 4, 1)]
+        tables = [[vars(shape).get(t) for t in ("degrees", "grades",
+                                                "splits")]
+                  for shape in shapes]
+        assert all(t is not None for t in tables[0])
         assert main(argv) == 0
         assert [cache.cache_info().misses for cache in caches] == misses
+        assert all(_multisets(n, 2) is shape
+                   for n, shape in zip((2, 4, 1), shapes))
+        for shape, before in zip(shapes, tables):
+            for table, got in zip(("degrees", "grades", "splits"), before):
+                assert vars(shape).get(table) is got, table
         capsys.readouterr()
 
 
