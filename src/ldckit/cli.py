@@ -15,7 +15,7 @@ import numpy as np
 from .errors import LdcError, SuiteFailure, count, shaped, tolerance
 from .exponential import retract_idempotent
 from .fixtures import fixture_names, load_gadget
-from .gadget import Gadget, gadget_to_json
+from .gadget import gadget_to_json
 from .io import parse, serialize
 from .model import matrices_equal
 from .render import render_dot
@@ -63,24 +63,12 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _load(args) -> Gadget:
-    """The gadget named by --gadget.  A document that states its degree
-    bound keeps it; --degree sets the bound of any other (default 3)."""
-    if args.degree is None:
-        return load_gadget(args.gadget)
-    gadget = load_gadget(args.gadget, degree=args.degree)
-    if gadget.env.degree != args.degree:
-        raise LdcError(f"--degree {args.degree} conflicts with the degree "
-                       f"{gadget.env.degree} of the gadget document")
-    return gadget
-
-
 def cmd_check(args) -> int:
     if args.suite not in SUITES:
         print(f"unknown suite {args.suite!r}; available: "
               f"{', '.join(sorted(SUITES))}", file=sys.stderr)
         return 1
-    gadget = _load(args)
+    gadget = load_gadget(args.gadget)
     report = check_suite(gadget, SUITES[args.suite], tol=args.tol)
     _write_report(report, args.report)
     for label, residual in report.residuals.items():
@@ -97,7 +85,7 @@ _SPLITTERS = {
 
 
 def cmd_split(args) -> int:
-    gadget = _load(args)
+    gadget = load_gadget(args.gadget)
     if args.kind == "binary":
         result = split_binary_idempotent(gadget, tol=args.tol)
         alpha, beta = result["alpha"], result["beta"]
@@ -115,7 +103,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_exp_demo(args) -> int:
-    gadget = load_gadget(args.gadget, degree=args.degree)
+    gadget = load_gadget(args.gadget)
     comp = check_suite(gadget, SUITES["complementary"], tol=args.tol)
     print(f"complementary (input): worst residual {comp.worst():.3e}")
     if not comp.passed:
@@ -188,16 +176,11 @@ class _Typed(float):
         return self.text
 
 
-def _common(p: argparse.ArgumentParser, least: int = 0, default=None,
-            degree_help: str = "degree bound of the model's exponentials "
-                               "(default 3); a gadget document over an "
-                               "exponential states its own") -> None:
+def _common(p: argparse.ArgumentParser) -> None:
+    """--tol; a gadget states its own degree bound (`gadget_from_json`)."""
     # argparse shows the name in "invalid _tolerance value", kept stable
     p.add_argument("--tol", type=_argument("_tolerance", _Typed, tolerance),
                    default=1e-9)
-    p.add_argument("--degree", default=default, help=degree_help,
-                   type=_argument("degree", int, count,
-                                  f"degree must be at least {least}", least))
 
 
 @functools.cache
@@ -242,9 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     pd = esub.add_parser("demo", help="lift, retract, and re-split a "
                                       "complementary system")
     pd.add_argument("--gadget", required=True)
-    _common(pd, least=1, default=3,
-            degree_help="degree bound of the exponential to build "
-                        "(default 3)")
+    _common(pd)
+    pd.add_argument("--degree", default=3,
+                    help="degree bound of the exponential to build "
+                         "(default 3)",
+                    type=_argument("degree", int, count,
+                                   "degree must be at least 1", 1))
     pd.set_defaults(func=cmd_exp_demo)
 
     p = sub.add_parser("examples", help="list built-in gadgets")

@@ -39,9 +39,10 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (LiftFailure, NotAComonoid, ShapeMismatch, check_entries,
-                     count, finite, numbers, shaped, tolerance)
-from .gadget import Gadget
+from .errors import (LdcError, LiftFailure, NotAComonoid, ShapeMismatch,
+                     check_entries, count, finite, numbers, shaped,
+                     tolerance)
+from .gadget import Gadget, _exponential
 from .model import ModelEnv, interp, matrices_equal
 from .multiset import (MultisetBasis, _frozen, _multisets,
                        sub_multiset_splits)
@@ -446,9 +447,15 @@ def induce_bang_monoid(g: Gadget, degree: int = 3,
     the comonoid is the free one, and all cups and caps are lifted states
     and costates.  When the input also carries comonoid-side cups and caps
     those are lifted for the comonoid; otherwise the monoid's are reused.
-    Its objects are !X and !Y on the input's X and Y, over its atoms."""
-    _require_suite(g, "linear-monoid", tol)
+    Its objects are !X and !Y on the input's X and Y, over its atoms.  An
+    input over an exponential is induced at its own degree: the model
+    holds one bound for both levels of !!X."""
     degree = count(degree, "degree must be at least 1", floor=1)
+    if _exponential(g.objects) and degree != g.env.degree:
+        raise LdcError(f"induction at degree {degree} of a gadget over a "
+                       f"degree-{g.env.degree} exponential: the model holds "
+                       f"one degree bound, so induce it at {g.env.degree}")
+    _require_suite(g, "linear-monoid", tol)
     bases = {o: MultisetBasis(interp(g.object(o), g.env)[1], degree)
              for o in "AB"}
     basis = bases["A"]

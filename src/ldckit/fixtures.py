@@ -5,6 +5,7 @@ The three algebra examples (weil, quad4, quad4-flip) come with canonical
 basis cups as their derived dual witnesses: the multiplication tables turn
 out to satisfy the dagger-dual equations (or fail them, for quad4-flip)
 with this choice already, so no twisted pairing is needed.
+No built-in has an exponential object, so none takes a degree bound.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from .objects import Atom
 
 def _algebra_gadget(name: str, labels: list[str],
                     mult: dict[tuple[int, int], dict[int, complex]],
-                    unit_idx: int, degree: int) -> Gadget:
+                    unit_idx: int) -> Gadget:
     """Linear monoid from a multiplication table, with canonical-basis
     cups/caps as the dual witness and the identity as the candidate
     coincidence isomorphism."""
@@ -36,17 +37,17 @@ def _algebra_gadget(name: str, labels: list[str],
     eps = np.eye(n).reshape(1, n * n)
     eta = eps.T
     A = Atom(name)
-    env = ModelEnv(atoms={name: (n, labels)}, degree=degree)
+    env = ModelEnv(atoms={name: (n, labels)})
     morphs = {"m": m, "u": u, "alpha": np.eye(n),
               "eta_L": eta, "eps_L": eps, "eta_R": eta, "eps_R": eps}
     return Gadget("linear_monoid", {"A": A, "B": A}, morphs, env)
 
 
-def weil(degree: int = 3) -> Gadget:
+def weil() -> Gadget:
     """Dual numbers C[x]/(x^2): commutative, passes the dagger linear
     monoid suite, fails the Frobenius coincidence suite."""
     mult = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {}}
-    return _algebra_gadget("W", ["1", "x"], mult, 0, degree)
+    return _algebra_gadget("W", ["1", "x"], mult, 0)
 
 
 def _quad_mult(flip: bool) -> dict:
@@ -62,33 +63,30 @@ def _quad_mult(flip: bool) -> dict:
     return mult
 
 
-def quad4(degree: int = 3) -> Gadget:
+def quad4() -> Gadget:
     """C<x,y,z> with x^2=y^2=z^2=0, xy=iz, yx=-iz, xz=zx=yz=zy=0:
     non-commutative, passes the dagger linear monoid suite, fails the
     Frobenius coincidence suite."""
-    return _algebra_gadget("Q", ["1", "x", "y", "z"], _quad_mult(False), 0,
-                           degree)
+    return _algebra_gadget("Q", ["1", "x", "y", "z"], _quad_mult(False), 0)
 
 
-def quad4_flip(degree: int = 3) -> Gadget:
+def quad4_flip() -> Gadget:
     """The xy=-iz variant of quad4: still a linear monoid, but the
     dagger linear monoid suite fails (comult-is-mult-dagger)."""
-    return _algebra_gadget("Qf", ["1", "x", "y", "z"], _quad_mult(True), 0,
-                           degree)
+    return _algebra_gadget("Qf", ["1", "x", "y", "z"], _quad_mult(True), 0)
 
 
-def qubit_zx(degree: int = 3) -> Gadget:
+def qubit_zx() -> Gadget:
     """Self-linear bialgebra on the qubit: parity (XOR) monoid with the
     computational-basis copy/delete comonoid and canonical-basis duals.
     Passes the complementary and Hopf suites; the coincidence
     isomorphism is the identity.  It is `cyclic_group(2)` on the atom Q."""
     Q = Atom("Q")
     return Gadget("linear_bialgebra", {"A": Q, "B": Q},
-                  cyclic_group(2).morphisms,
-                  ModelEnv.make({"Q": 2}, degree=degree))
+                  cyclic_group(2).morphisms, ModelEnv.make({"Q": 2}))
 
 
-def cyclic_group(n: int, degree: int = 3) -> Gadget:
+def cyclic_group(n: int) -> Gadget:
     """Group algebra of Z_n with the copy/delete comonoid and canonical-basis
     duals: qubit-zx generalised from n = 2.  The Fourier transform on Z_n
     exchanges the two structures (Coecke & Duncan, "Interacting quantum
@@ -110,8 +108,8 @@ def cyclic_group(n: int, degree: int = 3) -> Gadget:
     for r in ("eps_L", "eps_R", "gam_L", "gam_R"):
         morphs[r] = cup.T
     atom = Atom(f"Z{n}")
-    env = ModelEnv.make({atom.name: n}, degree=degree)
-    return Gadget("linear_bialgebra", {"A": atom, "B": atom}, morphs, env)
+    return Gadget("linear_bialgebra", {"A": atom, "B": atom}, morphs,
+                  ModelEnv.make({atom.name: n}))
 
 
 def _cyclic_order(name: str) -> int:
@@ -141,17 +139,16 @@ def fixture_names() -> list[str]:
     return sorted(BUILTIN)
 
 
-def load_gadget(name_or_path: str, degree: int = 3) -> Gadget:
+def load_gadget(name_or_path: str) -> Gadget:
     """Load a gadget by built-in name, as `zn:<n>` for the Z_n group
-    algebra, or from a JSON file path.  `degree` bounds the model's
-    exponentials, as in `gadget_from_json`."""
+    algebra, or from a JSON file path.  A document over an exponential
+    states its degree bound (`gadget_from_json`)."""
     if name_or_path.startswith("zn:"):
-        return cyclic_group(_cyclic_order(name_or_path), degree)
+        return cyclic_group(_cyclic_order(name_or_path))
     if name_or_path in BUILTIN:
-        return BUILTIN[name_or_path](degree)
+        return BUILTIN[name_or_path]()
     path = Path(name_or_path)
     if not path.exists():
         raise SchemaError(f"no such gadget or fixture: {name_or_path}")
-    return _read_document(path.read_bytes(),
-                          lambda doc: gadget_from_json(doc, degree),
-                          SchemaError, "gadget document")
+    return _read_document(path.read_bytes(), gadget_from_json, SchemaError,
+                          "gadget document")

@@ -5,6 +5,7 @@ env a `ModelEnv`; an exponential is typed by `Bang` or `Quest`."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -57,10 +58,10 @@ class Gadget:
                       {**self.morphisms, **extra}, self.env)
 
 
-def _exponential(g: Gadget) -> bool:
-    """Whether an object of `g` has a `Bang` or `Quest` factor."""
+def _exponential(objects: Mapping[str, ObjectExpr]) -> bool:
+    """Whether an object of the table has a `Bang` or `Quest` factor."""
     return any(isinstance(f, (Bang, Quest))
-               for t in g.objects.values() for f in factors(t))
+               for t in objects.values() for f in factors(t))
 
 
 def gadget_to_json(g: Gadget) -> dict:
@@ -72,14 +73,15 @@ def gadget_to_json(g: Gadget) -> dict:
         "atoms": {name: {"dim": dim, "basis": list(labels)}
                   for name, (dim, labels) in g.env.atoms.items()},
     }
-    if _exponential(g):
+    if _exponential(g.objects):
         doc["degree"] = g.env.degree
     return doc
 
 
-def gadget_from_json(doc: object, degree: int = 3) -> Gadget:
-    """The gadget of a JSON document.  `degree` bounds the model's
-    exponentials, except in a document that states its own `degree`."""
+def gadget_from_json(doc: object) -> Gadget:
+    """The gadget of a JSON document.  A document over an exponential (a
+    `bang` or `quest` object) states its `degree`, the bound of the
+    multiset bases; any other may state one."""
     if not isinstance(doc, dict):
         raise SchemaError("gadget document must be an object")
     for key in ("kind", "objects", "morphisms", "atoms"):
@@ -99,10 +101,13 @@ def gadget_from_json(doc: object, degree: int = 3) -> Gadget:
                for role, t in doc["objects"].items()}
     morphisms = {role: matrix_from_json(m)
                  for role, m in doc["morphisms"].items()}
-    if "degree" in doc:
-        degree = count(doc["degree"], "a document's degree is a "
-                       "nonnegative integer", error=SchemaError)
-    try:   # the constructor checks the atom table and the degree
+    if "degree" not in doc and _exponential(objects):
+        raise SchemaError("a gadget document over an exponential must "
+                          "state its 'degree', the bound of its multiset "
+                          "bases")
+    degree = count(doc.get("degree", ModelEnv.degree), "a document's degree "
+                   "is a nonnegative integer", error=SchemaError)
+    try:   # the constructor checks the atom table
         env = ModelEnv(atoms={
             name: (spec["dim"], spec.get("basis")
                    or [str(i) for i in range(_dim(name, spec["dim"]))])

@@ -134,9 +134,6 @@ class MultisetBasis:
     def labels(self) -> list[str]:
         return [self.label(m) for m in self.elements]
 
-    def degrees(self) -> list[int]:
-        return self.shape.degrees.tolist()
-
 
 def sub_multiset_splits(m: tuple[int, ...]) \
         -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -166,7 +166,7 @@ def check_suite(g: Gadget, suite: EquationSuite,
     sides = [_sides(eq, g) for eq in suite.equations]
     env = suite_env(g, frozenset().union(
         *(c.generator_names for pair in sides for c in pair)))
-    windowed = _exponential(g)
+    windowed = _exponential(g.objects)
     residuals: dict[str, float] = {}
     passed = True
     for eq, (lhs_c, rhs_c) in zip(suite.equations, sides):

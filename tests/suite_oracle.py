@@ -599,7 +599,7 @@ def atom_typed(g: Gadget) -> tuple[Gadget, dict[str, list[int]]]:
         basis = MultisetBasis(labels, g.env.degree)
         atoms[name] = (basis.dim, tuple(basis.labels()))
         objects[role] = Atom(name)
-        gradings[role] = basis.degrees()
+        gradings[role] = basis.shape.degrees.tolist()
     env = ModelEnv(atoms=atoms, degree=g.env.degree)
     return Gadget(g.kind, objects, dict(g.morphisms), env), gradings
 

@@ -70,9 +70,6 @@ CALLS = {
         lambda n: induce_bang_monoid(load_gadget("qubit-zx"), n),
     "retract_idempotent degree":
         lambda n: retract_idempotent(load_gadget("qubit-zx"), n),
-    "load_gadget degree": lambda n: load_gadget("qubit-zx", n),
-    "load_gadget zn degree": lambda n: load_gadget("zn:3", n),
-    "gadget_from_json degree": lambda n: gadget_from_json(QUBIT, n),
     "gadget_from_json dim": lambda n: gadget_from_json(_doc(n)),
     "gadget_from_json document degree":
         lambda n: gadget_from_json(QUBIT | {"degree": n}),
@@ -111,8 +108,7 @@ def _outcome(call, n):
 def test_a_count_returns_or_raises_an_ldc_error(name, value):
     # build_exp(True, 2) built a base of one element; build_exp(2.5, 2),
     # comonad_coassoc_report(2.0, 2), induce_bang_monoid(g, "2") and
-    # retract_idempotent(g, None) raised TypeError; load_gadget("qubit-zx",
-    # -1) and gadget_from_json(doc, 2.5) took the bound
+    # retract_idempotent(g, None) raised TypeError
     got = _outcome(CALLS[name], value)
     if isinstance(value, np.integer):
         assert got == _outcome(CALLS[name], int(value))
@@ -428,17 +424,31 @@ TOLERANCES = {
 BAD_TOLERANCES = [math.nan, -1, math.inf, "1e-9", None, True]
 
 
-def _takes_tol(obj: object) -> bool:
+def _takes(obj: object, parameter: str) -> bool:
     try:
-        return "tol" in inspect.signature(obj).parameters
+        return parameter in inspect.signature(obj).parameters
     except (TypeError, ValueError):   # not callable, or an error class
         return False
 
 
 def test_every_public_tolerance_has_an_entry():
     public = {name for name in ldckit.__all__
-              if _takes_tol(getattr(ldckit, name))}
+              if _takes(getattr(ldckit, name), "tol")}
     assert public == set(TOLERANCES)
+
+
+# The public callables with a `degree` parameter: those that build an
+# exponential, and `ModelEnv`, where a gadget holds its bound.  A gadget is
+# loaded with the bound its document states, and is never given one.
+DEGREE_TAKERS = {"ModelEnv", "MultisetBasis", "build_exp",
+                 "comonad_coassoc_report", "induce_bang_monoid",
+                 "retract_idempotent"}
+
+
+def test_only_what_builds_an_exponential_takes_a_degree():
+    public = {name for name in ldckit.__all__
+              if _takes(getattr(ldckit, name), "degree")}
+    assert public == DEGREE_TAKERS
 
 
 @pytest.mark.parametrize("name", TOLERANCES)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldckit.cli import build_parser, main
-from ldckit.exponential import retract_idempotent
+from ldckit.exponential import induce_bang_monoid, retract_idempotent
 from ldckit.fixtures import fixture_names, load_gadget
 from ldckit.gadget import gadget_to_json
 from ldckit.io import serialize
@@ -28,6 +28,15 @@ from test_validity import circuits
 ROOT = Path(__file__).resolve().parent.parent
 VALID = ROOT / "fixtures" / "left-distributor.json"
 INVALID = ROOT / "fixtures" / "reverse-distributor.json"
+
+
+@pytest.fixture
+def induced_doc(tmp_path):
+    """A saved degree-2 exponential gadget, which states its degree."""
+    induced = induce_bang_monoid(load_gadget("qubit-zx"), 2)
+    path = tmp_path / "induced.json"
+    path.write_text(json.dumps(gadget_to_json(induced)))
+    return path
 
 
 class TestValidate:
@@ -157,51 +166,36 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
-    @pytest.fixture
-    def induced_doc(self, tmp_path):
-        """A saved degree-2 exponential gadget, which states its degree."""
-        from ldckit.exponential import induce_bang_monoid
-        from ldckit.fixtures import load_gadget
-        from ldckit.gadget import gadget_to_json
-        induced = induce_bang_monoid(load_gadget("qubit-zx"), 2)
-        path = tmp_path / "induced.json"
-        path.write_text(json.dumps(gadget_to_json(induced)))
-        return path
-
     def test_saved_induced_gadget_keeps_its_degree(self, induced_doc,
                                                    capsys):
-        # the document's degree holds over the --degree default of 3
         assert main(["check", "--suite", "linear-bialgebra",
                      "--gadget", str(induced_doc)]) == 0
         assert capsys.readouterr().out.strip().endswith("pass")
-        assert main(["check", "--suite", "linear-bialgebra",
-                     "--gadget", str(induced_doc), "--degree", "2"]) == 0
 
     @pytest.mark.parametrize("cmd", [["check", "--suite", "linear-bialgebra"],
                                      ["split", "--kind", "bialgebra"]])
-    def test_degree_conflicting_with_the_document_exits_one(
-            self, induced_doc, capsys, cmd):
-        assert main(cmd + ["--gadget", str(induced_doc),
-                           "--degree", "4"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: --degree 4 conflicts with the "
-                              "degree 2")
+    def test_degree_is_not_an_option(self, induced_doc, capsys, cmd):
+        # a gadget over an exponential states its degree, and on any other
+        # the bound --degree set was read by no check
+        for gadget in (str(induced_doc), "qubit-zx"):
+            assert main(cmd + ["--gadget", gadget, "--degree", "2"]) == 1
+            err = capsys.readouterr().err
+            assert "unrecognized arguments: --degree 2" in err
 
-    def test_document_degree_holds_over_the_argument(self):
-        from ldckit.exponential import induce_bang_monoid
-        from ldckit.fixtures import load_gadget
-        from ldckit.gadget import gadget_from_json, gadget_to_json
+    def test_a_document_states_its_degree(self):
+        from ldckit.gadget import gadget_from_json
         qubit = load_gadget("qubit-zx")
         doc = gadget_to_json(qubit)
-        # a gadget with no exponential object writes no degree
+        # a gadget with no exponential object writes no degree, and reads
+        # one where it is given
         assert "degree" not in doc
-        assert gadget_from_json(doc, degree=5).env.degree == 5
-        assert gadget_from_json(doc | {"degree": 2}, 5).env.degree == 2
-        assert gadget_from_json(doc | {"degree": 0}, 5).env.degree == 0
+        assert gadget_from_json(doc).env == qubit.env
+        assert gadget_from_json(doc | {"degree": 2}).env.degree == 2
+        assert gadget_from_json(doc | {"degree": 0}).env.degree == 0
         induced = gadget_to_json(induce_bang_monoid(qubit, 2))
         assert induced["degree"] == 2
         assert induced["objects"]["A"] == {"bang": {"atom": "Q"}}
-        assert gadget_from_json(induced, degree=5).env.degree == 2
+        assert gadget_from_json(induced).env.degree == 2
 
 
 class TestSplit:
@@ -310,6 +304,24 @@ class TestExpDemo:
         assert main(["exp", "demo", "--gadget", str(path),
                      "--degree", "2"]) == 2
 
+    def test_induces_a_saved_exponential_at_its_own_degree(self, induced_doc,
+                                                           capsys):
+        assert main(["exp", "demo", "--gadget", str(induced_doc),
+                     "--degree", "2"]) == 0
+        assert "recovery error 0.000e+00" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("degree", ["1", "3"])
+    def test_inducing_at_another_degree_exits_one(self, induced_doc, capsys,
+                                                  degree):
+        # one ModelEnv.degree was read for both levels of !!Q: the demo
+        # failed on the shape of tau_L, (81796, 1) against (7056, 1) at 3
+        assert main(["exp", "demo", "--gadget", str(induced_doc),
+                     "--degree", degree]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: induction at degree {degree} of a gadget "
+                       f"over a degree-2 exponential: the model holds one "
+                       f"degree bound, so induce it at 2"]
+
     def test_wrong_gadget_kind_exits_one(self, capsys):
         assert main(["exp", "demo", "--gadget", "weil",
                      "--degree", "2"]) == 1
@@ -340,13 +352,13 @@ class TestExpDemo:
         ["exp", "demo", "--gadget", "zn:3", "--degree", "99999999999"],
         ["exp", "demo", "--gadget", "zn:3", "--degree", "400"],
         ["exp", "demo", "--gadget", "qubit-zx", "--degree", "3000"],
-        ["check", "--suite", "linear-monoid", "--degree", "99999999999"]])
+        ["check", "--suite", "linear-monoid"]])
     def test_huge_degree_is_refused_before_enumerating(self, tmp_path, capsys,
                                                        cmd):
         # the multiset basis was enumerated before any size check: still
         # running after 60 s, or out of memory
         if "--gadget" not in cmd:
-            doc = json.loads(QUBIT_DOC)
+            doc = json.loads(QUBIT_DOC) | {"degree": 99999999999}
             doc["objects"] = {"A": {"bang": {"atom": "Q"}},
                               "B": {"bang": {"atom": "Q"}}}
             path = tmp_path / "bang.json"
@@ -397,9 +409,8 @@ class TestCyclicGadgets:
         finally:
             sys.path.remove(str(ROOT / "perfbench"))
         want = inputs.cyclic_bialgebra(n)
-        got = load_gadget(f"zn:{n}", degree=4)
-        assert got.env.degree == 4
-        assert got.env.atoms == want.env.atoms
+        got = load_gadget(f"zn:{n}")
+        assert got.env == want.env
         assert set(got.morphisms) == set(want.morphisms)
         for role, mat in want.morphisms.items():
             assert np.array_equal(got.morphism(role), mat), role
@@ -448,18 +459,19 @@ class TestUsage:
 
     @pytest.mark.parametrize("cmd", [["check", "--suite", "linear-monoid"],
                                      ["split", "--kind", "monoid"]])
-    def test_negative_degree_exits_one(self, tmp_path, capsys, cmd):
-        # the model's exponentials reached MultisetBasis, whose ValueError
-        # escaped as a traceback
+    def test_exponential_document_without_degree_exits_one(self, tmp_path,
+                                                          capsys, cmd):
+        # the bound of its multiset bases is the document's to state
         doc = json.loads(QUBIT_DOC)
         doc["objects"] = {"A": {"bang": {"atom": "Q"}},
                           "B": {"bang": {"atom": "Q"}}}
         path = tmp_path / "bang.json"
         path.write_text(json.dumps(doc))
-        assert main(cmd + ["--gadget", str(path), "--degree", "-1"]) == 1
+        assert main(cmd + ["--gadget", str(path)]) == 1
         err = capsys.readouterr().err
-        assert "error: argument --degree: degree must be at least 0, " \
-               "got -1" in err and "Traceback" not in err
+        assert err == ("error: a gadget document over an exponential must "
+                       "state its 'degree', the bound of its multiset "
+                       "bases\n")
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "x"])
     @pytest.mark.parametrize("cmd", [

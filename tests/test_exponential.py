@@ -179,7 +179,7 @@ class TestFunctoriality:
         basis = exp23.basis
         f = rng.standard_normal((2, 2)) + 0j
         big = bang_matrix(f, basis, basis)
-        degs = np.array(basis.degrees())
+        degs = basis.shape.degrees
         off_grade = big[degs[:, None] != degs[None, :]]
         assert np.all(off_grade == 0)
 

@@ -10,7 +10,7 @@ from ldckit.exponential import induce_bang_monoid, retract_idempotent
 from ldckit.fixtures import fixture_names, load_gadget
 from ldckit.gadget import Gadget
 from ldckit.model import ModelEnv, evaluate, interp
-from ldckit.objects import Atom, Bang
+from ldckit.objects import Atom, Bang, factors
 from ldckit import suites
 from ldckit.suites import SUITES, check_suite
 
@@ -223,6 +223,46 @@ class TestTypedWindow:
                 assert got == want, (name, suite.name)
                 checked += 1
         assert checked == 162
+
+    @pytest.mark.parametrize("name, degree, higher",
+                             [("qubit-zx", 2, 4), ("qubit-zx", 3, 5),
+                              ("zn:3", 2, 4)])
+    def test_the_window_holds_at_a_higher_degree(self, name, degree, higher):
+        # every windowed entry of both sides of every equation is the entry
+        # of the same multisets at a higher degree, so the window needs no
+        # margin.  A degree-d basis is a prefix of the degree-D one, so each
+        # factor's index maps unchanged.
+        base = load_gadget(name)
+        g = induce_bang_monoid(base, degree)
+        env = suites.suite_env(g)
+        high_env = suites.suite_env(induce_bang_monoid(base, higher))
+        checked = 0
+        for suite in SUITES.values():
+            if not g.has(*suite.roles):
+                continue
+            for eq in suite.equations:
+                sides = suites._sides(eq, g)
+                outs, ins = sides[0].output_types(), sides[0].input_types()
+                window = np.ix_(
+                    suites._boundary_degrees(outs, env) <= degree,
+                    suites._boundary_degrees(ins, env) <= degree)
+                for side in sides:
+                    low = evaluate(side, env)
+                    high = _truncated(evaluate(side, high_env), outs + ins,
+                                      env, high_env).reshape(low.shape)
+                    assert np.array_equal(low[window], high[window]), \
+                        (suite.name, eq.label)
+                    checked += 1
+        assert checked == 168
+
+
+def _truncated(m: np.ndarray, types, env: ModelEnv,
+               high_env: ModelEnv) -> np.ndarray:
+    """`m`, over the boundary `types` at `high_env`'s degree, cut to the
+    basis vectors those types have at `env`'s: a prefix in each factor."""
+    def dims(e):
+        return [interp(f, e)[0] for t in types for f in factors(t)]
+    return m.reshape(dims(high_env))[tuple(slice(n) for n in dims(env))]
 
 
 def _templates():
