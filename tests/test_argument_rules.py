@@ -372,6 +372,11 @@ TYPING = {
         _induced_doc() | {"gradings": {"A": [0, 1, 1], "B": [0, 1, 1]}}),
         SchemaError, "rebuild the gadget and re-save it with "
         "gadget_to_json"),
+    # read at the caller's degree bound
+    "document no degree": (lambda: gadget_from_json(
+        {k: v for k, v in _induced_doc().items() if k != "degree"}),
+        SchemaError, "a gadget document over an exponential must state its "
+        "'degree'"),
     "document degree -1": (lambda: gadget_from_json(
         _induced_doc() | {"degree": -1}), SchemaError,
         "a document's degree is a nonnegative integer, got -1"),

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from ldckit.cli import build_parser, main
 from ldckit.exponential import induce_bang_monoid, retract_idempotent
 from ldckit.fixtures import fixture_names, load_gadget
-from ldckit.gadget import gadget_to_json
+from ldckit.gadget import gadget_from_json, gadget_to_json
 from ldckit.io import serialize
 from ldckit.objects import Bot, Par, Tensor, Top
 from ldckit.rewrite import expand_wire
@@ -183,7 +183,6 @@ class TestCheck:
             assert "unrecognized arguments: --degree 2" in err
 
     def test_a_document_states_its_degree(self):
-        from ldckit.gadget import gadget_from_json
         qubit = load_gadget("qubit-zx")
         doc = gadget_to_json(qubit)
         # a gadget with no exponential object writes no degree, and reads
