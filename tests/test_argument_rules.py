@@ -73,6 +73,10 @@ CALLS = {
     "gadget_from_json dim": lambda n: gadget_from_json(_doc(n)),
     "gadget_from_json document degree":
         lambda n: gadget_from_json(QUBIT | {"degree": n}),
+    "gadget_from_json exponential document degree":
+        lambda n: gadget_from_json(_induced_doc() | {"degree": n}),
+    "induce_bang_monoid exponential degree":
+        lambda n: induce_bang_monoid(gadget_from_json(_induced_doc()), n),
     "matrix_from_json rows":
         lambda n: matrix_from_json(_matrix(rows=n, cols=1)),
     "matrix_from_json cols": lambda n: matrix_from_json(_matrix(cols=n)),

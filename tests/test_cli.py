@@ -472,6 +472,21 @@ class TestUsage:
                        "state its 'degree', the bound of its multiset "
                        "bases\n")
 
+    @pytest.mark.parametrize("cmd", [["check", "--suite", "linear-monoid"],
+                                     ["split", "--kind", "monoid"]])
+    def test_negative_degree_exits_one(self, tmp_path, capsys, cmd):
+        # the model's exponentials reached MultisetBasis, whose ValueError
+        # escaped as a traceback
+        doc = json.loads(QUBIT_DOC) | {"degree": -1}
+        doc["objects"] = {"A": {"bang": {"atom": "Q"}},
+                          "B": {"bang": {"atom": "Q"}}}
+        path = tmp_path / "bang.json"
+        path.write_text(json.dumps(doc))
+        assert main(cmd + ["--gadget", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: a document's degree is a nonnegative "
+                       "integer, got -1\n")
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "x"])
     @pytest.mark.parametrize("cmd", [
         ["check", "--suite", "linear-monoid", "--gadget", "zn:2"],
