@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import LdcError, SuiteFailure, count, shaped, tolerance
-from .exponential import retract_idempotent
+from .exponential import induction_degree, retract_idempotent
 from .fixtures import fixture_names, load_gadget
 from .gadget import gadget_to_json
 from .io import parse, serialize
@@ -104,6 +104,7 @@ def cmd_split(args) -> int:
 
 def cmd_exp_demo(args) -> int:
     gadget = load_gadget(args.gadget)
+    induction_degree(gadget, args.degree)   # refused before any check
     comp = check_suite(gadget, SUITES["complementary"], tol=args.tol)
     print(f"complementary (input): worst residual {comp.worst():.3e}")
     if not comp.passed:

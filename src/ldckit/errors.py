@@ -136,7 +136,9 @@ def numbers(value: object) -> np.ndarray:
 
 def finite(m: np.ndarray, error: type[LdcError] = LdcError) -> np.ndarray:
     """`m`, if none of its entries is NaN or infinite."""
-    if not np.isfinite(m).all():
+    # count_nonzero, not .all(): the reduction's set-up dominates on the
+    # small matrices of every gadget load and bang_matrix call
+    if np.count_nonzero(np.isfinite(m)) != m.size:
         raise error("matrix entries must be finite")
     return m
 

@@ -439,6 +439,18 @@ def _lifted_cap(costate: np.ndarray, basis_a: MultisetBasis,
     return _lifted_cup(state, basis_a, basis_b).conj().T
 
 
+def induction_degree(g: Gadget, degree: object) -> int:
+    """`degree` as the bound to induce `g` at, if it is an integer of at
+    least 1 and, when `g` is over an exponential, `g`'s own bound: the
+    model holds one bound for both levels of !!X."""
+    degree = count(degree, "degree must be at least 1", floor=1)
+    if _exponential(g.objects) and degree != g.env.degree:
+        raise LdcError(f"induction at degree {degree} of a gadget over a "
+                       f"degree-{g.env.degree} exponential: the model holds "
+                       f"one degree bound, so induce it at {g.env.degree}")
+    return degree
+
+
 def induce_bang_monoid(g: Gadget, degree: int = 3,
                        tol: float = 1e-9) -> Gadget:
     """Push a linear monoid on the base space to a linear bialgebra on the
@@ -447,14 +459,8 @@ def induce_bang_monoid(g: Gadget, degree: int = 3,
     the comonoid is the free one, and all cups and caps are lifted states
     and costates.  When the input also carries comonoid-side cups and caps
     those are lifted for the comonoid; otherwise the monoid's are reused.
-    Its objects are !X and !Y on the input's X and Y, over its atoms.  An
-    input over an exponential is induced at its own degree: the model
-    holds one bound for both levels of !!X."""
-    degree = count(degree, "degree must be at least 1", floor=1)
-    if _exponential(g.objects) and degree != g.env.degree:
-        raise LdcError(f"induction at degree {degree} of a gadget over a "
-                       f"degree-{g.env.degree} exponential: the model holds "
-                       f"one degree bound, so induce it at {g.env.degree}")
+    Its objects are !X and !Y on the input's X and Y, over its atoms."""
+    degree = induction_degree(g, degree)
     _require_suite(g, "linear-monoid", tol)
     bases = {o: MultisetBasis(interp(g.object(o), g.env)[1], degree)
              for o in "AB"}
@@ -490,6 +496,7 @@ def retract_idempotent(g: Gadget, degree: int = 3,
     through the base comonoid, and the par-side pair is given dually by the
     unit lift through the base monoid.  The canonical splitting is returned
     so downstream splits can reproduce the base maps on the nose."""
+    degree = induction_degree(g, degree)
     _require_suite(g, "linear-bialgebra", tol)
     if g.object("A") != g.object("B"):
         raise ShapeMismatch("retract requires a self-linear bialgebra")

@@ -1,6 +1,9 @@
 """DOT rendering of circuits."""
 from __future__ import annotations
 
+import itertools
+from typing import Iterator
+
 from .circuit import Circuit
 from .objects import pretty
 
@@ -19,53 +22,57 @@ _LABELS = {
 
 
 def render_dot(c: Circuit) -> bytes:
+    """The Graphviz dot drawing of `c`.  A dagger box is a cluster holding
+    its interior, whose node names carry a prefix `b<k>.` numbered in the
+    order the boxes are drawn, so names stay short and unique and the
+    drawing is linear in the circuit at any nesting depth."""
     lines = ["digraph circuit {", "  rankdir=TB;"]
-    lines += _body(c, prefix="")
+    _body(c, "", "  ", lines, itertools.count())
     lines.append("}")
     return ("\n".join(lines) + "\n").encode()
 
 
-def _body(c: Circuit, prefix: str) -> list[str]:
-    lines = []
+def _body(c: Circuit, prefix: str, pad: str, lines: list[str],
+          boxes: Iterator[int]) -> None:
+    """Append the lines of `c` to `lines`, each indented by `pad`, its
+    names prefixed by `prefix`; `boxes` numbers the box interiors."""
     q = lambda s: '"' + s.replace('"', '\\"') + '"'
     for i, w in enumerate(c.inputs):
-        lines.append(f"  {q(prefix + 'in' + str(i))} "
+        lines.append(f"{pad}{q(prefix + 'in' + str(i))} "
                      f"[shape=plaintext, label={q('in ' + str(i))}];")
     for i, w in enumerate(c.outputs):
-        lines.append(f"  {q(prefix + 'out' + str(i))} "
+        lines.append(f"{pad}{q(prefix + 'out' + str(i))} "
                      f"[shape=plaintext, label={q('out ' + str(i))}];")
     for nid, n in c.nodes.items():
         name = prefix + nid
         if n.kind == "dagger_box":
-            lines.append(f"  subgraph {q('cluster_' + name)} {{")
-            lines.append(f"    label={q('dagger')};")
-            lines += ["  " + ln for ln in _body(n.inner, prefix=name + ".")]
-            lines.append("  }")
-            lines.append(f"  {q(name)} [shape=box, label={q('dagger box')}];")
+            # every interior is indented once, whatever its depth
+            inner = "    "
+            lines.append(f"{pad}subgraph {q('cluster_' + name)} {{")
+            lines.append(f"{inner}label={q('dagger')};")
+            _body(n.inner, f"b{next(boxes)}.", inner, lines, boxes)
+            lines.append(f"{pad}}}")
+            lines.append(f"{pad}{q(name)} [shape=box, "
+                         f"label={q('dagger box')}];")
         else:
             label = n.name if n.kind == "gen" else _LABELS[n.kind]
-            lines.append(f"  {q(name)} [shape={_SHAPES[n.kind]}, "
+            lines.append(f"{pad}{q(name)} [shape={_SHAPES[n.kind]}, "
                          f"label={q(label)}];")
 
-    def endpoint(role: str, w: str) -> str:
-        if role == "prod":
-            p = c.producer(w)
-            if p is not None:
-                return prefix + p
-            return prefix + "in" + str(c.inputs.index(w))
-        p = c.consumer(w)
-        if p is not None:
-            return prefix + p
-        return prefix + "out" + str(c.outputs.index(w))
+    ins = {w: f"{prefix}in{i}" for i, w in enumerate(c.inputs)}
+    outs = {w: f"{prefix}out{i}" for i, w in enumerate(c.outputs)}
+
+    def producer(w: str) -> str:
+        p = c.producer(w)
+        return ins[w] if p is None else prefix + p
 
     for w, t in c.wires.items():
-        src = endpoint("prod", w)
-        dst = endpoint("cons", w)
-        lines.append(f"  {q(src)} -> {q(dst)} [label={q(pretty(t))}];")
+        p = c.consumer(w)
+        dst = outs[w] if p is None else prefix + p
+        lines.append(f"{pad}{q(producer(w))} -> {q(dst)} "
+                     f"[label={q(pretty(t))}];")
     # thinning links, drawn dotted against the anchor wire's producer
     for nid, n in c.nodes.items():
         if n.thin is not None:
-            anchor = endpoint("prod", n.thin)
-            lines.append(f"  {q(prefix + nid)} -> {q(anchor)} "
+            lines.append(f"{pad}{q(prefix + nid)} -> {q(producer(n.thin))} "
                          "[style=dotted, arrowhead=none];")
-    return lines

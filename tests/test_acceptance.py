@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -32,6 +33,7 @@ from ldckit.gadget import Gadget, gadget_to_json
 from ldckit.io import parse, serialize
 from ldckit.model import ModelEnv, evaluate, split_idempotent
 from ldckit.objects import Atom, Bot, Dagger, Par, Tensor, Top
+from ldckit.render import render_dot
 from ldckit.rewrite import expand_wire, normalize
 from ldckit.structures import (complementary_from_idempotent,
                                split_binary_idempotent, split_linear_comonoid,
@@ -53,6 +55,21 @@ def chain_document(n: int) -> str:
         "nodes": [{"kind": "gen", "name": f"f{i}",
                    "ports": [f"w{i}", f"w{i + 1}"]} for i in range(n)],
         "inputs": ["w0"], "outputs": [f"w{n}"]})
+
+
+def _package_env() -> dict:
+    """The environment of a fresh interpreter that imports this ldckit."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def _nested_boxes(levels: int):
+    """A generator A -> A inside `levels` dagger boxes."""
+    c = generator("f", [Atom("A")], [Atom("A")])
+    for _ in range(levels):
+        c = dagger_box(c)
+    return c
 
 
 class TestBoxingValidity:
@@ -140,19 +157,37 @@ class TestRewriteSoundness:
 
     def test_nested_dagger_boxes_normalize_within_budget(self, tmp_path):
         # `serialize` wrote each box interior as text and parsed it back at
-        # every level: 1.8 s at 80 levels, and past 100 s at 300.  The
-        # indented output still grows quadratically; 300 levels take about
-        # 1 s.
-        c = generator("f", [Atom("A")], [Atom("A")])
-        for _ in range(300):
-            c = dagger_box(c)
+        # every level: 1.8 s at 80 levels, and past 100 s at 300.  Its
+        # indented output then grew quadratically, 9.1 MB in about 1 s at
+        # 300 levels.  One line of compact JSON normalizes in about 20 ms.
         src, out = tmp_path / "nested.json", tmp_path / "out.json"
-        src.write_bytes(serialize(c))
+        src.write_bytes(serialize(_nested_boxes(300)))
         t0 = time.perf_counter()
         assert main(["normalize", str(src), "-o", str(out)]) == 0
         elapsed = time.perf_counter() - t0
         assert out.read_bytes() == src.read_bytes()
-        assert elapsed < 5.0
+        assert elapsed < 0.25
+
+    def test_nested_dagger_box_documents_grow_linearly(self):
+        # indented, 150 levels wrote 2.3 MB and 300 levels 9.1 MB
+        half, full = (len(serialize(_nested_boxes(k))) for k in (150, 300))
+        assert full < 100_000
+        assert full <= 2.2 * half
+
+    def test_nested_dagger_boxes_round_trip_at_320_levels(self):
+        # in a fresh interpreter `parse` reads 320 levels back, not 330, and
+        # the writer refuses past 330; under pytest's deeper stack both
+        # stop near 317
+        script = ("from ldckit import Atom, dagger_box, generator, "
+                  "isomorphic, parse, serialize\n"
+                  "c = generator('f', [Atom('A')], [Atom('A')])\n"
+                  "for _ in range(320):\n"
+                  "    c = dagger_box(c)\n"
+                  "assert isomorphic(parse(serialize(c)), c)\n")
+        out = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True,
+                             env=_package_env(), timeout=60)
+        assert out.returncode == 0, out.stderr
 
     def test_type_nested_past_the_encoder_is_an_ldc_error(self):
         # the JSON encoder's RecursionError escaped `serialize`
@@ -161,6 +196,28 @@ class TestRewriteSoundness:
             t = Dagger(t)
         with pytest.raises(LdcError, match="nested too deeply"):
             serialize(identity([t]))
+
+
+class TestRender:
+    def test_nested_dagger_boxes_render_linearly(self):
+        # each interior node was named by the path of box ids above it and
+        # each interior line re-indented once per level: 0.67 MB at 150
+        # levels, 2.96 MB at 300
+        half, full = (render_dot(_nested_boxes(k)).decode()
+                      for k in (150, 300))
+        assert len(full) <= 2.2 * len(half)
+        # per level a box node and the in0 and out0 of its interior
+        names = re.findall(r'^ *("[^"]*") \[', full, re.MULTILINE)
+        assert len(names) == len(set(names)) == 3 * 301
+
+    def test_wide_identity_renders_within_budget(self):
+        # each boundary wire was found by tuple.index: 1.0 s for 8000 wires
+        c = identity([Atom("A")] * 8000)
+        t0 = time.perf_counter()
+        dot = render_dot(c)
+        elapsed = time.perf_counter() - t0
+        assert dot.count(b" -> ") == 8000
+        assert elapsed < 0.25
 
 
 class TestMatrixKernel:
@@ -448,14 +505,11 @@ class TestRetractPipeline:
     def test_exp_demo_past_the_contraction_limit_exits_cleanly(self):
         # the suite checks on the dimension-126 exponential need a
         # contraction intermediate of 126**4 entries
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         t0 = time.perf_counter()
         out = subprocess.run(
             [sys.executable, "-m", "ldckit.cli", "exp", "demo",
              "--gadget", "zn:5", "--degree", "4"],
-            capture_output=True, text=True, env=env, timeout=60)
+            capture_output=True, text=True, env=_package_env(), timeout=60)
         assert time.perf_counter() - t0 < 30.0
         assert out.returncode == 1
         assert out.stderr.startswith("error:")

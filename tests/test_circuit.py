@@ -310,6 +310,16 @@ class TestSerialization:
         (node,) = doc["nodes"]
         assert node["kind"] == "gen" and node["name"] == "f"
 
+    def test_document_is_one_line_of_compact_json(self):
+        c = dagger_box(seq(generator("f", [A], [B]),
+                           generator("g", [B], [C])))
+        text = serialize(c)
+        doc = json.loads(text)
+        assert list(doc) == ["wires", "nodes", "inputs", "outputs"]
+        assert list(doc["nodes"][0]["inner"]) == list(doc)
+        assert text == json.dumps(doc, separators=(",", ":")).encode()
+        assert b"\n" not in text
+
     def test_rejects_unknown_kind(self):
         doc = json.loads(serialize(identity([A])).decode())
         doc["nodes"] = [{"kind": "mystery", "ports": []}]

@@ -14,12 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldckit.circuit import dagger_box, generator, identity, par, seq
 from ldckit.cli import build_parser, main
+from ldckit.errors import LdcError
 from ldckit.exponential import induce_bang_monoid, retract_idempotent
 from ldckit.fixtures import fixture_names, load_gadget
 from ldckit.gadget import gadget_from_json, gadget_to_json
 from ldckit.io import serialize
-from ldckit.objects import Bot, Par, Tensor, Top
+from ldckit.objects import Atom, Bot, Par, Tensor, Top
 from ldckit.rewrite import expand_wire
 
 from io_oracle import gadget_to_pair_json
@@ -88,6 +90,68 @@ class TestRender:
         assert main(["render", str(VALID)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("digraph")
+
+    def test_a_circuit_without_boxes(self, capsys):
+        assert main(["render", str(ROOT / "fixtures" /
+                                   "top-unit-elim.json")]) == 0
+        assert capsys.readouterr().out == """\
+digraph circuit {
+  rankdir=TB;
+  "in0" [shape=plaintext, label="in 0"];
+  "in1" [shape=plaintext, label="in 1"];
+  "out0" [shape=plaintext, label="out 0"];
+  "n0" [shape=circle, label="T"];
+  "in0" -> "n0" [label="T"];
+  "in1" -> "out0" [label="A"];
+  "n0" -> "in1" [style=dotted, arrowhead=none];
+}
+"""
+
+    def test_nested_boxes_are_prefixed_and_indented_once(self, tmp_path,
+                                                        capsys):
+        # interior names were the path of box ids above them ("n0.n0.n1"),
+        # and each interior line was indented once more per level
+        A, B = Atom("A"), Atom("B")
+        inner = seq(generator("f", [A], [B]), generator("g", [B], [A]))
+        c = dagger_box(par(dagger_box(inner), identity([B])))
+        path = tmp_path / "boxes.json"
+        path.write_bytes(serialize(c))
+        assert main(["render", str(path)]) == 0
+        assert capsys.readouterr().out == """\
+digraph circuit {
+  rankdir=TB;
+  "in0" [shape=plaintext, label="in 0"];
+  "in1" [shape=plaintext, label="in 1"];
+  "out0" [shape=plaintext, label="out 0"];
+  "out1" [shape=plaintext, label="out 1"];
+  subgraph "cluster_n0" {
+    label="dagger";
+    "b0.in0" [shape=plaintext, label="in 0"];
+    "b0.in1" [shape=plaintext, label="in 1"];
+    "b0.out0" [shape=plaintext, label="out 0"];
+    "b0.out1" [shape=plaintext, label="out 1"];
+    subgraph "cluster_b0.n0" {
+    label="dagger";
+    "b1.in0" [shape=plaintext, label="in 0"];
+    "b1.out0" [shape=plaintext, label="out 0"];
+    "b1.n0" [shape=circle, label="f"];
+    "b1.n1" [shape=circle, label="g"];
+    "b1.in0" -> "b1.n0" [label="A"];
+    "b1.n0" -> "b1.n1" [label="B"];
+    "b1.n1" -> "b1.out0" [label="A"];
+    }
+    "b0.n0" [shape=box, label="dagger box"];
+    "b0.in0" -> "b0.n0" [label="A^"];
+    "b0.n0" -> "b0.out0" [label="A^"];
+    "b0.in1" -> "b0.out1" [label="B"];
+  }
+  "n0" [shape=box, label="dagger box"];
+  "in0" -> "n0" [label="B^"];
+  "in1" -> "n0" [label="A"];
+  "n0" -> "out0" [label="B^"];
+  "n0" -> "out1" [label="A"];
+}
+"""
 
     def test_unknown_format_exits_one(self, capsys):
         assert main(["render", "--format", "svg", str(VALID)]) == 1
@@ -313,13 +377,30 @@ class TestExpDemo:
     def test_inducing_at_another_degree_exits_one(self, induced_doc, capsys,
                                                   degree):
         # one ModelEnv.degree was read for both levels of !!Q: the demo
-        # failed on the shape of tau_L, (81796, 1) against (7056, 1) at 3
+        # failed on the shape of tau_L, (81796, 1) against (7056, 1) at 3.
+        # Then it was refused only after the input's complementary check
+        # had printed its residual.
         assert main(["exp", "demo", "--gadget", str(induced_doc),
                      "--degree", degree]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: induction at degree {degree} of a gadget "
-                       f"over a degree-2 exponential: the model holds one "
-                       f"degree bound, so induce it at 2"]
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: induction at degree {degree} of a gadget over a "
+            f"degree-2 exponential: the model holds one degree bound, so "
+            f"induce it at 2"]
+
+    def test_retract_refuses_another_degree_before_any_check(
+            self, induced_doc, monkeypatch):
+        import ldckit.exponential
+        g = load_gadget(str(induced_doc))
+
+        def checked(*args):
+            raise AssertionError("a suite was checked")
+        monkeypatch.setattr(ldckit.exponential, "_require_suite", checked)
+        with pytest.raises(LdcError, match="induction at degree 3 of a "
+                                           "gadget over a degree-2 "
+                                           "exponential"):
+            retract_idempotent(g, 3)
 
     def test_wrong_gadget_kind_exits_one(self, capsys):
         assert main(["exp", "demo", "--gadget", "weil",
