@@ -10,7 +10,7 @@ from .circuit import (Circuit, Node, compose, dagger_box, generator,
                       tensor_parallel)
 from .io import matrix_from_json, matrix_to_json, parse, serialize
 from .render import render_dot
-from .validity import BoxState, ValidityReport, validate, validate_all_orders
+from .validity import BoxState, ValidityReport, validate
 from .rewrite import expand_wire, normalize
 from .model import (ModelEnv, evaluate, interp, matrices_equal,
                     split_idempotent)

@@ -19,14 +19,15 @@ arguments it still checks: `generator` that it has a name, `seq` the types
 where parts meet, `substitute` each replacement's boundary, `reverse` and
 `mirror` the kinds of the nodes they redraw.
 
-`seq` and `par` join their parts in time proportional to the wires they
-glue, not to the parts' sizes: a part whose wire and node ids the circuit
-being built lacks is moved into it whole, keeping its ids and its `Node`
-objects, and only the nodes that consume a glued wire or are thinned onto
-one are redrawn.  A part whose ids clash with ones already placed (a part
-used twice, or a parsed part) is copied first under ids that none of the
-placed wires and nodes has.  So a built circuit keeps its parts' ids where
-they do not clash, and its wires and nodes come in the order of its parts.
+`seq` and `par` loop in Python over the wires they glue, not over the
+parts, though they copy the parts' tables whole: a part whose wire and
+node ids the circuit being built lacks is moved into it whole, keeping
+its ids and its `Node` objects, and only the nodes that consume a glued
+wire or are thinned onto one are redrawn.  A part whose ids clash with
+ones already placed (a part used twice, or a parsed part) is copied first
+under ids that none of the placed wires and nodes has.  So a built
+circuit keeps its parts' ids where they do not clash, and its wires and
+nodes come in the order of its parts.
 
 This module alone knows the two formats a circuit is held in: the table
 of structural node kinds (`_STRUCTURAL`), by which `Circuit(...)` types
@@ -215,6 +216,8 @@ class Circuit:
             seen_out.add(w)
 
         for nid, node in self.nodes.items():
+            if not isinstance(nid, str) or not nid:
+                raise IllTyped(str(nid), "node ids must be nonempty strings")
             self._check_node(nid, node)
             for w in node.ins:
                 if w in consumers:
@@ -554,8 +557,8 @@ def permutation(types: Sequence[ObjectExpr],
                 order: Sequence[int]) -> Circuit:
     """Circuit mapping input i to output position order.index(i), built from
     adjacent symmetries.  `order[j]` is the input index appearing at output j.
-    Each symmetry exchanges the first adjacent pair still out of order.
-    """
+    Each symmetry exchanges the first adjacent pair still out of order, which
+    after a swap at j lies at j - 1 or later: linear in the symmetries."""
     n = len(types)
     try:
         bijective = sorted(order) == list(range(n))
@@ -567,18 +570,19 @@ def permutation(types: Sequence[ObjectExpr],
     inputs = list(wires)
     # the wire at each position, and the output position it is bound for
     line = list(inputs)
-    dest = [list(order).index(i) for i in range(n)]
-    nodes = {}
-    while True:
-        j = next((j for j in range(n - 1) if dest[j] > dest[j + 1]), None)
-        if j is None:
-            return Circuit._assembled(wires, nodes, inputs, line)
+    dest = sorted(range(n), key=list(order).__getitem__)
+    nodes, j = {}, 0
+    while j < n - 1:
+        if dest[j] < dest[j + 1]:
+            j += 1
+            continue
         outs = (fresh_wire(), fresh_wire())
         wires[outs[0]], wires[outs[1]] = wires[line[j + 1]], wires[line[j]]
-        nodes[fresh_node()] = Node(kind="swap", ins=tuple(line[j:j + 2]),
-                                   outs=outs)
+        nodes[fresh_node()] = Node("swap", tuple(line[j:j + 2]), outs)
         line[j:j + 2] = outs
         dest[j:j + 2] = dest[j + 1], dest[j]
+        j = max(j - 1, 0)
+    return Circuit._assembled(wires, nodes, inputs, line)
 
 
 def dagger_box(inner: Circuit) -> Circuit:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Iterator
 
 from .circuit import Circuit
@@ -21,11 +22,16 @@ _LABELS = {
 }
 
 
+# node ids drawn as `id:<id>`: those that could read as a boundary end
+# (`in<i>`, `out<i>`), a box interior's name (`b<k>.`) or an escaped id
+_ESCAPED = re.compile(r"in\d|out\d|b\d+\.|id:")
+
+
 def render_dot(c: Circuit) -> bytes:
     """The Graphviz dot drawing of `c`.  A dagger box is a cluster holding
     its interior, whose node names carry a prefix `b<k>.` numbered in the
-    order the boxes are drawn, so names stay short and unique and the
-    drawing is linear in the circuit at any nesting depth."""
+    order the boxes are drawn, so names stay short and unique, whatever the
+    ids (`_ESCAPED`), and the drawing is linear at any nesting depth."""
     lines = ["digraph circuit {", "  rankdir=TB;"]
     _body(c, "", "  ", lines, itertools.count())
     lines.append("}")
@@ -37,6 +43,7 @@ def _body(c: Circuit, prefix: str, pad: str, lines: list[str],
     """Append the lines of `c` to `lines`, each indented by `pad`, its
     names prefixed by `prefix`; `boxes` numbers the box interiors."""
     q = lambda s: '"' + s.replace('"', '\\"') + '"'
+    node = lambda nid: prefix + ("id:" if _ESCAPED.match(nid) else "") + nid
     for i, w in enumerate(c.inputs):
         lines.append(f"{pad}{q(prefix + 'in' + str(i))} "
                      f"[shape=plaintext, label={q('in ' + str(i))}];")
@@ -44,7 +51,7 @@ def _body(c: Circuit, prefix: str, pad: str, lines: list[str],
         lines.append(f"{pad}{q(prefix + 'out' + str(i))} "
                      f"[shape=plaintext, label={q('out ' + str(i))}];")
     for nid, n in c.nodes.items():
-        name = prefix + nid
+        name = node(nid)
         if n.kind == "dagger_box":
             # every interior is indented once, whatever its depth
             inner = "    "
@@ -64,15 +71,15 @@ def _body(c: Circuit, prefix: str, pad: str, lines: list[str],
 
     def producer(w: str) -> str:
         p = c.producer(w)
-        return ins[w] if p is None else prefix + p
+        return ins[w] if p is None else node(p)
 
     for w, t in c.wires.items():
         p = c.consumer(w)
-        dst = outs[w] if p is None else prefix + p
+        dst = outs[w] if p is None else node(p)
         lines.append(f"{pad}{q(producer(w))} -> {q(dst)} "
                      f"[label={q(pretty(t))}];")
     # thinning links, drawn dotted against the anchor wire's producer
     for nid, n in c.nodes.items():
         if n.thin is not None:
-            lines.append(f"{pad}{q(prefix + nid)} -> {q(producer(n.thin))} "
+            lines.append(f"{pad}{q(node(nid))} -> {q(producer(n.thin))} "
                          "[style=dotted, arrowhead=none];")

@@ -36,9 +36,7 @@ ones are the monoid ones of the other flavour, flipped.
 
 A gadget over an exponential (a `Bang` or `Quest` object) is compared
 only on boundary entries whose total degree, read from the types
-(`_boundary_degrees`), is within the truncation window; an equation's
-``margin`` shrinks that window further for composites whose intermediate
-degrees exceed their boundary degrees.
+(`_boundary_degrees`), is within the truncation window.
 """
 from __future__ import annotations
 
@@ -50,7 +48,7 @@ import numpy as np
 
 from .circuit import (Circuit, dagger, empty, generator, identity, mirror,
                       par, permutation, reverse, seq, substitute)
-from .errors import MissingRole, SuiteFailure, tolerance
+from .errors import LdcError, MissingRole, SuiteFailure, tolerance
 from .gadget import Gadget, _exponential
 from .model import ModelEnv, evaluate, interp, matrices_equal
 from .multiset import _multisets
@@ -63,7 +61,12 @@ Template = Callable[[Gadget], tuple[Circuit, Circuit]]
 class Equation:
     label: str
     build: Template
-    margin: int = 0
+    margin: int = 0   # no equation narrows the degree window
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.margin, int) and self.margin == 0):
+            raise LdcError("every equation is compared on the whole degree "
+                           f"window, so its margin is 0, got {self.margin!r}")
 
 
 @dataclass(frozen=True)
@@ -173,12 +176,11 @@ def check_suite(g: Gadget, suite: EquationSuite,
         lhs = evaluate(lhs_c, env)
         rhs = evaluate(rhs_c, env)
         if windowed:
-            limit = env.degree - eq.margin
             rows = _boundary_degrees(lhs_c.output_types(), env)
             cols = _boundary_degrees(lhs_c.input_types(), env)
             # entries outside the window count as 0 on both sides, which
             # moves neither the residual nor the scale (maxima of moduli)
-            window = np.ix_(rows <= limit, cols <= limit)
+            window = np.ix_(rows <= env.degree, cols <= env.degree)
             lhs, rhs = lhs[window], rhs[window]
         ok, residual = matrices_equal(lhs, rhs, tol)
         residuals[eq.label] = residual

@@ -20,7 +20,6 @@ first, then ⅋I absorptions (`b2`), merges (`c`) and unit absorptions
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -126,18 +125,13 @@ class _Box:
             + len(self.watch)
 
 
-def validate(c: Circuit, rng: Optional[random.Random] = None) \
-        -> ValidityReport:
-    """Run the boxing procedure on `c`.
-
-    Without `rng` each step takes the least legal move, as the module
-    docstring orders them.  With `rng` every move found legal gets a random
-    priority instead: some other legal order, which must reach the same
-    verdict.  Moves wait in a heap; one is pushed when it may have become
-    legal (an attachment count reaching 1, both branch wires meeting in a
-    box, an anchor wire gaining a box) or when a merge renames its box, and
-    is checked again when popped.  A merge moves the lighter box into the
-    heavier one."""
+def validate(c: Circuit) -> ValidityReport:
+    """Run the boxing procedure on `c`, each step taking the least legal
+    move, as the module docstring orders them.  Moves wait in a heap; one
+    is pushed when it may have become legal (an attachment count reaching
+    1, both branch wires meeting in a box, an anchor wire gaining a box) or
+    when a merge renames its box, and is checked again when popped.  A
+    merge moves the lighter box into the heavier one."""
     g = _Graph(c)
     trace: list[dict] = []
     boxes: dict[str, _Box] = {}
@@ -154,12 +148,9 @@ def validate(c: Circuit, rng: Optional[random.Random] = None) \
     for nid, a in g.anchors.items():
         anchored.setdefault(a, []).append(nid)
 
-    def push(move: tuple) -> None:
-        heapq.heappush(heap, (move if rng is None else rng.random(), move))
-
     def push_merge(b: _Box, x: _Box) -> None:
-        push(("c",) + ((b.name, x.name) if b.name < x.name
-                       else (x.name, b.name)))
+        heapq.heappush(heap, ("c",) + ((b.name, x.name) if b.name < x.name
+                                       else (x.name, b.name)))
 
     def new_box(nodes: set[str], wires: set[str]) -> _Box:
         b = _Box(f"b{len(boxes)}", nodes, wires)
@@ -178,7 +169,8 @@ def validate(c: Circuit, rng: Optional[random.Random] = None) \
     def wake(b: _Box, nids: list[str]) -> None:
         for nid in nids:
             if nid in pending and attaches(nid, b):
-                push((_ABSORB_RULE[g.nodes[nid]], nid, b.name))
+                heapq.heappush(heap, (_ABSORB_RULE[g.nodes[nid]], nid,
+                                      b.name))
 
     def settle(nid: str, b: _Box) -> None:
         """Node `nid` has joined `b`: count its attachments and wake the
@@ -239,7 +231,7 @@ def validate(c: Circuit, rng: Optional[random.Random] = None) \
         settle(nid, b)
 
     while heap:
-        move = heapq.heappop(heap)[1]
+        move = heapq.heappop(heap)
         if move[0] == "c":
             _, n1, n2 = move
             if n1 in boxes and n2 in boxes \
@@ -266,13 +258,3 @@ def validate(c: Circuit, rng: Optional[random.Random] = None) \
         stuck = state.summary() | {"cuts": [
             {"boxes": [n1, n2], "attachments": k} for n1, n2, k in cuts]}
     return ValidityReport(valid=valid, trace=trace, stuck=stuck)
-
-
-def validate_all_orders(c: Circuit, seeds: list[int]) -> bool:
-    """True when the boxing verdict is independent of worklist order over
-    the given seeds (and matches the deterministic order)."""
-    base = validate(c).valid
-    for seed in seeds:
-        if validate(c, rng=random.Random(seed)).valid != base:
-            return False
-    return True

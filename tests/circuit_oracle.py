@@ -6,6 +6,10 @@
 and validates the result.  `permutation` bubbles the target order into
 place and composes one layer per adjacent swap.  Building `seq` of n parts
 takes time quadratic in n, so the tests use them on small circuits only.
+`rescanning_permutation` draws the same symmetries as
+`ldckit.circuit.permutation` but looks for each one from position 0, and
+finds each input's position with `list.index`, so it is quadratic in the
+wires at least.
 
 `isomorphic` recurses once per node and re-sorts the second circuit's
 nodes at every step, so it is quadratic and raises `RecursionError` on
@@ -126,6 +130,30 @@ def permutation(types: Sequence[ObjectExpr],
                 current[j], current[j + 1] = current[j + 1], current[j]
                 break
     return result
+
+
+def rescanning_permutation(types: Sequence[ObjectExpr],
+                           order: Sequence[int]) -> Circuit:
+    """`permutation` as one circuit of symmetries, each exchanging the
+    first adjacent pair still out of order, found by a scan from 0."""
+    n = len(types)
+    if sorted(order) != list(range(n)):
+        raise ValueError(f"not a permutation of 0..{n - 1}: {order}")
+    wires = {fresh_wire(): t for t in types}
+    inputs = list(wires)
+    line = list(inputs)
+    dest = [list(order).index(i) for i in range(n)]
+    nodes = {}
+    while True:
+        j = next((j for j in range(n - 1) if dest[j] > dest[j + 1]), None)
+        if j is None:
+            return Circuit(wires, nodes, inputs, line)
+        outs = (fresh_wire(), fresh_wire())
+        wires[outs[0]], wires[outs[1]] = wires[line[j + 1]], wires[line[j]]
+        nodes[fresh_node()] = Node(kind="swap", ins=tuple(line[j:j + 2]),
+                                   outs=outs)
+        line[j:j + 2] = outs
+        dest[j:j + 2] = dest[j + 1], dest[j]
 
 
 def _node_signature(c: Circuit, nid: str) -> tuple:

@@ -646,12 +646,11 @@ def graded_check_suite(g: Gadget, suite: EquationSuite,
         lhs = evaluate(lhs_c, env)
         rhs = evaluate(rhs_c, env)
         if table:
-            limit = env.degree - eq.margin
             rows = _boundary_degrees(lhs_c.output_types(), env, table)
             cols = _boundary_degrees(lhs_c.input_types(), env, table)
             # entries outside the window count as 0 on both sides, which
             # moves neither the residual nor the scale (maxima of moduli)
-            window = np.ix_(rows <= limit, cols <= limit)
+            window = np.ix_(rows <= env.degree, cols <= env.degree)
             lhs, rhs = lhs[window], rhs[window]
         ok, residual = matrices_equal(lhs, rhs, tol)
         residuals[eq.label] = residual

@@ -39,10 +39,11 @@ from ldckit.structures import (complementary_from_idempotent,
                                split_binary_idempotent, split_linear_comonoid,
                                split_linear_monoid)
 from ldckit.suites import SUITES, check_suite
-from ldckit.validity import validate, validate_all_orders
+from ldckit.validity import validate
 
 from conftest import random_projector
 from validity_oracle import validate as oracle_validate
+from test_validity import assert_order_independent
 from test_structures import (E_BAD, E_GOOD, bell, copy_comonoid,
                              pointwise_monoid)
 
@@ -91,10 +92,9 @@ class TestBoxingValidity:
         # unit and thinning cases are represented
         assert {"top-unit-elim", "bot-unit-intro", "top-intro-elim"} \
             <= set(names)
-        seeds = list(range(20))
         for name, circuit, expect in corpus:
             assert validate(circuit).valid is expect, name
-            assert validate_all_orders(circuit, seeds), name
+            assert_order_independent(circuit, expect, range(20), name)
 
     def test_long_chain_parses_and_validates_within_a_second(self):
         doc = chain_document(2000)

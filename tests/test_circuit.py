@@ -1,8 +1,10 @@
-"""Circuit construction, well-formedness checks, and serialization."""
+"""Circuit construction, well-formedness checks, serialization of circuits
+and formulas, and rendering."""
 from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -16,7 +18,9 @@ from ldckit.circuit import (Circuit, Node, compose, dagger, dagger_box,
                             tensor_elim, tensor_intro)
 from ldckit.errors import IllTyped, LdcError, SchemaError, TypeMismatch
 from ldckit.io import parse, serialize
-from ldckit.objects import Atom, Bot, Par, Tensor, Top
+from ldckit.objects import (Atom, Bang, Bot, Dagger, Par, Quest, Tensor, Top,
+                            pretty, type_from_json, type_to_json)
+from ldckit.render import render_dot
 
 import circuit_oracle
 from test_validity import circuits
@@ -84,6 +88,127 @@ class TestConstruction:
         with pytest.raises(IllTyped):
             Circuit(dict(g.wires) | {"w_extra": C}, dict(g.nodes),
                     list(g.inputs), list(g.outputs))
+
+
+def _gen(ins: tuple, outs: tuple, name: str = "f") -> Node:
+    return Node("gen", ins, outs, name=name)
+
+
+# Each refusal of `Circuit(...)`: its arguments and the message it gives.
+REFUSALS = {
+    "wire id not a string": (
+        ({5: A}, {}, [5], [5]),
+        "node 5: wire ids must be nonempty strings"),
+    "empty wire id": (
+        ({"": A}, {}, [""], [""]),
+        "node : wire ids must be nonempty strings"),
+    # taken before: `validate` then compared 1 with "x" (a TypeError from
+    # '<') and `render_dot` added it to a string (a TypeError from '+')
+    "node id not a string": (
+        ({"a": A, "b": A, "c": A},
+         {1: _gen(("a",), ("b",)), "x": _gen(("b",), ("c",), "g")},
+         ["a"], ["c"]),
+        "node 1: node ids must be nonempty strings"),
+    "empty node id": (
+        ({"a": A, "b": A}, {"": _gen(("a",), ("b",))}, ["a"], ["b"]),
+        "node : node ids must be nonempty strings"),
+    "unknown input wire": (
+        ({"a": A}, {}, ["x"], ["a"]),
+        "node x: boundary input references unknown wire"),
+    "unknown output wire": (
+        ({"a": A}, {}, ["a"], ["x"]),
+        "node x: boundary output references unknown wire"),
+    "wire twice among inputs": (
+        ({"a": A}, {}, ["a", "a"], ["a"]),
+        "node a: wire appears twice among inputs"),
+    "wire twice among outputs": (
+        ({"a": A}, {}, ["a"], ["a", "a"]),
+        "node a: wire appears twice among outputs"),
+    "wire consumed twice": (
+        ({"a": A, "b": A, "c": A},
+         {"f": _gen(("a",), ("b",)), "g": _gen(("a",), ("c",), "g")},
+         ["a"], ["b", "c"]),
+        "node g: wire a consumed twice"),
+    "wire produced twice": (
+        ({"a": A, "b": A, "c": A},
+         {"f": _gen(("a",), ("c",)), "g": _gen(("b",), ("c",), "g")},
+         ["a", "b"], ["c"]),
+        "node g: wire c produced twice"),
+    "dagger box without an inner circuit": (
+        ({"a": A, "b": A}, {"d": Node("dagger_box", ("a",), ("b",))},
+         ["a"], ["b"]),
+        "node d: dagger box needs an inner circuit"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusal_names_the_fault(case):
+    args, message = REFUSALS[case]
+    with pytest.raises(IllTyped) as exc:
+        Circuit(*args)
+    assert str(exc.value) == message
+
+
+class TestRender:
+    def test_node_ids_never_share_a_name_with_an_end(self):
+        # node ids that read as boundary ends (in0, out0) or as a box
+        # interior's names (b0.n1), at the top and inside dagger boxes two
+        # deep, each drawn as a node of its own
+        ids = ("in0", "out0", "b0.n1")
+
+        def chain() -> Circuit:
+            wires = {f"w{k}": A for k in range(4)}
+            nodes = {nid: _gen((f"w{k}",), (f"w{k + 1}",))
+                     for k, nid in enumerate(ids)}
+            return Circuit(wires, nodes, ["w0"], ["w3"])
+
+        outer = par(chain(), dagger_box(par(chain(), dagger_box(chain()))))
+        assert set(ids) <= set(outer.nodes)
+        dot = render_dot(outer).decode()
+        declared = re.findall(r'^ *("[^"]*") \[', dot, re.MULTILINE)
+        used = re.findall(r'("[^"]*") -> ("[^"]*")', dot)
+        ends = sum(len(c.nodes) + len(c.inputs) + len(c.outputs)
+                   for c in outer.nested())
+        assert len(set(declared)) == len(declared) == ends
+        assert {n for edge in used for n in edge} <= set(declared)
+        assert '"in0" -> "in0"' not in dot
+
+
+class TestFormulas:
+    @staticmethod
+    @st.composite
+    def written(draw, depth: int = 3):
+        """A formula of any of the eight constructors, with its document
+        and its `pretty` text as written out by hand."""
+        kinds = ["atom", "top", "bot"]
+        if depth:
+            kinds += ["tensor", "par", "dagger", "bang", "quest"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "atom":
+            name = draw(st.sampled_from(["A", "B", "X1"]))
+            return Atom(name), {"atom": name}, name
+        if kind == "top":
+            return Top(), {"top": {}}, "T"
+        if kind == "bot":
+            return Bot(), {"bot": {}}, "_|_"
+        if kind in ("tensor", "par"):
+            (l, ld, lt), (r, rd, rt) = (draw(TestFormulas.written(depth - 1))
+                                        for _ in range(2))
+            cls, sign = (Tensor, "*") if kind == "tensor" else (Par, "+")
+            return cls(l, r), {kind: [ld, rd]}, f"({lt} {sign} {rt})"
+        t, doc, text = draw(TestFormulas.written(depth - 1))
+        cls, text = {"dagger": (Dagger, text + "^"),
+                     "bang": (Bang, "!" + text),
+                     "quest": (Quest, "?" + text)}[kind]
+        return cls(t), {kind: doc}, text
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=written())
+    def test_write_read_and_print(self, case):
+        t, doc, text = case
+        assert type_to_json(t) == doc
+        assert type_from_json(json.loads(json.dumps(doc))) == t
+        assert pretty(t) == text
 
 
 class TestTopoOrder:

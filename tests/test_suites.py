@@ -1,18 +1,21 @@
 """Equation suites on the built-in example gadgets."""
 from __future__ import annotations
 
+import math
+import time
+
 import numpy as np
 import pytest
 
 from ldckit.circuit import dagger, isomorphic, mirror, reverse
-from ldckit.errors import MissingRole, TypeMismatch
+from ldckit.errors import MAX_ENTRIES, LdcError, MissingRole, TypeMismatch
 from ldckit.exponential import induce_bang_monoid, retract_idempotent
 from ldckit.fixtures import fixture_names, load_gadget
 from ldckit.gadget import Gadget
 from ldckit.model import ModelEnv, evaluate, interp
 from ldckit.objects import Atom, Bang, factors
 from ldckit import suites
-from ldckit.suites import SUITES, check_suite
+from ldckit.suites import SUITES, Equation, check_suite
 
 import suite_oracle
 from model_oracle import dims_of
@@ -194,18 +197,46 @@ class TestGradedMasking:
                                     "cap-morphism": 0.0}
 
 
+def _exponential(kind: str, base: Gadget, degree: int) -> Gadget:
+    """The induced or retract gadget of `base` at `degree`."""
+    if kind == "induced":
+        return induce_bang_monoid(base, degree)
+    return retract_idempotent(base, degree)["gadget"]
+
+
 def _exponential_gadgets():
     """The induced and retract gadgets of qubit-zx, zn:3 and zn:4 at
     degrees 1-3, by name."""
     for name in ("qubit-zx", "zn:3", "zn:4"):
         base = load_gadget(name)
         for degree in (1, 2, 3):
-            yield f"induced-{name}@{degree}", induce_bang_monoid(base, degree)
-            yield (f"retract-{name}@{degree}",
-                   retract_idempotent(base, degree)["gadget"])
+            for kind in ("induced", "retract"):
+                yield f"{kind}-{name}@{degree}", _exponential(kind, base,
+                                                              degree)
+
+
+# The equations whose sides at degree 5 on zn:4, where !X has 126 basis
+# vectors, would pass MAX_ENTRIES: the four-legged laws (126^4 > 2^27).
+_PAST_THE_LIMIT = {
+    ("linear-monoid", "assoc"), ("dagger-linear-monoid", "assoc"),
+    ("frobenius-algebra", "assoc"), ("frobenius-algebra", "coassoc"),
+    ("frobenius-algebra", "frobenius-left"),
+    ("frobenius-algebra", "frobenius-right"),
+    ("linear-comonoid", "coassoc"), ("dagger-linear-comonoid", "coassoc"),
+    ("linear-bialgebra", "assoc"), ("linear-bialgebra", "coassoc"),
+    ("linear-bialgebra", "tensor-mult-comult"),
+    ("linear-bialgebra", "par-mult-comult"),
+}
 
 
 class TestTypedWindow:
+    @pytest.mark.parametrize("margin", [1, -1, 0.5, "0", None])
+    def test_no_equation_narrows_the_window(self, margin):
+        build = SUITES["dual"].equations[0].build
+        assert Equation("x", build) == Equation("x", build, 0)
+        with pytest.raises(LdcError, match="its margin is 0"):
+            Equation("x", build, margin)
+
     def test_the_window_of_the_types_is_the_gradings_window(self):
         # the window read from the Bang types against the one read from a
         # gradings table on the same gadget typed on opaque atoms, for
@@ -224,25 +255,31 @@ class TestTypedWindow:
                 checked += 1
         assert checked == 162
 
-    @pytest.mark.parametrize("name, degree, higher",
-                             [("qubit-zx", 2, 4), ("qubit-zx", 3, 5),
-                              ("zn:3", 2, 4)])
-    def test_the_window_holds_at_a_higher_degree(self, name, degree, higher):
+    @pytest.mark.parametrize("kind", ["induced", "retract"])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["qubit-zx", "zn:3", "zn:4"])
+    def test_the_window_holds_at_a_higher_degree(self, name, degree, kind):
         # every windowed entry of both sides of every equation is the entry
-        # of the same multisets at a higher degree, so the window needs no
+        # of the same multisets at degree + 2, so the window needs no
         # margin.  A degree-d basis is a prefix of the degree-D one, so each
-        # factor's index maps unchanged.
+        # factor's index maps unchanged.  Sides too large at degree + 2 are
+        # skipped, and named.
+        t0 = time.perf_counter()
         base = load_gadget(name)
-        g = induce_bang_monoid(base, degree)
+        g = _exponential(kind, base, degree)
         env = suites.suite_env(g)
-        high_env = suites.suite_env(induce_bang_monoid(base, higher))
-        checked = 0
+        high_env = suites.suite_env(_exponential(kind, base, degree + 2))
+        checked, skipped = 0, set()
         for suite in SUITES.values():
             if not g.has(*suite.roles):
                 continue
             for eq in suite.equations:
                 sides = suites._sides(eq, g)
                 outs, ins = sides[0].output_types(), sides[0].input_types()
+                if math.prod(interp(f, high_env)[0] for t in outs + ins
+                             for f in factors(t)) > MAX_ENTRIES:
+                    skipped.add((suite.name, eq.label))
+                    continue
                 window = np.ix_(
                     suites._boundary_degrees(outs, env) <= degree,
                     suites._boundary_degrees(ins, env) <= degree)
@@ -253,7 +290,13 @@ class TestTypedWindow:
                     assert np.array_equal(low[window], high[window]), \
                         (suite.name, eq.label)
                     checked += 1
-        assert checked == 168
+        assert skipped == (_PAST_THE_LIMIT if (name, degree) == ("zn:4", 3)
+                           else set())
+        assert checked == {"induced": 168, "retract": 184}[kind] \
+            - 2 * len(skipped)
+        # at most 8.1 s measured (zn:4 at degree 2 against 4, where the
+        # four-legged sides hold 24 M entries), on a 2-vCPU host
+        assert time.perf_counter() - t0 < 30.0
 
 
 def _truncated(m: np.ndarray, types, env: ModelEnv,
