@@ -110,9 +110,6 @@ def cmd_exp_demo(args) -> int:
     if not comp.passed:
         print("input is not a complementary system", file=sys.stderr)
         return 2
-    if args.degree < 2:
-        print("warning: degree 1 leaves no room above the retraction; "
-              "windowed checks are degenerate")
 
     result = retract_idempotent(gadget, degree=args.degree, tol=args.tol)
     induced = result["gadget"]
@@ -124,28 +121,19 @@ def cmd_exp_demo(args) -> int:
     print(f"retraction: flat;eps deviation {r1:.3e}, "
           f"idempotency deviation {r2:.3e}")
 
-    degenerate = args.degree < 2
     out = complementary_from_idempotent(induced, tol=args.tol,
-                                        splitting=result["splitting"],
-                                        check=not degenerate)
+                                        splitting=result["splitting"])
     cond, verdict = out["conditions"], out["complementary"]
     print(f"idempotent conditions: worst residual {cond.worst():.3e}")
     print(f"split complementary: worst residual {verdict.worst():.3e}")
     if not (cond.passed and verdict.passed):
-        if degenerate:
-            print("warning: windowed suite failures ignored at this degree")
-        else:
-            return 2
+        return 2
 
     recovered = out["split"]
     err = max(matrices_equal(recovered.morphism(role),
                              gadget.morphism(role))[1]
               for role in recovered.morphisms if role in gadget.morphisms)
     print(f"recovery error {err:.3e}")
-    if degenerate and err > args.tol * 10:
-        print("warning: recovery is truncated below degree 2; only the "
-              "retraction is exact")
-        return 0 if max(r1, r2) <= args.tol else 2
     return 0 if err <= args.tol * 10 else 2
 
 

@@ -9,7 +9,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import LdcError, MissingRole, SchemaError, count
+from .errors import (LdcError, MissingRole, ResourceLimit, SchemaError,
+                     count)
 from .io import matrix_from_json, matrix_to_json
 from .model import ModelEnv, _dim, _table, in_field
 from .objects import (Bang, ObjectExpr, Quest, factors, type_from_json,
@@ -112,6 +113,8 @@ def gadget_from_json(doc: object) -> Gadget:
             name: (spec["dim"], spec.get("basis")
                    or [str(i) for i in range(_dim(name, spec["dim"]))])
             for name, spec in doc["atoms"].items()}, degree=degree)
+    except ResourceLimit:
+        raise
     except LdcError as exc:
         raise SchemaError(str(exc)) from None
     return Gadget(str(doc["kind"]), objects, morphisms, env)

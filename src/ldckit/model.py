@@ -29,9 +29,9 @@ import numpy as np
 
 from . import plan
 from .circuit import Circuit
-from .errors import (LdcError, NotIdempotent, UnassignedGenerator,
-                     UnboundAtom, check_entries, count, finite, numbers,
-                     shaped, string_labels, tolerance)
+from .errors import (MAX_ENTRIES, LdcError, NotIdempotent, ResourceLimit,
+                     UnassignedGenerator, UnboundAtom, check_entries, count,
+                     finite, numbers, shaped, string_labels, tolerance)
 from .multiset import MultisetBasis
 from .objects import (Atom, Bang, Bot, Dagger, ObjectExpr, Par, Quest,
                       Tensor, Top, factors)
@@ -86,9 +86,18 @@ def _table(value: object, what: str) -> Mapping:
     return value
 
 
+# The largest atom dim, refused before any label is built: its default
+# labels, about 64 bytes each, take no more memory than the largest dense
+# complex array (MAX_ENTRIES).
+_MAX_DIM = MAX_ENTRIES // 4
+
+
 def _dim(name: str, dim: object) -> int:
     # 0 is a dimension: a rank-0 idempotent splits through it
-    return count(dim, f"atom {name!r}: dim must be a nonnegative integer")
+    dim = count(dim, f"atom {name!r}: dim must be a nonnegative integer")
+    if dim > _MAX_DIM:
+        raise ResourceLimit(f"atom {name!r} (basis labels)", dim, _MAX_DIM)
+    return dim
 
 
 def in_field(matrix: np.ndarray) -> np.ndarray:

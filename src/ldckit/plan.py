@@ -120,7 +120,7 @@ def greedy(operands: Sequence[Sequence[int]], size: Sequence[int],
 
 # `slices` is cubic in the number of operands; past this many operands
 # `best` does not try it.  Below _SEARCH_FROM FLOPs, a plan costs less to
-# carry out than the searches past the sweep and `greedy` take.
+# carry out than `slices` takes to search.
 _SLICES_MOST, _SEARCH_FROM = 40, 2 ** 16
 
 
@@ -195,8 +195,8 @@ def best(operands: Sequence[Sequence[int]], size: Sequence[int],
     """The plan of fewest FLOPs among the `sweep` in `order`, `greedy`
     under both tie-breaks and `slices` over `order`, of those that hold no
     larger intermediate than the sweep (on a tie, the first in that list);
-    with its `cost`.  The last two are tried only when the better of the
-    first two costs at least `_SEARCH_FROM` FLOPs."""
+    with its `cost`.  `slices` is tried only when the best of the first
+    three costs at least `_SEARCH_FROM` FLOPs."""
     chosen = sweep(order) if operands else []
     found = chosen, cost(operands, size, chosen)
     cap = found[1][1]
@@ -209,8 +209,7 @@ def best(operands: Sequence[Sequence[int]], size: Sequence[int],
 
     if len(operands) > 2:
         keep(greedy(operands, size))
-        if found[1][0] >= _SEARCH_FROM:
-            keep(greedy(operands, size, True))
-            if len(operands) <= _SLICES_MOST:
-                keep(slices(operands, size, order, cap))
+        keep(greedy(operands, size, True))
+        if found[1][0] >= _SEARCH_FROM and len(operands) <= _SLICES_MOST:
+            keep(slices(operands, size, order, cap))
     return found

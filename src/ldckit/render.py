@@ -42,7 +42,12 @@ def _body(c: Circuit, prefix: str, pad: str, lines: list[str],
           boxes: Iterator[int]) -> None:
     """Append the lines of `c` to `lines`, each indented by `pad`, its
     names prefixed by `prefix`; `boxes` numbers the box interiors."""
-    q = lambda s: '"' + s.replace('"', '\\"') + '"'
+    # a string with a backslash is an HTML string, where a backslash is
+    # plain text: DOT reads the \" that ends a quoted "f\" as an escaped
+    # quote.  Quoted names then hold none, so the two forms never meet
+    q = lambda s: ("<" + s.replace("&", "&amp;").replace("<", "&lt;")
+                   .replace(">", "&gt;") + ">" if "\\" in s
+                   else '"' + s.replace('"', '\\"') + '"')
     node = lambda nid: prefix + ("id:" if _ESCAPED.match(nid) else "") + nid
     for i, w in enumerate(c.inputs):
         lines.append(f"{pad}{q(prefix + 'in' + str(i))} "

@@ -148,17 +148,15 @@ def _require_flavour(g: Gadget, side: str, e_a, e_b, tol) -> None:
                                           for rep in failed.values()))
 
 
-def _split(g: Gadget, structure: str, e_a, e_b, tol, splitting,
-           check: bool) -> Gadget:
+def _split(g: Gadget, structure: str, e_a, e_b, tol, splitting) -> Gadget:
     """The linear `structure` g split along e_a on A and e_b on B, by the
-    caller's (r, s, r2, s2) if `splitting` is given.  With `check`, g must
-    pass its own suite, and each of its sides must preserve the idempotents
-    as sectional or as retractional ones."""
+    caller's (r, s, r2, s2) if `splitting` is given.  g must pass its own
+    suite, and each of its sides must preserve the idempotents as sectional
+    or as retractional ones."""
     sides = list(_SIDES) if structure == "bialgebra" else [structure]
-    if check:
-        _require_suite(g, f"linear-{structure}", tol)
-        for side in sides:
-            _require_flavour(g, side, e_a, e_b, tol)
+    _require_suite(g, f"linear-{structure}", tol)
+    for side in sides:
+        _require_flavour(g, side, e_a, e_b, tol)
     if splitting is None:
         splitting = (*split_idempotent(e_a, tol), *split_idempotent(e_b, tol))
     r, s, r2, s2 = splitting
@@ -169,24 +167,21 @@ def _split(g: Gadget, structure: str, e_a, e_b, tol, splitting,
 
 
 def split_linear_monoid(g: Gadget, e_a: np.ndarray, e_b: np.ndarray,
-                        tol: float = 1e-9,
-                        splitting=None, check: bool = True) -> Gadget:
-    return _split(g, "monoid", e_a, e_b, tol, splitting, check)
+                        tol: float = 1e-9, splitting=None) -> Gadget:
+    return _split(g, "monoid", e_a, e_b, tol, splitting)
 
 
 def split_linear_comonoid(g: Gadget, e_a: np.ndarray, e_b: np.ndarray,
-                          tol: float = 1e-9,
-                          splitting=None, check: bool = True) -> Gadget:
-    return _split(g, "comonoid", e_a, e_b, tol, splitting, check)
+                          tol: float = 1e-9, splitting=None) -> Gadget:
+    return _split(g, "comonoid", e_a, e_b, tol, splitting)
 
 
 def split_linear_bialgebra(g: Gadget, e_a: np.ndarray, e_b: np.ndarray,
-                           tol: float = 1e-9,
-                           splitting=None, check: bool = True) -> Gadget:
+                           tol: float = 1e-9, splitting=None) -> Gadget:
     """Each side's idempotents may be of either flavour: in the canonical
     retract of an exponential the retraction is a monoid morphism while
     the section is a comonoid morphism."""
-    return _split(g, "bialgebra", e_a, e_b, tol, splitting, check)
+    return _split(g, "bialgebra", e_a, e_b, tol, splitting)
 
 
 # -- compact reflection -----------------------------------------------------
@@ -252,18 +247,16 @@ def tensor_of_duals(g: Gadget, tol: float = 1e-9) -> Gadget:
 # -- complementary systems from idempotents ---------------------------------
 
 def complementary_from_idempotent(g: Gadget, tol: float = 1e-9,
-                                  splitting=None, check: bool = True) -> dict:
+                                  splitting=None) -> dict:
     """Report the complementary suite sandwiched between e_A = ub;vb and
     e_B = vb;ub, split the linear bialgebra along e_A and e_B, and report
     the complementary suite on the split gadget.  The two verdicts must
-    agree.  With `check`, the split first requires the linear-bialgebra
-    suite and, on each side, the compatibility suites of one flavour."""
+    agree."""
     # the conditions read ub and vb, so a pair that does not compose both
     # ways is refused there with ShapeMismatch
     conditions = check_suite(g, SUITES["complementary-idempotent-cond"], tol)
     ub, vb = g.morphism("ub"), g.morphism("vb")
-    split = split_linear_bialgebra(g, vb @ ub, ub @ vb, tol,
-                                   splitting=splitting, check=check)
+    split = split_linear_bialgebra(g, vb @ ub, ub @ vb, tol, splitting)
     verdict = check_suite(split, SUITES["complementary"], tol)
     return {"conditions": conditions, "split": split,
             "complementary": verdict}

@@ -6,7 +6,8 @@ refuses a bad one with an `LdcError`, a bad shape with `ShapeMismatch`
 (`SchemaError` in a document), and reads a NumPy number as the Python
 number it holds.  The tolerance table is checked against
 `ldckit.__all__`: a public callable with a `tol` parameter and no entry
-fails the test."""
+fails the test, as does any defaulted parameter missing from the option
+table."""
 from __future__ import annotations
 
 import functools
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 import ldckit
+from ldckit import exponential, structures
 from ldckit.circuit import generator, permutation
 from ldckit.errors import LdcError, SchemaError, ShapeMismatch
 from ldckit.exponential import (bang_matrix, build_exp,
@@ -458,6 +460,61 @@ def test_only_what_builds_an_exponential_takes_a_degree():
     public = {name for name in ldckit.__all__
               if _takes(getattr(ldckit, name), "degree")}
     assert public == DEGREE_TAKERS
+
+
+# The defaulted parameters, as `inspect.signature` shows them, of every
+# public callable that has any: those of `ldckit.__all__`, and the public
+# functions of `structures` and `exponential`.  A new option, or a changed
+# default, has to be written here too.
+OPTIONS = {
+    "BoxState": "boxes=<factory>, pending=<factory>",
+    "Gadget": "gradings=None",
+    "ModelEnv": "atoms=<factory>, degree=3, generators=<factory>",
+    "Node": "name=None, dom=None, cod=None, thin=None, inner=None",
+    "NotExpandable": "message=''",
+    "SuiteFailure": "detail=''",
+    "ValidityReport": "stuck=None",
+    "actions_to_monoid": "tol=1e-09",
+    "antipode": "tol=1e-09",
+    "build_exp": "with_duplication=True",
+    "check_suite": "tol=1e-09",
+    "comonad_coassoc_report": "tol=1e-09",
+    "compact_reflection": "tol=1e-09",
+    "complementary_from_idempotent": "tol=1e-09, splitting=None",
+    "dagger_of_dual": "tol=1e-09",
+    "induce_bang_monoid": "degree=3, tol=1e-09",
+    "lift_flat": "tol=1e-09",
+    "lift_sharp": "tol=1e-09",
+    "matrices_equal": "tol=1e-09",
+    "monoid_to_actions": "tol=1e-09",
+    "retract_idempotent": "degree=3, tol=1e-09",
+    "split_binary_idempotent": "tol=1e-09",
+    "split_idempotent": "tol=1e-09",
+    "split_linear_bialgebra": "tol=1e-09, splitting=None",
+    "split_linear_comonoid": "tol=1e-09, splitting=None",
+    "split_linear_monoid": "tol=1e-09, splitting=None",
+    "tensor_of_duals": "tol=1e-09",
+    "weak_preunitary_from_dagger_split": "tol=1e-09",
+}
+
+
+def test_every_option_is_in_the_table():
+    public = {name: getattr(ldckit, name) for name in ldckit.__all__}
+    for module in (structures, exponential):
+        public |= {name: obj for name, obj in vars(module).items()
+                   if inspect.isfunction(obj) and not name.startswith("_")
+                   and obj.__module__ == module.__name__}
+    options = {}
+    for name, obj in public.items():
+        try:
+            parameters = inspect.signature(obj).parameters.values()
+        except (TypeError, ValueError):   # not callable, or an error class
+            continue
+        defaulted = [f"{p.name}={p.default!r}" for p in parameters
+                     if p.default is not p.empty]
+        if defaulted:
+            options[name] = ", ".join(defaulted)
+    assert options == OPTIONS
 
 
 @pytest.mark.parametrize("name", TOLERANCES)

@@ -2,6 +2,7 @@
 and formulas, and rendering."""
 from __future__ import annotations
 
+import html
 import itertools
 import json
 import re
@@ -172,6 +173,63 @@ class TestRender:
         assert len(set(declared)) == len(declared) == ends
         assert {n for edge in used for n in edge} <= set(declared)
         assert '"in0" -> "in0"' not in dot
+
+    def test_names_with_a_backslash_end_every_string(self):
+        # a generator, atom or node name ending in a backslash was written
+        # as "f\", whose \" DOT reads as an escaped quote: drawn with a
+        # backslash, each name must lex as drawn with a plain character
+        def drawn(mark: str) -> list[tuple[str, str]]:
+            ids = ("x" + mark, "in0" + mark, 'a<&"' + mark + "b")
+            wires = {f"w{k}": Atom("B" + mark) for k in range(4)}
+            nodes = {nid: _gen((f"w{k}",), (f"w{k + 1}",), "f" + mark)
+                     for k, nid in enumerate(ids)}
+            flat = Circuit(wires, nodes, ["w0"], ["w3"])
+            box = dagger_box(flat)
+            (node,) = box.nodes.values()
+            box = Circuit(box.wires, {"box" + mark: node},
+                          box.inputs, box.outputs)
+            return dot_tokens(render_dot(par(flat, box)).decode())
+
+        plain = [(kind, text.replace("/", "\\"))
+                 for kind, text in drawn("/")]
+        assert drawn("\\") == plain
+
+
+def dot_tokens(text: str) -> list[tuple[str, str]]:
+    """The tokens of a DOT text, each its kind ("id" or "punct") and its
+    text, a string's unquoted, as Graphviz lexes them: in a quoted string
+    \\" is an escaped quote and any other backslash stands for itself, so a
+    string whose last character is a backslash runs on; an HTML string runs
+    to the > that balances its <, and its entities are read."""
+    tokens, i = [], 0
+    while i < len(text):
+        if text[i].isspace():
+            i += 1
+        elif text[i] == '"':
+            i, chars = i + 1, []
+            while text[i] != '"':   # IndexError: the string never ends
+                step = 2 if text.startswith('\\"', i) else 1
+                chars.append(text[i + step - 1])
+                i += step
+            tokens.append(("id", "".join(chars)))
+            i += 1
+        elif text[i] == "<":
+            start, depth = i, 0
+            while depth or i == start:
+                depth += {"<": 1, ">": -1}.get(text[i], 0)
+                i += 1
+            tokens.append(("id", html.unescape(text[start + 1:i - 1])))
+        elif text.startswith("->", i):
+            tokens.append(("punct", "->"))
+            i += 2
+        elif text[i] in "[]{};,=":
+            tokens.append(("punct", text[i]))
+            i += 1
+        else:
+            word = re.compile(r"[\w.]+").match(text, i).group()
+            tokens.append(("id", word))
+            i += len(word)
+    return tokens
 
 
 class TestFormulas:

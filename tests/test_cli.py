@@ -413,10 +413,19 @@ class TestExpDemo:
         err = capsys.readouterr().err
         assert "error: " in err and "Traceback" not in err
 
-    def test_degree_one_warns(self, capsys):
-        assert main(["exp", "demo", "--gadget", "qubit-zx",
-                     "--degree", "1"]) == 0
-        assert "warning: degree 1" in capsys.readouterr().out
+    @pytest.mark.parametrize("name", ["qubit-zx", "zn:3", "zn:4"])
+    def test_degree_one_split_is_refused(self, capsys, name):
+        # degree 1 has no grade 2 for the copy comonoid's a (x) a term, so
+        # the retract's comonoid side preserves the idempotent in neither
+        # flavour; the demo once skipped this check and exited 0
+        assert main(["exp", "demo", "--gadget", name, "--degree", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ("complementary (input): worst residual 0.000e+00\n"
+                       "retraction: flat;eps deviation 0.000e+00, "
+                       "idempotency deviation 0.000e+00\n")
+        assert err == ("error: suite comonoid-sectional (sectional) and "
+                       "comonoid-retractional (retractional) failed: worst "
+                       "residuals 1.000e+00 and 1.000e+00\n")
 
     def test_degree_5_recovers_the_qubit(self, capsys):
         assert main(["exp", "demo", "--gadget", "qubit-zx",
@@ -450,6 +459,21 @@ class TestExpDemo:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: degree-")
         assert "multiset basis" in err[0]
+
+    def test_huge_atom_dim_is_refused_before_its_labels(self, tmp_path,
+                                                        capsys):
+        # 10**9 default labels were built before any size check: under a
+        # 2 GB address-space cap, "error: out of memory: " and no reason
+        doc = json.loads(QUBIT_DOC) | {"atoms": {"Q": {"dim": 10 ** 9}}}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        assert main(["check", "--suite", "linear-monoid",
+                     "--gadget", str(path)]) == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err == (
+            "error: atom 'Q' (basis labels): needs 1000000000, the limit "
+            "is 33554432\n")
 
     def test_out_of_memory_exits_one(self, capsys, monkeypatch):
         import ldckit.cli

@@ -10,7 +10,7 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import model_oracle
@@ -275,11 +275,7 @@ class TestPlans:
         assert cost == plan.cost(ops, size, chosen)
         sweep = plan.cost(ops, size, plan.sweep(order))
         assert cost[0] <= sweep[0]
-        # the first-found tie-break is tried only past _SEARCH_FROM FLOPs
-        tried = [plan.greedy(ops, size)]
-        if cost[0] >= plan._SEARCH_FROM:
-            tried.append(plan.greedy(ops, size, True))
-        for other in tried:
+        for other in (plan.greedy(ops, size), plan.greedy(ops, size, True)):
             flops, largest = plan.cost(ops, size, other)
             assert cost[0] <= flops or largest > sweep[1]
         sliced = plan.slices(ops, size, order)
@@ -296,6 +292,9 @@ class TestPlans:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            brickwork=st.booleans())
+    # 11 operands at 54400 FLOPs by NumPy's order, under _SEARCH_FROM: the
+    # first-found greedy once ran only past it, so the sweep's 57600 stood
+    @example(seed=12877585, brickwork=False)
     def test_layered_plan_within_numpy_greedy(self, seed, brickwork):
         # against NumPy's greedy plan of the same network, whose FLOPs
         # NumPy prints to four digits

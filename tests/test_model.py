@@ -14,7 +14,7 @@ from ldckit.circuit import (dagger_box, generator, identity, par, permutation,
 from ldckit.errors import (MAX_ENTRIES, LdcError, NotIdempotent,
                            ResourceLimit, ShapeMismatch, UnassignedGenerator,
                            UnboundAtom)
-from ldckit.gadget import Gadget
+from ldckit.gadget import Gadget, gadget_from_json
 from ldckit.model import (ModelEnv, contraction_cost, evaluate, interp,
                           matrices_equal, split_idempotent)
 from ldckit.objects import Atom, Bang, Bot, Par, Tensor, Top
@@ -57,6 +57,23 @@ class TestInterp:
     def test_bad_dimension_is_refused(self, dim):
         with pytest.raises(LdcError, match=f"atom 'A': .*got {dim!r}"):
             ModelEnv.make({"A": dim})
+
+    # ModelEnv.make({"Q": 10**9}) built 10**9 labels, about 64 GB, before
+    # anything checked a size
+    @pytest.mark.parametrize("dim", [2 ** 25 + 1, 10 ** 9])
+    @pytest.mark.parametrize("make", [
+        lambda dim: ModelEnv.make({"Q": dim}),
+        lambda dim: ModelEnv(atoms={"Q": (dim, ())}),
+        lambda dim: gadget_from_json({"kind": "k", "objects": {},
+                                      "atoms": {"Q": {"dim": dim}},
+                                      "morphisms": {}})])
+    def test_dimension_past_the_label_limit_is_refused(self, make, dim):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit) as info:
+            make(dim)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == (f"atom 'Q' (basis labels): needs {dim}, "
+                                   f"the limit is {2 ** 25}")
 
     def test_dimension_zero_is_kept(self):
         env = ModelEnv.make({"A": 0, "B": np.int64(2)})

@@ -218,7 +218,8 @@ class TestMonoidSplitLemma:
                                TOL).passed
         with pytest.raises(SuiteFailure):
             split_linear_monoid(g, E_BAD, E_BAD, tol=TOL)
-        forced = split_linear_monoid(g, E_BAD, E_BAD, tol=TOL, check=False)
+        forced = structures_oracle.split_linear_monoid(g, E_BAD, E_BAD,
+                                                       tol=TOL, check=False)
         assert not check_suite(forced, SUITES["linear-monoid"], TOL).passed
 
 
@@ -236,7 +237,8 @@ class TestComonoidSplitLemma:
         g = copy_comonoid()
         with pytest.raises(SuiteFailure):
             split_linear_comonoid(g, E_BAD, E_BAD, tol=TOL)
-        forced = split_linear_comonoid(g, E_BAD, E_BAD, tol=TOL, check=False)
+        forced = structures_oracle.split_linear_comonoid(g, E_BAD, E_BAD,
+                                                         tol=TOL, check=False)
         assert not check_suite(forced, SUITES["linear-comonoid"], TOL).passed
 
 
@@ -253,7 +255,7 @@ class TestBialgebraSplitLemma:
     def test_idempotents_that_do_not_compose_are_refused(self, qubit_gadget):
         g = qubit_gadget.with_morphisms(ub=np.ones((2, 3)), vb=np.eye(2))
         with pytest.raises(ShapeMismatch):
-            complementary_from_idempotent(g, tol=TOL, check=False)
+            complementary_from_idempotent(g, tol=TOL)
 
     def test_identity_idempotent_reproduces_the_system(self, qubit_gadget):
         eye = np.eye(2, dtype=complex)
@@ -276,7 +278,7 @@ class TestBialgebraSplitLemma:
             ub=eye, vb=eye)
         # still a linear bialgebra, but no longer complementary
         assert check_suite(twisted, SUITES["linear-bialgebra"], TOL).passed
-        out = complementary_from_idempotent(twisted, tol=TOL, check=False)
+        out = complementary_from_idempotent(twisted, tol=TOL)
         assert not out["conditions"].passed
         assert not out["complementary"].passed
         assert list(out["conditions"].residuals.values()) \
@@ -285,9 +287,13 @@ class TestBialgebraSplitLemma:
     def test_counit_unit_idempotent_fails_both_ways(self, qubit_gadget):
         e = qubit_gadget.morphism("u") @ qubit_gadget.morphism("k")
         g = qubit_gadget.with_morphisms(ub=e, vb=e)
-        out = complementary_from_idempotent(g, tol=TOL, check=False)
-        assert not out["conditions"].passed
-        assert not out["complementary"].passed
+        assert not check_suite(g, SUITES["complementary-idempotent-cond"],
+                               TOL).passed
+        with pytest.raises(SuiteFailure):
+            complementary_from_idempotent(g, tol=TOL)
+        forced = structures_oracle.split_linear_bialgebra(g, e, e, tol=TOL,
+                                                          check=False)
+        assert not check_suite(forced, SUITES["complementary"], TOL).passed
 
 
 # -- the one split path against the splitters that took a flavour -----------
