@@ -133,7 +133,8 @@ class Circuit:
         self.inputs = tuple(inputs)
         self.outputs = tuple(outputs)
         self._check()
-        # model.evaluate's compiled contractions, by factor dimensions
+        # model.evaluate's compiled contractions, by factor dimensions,
+        # and the degree windows of `suites`, by degree and those
         self._programs: dict = {}
 
     @classmethod

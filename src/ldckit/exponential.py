@@ -14,21 +14,20 @@ which the retract needs, is one gather per grade over the same peel tables,
 checked against the comonoid-morphism law on Delta's splits, and fails
 loudly when the constraints are inconsistent, making cofreeness an
 executable contract; the comonoid it lifts through is checked by the
-comonoid laws of `suites`, on a gadget of one object.  The duplication !A -> !!A and the monoidal structure
-!A (x) !B -> !(A (x) B) are closed forms (Mellies-Tabareau-Tasson): the
-duplication sends a multiset to every multiset of parts with that union,
-and the monoidal structure, one column index per multiset of pairs through
-which the induced multiplication and cups are summed without a dense
-matrix, sends a pair of multisets to every multiset of pairs with those
-projections.  Every dense array left is refused with `ResourceLimit` past
-`errors.MAX_ENTRIES` entries, before it is allocated.  The comonad law
-delta;!delta = delta;delta is checked on sparse columns, on the degree
-window where the intermediate multiset of part-unions has size at most d,
-and only that window is built: a partial product of !delta is dropped once
-the sizes of its parts sum past d, which no further factor can undo, as
-each adds a size of at least 0.  The structure maps are real 0/1 matrices,
-and every map built from a gadget's roles is computed in their field: real
-data stays real.
+comonoid laws of `suites`, on a gadget of one object.  The duplication
+!A -> !!A and the monoidal structure !A (x) !B -> !(A (x) B) are closed
+forms (Mellies-Tabareau-Tasson): the duplication sends a multiset to every
+multiset of parts with that union, scattered from the shape's table of
+them, and the monoidal structure, one column index per multiset of pairs
+through which the induced multiplication and cups are summed without a
+dense matrix, sends a pair of multisets to every multiset of pairs with
+those projections.  Every dense array left is refused with `ResourceLimit`
+past `errors.MAX_ENTRIES` entries, before it is allocated.  The comonad law
+delta;!delta = delta;delta is checked on the degree window of !!!A, which
+the shape lists once, with the first element, the rest and the sum of
+each entry: one gather per grade for delta;!delta, one for delta;delta.
+The structure maps are real 0/1 matrices, and every map built from a
+gadget's roles is computed in their field: real data stays real.
 """
 from __future__ import annotations
 
@@ -44,8 +43,8 @@ from .errors import (LdcError, LiftFailure, NotAComonoid, ShapeMismatch,
                      tolerance)
 from .gadget import Gadget, _exponential
 from .model import ModelEnv, interp, matrices_equal
-from .multiset import (MultisetBasis, _frozen, _multisets,
-                       sub_multiset_splits)
+from .multiset import (MultisetBasis, _frozen, _law_window, _multisets,
+                       _rows)
 from .objects import Atom, Bang
 from .suites import _COMONOID, _ROLE_SIGNATURES, _require_suite, check_suite
 
@@ -224,10 +223,8 @@ def build_exp(base: Sequence[str] | int, degree: int,
                       math.comb(basis.dim + degree, degree) * basis.dim)
         outer = MultisetBasis(basis.labels(), degree)
         dup = np.zeros((outer.dim, basis.dim))
-        for i, m in enumerate(basis.elements):
-            for parts, c in delta_sparse(m, degree).items():
-                key = tuple(sorted(basis.index[p] for p in parts))
-                dup[outer.index[key], i] = c
+        table = basis.shape.parts
+        dup[[outer.index[p] for p in table.elements], table.union] = 1
     return ExpStructure(
         basis=basis, outer=outer,
         Delta=delta_mat, counit_e=e_mat, eps=eps_mat, delta=dup,
@@ -236,111 +233,34 @@ def build_exp(base: Sequence[str] | int, degree: int,
         mu=dup.conj().T if dup is not None else None)
 
 
-# -- sparse column calculus ------------------------------------------------
-#
-# Every structure map has small per-column support, so a column is a dict
-# from basis elements to coefficients.  Elements are represented
-# structurally: a multiset is a sorted tuple of its elements, and a
-# multiset of multisets a sorted tuple of those.  The dense duplication of
-# `build_exp` is these columns scattered into the outer basis; iterated
-# exponentials, too large to materialize, are only ever handled this way.
-
-def _multiplicity_factorial(m: tuple) -> int:
-    """Product of the factorials of the multiplicities in m."""
-    out = 1
-    for x in set(m):
-        out *= math.factorial(m.count(x))
-    return out
-
-
-def delta_sparse(m: tuple, degree: int) -> dict:
-    """Column of the duplication at a multiset m: all multisets of parts
-    with union m, parts of size <= degree, at most degree parts including
-    empty padding; coefficient 1 each.  Parts are split off one at a time,
-    and the part split off holds the least element left, so each split of
-    what is left is built once: that element with one sub-multiset of the
-    rest.  Parts are kept only in sorted order, each at least the one
-    before: the parts of a multiset of parts, sorted, hold their least
-    elements in order, so each multiset of parts is reached on that one
-    path only, and no repeat is built."""
-    out: dict = {}
-
-    def rec(remaining: tuple, acc: tuple) -> None:
-        if not remaining:
-            for extra in range(degree - len(acc) + 1):
-                out[((),) * extra + acc] = 1
-            return
-        if len(acc) == degree:
-            return
-        least = remaining[:1]
-        for head, rest in sub_multiset_splits(remaining[1:]):
-            part = least + head
-            if len(part) <= degree and (not acc or part >= acc[-1]):
-                rec(rest, acc + (part,))
-
-    rec(tuple(sorted(m)), ())
-    return out
-
-
-def bang_apply_sparse(f_col, m: tuple, bound: int) -> dict:
-    """Column of !f at the multiset m, where f_col(x) gives the sparse
-    column of f at a base element x, on the monomials k (multisets of
-    tuples t) of total size sum(len(t)) <= bound.  It is the product of
-    the columns f(x) for x in m, one factor peeled at a time as in
-    `bang_matrix`, scaled by k!/m! (products of multiplicity factorials).
-    A partial product is dropped as soon as its size passes the bound:
-    each factor adds a size >= 0, so it could only have ended past it, and
-    every kept monomial sums the same terms in the same order as the
-    unbounded product."""
-    prod: dict = {(): (0, 1)}
-    for x in m:
-        col = [(t, len(t), c) for t, c in f_col(x).items() if c != 0]
-        nxt: dict = {}
-        for key, (size, v) in prod.items():
-            for t, n, c in col:
-                if size + n > bound:
-                    continue
-                k = tuple(sorted(key + (t,)))
-                old = nxt.get(k)
-                nxt[k] = (size + n, v * c if old is None else old[1] + v * c)
-        prod = nxt
-    scale = _multiplicity_factorial(m)
-    return {k: v * _multiplicity_factorial(k) / scale
-            for k, (_, v) in prod.items() if v != 0}
-
-
 def comonad_coassoc_report(base_dim: int, degree: int,
                            tol: float = 1e-9) -> tuple[bool, float, int]:
     """Check delta;!delta = delta;delta on the window where no intermediate
-    value exceeds the degree bound.  For a target entry, a multiset of
-    multisets of parts, the only contributing intermediate is the multiset
-    of part-unions, and the entry is in the window exactly when the sizes
-    of those unions sum to at most d.  Only the window is built:
-    delta;!delta is the product of the duplication's columns bounded by d
-    (`bang_apply_sparse`), and every entry of delta;delta at a multiset of
-    parts P is in the window already, as its sizes sum to len(P) <= d.
-    Returns (pass, worst residual on the window, entries compared)."""
+    value exceeds the degree bound: the multisets Q of at most d multisets
+    of parts (`basis.shape.law`) whose total number of parts and total
+    size are at most d.  Every row of delta holds a single 1, at the union of its
+    parts (`basis.shape.parts`), so both composites are 0/1 maps with a
+    single 1 in each row of the window, and each is computed as the column
+    of that 1.  delta;!delta peels the first element P off Q as
+    `bang_matrix` does, one gather per grade: its column is the union of
+    P's parts plus that of the rest of Q, summed by `basis.shape.splits`.
+    delta;delta reads the union of the sum of Q's elements.  A row where
+    the columns differ holds two entries that differ by 1.  The window is
+    counted, and refused past `errors.MAX_ENTRIES` entries, before any
+    table is built.  Returns (pass, worst residual on the window, entries
+    compared)."""
     tol = tolerance(tol)
-    # the duplication's columns, each built once per report
-    delta = functools.cache(functools.partial(delta_sparse, degree=degree))
-    worst = 0.0
-    checked = 0
-    ok = True
-    for m in _multisets(base_dim, degree).elements:
-        lhs: dict = {}
-        rhs: dict = {}
-        for mm, c in delta(m).items():
-            for key, c2 in bang_apply_sparse(delta, mm, degree).items():
-                lhs[key] = lhs.get(key, 0) + c * c2
-            for key, c2 in delta(mm).items():
-                rhs[key] = rhs.get(key, 0) + c * c2
-        for k in lhs.keys() | rhs.keys():
-            checked += 1
-            r = abs(lhs.get(k, 0) - rhs.get(k, 0))
-            worst = max(worst, float(r))
-            if r > tol:
-                ok = False
-    return ok, worst, checked
+    shape = _law_window(base_dim, degree)
+    union, law = shape.parts.union, shape.law
+    sums = shape.splits[2]
+    rows = _rows(shape)
+    lhs = np.zeros(len(law.first), dtype=np.intp)   # () for the empty Q
+    for lo, hi in zip(law.grades[1:], law.grades[2:]):
+        lhs[lo:hi] = sums[rows[union[law.first[lo:hi]]]
+                          + lhs[law.rest[lo:hi]]]
+    differ = int(np.count_nonzero(lhs != union[law.sum]))
+    worst = 1.0 if differ else 0.0
+    return worst <= tol, worst, len(lhs) + differ
 
 
 # -- monoidal structure ----------------------------------------------------

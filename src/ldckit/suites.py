@@ -36,7 +36,8 @@ ones are the monoid ones of the other flavour, flipped.
 
 A gadget over an exponential (a `Bang` or `Quest` object) is compared
 only on boundary entries whose total degree, read from the types
-(`_boundary_degrees`), is within the truncation window.
+(`_boundary_degrees`), is within the truncation window; each side reads
+its window once per degree and set of factor dimensions (`_window`).
 """
 from __future__ import annotations
 
@@ -140,6 +141,22 @@ def _boundary_degrees(types: Sequence[ObjectExpr], env: ModelEnv
     return out
 
 
+def _window(c: Circuit, env: ModelEnv) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and columns of `c`'s matrix within the degree window, as
+    `np.ix_` indices.  They are read once per degree and set of factor
+    dimensions, which fix the degree of every boundary entry, and kept
+    beside `c`'s compiled contractions (`model.evaluate`), under their key
+    and the degree."""
+    key = env.degree, tuple(interp(f, env)[0] for f in c.factors)
+    window = c._programs.get(key)
+    if window is None:
+        rows = _boundary_degrees(c.output_types(), env)
+        cols = _boundary_degrees(c.input_types(), env)
+        window = c._programs[key] = np.ix_(rows <= env.degree,
+                                           cols <= env.degree)
+    return window
+
+
 # Each equation's two sides by equation and object typing, oldest out
 # first: a template reads nothing of a gadget but its objects, and its
 # circuits keep their compiled contractions (`model.evaluate`).  The
@@ -176,11 +193,9 @@ def check_suite(g: Gadget, suite: EquationSuite,
         lhs = evaluate(lhs_c, env)
         rhs = evaluate(rhs_c, env)
         if windowed:
-            rows = _boundary_degrees(lhs_c.output_types(), env)
-            cols = _boundary_degrees(lhs_c.input_types(), env)
             # entries outside the window count as 0 on both sides, which
             # moves neither the residual nor the scale (maxima of moduli)
-            window = np.ix_(rows <= env.degree, cols <= env.degree)
+            window = _window(lhs_c, env)
             lhs, rhs = lhs[window], rhs[window]
         ok, residual = matrices_equal(lhs, rhs, tol)
         residuals[eq.label] = residual

@@ -12,7 +12,9 @@ time and memory exponential in the degree, so the tests use them on small
 bases only.
 
 `split_comult_matrix` fills Delta multiset by multiset, one entry per
-split into an ordered pair of sub-multisets.
+split into an ordered pair of sub-multisets (`sub_multiset_splits`, which
+`ldckit.multiset` kept while Delta's splits and the duplication's columns
+were built from it).
 
 `peel_bang_matrix`, `dense_monoidal_structure`, `dense_lifted_cup`,
 `dense_lifted_cap` and `dense_induce_bang_monoid` are the closed forms that
@@ -31,7 +33,13 @@ called by hand with its pair of bases.
 the coassociativity check built only its degree window, kept verbatim: the
 duplication's columns from every split of each multiset, deduplicated,
 and the check that builds the whole product delta;!delta and then drops
-the entries outside the window.
+the entries outside the window.  `bounded_bang_apply_sparse` and
+`window_comonad_coassoc_report` are the calculus as it was next, before
+the check read the shape's tables, kept verbatim but for their names, the
+duplication's columns, which are `delta_sparse`'s, and the tolerance,
+taken as given: the product of
+columns dropped once its parts pass the bound, so that only the window is
+built.  `_multiplicity_factorial` serves both.
 
 `lift_flat`, `_grades`, `_window_unions`, `remove_one`, `multiset_union`
 and `grade_indices` are the couniversal lift and the multiset index as they
@@ -52,21 +60,35 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from typing import Iterator
 
 import numpy as np
 
 from ldckit.errors import LiftFailure, NotAComonoid, ShapeMismatch
 from ldckit.errors import shaped
-from ldckit.exponential import (ExpStructure, _m_top,
-                                _multiplicity_factorial, build_exp,
+from ldckit.exponential import (ExpStructure, _m_top, build_exp,
                                 _lifted_cap, _lifted_cup, comult_matrix,
                                 counit_matrix)
 from ldckit.gadget import Gadget
 from ldckit.model import ModelEnv, interp
-from ldckit.multiset import (MultisetBasis, _frozen, _Grade,
-                             distinct_orderings, sub_multiset_splits)
+from ldckit.multiset import (MultisetBasis, _frozen, _Grade, _multisets,
+                             distinct_orderings)
 from ldckit.objects import Bang
 from ldckit.suites import _require_suite
+
+
+def sub_multiset_splits(m: tuple[int, ...]) \
+        -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All distinct ordered pairs (m1, m2) with m1 + m2 = m, each once."""
+    items = sorted(set(m))
+    counts = [m.count(x) for x in items]
+    for choice in itertools.product(*(range(c + 1) for c in counts)):
+        m1 = tuple(itertools.chain.from_iterable(
+            (x,) * k for x, k in zip(items, choice)))
+        m2 = tuple(itertools.chain.from_iterable(
+            (x,) * (c - k) for x, c, k in zip(items, counts, choice)))
+        yield m1, m2
 
 
 def _product_basis(exp_a: ExpStructure, exp_b: ExpStructure) -> MultisetBasis:
@@ -374,6 +396,77 @@ def comonad_coassoc_report(base_dim: int, degree: int,
             if sum(len(part) for part in k) > degree \
                     or not _fits_degree(k, degree):
                 continue
+            checked += 1
+            r = abs(lhs.get(k, 0) - rhs.get(k, 0))
+            worst = max(worst, float(r))
+            if r > tol:
+                ok = False
+    return ok, worst, checked
+
+
+def _multiplicity_factorial(m: tuple) -> int:
+    """Product of the factorials of the multiplicities in m."""
+    out = 1
+    for x in set(m):
+        out *= math.factorial(m.count(x))
+    return out
+
+
+def bounded_bang_apply_sparse(f_col, m: tuple, bound: int) -> dict:
+    """Column of !f at the multiset m, where f_col(x) gives the sparse
+    column of f at a base element x, on the monomials k (multisets of
+    tuples t) of total size sum(len(t)) <= bound.  It is the product of
+    the columns f(x) for x in m, one factor peeled at a time as in
+    `bang_matrix`, scaled by k!/m! (products of multiplicity factorials).
+    A partial product is dropped as soon as its size passes the bound:
+    each factor adds a size >= 0, so it could only have ended past it, and
+    every kept monomial sums the same terms in the same order as the
+    unbounded product."""
+    prod: dict = {(): (0, 1)}
+    for x in m:
+        col = [(t, len(t), c) for t, c in f_col(x).items() if c != 0]
+        nxt: dict = {}
+        for key, (size, v) in prod.items():
+            for t, n, c in col:
+                if size + n > bound:
+                    continue
+                k = tuple(sorted(key + (t,)))
+                old = nxt.get(k)
+                nxt[k] = (size + n, v * c if old is None else old[1] + v * c)
+        prod = nxt
+    scale = _multiplicity_factorial(m)
+    return {k: v * _multiplicity_factorial(k) / scale
+            for k, (_, v) in prod.items() if v != 0}
+
+
+def window_comonad_coassoc_report(base_dim: int, degree: int,
+                                  tol: float = 1e-9) \
+        -> tuple[bool, float, int]:
+    """Check delta;!delta = delta;delta on the window where no intermediate
+    value exceeds the degree bound.  For a target entry, a multiset of
+    multisets of parts, the only contributing intermediate is the multiset
+    of part-unions, and the entry is in the window exactly when the sizes
+    of those unions sum to at most d.  Only the window is built:
+    delta;!delta is the product of the duplication's columns bounded by d
+    (`bounded_bang_apply_sparse`), and every entry of delta;delta at a
+    multiset of parts P is in the window already, as its sizes sum to
+    len(P) <= d.  Returns (pass, worst residual on the window, entries
+    compared)."""
+    # the duplication's columns, each built once per report
+    delta = functools.cache(functools.partial(delta_sparse, degree=degree))
+    worst = 0.0
+    checked = 0
+    ok = True
+    for m in _multisets(base_dim, degree).elements:
+        lhs: dict = {}
+        rhs: dict = {}
+        for mm, c in delta(m).items():
+            for key, c2 in bounded_bang_apply_sparse(delta, mm,
+                                                     degree).items():
+                lhs[key] = lhs.get(key, 0) + c * c2
+            for key, c2 in delta(mm).items():
+                rhs[key] = rhs.get(key, 0) + c * c2
+        for k in lhs.keys() | rhs.keys():
             checked += 1
             r = abs(lhs.get(k, 0) - rhs.get(k, 0))
             worst = max(worst, float(r))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -13,19 +14,17 @@ from hypothesis import strategies as st
 from ldckit.errors import (MAX_ENTRIES, LdcError, LiftFailure, NotAComonoid,
                            ResourceLimit, ShapeMismatch)
 from ldckit.exponential import (_lifted_cap, _lifted_cup, _monoidal,
-                                bang_apply_sparse, bang_matrix, build_exp,
+                                bang_matrix, build_exp,
                                 comonad_coassoc_report,
                                 comonoid_residual, comult_matrix,
-                                counit_matrix, delta_sparse,
-                                dereliction_matrix,
+                                counit_matrix, dereliction_matrix,
                                 induce_bang_monoid, lift_flat, lift_sharp,
                                 monoidal_structure, retract_idempotent)
 from ldckit.fixtures import load_gadget
 from ldckit.gadget import Gadget
 from ldckit.model import ModelEnv, interp
 from ldckit import exponential, multiset
-from ldckit.multiset import (MultisetBasis, distinct_orderings,
-                             sub_multiset_splits)
+from ldckit.multiset import MultisetBasis, distinct_orderings
 from ldckit.objects import Atom, Bang
 from ldckit.suites import SUITES, check_suite
 
@@ -74,7 +73,7 @@ class TestMultisetBasis:
     @given(m=st.lists(st.integers(min_value=0, max_value=2),
                       max_size=4).map(lambda xs: tuple(sorted(xs))))
     def test_splits_partition_the_multiset(self, m):
-        splits = list(sub_multiset_splits(m))
+        splits = list(exp_oracle.sub_multiset_splits(m))
         # one split per sub-multiset, i.e. per choice of multiplicities
         expected = 1
         for x in set(m):
@@ -142,15 +141,37 @@ class TestStructureMaps:
         assert checked > 0
 
     # the reports as they were before the duplication's columns were
-    # memoized within a report, and (3, 4) and (2, 5) as they were before
-    # the report built only its degree window
-    @pytest.mark.parametrize("base, degree, want", [
+    # memoized within a report, (3, 4) and (2, 5) as they were before
+    # the report built only its degree window, and (3, 5) as it was
+    # before the report read the shape's tables
+    PINNED = [
         (2, 2, (True, 0.0, 42)), (3, 2, (True, 0.0, 71)),
         (2, 3, (True, 0.0, 321)), (3, 3, (True, 0.0, 752)),
         (2, 4, (True, 0.0, 2340)), (3, 4, (True, 0.0, 7458)),
-        (2, 5, (True, 0.0, 15477))])
+        (2, 5, (True, 0.0, 15477)), (3, 5, (True, 0.0, 67406))]
+
+    @pytest.mark.parametrize("base, degree, want", PINNED)
     def test_comonad_coassoc_report_is_unchanged(self, base, degree, want):
         assert comonad_coassoc_report(base, degree) == want
+
+    @pytest.mark.parametrize("base, degree, want", PINNED)
+    def test_the_window_is_counted_before_it_is_built(self, base, degree,
+                                                      want):
+        # the count that refuses a window too large to build is the
+        # number of entries the report compares
+        assert multiset._law_size(base, degree, MAX_ENTRIES) == want[2]
+        assert len(multiset._multisets(base, degree).law.first) == want[2]
+
+    # (500, 3), (10000, 2) and (2, 30) hold about 1.5e9, 4.0e8 and more
+    # than 4e8 entries; the report accepted them and ran for hours or out
+    # of memory
+    @pytest.mark.parametrize("base, degree", [(500, 3), (10000, 2),
+                                              (2, 30)])
+    def test_a_window_too_large_is_refused_at_once(self, base, degree):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimit, match="comonad law window"):
+            comonad_coassoc_report(base, degree)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestFunctoriality:
@@ -209,7 +230,8 @@ def duplication_products(draw):
     base = draw(st.integers(1, 3 if degree < 4 else 2))
     labels = [str(i) for i in range(base)]
     m = draw(st.sampled_from(MultisetBasis(labels, degree).elements))
-    parts = draw(st.sampled_from(sorted(delta_sparse(m, degree))))
+    parts = draw(st.sampled_from(sorted(exp_oracle.delta_sparse(m,
+                                                                degree))))
     return parts, degree, draw(st.integers(0, degree + 1))
 
 
@@ -247,10 +269,10 @@ class TestAgainstOracle:
         parts, degree, bound = case
 
         def column(x):
-            return delta_sparse(x, degree)
+            return exp_oracle.delta_sparse(x, degree)
         full = exp_oracle.bang_apply_sparse(column, parts)
-        assert bang_apply_sparse(column, parts, bound) == {
-            k: v for k, v in full.items() if sum(map(len, k)) <= bound}
+        assert exp_oracle.bounded_bang_apply_sparse(column, parts, bound) \
+            == {k: v for k, v in full.items() if sum(map(len, k)) <= bound}
 
     @pytest.mark.parametrize("base", [1, 2, 3, 4])
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
@@ -278,21 +300,37 @@ class TestAgainstOracle:
         assert comonad_coassoc_report(base, degree) \
             == exp_oracle.comonad_coassoc_report(base, degree)
 
+    @pytest.mark.parametrize("base, degree", [(3, 4), (4, 4), (10, 3)])
+    def test_comonad_coassoc_report_past_the_whole_product(self, base,
+                                                           degree):
+        assert comonad_coassoc_report(base, degree) \
+            == exp_oracle.window_comonad_coassoc_report(base, degree)
+
+    # (4, 4) is left out: its dense delta holds 85 M entries
+    @pytest.mark.parametrize("base, degree",
+                             [(n, d) for n in range(5) for d in range(1, 5)
+                              if (n, d) != (4, 4)])
+    def test_duplication_columns(self, base, degree):
+        exp = build_exp(base, degree)
+        want = np.zeros_like(exp.delta)
+        for i, m in enumerate(exp.basis.elements):
+            for parts, c in exp_oracle.delta_sparse(m, degree).items():
+                key = tuple(sorted(exp.basis.index[p] for p in parts))
+                want[exp.outer.index[key], i] = c
+        assert np.array_equal(exp.delta, want)
+
     @pytest.mark.parametrize("base, degree",
                              [(n, d) for n in range(5) for d in range(5)])
-    def test_duplication_columns(self, base, degree):
-        # build_exp scatters these columns: equal columns, equal matrices
-        labels = [str(i) for i in range(base)]
-        for m in MultisetBasis(labels, degree).elements:
-            assert delta_sparse(m, degree) \
-                == exp_oracle.delta_sparse(m, degree)
-
-    @settings(max_examples=200, deadline=None)
-    @given(m=st.lists(st.integers(0, 3), max_size=6).map(tuple),
-           degree=st.integers(0, 5))
-    def test_duplication_column_of_any_tuple(self, m, degree):
-        # unsorted, and past the degree bound
-        assert delta_sparse(m, degree) == exp_oracle.delta_sparse(m, degree)
+    def test_duplication_table(self, base, degree):
+        # the table that build_exp scatters, at every shape above
+        shape = multiset._multisets(base, degree)
+        table = shape.parts
+        got = {(p, shape.elements[u])
+               for p, u in zip(table.elements, table.union.tolist())}
+        want = {(tuple(sorted(shape.index[p] for p in parts)), m)
+                for m in shape.elements
+                for parts in exp_oracle.delta_sparse(m, degree)}
+        assert got == want and len(got) == len(table.elements)
 
     # (3, 3) is left out: the oracle's lift takes seconds and a gigabyte
     @pytest.mark.parametrize("base, degree",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import itertools
 import re
 from pathlib import Path
@@ -191,7 +192,7 @@ class TestSharedEnumeration:
         other = MultisetBasis(["x", "y"], 3)
         assert other.shape is basis.shape is _multisets(2, 3)
         assert (basis.shape.letters, basis.shape.degree) == (2, 3)
-        for table in ("degrees", "grades", "splits"):
+        for table in ("degrees", "grades", "splits", "parts", "law"):
             assert getattr(other.shape, table) \
                 is getattr(basis.shape, table), table
         assert basis.shape.degrees.tolist() == [0, 1, 1, 2, 2, 2,
@@ -200,7 +201,10 @@ class TestSharedEnumeration:
             basis.shape.elements = ()
         arrays = [basis.shape.degrees, *basis.shape.splits, *(
             getattr(g, f.name) for g in basis.shape.grades
-            for f in dataclasses.fields(g) if f.name not in ("start", "stop"))]
+            for f in dataclasses.fields(g) if f.name not in ("start", "stop")),
+            basis.shape.parts.union, *(
+                getattr(basis.shape.law, f.name)
+                for f in dataclasses.fields(basis.shape.law))]
         assert all(not a.flags.writeable for a in arrays)
 
     def test_only_multiset_enumerates_multisets(self):
@@ -226,6 +230,13 @@ class TestSharedEnumeration:
                          ("model.py", "_exponential_shape"),
                          ("exponential.py", "_monoidal")}
         assert mentions == 3
+
+    def test_the_shape_tables_and_no_other(self):
+        # every table of a basis shape is a cached property of `_Shape`; a
+        # new one is a new entry here, as a new cache is above
+        tables = {name for name, value in vars(multiset._Shape).items()
+                  if isinstance(value, functools.cached_property)}
+        assert tables == {"degrees", "grades", "splits", "parts", "law"}
 
     def test_a_second_demo_builds_no_table_again(self, capsys):
         argv = ["exp", "demo", "--gadget", "qubit-zx", "--degree", "2"]

@@ -12,7 +12,7 @@ from ldckit.errors import MAX_ENTRIES, LdcError, MissingRole, TypeMismatch
 from ldckit.exponential import induce_bang_monoid, retract_idempotent
 from ldckit.fixtures import fixture_names, load_gadget
 from ldckit.gadget import Gadget
-from ldckit.model import ModelEnv, evaluate, interp
+from ldckit.model import ModelEnv, evaluate, interp, matrices_equal
 from ldckit.objects import Atom, Bang, factors
 from ldckit import suites
 from ldckit.suites import SUITES, Equation, check_suite
@@ -195,6 +195,42 @@ class TestGradedMasking:
         report = check_suite(flat, SUITES["dual-morphism"], TOL)
         assert report.residuals == {"cup-morphism": 1.0,
                                     "cap-morphism": 0.0}
+
+
+class TestWindowKept:
+    def test_each_degree_and_base_gets_its_own_window(self):
+        # !C over 2 letters at degree 3 and over 3 at degree 2 both have
+        # dimension 10, so the comonoid laws' sides on !C alone compile
+        # to one contraction; each keeps a window of its own, and the
+        # residuals are those of the window read from the types
+        rng = np.random.default_rng(7)
+        gadgets = []
+        for dim, degree in ((2, 3), (3, 2)):
+            env = ModelEnv.make({"C": dim}, degree=degree)
+            gadgets.append(Gadget("comonoid", {"A": Bang(Atom("C"))}, {
+                "d": rng.standard_normal((100, 10)),
+                "k": rng.standard_normal((1, 10))}, env))
+        want = []
+        for g in gadgets:
+            env = suites.suite_env(g)
+            residuals = {}
+            for eq in suites._COMONOID.equations:
+                lhs_c, rhs_c = suites._sides(eq, g)
+                window = np.ix_(
+                    suites._boundary_degrees(lhs_c.output_types(), env)
+                    <= env.degree,
+                    suites._boundary_degrees(lhs_c.input_types(), env)
+                    <= env.degree)
+                residuals[eq.label] = matrices_equal(
+                    evaluate(lhs_c, env)[window],
+                    evaluate(rhs_c, env)[window])[1]
+            want.append(residuals)
+        assert want[0] != want[1]
+        for g, residuals in [*zip(gadgets, want)] * 2:
+            assert check_suite(g, suites._COMONOID).residuals == residuals
+        for eq in suites._COMONOID.equations:
+            assert suites._sides(eq, gadgets[0]) \
+                is suites._sides(eq, gadgets[1])
 
 
 def _exponential(kind: str, base: Gadget, degree: int) -> Gadget:
