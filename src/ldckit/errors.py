@@ -101,6 +101,10 @@ class ResourceLimit(LdcError):
 # entries are 2 GiB, and 2**27 real ones 1 GiB.
 MAX_ENTRIES = 2 ** 27
 
+# The most entries of an index table of Python objects (`multiset._Shape`):
+# at 93-173 bytes an entry, up to 256, it fits in MAX_ENTRIES complex ones.
+MAX_TABLE_ENTRIES = MAX_ENTRIES // 16
+
 
 def check_entries(what: str, entries: int) -> None:
     """Refuse, before allocating it, a dense array of more than

@@ -21,8 +21,9 @@ multiset of parts with that union, scattered from the shape's table of
 them, and the monoidal structure, one column index per multiset of pairs
 through which the induced multiplication and cups are summed without a
 dense matrix, sends a pair of multisets to every multiset of pairs with
-those projections.  Every dense array left is refused with `ResourceLimit`
-past `errors.MAX_ENTRIES` entries, before it is allocated.  The comonad law
+those projections.  `ResourceLimit` refuses every dense array left past
+`errors.MAX_ENTRIES` entries before it is allocated, and the shape each
+table past `errors.MAX_TABLE_ENTRIES` before it is built.  The comonad law
 delta;!delta = delta;delta is checked on the degree window of !!!A, which
 the shape lists once, with the first element, the rest and the sum of
 each entry: one gather per grade for delta;!delta, one for delta;delta.
@@ -43,8 +44,8 @@ from .errors import (LdcError, LiftFailure, NotAComonoid, ShapeMismatch,
                      tolerance)
 from .gadget import Gadget, _exponential
 from .model import ModelEnv, interp, matrices_equal
-from .multiset import (MultisetBasis, _frozen, _law_window, _multisets,
-                       _rows)
+from .multiset import (MultisetBasis, _frozen, _multisets, _rows,
+                       _split_count)
 from .objects import Atom, Bang
 from .suites import _COMONOID, _ROLE_SIGNATURES, _require_suite, check_suite
 
@@ -138,6 +139,11 @@ def lift_flat(comonoid: tuple[np.ndarray, np.ndarray], f: np.ndarray,
     res = comonoid_residual(delta_c, e_c)
     if res > tol:
         raise NotAComonoid(res)
+    # the law check's pairs, one per split, bound every array below: each
+    # grade pairs f[a] with row m - a, and the lift has a row, per split
+    check_entries("lift_flat's pairs of rows over Delta's splits",
+                  _split_count(size, target.degree) * dim_c * dim_c)
+    i1, i2, union = target.shape.splits
     big = np.zeros((target.dim, dim_c),
                    np.result_type(delta_c, e_c, f, float))
     big[0] = e_c[0]
@@ -159,7 +165,6 @@ def lift_flat(comonoid: tuple[np.ndarray, np.ndarray], f: np.ndarray,
     # Compare only on the degree window: outside it the truncated
     # comultiplication cannot produce the term, by construction.  Inside
     # it, Delta . big reads big at the union of each split.
-    i1, i2, union = target.shape.splits
     r = matrices_equal(big[union],
                        _tensor_rows(big[i1], big[i2], delta_c))[1]
     if r > tol * float(np.max(np.abs(big), initial=1.0)):
@@ -246,12 +251,12 @@ def comonad_coassoc_report(base_dim: int, degree: int,
     P's parts plus that of the rest of Q, summed by `basis.shape.splits`.
     delta;delta reads the union of the sum of Q's elements.  A row where
     the columns differ holds two entries that differ by 1.  The window is
-    counted, and refused past `errors.MAX_ENTRIES` entries, before any
-    table is built.  Returns (pass, worst residual on the window, entries
-    compared)."""
+    read first: the shape counts it, and refuses it past
+    `errors.MAX_TABLE_ENTRIES` entries, before any table is built.
+    Returns (pass, worst residual on the window, entries compared)."""
     tol = tolerance(tol)
-    shape = _law_window(base_dim, degree)
-    union, law = shape.parts.union, shape.law
+    shape = _multisets(base_dim, degree)
+    law, union = shape.law, shape.parts.union
     sums = shape.splits[2]
     rows = _rows(shape)
     lhs = np.zeros(len(law.first), dtype=np.intp)   # () for the empty Q

@@ -3,13 +3,17 @@
 The basis of the degree-d exponential over a base space consists of all
 multisets of base labels of size at most d, ordered by (size, lexicographic
 by base index).  A multiset is represented as a sorted tuple of base
-indices.  They are enumerated once per basis shape (letters, degree), in a
-bounded LRU cache, as a read-only `_Shape` that every `MultisetBasis` of
-that shape shares, with every index table read over them, each built once,
-on first use: the multisets' sizes, the peel tables, Delta's splits, the
-duplication's multisets of parts and the window of the comonad law.  The
-window is counted from (letters, degree) by a small dynamic programme, and
-refused past `errors.MAX_ENTRIES` entries before any multiset is built.
+indices.  Every `MultisetBasis` of one shape (letters, degree) shares one
+read-only `_Shape`, kept in a bounded LRU cache, which builds each table
+over the shape once, on first use: the multisets, their positions and
+sizes, the peel tables, Delta's splits, the duplication's multisets of
+parts and the comonad law's window.  The multisets, the splits and the
+window each count themselves from (letters, degree), by closed forms or,
+for the window, a small dynamic programme, and are refused past
+`errors.MAX_TABLE_ENTRIES` entries before any table is built.  The others
+are bounded by these: the positions, sizes and peel tables by the
+multisets, and the multisets of parts by the window, which holds each as a
+one-element entry, or by the duplication's dense check in `build_exp`.
 """
 from __future__ import annotations
 
@@ -23,61 +27,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import MAX_ENTRIES, ResourceLimit, count, string_labels
+from .errors import MAX_TABLE_ENTRIES, ResourceLimit, count, string_labels
 
 
 def _multisets(letters: int, degree: int) -> _Shape:
     """The shape of the multisets of size <= degree over `letters`
-    letters (`_Shape`).  They are the multisets of size d over k + 1
-    letters, the extra letter padding: C(k + d, d) of them, holding
-    k C(k + d, k + 1) letters in all.  Both counts are refused on every
-    call, before any multiset is built."""
-    letters, degree = _shape_args(letters, degree)
-    for what, size in (("multisets", math.comb(letters + degree, degree)),
-                       ("letters of all multisets",
-                        letters * math.comb(letters + degree, letters + 1))):
-        if size > MAX_ENTRIES:
-            raise ResourceLimit(f"degree-{degree} multiset basis over "
-                                f"{letters} letters ({what})", size,
-                                MAX_ENTRIES)
-    return _enumerated(letters, degree)
-
-
-def _law_window(letters: int, degree: int) -> _Shape:
-    """The shape of (letters, degree), once the comonad law's window over
-    it (`_Shape.law`) is found within MAX_ENTRIES entries, by a bound or
-    else by its count: it is refused on every call, before any multiset is
-    built."""
-    letters, degree = _shape_args(letters, degree)
-    if not _law_bounded(letters, degree):
-        size = _law_size(letters, degree, MAX_ENTRIES)
-        if size > MAX_ENTRIES:
-            raise ResourceLimit(f"degree-{degree} comonad law window over "
-                                f"{letters} letters (entries)",
-                                f"at least {size}", MAX_ENTRIES)
-    return _multisets(letters, degree)
-
-
-def _law_bounded(letters: int, degree: int) -> bool:
-    """Whether a bound on the comonad law's window is within MAX_ENTRIES,
-    as it is for the small windows, which need no count.  An entry Q is
-    fixed by how many empty elements it holds, at most d + 1 ways, and by
-    the parts of its other elements in order, j <= d of the C(k + d, d)
-    multisets, each of which starts an element or not."""
-    sequences = 2 * math.comb(letters + degree, degree)
-    bound = term = degree + 1
-    for _ in range(degree):
-        term *= sequences
-        bound += term
-        if bound > MAX_ENTRIES:
-            return False
-    return True
-
-
-def _shape_args(letters: object, degree: object) -> tuple[int, int]:
+    letters (`_Shape`)."""
     degree = count(degree, "a degree bound is a nonnegative integer")
     letters = count(letters, "a base has a nonnegative number of elements")
-    return letters, degree
+    return _enumerated(letters, degree)
 
 
 def _law_size(letters: int, degree: int, limit: int) -> int:
@@ -108,36 +66,35 @@ def _law_size_at(letters: int, degree: int, limit: int) -> int:
     parts, _ = _with_kinds(
         ((1, s, math.comb(letters + s - 1, s) if s else 1)
          for s in range(span)), span, limit)
-    if parts.sum() > limit:
-        return int(parts.sum())
+    if sum(parts.values()) > limit:
+        return sum(parts.values())
     law, elements = _with_kinds(
-        ((k, s, parts[k, s]) for k in range(1, span) for s in range(span)
-         if parts[k, s]), span, limit)
-    return int((span * law - elements).sum())
+        ((k, s, n) for (k, s), n in sorted(parts.items()) if k and n),
+        span, limit)
+    return sum(span * n - elements[key] for key, n in law.items())
 
 
-def _with_kinds(kinds, span: int, limit: int) \
-        -> tuple[np.ndarray, np.ndarray]:
+def _with_kinds(kinds, span: int, limit: int) -> tuple[dict, dict]:
     """The number of multisets of elements of the `kinds` (parts, total
     size, how many elements of that kind), and their summed number of
-    elements, by total parts and total size below `span`, as exact
-    integers.  Each kind only adds multisets, so it stops after the first
-    kind at which their number passes `limit`."""
-    count = np.zeros((span, span), dtype=object)
-    moment = np.zeros((span, span), dtype=object)
-    count[0, 0] = 1
+    elements, by (total parts, total size) below `span`: exact integers,
+    in dicts of the sums that occur.  Each kind only adds multisets, so it
+    stops after the first kind at which their number passes `limit`."""
+    count, moment = {(0, 0): 1}, {(0, 0): 0}
     for k, s, many in kinds:
-        new_count, new_moment = count.copy(), moment.copy()
-        r = 1
-        while many and r * k < span and r * s < span:
-            ways = math.comb(many + r - 1, r)   # r of `many`, with repeats
-            src = slice(0, span - r * k), slice(0, span - r * s)
-            dst = slice(r * k, span), slice(r * s, span)
-            new_count[dst] += ways * count[src]
-            new_moment[dst] += ways * (moment[src] + r * count[src])
-            r += 1
+        if not many:
+            continue
+        new_count, new_moment = dict(count), dict(moment)
+        for (parts, size), n in count.items():
+            m, r = moment[parts, size], 1
+            while parts + r * k < span and size + r * s < span:
+                ways = math.comb(many + r - 1, r)   # r of `many`, with repeats
+                key = parts + r * k, size + r * s
+                new_count[key] = new_count.get(key, 0) + ways * n
+                new_moment[key] = new_moment.get(key, 0) + ways * (m + r * n)
+                r += 1
         count, moment = new_count, new_moment
-        if count.sum() > limit:
+        if sum(count.values()) > limit:
             break
     return count, moment
 
@@ -194,8 +151,30 @@ class _Shape:
     Tabareau & Tasson, ICALP 2009) over them, as read-only integer arrays."""
     letters: int
     degree: int
-    elements: tuple
-    index: Mapping
+
+    def _refuse(self, table: str, what: str, size: int, needed=None) -> None:
+        if size > MAX_TABLE_ENTRIES:
+            raise ResourceLimit(f"degree-{self.degree} {table} over "
+                                f"{self.letters} letters ({what})",
+                                size if needed is None else needed,
+                                MAX_TABLE_ENTRIES)
+
+    @functools.cached_property
+    def elements(self) -> tuple:
+        """The multisets, in basis order.  They are the multisets of size
+        d over k + 1 letters, the extra letter padding: C(k + d, d) of
+        them, holding k C(k + d, k + 1) letters in all."""
+        k, d = self.letters, self.degree
+        self._refuse("multiset basis", "multisets", math.comb(k + d, d))
+        self._refuse("multiset basis", "letters of all multisets",
+                     k * math.comb(k + d, k + 1))
+        return tuple(itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(range(k), n)
+            for n in range(d + 1)))
+
+    @functools.cached_property
+    def index(self) -> Mapping:   # the position of each multiset
+        return MappingProxyType({m: i for i, m in enumerate(self.elements)})
 
     @functools.cached_property
     def degrees(self) -> np.ndarray:   # the size of each multiset
@@ -231,6 +210,8 @@ class _Shape:
         at most degree - |m1|, a prefix of the basis, so the split
         (m1, m2) is number `_rows(self)[m1] + m2` and its third array is
         the sum of multisets as one gather."""
+        self._refuse("splits of Delta", "entries",
+                     _split_count(self.letters, self.degree))
         index, elements = self.index, self.elements
         within = _within(self.letters, self.degree)
         return tuple(map(_frozen, zip(*(
@@ -250,7 +231,8 @@ class _Shape:
         elements, size = [()], [0]
         union = [0]
         within = _within(self.letters, self.degree)
-        rows, sums = _rows(self).tolist(), self.splits[2].tolist()
+        # the splits first: their count refuses before _rows reads a table
+        sums, rows = self.splits[2].tolist(), _rows(self).tolist()
         grade = range(1)
         for _ in range(self.degree):
             start = len(elements)
@@ -273,6 +255,9 @@ class _Shape:
         before a Q' of grade g - 1 that holds no element before P; it
         carries P (`first`), the position of Q' (`rest`) and the position
         in `parts` of the sum of its elements (`sum`)."""
+        window = _law_size(self.letters, self.degree, MAX_TABLE_ENTRIES)
+        self._refuse("comonad law window", "entries", window,
+                     f"at least {window}")
         table, d = self.parts, self.degree
         elements = table.elements
         index = {p: i for i, p in enumerate(elements)}
@@ -301,6 +286,13 @@ class _Shape:
         return _Law(*map(_frozen, (first, rest, total, grades)))
 
 
+def _split_count(letters: int, degree: int) -> int:
+    """The number of Delta's splits (`_Shape.splits`): an ordered pair of
+    multisets over k letters is one multiset over 2k, so the pairs of
+    total size at most d are C(2k + d, d)."""
+    return math.comb(2 * letters + degree, degree)
+
+
 def _within(letters: int, degree: int) -> list[int]:
     """The number of multisets of size at most r, for r = 0..degree."""
     return [math.comb(letters + r, r) for r in range(degree + 1)]
@@ -315,11 +307,7 @@ def _rows(shape: _Shape) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _enumerated(letters: int, degree: int) -> _Shape:
-    elements = tuple(itertools.chain.from_iterable(
-        itertools.combinations_with_replacement(range(letters), n)
-        for n in range(degree + 1)))
-    return _Shape(letters, degree, elements, MappingProxyType(
-        {m: i for i, m in enumerate(elements)}))
+    return _Shape(letters, degree)
 
 
 class MultisetBasis:

@@ -164,9 +164,11 @@ class TestStructureMaps:
 
     # (500, 3), (10000, 2) and (2, 30) hold about 1.5e9, 4.0e8 and more
     # than 4e8 entries; the report accepted them and ran for hours or out
-    # of memory
+    # of memory.  (200, 3) and (100, 3), 96.0 M and 12.2 M entries, were
+    # accepted under the dense-array limit: minutes and gigabytes of
+    # Python lists
     @pytest.mark.parametrize("base, degree", [(500, 3), (10000, 2),
-                                              (2, 30)])
+                                              (2, 30), (200, 3), (100, 3)])
     def test_a_window_too_large_is_refused_at_once(self, base, degree):
         t0 = time.perf_counter()
         with pytest.raises(ResourceLimit, match="comonad law window"):
@@ -449,23 +451,31 @@ class TestResourceLimits:
 
     @pytest.mark.parametrize("letters, degree, what", [
         (3, 99_999_999_999, "multisets"),
-        (3, 400, "letters of all multisets"),
+        (3, 400, "multisets"),
         (2, 3000, "letters of all multisets"),
-        (1, 2 ** 27, "multisets")])
+        (1, 2 ** 27, "multisets"),
+        (640, 3, "multisets")])
     def test_multiset_basis(self, letters, degree, what):
         # every multiset was built before any size was checked: degree 400
-        # over 3 letters ran out of 3 GB
+        # over 3 letters ran out of 3 GB.  The 44.1 M multisets over 640
+        # letters at degree 3, about 6 GB, were taken under the dense-array
+        # limit
+        labels = [str(i) for i in range(letters)]
+        t0 = time.perf_counter()
         with pytest.raises(ResourceLimit, match=re.escape(f"({what})")):
-            MultisetBasis([str(i) for i in range(letters)], degree)
+            MultisetBasis(labels, degree)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_multiset_basis_at_the_limit_is_counted_exactly(self,
                                                            monkeypatch):
         # over 2 letters, the 10 multisets of size <= 3 hold 2 C(5, 3) = 20
-        # letters in all
-        monkeypatch.setattr(multiset, "MAX_ENTRIES", 20)
+        # letters in all; each basis gets a new shape, as a cached one
+        # counts nothing again
+        monkeypatch.setattr(multiset, "_enumerated", multiset._Shape)
+        monkeypatch.setattr(multiset, "MAX_TABLE_ENTRIES", 20)
         basis = MultisetBasis(["0", "1"], 3)
         assert sum(map(len, basis.elements)) == 20
-        monkeypatch.setattr(multiset, "MAX_ENTRIES", 19)
+        monkeypatch.setattr(multiset, "MAX_TABLE_ENTRIES", 19)
         with pytest.raises(ResourceLimit, match=r"letters of all multisets\)"
                                                 r": needs 20, the limit is 19"):
             MultisetBasis(["0", "1"], 3)
@@ -492,6 +502,26 @@ class TestResourceLimits:
         # the index form stays within reach
         _lifted_cup(np.eye(5, dtype=complex).reshape(25, 1), exp.basis,
                     exp.basis)
+
+    def test_lift_pairs(self):
+        # the grade-4 rows of this lift, 459200 x 40 x 40, escaped as a
+        # bare MemoryError from NumPy
+        g = load_gadget("zn:40")
+        basis = MultisetBasis([str(i) for i in range(40)], 4)
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimit, match="lift_flat's pairs"):
+            lift_flat((g.morphism("d"), g.morphism("k")), np.eye(40), basis)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_splits(self):
+        # a comonoid of one dimension holds no large dense array, but
+        # Delta's 17.2 M splits were built in Python, and ran out of memory
+        basis = MultisetBasis([str(i) for i in range(70)], 4)
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimit, match="splits of Delta"):
+            lift_flat((np.ones((1, 1)), np.ones((1, 1))), np.ones((70, 1)),
+                      basis)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_comonoid_check(self):
         # coassociativity holds 110**4 = 146 M entries, which the einsum

@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import itertools
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,8 @@ import pytest
 
 from ldckit import exponential, model, multiset
 from ldckit.cli import main
-from ldckit.errors import LdcError, LiftFailure, NotAComonoid, ShapeMismatch
+from ldckit.errors import (LdcError, LiftFailure, NotAComonoid,
+                           ResourceLimit, ShapeMismatch)
 from ldckit.exponential import (build_exp, comonad_coassoc_report,
                                 comult_matrix, lift_flat, lift_sharp)
 from ldckit.fixtures import load_gadget
@@ -236,7 +238,40 @@ class TestSharedEnumeration:
         # new one is a new entry here, as a new cache is above
         tables = {name for name, value in vars(multiset._Shape).items()
                   if isinstance(value, functools.cached_property)}
-        assert tables == {"degrees", "grades", "splits", "parts", "law"}
+        assert tables == {"elements", "index", "degrees", "grades",
+                          "splits", "parts", "law"}
+
+    # each guarded table refuses its shape before any table is built: the
+    # law's window at (100, 3), 12.2 M entries over 177 k multisets, and
+    # at (5 M, 1), whose multisets of parts read Delta's 10 M splits first
+    @pytest.mark.parametrize("letters, degree, table, refused", [
+        (100, 3, "law", "comonad law window"),
+        (5_000_000, 1, "law", "splits of Delta"),
+        (70, 4, "splits", "splits of Delta"),
+        (640, 3, "index", "multiset basis")])
+    def test_a_refused_table_builds_none(self, monkeypatch, letters,
+                                         degree, table, refused):
+        monkeypatch.setattr(multiset, "_enumerated", multiset._Shape)
+        shape = _multisets(letters, degree)
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimit, match=refused):
+            getattr(shape, table)
+        assert time.perf_counter() - t0 < 1.0
+        assert set(vars(shape)) == {"letters", "degree"}
+
+    def test_a_warm_report_counts_no_window(self, monkeypatch):
+        monkeypatch.setattr(multiset, "_enumerated",
+                            functools.lru_cache(multiset._Shape))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return law_size(*args)
+
+        law_size = multiset._law_size
+        monkeypatch.setattr(multiset, "_law_size", counted)
+        assert comonad_coassoc_report(2, 5) == comonad_coassoc_report(2, 5)
+        assert len(calls) == 1
 
     def test_a_second_demo_builds_no_table_again(self, capsys):
         argv = ["exp", "demo", "--gadget", "qubit-zx", "--degree", "2"]
